@@ -6,6 +6,7 @@ import numpy as np
 from scipy.stats import norm
 
 _GAUSS_NORM = 1.0 / np.sqrt(2.0 * np.pi)
+_WORKSPACE_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -55,11 +56,88 @@ def kernel_moments(kernel):
     return get_kernel(kernel).moments()
 
 
-def _weights(x, points, h, kernel):
-    """Kernel weight matrix K((x_k - p)/h), shape (len(points), len(x))."""
+def kernel_sums(x, points, h, kernel, columns=()):
+    """Kernel mass, window count and weighted column sums at each point.
+
+    With u_k = (x_k - p)/h, returns for every point p
+
+        mass[p]    = sum_k K(u_k),
+        count[p]   = #{k : |u_k| <= halfwidth},
+        sums[c, p] = sum_k K(u_k) * columns[c][k],
+
+    as arrays of shape (len(points),), (len(points),) and
+    (len(columns), len(points)).  x is sorted once and each point sums
+    only over its window of the sorted sample, found by binary search and
+    widened by a relative 1e-12 so that no observation with
+    |u_k| <= halfwidth falls outside it; weights and counts are computed
+    from the same u_k as a dense evaluation.  For a kernel of unbounded
+    support the window is the whole sample.  Sums accumulate in sorted-x
+    order per point, chunked over points so that the workspace stays
+    within ``_WORKSPACE_ROWS`` rows of the sample.
+    """
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError(f"bandwidth h must be finite and > 0, got {h!r}")
+    kernel = get_kernel(kernel)
     x = np.asarray(x, dtype=float)
     points = np.atleast_1d(np.asarray(points, dtype=float))
-    return kernel((x[None, :] - points[:, None]) / h)
+    if x.ndim != 1 or x.shape[0] == 0:
+        raise ValueError("x must be a nonempty 1-D array")
+    if points.ndim != 1:
+        raise ValueError("points must be 1-D")
+    cols = np.asarray(columns, dtype=float) if len(columns) else np.empty((0, x.shape[0]))
+    if cols.ndim != 2 or cols.shape[1] != x.shape[0]:
+        raise ValueError("every summed column must align with x")
+    for name, arr in (("x", x), ("evaluation points", points),
+                      ("summed columns (y or residuals)", cols)):
+        bad = arr.size - np.count_nonzero(np.isfinite(arr))
+        if bad:
+            raise ValueError(f"non-finite input: {bad} NaN or inf value(s) in {name}")
+
+    n = x.shape[0]
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    cols = cols[:, order]
+    if np.isfinite(kernel.halfwidth):
+        reach = kernel.halfwidth * h
+        slack = 1e-12 * (np.abs(points) + reach)
+        lo = np.searchsorted(xs, points - reach - slack, side="left")
+        hi = np.searchsorted(xs, points + reach + slack, side="right")
+    else:
+        lo = np.zeros(points.shape, dtype=np.intp)
+        hi = np.full(points.shape, n, dtype=np.intp)
+    length = hi - lo
+    ends = np.cumsum(length)
+    first = ends - length
+
+    g = points.shape[0]
+    mass = np.empty(g)
+    count = np.empty(g, dtype=np.intp)
+    sums = np.empty((cols.shape[0], g))
+    a = 0
+    while a < g:
+        # a window holds at most n entries, so every chunk takes >= 1 point
+        b = int(np.searchsorted(ends, first[a] + _WORKSPACE_ROWS * n, side="right"))
+        sel = slice(a, b)
+        seg = np.repeat(np.arange(b - a), length[sel])
+        idx = np.arange(seg.shape[0]) + np.repeat(lo[sel] - first[sel] + first[a],
+                                                  length[sel])
+        u = (xs[idx] - np.repeat(points[sel], length[sel])) / h
+        w = kernel(u)
+        mass[sel] = np.bincount(seg, weights=w, minlength=b - a)
+        count[sel] = np.bincount(seg[np.abs(u) <= kernel.halfwidth], minlength=b - a)
+        for c in range(cols.shape[0]):
+            sums[c, sel] = np.bincount(seg, weights=w * cols[c, idx], minlength=b - a)
+        a = b
+    return mass, count, sums
+
+
+def ci_half_width(sigma2, mass, kernel, alpha):
+    """Half-width z_{alpha/2} * sqrt(sigma2 * intK2 / (mass * intK)) of the
+    self-normalized interval; NaN where the mass vanishes."""
+    d1, k2 = kernel.moments()
+    z = norm.ppf(1.0 - alpha / 2.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return z * np.sqrt(sigma2 * k2 / (mass * d1))
 
 
 def nw_estimate(x, y, grid, h, kernel=EPANECHNIKOV):
@@ -70,8 +148,6 @@ def nw_estimate(x, y, grid, h, kernel=EPANECHNIKOV):
     zero.  Returns a KernelEstimate carrying fhat and the unscaled local
     mass sum_k K((x_k - p)/h).
     """
-    if h <= 0:
-        raise ValueError("bandwidth h must be > 0")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
@@ -80,31 +156,22 @@ def nw_estimate(x, y, grid, h, kernel=EPANECHNIKOV):
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
     kernel = get_kernel(kernel)
-    W = _weights(x, grid, h, kernel)
-    mass = W.sum(axis=1)
+    mass, _, (sy,) = kernel_sums(x, grid, h, kernel, (y,))
     fhat = np.full(grid.shape, np.nan)
     ok = mass > 0
-    if np.any(ok):
-        fhat[ok] = (W[ok] @ y) / mass[ok]
+    fhat[ok] = sy[ok] / mass[ok]
     return KernelEstimate(grid=grid, fhat=fhat, sigma2hat=None,
                           local_mass=mass, bandwidth=float(h), kernel=kernel)
 
 
-def fitted_values(x, y, h, kernel=EPANECHNIKOV, chunk=512):
+def fitted_values(x, y, h, kernel=EPANECHNIKOV):
     """Leave-in NW fitted values at the observations themselves.
 
     Observation k contributes to its own fit, so the denominator is always
     positive (K(0) > 0).
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    kernel = get_kernel(kernel)
-    out = np.empty_like(x)
-    for lo in range(0, x.shape[0], chunk):
-        sel = slice(lo, min(lo + chunk, x.shape[0]))
-        W = _weights(x, x[sel], h, kernel)
-        out[sel] = (W @ y) / W.sum(axis=1)
-    return out
+    mass, _, (sy,) = kernel_sums(x, x, h, kernel, (y,))
+    return sy / mass
 
 
 def residual_variance(x, y, fhat_at_data, h, kernel, at):
@@ -121,17 +188,11 @@ def residual_variance(x, y, fhat_at_data, h, kernel, at):
         raise ValueError("fhat_at_data must align with the observations")
     if np.any(~np.isfinite(fhat_at_data)):
         raise ValueError("fitted values must be defined at every observation")
-    kernel = get_kernel(kernel)
-    pts = np.atleast_1d(np.asarray(at, dtype=float))
-    W = _weights(x, pts, h, kernel)
-    mass = W.sum(axis=1)
-    r2 = (y - fhat_at_data) ** 2
-    out = np.full(pts.shape, np.nan)
+    mass, _, (sr2,) = kernel_sums(x, at, h, kernel, ((y - fhat_at_data) ** 2,))
+    out = np.full(mass.shape, np.nan)
     ok = mass > 0
-    if np.any(ok):
-        out[ok] = (W[ok] @ r2) / mass[ok]
-    res = out if np.ndim(at) else float(out[0])
-    return res
+    out[ok] = sr2[ok] / mass[ok]
+    return out if np.ndim(at) else float(out[0])
 
 
 def confidence_interval(at, x, y, h, kernel=EPANECHNIKOV, alpha=0.05,
@@ -150,11 +211,8 @@ def confidence_interval(at, x, y, h, kernel=EPANECHNIKOV, alpha=0.05,
     est = nw_estimate(x, y, np.atleast_1d(at), h, kernel)
     if fhat_at_data is None:
         fhat_at_data = fitted_values(x, y, h, kernel)
-    s2 = np.atleast_1d(residual_variance(x, y, fhat_at_data, h, kernel, np.atleast_1d(at)))
-    d1, k2 = kernel.moments()
-    z = norm.ppf(1.0 - alpha / 2.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        half = z * np.sqrt(s2 * k2 / (est.local_mass * d1))
+    s2 = residual_variance(x, y, fhat_at_data, h, kernel, np.atleast_1d(at))
+    half = ci_half_width(s2, est.local_mass, kernel, alpha)
     lo = est.fhat - half
     hi = est.fhat + half
     if np.ndim(at) == 0:
@@ -220,10 +278,7 @@ def kernel_estimate(x, y, grid, h, kernel=EPANECHNIKOV, alpha=None,
         raise ValueError("variance must be 'centered', 'uncentered' or None")
     est.sigma2hat = np.atleast_1d(residual_variance(x, y, fd, h, kernel, est.grid))
     if alpha is not None:
-        d1, k2 = kernel.moments()
-        z = norm.ppf(1.0 - alpha / 2.0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            half = z * np.sqrt(est.sigma2hat * k2 / (est.local_mass * d1))
+        half = ci_half_width(est.sigma2hat, est.local_mass, kernel, alpha)
         est.ci_lo = est.fhat - half
         est.ci_hi = est.fhat + half
     return est

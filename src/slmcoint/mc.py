@@ -15,13 +15,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from .processes import (MemoryKind, TemperedProcessSpec, NoiseConfig,
                         simulate_innovations, simulate_regressor,
                         simulate_error_ar1, sine_series_interpolator,
                         innovation_length)
-from .kernel_regression import get_kernel, fitted_values
+from .kernel_regression import get_kernel, fitted_values, kernel_sums, ci_half_width
 from .spec_test import (linear_family, uniform_weight, t_statistic,
                         normalized_statistic, subsample_statistics,
                         subsample_quantile, _sliding_theta)
@@ -330,17 +329,11 @@ def _estimation_chunk(args):
             y = f_eval(x) + config.sigma * u
             for he in config.bandwidth_exponents:
                 h = float(config.n) ** he
-                U = (x[None, :] - grid[:, None]) / h
-                W = kernel(U)
-                mass = W.sum(axis=1)
-                if np.isfinite(kernel.halfwidth):
-                    count = (np.abs(U) <= kernel.halfwidth).sum(axis=1)
-                else:
-                    count = np.where(mass > 0, config.min_window_count, 0)
-                ok = count >= config.min_window_count
+                mass, count, (sy,) = kernel_sums(x, grid, h, kernel, (y,))
+                ok = (count >= config.min_window_count) & (mass > 0)
                 acc = cells[(ms.label, d, he)]
                 if np.any(ok):
-                    e = (W[ok] @ y) / mass[ok] - ftrue[ok]
+                    e = sy[ok] / mass[ok] - ftrue[ok]
                     acc[0][ok] += 1.0
                     acc[1][ok] += e
                     acc[2][ok] += e * e
@@ -410,8 +403,6 @@ def run_estimation_study(config, threads=1):
 def _coverage_chunk(args):
     config, lo, hi = args
     kernel = get_kernel(config.kernel)
-    d1, k2 = kernel.moments()
-    z = norm.ppf(1.0 - config.alpha / 2.0)
     f_eval = _f_evaluator(config)
     pts = np.asarray(config.eval_points)
     fpts = f_eval(pts)
@@ -434,15 +425,14 @@ def _coverage_chunk(args):
                     r2 = y * y
                 else:
                     r2 = (y - fitted_values(x, y, h, kernel)) ** 2
-                W = kernel((x[None, :] - pts[:, None]) / h)
-                mass = W.sum(axis=1)
+                mass, _, (sy, sr2) = kernel_sums(x, pts, h, kernel, (y, r2))
                 ok = mass > 0
                 acc = cells[(ms.label, d, he)]
                 if not np.any(ok):
                     continue
-                fh = (W[ok] @ y) / mass[ok]
-                s2 = (W[ok] @ r2) / mass[ok]
-                half = z * np.sqrt(s2 * k2 / (mass[ok] * d1))
+                fh = sy[ok] / mass[ok]
+                s2 = sr2[ok] / mass[ok]
+                half = ci_half_width(s2, mass[ok], kernel, config.alpha)
                 covered = np.abs(fh - fpts[ok]) <= half
                 acc[0][ok] += 1
                 acc[1][np.nonzero(ok)[0][covered]] += 1

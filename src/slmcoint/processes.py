@@ -279,8 +279,26 @@ def regression_function_sine(x, terms=DEFAULT_SINE_TERMS):
 
 @lru_cache(maxsize=4)
 def _sine_table(terms, resolution):
+    """regression_function_sine on linspace(-1, 1, resolution) by one FFT.
+
+    With N = resolution - 1 the nodes are x_k = -1 + 2k/N, where
+    (-1)^{j+1} sin(j*pi*x_k) = -sin(2*pi*j*k/N), so
+    f(x_k) = -sum_j sin(2*pi*j*k/N) / j^2 = Im(FFT(c))_k with c_j = 1/j^2.
+    Frequencies j >= N alias onto j mod N, so folding them there keeps the
+    table exact for every (terms, resolution).  The last node x = 1 repeats
+    the first (period 2).
+    """
+    if terms < 1:
+        raise ValueError("terms must be >= 1")
+    if resolution < 2:
+        raise ValueError("resolution must be >= 2")
+    period = resolution - 1
+    j = np.arange(1, terms + 1)
+    c = np.zeros(period)
+    np.add.at(c, j % period, 1.0 / j.astype(float) ** 2)
+    values = np.fft.fft(c).imag
     grid = np.linspace(-1.0, 1.0, resolution)
-    return grid, regression_function_sine(grid, terms)
+    return grid, np.append(values, values[0])
 
 
 def sine_series_interpolator(terms=DEFAULT_SINE_TERMS, resolution=200001):

@@ -235,6 +235,10 @@ def rule_at_block_scale(value, n, b):
     """
     if value <= 0:
         raise ValueError("rule value must be > 0")
+    if n <= 1:
+        raise ValueError(f"sample size n must be > 1 to infer a power rule, got {n}")
+    if b < 1:
+        raise ValueError(f"block size b must be >= 1, got {b}")
     exponent = np.log(value) / np.log(n)
     return float(b) ** exponent
 

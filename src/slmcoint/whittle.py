@@ -43,11 +43,14 @@ def periodogram(series):
     """Periodogram I(w_j) = |sum_k z_k e^{-i w_j k}|^2 / (2 pi n) at Fourier
     frequencies w_j = 2 pi j / n, j = 1..floor((n-1)/2), on the mean-removed
     series.  A constant series yields an all-zero periodogram (flagged with
-    a warning)."""
+    a warning); a non-finite value is rejected."""
     z = np.asarray(series, dtype=float)
     n = z.shape[0]
     if n < 4:
         raise ValueError("need at least 4 observations")
+    bad = n - np.count_nonzero(np.isfinite(z))
+    if bad:
+        raise ValueError(f"non-finite input: {bad} NaN or inf value(s) in the series")
     z = z - z.mean()
     jmax = (n - 1) // 2
     coeffs = np.fft.rfft(z)[1:jmax + 1]

@@ -137,6 +137,16 @@ def test_cli_estimate_and_spec_test(tmp_path):
     assert 0.0 < payload["p_value"] <= 1.0
 
 
+def test_cli_estimate_rejects_empty_cell(tmp_path, capsys):
+    data = tmp_path / "gap.csv"
+    data.write_text("x,y\n0.0,1.0\n0.5,\n1.0,2.0\n1.5,2.5\n")
+    assert cli_main(["estimate", "--data", str(data), "--bandwidth", "0.8",
+                     "--out", str(tmp_path / "est")]) == 2
+    err = capsys.readouterr().err
+    assert "1 NaN or inf value(s) in summed columns" in err
+    assert "fitted values must be defined" not in err
+
+
 def test_cli_fit_artfima(tmp_path):
     rng = np.random.default_rng(4)
     data = tmp_path / "series.csv"

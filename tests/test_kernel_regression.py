@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
@@ -8,6 +9,7 @@ from slmcoint import (EPANECHNIKOV, GAUSSIAN, kernel_eval, kernel_moments,
                       confidence_interval, kernel_estimate, get_kernel,
                       TemperedProcessSpec, NoiseConfig, simulate_model,
                       sine_series_interpolator)
+from slmcoint.kernel_regression import kernel_sums
 
 
 # ----------------------------------------------------------------- kernels
@@ -51,6 +53,97 @@ def test_get_kernel_parse():
     assert get_kernel("gaussian") is GAUSSIAN
     with pytest.raises(ValueError):
         get_kernel("triangle")
+
+
+# ------------------------------------------------------------- kernel sums
+
+def _dense_sums(x, points, h, kernel, columns):
+    mass = np.zeros(len(points))
+    count = np.zeros(len(points), dtype=int)
+    sums = np.zeros((len(columns), len(points)))
+    for i, p in enumerate(points):
+        for k in range(len(x)):
+            u = (x[k] - p) / h
+            w = float(kernel(u))
+            mass[i] += w
+            count[i] += abs(u) <= kernel.halfwidth
+            for c, col in enumerate(columns):
+                sums[c, i] += w * col[k]
+    return mass, count, sums
+
+
+@st.composite
+def _sums_case(draw):
+    """Unsorted samples with ties, points at exactly x +- h (and beyond the
+    data, for empty windows), down to a single observation."""
+    n = draw(st.integers(1, 30))
+    values = st.floats(-120.0, 120.0, allow_nan=False, allow_infinity=False)
+    distinct = draw(st.lists(values, min_size=1, max_size=n))
+    x = np.array(draw(st.lists(st.sampled_from(distinct), min_size=n, max_size=n)))
+    h = draw(st.floats(1e-3, 50.0))
+    picks = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.sampled_from([-1.0, 0.0, 1.0])),
+                          max_size=6))
+    points = [x[k] + s * h for k, s in picks]
+    points += draw(st.lists(st.floats(-400.0, 400.0), min_size=1, max_size=6))
+    y = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
+    return x, np.array(points), h, np.array(y)
+
+
+@pytest.mark.parametrize("kernel", [EPANECHNIKOV, GAUSSIAN])
+@settings(max_examples=150, deadline=None)
+@given(case=_sums_case())
+def test_kernel_sums_match_double_loop(kernel, case):
+    x, points, h, y = case
+    columns = (y, y * y)
+    mass, count, sums = kernel_sums(x, points, h, kernel, columns)
+    emass, ecount, esums = _dense_sums(x, points, h, kernel, columns)
+    assert_allclose(mass, emass, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(count, ecount)
+    assert_allclose(sums, esums, rtol=1e-12, atol=1e-12)
+
+
+def test_kernel_sums_boundary_points_count():
+    # observations at exactly u = +-1 carry no Epanechnikov weight but count
+    x = np.array([0.0, 1.0, 2.0, 2.0, 3.0])
+    mass, count, sums = kernel_sums(x, [1.0, 2.0, 10.0], 1.0, EPANECHNIKOV)
+    assert_allclose(mass, [0.75, 1.5, 0.0])
+    assert count.tolist() == [4, 4, 0]
+    assert sums.shape == (0, 3)
+
+
+def test_kernel_sums_chunks_like_one_pass():
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal(3)
+    y = rng.standard_normal(3)
+    points = np.linspace(-4, 4, 2000)  # > 512 rows of the sample per chunk
+    mass, _, (sy,) = kernel_sums(x, points, 0.7, GAUSSIAN, (y,))
+    emass, _, (esy,) = _dense_sums(x, points, 0.7, GAUSSIAN, (y,))
+    assert_allclose(mass, emass, rtol=1e-12, atol=1e-12)
+    assert_allclose(sy, esy, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad, match", [
+    (dict(x=[0.0, 1.0, np.nan]), "in x"),
+    (dict(points=[np.inf]), "in evaluation points"),
+    (dict(columns=([1.0, np.nan, 3.0],)), "in summed columns"),
+    (dict(h=0.0), "bandwidth"),
+    (dict(h=-1.0), "bandwidth"),
+    (dict(h=np.nan), "bandwidth"),
+    (dict(columns=([1.0, 2.0],)), "align"),
+])
+def test_kernel_sums_rejects_bad_input(bad, match):
+    args = dict(x=[0.0, 1.0, 2.0], points=[0.5], h=0.8, kernel=EPANECHNIKOV,
+                columns=([1.0, 2.0, 3.0],))
+    args.update(bad)
+    with pytest.raises(ValueError, match=match):
+        kernel_sums(**args)
+
+
+def test_nw_rejects_nan_pair():
+    # a NaN regressor value is an error, not a silently dropped pair
+    with pytest.raises(ValueError, match="non-finite"):
+        nw_estimate([0.0, 1.0, np.nan], [1.0, 2.0, 3.0], [0.5], 0.8)
 
 
 # -------------------------------------------------------------- estimation

@@ -9,6 +9,7 @@ from slmcoint import (MemoryKind, TemperedProcessSpec, NoiseConfig,
                       simulate_error_ar1, regression_function_sine,
                       sine_series_interpolator, simulate_model, scale_dn,
                       innovation_length)
+from slmcoint.processes import _sine_table
 
 
 # ----------------------------------------------------------- coefficients
@@ -220,6 +221,27 @@ def test_sine_interpolator_matches_exact():
     rng = np.random.default_rng(7)
     x = rng.uniform(-50, 50, 200)
     assert_allclose(f(x), regression_function_sine(x, 1000), atol=1e-4)
+
+
+@pytest.mark.parametrize("terms, resolution", [
+    (1000, 20001),  # no aliasing
+    (1000, 1001),   # terms == resolution - 1: j = N folds onto 0
+    (500, 101),     # every frequency above 100 folds
+    (7, 2),         # N = 1: the table is identically zero
+    (1, 3),
+])
+def test_sine_table_matches_series_on_whole_grid(terms, resolution):
+    grid, table = _sine_table(terms, resolution)
+    assert_allclose(grid, np.linspace(-1.0, 1.0, resolution), rtol=0, atol=0)
+    assert_allclose(table, regression_function_sine(grid, terms), rtol=0, atol=1e-13)
+    assert table[-1] == table[0]
+
+
+def test_sine_table_rejects_bad_sizes():
+    with pytest.raises(ValueError):
+        _sine_table(0, 11)
+    with pytest.raises(ValueError):
+        _sine_table(10, 1)
 
 
 # ------------------------------------------------------------------- model

@@ -153,6 +153,13 @@ def test_rule_at_block_scale():
     assert rule_at_block_scale(1.0 / np.sqrt(n), n, b) == pytest.approx(b ** -0.5)
 
 
+@pytest.mark.parametrize("n, b", [(1, 10), (0, 10), (500, 0)])
+def test_rule_at_block_scale_rejects_degenerate_sizes(n, b):
+    # n = 1 used to divide by log(1) = 0 and map every value to 0.0
+    with pytest.raises(ValueError, match="n must be > 1|b must be >= 1"):
+        rule_at_block_scale(0.5, n, b)
+
+
 # -------------------------------------------------------------- subsampling
 
 def test_subsample_single_block_equals_full():

@@ -45,6 +45,14 @@ def test_periodogram_constant_series_zero():
     assert freqs.shape == ((32 - 1) // 2,)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fit_rejects_non_finite_series(bad):
+    z = np.cumsum(np.random.default_rng(3).standard_normal(64))
+    z[10] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        fit_artfima00(z)
+
+
 def test_periodogram_pure_cosine_concentrates():
     n, j0 = 64, 5
     k = np.arange(1, n + 1)
