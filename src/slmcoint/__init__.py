@@ -17,16 +17,15 @@ from .processes import (
     sine_series_interpolator, simulate_model, scale_dn, innovation_length,
 )
 from .kernel_regression import (
-    Kernel, KernelEstimate, EPANECHNIKOV, GAUSSIAN, get_kernel, kernel_eval,
-    kernel_moments, nw_estimate, fitted_values, residual_variance,
-    confidence_interval, kernel_estimate,
+    Kernel, KernelEstimate, EPANECHNIKOV, GAUSSIAN, get_kernel, nw_estimate,
+    fitted_values, residual_variance, confidence_interval, kernel_estimate,
 )
 from .spec_test import (
-    ParametricFamily, WeightFunction, SpecTestResult, NlsError,
-    SubsamplingError, linear_family, quadratic_family, custom_family,
-    get_family, uniform_weight, nls_fit, t_statistic, normalized_statistic,
-    rule_at_block_scale, subsample_statistics, subsample_quantile,
-    run_spec_test, integration_domain,
+    ParametricFamily, WeightFunction, SpecTestResult, SubsamplingError,
+    linear_family, quadratic_family, get_family, uniform_weight, nls_fit,
+    t_statistic, normalized_statistic, rule_at_block_scale,
+    subsample_statistics, subsample_quantile, run_spec_test,
+    integration_domain,
 )
 from .whittle import (
     ArtfimaFit, artfima_spectral_density, periodogram, whittle_objective,

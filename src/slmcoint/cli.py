@@ -3,7 +3,9 @@
 Commands: simulate, estimate, spec-test, fit-artfima, mc, ckc.  Every
 command writes its outputs plus a manifest.json (arguments, seeds, input
 hashes) sufficient to re-run it bit-identically.  Exit codes: 0 success,
-2 validation error, 3 numerical failure.
+2 validation error (``ValueError``, missing file or column: bad or
+non-finite input, a singular full-sample design), 3 numerical failure
+(``SubsamplingError``: too many singular subsample blocks).
 """
 
 import argparse
@@ -18,8 +20,8 @@ from . import __version__
 from .processes import (TemperedProcessSpec, NoiseConfig, simulate_model,
                         regression_function_sine, MemoryKind, SimulatedPath)
 from .kernel_regression import get_kernel, kernel_estimate
-from .spec_test import (run_spec_test, get_family, uniform_weight, NlsError,
-                        SubsamplingError)
+from .spec_test import (DEFAULT_QUAD_CELLS, DEFAULT_WEIGHT_SUPPORT, run_spec_test,
+                        get_family, uniform_weight, SubsamplingError)
 from .whittle import fit_artfima00, fit_arfima00
 from .mc import StudyConfig, run_study, export_study, parse_exponent
 from .empirical import ingest_ckc_csv, ckc_analysis, write_ckc_report
@@ -213,8 +215,9 @@ def build_parser():
     p.add_argument("--lambda-rule", default="n^-1/5")
     p.add_argument("--kernel", choices=["gaussian", "epanechnikov"],
                    default="gaussian")
-    p.add_argument("--weight-support", default="-100,100")
-    p.add_argument("--quad-cells", type=int, default=2048)
+    p.add_argument("--weight-support",
+                   default=",".join(f"{v:g}" for v in DEFAULT_WEIGHT_SUPPORT))
+    p.add_argument("--quad-cells", type=int, default=DEFAULT_QUAD_CELLS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_spec_test)
 
@@ -236,7 +239,7 @@ def build_parser():
     p = sub.add_parser("ckc", help="Carbon Kuznets curve workflow")
     p.add_argument("--data", required=True, help="CSV with year,gdp,co2 columns")
     p.add_argument("--country", default="")
-    p.add_argument("--quad-cells", type=int, default=2048)
+    p.add_argument("--quad-cells", type=int, default=DEFAULT_QUAD_CELLS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_ckc)
     return parser
@@ -250,7 +253,7 @@ def main(argv=None):
     except (ValueError, FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (NlsError, SubsamplingError, np.linalg.LinAlgError) as exc:
+    except SubsamplingError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .whittle import fit_artfima00, fit_arfima00
-from .spec_test import run_spec_test, get_family, uniform_weight
+from .spec_test import (DEFAULT_QUAD_CELLS, DEFAULT_WEIGHT_SUPPORT, run_spec_test,
+                        get_family, uniform_weight)
 from .kernel_regression import GAUSSIAN
 
 DEFAULT_H_RULES = (-0.5, -1.0)
@@ -77,8 +78,8 @@ def ingest_ckc_csv(path, country=""):
 
 
 def ckc_analysis(series, h_exponents=DEFAULT_H_RULES, block_coefs=DEFAULT_BLOCK_COEFS,
-                 hypotheses=("linear", "quadratic"), quad_cells=2048,
-                 weight_support=(-100.0, 100.0)):
+                 hypotheses=("linear", "quadratic"), quad_cells=DEFAULT_QUAD_CELLS,
+                 weight_support=DEFAULT_WEIGHT_SUPPORT):
     """Tempered-model fits and specification-test p-values for one country.
 
     Fits ARTFIMA(0,d,lam,0) and ARFIMA(0,d,0) to log(gdp) and log(co2),

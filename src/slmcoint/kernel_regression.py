@@ -28,9 +28,6 @@ class Kernel:
             return np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
         return np.exp(-0.5 * u * u) * _GAUSS_NORM
 
-    def moments(self):
-        return self.d1, self.k2
-
 
 EPANECHNIKOV = Kernel("epanechnikov", d1=1.0, k2=0.6, halfwidth=1.0)
 GAUSSIAN = Kernel("gaussian", d1=1.0, k2=1.0 / (2.0 * np.sqrt(np.pi)), halfwidth=np.inf)
@@ -47,13 +44,11 @@ def get_kernel(name):
     return _KERNELS[key]
 
 
-def kernel_eval(kernel, u):
-    return get_kernel(kernel)(u)
-
-
-def kernel_moments(kernel):
-    """(int K, int K^2); Epanechnikov gives (1, 0.6), Gaussian (1, 1/(2*sqrt(pi)))."""
-    return get_kernel(kernel).moments()
+def _check_finite(name, arr):
+    """Reject NaN or inf entries of ``arr``, naming the input."""
+    bad = arr.size - np.count_nonzero(np.isfinite(arr))
+    if bad:
+        raise ValueError(f"non-finite input: {bad} NaN or inf value(s) in {name}")
 
 
 def kernel_sums(x, points, h, kernel, columns=()):
@@ -89,9 +84,7 @@ def kernel_sums(x, points, h, kernel, columns=()):
         raise ValueError("every summed column must align with x")
     for name, arr in (("x", x), ("evaluation points", points),
                       ("summed columns (y or residuals)", cols)):
-        bad = arr.size - np.count_nonzero(np.isfinite(arr))
-        if bad:
-            raise ValueError(f"non-finite input: {bad} NaN or inf value(s) in {name}")
+        _check_finite(name, arr)
 
     n = x.shape[0]
     order = np.argsort(x, kind="stable")
@@ -134,10 +127,9 @@ def kernel_sums(x, points, h, kernel, columns=()):
 def ci_half_width(sigma2, mass, kernel, alpha):
     """Half-width z_{alpha/2} * sqrt(sigma2 * intK2 / (mass * intK)) of the
     self-normalized interval; NaN where the mass vanishes."""
-    d1, k2 = kernel.moments()
     z = norm.ppf(1.0 - alpha / 2.0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        return z * np.sqrt(sigma2 * k2 / (mass * d1))
+        return z * np.sqrt(sigma2 * kernel.k2 / (mass * kernel.d1))
 
 
 def nw_estimate(x, y, grid, h, kernel=EPANECHNIKOV):

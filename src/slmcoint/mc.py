@@ -21,8 +21,8 @@ from .processes import (MemoryKind, TemperedProcessSpec, NoiseConfig,
                         simulate_error_ar1, sine_series_interpolator,
                         innovation_length)
 from .kernel_regression import get_kernel, fitted_values, kernel_sums, ci_half_width
-from .spec_test import (linear_family, uniform_weight, t_statistic,
-                        normalized_statistic, subsample_statistics,
+from .spec_test import (DEFAULT_WEIGHT_SUPPORT, linear_family, uniform_weight,
+                        t_statistic, normalized_statistic, subsample_statistics,
                         subsample_quantile, _sliding_theta)
 
 SLM_RULES = {"SLM1": -1.0 / 3.0, "SLM2": -0.25, "SLM3": -0.2, "SLM4": -1.0 / 6.0}
@@ -152,7 +152,7 @@ class StudyConfig:
     variance_mode: str = "uncentered"
     block_rules: tuple = DEFAULT_BLOCK_RULES
     nominal_levels: tuple = DEFAULT_LEVELS
-    weight_support: tuple = (-100.0, 100.0)
+    weight_support: tuple = DEFAULT_WEIGHT_SUPPORT
     quad_cells: int = 1024
     presample: object = 0
     chunk_size: int = _CHUNK_SIZE
@@ -513,6 +513,10 @@ def _size_chunk(args):
             x = xs[(ms.label, d)]
             y = x + config.sigma * u  # H0: theta = (0, 1)
             lam = ms.lam(config.n)
+            # fit the full sample as the one length-n window of the block
+            # fitter, so that at zero noise the statistic and the block values
+            # carry rounding residuals of the same arithmetic; nls_fit's lstsq
+            # leaves larger ones and rejects about half of such replications
             theta_full, valid_full, _ = _sliding_theta(x, y, family.degree, config.n)
             if not valid_full[0]:
                 raise ValueError("degenerate full-sample design in size study")

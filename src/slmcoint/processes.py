@@ -46,6 +46,17 @@ class MemoryKind(str, enum.Enum):
         return aliases[key]
 
 
+def _binomial_weights(a, n_lags):
+    """Coefficients of (1-z)^{-a} up to lag n_lags by the recursion
+    c(0) = 1, c(j) = c(j-1) * (j-1+a) / j; defined for every real a."""
+    out = np.empty(n_lags + 1)
+    out[0] = 1.0
+    if n_lags:
+        j = np.arange(1, n_lags + 1)
+        out[1:] = np.cumprod((j - 1.0 + a) / j)
+    return out
+
+
 def frac_coeffs(d, n_lags):
     """Fractional MA coefficients b_d(j) = Gamma(j+d) / (Gamma(d) Gamma(j+1)).
 
@@ -67,12 +78,7 @@ def frac_coeffs(d, n_lags):
     d = float(d)
     if d < 0 and d == int(d):
         raise ValueError(f"d={d} is a negative integer (Gamma pole)")
-    out = np.empty(n_lags + 1)
-    out[0] = 1.0
-    if n_lags:
-        j = np.arange(1, n_lags + 1)
-        out[1:] = np.cumprod((j - 1.0 + d) / j)
-    return out
+    return _binomial_weights(d, n_lags)
 
 
 def tempered_coeffs(d, lam, n_lags):

@@ -14,23 +14,15 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .kernel_regression import get_kernel
+from .kernel_regression import _check_finite, get_kernel
 from .processes import MemoryKind
 
 DEFAULT_QUAD_CELLS = 2048
+DEFAULT_WEIGHT_SUPPORT = (-100.0, 100.0)
 _DOMAIN_PAD_BANDWIDTHS = 6.0
 _MAX_SKIPPED_FRACTION = 0.05
-
-
-class NlsError(RuntimeError):
-    """Nonlinear least squares failed to converge; carries the best iterate."""
-
-    def __init__(self, message, best=None, objective=None):
-        super().__init__(message)
-        self.best = best
-        self.objective = objective
+_DEGREES = {"linear": 1, "quadratic": 2}
 
 
 class SubsamplingError(RuntimeError):
@@ -39,55 +31,44 @@ class SubsamplingError(RuntimeError):
 
 @dataclass(frozen=True)
 class ParametricFamily:
-    """Parametric regression family g(x, theta).
+    """Polynomial regression family g(x, theta) = sum_{j <= degree} theta_j x^j.
 
-    Polynomial families carry their ``degree``, which enables closed-form
-    least squares and the sliding-window block fitter; ``basis`` returns
-    the raw design matrix.
+    ``dim`` (= degree + 1), the design matrix and the residuals all follow
+    from ``degree``; every fit is closed-form least squares.
     """
 
     kind: str
-    dim: int
-    eval: object
-    basis: object = None
-    degree: int = None
+    degree: int
+
+    @property
+    def dim(self):
+        return self.degree + 1
+
+    def basis(self, x):
+        return np.vander(np.asarray(x, dtype=float), self.dim, increasing=True)
 
     def residuals(self, x, y, theta):
-        return np.asarray(y, dtype=float) - self.eval(np.asarray(x, dtype=float), theta)
+        return (np.asarray(y, dtype=float)
+                - np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), theta))
 
 
 def linear_family():
     """g(x, theta) = theta0 + theta1 * x."""
-    return ParametricFamily(
-        kind="linear", dim=2,
-        eval=lambda x, th: th[0] + th[1] * x,
-        basis=lambda x: np.column_stack([np.ones_like(x), x]),
-        degree=1)
+    return ParametricFamily("linear", 1)
 
 
 def quadratic_family():
     """g(x, theta) = theta0 + theta1 * x + theta2 * x^2."""
-    return ParametricFamily(
-        kind="quadratic", dim=3,
-        eval=lambda x, th: th[0] + th[1] * x + th[2] * x * x,
-        basis=lambda x: np.column_stack([np.ones_like(x), x, x * x]),
-        degree=2)
-
-
-def custom_family(fn, dim):
-    """Family from an arbitrary evaluator fn(x, theta)."""
-    return ParametricFamily(kind="custom", dim=dim, eval=fn)
+    return ParametricFamily("quadratic", 2)
 
 
 def get_family(name):
     if isinstance(name, ParametricFamily):
         return name
     key = str(name).strip().lower()
-    if key == "linear":
-        return linear_family()
-    if key == "quadratic":
-        return quadratic_family()
-    raise ValueError(f"unknown family {name!r}; choose linear or quadratic")
+    if key not in _DEGREES:
+        raise ValueError(f"unknown family {name!r}; choose linear or quadratic")
+    return ParametricFamily(key, _DEGREES[key])
 
 
 @dataclass(frozen=True)
@@ -108,62 +89,34 @@ class WeightFunction:
         return np.asarray(self.eval(x), dtype=float)
 
 
-def uniform_weight(a=-100.0, b=100.0):
+def uniform_weight(a=DEFAULT_WEIGHT_SUPPORT[0], b=DEFAULT_WEIGHT_SUPPORT[1]):
     """pi(x) = 1 on [a, b], 0 outside."""
     return WeightFunction(a=float(a), b=float(b))
 
 
-def nls_fit(family, x, y, theta_init=None, bounds=None, restarts=3):
-    """Least-squares fit of g(x, theta).
-
-    Linear-in-theta families are solved in closed form (rank-deficient
-    designs are rejected).  Custom families are minimized by Nelder-Mead
-    from ``theta_init``, restarting from a perturbed interior point when
-    the optimizer converges onto a bound; exhausting the restart budget
-    raises NlsError with the best iterate attached.
-    """
-    family = get_family(family)
+def _as_xy(x, y):
+    """x and y as 1-D float arrays of equal length holding finite values."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ValueError(f"x and y must be 1-D of equal length, got shapes "
+                         f"{x.shape} and {y.shape}")
+    _check_finite("x", x)
+    _check_finite("y", y)
+    return x, y
+
+
+def nls_fit(family, x, y):
+    """Least-squares fit of the polynomial family g(x, theta), in closed
+    form; rank-deficient designs are rejected."""
+    family = get_family(family)
+    x, y = _as_xy(x, y)
     if x.shape[0] < family.dim:
         raise ValueError("fewer observations than parameters")
-    if family.basis is not None:
-        design = family.basis(x)
-        theta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-        if rank < family.dim:
-            raise ValueError("rank-deficient design for closed-form fit")
-        return theta
-    if theta_init is None:
-        theta_init = np.zeros(family.dim)
-    theta_init = np.asarray(theta_init, dtype=float)
-
-    def objective(th):
-        r = family.residuals(x, y, th)
-        return float(r @ r)
-
-    best = None
-    start = theta_init
-    rng = np.random.default_rng(0)
-    for _ in range(restarts + 1):
-        res = minimize(objective, start, method="Nelder-Mead", bounds=bounds,
-                       options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 2000})
-        if best is None or res.fun < best.fun:
-            best = res
-        if bounds is None:
-            break
-        lo = np.array([b[0] for b in bounds], dtype=float)
-        hi = np.array([b[1] for b in bounds], dtype=float)
-        span = hi - lo
-        on_boundary = np.any((res.x - lo < 1e-6 * span) | (hi - res.x < 1e-6 * span))
-        if not on_boundary:
-            break
-        start = lo + span * (0.25 + 0.5 * rng.random(family.dim))
-    else:
-        raise NlsError("NLS converged on the boundary after restart budget",
-                       best=best.x, objective=best.fun)
-    if not best.success and bounds is None:
-        raise NlsError("NLS failed to converge", best=best.x, objective=best.fun)
-    return best.x
+    theta, _, rank, _ = np.linalg.lstsq(family.basis(x), y, rcond=None)
+    if rank < family.dim:
+        raise ValueError("rank-deficient design for closed-form fit")
+    return theta
 
 
 def integration_domain(x, h, weight, pad=_DOMAIN_PAD_BANDWIDTHS):
@@ -198,7 +151,7 @@ def t_statistic(x, y, family, theta, h, kernel, weight, quad_cells=DEFAULT_QUAD_
         raise ValueError("quad_cells must be >= 2")
     family = get_family(family)
     kernel = get_kernel(kernel)
-    x = np.asarray(x, dtype=float)
+    x, y = _as_xy(x, y)
     r = family.residuals(x, y, np.asarray(theta, dtype=float))
     if domain is None:
         domain = integration_domain(x, h, weight)
@@ -294,19 +247,18 @@ def _sliding_theta(x, y, degree, b):
 
 
 def subsample_statistics(x, y, family, b, h_b, lam_b, d, memory_kind, kernel,
-                         weight, quad_cells=DEFAULT_QUAD_CELLS, theta_init=None,
-                         return_by_block=False):
+                         weight, quad_cells=DEFAULT_QUAD_CELLS, return_by_block=False):
     """Normalized block statistics for all length-b consecutive blocks.
 
-    Each block is refit, its raw statistic computed on the block at the
-    block-scale bandwidth h_b, and normalized with (b, lam_b, h_b).  Blocks
-    whose fit fails are skipped and counted; more than 5% skipped aborts.
-    Returns the sorted values (and optionally the block-ordered ones).
+    Each block is refit (``_sliding_theta``), its raw statistic computed on
+    the block at the block-scale bandwidth h_b, and normalized with
+    (b, lam_b, h_b).  Blocks with a singular design are skipped and counted;
+    more than 5% skipped aborts.  Returns the sorted values (and optionally
+    the block-ordered ones, their block indices and the skip count).
     """
     family = get_family(family)
     kernel = get_kernel(kernel)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _as_xy(x, y)
     n = x.shape[0]
     if not (2 <= b <= n):
         raise ValueError("block size must satisfy 2 <= b <= n")
@@ -315,35 +267,20 @@ def subsample_statistics(x, y, family, b, h_b, lam_b, d, memory_kind, kernel,
     nodes, dx = _quad_nodes(domain, quad_cells)
     pw = weight.values(nodes)
 
-    if family.degree is not None:
-        theta, valid, u = _sliding_theta(x, y, family.degree, b)
-        K = kernel((x[None, :] - nodes[:, None]) / h_b)
-        csum2 = lambda M: np.concatenate(
-            [np.zeros((M.shape[0], 1)), np.cumsum(M, axis=1)], axis=1)
-        Cy = csum2(K * y[None, :])
-        Cb = [csum2(K * (u ** j)[None, :]) for j in range(family.dim)]
-        t = np.arange(nb)
-        S = Cy[:, t + b] - Cy[:, t]
-        for j in range(family.dim):
-            S -= theta[:, j][None, :] * (Cb[j][:, t + b] - Cb[j][:, t])
-        raw = np.einsum("mt,m->t", S * S, pw) * dx
-        raw = raw[valid]
-        skipped = int(nb - valid.sum())
-        order_index = np.nonzero(valid)[0]
-    else:
-        raw_list, order, skipped = [], [], 0
-        for t0 in range(nb):
-            sl = slice(t0, t0 + b)
-            try:
-                th = nls_fit(family, x[sl], y[sl], theta_init=theta_init)
-            except (NlsError, ValueError):
-                skipped += 1
-                continue
-            raw_list.append(t_statistic(x[sl], y[sl], family, th, h_b, kernel,
-                                        weight, quad_cells, domain=domain))
-            order.append(t0)
-        raw = np.asarray(raw_list)
-        order_index = np.asarray(order, dtype=int)
+    theta, valid, u = _sliding_theta(x, y, family.degree, b)
+    K = kernel((x[None, :] - nodes[:, None]) / h_b)
+    csum2 = lambda M: np.concatenate(
+        [np.zeros((M.shape[0], 1)), np.cumsum(M, axis=1)], axis=1)
+    Cy = csum2(K * y[None, :])
+    Cb = [csum2(K * (u ** j)[None, :]) for j in range(family.dim)]
+    t = np.arange(nb)
+    S = Cy[:, t + b] - Cy[:, t]
+    for j in range(family.dim):
+        S -= theta[:, j][None, :] * (Cb[j][:, t + b] - Cb[j][:, t])
+    raw = np.einsum("mt,m->t", S * S, pw) * dx
+    raw = raw[valid]
+    skipped = int(nb - valid.sum())
+    order_index = np.nonzero(valid)[0]
 
     if skipped > _MAX_SKIPPED_FRACTION * nb:
         raise SubsamplingError(
@@ -418,8 +355,7 @@ class SpecTestResult:
 
 
 def run_spec_test(x, y, family, h, b, kernel, weight, memory_kind, d, lam=0.0,
-                  h_b=None, lam_b=None, quad_cells=DEFAULT_QUAD_CELLS,
-                  theta_init=None):
+                  h_b=None, lam_b=None, quad_cells=DEFAULT_QUAD_CELLS):
     """Full specification test: fit, statistic, normalization, subsampling.
 
     Block-scale tuning values default to the full-sample rule evaluated at
@@ -428,11 +364,10 @@ def run_spec_test(x, y, family, h, b, kernel, weight, memory_kind, d, lam=0.0,
     with ties counted as exceedances.
     """
     kind = MemoryKind.parse(memory_kind)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _as_xy(x, y)
     n = x.shape[0]
     family = get_family(family)
-    theta_hat = nls_fit(family, x, y, theta_init=theta_init)
+    theta_hat = nls_fit(family, x, y)
     t_raw = t_statistic(x, y, family, theta_hat, h, kernel, weight, quad_cells)
     t_norm, scale = normalized_statistic(t_raw, n, lam, d, h, kind)
     if h_b is None:
@@ -441,7 +376,7 @@ def run_spec_test(x, y, family, h, b, kernel, weight, memory_kind, d, lam=0.0,
         lam_b = rule_at_block_scale(lam, n, b) if lam > 0 else 0.0
     sorted_vals, by_block, order_index, skipped = subsample_statistics(
         x, y, family, b, h_b, lam_b, d, kind, kernel, weight, quad_cells,
-        theta_init=theta_init, return_by_block=True)
+        return_by_block=True)
     p_value = (1.0 + np.count_nonzero(sorted_vals >= t_norm)) / (1.0 + sorted_vals.size)
     return SpecTestResult(
         t_raw=t_raw, t_normalized=t_norm, normalizer=scale, theta_hat=theta_hat,

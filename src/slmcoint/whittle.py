@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.signal import fftconvolve
 
-from .processes import tempered_coeffs
+from .processes import _binomial_weights, tempered_coeffs
 
 _TWO_PI = 2.0 * np.pi
 ARTFIMA_D_RANGE = (-1.0, 3.0)
@@ -85,17 +85,6 @@ def profile_sigma2(d, lam, freqs, pgram):
     return float(_TWO_PI * np.mean(pgram / _transfer(d, lam, freqs)))
 
 
-def _binom_coeffs(a, n_lags):
-    # binomial recursion for (1-z)^{-a}; valid for every real a, including
-    # negative integers where the Gamma-ratio form is undefined
-    out = np.empty(n_lags + 1)
-    out[0] = 1.0
-    if n_lags:
-        j = np.arange(1, n_lags + 1)
-        out[1:] = np.cumprod((j - 1.0 + a) / j)
-    return out
-
-
 def one_step_residuals(series, d, lam, truncation=_AR_TRUNCATION):
     """In-sample one-step residuals from the truncated AR(infinity) inversion
     of the fitted model, applied to the mean-removed series.
@@ -105,7 +94,9 @@ def one_step_residuals(series, d, lam, truncation=_AR_TRUNCATION):
     """
     z = np.asarray(series, dtype=float)
     z = z - z.mean()
-    pi_w = _binom_coeffs(-d, truncation)
+    # not frac_coeffs: a bounded fit can stop at d = 3 exactly, and -d = -3
+    # is a negative integer that its Gamma-pole guard rejects
+    pi_w = _binomial_weights(-d, truncation)
     if lam > 0:
         pi_w = pi_w * np.exp(-lam * np.arange(truncation + 1))
     return fftconvolve(z, pi_w)[:z.shape[0]]

@@ -147,6 +147,24 @@ def test_cli_estimate_rejects_empty_cell(tmp_path, capsys):
     assert "fitted values must be defined" not in err
 
 
+@pytest.mark.parametrize("column", ["x", "y"])
+def test_cli_spec_test_rejects_empty_cell(tmp_path, capfd, column):
+    # capfd, not capsys: LAPACK writes its complaints to the process's stderr
+    rng = np.random.default_rng(5)
+    x = np.cumsum(rng.standard_normal(100))
+    y = x + 0.2 * rng.standard_normal(100)
+    cells = [[repr(float(a)), repr(float(b))] for a, b in zip(x, y)]
+    cells[40][0 if column == "x" else 1] = ""
+    data = tmp_path / "gap.csv"
+    data.write_text("x,y\n" + "".join(",".join(row) + "\n" for row in cells))
+    assert cli_main(["spec-test", "--data", str(data), "--memory", "slm",
+                     "--d", "0.1", "--quad-cells", "256",
+                     "--out", str(tmp_path / "st")]) == 2
+    out, err = capfd.readouterr()
+    assert f"non-finite input: 1 NaN or inf value(s) in {column}" in err
+    assert "DLASCL" not in out + err and "p_value" not in out
+
+
 def test_cli_fit_artfima(tmp_path):
     rng = np.random.default_rng(4)
     data = tmp_path / "series.csv"

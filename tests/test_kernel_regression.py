@@ -4,8 +4,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from slmcoint import (EPANECHNIKOV, GAUSSIAN, kernel_eval, kernel_moments,
-                      nw_estimate, fitted_values, residual_variance,
+from slmcoint import (EPANECHNIKOV, GAUSSIAN, nw_estimate, fitted_values, residual_variance,
                       confidence_interval, kernel_estimate, get_kernel,
                       TemperedProcessSpec, NoiseConfig, simulate_model,
                       sine_series_interpolator)
@@ -15,27 +14,25 @@ from slmcoint.kernel_regression import kernel_sums
 # ----------------------------------------------------------------- kernels
 
 def test_epanechnikov_peak():
-    assert kernel_eval(EPANECHNIKOV, 0.0) == pytest.approx(0.75)
+    assert EPANECHNIKOV(0.0) == pytest.approx(0.75)
 
 
 def test_epanechnikov_outside_support():
-    assert kernel_eval(EPANECHNIKOV, 1.5) == 0.0
+    assert EPANECHNIKOV(1.5) == 0.0
 
 
 def test_gaussian_peak():
-    assert kernel_eval(GAUSSIAN, 0.0) == pytest.approx(0.3989422804014327)
+    assert GAUSSIAN(0.0) == pytest.approx(0.3989422804014327)
 
 
 def test_moments_epanechnikov():
-    d1, k2 = kernel_moments(EPANECHNIKOV)
-    assert d1 == pytest.approx(1.0, abs=1e-12)
-    assert k2 == pytest.approx(0.6, abs=1e-12)
+    assert EPANECHNIKOV.d1 == pytest.approx(1.0, abs=1e-12)
+    assert EPANECHNIKOV.k2 == pytest.approx(0.6, abs=1e-12)
 
 
 def test_moments_gaussian():
-    d1, k2 = kernel_moments(GAUSSIAN)
-    assert d1 == pytest.approx(1.0, abs=1e-12)
-    assert k2 == pytest.approx(1.0 / (2.0 * np.sqrt(np.pi)), abs=1e-12)
+    assert GAUSSIAN.d1 == pytest.approx(1.0, abs=1e-12)
+    assert GAUSSIAN.k2 == pytest.approx(1.0 / (2.0 * np.sqrt(np.pi)), abs=1e-12)
 
 
 @pytest.mark.parametrize("kernel", [EPANECHNIKOV, GAUSSIAN])
@@ -43,9 +40,8 @@ def test_moments_match_quadrature(kernel):
     lim = 1.0 if np.isfinite(kernel.halfwidth) else 10.0
     i1 = quad(lambda u: kernel(u), -lim, lim)[0]
     i2 = quad(lambda u: kernel(u) ** 2, -lim, lim)[0]
-    d1, k2 = kernel.moments()
-    assert abs(i1 - d1) < 1e-8
-    assert abs(i2 - k2) < 1e-8
+    assert abs(i1 - kernel.d1) < 1e-8
+    assert abs(i2 - kernel.k2) < 1e-8
     assert np.all(kernel(np.linspace(-3, 3, 101)) >= 0)
 
 

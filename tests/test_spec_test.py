@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from slmcoint import (linear_family, quadratic_family, custom_family,
+from slmcoint import (linear_family, quadratic_family, get_family,
                       uniform_weight, WeightFunction, nls_fit, t_statistic,
                       normalized_statistic, rule_at_block_scale,
                       subsample_statistics, subsample_quantile, run_spec_test,
-                      NlsError, SubsamplingError, GAUSSIAN, EPANECHNIKOV,
+                      SubsamplingError, GAUSSIAN, EPANECHNIKOV,
                       TemperedProcessSpec, NoiseConfig, simulate_model,
                       integration_domain)
 
@@ -41,22 +41,44 @@ def test_nls_rank_deficient_rejected():
         nls_fit(linear_family(), x, x)
 
 
-def test_nls_custom_family_recovers():
-    fam = custom_family(lambda x, th: th[0] * np.exp(-th[1] * x * x), dim=2)
-    x = np.linspace(-2, 2, 60)
-    y = 1.5 * np.exp(-0.8 * x * x)
-    theta = nls_fit(fam, x, y, theta_init=[1.0, 1.0])
-    assert_allclose(theta, [1.5, 0.8], atol=1e-5)
+def test_families_are_polynomials_of_their_degree():
+    x = np.array([-1.5, 0.0, 2.0, 3.0])
+    theta = np.array([0.5, -2.0, 0.25])
+    fam = get_family("quadratic")
+    assert (fam.kind, fam.degree, fam.dim) == ("quadratic", 2, 3)
+    assert_allclose(fam.basis(x), np.column_stack([np.ones(4), x, x * x]))
+    assert_allclose(fam.residuals(x, np.zeros(4), theta),
+                    -(0.5 - 2.0 * x + 0.25 * x * x), rtol=1e-15)
+    assert get_family("linear") == linear_family()
+    with pytest.raises(ValueError, match="choose linear or quadratic"):
+        get_family("cubic")
 
 
-def test_nls_boundary_restart_budget():
-    fam = custom_family(lambda x, th: th[0] * x, dim=1)
-    x = np.linspace(1, 2, 30)
-    y = 10.0 * x  # optimum far outside the box
-    with pytest.raises(NlsError) as err:
-        nls_fit(fam, x, y, theta_init=[0.5], bounds=[(0.0, 1.0)])
-    assert err.value.best is not None
-    assert err.value.best[0] == pytest.approx(1.0, abs=1e-4)
+@pytest.mark.parametrize("column", ["x", "y"])
+def test_spec_test_rejects_nonfinite_input(column):
+    x, y = _draw(40, seed=14)
+    (x if column == "x" else y)[7] = np.nan
+    fam = linear_family()
+    match = rf"non-finite input: 1 NaN or inf value\(s\) in {column}$"
+    with pytest.raises(ValueError, match=match):
+        nls_fit(fam, x, y)
+    with pytest.raises(ValueError, match=match):
+        t_statistic(x, y, fam, [0.0, 1.0], 0.5, GAUSSIAN, uniform_weight())
+    with pytest.raises(ValueError, match=match):
+        subsample_statistics(x, y, fam, 10, 0.5, 0.4, 0.1, "slm", GAUSSIAN,
+                             uniform_weight())
+    with pytest.raises(ValueError, match=match):
+        run_spec_test(x, y, fam, 0.5, 10, GAUSSIAN, uniform_weight(),
+                      memory_kind="slm", d=0.1, lam=0.4)
+
+
+def test_spec_test_rejects_unequal_lengths():
+    x, y = _draw(40, seed=15)
+    with pytest.raises(ValueError, match="equal length"):
+        nls_fit(linear_family(), x, y[:-1])
+    with pytest.raises(ValueError, match="equal length"):
+        subsample_statistics(x[:-1], y, linear_family(), 10, 0.5, 0.4, 0.1,
+                             "slm", GAUSSIAN, uniform_weight())
 
 
 # --------------------------------------------------------------- statistic

@@ -1,0 +1,49 @@
+"""The benchmark's tracer (``perfbench/tracing.py``) wraps library functions
+by name from outside the package.  This test installs it on the live library
+so that a rename which breaks ``perfbench/run.py --trace 1`` fails here."""
+
+import importlib
+import os
+
+import numpy as np
+
+import slmcoint as sl
+
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+
+
+def _spec_test():
+    rng = np.random.default_rng(21)
+    x = np.cumsum(rng.standard_normal(80))
+    y = x + 0.2 * rng.standard_normal(80)
+    # through the module attribute, which is what install() replaces
+    return sl.spec_test.run_spec_test(
+        x, y, sl.linear_family(), 80 ** -0.2, 16, sl.GAUSSIAN,
+        sl.uniform_weight(), memory_kind="slm", d=0.1, lam=80 ** -0.2,
+        quad_cells=256)
+
+
+def test_tracer_wraps_live_library(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    tracing = importlib.import_module("tracing")
+    plain = _spec_test()
+    original = sl.spec_test.run_spec_test
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer)
+    try:
+        traced = _spec_test()
+    finally:
+        uninstall()
+    assert traced.to_dict() == plain.to_dict()
+    assert np.array_equal(traced.subsample_by_block, plain.subsample_by_block)
+    metrics = tracing.layer_metrics(tracer)
+    counts = tracing.count_metrics(metrics)
+    assert counts["spec_test.run_spec_test.calls"] == 1
+    assert counts["spec_test.subsample_statistics.calls"] == 1
+    assert counts["spec_test.subsample_statistics.blocks"] == 80 - 16 + 1
+    assert counts["spec_test.t_statistic.calls"] == 1
+    assert counts["kernel_regression.kernel.spec_test.calls"] > 0
+    for name in ("nls_fit", "sliding_theta", "t_statistic", "subsample_statistics"):
+        assert metrics[f"spec_test.{name}.busy_s"]["value"] > 0.0
+    assert sl.spec_test.run_spec_test is original
+    assert sl.run_spec_test is original
