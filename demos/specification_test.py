@@ -14,10 +14,11 @@ def run_case(title, y_builder, n=500, seed=3):
     noise = NoiseConfig(rho=0.5, psi=0.25, sigma=0.2, seed=seed)
     path = simulate_model(spec, noise)
     y = y_builder(path)
+    b = int(2 * np.sqrt(n))
     res = run_spec_test(
-        path.x, y, linear_family(), h=n ** -0.2, b=int(2 * np.sqrt(n)),
+        path.x, y, linear_family(), h=n ** -0.2, b=b,
         kernel=GAUSSIAN, weight=uniform_weight(-100, 100),
-        memory_kind="slm", d=0.1, lam=n ** -0.2)
+        memory_kind="slm", d=0.1, lam=n ** -0.2, h_b=b ** -0.2, lam_b=b ** -0.2)
     print(f"--- {title}")
     print(f"theta_hat = {np.round(res.theta_hat, 4)}")
     print(f"T (raw) = {res.t_raw:.4f}  normalized = {res.t_normalized:.4f}")

@@ -23,9 +23,8 @@ from .kernel_regression import (
 from .spec_test import (
     ParametricFamily, WeightFunction, SpecTestResult, SubsamplingError,
     linear_family, quadratic_family, get_family, uniform_weight, nls_fit,
-    t_statistic, normalized_statistic, rule_at_block_scale,
-    subsample_statistics, subsample_quantile, run_spec_test,
-    integration_domain,
+    t_statistic, normalized_statistic, subsample_statistics,
+    subsample_quantile, run_spec_test, integration_domain,
 )
 from .whittle import (
     ArtfimaFit, artfima_spectral_density, periodogram, whittle_objective,

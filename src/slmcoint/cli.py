@@ -97,17 +97,20 @@ def _cmd_estimate(args):
 def _cmd_spec_test(args):
     x, y = _read_xy(args.data)
     n = x.shape[0]
-    h = args.bandwidth if args.bandwidth else n ** parse_exponent(args.bandwidth_rule)
     b = args.block_size if args.block_size else int(
         args.block_coef * n ** args.block_exponent)
     a, bsup = (float(v) for v in args.weight_support.split(","))
-    lam = args.lam
+    # a rule n^a maps to b^a at block scale; an explicit value is held fixed
+    h = h_b = args.bandwidth
+    if h is None:
+        h, h_b = (float(m) ** parse_exponent(args.bandwidth_rule) for m in (n, b))
+    lam = lam_b = args.lam
     if args.memory == "slm" and lam == 0.0 and args.lambda_rule:
-        lam = n ** parse_exponent(args.lambda_rule)
+        lam, lam_b = (float(m) ** parse_exponent(args.lambda_rule) for m in (n, b))
     result = run_spec_test(
         x, y, get_family(args.family), h, b, get_kernel(args.kernel),
         uniform_weight(a, bsup), memory_kind=args.memory, d=args.d, lam=lam,
-        quad_cells=args.quad_cells)
+        h_b=h_b, lam_b=lam_b, quad_cells=args.quad_cells)
     os.makedirs(args.out, exist_ok=True)
     out_json = os.path.join(args.out, "spec_test.json")
     result.to_json(out_json)

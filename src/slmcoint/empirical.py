@@ -86,10 +86,10 @@ def ckc_analysis(series, h_exponents=DEFAULT_H_RULES, block_coefs=DEFAULT_BLOCK_
     then tests each hypothesized link z = g(e, theta) + u between
     e = log(gdp) and z = log(co2) for every (bandwidth rule, block rule)
     pair, using the semi-long-memory normalization with the regressor's
-    fitted (d, lam).  The bandwidth follows its power rule at block scale;
-    the fitted tempering parameter is a constant, not a schedule, so it is
-    held fixed at both scales (p-values are invariant to the common factor
-    lam_hat^d_hat in the normalizers).
+    fitted (d, lam).  The bandwidth follows its power rule at block scale
+    (h = n^a, h_b = b^a); the fitted tempering parameter is a constant, not
+    a schedule, so it is held fixed at both scales (p-values are invariant
+    to the common factor lam_hat^d_hat in the normalizers).
     """
     n = len(series)
     if n < 30:
@@ -114,7 +114,7 @@ def ckc_analysis(series, h_exponents=DEFAULT_H_RULES, block_coefs=DEFAULT_BLOCK_
                 res = run_spec_test(
                     e, z, family, h, b, GAUSSIAN, weight,
                     memory_kind="semi_long", d=d_hat, lam=lam_hat,
-                    lam_b=lam_hat, quad_cells=quad_cells)
+                    h_b=float(b) ** he, lam_b=lam_hat, quad_cells=quad_cells)
                 pvals.append({
                     "hypothesis": family.kind, "bandwidth_rule": f"n^{he!r}",
                     "bandwidth_exponent": he, "block_coef": coef,

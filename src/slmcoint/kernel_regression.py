@@ -51,6 +51,11 @@ def _check_finite(name, arr):
         raise ValueError(f"non-finite input: {bad} NaN or inf value(s) in {name}")
 
 
+def _check_bandwidth(name, h):
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError(f"bandwidth {name} must be finite and > 0, got {h}")
+
+
 def kernel_sums(x, points, h, kernel, columns=()):
     """Kernel mass, window count and weighted column sums at each point.
 
@@ -70,8 +75,7 @@ def kernel_sums(x, points, h, kernel, columns=()):
     order per point, chunked over points so that the workspace stays
     within ``_WORKSPACE_ROWS`` rows of the sample.
     """
-    if not (np.isfinite(h) and h > 0):
-        raise ValueError(f"bandwidth h must be finite and > 0, got {h!r}")
+    _check_bandwidth("h", h)
     kernel = get_kernel(kernel)
     x = np.asarray(x, dtype=float)
     points = np.atleast_1d(np.asarray(points, dtype=float))

@@ -22,8 +22,8 @@ from .processes import (MemoryKind, TemperedProcessSpec, NoiseConfig,
                         innovation_length)
 from .kernel_regression import get_kernel, fitted_values, kernel_sums, ci_half_width
 from .spec_test import (DEFAULT_WEIGHT_SUPPORT, linear_family, uniform_weight,
-                        t_statistic, normalized_statistic, subsample_statistics,
-                        subsample_quantile, _sliding_theta)
+                        nls_fit, t_statistic, normalized_statistic,
+                        subsample_statistics, subsample_quantile)
 
 SLM_RULES = {"SLM1": -1.0 / 3.0, "SLM2": -0.25, "SLM3": -0.2, "SLM4": -1.0 / 6.0}
 DEFAULT_BLOCK_RULES = ((0.5, 0.5), (1.0, 0.5), (2.0, 0.5), (4.0, 0.5))
@@ -513,16 +513,10 @@ def _size_chunk(args):
             x = xs[(ms.label, d)]
             y = x + config.sigma * u  # H0: theta = (0, 1)
             lam = ms.lam(config.n)
-            # fit the full sample as the one length-n window of the block
-            # fitter, so that at zero noise the statistic and the block values
-            # carry rounding residuals of the same arithmetic; nls_fit's lstsq
-            # leaves larger ones and rejects about half of such replications
-            theta_full, valid_full, _ = _sliding_theta(x, y, family.degree, config.n)
-            if not valid_full[0]:
-                raise ValueError("degenerate full-sample design in size study")
+            theta = nls_fit(family, x, y)
             for he in config.bandwidth_exponents:
                 h = float(config.n) ** he
-                t_raw = t_statistic(x, y, family, theta_full[0], h, kernel,
+                t_raw = t_statistic(x, y, family, theta, h, kernel,
                                     weight, config.quad_cells)
                 t_norm, _ = normalized_statistic(t_raw, config.n, lam, d, h, ms.kind)
                 tnorms[(ms.label, d, he)].append(t_norm)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel_regression import _check_finite, get_kernel
+from .kernel_regression import _check_bandwidth, _check_finite, get_kernel
 from .processes import MemoryKind
 
 DEFAULT_QUAD_CELLS = 2048
@@ -73,20 +73,14 @@ def get_family(name):
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """Nonnegative integrable weight with compact support [a, b]."""
+    """Weight pi(x) = 1 on the compact support [a, b], 0 outside."""
 
     a: float
     b: float
-    eval: object = None
 
     def __post_init__(self):
         if not (self.b > self.a):
             raise ValueError("weight support must satisfy a < b")
-
-    def values(self, x):
-        if self.eval is None:
-            return np.ones_like(np.asarray(x, dtype=float))
-        return np.asarray(self.eval(x), dtype=float)
 
 
 def uniform_weight(a=DEFAULT_WEIGHT_SUPPORT[0], b=DEFAULT_WEIGHT_SUPPORT[1]):
@@ -106,17 +100,34 @@ def _as_xy(x, y):
     return x, y
 
 
+def _check_memory(kind, d, lam_name, lam):
+    """d and the tempering parameter must be finite, and lam > 0 under
+    semi-long memory."""
+    if not np.isfinite(d):
+        raise ValueError(f"memory parameter d must be finite, got {d}")
+    if not np.isfinite(lam):
+        raise ValueError(f"tempering parameter {lam_name} must be finite, got {lam}")
+    if kind is MemoryKind.SEMI_LONG and lam <= 0:
+        raise ValueError(f"semi-long memory requires {lam_name} > 0, got {lam}")
+
+
 def nls_fit(family, x, y):
-    """Least-squares fit of the polynomial family g(x, theta), in closed
-    form; rank-deficient designs are rejected."""
+    """Least-squares fit of the polynomial family g(x, theta): the one
+    length-n window of ``_sliding_theta``, its standardized coefficients
+    mapped back to raw x.  Numerically singular designs are rejected."""
     family = get_family(family)
     x, y = _as_xy(x, y)
     if x.shape[0] < family.dim:
         raise ValueError("fewer observations than parameters")
-    theta, _, rank, _ = np.linalg.lstsq(family.basis(x), y, rcond=None)
-    if rank < family.dim:
+    theta, valid, _ = _sliding_theta(x, y, family, x.shape[0])
+    if not valid[0]:
         raise ValueError("rank-deficient design for closed-form fit")
-    return theta
+    if family.degree == 1:
+        return theta[0]
+    _, c, s = _standardize(x)
+    P = np.polynomial.Polynomial
+    raw = P(theta[0])(P([-c / s, 1.0 / s])).coef
+    return np.pad(raw, (0, family.dim - raw.size))
 
 
 def integration_domain(x, h, weight, pad=_DOMAIN_PAD_BANDWIDTHS):
@@ -132,6 +143,8 @@ def integration_domain(x, h, weight, pad=_DOMAIN_PAD_BANDWIDTHS):
 
 
 def _quad_nodes(domain, quad_cells):
+    if quad_cells < 2:
+        raise ValueError(f"quad_cells must be >= 2, got {quad_cells}")
     lo, hi = domain
     dx = (hi - lo) / quad_cells
     return lo + (np.arange(quad_cells) + 0.5) * dx, dx
@@ -145,10 +158,7 @@ def t_statistic(x, y, family, theta, h, kernel, weight, quad_cells=DEFAULT_QUAD_
     ``quad_cells`` midpoint nodes over ``domain`` (defaults to the weight
     support clipped to the data range).
     """
-    if h <= 0:
-        raise ValueError("bandwidth h must be > 0")
-    if quad_cells < 2:
-        raise ValueError("quad_cells must be >= 2")
+    _check_bandwidth("h", h)
     family = get_family(family)
     kernel = get_kernel(kernel)
     x, y = _as_xy(x, y)
@@ -158,7 +168,7 @@ def t_statistic(x, y, family, theta, h, kernel, weight, quad_cells=DEFAULT_QUAD_
     nodes, dx = _quad_nodes(domain, quad_cells)
     K = kernel((x[None, :] - nodes[:, None]) / h)
     S = K @ r
-    return float(np.sum(S * S * weight.values(nodes)) * dx)
+    return float(np.sum(S * S) * dx)
 
 
 def normalized_statistic(t_raw, n, lam, d, h, memory_kind):
@@ -168,9 +178,8 @@ def normalized_statistic(t_raw, n, lam, d, h, memory_kind):
     short: T / (sqrt(n) h) (unit long-run variance convention).
     """
     kind = MemoryKind.parse(memory_kind)
+    _check_memory(kind, d, "lam", lam)
     if kind is MemoryKind.SEMI_LONG:
-        if lam <= 0:
-            raise ValueError("semi-long normalization requires lam > 0")
         scale = float(np.sqrt(n) * lam ** d * h)
         return t_raw / scale, scale
     if kind is MemoryKind.LONG:
@@ -180,29 +189,16 @@ def normalized_statistic(t_raw, n, lam, d, h, memory_kind):
     return t_raw / scale, scale
 
 
-def rule_at_block_scale(value, n, b):
-    """Map a full-sample tuning value to block scale by the same power rule.
-
-    A value v = n^a (the standard menu of bandwidth and tempering schedules)
-    becomes b^a; the exponent is inferred from (v, n).
-    """
-    if value <= 0:
-        raise ValueError("rule value must be > 0")
-    if n <= 1:
-        raise ValueError(f"sample size n must be > 1 to infer a power rule, got {n}")
-    if b < 1:
-        raise ValueError(f"block size b must be >= 1, got {b}")
-    exponent = np.log(value) / np.log(n)
-    return float(b) ** exponent
-
-
 def _standardize(x):
+    """u = (x - c)/s with c the mean and s the standard deviation (1 for
+    constant x); returns (u, c, s)."""
     c = float(x.mean())
     s = float(x.std())
-    return (x - c) / (s if s > 0 else 1.0)
+    s = s if s > 0 else 1.0
+    return (x - c) / s, c, s
 
 
-def _sliding_theta(x, y, degree, b):
+def _sliding_theta(x, y, family, b):
     """Closed-form polynomial least squares on every length-b window via
     cumulative sums of cross products.
 
@@ -216,9 +212,9 @@ def _sliding_theta(x, y, degree, b):
     """
     n = x.shape[0]
     nb = n - b + 1
-    u = x if degree == 1 else _standardize(x)
-    p = degree + 1
-    B = np.column_stack([u ** j for j in range(p)])
+    u = x if family.degree == 1 else _standardize(x)[0]
+    p = family.dim
+    B = family.basis(u)
     cross = []
     for i in range(p):
         for j in range(i, p):
@@ -252,12 +248,16 @@ def subsample_statistics(x, y, family, b, h_b, lam_b, d, memory_kind, kernel,
 
     Each block is refit (``_sliding_theta``), its raw statistic computed on
     the block at the block-scale bandwidth h_b, and normalized with
-    (b, lam_b, h_b).  Blocks with a singular design are skipped and counted;
-    more than 5% skipped aborts.  Returns the sorted values (and optionally
-    the block-ordered ones, their block indices and the skip count).
+    (b, lam_b, h_b), block-scale values that the caller states.  Blocks with
+    a singular design are skipped and counted; more than 5% skipped aborts.
+    Returns the sorted values (and optionally the block-ordered ones, their
+    block indices and the skip count).
     """
     family = get_family(family)
     kernel = get_kernel(kernel)
+    kind = MemoryKind.parse(memory_kind)
+    _check_bandwidth("h_b", h_b)
+    _check_memory(kind, d, "lam_b", lam_b)
     x, y = _as_xy(x, y)
     n = x.shape[0]
     if not (2 <= b <= n):
@@ -265,9 +265,8 @@ def subsample_statistics(x, y, family, b, h_b, lam_b, d, memory_kind, kernel,
     nb = n - b + 1
     domain = integration_domain(x, h_b, weight)
     nodes, dx = _quad_nodes(domain, quad_cells)
-    pw = weight.values(nodes)
 
-    theta, valid, u = _sliding_theta(x, y, family.degree, b)
+    theta, valid, u = _sliding_theta(x, y, family, b)
     K = kernel((x[None, :] - nodes[:, None]) / h_b)
     csum2 = lambda M: np.concatenate(
         [np.zeros((M.shape[0], 1)), np.cumsum(M, axis=1)], axis=1)
@@ -277,7 +276,7 @@ def subsample_statistics(x, y, family, b, h_b, lam_b, d, memory_kind, kernel,
     S = Cy[:, t + b] - Cy[:, t]
     for j in range(family.dim):
         S -= theta[:, j][None, :] * (Cb[j][:, t + b] - Cb[j][:, t])
-    raw = np.einsum("mt,m->t", S * S, pw) * dx
+    raw = np.sum(S * S, axis=0) * dx
     raw = raw[valid]
     skipped = int(nb - valid.sum())
     order_index = np.nonzero(valid)[0]
@@ -285,7 +284,7 @@ def subsample_statistics(x, y, family, b, h_b, lam_b, d, memory_kind, kernel,
     if skipped > _MAX_SKIPPED_FRACTION * nb:
         raise SubsamplingError(
             f"{skipped} of {nb} block fits failed (> {_MAX_SKIPPED_FRACTION:.0%})")
-    normalized = (normalized_statistic(raw, b, lam_b, d, h_b, memory_kind)[0]
+    normalized = (normalized_statistic(raw, b, lam_b, d, h_b, kind)[0]
                   if raw.size else raw)
     if return_by_block:
         return np.sort(normalized), normalized, order_index, skipped
@@ -354,14 +353,14 @@ class SpecTestResult:
             fh.write(payload + "\n")
 
 
-def run_spec_test(x, y, family, h, b, kernel, weight, memory_kind, d, lam=0.0,
-                  h_b=None, lam_b=None, quad_cells=DEFAULT_QUAD_CELLS):
+def run_spec_test(x, y, family, h, b, kernel, weight, memory_kind, d, lam=0.0, *,
+                  h_b, lam_b=0.0, quad_cells=DEFAULT_QUAD_CELLS):
     """Full specification test: fit, statistic, normalization, subsampling.
 
-    Block-scale tuning values default to the full-sample rule evaluated at
-    the block size (h = n^a maps to h_b = b^a, likewise for lam).  The
-    p-value uses add-one smoothing, (1 + #{blocks >= T}) / (1 + #blocks),
-    with ties counted as exceedances.
+    The caller states the block-scale tuning values: h_b, and lam_b > 0
+    under semi-long memory.  A power rule h = n^a gives h_b = b^a; a fixed
+    value is passed unchanged.  The p-value uses add-one smoothing,
+    (1 + #{blocks >= T}) / (1 + #blocks), with ties counted as exceedances.
     """
     kind = MemoryKind.parse(memory_kind)
     x, y = _as_xy(x, y)
@@ -370,10 +369,6 @@ def run_spec_test(x, y, family, h, b, kernel, weight, memory_kind, d, lam=0.0,
     theta_hat = nls_fit(family, x, y)
     t_raw = t_statistic(x, y, family, theta_hat, h, kernel, weight, quad_cells)
     t_norm, scale = normalized_statistic(t_raw, n, lam, d, h, kind)
-    if h_b is None:
-        h_b = rule_at_block_scale(h, n, b)
-    if lam_b is None:
-        lam_b = rule_at_block_scale(lam, n, b) if lam > 0 else 0.0
     sorted_vals, by_block, order_index, skipped = subsample_statistics(
         x, y, family, b, h_b, lam_b, d, kind, kernel, weight, quad_cells,
         return_by_block=True)

@@ -147,22 +147,55 @@ def test_cli_estimate_rejects_empty_cell(tmp_path, capsys):
     assert "fitted values must be defined" not in err
 
 
-@pytest.mark.parametrize("column", ["x", "y"])
-def test_cli_spec_test_rejects_empty_cell(tmp_path, capfd, column):
+@pytest.mark.parametrize("column, flags, message", [
+    ("x", [], "non-finite input: 1 NaN or inf value(s) in x"),
+    ("y", [], "non-finite input: 1 NaN or inf value(s) in y"),
+    (None, ["--bandwidth", "nan"], "bandwidth h must be finite and > 0, got nan"),
+], ids=["x", "y", "bandwidth-nan"])
+def test_cli_spec_test_rejects_empty_cell(tmp_path, capfd, column, flags, message):
     # capfd, not capsys: LAPACK writes its complaints to the process's stderr
     rng = np.random.default_rng(5)
     x = np.cumsum(rng.standard_normal(100))
     y = x + 0.2 * rng.standard_normal(100)
     cells = [[repr(float(a)), repr(float(b))] for a, b in zip(x, y)]
-    cells[40][0 if column == "x" else 1] = ""
+    if column is not None:
+        cells[40][0 if column == "x" else 1] = ""
     data = tmp_path / "gap.csv"
     data.write_text("x,y\n" + "".join(",".join(row) + "\n" for row in cells))
     assert cli_main(["spec-test", "--data", str(data), "--memory", "slm",
-                     "--d", "0.1", "--quad-cells", "256",
+                     "--d", "0.1", "--quad-cells", "256", *flags,
                      "--out", str(tmp_path / "st")]) == 2
     out, err = capfd.readouterr()
-    assert f"non-finite input: 1 NaN or inf value(s) in {column}" in err
+    assert message in err
     assert "DLASCL" not in out + err and "p_value" not in out
+
+
+def _cli_block_values(tmp_path, flags):
+    rng = np.random.default_rng(6)
+    x = np.cumsum(rng.standard_normal(200))
+    y = x + 0.2 * rng.standard_normal(200)
+    data = tmp_path / "xy.csv"
+    data.write_text("x,y\n" + "".join(f"{float(a)!r},{float(b)!r}\n"
+                                      for a, b in zip(x, y)))
+    out = tmp_path / "st"
+    assert cli_main(["spec-test", "--data", str(data), "--memory", "slm",
+                     "--d", "0.1", "--block-size", "28", "--quad-cells", "256",
+                     *flags, "--out", str(out)]) == 0
+    return json.loads((out / "spec_test.json").read_text())
+
+
+@pytest.mark.parametrize("flags, key, full, block", [
+    (["--bandwidth", "2.0"], "h", 2.0, 2.0),
+    (["--bandwidth-rule", "n^-1/5"], "h", 200 ** -0.2, 28 ** -0.2),
+    (["--lam", "2.0"], "lam", 2.0, 2.0),
+    (["--lambda-rule", "n^-1/5"], "lam", 200 ** -0.2, 28 ** -0.2),
+], ids=["bandwidth", "bandwidth-rule", "lam", "lambda-rule"])
+def test_cli_spec_test_block_values(tmp_path, flags, key, full, block):
+    # a rule n^a maps to b^a at block scale; an explicit value is held fixed
+    payload = _cli_block_values(tmp_path, flags)
+    assert payload["block_size"] == 28
+    assert payload[key] == full
+    assert payload[key + "_b"] == block
 
 
 def test_cli_fit_artfima(tmp_path):

@@ -3,9 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from slmcoint import (linear_family, quadratic_family, get_family,
-                      uniform_weight, WeightFunction, nls_fit, t_statistic,
-                      normalized_statistic, rule_at_block_scale,
-                      subsample_statistics, subsample_quantile, run_spec_test,
+                      uniform_weight, nls_fit, t_statistic,
+                      normalized_statistic, subsample_statistics, subsample_quantile, run_spec_test,
                       SubsamplingError, GAUSSIAN, EPANECHNIKOV,
                       TemperedProcessSpec, NoiseConfig, simulate_model,
                       integration_domain)
@@ -33,6 +32,15 @@ def test_nls_matches_normal_equations():
     design = np.column_stack([np.ones_like(x), x])
     oracle = np.linalg.solve(design.T @ design, design.T @ y)
     assert_allclose(theta, oracle, atol=1e-10)
+    # x on the scale of log per-capita GDP (about 9 to 12), where the raw
+    # quadratic design is badly conditioned
+    for seed in (31, 32):
+        rng = np.random.default_rng(seed)
+        x = 9.0 + 3.0 * np.sort(rng.uniform(0, 1, 120)) + 0.05 * rng.standard_normal(120)
+        y = -40.0 + 9.0 * x - 0.47 * x * x + 0.05 * rng.standard_normal(120)
+        for fam in (linear_family(), quadratic_family()):
+            oracle = np.linalg.lstsq(fam.basis(x), y, rcond=None)[0]
+            assert_allclose(nls_fit(fam, x, y), oracle, rtol=1e-10)
 
 
 def test_nls_rank_deficient_rejected():
@@ -54,22 +62,50 @@ def test_families_are_polynomials_of_their_degree():
         get_family("cubic")
 
 
-@pytest.mark.parametrize("column", ["x", "y"])
-def test_spec_test_rejects_nonfinite_input(column):
+_BAD_INPUT = {  # case: (argument, bad value, message)
+    "x": ("x", np.nan, r"non-finite input: 1 NaN or inf value\(s\) in x$"),
+    "y": ("y", np.nan, r"non-finite input: 1 NaN or inf value\(s\) in y$"),
+    "h-nan": ("h", np.nan, r"bandwidth h must be finite and > 0, got nan$"),
+    "h-zero": ("h", 0.0, r"bandwidth h must be finite and > 0, got 0.0$"),
+    "h-inf": ("h", np.inf, r"bandwidth h must be finite and > 0, got inf$"),
+    "h_b-negative": ("h_b", -1.0, r"bandwidth h_b must be finite and > 0, got -1.0$"),
+    "h_b-zero": ("h_b", 0.0, r"bandwidth h_b must be finite and > 0, got 0.0$"),
+    "h_b-nan": ("h_b", np.nan, r"bandwidth h_b must be finite and > 0, got nan$"),
+    "d-nan": ("d", np.nan, r"memory parameter d must be finite, got nan$"),
+    "lam-nan": ("lam", np.nan, r"tempering parameter lam must be finite, got nan$"),
+    "lam_b-nan": ("lam_b", np.nan, r"tempering parameter lam_b must be finite, got nan$"),
+    "lam_b-zero": ("lam_b", 0.0, r"semi-long memory requires lam_b > 0, got 0.0$"),
+    "quad_cells-0": ("quad_cells", 0, r"quad_cells must be >= 2, got 0$"),
+    "quad_cells-1": ("quad_cells", 1, r"quad_cells must be >= 2, got 1$"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_INPUT))
+def test_spec_test_rejects_nonfinite_input(case):
+    # every entry point that takes the bad argument names it in a ValueError
+    name, value, match = _BAD_INPUT[case]
     x, y = _draw(40, seed=14)
-    (x if column == "x" else y)[7] = np.nan
-    fam = linear_family()
-    match = rf"non-finite input: 1 NaN or inf value\(s\) in {column}$"
-    with pytest.raises(ValueError, match=match):
-        nls_fit(fam, x, y)
-    with pytest.raises(ValueError, match=match):
-        t_statistic(x, y, fam, [0.0, 1.0], 0.5, GAUSSIAN, uniform_weight())
-    with pytest.raises(ValueError, match=match):
-        subsample_statistics(x, y, fam, 10, 0.5, 0.4, 0.1, "slm", GAUSSIAN,
-                             uniform_weight())
-    with pytest.raises(ValueError, match=match):
-        run_spec_test(x, y, fam, 0.5, 10, GAUSSIAN, uniform_weight(),
-                      memory_kind="slm", d=0.1, lam=0.4)
+    v = dict(h=0.5, h_b=0.5, d=0.1, lam=0.4, lam_b=0.4, quad_cells=256)
+    if name in ("x", "y"):
+        (x if name == "x" else y)[7] = value
+    else:
+        v[name] = value
+    fam, w = linear_family(), uniform_weight()
+    calls = {
+        ("x", "y"): lambda: nls_fit(fam, x, y),
+        ("x", "y", "h", "quad_cells"): lambda: t_statistic(
+            x, y, fam, [0.0, 1.0], v["h"], GAUSSIAN, w, v["quad_cells"]),
+        ("x", "y", "h_b", "d", "lam_b", "quad_cells"): lambda: subsample_statistics(
+            x, y, fam, 10, v["h_b"], v["lam_b"], v["d"], "slm", GAUSSIAN, w,
+            v["quad_cells"]),
+        ("x", "y", *v): lambda: run_spec_test(
+            x, y, fam, v["h"], 10, GAUSSIAN, w, memory_kind="slm", d=v["d"],
+            lam=v["lam"], h_b=v["h_b"], lam_b=v["lam_b"], quad_cells=v["quad_cells"]),
+    }
+    for takes, call in calls.items():
+        if name in takes:
+            with pytest.raises(ValueError, match=match):
+                call()
 
 
 def test_spec_test_rejects_unequal_lengths():
@@ -96,13 +132,6 @@ def test_t_statistic_zero_residuals():
     theta = nls_fit(linear_family(), x, y)
     t = t_statistic(x, y, linear_family(), theta, 0.5, GAUSSIAN, uniform_weight())
     assert t == 0.0
-
-
-def test_t_statistic_null_weight():
-    x, y = _draw()
-    theta = nls_fit(linear_family(), x, y)
-    w = WeightFunction(-100.0, 100.0, eval=lambda v: np.zeros_like(v))
-    assert t_statistic(x, y, linear_family(), theta, 0.5, GAUSSIAN, w) == 0.0
 
 
 def test_t_statistic_fine_grid_oracle():
@@ -167,19 +196,6 @@ def test_normalized_statistic_slm_unit_lambda_matches_short():
 def test_normalized_statistic_rejects_slm_lam0():
     with pytest.raises(ValueError):
         normalized_statistic(1.0, 100, 0.0, 0.3, 0.1, "slm")
-
-
-def test_rule_at_block_scale():
-    n, b = 500, 89
-    assert rule_at_block_scale(n ** -0.2, n, b) == pytest.approx(b ** -0.2)
-    assert rule_at_block_scale(1.0 / np.sqrt(n), n, b) == pytest.approx(b ** -0.5)
-
-
-@pytest.mark.parametrize("n, b", [(1, 10), (0, 10), (500, 0)])
-def test_rule_at_block_scale_rejects_degenerate_sizes(n, b):
-    # n = 1 used to divide by log(1) = 0 and map every value to 0.0
-    with pytest.raises(ValueError, match="n must be > 1|b must be >= 1"):
-        rule_at_block_scale(0.5, n, b)
 
 
 # -------------------------------------------------------------- subsampling
@@ -280,7 +296,8 @@ def test_run_spec_test_degenerate_null():
     y = np.zeros_like(x)
     res = run_spec_test(x, y, linear_family(), 0.4, 20, GAUSSIAN,
                         uniform_weight(), memory_kind="slm", d=0.1,
-                        lam=80 ** -0.2)
+                        lam=80 ** -0.2, h_b=20 ** (np.log(0.4) / np.log(80)),
+                        lam_b=20 ** -0.2)
     assert res.t_raw == 0.0
     assert res.p_value == 1.0
 
@@ -291,7 +308,8 @@ def test_run_spec_test_fields_and_determinism():
     noise = NoiseConfig(rho=0.5, psi=0.25, sigma=0.2, seed=13)
     path = simulate_model(spec, noise)
     y = path.x + 0.2 * path.u
-    kwargs = dict(memory_kind="slm", d=0.1, lam=200 ** -0.2, quad_cells=512)
+    kwargs = dict(memory_kind="slm", d=0.1, lam=200 ** -0.2, h_b=28 ** -0.2,
+                  lam_b=28 ** -0.2, quad_cells=512)
     a = run_spec_test(path.x, y, linear_family(), 200 ** -0.2, 28, GAUSSIAN,
                       uniform_weight(), **kwargs)
     b = run_spec_test(path.x, y, linear_family(), 200 ** -0.2, 28, GAUSSIAN,

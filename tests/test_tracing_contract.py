@@ -20,7 +20,7 @@ def _spec_test():
     return sl.spec_test.run_spec_test(
         x, y, sl.linear_family(), 80 ** -0.2, 16, sl.GAUSSIAN,
         sl.uniform_weight(), memory_kind="slm", d=0.1, lam=80 ** -0.2,
-        quad_cells=256)
+        h_b=16 ** -0.2, lam_b=16 ** -0.2, quad_cells=256)
 
 
 def test_tracer_wraps_live_library(monkeypatch):
