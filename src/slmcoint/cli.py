@@ -82,7 +82,8 @@ def _cmd_simulate(args):
 def _cmd_estimate(args):
     x, y = _read_xy(args.data)
     n = x.shape[0]
-    h = args.bandwidth if args.bandwidth else n ** parse_exponent(args.bandwidth_rule)
+    h = (args.bandwidth if args.bandwidth is not None
+         else n ** parse_exponent(args.bandwidth_rule))
     grid = np.linspace(args.grid_start, args.grid_stop, args.grid_points)
     est = kernel_estimate(x, y, grid, h, get_kernel(args.kernel),
                           alpha=args.alpha, variance=args.variance)
@@ -97,8 +98,10 @@ def _cmd_estimate(args):
 def _cmd_spec_test(args):
     x, y = _read_xy(args.data)
     n = x.shape[0]
-    b = args.block_size if args.block_size else int(
+    b = args.block_size if args.block_size is not None else int(
         args.block_coef * n ** args.block_exponent)
+    if b < 2:  # before b is raised to the negative block-scale powers
+        raise ValueError(f"block size must satisfy 2 <= b <= n, got {b}")
     a, bsup = (float(v) for v in args.weight_support.split(","))
     # a rule n^a maps to b^a at block scale; an explicit value is held fixed
     h = h_b = args.bandwidth

@@ -12,7 +12,7 @@ count or cell execution order.
 import json
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -162,6 +162,8 @@ class StudyConfig:
             raise ValueError("study_kind must be estimation, coverage or size")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.chunk_size < 1:
+            raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
         object.__setattr__(self, "d_values", tuple(float(v) for v in self.d_values))
         object.__setattr__(self, "memory_settings", tuple(
             ms if isinstance(ms, MemorySetting) else MemorySetting.from_dict(ms)
@@ -178,24 +180,10 @@ class StudyConfig:
                            tuple(float(v) for v in self.weight_support))
 
     def to_dict(self):
-        return {
-            "study_kind": self.study_kind, "n": self.n,
-            "replications": self.replications, "d_values": list(self.d_values),
-            "memory_settings": [ms.to_dict() for ms in self.memory_settings],
-            "bandwidth_exponents": list(self.bandwidth_exponents),
-            "rho": self.rho, "psi": self.psi, "sigma": self.sigma,
-            "master_seed": self.master_seed, "f_terms": self.f_terms,
-            "burn_in": self.burn_in, "kernel": self.kernel,
-            "grid_points": self.grid_points,
-            "min_window_count": self.min_window_count,
-            "eval_points": list(self.eval_points), "alpha": self.alpha,
-            "variance_mode": self.variance_mode,
-            "block_rules": [[br.coef, br.exponent] for br in self.block_rules],
-            "nominal_levels": list(self.nominal_levels),
-            "weight_support": list(self.weight_support),
-            "quad_cells": self.quad_cells, "presample": self.presample,
-            "chunk_size": self.chunk_size,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["memory_settings"] = [ms.to_dict() for ms in self.memory_settings]
+        out["block_rules"] = [[br.coef, br.exponent] for br in self.block_rules]
+        return out
 
     def to_json(self, path=None):
         payload = json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -258,36 +246,48 @@ def _match(a, b):
     return a == b
 
 
-def _simulate_paths(config, rep, grid_specs):
-    """All (setting, d) paths for one replication from one innovation draw."""
-    if not grid_specs:
-        return {}, None
-    rng = np.random.default_rng([config.master_seed, rep])
+def _paths(config, lo, hi):
+    """Yield (setting, d, x, u) for every (setting, d) of replications
+    lo..hi-1.  Replication r draws its innovations once, from a generator
+    seeded by (master_seed, r), and shares them across the settings."""
+    grid = config.settings_grid()
+    if not grid:
+        return
     noise = NoiseConfig(rho=config.rho, psi=config.psi, sigma=config.sigma,
                         seed=config.master_seed)
-    probe = config.spec_for(*grid_specs[0])
-    xi, eps = simulate_innovations(innovation_length(probe), noise, rng=rng)
-    u = simulate_error_ar1(eps, config.psi, n_keep=config.n)
-    out = {}
-    for ms, d in grid_specs:
-        x = simulate_regressor(config.spec_for(ms, d), xi)
-        out[(ms.label, d)] = x
-    return out, u
+    length = innovation_length(config.spec_for(*grid[0]))
+    for rep in range(lo, hi):
+        rng = np.random.default_rng([config.master_seed, rep])
+        xi, eps = simulate_innovations(length, noise, rng=rng)
+        u = simulate_error_ar1(eps, config.psi, n_keep=config.n)
+        # all of a replication's regressors are built before any is used:
+        # building each just before its kernel sums measured 5-10% slower
+        # on the estimation study (2-core host)
+        xs = [simulate_regressor(config.spec_for(ms, d), xi) for ms, d in grid]
+        for (ms, d), x in zip(grid, xs):
+            yield ms, d, x, u
 
 
-def _chunks(config):
-    r = config.replications
-    cs = config.chunk_size
-    return [(lo, min(lo + cs, r)) for lo in range(0, r, cs)]
+def _cell_keys(config):
+    """(label, d, bandwidth exponent) of every cell, in table order."""
+    return [(ms.label, d, he) for ms, d in config.settings_grid()
+            for he in config.bandwidth_exponents]
 
 
 def _run_chunked(worker, config, threads):
-    jobs = [(config, lo, hi) for lo, hi in _chunks(config)]
+    """Run ``worker`` on chunks of ``chunk_size`` replications.  Returns
+    {cell key: [the cell's accumulator from each chunk, in chunk order]}
+    and the chunk sizes."""
+    r, cs = config.replications, config.chunk_size
+    bounds = [(lo, min(lo + cs, r)) for lo in range(0, r, cs)]
+    jobs = [(config, lo, hi) for lo, hi in bounds]
     if threads and threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, jobs))
-    return [worker(j) for j in jobs]
-
+            payloads = list(pool.map(worker, jobs))
+    else:
+        payloads = [worker(j) for j in jobs]
+    cells = {key: [p[key] for p in payloads] for key in payloads[0]}
+    return cells, [hi - lo for lo, hi in bounds]
 
 
 def _batch_se(values):
@@ -310,35 +310,27 @@ def _f_evaluator(config):
 
 
 def _estimation_chunk(args):
+    """Per cell, a (5, grid_points) array: the count, sum of errors, sum of
+    squared errors, zero-mass count and excluded count at each point."""
     config, lo, hi = args
     kernel = get_kernel(config.kernel)
     grid = np.linspace(0.0, 1.0, config.grid_points)
-    f_eval = _f_evaluator(config)
-    ftrue = f_eval(grid)
-    grid_specs = config.settings_grid()
-    cells = {}
-    for ms, d in grid_specs:
+    f = _f_evaluator(config)
+    ftrue = f(grid)
+    cells = {key: np.zeros((5, config.grid_points)) for key in _cell_keys(config)}
+    for ms, d, x, u in _paths(config, lo, hi):
+        y = f(x) + config.sigma * u
         for he in config.bandwidth_exponents:
-            cells[(ms.label, d, he)] = [
-                np.zeros(config.grid_points), np.zeros(config.grid_points),
-                np.zeros(config.grid_points), 0, 0]
-    for rep in range(lo, hi):
-        xs, u = _simulate_paths(config, rep, grid_specs)
-        for ms, d in grid_specs:
-            x = xs[(ms.label, d)]
-            y = f_eval(x) + config.sigma * u
-            for he in config.bandwidth_exponents:
-                h = float(config.n) ** he
-                mass, count, (sy,) = kernel_sums(x, grid, h, kernel, (y,))
-                ok = (count >= config.min_window_count) & (mass > 0)
-                acc = cells[(ms.label, d, he)]
-                if np.any(ok):
-                    e = sy[ok] / mass[ok] - ftrue[ok]
-                    acc[0][ok] += 1.0
-                    acc[1][ok] += e
-                    acc[2][ok] += e * e
-                acc[3] += int(np.count_nonzero(mass == 0))
-                acc[4] += int(np.count_nonzero(~ok))
+            mass, count, (sy,) = kernel_sums(x, grid, float(config.n) ** he,
+                                             kernel, (y,))
+            ok = (count >= config.min_window_count) & (mass > 0)
+            e = sy[ok] / mass[ok] - ftrue[ok]
+            acc = cells[ms.label, d, he]
+            acc[0, ok] += 1.0
+            acc[1, ok] += e
+            acc[2, ok] += e * e
+            acc[3] += mass == 0
+            acc[4] += ~ok
     return cells
 
 
@@ -366,81 +358,54 @@ def run_estimation_study(config, threads=1):
     """
     if config.study_kind != "estimation":
         raise ValueError("config.study_kind must be 'estimation'")
-    payloads = _run_chunked(_estimation_chunk, config, threads)
+    chunks, _ = _run_chunked(_estimation_chunk, config, threads)
     tables = {"bias": [], "std": [], "rmse": []}
-    for ms, d in config.settings_grid():
-        for he in config.bandwidth_exponents:
-            key = (ms.label, d, he)
-            tot = [np.zeros(config.grid_points), np.zeros(config.grid_points),
-                   np.zeros(config.grid_points), 0, 0]
-            chunk_stats = []
-            for payload in payloads:
-                c = payload[key]
-                for i in range(3):
-                    tot[i] += c[i]
-                tot[3] += c[3]
-                tot[4] += c[4]
-                chunk_stats.append(_point_stats(c[0], c[1], c[2]))
-            bias, std, rmse = _point_stats(tot[0], tot[1], tot[2])
-            errs = [_batch_se([cs[i] for cs in chunk_stats])
-                    for i in range(3)]
-            pairs = config.replications * config.grid_points
-            zero_frac = tot[3] / pairs
-            excl_frac = tot[4] / pairs
-            base = {"memory": ms.label, "bandwidth_rule": f"n^{he!r}",
-                    "bandwidth_exponent": he, "d": d,
-                    "zero_mass_frac": zero_frac, "excluded_frac": excl_frac,
-                    "flagged": bool(zero_frac > 0.01)}
-            for name, value, err in (("bias", bias, errs[0]),
-                                     ("std", std, errs[1]),
-                                     ("rmse", rmse, errs[2])):
-                tables[name].append(dict(base, value=value, mc_error=err))
+    pairs = config.replications * config.grid_points
+    for (label, d, he), accs in chunks.items():
+        tot = sum(accs)
+        chunk_stats = [_point_stats(*acc[:3]) for acc in accs]
+        zero_frac = tot[3].sum() / pairs
+        base = {"memory": label, "bandwidth_rule": f"n^{he!r}",
+                "bandwidth_exponent": he, "d": d,
+                "zero_mass_frac": zero_frac, "excluded_frac": tot[4].sum() / pairs,
+                "flagged": bool(zero_frac > 0.01)}
+        stats = _point_stats(*tot[:3])
+        for i, name in enumerate(tables):  # bias, std, rmse
+            err = _batch_se([cs[i] for cs in chunk_stats])
+            tables[name].append(dict(base, value=stats[i], mc_error=err))
     return StudyResult("estimation", tables, {}, config)
 
 
 # ------------------------------------------------------------------ coverage
 
 def _coverage_chunk(args):
+    """Per cell, a (3, eval_points) array: the defined count, covered count
+    and summed interval length at each point."""
     config, lo, hi = args
     kernel = get_kernel(config.kernel)
-    f_eval = _f_evaluator(config)
+    f = _f_evaluator(config)
     pts = np.asarray(config.eval_points)
-    fpts = f_eval(pts)
-    grid_specs = config.settings_grid()
-    npts = pts.shape[0]
-    cells = {}
-    for ms, d in grid_specs:
+    fpts = f(pts)
+    cells = {key: np.zeros((3, pts.shape[0])) for key in _cell_keys(config)}
+    for ms, d, x, u in _paths(config, lo, hi):
+        y = f(x) + config.sigma * u
         for he in config.bandwidth_exponents:
-            cells[(ms.label, d, he)] = [np.zeros(npts, dtype=int),
-                                        np.zeros(npts, dtype=int),
-                                        np.zeros(npts)]
-    for rep in range(lo, hi):
-        xs, u = _simulate_paths(config, rep, grid_specs)
-        for ms, d in grid_specs:
-            x = xs[(ms.label, d)]
-            y = f_eval(x) + config.sigma * u
-            for he in config.bandwidth_exponents:
-                h = float(config.n) ** he
-                if config.variance_mode == "uncentered":
-                    r2 = y * y
-                else:
-                    r2 = (y - fitted_values(x, y, h, kernel)) ** 2
-                mass, _, (sy, sr2) = kernel_sums(x, pts, h, kernel, (y, r2))
-                ok = mass > 0
-                acc = cells[(ms.label, d, he)]
-                if not np.any(ok):
-                    continue
-                fh = sy[ok] / mass[ok]
-                s2 = sr2[ok] / mass[ok]
-                half = ci_half_width(s2, mass[ok], kernel, config.alpha)
-                covered = np.abs(fh - fpts[ok]) <= half
-                acc[0][ok] += 1
-                acc[1][np.nonzero(ok)[0][covered]] += 1
-                acc[2][ok] += 2.0 * half
+            h = float(config.n) ** he
+            if config.variance_mode == "uncentered":
+                r2 = y * y
+            else:
+                r2 = (y - fitted_values(x, y, h, kernel)) ** 2
+            mass, _, (sy, sr2) = kernel_sums(x, pts, h, kernel, (y, r2))
+            ok = mass > 0
+            half = ci_half_width(sr2[ok] / mass[ok], mass[ok], kernel, config.alpha)
+            acc = cells[ms.label, d, he]
+            acc[0, ok] += 1
+            acc[1, ok] += np.abs(sy[ok] / mass[ok] - fpts[ok]) <= half
+            acc[2, ok] += 2.0 * half
     return cells
 
 
-def run_coverage_study(config, alpha=None, threads=1):
+def run_coverage_study(config, threads=1):
     """Empirical coverage and expected length of the pointwise confidence
     interval at the requested x points.
 
@@ -453,116 +418,86 @@ def run_coverage_study(config, alpha=None, threads=1):
     """
     if config.study_kind != "coverage":
         raise ValueError("config.study_kind must be 'coverage'")
-    if alpha is not None and alpha != config.alpha:
-        config = StudyConfig.from_dict(dict(config.to_dict(), alpha=alpha))
     # alpha = 1 is the degenerate zero-width interval (coverage 0, length 0)
     if config.alpha > 1.0 or config.alpha <= 0.0:
         raise ValueError("alpha must be in (0, 1]")
-    payloads = _run_chunked(_coverage_chunk, config, threads)
-    chunk_sizes = [hi - lo for lo, hi in _chunks(config)]
+    chunks, sizes = _run_chunked(_coverage_chunk, config, threads)
     tables = {"coverage": [], "length": []}
     r = config.replications
-    for ms, d in config.settings_grid():
-        for he in config.bandwidth_exponents:
-            key = (ms.label, d, he)
-            ndef = np.zeros(len(config.eval_points), dtype=int)
-            ncov = np.zeros(len(config.eval_points), dtype=int)
-            slen = np.zeros(len(config.eval_points))
-            chunk_cov = []
-            chunk_len = []
-            for payload, cs in zip(payloads, chunk_sizes):
-                c = payload[key]
-                ndef += c[0]
-                ncov += c[1]
-                slen += c[2]
-                chunk_cov.append(c[1] / cs)
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    chunk_len.append(np.where(c[0] > 0, c[2] / np.maximum(c[0], 1), np.nan))
-            for i, x0 in enumerate(config.eval_points):
-                cov = ncov[i] / r
-                ln = slen[i] / ndef[i] if ndef[i] else np.nan
-                cov_err = _batch_se([cc[i] for cc in chunk_cov])
-                len_err = _batch_se([cl[i] for cl in chunk_len])
-                base = {"memory": ms.label, "bandwidth_rule": f"n^{he!r}",
-                        "bandwidth_exponent": he, "d": d, "x": x0,
-                        "defined_frac": ndef[i] / r}
-                tables["coverage"].append(dict(base, value=cov, mc_error=cov_err))
-                tables["length"].append(dict(base, value=ln, mc_error=len_err))
+    for (label, d, he), accs in chunks.items():
+        ndef, ncov, slen = sum(accs)
+        chunk_cov = [acc[1] / cs for acc, cs in zip(accs, sizes)]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            chunk_len = [np.where(acc[0] > 0, acc[2] / np.maximum(acc[0], 1), np.nan)
+                         for acc in accs]
+        for i, x0 in enumerate(config.eval_points):
+            base = {"memory": label, "bandwidth_rule": f"n^{he!r}",
+                    "bandwidth_exponent": he, "d": d, "x": x0,
+                    "defined_frac": ndef[i] / r}
+            tables["coverage"].append(dict(
+                base, value=ncov[i] / r,
+                mc_error=_batch_se([cc[i] for cc in chunk_cov])))
+            tables["length"].append(dict(
+                base, value=slen[i] / ndef[i] if ndef[i] else np.nan,
+                mc_error=_batch_se([cl[i] for cl in chunk_len])))
     return StudyResult("coverage", tables, {}, config)
 
 
 # ---------------------------------------------------------------------- size
 
 def _size_chunk(args):
+    """Per cell, one row per replication: the normalized statistic, then 0/1
+    for a rejection at each (block rule, level)."""
     config, lo, hi = args
     kernel = get_kernel(config.kernel)
     weight = uniform_weight(*config.weight_support)
     family = linear_family()
-    grid_specs = config.settings_grid()
-    cells = {}
-    tnorms = {}
-    for ms, d in grid_specs:
+    cells = {key: [] for key in _cell_keys(config)}
+    for ms, d, x, u in _paths(config, lo, hi):
+        y = x + config.sigma * u  # H0: theta = (0, 1)
+        lam = ms.lam(config.n)
+        theta = nls_fit(family, x, y)
         for he in config.bandwidth_exponents:
-            tnorms[(ms.label, d, he)] = []
+            h = float(config.n) ** he
+            t_raw = t_statistic(x, y, family, theta, h, kernel,
+                                weight, config.quad_cells)
+            t_norm, _ = normalized_statistic(t_raw, config.n, lam, d, h, ms.kind)
+            row = [t_norm]
             for br in config.block_rules:
-                for lv in config.nominal_levels:
-                    cells[(ms.label, d, he, br.label(), lv)] = 0
-    for rep in range(lo, hi):
-        xs, u = _simulate_paths(config, rep, grid_specs)
-        for ms, d in grid_specs:
-            x = xs[(ms.label, d)]
-            y = x + config.sigma * u  # H0: theta = (0, 1)
-            lam = ms.lam(config.n)
-            theta = nls_fit(family, x, y)
-            for he in config.bandwidth_exponents:
-                h = float(config.n) ** he
-                t_raw = t_statistic(x, y, family, theta, h, kernel,
-                                    weight, config.quad_cells)
-                t_norm, _ = normalized_statistic(t_raw, config.n, lam, d, h, ms.kind)
-                tnorms[(ms.label, d, he)].append(t_norm)
-                for br in config.block_rules:
-                    b = br.size(config.n)
-                    h_b = float(b) ** he
-                    lam_b = (float(b) ** ms.lambda_exponent
-                             if ms.kind is MemoryKind.SEMI_LONG else 0.0)
-                    vals = subsample_statistics(
-                        x, y, family, b, h_b, lam_b, d, ms.kind, kernel, weight,
-                        config.quad_cells)
-                    for lv in config.nominal_levels:
-                        if t_norm > subsample_quantile(vals, lv):
-                            cells[(ms.label, d, he, br.label(), lv)] += 1
-    return cells, tnorms
+                b = br.size(config.n)
+                lam_b = (float(b) ** ms.lambda_exponent
+                         if ms.kind is MemoryKind.SEMI_LONG else 0.0)
+                vals = subsample_statistics(
+                    x, y, family, b, float(b) ** he, lam_b, d, ms.kind, kernel,
+                    weight, config.quad_cells)
+                row += [t_norm > subsample_quantile(vals, lv)
+                        for lv in config.nominal_levels]
+            cells[ms.label, d, he].append(row)
+    return {key: np.array(rows, dtype=float) for key, rows in cells.items()}
 
 
-def run_size_study(config, nominal_levels=None, threads=1):
+def run_size_study(config, threads=1):
     """Empirical size: rejection frequency of the subsampled specification
     test on data generated under the linear null y = x + sigma*u."""
     if config.study_kind != "size":
         raise ValueError("config.study_kind must be 'size'")
-    if nominal_levels is not None:
-        config = StudyConfig.from_dict(
-            dict(config.to_dict(), nominal_levels=list(nominal_levels)))
-    payloads = _run_chunked(_size_chunk, config, threads)
+    chunks, sizes = _run_chunked(_size_chunk, config, threads)
     tables = {"size": []}
     histograms = {}
     r = config.replications
-    chunk_sizes = [hi - lo for lo, hi in _chunks(config)]
-    for ms, d in config.settings_grid():
-        for he in config.bandwidth_exponents:
-            hkey = (ms.label, d, he)
-            histograms[hkey] = np.concatenate(
-                [np.asarray(p[1][hkey]) for p in payloads])
-            for br in config.block_rules:
-                for lv in config.nominal_levels:
-                    key = (ms.label, d, he, br.label(), lv)
-                    count = sum(p[0][key] for p in payloads)
-                    rates = [p[0][key] / cs for p, cs in zip(payloads, chunk_sizes)]
-                    err = _batch_se(rates)
-                    tables["size"].append({
-                        "memory": ms.label, "bandwidth_rule": f"n^{he!r}",
-                        "bandwidth_exponent": he, "d": d,
-                        "block_rule": br.label(), "block_size": br.size(config.n),
-                        "level": lv, "value": count / r, "mc_error": err})
+    columns = [(br, lv) for br in config.block_rules for lv in config.nominal_levels]
+    for key, accs in chunks.items():
+        rows = np.concatenate(accs)
+        histograms[key] = rows[:, 0]
+        label, d, he = key
+        for j, (br, lv) in enumerate(columns, start=1):
+            rates = [acc[:, j].sum() / cs for acc, cs in zip(accs, sizes)]
+            tables["size"].append({
+                "memory": label, "bandwidth_rule": f"n^{he!r}",
+                "bandwidth_exponent": he, "d": d,
+                "block_rule": br.label(), "block_size": br.size(config.n),
+                "level": lv, "value": rows[:, j].sum() / r,
+                "mc_error": _batch_se(rates)})
     return StudyResult("size", tables, histograms, config)
 
 

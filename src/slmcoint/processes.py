@@ -367,23 +367,18 @@ def innovation_length(spec):
     return 2 * (spec.n + spec.burn_in)
 
 
-def simulate_model(spec, noise, f=None, f_eval=None, rng=None):
-    """Full model draw y_k = f(x_k) + sigma * u_k as a SimulatedPath.
+def simulate_model(spec, noise, f=None, rng=None):
+    """Full model draw y_k = f(x_k) + sigma * u_k as a SimulatedPath; f is
+    any vectorized function, e.g. an interpolator, and None means f = 0.
 
     Both innovation streams come from one seeded generator, so endogeneity
     (corr(xi, eps) = rho) holds by construction and re-simulation with the
-    same spec/noise reproduces the path bit for bit.  ``f_eval`` overrides
-    ``f`` with a pre-built evaluator (e.g. an interpolator).
+    same spec/noise reproduces the path bit for bit.
     """
     xi, eps = simulate_innovations(innovation_length(spec), noise, rng=rng)
     x = simulate_regressor(spec, xi)
     u = simulate_error_ar1(eps, noise.psi, n_keep=spec.n)
-    if f_eval is not None:
-        fx = np.asarray(f_eval(x), dtype=float)
-    elif f is not None:
-        fx = np.asarray(f(x), dtype=float)
-    else:
-        fx = np.zeros_like(x)
+    fx = np.zeros_like(x) if f is None else np.asarray(f(x), dtype=float)
     y = fx + noise.sigma * u
     return SimulatedPath(x=x, u=u, y=y, spec=spec, noise=noise)
 

@@ -136,6 +136,39 @@ def _check_series(series):
     return z
 
 
+def _fit(series, model, d_grid, lam_grid, bounds, maxiter):
+    """Grid scan (first minimum) refined by bounded Nelder-Mead; the
+    refinement is kept only if it is no worse than the grid.  ``bounds``
+    holds the (d, lam) ranges, or only d's range when lam is fixed at the
+    one point of ``lam_grid``."""
+    z = _check_series(series)
+    freqs, pgram = periodogram(z)
+    cells = [(dv, lv) for dv in d_grid for lv in lam_grid]
+    objs = [whittle_objective(dv, lv, freqs, pgram) for dv, lv in cells]
+    i0 = int(np.argmin(objs))
+    grid_obj, start = objs[i0], cells[i0][:len(bounds)]
+    free_lam = len(bounds) == 2
+
+    def objective(p):
+        return whittle_objective(p[0], p[1] if free_lam else lam_grid[0], freqs, pgram)
+
+    res = minimize(objective, np.asarray(start), method="Nelder-Mead", bounds=bounds,
+                   options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": maxiter})
+    if res.fun <= grid_obj:
+        params, obj = [float(v) for v in res.x], float(res.fun)
+    else:
+        params, obj = [float(v) for v in start], float(grid_obj)
+    boundary = any(min(v - lo, hi - v) < 1e-4 for v, (lo, hi) in zip(params, bounds))
+    d_hat = params[0]
+    lam_hat = params[1] if free_lam else float(lam_grid[0])
+    resid = one_step_residuals(z, d_hat, lam_hat)
+    return ArtfimaFit(
+        d_hat=d_hat, lambda_hat=lam_hat,
+        sigma2_hat=profile_sigma2(d_hat, lam_hat, freqs, pgram),
+        objective=obj, mse=float(np.mean(resid ** 2)), model=model,
+        boundary=bool(boundary), grid_objective=float(grid_obj))
+
+
 def fit_artfima00(series):
     """Whittle fit of ARTFIMA(0, d, lam, 0) over d in [-1, 3], lam in [1e-6, 2].
 
@@ -143,59 +176,16 @@ def fit_artfima00(series):
     Nelder-Mead; the refined optimum never exceeds the best grid value.
     Convergence onto the parameter bounds is flagged.
     """
-    z = _check_series(series)
-    freqs, pgram = periodogram(z)
     d_grid = np.arange(ARTFIMA_D_RANGE[0], ARTFIMA_D_RANGE[1] + 1e-9, _GRID_D_STEP)
     lam_grid = np.geomspace(ARTFIMA_LAM_RANGE[0], ARTFIMA_LAM_RANGE[1], _GRID_LAM_POINTS)
-    best = (np.inf, None)
-    for dv in d_grid:
-        for lv in lam_grid:
-            w = whittle_objective(dv, lv, freqs, pgram)
-            if w < best[0]:
-                best = (w, (dv, lv))
-    grid_obj, start = best
-    bounds = [ARTFIMA_D_RANGE, ARTFIMA_LAM_RANGE]
-    res = minimize(lambda p: whittle_objective(p[0], p[1], freqs, pgram),
-                   np.asarray(start), method="Nelder-Mead", bounds=bounds,
-                   options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 4000})
-    if res.fun <= grid_obj:
-        d_hat, lam_hat, obj = float(res.x[0]), float(res.x[1]), float(res.fun)
-    else:
-        d_hat, lam_hat, obj = float(start[0]), float(start[1]), float(grid_obj)
-    boundary = (
-        min(d_hat - ARTFIMA_D_RANGE[0], ARTFIMA_D_RANGE[1] - d_hat) < 1e-4
-        or min(lam_hat - ARTFIMA_LAM_RANGE[0], ARTFIMA_LAM_RANGE[1] - lam_hat) < 1e-4)
-    resid = one_step_residuals(z, d_hat, lam_hat)
-    return ArtfimaFit(
-        d_hat=d_hat, lambda_hat=lam_hat,
-        sigma2_hat=profile_sigma2(d_hat, lam_hat, freqs, pgram),
-        objective=obj, mse=float(np.mean(resid ** 2)), model="artfima00",
-        boundary=bool(boundary), grid_objective=float(grid_obj))
+    return _fit(series, "artfima00", d_grid, lam_grid,
+                [ARTFIMA_D_RANGE, ARTFIMA_LAM_RANGE], maxiter=4000)
 
 
 def fit_arfima00(series):
     """Whittle fit of ARFIMA(0, d, 0) over d in (-1/2, 1/2) with lam = 0."""
-    z = _check_series(series)
-    freqs, pgram = periodogram(z)
     d_grid = np.arange(ARFIMA_D_RANGE[0], ARFIMA_D_RANGE[1] + 1e-9, _GRID_D_STEP / 2)
-    objs = [whittle_objective(dv, 0.0, freqs, pgram) for dv in d_grid]
-    i0 = int(np.argmin(objs))
-    grid_obj, start = objs[i0], d_grid[i0]
-    res = minimize(lambda p: whittle_objective(p[0], 0.0, freqs, pgram),
-                   np.asarray([start]), method="Nelder-Mead",
-                   bounds=[ARFIMA_D_RANGE],
-                   options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 2000})
-    if res.fun <= grid_obj:
-        d_hat, obj = float(res.x[0]), float(res.fun)
-    else:
-        d_hat, obj = float(start), float(grid_obj)
-    boundary = min(d_hat - ARFIMA_D_RANGE[0], ARFIMA_D_RANGE[1] - d_hat) < 1e-4
-    resid = one_step_residuals(z, d_hat, 0.0)
-    return ArtfimaFit(
-        d_hat=d_hat, lambda_hat=0.0,
-        sigma2_hat=profile_sigma2(d_hat, 0.0, freqs, pgram),
-        objective=obj, mse=float(np.mean(resid ** 2)), model="arfima00",
-        boundary=bool(boundary), grid_objective=float(grid_obj))
+    return _fit(series, "arfima00", d_grid, [0.0], [ARFIMA_D_RANGE], maxiter=2000)
 
 
 def simulate_artfima00(n, d, lam, sigma2=1.0, rng=None, truncation=None):

@@ -147,11 +147,25 @@ def test_cli_estimate_rejects_empty_cell(tmp_path, capsys):
     assert "fitted values must be defined" not in err
 
 
+def test_cli_estimate_rejects_zero_bandwidth(tmp_path, capsys):
+    # an explicit 0 is a value, not "use the rule"
+    data = tmp_path / "xy.csv"
+    data.write_text("x,y\n0.0,1.0\n0.5,1.5\n1.0,2.0\n1.5,2.5\n")
+    assert cli_main(["estimate", "--data", str(data), "--bandwidth", "0",
+                     "--out", str(tmp_path / "est")]) == 2
+    assert "bandwidth h must be finite and > 0, got 0.0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("column, flags, message", [
     ("x", [], "non-finite input: 1 NaN or inf value(s) in x"),
     ("y", [], "non-finite input: 1 NaN or inf value(s) in y"),
     (None, ["--bandwidth", "nan"], "bandwidth h must be finite and > 0, got nan"),
-], ids=["x", "y", "bandwidth-nan"])
+    (None, ["--bandwidth", "0"], "bandwidth h must be finite and > 0, got 0.0"),
+    (None, ["--block-size", "0"], "block size must satisfy 2 <= b <= n, got 0"),
+    (None, ["--block-size", "1"], "block size must satisfy 2 <= b <= n, got 1"),
+    (None, ["--block-rule", "0.1"], "block size must satisfy 2 <= b <= n, got 1"),
+], ids=["x", "y", "bandwidth-nan", "bandwidth-0", "block-size-0", "block-size-1",
+        "block-rule-0.1"])
 def test_cli_spec_test_rejects_empty_cell(tmp_path, capfd, column, flags, message):
     # capfd, not capsys: LAPACK writes its complaints to the process's stderr
     rng = np.random.default_rng(5)

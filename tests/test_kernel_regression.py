@@ -331,7 +331,7 @@ def test_stochastic_consistency_rate():
         for rep in range(500):
             noise = NoiseConfig(rho=0.5, psi=0.25, sigma=0.2,
                                 seed=rep * 7919 + n)
-            path = simulate_model(spec, noise, f_eval=f)
+            path = simulate_model(spec, noise, f=f)
             est = nw_estimate(path.x, path.y, grid, n ** (-1.0 / 3.0))
             ok = est.defined
             if np.any(ok):

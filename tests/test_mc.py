@@ -56,6 +56,16 @@ def test_config_json_roundtrip(tmp_path):
     assert again == config
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("replications", 0, "replications must be >= 1"),
+    ("chunk_size", 0, "chunk_size must be >= 1, got 0"),
+    ("chunk_size", -2, "chunk_size must be >= 1, got -2"),
+])
+def test_config_rejects_nonpositive_counts(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        _tiny("estimation", **{field: value})
+
+
 def test_settings_grid_skips_invalid_lm_rows():
     config = _tiny("estimation", memory_settings=("lm", "SLM3"),
                    d_values=(0.0, 0.45, 0.8))
@@ -67,13 +77,20 @@ def test_settings_grid_skips_invalid_lm_rows():
 
 # ------------------------------------------------------------- determinism
 
-def test_estimation_thread_count_invariance():
-    config = _tiny("estimation")
-    a = run_estimation_study(config, threads=1)
-    b = run_estimation_study(config, threads=2)
-    for crit in ("bias", "std", "rmse"):
-        for ra, rb in zip(a.tables[crit], b.tables[crit]):
-            assert ra == rb
+@pytest.mark.parametrize("config", [
+    _tiny("estimation"),
+    _tiny("coverage", replications=5, chunk_size=2),
+    # 2 block rules x 2 levels, and a chunk size that does not divide R
+    _tiny("size", n=100, replications=5, chunk_size=2,
+          block_rules=((1.0, 0.5), (2.0, 0.5)), nominal_levels=(0.05, 0.10)),
+], ids=["estimation", "coverage", "size"])
+def test_thread_count_invariance(config):
+    a = run_study(config, threads=1)
+    b = run_study(config, threads=2)
+    assert json.dumps(a.tables) == json.dumps(b.tables)
+    assert list(a.histograms) == list(b.histograms)
+    for key in a.histograms:
+        assert np.array_equal(a.histograms[key], b.histograms[key])
 
 
 def test_estimation_cell_order_invariance():
@@ -86,15 +103,6 @@ def test_estimation_cell_order_invariance():
     cell_a = a.cell("rmse", memory="SLM3", d=0.1)
     cell_b = b.cell("rmse", memory="SLM3", d=0.1)
     assert cell_a["value"] == cell_b["value"]
-
-
-def test_size_thread_count_invariance():
-    config = _tiny("size", n=100, replications=4, chunk_size=2)
-    a = run_size_study(config, threads=1)
-    b = run_size_study(config, threads=2)
-    assert a.tables["size"] == b.tables["size"]
-    ka = list(a.histograms)[0]
-    assert np.array_equal(a.histograms[ka], b.histograms[ka])
 
 
 def test_run_study_dispatch():

@@ -3,9 +3,11 @@ by name from outside the package.  This test installs it on the live library
 so that a rename which breaks ``perfbench/run.py --trace 1`` fails here."""
 
 import importlib
+import json
 import os
 
 import numpy as np
+import pytest
 
 import slmcoint as sl
 
@@ -47,3 +49,30 @@ def test_tracer_wraps_live_library(monkeypatch):
         assert metrics[f"spec_test.{name}.busy_s"]["value"] > 0.0
     assert sl.spec_test.run_spec_test is original
     assert sl.run_spec_test is original
+
+
+@pytest.mark.parametrize("kind", ["estimation", "size"])
+def test_tracer_wraps_study_chunks(monkeypatch, kind):
+    # a chunk worker called other than through its module attribute would
+    # leave mc.chunks at 0
+    monkeypatch.syspath_prepend(PERFBENCH)
+    tracing = importlib.import_module("tracing")
+    config = sl.StudyConfig(
+        study_kind=kind, n=120, replications=5, chunk_size=2, d_values=(0.1,),
+        memory_settings=("SLM3",), bandwidth_exponents=(-0.2,),
+        master_seed=4242, quad_cells=256, block_rules=((1.0, 0.5),),
+        nominal_levels=(0.05,))
+    plain = sl.mc.run_study(config)
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer)
+    try:
+        traced = sl.mc.run_study(config)
+    finally:
+        uninstall()
+    assert json.dumps(traced.tables) == json.dumps(plain.tables)
+    assert list(traced.histograms) == list(plain.histograms)
+    for key in plain.histograms:
+        assert np.array_equal(traced.histograms[key], plain.histograms[key])
+    metrics = tracing.layer_metrics(tracer)
+    assert tracing.count_metrics(metrics)["mc.chunks"] == 3
+    assert metrics["mc.study.busy_s"]["value"] > 0.0
