@@ -108,8 +108,10 @@ def _cmd_spec_test(args):
     if h is None:
         h, h_b = (float(m) ** parse_exponent(args.bandwidth_rule) for m in (n, b))
     lam = lam_b = args.lam
-    if args.memory == "slm" and lam == 0.0 and args.lambda_rule:
-        lam, lam_b = (float(m) ** parse_exponent(args.lambda_rule) for m in (n, b))
+    if lam is None:
+        lam = lam_b = 0.0
+        if args.memory == "slm" and args.lambda_rule:
+            lam, lam_b = (float(m) ** parse_exponent(args.lambda_rule) for m in (n, b))
     result = run_spec_test(
         x, y, get_family(args.family), h, b, get_kernel(args.kernel),
         uniform_weight(a, bsup), memory_kind=args.memory, d=args.d, lam=lam,
@@ -217,7 +219,7 @@ def build_parser():
     p.add_argument("--block-exponent", type=float, default=0.5)
     p.add_argument("--memory", choices=["slm", "lm", "short"], default="slm")
     p.add_argument("--d", type=float, default=0.0)
-    p.add_argument("--lam", type=float, default=0.0)
+    p.add_argument("--lam", type=float, default=None)
     p.add_argument("--lambda-rule", default="n^-1/5")
     p.add_argument("--kernel", choices=["gaussian", "epanechnikov"],
                    default="gaussian")

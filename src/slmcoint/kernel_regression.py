@@ -51,9 +51,9 @@ def _check_finite(name, arr):
         raise ValueError(f"non-finite input: {bad} NaN or inf value(s) in {name}")
 
 
-def _check_bandwidth(name, h):
-    if not (np.isfinite(h) and h > 0):
-        raise ValueError(f"bandwidth {name} must be finite and > 0, got {h}")
+def _check_positive(name, value):
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 def kernel_sums(x, points, h, kernel, columns=()):
@@ -75,7 +75,7 @@ def kernel_sums(x, points, h, kernel, columns=()):
     order per point, chunked over points so that the workspace stays
     within ``_WORKSPACE_ROWS`` rows of the sample.
     """
-    _check_bandwidth("h", h)
+    _check_positive("bandwidth h", h)
     kernel = get_kernel(kernel)
     x = np.asarray(x, dtype=float)
     points = np.atleast_1d(np.asarray(points, dtype=float))

@@ -46,6 +46,19 @@ class MemoryKind(str, enum.Enum):
         return aliases[key]
 
 
+def _check_memory(kind, d, lam_name, lam):
+    """d and the tempering parameter must be finite with lam >= 0, and
+    lam > 0 under semi-long memory (``kind`` None adds no kind rule)."""
+    if not np.isfinite(d):
+        raise ValueError(f"memory parameter d must be finite, got {d}")
+    if not np.isfinite(lam):
+        raise ValueError(f"tempering parameter {lam_name} must be finite, got {lam}")
+    if lam < 0:
+        raise ValueError(f"tempering parameter {lam_name} must be >= 0, got {lam}")
+    if kind is MemoryKind.SEMI_LONG and lam <= 0:
+        raise ValueError(f"semi-long memory requires {lam_name} > 0, got {lam}")
+
+
 def _binomial_weights(a, n_lags):
     """Coefficients of (1-z)^{-a} up to lag n_lags by the recursion
     c(0) = 1, c(j) = c(j-1) * (j-1+a) / j; defined for every real a."""
@@ -127,6 +140,7 @@ class TemperedProcessSpec:
     def __post_init__(self):
         object.__setattr__(self, "memory_kind", MemoryKind.parse(self.memory_kind))
         kind = self.memory_kind
+        _check_memory(kind, self.d, "lam", self.lam)
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.burn_in < 0:
@@ -139,8 +153,6 @@ class TemperedProcessSpec:
         elif kind is MemoryKind.SEMI_LONG:
             if self.d < 0.0:
                 raise ValueError("semi-long memory requires d >= 0")
-            if self.lam <= 0.0:
-                raise ValueError("semi-long memory requires lam > 0")
         else:
             if self.d != 0.0:
                 raise ValueError("short memory requires d = 0")

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel_regression import _check_bandwidth, _check_finite, get_kernel
-from .processes import MemoryKind
+from .kernel_regression import _check_finite, _check_positive, get_kernel
+from .processes import MemoryKind, _check_memory
 
 DEFAULT_QUAD_CELLS = 2048
 DEFAULT_WEIGHT_SUPPORT = (-100.0, 100.0)
@@ -100,17 +100,6 @@ def _as_xy(x, y):
     return x, y
 
 
-def _check_memory(kind, d, lam_name, lam):
-    """d and the tempering parameter must be finite, and lam > 0 under
-    semi-long memory."""
-    if not np.isfinite(d):
-        raise ValueError(f"memory parameter d must be finite, got {d}")
-    if not np.isfinite(lam):
-        raise ValueError(f"tempering parameter {lam_name} must be finite, got {lam}")
-    if kind is MemoryKind.SEMI_LONG and lam <= 0:
-        raise ValueError(f"semi-long memory requires {lam_name} > 0, got {lam}")
-
-
 def nls_fit(family, x, y):
     """Least-squares fit of the polynomial family g(x, theta): the one
     length-n window of ``_sliding_theta``, its standardized coefficients
@@ -158,7 +147,7 @@ def t_statistic(x, y, family, theta, h, kernel, weight, quad_cells=DEFAULT_QUAD_
     ``quad_cells`` midpoint nodes over ``domain`` (defaults to the weight
     support clipped to the data range).
     """
-    _check_bandwidth("h", h)
+    _check_positive("bandwidth h", h)
     family = get_family(family)
     kernel = get_kernel(kernel)
     x, y = _as_xy(x, y)
@@ -256,7 +245,7 @@ def subsample_statistics(x, y, family, b, h_b, lam_b, d, memory_kind, kernel,
     family = get_family(family)
     kernel = get_kernel(kernel)
     kind = MemoryKind.parse(memory_kind)
-    _check_bandwidth("h_b", h_b)
+    _check_positive("bandwidth h_b", h_b)
     _check_memory(kind, d, "lam_b", lam_b)
     x, y = _as_xy(x, y)
     n = x.shape[0]

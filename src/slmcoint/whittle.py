@@ -5,8 +5,9 @@ The tempered fractional noise model has spectral density
     f(w) = (sigma^2 / 2 pi) |1 - exp(-(lam + i w))|^{-2 d},
 
 which reduces to ARFIMA(0, d, 0) at lam = 0.  Estimation minimizes the
-profile-sigma^2 Whittle objective over a coarse grid followed by
-derivative-free refinement.
+profile-sigma^2 Whittle objective over a coarse (d, lam) grid, scanned by
+broadcast evaluations of the objective over a few d rows at a time, followed
+by derivative-free refinement of its scalar case.
 """
 
 import json
@@ -17,7 +18,8 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.signal import fftconvolve
 
-from .processes import _binomial_weights, tempered_coeffs
+from .kernel_regression import _check_positive
+from .processes import _binomial_weights, _check_memory, tempered_coeffs
 
 _TWO_PI = 2.0 * np.pi
 ARTFIMA_D_RANGE = (-1.0, 3.0)
@@ -26,6 +28,9 @@ ARFIMA_D_RANGE = (-0.5 + 1e-6, 0.5 - 1e-6)
 _GRID_D_STEP = 0.05
 _GRID_LAM_POINTS = 20
 _AR_TRUNCATION = 50
+# (d, lam) cells per broadcast grid evaluation: bounds the cells x frequencies
+# workspace (one cell-wide broadcast over the whole grid is no faster)
+_GRID_CHUNK_CELLS = 60
 
 
 def artfima_spectral_density(d, lam, sigma2, omega):
@@ -33,10 +38,8 @@ def artfima_spectral_density(d, lam, sigma2, omega):
     omega = np.asarray(omega, dtype=float)
     if np.any(omega <= 0) or np.any(omega > np.pi):
         raise ValueError("omega must lie in (0, pi]")
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be > 0")
-    mod2 = 1.0 - 2.0 * np.exp(-lam) * np.cos(omega) + np.exp(-2.0 * lam)
-    return (sigma2 / _TWO_PI) * mod2 ** (-d)
+    _check_positive("sigma2", sigma2)
+    return (sigma2 / _TWO_PI) * _transfer(d, lam, omega)
 
 
 def periodogram(series):
@@ -66,18 +69,30 @@ def _transfer(d, lam, freqs):
     return mod2 ** (-d)
 
 
+def _cells(v):
+    """v with a trailing frequency axis, or a scalar if v is 0-d (the
+    refinement's calls then skip broadcasting a one-element axis)."""
+    v = np.asarray(v, dtype=float)
+    return v[..., None] if v.ndim else v[()]
+
+
 def whittle_objective(d, lam, freqs, pgram):
     """Profile-sigma^2 Whittle objective,
 
     W(d, lam) = ln( mean_j I_j / g_j ) + mean_j ln g_j,
 
-    with g_j the unit-variance transfer |1 - e^{-(lam+i w_j)}|^{-2d}.
+    with g_j the unit-variance transfer |1 - e^{-(lam+i w_j)}|^{-2d}, and
+    inf where the mean ratio is not finite and > 0.  d and lam broadcast
+    against each other to an array of cells, each computed by the same
+    elementwise operations as a scalar call, which returns a float.
     """
-    g = _transfer(d, lam, freqs)
-    ratio = np.mean(pgram / g)
-    if not np.isfinite(ratio) or ratio <= 0:
-        return np.inf
-    return float(np.log(ratio) + np.mean(np.log(g)))
+    g = _transfer(_cells(d), _cells(lam), freqs)
+    ratio = np.mean(pgram / g, axis=-1)
+    ok = np.isfinite(ratio) & (ratio > 0)
+    # ln 1 = 0 stands in for a bad ratio, so no log of it is taken
+    obj = np.where(ok, np.log(np.where(ok, ratio, 1.0)) + np.mean(np.log(g), axis=-1),
+                   np.inf)
+    return float(obj) if obj.ndim == 0 else obj
 
 
 def profile_sigma2(d, lam, freqs, pgram):
@@ -137,16 +152,18 @@ def _check_series(series):
 
 
 def _fit(series, model, d_grid, lam_grid, bounds, maxiter):
-    """Grid scan (first minimum) refined by bounded Nelder-Mead; the
+    """Grid scan (first minimum in d-major order, by broadcast objective
+    calls over chunks of d rows) refined by bounded Nelder-Mead; the
     refinement is kept only if it is no worse than the grid.  ``bounds``
     holds the (d, lam) ranges, or only d's range when lam is fixed at the
     one point of ``lam_grid``."""
     z = _check_series(series)
     freqs, pgram = periodogram(z)
-    cells = [(dv, lv) for dv in d_grid for lv in lam_grid]
-    objs = [whittle_objective(dv, lv, freqs, pgram) for dv, lv in cells]
-    i0 = int(np.argmin(objs))
-    grid_obj, start = objs[i0], cells[i0][:len(bounds)]
+    rows = max(1, _GRID_CHUNK_CELLS // lam_grid.size)
+    objs = np.concatenate([whittle_objective(d_grid[i:i + rows, None], lam_grid, freqs, pgram)
+                           for i in range(0, d_grid.size, rows)])
+    i0 = np.unravel_index(np.argmin(objs), objs.shape)
+    grid_obj, start = objs[i0], (d_grid[i0[0]], lam_grid[i0[1]])[:len(bounds)]
     free_lam = len(bounds) == 2
 
     def objective(p):
@@ -185,12 +202,14 @@ def fit_artfima00(series):
 def fit_arfima00(series):
     """Whittle fit of ARFIMA(0, d, 0) over d in (-1/2, 1/2) with lam = 0."""
     d_grid = np.arange(ARFIMA_D_RANGE[0], ARFIMA_D_RANGE[1] + 1e-9, _GRID_D_STEP / 2)
-    return _fit(series, "arfima00", d_grid, [0.0], [ARFIMA_D_RANGE], maxiter=2000)
+    return _fit(series, "arfima00", d_grid, np.zeros(1), [ARFIMA_D_RANGE], maxiter=2000)
 
 
 def simulate_artfima00(n, d, lam, sigma2=1.0, rng=None, truncation=None):
     """Simulate ARTFIMA(0, d, lam, 0) noise via the truncated MA(infinity)
     representation with full pre-sample history."""
+    _check_memory(None, d, "lam", lam)
+    _check_positive("sigma2", sigma2)
     if rng is None:
         rng = np.random.default_rng()
     if truncation is None:

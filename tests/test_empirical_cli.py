@@ -164,8 +164,9 @@ def test_cli_estimate_rejects_zero_bandwidth(tmp_path, capsys):
     (None, ["--block-size", "0"], "block size must satisfy 2 <= b <= n, got 0"),
     (None, ["--block-size", "1"], "block size must satisfy 2 <= b <= n, got 1"),
     (None, ["--block-rule", "0.1"], "block size must satisfy 2 <= b <= n, got 1"),
+    (None, ["--lam", "0"], "semi-long memory requires lam > 0, got 0.0"),
 ], ids=["x", "y", "bandwidth-nan", "bandwidth-0", "block-size-0", "block-size-1",
-        "block-rule-0.1"])
+        "block-rule-0.1", "lam-0"])
 def test_cli_spec_test_rejects_empty_cell(tmp_path, capfd, column, flags, message):
     # capfd, not capsys: LAPACK writes its complaints to the process's stderr
     rng = np.random.default_rng(5)

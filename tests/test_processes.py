@@ -352,6 +352,16 @@ def test_spec_validation_errors():
         NoiseConfig(rho=0.5, psi=1.2, sigma=1.0, seed=0)
 
 
+@pytest.mark.parametrize("d, lam, message", [
+    (np.nan, 0.2, "memory parameter d must be finite, got nan"),
+    (0.3, np.nan, "tempering parameter lam must be finite, got nan"),
+], ids=["d-nan", "lam-nan"])
+def test_spec_rejects_nonfinite_memory(d, lam, message):
+    # at the parent, lam=nan ran untempered and d=nan gave NaN coefficients
+    with pytest.raises(ValueError, match=message):
+        TemperedProcessSpec(d=d, lam=lam, n=10, memory_kind="slm")
+
+
 def test_default_truncation_capped_under_tempering():
     assert default_truncation(1000, 1000, "lm") == 2000
     t = default_truncation(1000, 1000, "slm", lam=0.5)

@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import slmcoint.whittle as whittle
 from slmcoint import (artfima_spectral_density, periodogram, whittle_objective,
                       profile_sigma2, one_step_residuals, fit_artfima00,
                       fit_arfima00, simulate_artfima00)
@@ -104,6 +107,67 @@ def test_objective_mean_shift_invariance():
         whittle_objective(0.4, 0.1, f1, I1), rel=1e-9)
 
 
+@pytest.mark.parametrize("seed, zero_pgram", [(0, False), (1, False), (2, False),
+                                              (3, True)])
+def test_objective_broadcast_matches_scalar_calls(seed, zero_pgram):
+    rng = np.random.default_rng([seed, 41])
+    z = simulate_artfima00(300, d=rng.uniform(0.0, 1.5), lam=rng.uniform(0.01, 1.0),
+                           rng=rng)
+    freqs, I = periodogram(z)
+    if zero_pgram:  # every ratio is 0: every cell is inf
+        I = np.zeros_like(I)
+    d = rng.uniform(-1.0, 3.0, size=(5, 1))
+    d[0, 0] = 1e6  # the transfer overflows to inf and underflows to 0: inf cells
+    lam = np.append(rng.uniform(1e-6, 2.0, size=6), np.nan)  # nan: inf cells
+    with np.errstate(all="ignore"):
+        grid = whittle_objective(d, lam, freqs, I)
+        loop = [[whittle_objective(dv, lv, freqs, I) for lv in lam] for dv in d[:, 0]]
+    assert grid.shape == (5, 7)
+    assert np.isinf(grid[0]).all() and np.isinf(grid[:, -1]).all()
+    assert np.isfinite(grid[1:, :-1]).all() != zero_pgram
+    assert np.array_equal(grid, np.array(loop))
+    # a 0-d or scalar call is a float
+    assert type(whittle_objective(np.asarray(d[1, 0]), lam[0], freqs, I)) is float
+    assert type(whittle_objective(float(d[1, 0]), np.float64(lam[0]), freqs, I)) is float
+
+
+def _scalar_scan(z, d_grid, lam_grid):
+    """First minimum of a scalar-call loop over the grid, d-major."""
+    freqs, I = periodogram(z)
+    best, cell = np.inf, None
+    for dv in d_grid:
+        for lv in lam_grid:
+            w = whittle_objective(dv, lv, freqs, I)
+            if w < best:
+                best, cell = w, (dv, lv)
+    return best, cell
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_fit_grid_matches_scalar_scan(seed, monkeypatch):
+    starts = []
+    real_minimize = whittle.minimize
+
+    def spy(fun, x0, **kwargs):
+        starts.append(tuple(x0))
+        return real_minimize(fun, x0, **kwargs)
+
+    monkeypatch.setattr(whittle, "minimize", spy)
+    rng = np.random.default_rng([seed, 5])
+    z = simulate_artfima00(600, d=rng.uniform(0.3, 1.2), lam=rng.uniform(0.05, 0.5),
+                           rng=rng)
+    art_d = np.arange(whittle.ARTFIMA_D_RANGE[0], whittle.ARTFIMA_D_RANGE[1] + 1e-9,
+                      whittle._GRID_D_STEP)
+    art_lam = np.geomspace(*whittle.ARTFIMA_LAM_RANGE, whittle._GRID_LAM_POINTS)
+    arf_d = np.arange(whittle.ARFIMA_D_RANGE[0], whittle.ARFIMA_D_RANGE[1] + 1e-9,
+                      whittle._GRID_D_STEP / 2)
+    art, arf = fit_artfima00(z), fit_arfima00(z)
+    art_obj, art_cell = _scalar_scan(z, art_d, art_lam)
+    arf_obj, arf_cell = _scalar_scan(z, arf_d, [0.0])
+    assert art.grid_objective == art_obj and arf.grid_objective == arf_obj
+    assert starts == [art_cell, arf_cell[:1]]
+
+
 def test_profile_sigma2_white_noise():
     rng = np.random.default_rng(4)
     z = 1.3 * rng.standard_normal(4096)
@@ -167,6 +231,19 @@ def test_fit_rejects_degenerate():
         fit_artfima00(np.full(100, 3.0))
     with pytest.raises(ValueError):
         fit_artfima00(np.arange(8.0))
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"d": np.nan}, "memory parameter d must be finite, got nan"),
+    ({"lam": np.nan}, "tempering parameter lam must be finite, got nan"),
+    ({"lam": -0.1}, "tempering parameter lam must be >= 0, got -0.1"),
+    ({"sigma2": -1.0}, "sigma2 must be finite and > 0, got -1.0"),
+    ({"sigma2": np.nan}, "sigma2 must be finite and > 0, got nan"),
+], ids=["d-nan", "lam-nan", "lam-negative", "sigma2-negative", "sigma2-nan"])
+def test_simulate_rejects_bad_parameters(kwargs, message):
+    params = {"d": 0.4, "lam": 0.1, "sigma2": 1.0, **kwargs}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        simulate_artfima00(64, rng=np.random.default_rng(0), **params)
 
 
 def test_one_step_residuals_white_noise_identity():
