@@ -198,6 +198,10 @@ class NoiseConfig:
     seed: int
 
     def __post_init__(self):
+        for name in ("rho", "psi", "sigma"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"noise parameter {name} must be finite, got {value}")
         if abs(self.rho) > 1.0:
             raise ValueError("|rho| must be <= 1 (covariance not psd otherwise)")
         if abs(self.psi) >= 1.0:

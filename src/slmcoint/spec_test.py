@@ -156,7 +156,9 @@ def t_statistic(x, y, family, theta, h, kernel, weight, quad_cells=DEFAULT_QUAD_
         domain = integration_domain(x, h, weight)
     nodes, dx = _quad_nodes(domain, quad_cells)
     K = kernel((x[None, :] - nodes[:, None]) / h)
-    S = K @ r
+    # einsum's own loop, not BLAS: OpenBLAS threads this product and its
+    # spinning helper threads make a 2-worker study slower than a serial one
+    S = np.einsum("ij,j->i", K, r)
     return float(np.sum(S * S) * dx)
 
 

@@ -118,6 +118,13 @@ def test_cli_simulate_deterministic(tmp_path):
     assert manifest["arguments"]["seed"] == 9
 
 
+def test_cli_simulate_rejects_nan_rho(tmp_path, capsys):
+    assert cli_main(["simulate", "--n", "50", "--rho", "nan",
+                     "--out", str(tmp_path / "sim")]) == 2
+    assert "noise parameter rho must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "sim" / "path.csv").exists()
+
+
 def test_cli_estimate_and_spec_test(tmp_path):
     sim = tmp_path / "sim"
     assert cli_main(["simulate", "--n", "150", "--memory", "short",

@@ -83,7 +83,11 @@ def test_settings_grid_skips_invalid_lm_rows():
     # 2 block rules x 2 levels, and a chunk size that does not divide R
     _tiny("size", n=100, replications=5, chunk_size=2,
           block_rules=((1.0, 0.5), (2.0, 0.5)), nominal_levels=(0.05, 0.10)),
-], ids=["estimation", "coverage", "size"])
+    # the 3b acceptance cell at R=4: the matrix sizes of the size benchmark
+    _tiny("size", n=500, replications=4, chunk_size=2, quad_cells=1024,
+          block_rules=((4.0, 0.5),), nominal_levels=(0.01,),
+          master_seed=20250808),
+], ids=["estimation", "coverage", "size", "size-3b-cell"])
 def test_thread_count_invariance(config):
     a = run_study(config, threads=1)
     b = run_study(config, threads=2)

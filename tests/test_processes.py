@@ -111,6 +111,14 @@ def test_innovations_reject_bad_rho():
         NoiseConfig(rho=1.5, psi=0.0, sigma=1.0, seed=0)
 
 
+@pytest.mark.parametrize("field", ["rho", "psi", "sigma"])
+def test_noise_rejects_nonfinite(field):
+    # each range check is false for NaN, so NaN used to reach the simulators
+    values = {"rho": 0.5, "psi": 0.25, "sigma": 1.0, field: np.nan}
+    with pytest.raises(ValueError, match=f"noise parameter {field} must be finite, got nan"):
+        NoiseConfig(seed=0, **values)
+
+
 # --------------------------------------------------------------- regressor
 
 def test_regressor_random_walk_at_d0():

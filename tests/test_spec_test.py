@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from slmcoint import (linear_family, quadratic_family, get_family,
@@ -8,6 +11,7 @@ from slmcoint import (linear_family, quadratic_family, get_family,
                       SubsamplingError, GAUSSIAN, EPANECHNIKOV,
                       TemperedProcessSpec, NoiseConfig, simulate_model,
                       integration_domain)
+from slmcoint.spec_test import _quad_nodes
 
 
 # --------------------------------------------------------------------- NLS
@@ -152,6 +156,28 @@ def test_t_statistic_quad_doubling():
     t1 = t_statistic(x, y, linear_family(), theta, 1000 ** -0.2, GAUSSIAN, w, 2048)
     t2 = t_statistic(x, y, linear_family(), theta, 1000 ** -0.2, GAUSSIAN, w, 4096)
     assert abs(t2 - t1) < 1e-6 * abs(t1)
+
+
+@pytest.mark.parametrize("support", [100.0, 10.0], ids=["pm100", "pm10"])
+@pytest.mark.parametrize("kernel", [GAUSSIAN, EPANECHNIKOV],
+                         ids=["gaussian", "epanechnikov"])
+@pytest.mark.parametrize("family", [linear_family(), quadratic_family()],
+                         ids=["linear", "quadratic"])
+def test_t_statistic_matches_exactly_rounded_node_sums(family, kernel, support):
+    # on the library's nodes, every node sum and the sum of squares taken
+    # exactly rounded (math.fsum); +-10 cuts the path, +-100 does not
+    x, y = _draw(300, seed=21)
+    y = y + 0.05 * x ** 2
+    h = 300 ** -0.2
+    w = uniform_weight(-support, support)
+    theta = nls_fit(family, x, y)
+    t = t_statistic(x, y, family, theta, h, kernel, w)
+    r = family.residuals(x, y, theta)
+    nodes, dx = _quad_nodes(integration_domain(x, h, w), 2048)
+    sums = [math.fsum(kernel((x - v) / h) * r) for v in nodes]
+    expect = math.fsum(s * s for s in sums) * dx
+    assert expect > 0.0
+    assert abs(t - expect) <= 1e-13 * expect
 
 
 def test_t_statistic_nonnegative_and_domain():
@@ -327,6 +353,35 @@ def test_run_spec_test_fields_and_determinism():
         assert a.reject(lv) == expect
     payload = a.to_json()
     assert '"p_value"' in payload
+
+
+@st.composite
+def _spec_case(draw):
+    """A short random-walk path, a block size and a noise scale."""
+    n = draw(st.integers(40, 80))
+    b = draw(st.integers(4, n // 2))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    noise = draw(st.floats(0.0, 2.0))
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(rng.standard_normal(n))
+    y = x + noise * rng.standard_normal(n)
+    return x, y, b
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=_spec_case())
+def test_p_value_counts_block_exceedances(case):
+    x, y, b = case
+    n = x.size
+    res = run_spec_test(x, y, linear_family(), n ** -0.2, b, GAUSSIAN,
+                        uniform_weight(), memory_kind="slm", d=0.1,
+                        lam=n ** -0.2, h_b=b ** -0.2, lam_b=b ** -0.2,
+                        quad_cells=64)
+    m = res.subsample_values.size
+    assert m == n - b + 1 - res.n_blocks_skipped
+    exceed = sum(1 for v in res.subsample_by_block if v >= res.t_normalized)
+    assert res.p_value == (1 + exceed) / (1 + m)
+    assert 1.0 / (m + 1) <= res.p_value <= 1.0
 
 
 def test_divergence_under_fixed_alternative():
