@@ -1,9 +1,9 @@
 """Nadaraya-Watson regression, residual variance and pointwise confidence bands."""
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.stats import norm
 
 _GAUSS_NORM = 1.0 / np.sqrt(2.0 * np.pi)
 _WORKSPACE_ROWS = 512
@@ -128,10 +128,24 @@ def kernel_sums(x, points, h, kernel, columns=()):
     return mass, count, sums
 
 
+@lru_cache(maxsize=16)
+def _normal_quantile(alpha):
+    """z_{alpha/2}, the upper alpha/2 standard normal quantile.
+
+    scipy is imported here, on first use, so that ``import slmcoint`` needs
+    only numpy.  ndtri is the function scipy.stats.norm.ppf evaluates, so
+    the two agree bit for bit.  Values are cached: a process that resolves
+    z before it forks workers hands them the value, and they never import
+    scipy themselves.
+    """
+    from scipy.special import ndtri
+    return ndtri(1.0 - alpha / 2.0)
+
+
 def ci_half_width(sigma2, mass, kernel, alpha):
     """Half-width z_{alpha/2} * sqrt(sigma2 * intK2 / (mass * intK)) of the
     self-normalized interval; NaN where the mass vanishes."""
-    z = norm.ppf(1.0 - alpha / 2.0)
+    z = _normal_quantile(alpha)
     with np.errstate(invalid="ignore", divide="ignore"):
         return z * np.sqrt(sigma2 * kernel.k2 / (mass * kernel.d1))
 

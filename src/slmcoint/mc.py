@@ -20,7 +20,8 @@ from .processes import (MemoryKind, TemperedProcessSpec, NoiseConfig,
                         simulate_innovations, simulate_regressor,
                         simulate_error_ar1, sine_series_interpolator,
                         innovation_length)
-from .kernel_regression import get_kernel, fitted_values, kernel_sums, ci_half_width
+from .kernel_regression import (get_kernel, fitted_values, kernel_sums, ci_half_width,
+                                _normal_quantile)
 from .spec_test import (DEFAULT_WEIGHT_SUPPORT, linear_family, uniform_weight,
                         nls_fit, t_statistic, normalized_statistic,
                         subsample_statistics, subsample_quantile)
@@ -421,6 +422,9 @@ def run_coverage_study(config, threads=1):
     # alpha = 1 is the degenerate zero-width interval (coverage 0, length 0)
     if config.alpha > 1.0 or config.alpha <= 0.0:
         raise ValueError("alpha must be in (0, 1]")
+    # resolved (and scipy imported) once here: forked workers inherit the
+    # cached z instead of each paying the import
+    _normal_quantile(config.alpha)
     chunks, sizes = _run_chunked(_coverage_chunk, config, threads)
     tables = {"coverage": [], "length": []}
     r = config.replications

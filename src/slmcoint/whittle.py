@@ -11,15 +11,15 @@ by derivative-free refinement of its scalar case.
 """
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, asdict
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.signal import fftconvolve
 
 from .kernel_regression import _check_positive
-from .processes import _binomial_weights, _check_memory, tempered_coeffs
+from .processes import _binomial_weights, _check_memory, fftconvolve, tempered_coeffs
 
 _TWO_PI = 2.0 * np.pi
 ARTFIMA_D_RANGE = (-1.0, 3.0)
@@ -31,6 +31,9 @@ _AR_TRUNCATION = 50
 # (d, lam) cells per broadcast grid evaluation: bounds the cells x frequencies
 # workspace (one cell-wide broadcast over the whole grid is no faster)
 _GRID_CHUNK_CELLS = 60
+# Nelder-Mead's relative and zero-coordinate initial steps
+_NM_STEP = 0.05
+_NM_ZERO_STEP = 0.00025
 
 
 def artfima_spectral_density(d, lam, sigma2, omega):
@@ -64,9 +67,13 @@ def periodogram(series):
     return freqs, pgram
 
 
+def _mod2(lam, freqs):
+    """|1 - e^{-(lam + i w)}|^2."""
+    return 1.0 - 2.0 * np.exp(-lam) * np.cos(freqs) + np.exp(-2.0 * lam)
+
+
 def _transfer(d, lam, freqs):
-    mod2 = 1.0 - 2.0 * np.exp(-lam) * np.cos(freqs) + np.exp(-2.0 * lam)
-    return mod2 ** (-d)
+    return _mod2(lam, freqs) ** (-d)
 
 
 def _cells(v):
@@ -76,7 +83,7 @@ def _cells(v):
     return v[..., None] if v.ndim else v[()]
 
 
-def whittle_objective(d, lam, freqs, pgram):
+def whittle_objective(d, lam, freqs, pgram, *, workspace=None):
     """Profile-sigma^2 Whittle objective,
 
     W(d, lam) = ln( mean_j I_j / g_j ) + mean_j ln g_j,
@@ -85,13 +92,26 @@ def whittle_objective(d, lam, freqs, pgram):
     inf where the mean ratio is not finite and > 0.  d and lam broadcast
     against each other to an array of cells, each computed by the same
     elementwise operations as a scalar call, which returns a float.
+    ``workspace``, a flat float array of at least 2 x cells x frequencies
+    entries, receives the cells x frequencies temporaries; the values do not
+    depend on it.
     """
-    g = _transfer(_cells(d), _cells(lam), freqs)
-    ratio = np.mean(pgram / g, axis=-1)
+    d, lam = _cells(d), _cells(lam)
+    if workspace is None:
+        g = _transfer(d, lam, freqs)
+        ratio = np.mean(pgram / g, axis=-1)
+        mean_log_g = np.mean(np.log(g), axis=-1)
+    else:
+        mod2 = _mod2(lam, freqs)
+        shape = np.broadcast_shapes(np.shape(d), mod2.shape)
+        size = math.prod(shape)
+        g = np.power(mod2, -d, out=workspace[:size].reshape(shape))
+        scratch = workspace[size:2 * size].reshape(shape)
+        ratio = np.mean(np.divide(pgram, g, out=scratch), axis=-1)
+        mean_log_g = np.mean(np.log(g, out=scratch), axis=-1)
     ok = np.isfinite(ratio) & (ratio > 0)
     # ln 1 = 0 stands in for a bad ratio, so no log of it is taken
-    obj = np.where(ok, np.log(np.where(ok, ratio, 1.0)) + np.mean(np.log(g), axis=-1),
-                   np.inf)
+    obj = np.where(ok, np.log(np.where(ok, ratio, 1.0)) + mean_log_g, np.inf)
     return float(obj) if obj.ndim == 0 else obj
 
 
@@ -151,16 +171,90 @@ def _check_series(series):
     return z
 
 
+def minimize(fun, x0, bounds, xatol, fatol, maxiter):
+    """Minimize ``fun`` over the box ``bounds`` by Nelder-Mead (Nelder &
+    Mead 1965).  Returns ``x``, ``fun`` and the iteration count ``nit``.
+
+    A step-for-step port of the non-adaptive bounded branch of scipy 1.17's
+    ``minimize(method="Nelder-Mead")`` with ``maxiter`` and no limit on
+    evaluations, so it returns the same floats: 5% (or 0.00025 for a zero
+    coordinate) initial steps, an initial simplex reflected at the upper
+    bounds and then clipped, every trial point clipped into the box, and a
+    stop once both the simplex spread and the spread of its values are
+    within ``xatol`` and ``fatol``.
+    """
+    lo, hi = np.asarray(bounds, dtype=float).T
+    x0 = np.clip(np.asarray(x0, dtype=float).ravel(), lo, hi)
+    n = x0.size
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = x0.copy()
+        y[k] = (1 + _NM_STEP) * y[k] if y[k] != 0 else _NM_ZERO_STEP
+        sim[k + 1] = y
+    sim = np.clip(np.where(sim > hi, 2 * hi - sim, sim), lo, hi)
+    fsim = np.array([fun(v) for v in sim], dtype=float)
+    # scipy sorts twice before its first iteration; argsort need not be
+    # stable, so the second sort is kept
+    for _ in range(2):
+        order = np.argsort(fsim)
+        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        # reflection 1, expansion 2, contraction 1/2 and shrink 1/2
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = np.clip(2 * xbar - sim[-1], lo, hi)
+        fxr = fun(xr)
+        if fxr < fsim[0]:
+            xe = np.clip(3 * xbar - 2 * sim[-1], lo, hi)
+            fxe = fun(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                xc = np.clip(1.5 * xbar - 0.5 * sim[-1], lo, hi)
+                fxc = fun(xc)
+                shrink = not fxc <= fxr
+            else:
+                xc = np.clip(0.5 * xbar + 0.5 * sim[-1], lo, hi)
+                fxc = fun(xc)
+                shrink = not fxc < fsim[-1]
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = np.clip(sim[0] + 0.5 * (sim[j] - sim[0]), lo, hi)
+                    fsim[j] = fun(sim[j])
+            else:
+                sim[-1], fsim[-1] = xc, fxc
+        iterations += 1
+        order = np.argsort(fsim)
+        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+    return SimpleNamespace(x=sim[0], fun=np.min(fsim), nit=iterations)
+
+
 def _fit(series, model, d_grid, lam_grid, bounds, maxiter):
     """Grid scan (first minimum in d-major order, by broadcast objective
     calls over chunks of d rows) refined by bounded Nelder-Mead; the
     refinement is kept only if it is no worse than the grid.  ``bounds``
     holds the (d, lam) ranges, or only d's range when lam is fixed at the
-    one point of ``lam_grid``."""
+    one point of ``lam_grid``.
+
+    The chunks share one workspace, allocated once per fit.  With fresh
+    ~0.5 MB temporaries per chunk, glibc can hand them back to the OS and
+    fault them in again on every chunk, depending on what else holds the
+    top of the heap: up to about 6,500 minor faults per n=2000 series, and
+    1.4x the time.
+    """
     z = _check_series(series)
     freqs, pgram = periodogram(z)
     rows = max(1, _GRID_CHUNK_CELLS // lam_grid.size)
-    objs = np.concatenate([whittle_objective(d_grid[i:i + rows, None], lam_grid, freqs, pgram)
+    workspace = np.empty(2 * min(rows, d_grid.size) * lam_grid.size * freqs.size)
+    objs = np.concatenate([whittle_objective(d_grid[i:i + rows, None], lam_grid, freqs, pgram,
+                                             workspace=workspace)
                            for i in range(0, d_grid.size, rows)])
     i0 = np.unravel_index(np.argmin(objs), objs.shape)
     grid_obj, start = objs[i0], (d_grid[i0[0]], lam_grid[i0[1]])[:len(bounds)]
@@ -169,8 +263,8 @@ def _fit(series, model, d_grid, lam_grid, bounds, maxiter):
     def objective(p):
         return whittle_objective(p[0], p[1] if free_lam else lam_grid[0], freqs, pgram)
 
-    res = minimize(objective, np.asarray(start), method="Nelder-Mead", bounds=bounds,
-                   options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": maxiter})
+    res = minimize(objective, np.asarray(start), bounds=bounds, xatol=1e-8, fatol=1e-10,
+                   maxiter=maxiter)
     if res.fun <= grid_obj:
         params, obj = [float(v) for v in res.x], float(res.fun)
     else:

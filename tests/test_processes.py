@@ -209,6 +209,8 @@ def test_error_ar1_deterministic_probe():
 def test_error_ar1_rejects_nonstationary():
     with pytest.raises(ValueError):
         simulate_error_ar1(np.ones(10), 1.0)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        simulate_error_ar1(np.ones((2, 5)), 0.5)
 
 
 # --------------------------------------------------------- sine regression
@@ -229,6 +231,25 @@ def test_sine_interpolator_matches_exact():
     rng = np.random.default_rng(7)
     x = rng.uniform(-50, 50, 200)
     assert_allclose(f(x), regression_function_sine(x, 1000), atol=1e-4)
+
+
+@pytest.mark.parametrize("terms, resolution", [(1000, 200001), (500, 101), (7, 2)])
+def test_sine_interpolator_equals_np_interp(terms, resolution):
+    # the evaluator indexes the uniform grid directly; it must round
+    # exactly as np.interp's binary search does
+    grid, table = _sine_table(terms, resolution)
+    f = sine_series_interpolator(terms, resolution)
+    rng = np.random.default_rng(17)
+    probes = [grid, 0.5 * (grid[1:] + grid[:-1]),
+              np.nextafter(grid, np.inf), np.nextafter(grid, -np.inf),
+              np.array([1.0, -1.0, 3.0, -3.0, -1e-20]), rng.uniform(-5.0, 5.0, 10 ** 5)]
+    for x in probes:
+        want = np.interp(np.mod(x + 1.0, 2.0) - 1.0, grid, table)
+        assert np.array_equal(f(x), want)
+    assert f(-1e-20 - 1.0) == table[-1]  # folds onto x = 1 exactly
+    assert f(0.3) == np.interp(np.mod(1.3, 2.0) - 1.0, grid, table)
+    assert np.ndim(f(0.3)) == 0
+    assert f(np.zeros((2, 3))).shape == (2, 3)
 
 
 @pytest.mark.parametrize("terms, resolution", [

@@ -76,3 +76,24 @@ def test_tracer_wraps_study_chunks(monkeypatch, kind):
     metrics = tracing.layer_metrics(tracer)
     assert tracing.count_metrics(metrics)["mc.chunks"] == 3
     assert metrics["mc.study.busy_s"]["value"] > 0.0
+
+
+def test_tracer_wraps_whittle_fit(monkeypatch):
+    # the tracer patches whittle.minimize by name and reads its nit, and
+    # counts one grid evaluation per broadcast chunk of 3 d rows (81 rows)
+    monkeypatch.syspath_prepend(PERFBENCH)
+    tracing = importlib.import_module("tracing")
+    rng = np.random.default_rng([31, 4])
+    z = sl.whittle.simulate_artfima00(600, d=0.9, lam=0.15, rng=rng)
+    plain = sl.whittle.fit_artfima00(z)
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer)
+    try:
+        traced = sl.whittle.fit_artfima00(z)
+    finally:
+        uninstall()
+    assert traced.to_dict() == plain.to_dict()
+    counts = tracing.count_metrics(tracing.layer_metrics(tracer))
+    assert counts["whittle.refine.nit"] > 0
+    assert counts["whittle.grid.evals"] == 27
+    assert counts["whittle.refine.evals"] > counts["whittle.refine.nit"]
