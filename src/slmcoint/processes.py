@@ -383,8 +383,6 @@ def sine_series_interpolator(terms=DEFAULT_SINE_TERMS, resolution=200001):
         j += grid[j + 1] <= folded
         np.minimum(j, cells - 1, out=j)
         out = slopes[j] * (folded - grid[j]) + table[j]
-        # np.mod can fold onto x = 1 exactly, the table's last node
-        out[folded == 1.0] = table[-1]
         return out.reshape(x.shape)[()]
 
     return evaluate

@@ -93,22 +93,19 @@ def whittle_objective(d, lam, freqs, pgram, *, workspace=None):
     against each other to an array of cells, each computed by the same
     elementwise operations as a scalar call, which returns a float.
     ``workspace``, a flat float array of at least 2 x cells x frequencies
-    entries, receives the cells x frequencies temporaries; the values do not
-    depend on it.
+    entries, receives the cells x frequencies temporaries (one is allocated
+    when it is omitted); the values do not depend on it.
     """
     d, lam = _cells(d), _cells(lam)
+    mod2 = _mod2(lam, freqs)
+    shape = np.broadcast_shapes(np.shape(d), mod2.shape)
+    size = math.prod(shape)
     if workspace is None:
-        g = _transfer(d, lam, freqs)
-        ratio = np.mean(pgram / g, axis=-1)
-        mean_log_g = np.mean(np.log(g), axis=-1)
-    else:
-        mod2 = _mod2(lam, freqs)
-        shape = np.broadcast_shapes(np.shape(d), mod2.shape)
-        size = math.prod(shape)
-        g = np.power(mod2, -d, out=workspace[:size].reshape(shape))
-        scratch = workspace[size:2 * size].reshape(shape)
-        ratio = np.mean(np.divide(pgram, g, out=scratch), axis=-1)
-        mean_log_g = np.mean(np.log(g, out=scratch), axis=-1)
+        workspace = np.empty(2 * size)
+    g = np.power(mod2, -d, out=workspace[:size].reshape(shape))
+    scratch = workspace[size:2 * size].reshape(shape)
+    ratio = np.mean(np.divide(pgram, g, out=scratch), axis=-1)
+    mean_log_g = np.mean(np.log(g, out=scratch), axis=-1)
     ok = np.isfinite(ratio) & (ratio > 0)
     # ln 1 = 0 stands in for a bad ratio, so no log of it is taken
     obj = np.where(ok, np.log(np.where(ok, ratio, 1.0)) + mean_log_g, np.inf)

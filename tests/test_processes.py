@@ -246,7 +246,6 @@ def test_sine_interpolator_equals_np_interp(terms, resolution):
     for x in probes:
         want = np.interp(np.mod(x + 1.0, 2.0) - 1.0, grid, table)
         assert np.array_equal(f(x), want)
-    assert f(-1e-20 - 1.0) == table[-1]  # folds onto x = 1 exactly
     assert f(0.3) == np.interp(np.mod(1.3, 2.0) - 1.0, grid, table)
     assert np.ndim(f(0.3)) == 0
     assert f(np.zeros((2, 3))).shape == (2, 3)
