@@ -18,7 +18,7 @@ from .processes import (
 )
 from .kernel_regression import (
     Kernel, KernelEstimate, EPANECHNIKOV, GAUSSIAN, get_kernel, nw_estimate,
-    fitted_values, residual_variance, confidence_interval, kernel_estimate,
+    fitted_values, residual_variance, kernel_estimate,
 )
 from .spec_test import (
     ParametricFamily, WeightFunction, SpecTestResult, SubsamplingError,

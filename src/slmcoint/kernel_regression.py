@@ -130,7 +130,8 @@ def kernel_sums(x, points, h, kernel, columns=()):
 
 @lru_cache(maxsize=16)
 def _normal_quantile(alpha):
-    """z_{alpha/2}, the upper alpha/2 standard normal quantile.
+    """z_{alpha/2}, the upper alpha/2 standard normal quantile, for alpha
+    in (0, 1]; alpha = 1 gives z = 0, the zero-width interval.
 
     scipy is imported here, on first use, so that ``import slmcoint`` needs
     only numpy.  ndtri is the function scipy.stats.norm.ppf evaluates, so
@@ -138,40 +139,16 @@ def _normal_quantile(alpha):
     z before it forks workers hands them the value, and they never import
     scipy themselves.
     """
+    if not (0.0 < alpha <= 1.0):
+        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     from scipy.special import ndtri
     return ndtri(1.0 - alpha / 2.0)
 
 
-def ci_half_width(sigma2, mass, kernel, alpha):
-    """Half-width z_{alpha/2} * sqrt(sigma2 * intK2 / (mass * intK)) of the
-    self-normalized interval; NaN where the mass vanishes."""
-    z = _normal_quantile(alpha)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return z * np.sqrt(sigma2 * kernel.k2 / (mass * kernel.d1))
-
-
 def nw_estimate(x, y, grid, h, kernel=EPANECHNIKOV):
-    """Nadaraya-Watson estimate on a grid.
-
-    fhat(p) = sum_k y_k K((x_k - p)/h) / sum_k K((x_k - p)/h).  Grid points
-    with zero kernel mass are NaN (no data in the window), never silently
-    zero.  Returns a KernelEstimate carrying fhat and the unscaled local
-    mass sum_k K((x_k - p)/h).
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError("x and y must have equal length")
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    if grid.size == 0:
-        raise ValueError("grid must be nonempty")
-    kernel = get_kernel(kernel)
-    mass, _, (sy,) = kernel_sums(x, grid, h, kernel, (y,))
-    fhat = np.full(grid.shape, np.nan)
-    ok = mass > 0
-    fhat[ok] = sy[ok] / mass[ok]
-    return KernelEstimate(grid=grid, fhat=fhat, sigma2hat=None,
-                          local_mass=mass, bandwidth=float(h), kernel=kernel)
+    """Nadaraya-Watson estimate on a grid: ``kernel_estimate`` without the
+    variance (``sigma2hat`` is None)."""
+    return kernel_estimate(x, y, grid, h, kernel, variance=None)
 
 
 def fitted_values(x, y, h, kernel=EPANECHNIKOV):
@@ -205,53 +182,42 @@ def residual_variance(x, y, fhat_at_data, h, kernel, at):
     return out if np.ndim(at) else float(out[0])
 
 
-def confidence_interval(at, x, y, h, kernel=EPANECHNIKOV, alpha=0.05,
-                        fhat_at_data=None):
-    """Pointwise self-normalized confidence interval.
-
-    fhat(p) +/- z_{alpha/2} * sqrt( sigma2(p) * intK2 / (local_mass(p) * intK) ),
-    where local_mass is the unscaled kernel sum.  By default sigma2 is the
-    residual variance around the leave-in fitted curve; a different
-    centering can be supplied through ``fhat_at_data``.
-    Returns (lo, hi); NaNs where the point has no kernel mass.
-    """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must be in (0, 1)")
-    kernel = get_kernel(kernel)
-    est = nw_estimate(x, y, np.atleast_1d(at), h, kernel)
-    if fhat_at_data is None:
-        fhat_at_data = fitted_values(x, y, h, kernel)
-    s2 = residual_variance(x, y, fhat_at_data, h, kernel, np.atleast_1d(at))
-    half = ci_half_width(s2, est.local_mass, kernel, alpha)
-    lo = est.fhat - half
-    hi = est.fhat + half
-    if np.ndim(at) == 0:
-        return float(lo[0]), float(hi[0])
-    return lo, hi
-
-
 @dataclass
 class KernelEstimate:
     """Grid of NW estimates with per-point variance and confidence bands.
 
-    Undefined grid points (zero kernel mass) carry NaN entries and are
-    written as empty CSV fields.
+    ``local_mass`` is the unscaled kernel sum and ``window_count`` the
+    number of observations in each point's kernel window.  The band is
+    fhat -/+ ``half_width``; ``sigma2hat`` and ``half_width`` are None
+    when they were not asked for.  Undefined grid points (zero kernel
+    mass) carry NaN entries and are written as empty CSV fields.
     """
 
     grid: np.ndarray
     fhat: np.ndarray
     sigma2hat: np.ndarray
     local_mass: np.ndarray
+    window_count: np.ndarray
     bandwidth: float
     kernel: Kernel
-    ci_lo: np.ndarray = None
-    ci_hi: np.ndarray = None
+    half_width: np.ndarray = None
 
     @property
     def defined(self):
         return self.local_mass > 0
 
+    @property
+    def ci_lo(self):
+        return None if self.half_width is None else self.fhat - self.half_width
+
+    @property
+    def ci_hi(self):
+        return None if self.half_width is None else self.fhat + self.half_width
+
     def to_csv(self, path):
+        columns = (self.grid, self.fhat, self.sigma2hat, self.local_mass,
+                   self.ci_lo, self.ci_hi)
+
         def cell(arr, i):
             if arr is None:
                 return ""
@@ -261,34 +227,52 @@ class KernelEstimate:
         with open(path, "w", newline="\n") as fh:
             fh.write("x,fhat,sigma2hat,local_mass,ci_lo,ci_hi\n")
             for i in range(self.grid.shape[0]):
-                row = [repr(float(self.grid[i])), cell(self.fhat, i),
-                       cell(self.sigma2hat, i), repr(float(self.local_mass[i])),
-                       cell(self.ci_lo, i), cell(self.ci_hi, i)]
-                fh.write(",".join(row) + "\n")
+                fh.write(",".join(cell(arr, i) for arr in columns) + "\n")
 
 
 def kernel_estimate(x, y, grid, h, kernel=EPANECHNIKOV, alpha=None,
                     variance="centered"):
-    """Assemble a full KernelEstimate: fit, residual variance, optional bands.
+    """Nadaraya-Watson fit, residual variance and optional pointwise bands.
 
-    ``variance="centered"`` uses the leave-in fitted values in the residual
-    variance (the plain reading of the estimator); ``"uncentered"`` uses the
-    local second moment of y (kernel mass sums, fitted values of zero) as
-    in the simulation-study reproduction.
+    One ``kernel_sums`` pass over the grid gives, at each point p,
+
+        fhat(p)    = sum_k y_k K_k / sum_k K_k,   K_k = K((x_k - p)/h),
+        sigma2(p)  = sum_k r_k^2 K_k / sum_k K_k,
+        half_width = z_{alpha/2} * sqrt(sigma2(p) * intK2 / (mass(p) * intK)),
+
+    with mass(p) = sum_k K_k, the unscaled local mass.  Points with zero
+    mass are NaN (no data in the window), never silently zero.
+    ``variance="centered"`` takes r_k = y_k - fhat(x_k), the residual around
+    the leave-in fitted values (one more pass, over the observations);
+    ``"uncentered"`` takes r_k = y_k, the local second moment of y, as in
+    the coverage study; None skips the variance and the band.  ``alpha``
+    in (0, 1] asks for the band.
     """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        raise ValueError("x and y must have equal length")
+    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    if grid.size == 0:
+        raise ValueError("grid must be nonempty")
     kernel = get_kernel(kernel)
-    est = nw_estimate(x, y, grid, h, kernel)
     if variance is None:
-        return est
-    if variance == "centered":
-        fd = fitted_values(x, y, h, kernel)
+        columns = (y,)
+    elif variance == "centered":
+        columns = (y, (y - fitted_values(x, y, h, kernel)) ** 2)
     elif variance == "uncentered":
-        fd = np.zeros_like(np.asarray(y, dtype=float))
+        columns = (y, y * y)
     else:
         raise ValueError("variance must be 'centered', 'uncentered' or None")
-    est.sigma2hat = np.atleast_1d(residual_variance(x, y, fd, h, kernel, est.grid))
-    if alpha is not None:
-        half = ci_half_width(est.sigma2hat, est.local_mass, kernel, alpha)
-        est.ci_lo = est.fhat - half
-        est.ci_hi = est.fhat + half
+    z = None if variance is None or alpha is None else _normal_quantile(alpha)
+    mass, count, sums = kernel_sums(x, grid, h, kernel, columns)
+    # fhat and sigma2 where the mass is positive, NaN elsewhere
+    ratios = np.divide(sums, mass, out=np.full(sums.shape, np.nan), where=mass > 0)
+    est = KernelEstimate(grid=grid, fhat=ratios[0],
+                         sigma2hat=None if variance is None else ratios[1],
+                         local_mass=mass, window_count=count, bandwidth=float(h),
+                         kernel=kernel)
+    if z is not None:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            est.half_width = z * np.sqrt(est.sigma2hat * kernel.k2 / (mass * kernel.d1))
     return est

@@ -20,7 +20,7 @@ from .processes import (MemoryKind, TemperedProcessSpec, NoiseConfig,
                         simulate_innovations, simulate_regressor,
                         simulate_error_ar1, sine_series_interpolator,
                         innovation_length)
-from .kernel_regression import (get_kernel, fitted_values, kernel_sums, ci_half_width,
+from .kernel_regression import (get_kernel, nw_estimate, kernel_estimate,
                                 _normal_quantile)
 from .spec_test import (DEFAULT_WEIGHT_SUPPORT, linear_family, uniform_weight,
                         nls_fit, t_statistic, normalized_statistic,
@@ -30,6 +30,15 @@ SLM_RULES = {"SLM1": -1.0 / 3.0, "SLM2": -0.25, "SLM3": -0.2, "SLM4": -1.0 / 6.0
 DEFAULT_BLOCK_RULES = ((0.5, 0.5), (1.0, 0.5), (2.0, 0.5), (4.0, 0.5))
 DEFAULT_LEVELS = (0.01, 0.05, 0.10)
 _CHUNK_SIZE = 25
+_MIN_WINDOW_COUNT = 2  # window observations an estimation pair needs
+
+
+def _slm_rule(name):
+    """Tempering exponent of the named schedule SLM1..SLM4."""
+    key = str(name).strip().upper()
+    if key not in SLM_RULES:
+        raise ValueError(f"unknown SLM rule {name!r}; choose from {sorted(SLM_RULES)}")
+    return SLM_RULES[key]
 
 
 def parse_exponent(value):
@@ -93,14 +102,14 @@ class MemorySetting:
     @classmethod
     def from_dict(cls, payload):
         if isinstance(payload, str):
-            name = payload.upper()
-            if name in SLM_RULES:
-                return cls(MemoryKind.SEMI_LONG, SLM_RULES[name])
+            # a named schedule SLM1..SLM4; a bare "slm" is the memory kind
+            if payload[:3].upper() == "SLM" and payload[3:].strip():
+                return cls(MemoryKind.SEMI_LONG, _slm_rule(payload))
             return cls(MemoryKind.parse(payload))
         payload = dict(payload)
         rule = payload.pop("rule", None)
         if rule is not None:
-            payload.setdefault("lambda_exponent", SLM_RULES[rule.upper()])
+            payload.setdefault("lambda_exponent", _slm_rule(rule))
             payload.setdefault("kind", "semi_long")
         if payload.get("lambda_exponent") is not None:
             payload["lambda_exponent"] = parse_exponent(payload["lambda_exponent"])
@@ -125,12 +134,11 @@ class BlockRule:
 class StudyConfig:
     """Monte Carlo study configuration (JSON-serializable).
 
-    Study-specific fields: ``eval_points``/``alpha``/``variance_mode`` for
-    coverage, ``block_rules``/``nominal_levels``/``weight_support``/
-    ``quad_cells`` for size, ``grid_points``/``min_window_count`` for
-    estimation.  ``presample`` is the shock history length used by the
-    simulations (0 = in-sample innovations only, the tables' convention;
-    "full" = complete truncated history).
+    Study-specific fields: ``eval_points``/``alpha`` for coverage,
+    ``block_rules``/``nominal_levels``/``weight_support``/``quad_cells`` for
+    size, ``grid_points`` for estimation.  ``presample`` is the shock
+    history length used by the simulations (0 = in-sample innovations only,
+    the tables' convention; "full" = complete truncated history).
     """
 
     study_kind: str
@@ -147,10 +155,8 @@ class StudyConfig:
     burn_in: int = 1000
     kernel: str = "epanechnikov"
     grid_points: int = 100
-    min_window_count: int = 2
     eval_points: tuple = (0.25, 0.50, 0.75, 0.95)
     alpha: float = 0.05
-    variance_mode: str = "uncentered"
     block_rules: tuple = DEFAULT_BLOCK_RULES
     nominal_levels: tuple = DEFAULT_LEVELS
     weight_support: tuple = DEFAULT_WEIGHT_SUPPORT
@@ -195,6 +201,9 @@ class StudyConfig:
 
     @classmethod
     def from_dict(cls, payload):
+        unknown = sorted(set(payload) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown study config field(s): {', '.join(unknown)}")
         return cls(**payload)
 
     @classmethod
@@ -322,15 +331,14 @@ def _estimation_chunk(args):
     for ms, d, x, u in _paths(config, lo, hi):
         y = f(x) + config.sigma * u
         for he in config.bandwidth_exponents:
-            mass, count, (sy,) = kernel_sums(x, grid, float(config.n) ** he,
-                                             kernel, (y,))
-            ok = (count >= config.min_window_count) & (mass > 0)
-            e = sy[ok] / mass[ok] - ftrue[ok]
+            est = nw_estimate(x, y, grid, float(config.n) ** he, kernel)
+            ok = est.defined & (est.window_count >= _MIN_WINDOW_COUNT)
+            e = est.fhat[ok] - ftrue[ok]
             acc = cells[ms.label, d, he]
             acc[0, ok] += 1.0
             acc[1, ok] += e
             acc[2, ok] += e * e
-            acc[3] += mass == 0
+            acc[3] += est.local_mass == 0
             acc[4] += ~ok
     return cells
 
@@ -353,9 +361,9 @@ def run_estimation_study(config, threads=1):
     equally spaced grid on [0, 1], averaged across grid points.
 
     A (replication, point) pair enters the averages only when its kernel
-    window holds at least ``min_window_count`` observations; the zero-mass
-    and excluded fractions are reported per cell, and cells with more than
-    1% zero-mass pairs are flagged.
+    window holds at least ``_MIN_WINDOW_COUNT`` (2) observations; the
+    zero-mass and excluded fractions are reported per cell, and cells with
+    more than 1% zero-mass pairs are flagged.
     """
     if config.study_kind != "estimation":
         raise ValueError("config.study_kind must be 'estimation'")
@@ -391,17 +399,13 @@ def _coverage_chunk(args):
     for ms, d, x, u in _paths(config, lo, hi):
         y = f(x) + config.sigma * u
         for he in config.bandwidth_exponents:
-            h = float(config.n) ** he
-            if config.variance_mode == "uncentered":
-                r2 = y * y
-            else:
-                r2 = (y - fitted_values(x, y, h, kernel)) ** 2
-            mass, _, (sy, sr2) = kernel_sums(x, pts, h, kernel, (y, r2))
-            ok = mass > 0
-            half = ci_half_width(sr2[ok] / mass[ok], mass[ok], kernel, config.alpha)
+            est = kernel_estimate(x, y, pts, float(config.n) ** he, kernel,
+                                  alpha=config.alpha, variance="uncentered")
+            ok = est.defined
+            half = est.half_width[ok]
             acc = cells[ms.label, d, he]
             acc[0, ok] += 1
-            acc[1, ok] += np.abs(sy[ok] / mass[ok] - fpts[ok]) <= half
+            acc[1, ok] += np.abs(est.fhat[ok] - fpts[ok]) <= half
             acc[2, ok] += 2.0 * half
     return cells
 
@@ -412,18 +416,15 @@ def run_coverage_study(config, threads=1):
 
     Coverage counts a replication as a miss when the point has no kernel
     mass (undefined interval); expected length averages over the defined
-    replications.  ``variance_mode="uncentered"`` (the default) builds the
-    intervals from the local second moment of y, which is the convention
-    that reproduces the benchmark coverage table; "centered" uses the
-    residual variance around the leave-in fit.
+    replications.  The intervals use the uncentered local second moment of
+    y (``kernel_estimate``'s ``variance="uncentered"``), the convention that
+    reproduces the benchmark coverage table.  alpha = 1 is the degenerate
+    zero-width interval (coverage 0, length 0).
     """
     if config.study_kind != "coverage":
         raise ValueError("config.study_kind must be 'coverage'")
-    # alpha = 1 is the degenerate zero-width interval (coverage 0, length 0)
-    if config.alpha > 1.0 or config.alpha <= 0.0:
-        raise ValueError("alpha must be in (0, 1]")
-    # resolved (and scipy imported) once here: forked workers inherit the
-    # cached z instead of each paying the import
+    # validated, and resolved (with scipy imported) once here: forked
+    # workers inherit the cached z instead of each paying the import
     _normal_quantile(config.alpha)
     chunks, sizes = _run_chunked(_coverage_chunk, config, threads)
     tables = {"coverage": [], "length": []}
@@ -469,10 +470,8 @@ def _size_chunk(args):
             row = [t_norm]
             for br in config.block_rules:
                 b = br.size(config.n)
-                lam_b = (float(b) ** ms.lambda_exponent
-                         if ms.kind is MemoryKind.SEMI_LONG else 0.0)
                 vals = subsample_statistics(
-                    x, y, family, b, float(b) ** he, lam_b, d, ms.kind, kernel,
+                    x, y, family, b, float(b) ** he, ms.lam(b), d, ms.kind, kernel,
                     weight, config.quad_cells)
                 row += [t_norm > subsample_quantile(vals, lv)
                         for lv in config.nominal_levels]

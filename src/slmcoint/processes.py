@@ -85,39 +85,31 @@ def fftconvolve(a, b):
     return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:n]
 
 
-def _binomial_weights(a, n_lags):
-    """Coefficients of (1-z)^{-a} up to lag n_lags by the recursion
-    c(0) = 1, c(j) = c(j-1) * (j-1+a) / j; defined for every real a."""
-    out = np.empty(n_lags + 1)
-    out[0] = 1.0
-    if n_lags:
-        j = np.arange(1, n_lags + 1)
-        out[1:] = np.cumprod((j - 1.0 + a) / j)
-    return out
-
-
 def frac_coeffs(d, n_lags):
-    """Fractional MA coefficients b_d(j) = Gamma(j+d) / (Gamma(d) Gamma(j+1)).
+    """Fractional MA coefficients b_d(j) = Gamma(j+d) / (Gamma(d) Gamma(j+1)),
+    the binomial expansion of (1-z)^{-d}.
 
     Computed by the stable recursion b(0) = 1, b(j) = b(j-1) * (j-1+d) / j,
-    which avoids Gamma overflow and matches the binomial expansion of
-    (1-z)^{-d}.  For d = 0 the result is the delta sequence; d = 1 gives the
-    all-ones (cumulative sum) filter.
+    which avoids Gamma overflow and is defined for every real d.  For d = 0
+    the result is the delta sequence; d = 1 gives the all-ones (cumulative
+    sum) filter; a negative integer d = -m gives the m + 1 coefficients of
+    the polynomial (1-z)^m followed by zeros.
 
     Parameters
     ----------
     d : float
-        Fractional differencing parameter.  Negative integers are rejected
-        (pole of Gamma(d)).
+        Fractional differencing parameter.
     n_lags : int
         Highest lag J; the returned array has length J + 1.
     """
     if n_lags < 0:
         raise ValueError("n_lags must be >= 0")
-    d = float(d)
-    if d < 0 and d == int(d):
-        raise ValueError(f"d={d} is a negative integer (Gamma pole)")
-    return _binomial_weights(d, n_lags)
+    out = np.empty(n_lags + 1)
+    out[0] = 1.0
+    if n_lags:
+        j = np.arange(1, n_lags + 1)
+        out[1:] = np.cumprod((j - 1.0 + float(d)) / j)
+    return out
 
 
 def tempered_coeffs(d, lam, n_lags):

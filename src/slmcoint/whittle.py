@@ -19,7 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .kernel_regression import _check_positive
-from .processes import _binomial_weights, _check_memory, fftconvolve, tempered_coeffs
+from .processes import _check_memory, fftconvolve, tempered_coeffs
 
 _TWO_PI = 2.0 * np.pi
 ARTFIMA_D_RANGE = (-1.0, 3.0)
@@ -126,12 +126,7 @@ def one_step_residuals(series, d, lam, truncation=_AR_TRUNCATION):
     """
     z = np.asarray(series, dtype=float)
     z = z - z.mean()
-    # not frac_coeffs: a bounded fit can stop at d = 3 exactly, and -d = -3
-    # is a negative integer that its Gamma-pole guard rejects
-    pi_w = _binomial_weights(-d, truncation)
-    if lam > 0:
-        pi_w = pi_w * np.exp(-lam * np.arange(truncation + 1))
-    return fftconvolve(z, pi_w)[:z.shape[0]]
+    return fftconvolve(z, tempered_coeffs(-d, lam, truncation))[:z.shape[0]]
 
 
 @dataclass

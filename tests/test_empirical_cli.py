@@ -163,6 +163,16 @@ def test_cli_estimate_rejects_zero_bandwidth(tmp_path, capsys):
     assert "bandwidth h must be finite and > 0, got 0.0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha", ["1.5", "0", "-0.2", "nan"])
+def test_cli_estimate_rejects_alpha_outside_unit_interval(tmp_path, capsys, alpha):
+    data = tmp_path / "xy.csv"
+    data.write_text("x,y\n0.0,1.0\n0.5,1.5\n1.0,2.0\n1.5,2.5\n")
+    assert cli_main(["estimate", "--data", str(data), "--bandwidth", "0.8",
+                     "--alpha", alpha, "--out", str(tmp_path / "est")]) == 2
+    assert "alpha must be in (0, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "est" / "estimate.csv").exists()
+
+
 @pytest.mark.parametrize("column, flags, message", [
     ("x", [], "non-finite input: 1 NaN or inf value(s) in x"),
     ("y", [], "non-finite input: 1 NaN or inf value(s) in y"),
@@ -248,6 +258,27 @@ def test_cli_mc_runs_config(tmp_path):
                      "--threads", "1"]) == 0
     assert (out / "bias.csv").exists()
     assert (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"replicatons": 4}, "unknown study config field(s): replicatons"),
+    ({"variance_mode": "centered", "min_window_count": 2},
+     "unknown study config field(s): min_window_count, variance_mode"),
+    ({"memory_settings": ["SLM9"]}, "['SLM1', 'SLM2', 'SLM3', 'SLM4']"),
+    ({"memory_settings": [{"rule": "SLM9"}]},
+     "unknown SLM rule 'SLM9'; choose from ['SLM1', 'SLM2', 'SLM3', 'SLM4']"),
+])
+def test_cli_mc_rejects_bad_config(tmp_path, capsys, change, message):
+    cfg = {
+        "study_kind": "estimation", "n": 100, "replications": 4,
+        "d_values": [0.1], "memory_settings": ["SLM3"],
+        "bandwidth_exponents": ["n^-1/3"], **change,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli_main(["mc", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "mc")]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_cli_ckc_end_to_end(tmp_path, capsys):

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from slmcoint import (EPANECHNIKOV, GAUSSIAN, nw_estimate, fitted_values, residual_variance,
-                      confidence_interval, kernel_estimate, get_kernel,
+                      kernel_estimate, get_kernel,
                       TemperedProcessSpec, NoiseConfig, simulate_model,
                       sine_series_interpolator)
 from slmcoint.kernel_regression import kernel_sums
@@ -261,7 +261,8 @@ def test_fitted_values_always_defined():
 def test_ci_collapses_at_zero_variance():
     x = np.linspace(0, 1, 30)
     y = np.full(30, 1.5)
-    lo, hi = confidence_interval(0.5, x, y, 0.2, alpha=0.05)
+    est = kernel_estimate(x, y, 0.5, 0.2, alpha=0.05)
+    lo, hi = est.ci_lo[0], est.ci_hi[0]
     assert lo == pytest.approx(1.5, abs=1e-12)
     assert hi == pytest.approx(1.5, abs=1e-12)
 
@@ -272,7 +273,8 @@ def test_ci_halfwidth_formula():
     y = np.sin(3 * x) + 0.2 * rng.standard_normal(100)
     h = 0.2
     at = 0.5
-    lo, hi = confidence_interval(at, x, y, h, alpha=0.05)
+    est = kernel_estimate(x, y, at, h, alpha=0.05)
+    lo, hi = est.ci_lo[0], est.ci_hi[0]
     fhat = nw_estimate(x, y, np.array([at]), h)
     fd = fitted_values(x, y, h)
     s2 = residual_variance(x, y, fd, h, EPANECHNIKOV, at)
@@ -284,8 +286,25 @@ def test_ci_halfwidth_formula():
 def test_ci_undefined_far_from_data():
     x = np.linspace(0, 1, 30)
     y = x.copy()
-    lo, hi = confidence_interval(99.0, x, y, 0.1, alpha=0.05)
+    est = kernel_estimate(x, y, 99.0, 0.1, alpha=0.05)
+    lo, hi = est.ci_lo[0], est.ci_hi[0]
     assert np.isnan(lo) and np.isnan(hi)
+
+
+@pytest.mark.parametrize("alpha", [1.5, 0.0, -0.2, np.nan])
+def test_ci_rejects_alpha_outside_unit_interval(alpha):
+    x = np.linspace(0, 1, 30)
+    with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\]"):
+        kernel_estimate(x, x, 0.5, 0.2, alpha=alpha)
+
+
+def test_ci_zero_width_at_alpha_one():
+    rng = np.random.default_rng(9)
+    x = rng.uniform(0, 1, 50)
+    est = kernel_estimate(x, np.sin(x) + rng.standard_normal(50), [0.3, 0.6],
+                          0.2, alpha=1.0)
+    assert np.array_equal(est.ci_lo, est.fhat)
+    assert np.array_equal(est.ci_hi, est.fhat)
 
 
 # ----------------------------------------------------------- full estimate
@@ -316,6 +335,42 @@ def test_kernel_estimate_variance_modes():
     assert uncentered.sigma2hat[0] > 10 * centered.sigma2hat[0]
     with pytest.raises(ValueError):
         kernel_estimate(x, y, grid, 0.2, variance="bogus")
+
+
+_samples = st.integers(1, 40).flatmap(lambda n: st.tuples(
+    # few distinct x values, so that tied observations are common
+    st.lists(st.integers(-20, 20).map(lambda k: k / 8.0), min_size=n, max_size=n),
+    st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sample=_samples, seed=st.integers(0, 2 ** 32 - 1),
+       h=st.floats(0.05, 3.0), kernel=st.sampled_from([EPANECHNIKOV, GAUSSIAN]))
+def test_nw_invariant_to_permuting_pairs(sample, seed, h, kernel):
+    x, y = (np.array(v) for v in sample)
+    perm = np.random.default_rng(seed).permutation(x.shape[0])
+    grid = np.linspace(-3.0, 3.0, 13)
+    a = nw_estimate(x, y, grid, h, kernel)
+    b = nw_estimate(x[perm], y[perm], grid, h, kernel)
+    assert np.array_equal(a.window_count, b.window_count)
+    assert_allclose(b.local_mass, a.local_mass, rtol=1e-12)
+    # tied x are summed in a different order, so allow rounding at the
+    # scale of y
+    scale = max(np.abs(y).max(), 1e-300)
+    assert_allclose(b.fhat, a.fhat, rtol=1e-12, atol=1e-12 * scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sample=_samples, h=st.floats(0.05, 3.0),
+       kernel=st.sampled_from([EPANECHNIKOV, GAUSSIAN]))
+def test_fhat_identical_across_variance_modes(sample, h, kernel):
+    x, y = (np.array(v) for v in sample)
+    grid = np.linspace(-3.0, 3.0, 13)
+    plain = kernel_estimate(x, y, grid, h, kernel, variance=None)
+    for variance in ("centered", "uncentered"):
+        est = kernel_estimate(x, y, grid, h, kernel, alpha=0.05, variance=variance)
+        assert np.array_equal(est.fhat, plain.fhat, equal_nan=True)
+        assert np.array_equal(est.local_mass, plain.local_mass)
 
 
 def test_stochastic_consistency_rate():

@@ -133,6 +133,12 @@ def test_coverage_degenerate_alpha_one():
         assert row["value"] == pytest.approx(0.0, abs=1e-15) or np.isnan(row["value"])
 
 
+@pytest.mark.parametrize("alpha", [1.5, 0.0, -0.2])
+def test_coverage_rejects_alpha_outside_unit_interval(alpha):
+    with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\]"):
+        run_coverage_study(_tiny("coverage", alpha=alpha))
+
+
 def test_size_degenerate_zero_noise():
     config = _tiny("size", sigma=0.0, replications=4, chunk_size=2)
     res = run_size_study(config)

@@ -27,11 +27,10 @@ def test_frac_coeffs_cumsum_filter_at_d1():
     assert_allclose(frac_coeffs(1.0, 3), [1.0, 1.0, 1.0, 1.0])
 
 
-def test_frac_coeffs_rejects_negative_integer():
-    with pytest.raises(ValueError):
-        frac_coeffs(-1.0, 5)
-    with pytest.raises(ValueError):
-        frac_coeffs(-3, 5)
+def test_frac_coeffs_exact_at_negative_integer():
+    # d = -m gives the polynomial (1 - z)^m: the recursion needs no Gamma
+    assert np.array_equal(frac_coeffs(-3, 6), [1, -3, 3, -1, 0, 0, 0])
+    assert np.array_equal(frac_coeffs(-1.0, 5), [1, -1, 0, 0, 0, 0])
 
 
 @pytest.mark.parametrize("d", [0.1, 0.3, 0.45, 1.0])

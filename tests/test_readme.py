@@ -1,0 +1,32 @@
+"""The README's examples run against the live library, so that a public
+name they use cannot be deleted or renamed without failing here."""
+
+import json
+import os
+import re
+
+from slmcoint import StudyConfig
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def _blocks(language):
+    with open(README) as fh:
+        text = fh.read()
+    return re.findall(rf"```{language}\n(.*?)```", text, flags=re.S)
+
+
+def test_readme_python_quick_start_runs(capsys):
+    (code,) = _blocks("python")
+    exec(compile(code, "README.md", "exec"), {})
+    p_value, reject = capsys.readouterr().out.split()
+    assert 0.0 < float(p_value) <= 1.0
+    assert reject in ("True", "False")
+
+
+def test_readme_study_config_loads():
+    (payload,) = _blocks("json")
+    config = StudyConfig.from_dict(json.loads(payload))
+    assert config.study_kind == "size"
+    assert [ms.label for ms in config.memory_settings] == ["SLM3"]
+    assert StudyConfig.from_dict(config.to_dict()) == config

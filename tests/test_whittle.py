@@ -253,6 +253,17 @@ def test_one_step_residuals_white_noise_identity():
     assert_allclose(resid, z - z.mean(), atol=1e-12)
 
 
+def test_one_step_residuals_third_difference_at_upper_bound():
+    # a bounded ARTFIMA fit can stop at d = 3, where the AR weights are the
+    # polynomial (1 - z)^3
+    rng = np.random.default_rng(11)
+    z = rng.standard_normal(64)
+    zc = z - z.mean()
+    resid = one_step_residuals(z, 3.0, 0.0)
+    assert_allclose(resid[3:], zc[3:] - 3 * zc[2:-1] + 3 * zc[1:-2] - zc[:-3],
+                    atol=1e-12)
+
+
 def test_fit_json_roundtrip(tmp_path):
     rng = np.random.default_rng(10)
     z = simulate_artfima00(512, d=0.8, lam=0.15, rng=rng)
