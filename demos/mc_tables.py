@@ -52,7 +52,8 @@ def main():
               f"  <- far above nominal, the documented negative finding")
     files = export_study(size, outdir)
     print(f"\nexported {len(files)} files to {outdir}")
-    print("re-running from manifest.json reproduces them byte for byte.")
+    print(f"`slmcoint mc --config {os.path.join(outdir, 'study_config.json')}` "
+          "writes them again byte for byte.")
 
 
 if __name__ == "__main__":

@@ -11,29 +11,27 @@ for estimation, coverage, and test-size studies.
 __version__ = "0.1.0"
 
 from .processes import (
-    MemoryKind, TemperedProcessSpec, NoiseConfig, SimulatedPath,
-    frac_coeffs, tempered_coeffs, default_truncation, simulate_innovations,
-    simulate_regressor, simulate_error_ar1, regression_function_sine,
-    sine_series_interpolator, simulate_model, scale_dn, innovation_length,
+    MemoryKind, TemperedProcessSpec, NoiseConfig, frac_coeffs, tempered_coeffs,
+    default_truncation, simulate_innovations, simulate_regressor,
+    simulate_error_ar1, regression_function_sine, sine_series_interpolator,
+    simulate_model, scale_dn, innovation_length,
 )
 from .kernel_regression import (
-    Kernel, KernelEstimate, EPANECHNIKOV, GAUSSIAN, get_kernel, nw_estimate,
-    fitted_values, residual_variance, kernel_estimate,
+    EPANECHNIKOV, GAUSSIAN, get_kernel, nw_estimate, fitted_values,
+    kernel_estimate,
 )
 from .spec_test import (
-    ParametricFamily, WeightFunction, SpecTestResult, SubsamplingError,
-    linear_family, quadratic_family, get_family, uniform_weight, nls_fit,
-    t_statistic, normalized_statistic, subsample_statistics,
-    subsample_quantile, run_spec_test, integration_domain,
+    SubsamplingError, linear_family, quadratic_family, get_family,
+    uniform_weight, nls_fit, t_statistic, normalized_statistic,
+    subsample_statistics, subsample_quantile, run_spec_test, integration_domain,
 )
 from .whittle import (
-    ArtfimaFit, artfima_spectral_density, periodogram, whittle_objective,
-    profile_sigma2, one_step_residuals, fit_artfima00, fit_arfima00,
-    simulate_artfima00,
+    artfima_spectral_density, periodogram, whittle_objective, profile_sigma2,
+    one_step_residuals, fit_artfima00, fit_arfima00, simulate_artfima00,
 )
 from .mc import (
-    MemorySetting, BlockRule, StudyConfig, StudyResult, SLM_RULES,
-    parse_exponent, run_estimation_study, run_coverage_study, run_size_study,
-    run_study, export_study,
+    MemorySetting, BlockRule, StudyConfig, SLM_RULES, parse_exponent,
+    run_estimation_study, run_coverage_study, run_size_study, run_study,
+    export_study,
 )
 from .empirical import EmpiricalSeries, ingest_ckc_csv, ckc_analysis

@@ -2,7 +2,8 @@
 
 Commands: simulate, estimate, spec-test, fit-artfima, mc, ckc.  Every
 command writes its outputs plus a manifest.json (arguments, seeds, input
-hashes) sufficient to re-run it bit-identically.  Exit codes: 0 success,
+hashes) sufficient to re-run it bit-identically; ``mc.write_json`` and
+``mc.write_csv`` write every file.  Exit codes: 0 success,
 2 validation error (``ValueError``, missing file or column: bad or
 non-finite input, a singular full-sample design), 3 numerical failure
 (``SubsamplingError``: too many singular subsample blocks).
@@ -18,13 +19,14 @@ import numpy as np
 
 from . import __version__
 from .processes import (TemperedProcessSpec, NoiseConfig, simulate_model,
-                        regression_function_sine, MemoryKind, SimulatedPath)
+                        regression_function_sine, MemoryKind)
 from .kernel_regression import get_kernel, kernel_estimate
 from .spec_test import (DEFAULT_QUAD_CELLS, DEFAULT_WEIGHT_SUPPORT, run_spec_test,
                         get_family, uniform_weight, SubsamplingError)
 from .whittle import fit_artfima00, fit_arfima00
-from .mc import StudyConfig, run_study, export_study, parse_exponent
-from .empirical import ingest_ckc_csv, ckc_analysis, write_ckc_report
+from .mc import (StudyConfig, run_study, export_study, parse_exponent, write_json,
+                 write_csv, _fmt)
+from .empirical import ingest_ckc_csv, ckc_analysis
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -39,7 +41,7 @@ def _sha256(path):
     return digest.hexdigest()
 
 
-def _write_manifest(outdir, command, args_dict, inputs=()):
+def _save_manifest(outdir, command, args_dict, inputs=()):
     manifest = {
         "command": command,
         "arguments": {k: v for k, v in sorted(args_dict.items())
@@ -47,10 +49,7 @@ def _write_manifest(outdir, command, args_dict, inputs=()):
         "package_version": __version__,
         "input_sha256": {os.path.basename(p): _sha256(p) for p in inputs},
     }
-    path = os.path.join(outdir, "manifest.json")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
+    return write_json(os.path.join(outdir, "manifest.json"), manifest)
 
 
 def _read_xy(path):
@@ -71,10 +70,13 @@ def _cmd_simulate(args):
         lambda x: regression_function_sine(x, args.f_terms))
     path = simulate_model(spec, noise, f=f)
     os.makedirs(args.out, exist_ok=True)
-    csv_path = os.path.join(args.out, "path.csv")
-    path.to_csv(csv_path)
-    path.write_manifest(os.path.join(args.out, "run.json"))
-    _write_manifest(args.out, "simulate", vars(args))
+    csv_path = write_csv(
+        os.path.join(args.out, "path.csv"), ("k", "x", "u", "y"),
+        ([_fmt(v) for v in row]
+         for row in zip(range(1, spec.n + 1), path.x, path.u, path.y)))
+    write_json(os.path.join(args.out, "run.json"),
+               {"spec": spec.to_dict(), "noise": noise.to_dict()})
+    _save_manifest(args.out, "simulate", vars(args))
     print(csv_path)
     return EXIT_OK
 
@@ -88,9 +90,14 @@ def _cmd_estimate(args):
     est = kernel_estimate(x, y, grid, h, get_kernel(args.kernel),
                           alpha=args.alpha, variance=args.variance)
     os.makedirs(args.out, exist_ok=True)
-    out_csv = os.path.join(args.out, "estimate.csv")
-    est.to_csv(out_csv)
-    _write_manifest(args.out, "estimate", vars(args), inputs=[args.data])
+    # an undefined grid point (no kernel mass) has NaN entries: empty cells
+    out_csv = write_csv(
+        os.path.join(args.out, "estimate.csv"),
+        ("x", "fhat", "sigma2hat", "local_mass", "ci_lo", "ci_hi"),
+        ([_fmt(v) if np.isfinite(v) else "" for v in row]
+         for row in zip(est.grid, est.fhat, est.sigma2hat, est.local_mass,
+                        est.ci_lo, est.ci_hi)))
+    _save_manifest(args.out, "estimate", vars(args), inputs=[args.data])
     print(out_csv)
     return EXIT_OK
 
@@ -117,9 +124,8 @@ def _cmd_spec_test(args):
         uniform_weight(a, bsup), memory_kind=args.memory, d=args.d, lam=lam,
         h_b=h_b, lam_b=lam_b, quad_cells=args.quad_cells)
     os.makedirs(args.out, exist_ok=True)
-    out_json = os.path.join(args.out, "spec_test.json")
-    result.to_json(out_json)
-    _write_manifest(args.out, "spec-test", vars(args), inputs=[args.data])
+    write_json(os.path.join(args.out, "spec_test.json"), result.to_dict())
+    _save_manifest(args.out, "spec-test", vars(args), inputs=[args.data])
     print(f"p_value={result.p_value!r} t_normalized={result.t_normalized!r}")
     return EXIT_OK
 
@@ -137,22 +143,22 @@ def _cmd_fit_artfima(args):
         series = np.asarray(data[cols[0]], dtype=float)
     fit = fit_artfima00(series) if args.model == "artfima" else fit_arfima00(series)
     os.makedirs(args.out, exist_ok=True)
-    out_json = os.path.join(args.out, "fit.json")
-    fit.to_json(out_json)
-    _write_manifest(args.out, "fit-artfima", vars(args), inputs=[args.data])
+    write_json(os.path.join(args.out, "fit.json"), fit.to_dict())
+    _save_manifest(args.out, "fit-artfima", vars(args), inputs=[args.data])
     print(f"d_hat={fit.d_hat!r} lambda_hat={fit.lambda_hat!r} mse={fit.mse!r}")
     return EXIT_OK
 
 
 def _cmd_mc(args):
-    config = StudyConfig.from_json(args.config)
+    with open(args.config) as fh:
+        config = StudyConfig.from_dict(json.load(fh))
     if args.study and args.study != config.study_kind:
         raise ValueError(
             f"--study {args.study} does not match config study_kind "
             f"{config.study_kind}")
     result = run_study(config, threads=args.threads)
     export_study(result, args.out)
-    _write_manifest(args.out, "mc", vars(args), inputs=[args.config])
+    _save_manifest(args.out, "mc", vars(args), inputs=[args.config])
     print(args.out)
     return EXIT_OK
 
@@ -161,9 +167,8 @@ def _cmd_ckc(args):
     series = ingest_ckc_csv(args.data, country=args.country)
     report = ckc_analysis(series, quad_cells=args.quad_cells)
     os.makedirs(args.out, exist_ok=True)
-    out_json = os.path.join(args.out, "ckc_report.json")
-    write_ckc_report(report, out_json)
-    _write_manifest(args.out, "ckc", vars(args), inputs=[args.data])
+    write_json(os.path.join(args.out, "ckc_report.json"), report)
+    _save_manifest(args.out, "ckc", vars(args), inputs=[args.data])
     for row in report["p_values"]:
         print(f"{row['hypothesis']:9s} h={row['bandwidth_rule']:8s} "
               f"b={row['block_size']:3d} p={row['p_value']:.4f}")

@@ -3,7 +3,6 @@ tempered-model fits for both logged variables, and subsampled specification
 tests of linear and quadratic links between them."""
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,8 +12,9 @@ from .spec_test import (DEFAULT_QUAD_CELLS, DEFAULT_WEIGHT_SUPPORT, run_spec_tes
                         get_family, uniform_weight)
 from .kernel_regression import GAUSSIAN
 
-DEFAULT_H_RULES = (-0.5, -1.0)
-DEFAULT_BLOCK_COEFS = (2.0, 4.0, 6.0)
+H_EXPONENTS = (-0.5, -1.0)
+BLOCK_COEFS = (2.0, 4.0, 6.0)
+HYPOTHESES = ("linear", "quadratic")
 
 
 @dataclass
@@ -47,13 +47,6 @@ class EmpiricalSeries:
     def __len__(self):
         return self.years.shape[0]
 
-    def to_csv(self, path):
-        with open(path, "w", newline="\n") as fh:
-            fh.write("year,gdp,co2\n")
-            for i in range(len(self)):
-                fh.write(f"{self.years[i]},{float(self.gdp[i])!r},"
-                         f"{float(self.co2[i])!r}\n")
-
 
 def ingest_ckc_csv(path, country=""):
     """Read and validate a `year,gdp,co2` CSV (extra columns ignored)."""
@@ -77,19 +70,19 @@ def ingest_ckc_csv(path, country=""):
     return EmpiricalSeries(years=years, gdp=gdp, co2=co2, country=country)
 
 
-def ckc_analysis(series, h_exponents=DEFAULT_H_RULES, block_coefs=DEFAULT_BLOCK_COEFS,
-                 hypotheses=("linear", "quadratic"), quad_cells=DEFAULT_QUAD_CELLS,
-                 weight_support=DEFAULT_WEIGHT_SUPPORT):
+def ckc_analysis(series, quad_cells=DEFAULT_QUAD_CELLS):
     """Tempered-model fits and specification-test p-values for one country.
 
     Fits ARTFIMA(0,d,lam,0) and ARFIMA(0,d,0) to log(gdp) and log(co2),
     then tests each hypothesized link z = g(e, theta) + u between
-    e = log(gdp) and z = log(co2) for every (bandwidth rule, block rule)
-    pair, using the semi-long-memory normalization with the regressor's
-    fitted (d, lam).  The bandwidth follows its power rule at block scale
-    (h = n^a, h_b = b^a); the fitted tempering parameter is a constant, not
-    a schedule, so it is held fixed at both scales (p-values are invariant
-    to the common factor lam_hat^d_hat in the normalizers).
+    e = log(gdp) and z = log(co2) (``HYPOTHESES``) for every pair of a
+    bandwidth rule h = n^a (``H_EXPONENTS``) and a block rule
+    b = [c sqrt(n)] (``BLOCK_COEFS``), using the semi-long-memory
+    normalization with the regressor's fitted (d, lam).  The bandwidth
+    follows its power rule at block scale (h_b = b^a); the fitted tempering
+    parameter is a constant, not a schedule, so it is held fixed at both
+    scales (p-values are invariant to the common factor lam_hat^d_hat in
+    the normalizers).
     """
     n = len(series)
     if n < 30:
@@ -103,13 +96,13 @@ def ckc_analysis(series, h_exponents=DEFAULT_H_RULES, block_coefs=DEFAULT_BLOCK_
                       "arfima": fit_arfima00(values).to_dict()}
     d_hat = fits["log_gdp"]["artfima"]["d_hat"]
     lam_hat = fits["log_gdp"]["artfima"]["lambda_hat"]
-    weight = uniform_weight(*weight_support)
+    weight = uniform_weight(*DEFAULT_WEIGHT_SUPPORT)
     pvals = []
-    for hyp in hypotheses:
+    for hyp in HYPOTHESES:
         family = get_family(hyp)
-        for he in h_exponents:
+        for he in H_EXPONENTS:
             h = float(n) ** he
-            for coef in block_coefs:
+            for coef in BLOCK_COEFS:
                 b = int(coef * np.sqrt(n))
                 res = run_spec_test(
                     e, z, family, h, b, GAUSSIAN, weight,
@@ -124,8 +117,3 @@ def ckc_analysis(series, h_exponents=DEFAULT_H_RULES, block_coefs=DEFAULT_BLOCK_
     return {"country": series.country, "n": n, "fits": fits,
             "regressor_d": d_hat, "regressor_lambda": lam_hat,
             "p_values": pvals}
-
-
-def write_ckc_report(report, path):
-    with open(path, "w", newline="\n") as fh:
-        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -161,27 +161,6 @@ def fitted_values(x, y, h, kernel=EPANECHNIKOV):
     return sy / mass
 
 
-def residual_variance(x, y, fhat_at_data, h, kernel, at):
-    """Kernel-weighted residual second moment around the fitted values.
-
-    sigma2(p) = sum_k (y_k - fhat(x_k))^2 K((x_k - p)/h) / sum_k K((x_k - p)/h).
-    Passing zeros as ``fhat_at_data`` gives the uncentered local second
-    moment of y.  NaN where the kernel mass vanishes.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    fhat_at_data = np.asarray(fhat_at_data, dtype=float)
-    if fhat_at_data.shape != y.shape:
-        raise ValueError("fhat_at_data must align with the observations")
-    if np.any(~np.isfinite(fhat_at_data)):
-        raise ValueError("fitted values must be defined at every observation")
-    mass, _, (sr2,) = kernel_sums(x, at, h, kernel, ((y - fhat_at_data) ** 2,))
-    out = np.full(mass.shape, np.nan)
-    ok = mass > 0
-    out[ok] = sr2[ok] / mass[ok]
-    return out if np.ndim(at) else float(out[0])
-
-
 @dataclass
 class KernelEstimate:
     """Grid of NW estimates with per-point variance and confidence bands.
@@ -190,7 +169,7 @@ class KernelEstimate:
     number of observations in each point's kernel window.  The band is
     fhat -/+ ``half_width``; ``sigma2hat`` and ``half_width`` are None
     when they were not asked for.  Undefined grid points (zero kernel
-    mass) carry NaN entries and are written as empty CSV fields.
+    mass) carry NaN entries.
     """
 
     grid: np.ndarray
@@ -214,21 +193,6 @@ class KernelEstimate:
     def ci_hi(self):
         return None if self.half_width is None else self.fhat + self.half_width
 
-    def to_csv(self, path):
-        columns = (self.grid, self.fhat, self.sigma2hat, self.local_mass,
-                   self.ci_lo, self.ci_hi)
-
-        def cell(arr, i):
-            if arr is None:
-                return ""
-            v = arr[i]
-            return "" if not np.isfinite(v) else repr(float(v))
-
-        with open(path, "w", newline="\n") as fh:
-            fh.write("x,fhat,sigma2hat,local_mass,ci_lo,ci_hi\n")
-            for i in range(self.grid.shape[0]):
-                fh.write(",".join(cell(arr, i) for arr in columns) + "\n")
-
 
 def kernel_estimate(x, y, grid, h, kernel=EPANECHNIKOV, alpha=None,
                     variance="centered"):
@@ -246,7 +210,7 @@ def kernel_estimate(x, y, grid, h, kernel=EPANECHNIKOV, alpha=None,
     the leave-in fitted values (one more pass, over the observations);
     ``"uncentered"`` takes r_k = y_k, the local second moment of y, as in
     the coverage study; None skips the variance and the band.  ``alpha``
-    in (0, 1] asks for the band.
+    in (0, 1] asks for the band, which needs a variance.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -257,6 +221,9 @@ def kernel_estimate(x, y, grid, h, kernel=EPANECHNIKOV, alpha=None,
         raise ValueError("grid must be nonempty")
     kernel = get_kernel(kernel)
     if variance is None:
+        if alpha is not None:
+            raise ValueError(f"alpha={alpha} asks for a band, which variance=None "
+                             "does not give; pass variance='centered' or 'uncentered'")
         columns = (y,)
     elif variance == "centered":
         columns = (y, (y - fitted_values(x, y, h, kernel)) ** 2)
@@ -264,7 +231,7 @@ def kernel_estimate(x, y, grid, h, kernel=EPANECHNIKOV, alpha=None,
         columns = (y, y * y)
     else:
         raise ValueError("variance must be 'centered', 'uncentered' or None")
-    z = None if variance is None or alpha is None else _normal_quantile(alpha)
+    z = None if alpha is None else _normal_quantile(alpha)
     mass, count, sums = kernel_sums(x, grid, h, kernel, columns)
     # fhat and sigma2 where the mass is positive, NaN elsewhere
     ratios = np.divide(sums, mass, out=np.full(sums.shape, np.nan), where=mass > 0)

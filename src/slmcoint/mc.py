@@ -10,6 +10,7 @@ count or cell execution order.
 """
 
 import json
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -192,24 +193,12 @@ class StudyConfig:
         out["block_rules"] = [[br.coef, br.exponent] for br in self.block_rules]
         return out
 
-    def to_json(self, path=None):
-        payload = json.dumps(self.to_dict(), indent=2, sort_keys=True)
-        if path is None:
-            return payload
-        with open(path, "w", newline="\n") as fh:
-            fh.write(payload + "\n")
-
     @classmethod
     def from_dict(cls, payload):
         unknown = sorted(set(payload) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown study config field(s): {', '.join(unknown)}")
         return cls(**payload)
-
-    @classmethod
-    def from_json(cls, path):
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
     def settings_grid(self):
         """(setting, d) combinations, honoring the memory-kind d ranges:
@@ -232,8 +221,8 @@ class StudyConfig:
 
 @dataclass
 class StudyResult:
-    """Study output: one table per criterion plus raw histogram data and a
-    manifest sufficient to reproduce every cell bit for bit."""
+    """Study output: one table per criterion, raw histogram data and the
+    config, which reproduces every cell bit for bit."""
 
     study_kind: str
     tables: dict
@@ -245,9 +234,6 @@ class StudyResult:
             if all(_match(row.get(k), v) for k, v in keys.items()):
                 return row
         raise KeyError(f"no {criterion} cell matching {keys}")
-
-    def manifest(self):
-        return self.config.to_dict()
 
 
 def _match(a, b):
@@ -535,32 +521,41 @@ def _fmt(v):
     return str(v)
 
 
-def export_study(result, outdir):
-    """Write one CSV per criterion, histogram data and the JSON manifest.
+def write_json(path, payload):
+    """Write ``payload`` as JSON with sorted keys, indent 2 and LF line
+    ends: the format of every JSON file the package writes."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return path
 
-    Output is byte-deterministic given the result, so re-running a study
-    from its manifest re-exports identical files.
+
+def write_csv(path, header, rows):
+    """Write a CSV of cells that are already formatted, with LF line ends."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
+    return path
+
+
+def export_study(result, outdir):
+    """Write one CSV per criterion, the histogram data and the resolved
+    config as ``study_config.json``.
+
+    Output is byte-deterministic given the result, so re-running the study
+    from ``study_config.json`` re-exports identical files.
     """
-    import os
     os.makedirs(outdir, exist_ok=True)
     written = []
     for criterion, rows in result.tables.items():
         cols = _COLUMNS[criterion]
-        path = os.path.join(outdir, f"{criterion}.csv")
-        with open(path, "w", newline="\n") as fh:
-            fh.write(",".join(cols) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(row.get(c, "")) for c in cols) + "\n")
-        written.append(path)
+        written.append(write_csv(
+            os.path.join(outdir, f"{criterion}.csv"), cols,
+            ([_fmt(row.get(c, "")) for c in cols] for row in rows)))
     for (label, d, he), values in result.histograms.items():
-        path = os.path.join(outdir, f"histogram_{label}_d{d:g}_h{-he:g}.csv")
-        with open(path, "w", newline="\n") as fh:
-            fh.write("t_normalized\n")
-            for v in values:
-                fh.write(repr(float(v)) + "\n")
-        written.append(path)
-    mpath = os.path.join(outdir, "manifest.json")
-    with open(mpath, "w", newline="\n") as fh:
-        fh.write(json.dumps(result.manifest(), indent=2, sort_keys=True) + "\n")
-    written.append(mpath)
+        written.append(write_csv(
+            os.path.join(outdir, f"histogram_{label}_d{d:g}_h{-he:g}.csv"),
+            ("t_normalized",), ([_fmt(v)] for v in values)))
+    written.append(write_json(os.path.join(outdir, "study_config.json"),
+                              result.config.to_dict()))
     return written

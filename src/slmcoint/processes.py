@@ -12,7 +12,6 @@ contemporaneous correlation rho.
 """
 
 import enum
-import json
 from dataclasses import dataclass, asdict
 from functools import lru_cache
 
@@ -46,8 +45,9 @@ class MemoryKind(str, enum.Enum):
 
 
 def _check_memory(kind, d, lam_name, lam):
-    """d and the tempering parameter must be finite with lam >= 0, and
-    lam > 0 under semi-long memory (``kind`` None adds no kind rule)."""
+    """d and the tempering parameter must be finite with lam >= 0; semi-long
+    memory needs lam > 0, long memory 0 <= d < 1/2 and lam = 0, short
+    memory d = 0 (``kind`` None adds no kind rule)."""
     if not np.isfinite(d):
         raise ValueError(f"memory parameter d must be finite, got {d}")
     if not np.isfinite(lam):
@@ -56,6 +56,13 @@ def _check_memory(kind, d, lam_name, lam):
         raise ValueError(f"tempering parameter {lam_name} must be >= 0, got {lam}")
     if kind is MemoryKind.SEMI_LONG and lam <= 0:
         raise ValueError(f"semi-long memory requires {lam_name} > 0, got {lam}")
+    if kind is MemoryKind.LONG:
+        if not (0.0 <= d < 0.5):
+            raise ValueError(f"long memory requires 0 <= d < 1/2, got {d}")
+        if lam != 0.0:
+            raise ValueError(f"long memory requires {lam_name} = 0, got {lam}")
+    if kind is MemoryKind.SHORT and d != 0.0:
+        raise ValueError(f"short memory requires d = 0, got {d}")
 
 
 @lru_cache(maxsize=64)
@@ -163,17 +170,10 @@ class TemperedProcessSpec:
             raise ValueError("n must be >= 1")
         if self.burn_in < 0:
             raise ValueError("burn_in must be >= 0")
-        if kind is MemoryKind.LONG:
-            if not (0.0 <= self.d < 0.5):
-                raise ValueError("long memory requires 0 <= d < 1/2")
-            if self.lam != 0.0:
-                raise ValueError("long memory requires lam = 0")
-        elif kind is MemoryKind.SEMI_LONG:
-            if self.d < 0.0:
-                raise ValueError("semi-long memory requires d >= 0")
-        else:
-            if self.d != 0.0:
-                raise ValueError("short memory requires d = 0")
+        # the test statistics take a fitted d of either sign; a simulated
+        # semi-long regressor needs d >= 0
+        if kind is MemoryKind.SEMI_LONG and self.d < 0.0:
+            raise ValueError("semi-long memory requires d >= 0")
         if self.truncation is None:
             object.__setattr__(
                 self, "truncation",
@@ -200,10 +200,6 @@ class TemperedProcessSpec:
         out["memory_kind"] = self.memory_kind.value
         return out
 
-    @classmethod
-    def from_dict(cls, payload):
-        return cls(**payload)
-
 
 @dataclass(frozen=True)
 class NoiseConfig:
@@ -229,10 +225,6 @@ class NoiseConfig:
 
     def to_dict(self):
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload):
-        return cls(**payload)
 
 
 def simulate_innovations(n_total, noise, rng=None):
@@ -389,26 +381,6 @@ class SimulatedPath:
     y: np.ndarray
     spec: TemperedProcessSpec
     noise: NoiseConfig
-
-    def to_csv(self, path):
-        with open(path, "w", newline="\n") as fh:
-            fh.write("k,x,u,y\n")
-            for k in range(self.x.shape[0]):
-                fh.write(f"{k + 1},{float(self.x[k])!r},"
-                         f"{float(self.u[k])!r},{float(self.y[k])!r}\n")
-
-    def manifest(self):
-        return {"spec": self.spec.to_dict(), "noise": self.noise.to_dict()}
-
-    def write_manifest(self, path):
-        with open(path, "w", newline="\n") as fh:
-            json.dump(self.manifest(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @staticmethod
-    def read_csv(path):
-        data = np.genfromtxt(path, delimiter=",", names=True)
-        return data["x"], data["u"], data["y"]
 
 
 def innovation_length(spec):

@@ -10,7 +10,6 @@ recomputing the normalized statistic on all length-b blocks of consecutive
 observations (overlapping subsampling).
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -319,8 +318,8 @@ class SpecTestResult:
         (1-alpha)-quantile of the subsample values."""
         return self.t_normalized > subsample_quantile(self.subsample_values, alpha)
 
-    def to_dict(self, include_blocks=True):
-        out = {
+    def to_dict(self):
+        return {
             "t_raw": self.t_raw,
             "t_normalized": self.t_normalized,
             "normalizer": self.normalizer,
@@ -331,17 +330,8 @@ class SpecTestResult:
             "memory_kind": self.memory_kind,
             "h": self.h, "h_b": self.h_b, "lam": self.lam, "lam_b": self.lam_b,
             "d": self.d,
+            "subsample_values": [float(v) for v in self.subsample_values],
         }
-        if include_blocks:
-            out["subsample_values"] = [float(v) for v in self.subsample_values]
-        return out
-
-    def to_json(self, path=None, include_blocks=True):
-        payload = json.dumps(self.to_dict(include_blocks), indent=2, sort_keys=True)
-        if path is None:
-            return payload
-        with open(path, "w", newline="\n") as fh:
-            fh.write(payload + "\n")
 
 
 def run_spec_test(x, y, family, h, b, kernel, weight, memory_kind, d, lam=0.0, *,

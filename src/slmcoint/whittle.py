@@ -10,7 +10,6 @@ broadcast evaluations of the objective over a few d rows at a time, followed
 by derivative-free refinement of its scalar case.
 """
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, asdict
@@ -145,13 +144,6 @@ class ArtfimaFit:
 
     def to_dict(self):
         return asdict(self)
-
-    def to_json(self, path=None):
-        payload = json.dumps(self.to_dict(), indent=2, sort_keys=True)
-        if path is None:
-            return payload
-        with open(path, "w", newline="\n") as fh:
-            fh.write(payload + "\n")
 
 
 def _check_series(series):

@@ -283,7 +283,7 @@ def test_criterion_4_nw_and_variance_oracle():
     y = np.sin(x) + 0.2 * rng.standard_normal(n)
     h = 0.9
     grid = np.linspace(x.min(), x.max(), 9)
-    est = sl.nw_estimate(x, y, grid, h)
+    est = sl.kernel_estimate(x, y, grid, h, variance="centered")
     fd = sl.fitted_values(x, y, h)
     worst = 0.0
     for i, p in enumerate(grid):
@@ -300,8 +300,7 @@ def test_criterion_4_nw_and_variance_oracle():
             s_num += wk * (y[k] - fd[k]) ** 2
             s_den += wk
         if s_den > 0:
-            got = sl.residual_variance(x, y, fd, h, sl.EPANECHNIKOV, p)
-            worst = max(worst, abs(got - s_num / s_den))
+            worst = max(worst, abs(est.sigma2hat[i] - s_num / s_den))
     ok = worst <= 1e-12
     _report("criterion 4 (NW and variance double-loop oracle)", ok,
             f"worst absolute deviation {worst:.2e}")

@@ -5,6 +5,7 @@ import pytest
 
 from slmcoint import EmpiricalSeries, ingest_ckc_csv, ckc_analysis
 from slmcoint.cli import main as cli_main
+from slmcoint.mc import _fmt, write_csv
 
 
 def _write_ckc(path, n=59, noise=1e-3, quadratic=True, seed=0):
@@ -57,8 +58,9 @@ def test_ingest_rejects_missing_column(tmp_path):
 def test_ingest_export_roundtrip(tmp_path):
     path = _write_ckc(tmp_path / "c.csv")
     series = ingest_ckc_csv(path)
-    out = tmp_path / "copy.csv"
-    series.to_csv(out)
+    out = write_csv(tmp_path / "copy.csv", ("year", "gdp", "co2"),
+                    ([_fmt(v) for v in row]
+                     for row in zip(series.years, series.gdp, series.co2)))
     again = ingest_ckc_csv(out)
     assert np.array_equal(series.years, again.years)
     assert np.array_equal(series.gdp, again.gdp)
@@ -182,8 +184,12 @@ def test_cli_estimate_rejects_alpha_outside_unit_interval(tmp_path, capsys, alph
     (None, ["--block-size", "1"], "block size must satisfy 2 <= b <= n, got 1"),
     (None, ["--block-rule", "0.1"], "block size must satisfy 2 <= b <= n, got 1"),
     (None, ["--lam", "0"], "semi-long memory requires lam > 0, got 0.0"),
+    # the simulator's rule per memory kind
+    (None, ["--memory", "lm", "--d", "0.7"], "long memory requires 0 <= d < 1/2, got 0.7"),
+    (None, ["--memory", "lm", "--d", "-0.2"], "long memory requires 0 <= d < 1/2, got -0.2"),
+    (None, ["--memory", "short", "--d", "0.3"], "short memory requires d = 0, got 0.3"),
 ], ids=["x", "y", "bandwidth-nan", "bandwidth-0", "block-size-0", "block-size-1",
-        "block-rule-0.1", "lam-0"])
+        "block-rule-0.1", "lam-0", "lm-d-0.7", "lm-d-neg", "short-d-0.3"])
 def test_cli_spec_test_rejects_empty_cell(tmp_path, capfd, column, flags, message):
     # capfd, not capsys: LAPACK writes its complaints to the process's stderr
     rng = np.random.default_rng(5)
@@ -258,6 +264,31 @@ def test_cli_mc_runs_config(tmp_path):
                      "--threads", "1"]) == 0
     assert (out / "bias.csv").exists()
     assert (out / "manifest.json").exists()
+
+
+def test_cli_mc_reruns_from_study_config(tmp_path):
+    # export_study saves the resolved config next to the command manifest;
+    # a second run from it reproduces every table byte for byte
+    cfg = {
+        "study_kind": "size", "n": 100, "replications": 3, "chunk_size": 2,
+        "d_values": [0.1], "memory_settings": ["SLM3"],
+        "bandwidth_exponents": ["n^-1/5"], "block_rules": [[1.0, 0.5]],
+        "nominal_levels": [0.05], "kernel": "gaussian", "quad_cells": 128,
+        "master_seed": 5,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    first, second = tmp_path / "a", tmp_path / "b"
+    assert cli_main(["mc", "--config", str(cfg_path), "--out", str(first)]) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    assert manifest["command"] == "mc"
+    assert cli_main(["mc", "--config", str(first / "study_config.json"),
+                     "--out", str(second)]) == 0
+    tables = sorted(p.name for p in first.glob("*.csv"))
+    assert "size.csv" in tables and any(t.startswith("histogram_") for t in tables)
+    assert tables == sorted(p.name for p in second.glob("*.csv"))
+    for name in tables + ["study_config.json"]:
+        assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
 @pytest.mark.parametrize("change, message", [

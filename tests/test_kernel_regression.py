@@ -4,10 +4,11 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from slmcoint import (EPANECHNIKOV, GAUSSIAN, nw_estimate, fitted_values, residual_variance,
+from slmcoint import (EPANECHNIKOV, GAUSSIAN, nw_estimate, fitted_values,
                       kernel_estimate, get_kernel,
                       TemperedProcessSpec, NoiseConfig, simulate_model,
                       sine_series_interpolator)
+from slmcoint.cli import main as cli_main
 from slmcoint.kernel_regression import kernel_sums
 
 
@@ -216,19 +217,22 @@ def test_nw_undefined_points_flagged():
 
 # ------------------------------------------------------- residual variance
 
+def _sigma2hat(x, y, h, at, variance="centered"):
+    return kernel_estimate(x, y, at, h, variance=variance).sigma2hat[0]
+
+
 def test_residual_variance_zero_for_perfect_fit():
     x = np.linspace(0, 1, 20)
     y = np.full(20, 2.0)
-    fhat = fitted_values(x, y, 0.3)
-    assert residual_variance(x, y, fhat, 0.3, EPANECHNIKOV, 0.5) \
-        == pytest.approx(0.0, abs=1e-24)
+    assert _sigma2hat(x, y, 0.3, 0.5) == pytest.approx(0.0, abs=1e-24)
 
 
 def test_residual_variance_constant_residuals():
+    # the uncentered variance is the residual variance around a zero fit:
+    # y identically -0.7 gives 0.49
     x = np.linspace(0, 1, 20)
-    y = np.zeros(20)
-    fhat = np.full(20, 0.7)  # residuals identically -0.7
-    assert residual_variance(x, y, fhat, 0.3, EPANECHNIKOV, 0.5) \
+    y = np.full(20, -0.7)
+    assert _sigma2hat(x, y, 0.3, 0.5, variance="uncentered") \
         == pytest.approx(0.49, rel=1e-12)
 
 
@@ -239,7 +243,7 @@ def test_residual_variance_matches_double_loop():
     h = 1.1
     fhat = fitted_values(x, y, h)
     at = x.mean()
-    got = residual_variance(x, y, fhat, h, EPANECHNIKOV, at)
+    got = _sigma2hat(x, y, h, at)
     num = den = 0.0
     for k in range(100):
         w = float(EPANECHNIKOV((x[k] - at) / h))
@@ -277,7 +281,9 @@ def test_ci_halfwidth_formula():
     lo, hi = est.ci_lo[0], est.ci_hi[0]
     fhat = nw_estimate(x, y, np.array([at]), h)
     fd = fitted_values(x, y, h)
-    s2 = residual_variance(x, y, fd, h, EPANECHNIKOV, at)
+    w = [float(EPANECHNIKOV((x[k] - at) / h)) for k in range(100)]
+    s2 = sum(w[k] * (y[k] - fd[k]) ** 2 for k in range(100)) / sum(w)
+    assert est.sigma2hat[0] == pytest.approx(s2, rel=1e-12)
     half = 1.959963984540054 * np.sqrt(s2 * 0.6 / (fhat.local_mass[0] * 1.0))
     assert hi - lo == pytest.approx(2 * half, rel=1e-9)
     assert (lo + hi) / 2 == pytest.approx(fhat.fhat[0], rel=1e-9)
@@ -313,15 +319,21 @@ def test_kernel_estimate_csv(tmp_path):
     rng = np.random.default_rng(7)
     x = rng.uniform(0, 1, 60)
     y = x ** 2 + 0.05 * rng.standard_normal(60)
-    est = kernel_estimate(x, y, np.array([0.2, 0.5, 42.0]), 0.15, alpha=0.05)
-    out = tmp_path / "est.csv"
-    est.to_csv(out)
-    lines = out.read_text().splitlines()
+    data = tmp_path / "xy.csv"
+    data.write_text("x,y\n" + "".join(f"{float(a)!r},{float(b)!r}\n"
+                                    for a, b in zip(x, y)))
+    assert cli_main(["estimate", "--data", str(data), "--bandwidth", "0.15",
+                     "--grid-start", "0.2", "--grid-stop", "42.0",
+                     "--grid-points", "3", "--out", str(tmp_path / "est")]) == 0
+    est = kernel_estimate(x, y, np.array([0.2, 21.1, 42.0]), 0.15, alpha=0.05)
+    lines = (tmp_path / "est" / "estimate.csv").read_text().splitlines()
     assert lines[0] == "x,fhat,sigma2hat,local_mass,ci_lo,ci_hi"
     assert len(lines) == 4
-    # undefined point serializes with empty fields
-    assert lines[3].split(",")[1] == ""
-    assert float(lines[1].split(",")[1]) == pytest.approx(est.fhat[0])
+    # an undefined point is written with empty fields
+    assert lines[3] == "42.0,,,0.0,,"
+    assert [float(v) for v in lines[1].split(",")] == [
+        0.2, est.fhat[0], est.sigma2hat[0], est.local_mass[0], est.ci_lo[0],
+        est.ci_hi[0]]
 
 
 def test_kernel_estimate_variance_modes():
@@ -335,6 +347,14 @@ def test_kernel_estimate_variance_modes():
     assert uncentered.sigma2hat[0] > 10 * centered.sigma2hat[0]
     with pytest.raises(ValueError):
         kernel_estimate(x, y, grid, 0.2, variance="bogus")
+
+
+def test_kernel_estimate_rejects_alpha_without_variance():
+    x = np.linspace(0, 1, 30)
+    with pytest.raises(ValueError, match=r"alpha=5\.0 asks for a band, which "
+                                         r"variance=None does not give"):
+        kernel_estimate(x, x, [0.5], 0.3, alpha=5.0, variance=None)
+    assert nw_estimate(x, x, [0.5], 0.3).sigma2hat is None
 
 
 _samples = st.integers(1, 40).flatmap(lambda n: st.tuples(
@@ -371,6 +391,22 @@ def test_fhat_identical_across_variance_modes(sample, h, kernel):
         est = kernel_estimate(x, y, grid, h, kernel, alpha=0.05, variance=variance)
         assert np.array_equal(est.fhat, plain.fhat, equal_nan=True)
         assert np.array_equal(est.local_mass, plain.local_mass)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sample=_samples, h=st.floats(0.05, 3.0), c=st.floats(-100.0, 100.0),
+       kernel=st.sampled_from([EPANECHNIKOV, GAUSSIAN]))
+def test_nw_shift_equivariant(sample, h, c, kernel):
+    x, y = (np.array(v) for v in sample)
+    grid = np.linspace(-3.0, 3.0, 13)
+    a = nw_estimate(x, y, grid, h, kernel)
+    b = nw_estimate(x, y + c, grid, h, kernel)
+    assert np.array_equal(b.defined, a.defined)
+    # a subnormal kernel mass (Gaussian tails) keeps too few bits for any
+    # relative bound, so the check runs where the mass is a normal float
+    ok = a.local_mass >= np.finfo(float).tiny
+    scale = np.abs(y).max() + abs(c)
+    assert_allclose(b.fhat[ok], a.fhat[ok] + c, rtol=1e-12, atol=1e-12 * scale)
 
 
 def test_stochastic_consistency_rate():

@@ -6,6 +6,7 @@ import pytest
 from slmcoint import (StudyConfig, MemorySetting, BlockRule, SLM_RULES,
                       parse_exponent, run_estimation_study, run_coverage_study,
                       run_size_study, run_study, export_study)
+from slmcoint.mc import write_json
 
 
 def _tiny(study_kind, **kw):
@@ -50,9 +51,8 @@ def test_block_rule_floor():
 
 def test_config_json_roundtrip(tmp_path):
     config = _tiny("size")
-    path = tmp_path / "cfg.json"
-    config.to_json(path)
-    again = StudyConfig.from_json(path)
+    path = write_json(tmp_path / "cfg.json", config.to_dict())
+    again = StudyConfig.from_dict(json.loads(path.read_text()))
     assert again == config
 
 
@@ -164,11 +164,12 @@ def test_export_and_manifest_roundtrip(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
     export_study(res, out1)
-    manifest = json.loads((out1 / "manifest.json").read_text())
-    config2 = StudyConfig.from_dict(manifest)
+    saved = json.loads((out1 / "study_config.json").read_text())
+    config2 = StudyConfig.from_dict(saved)
+    assert config2 == config
     res2 = run_size_study(config2, threads=2)
     export_study(res2, out2)
-    for name in ("size.csv", "manifest.json"):
+    for name in ("size.csv", "study_config.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     hist = [p.name for p in out1.iterdir() if p.name.startswith("histogram")]
     assert hist

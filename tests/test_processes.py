@@ -9,6 +9,7 @@ from slmcoint import (MemoryKind, TemperedProcessSpec, NoiseConfig,
                       simulate_error_ar1, regression_function_sine,
                       sine_series_interpolator, simulate_model, scale_dn,
                       innovation_length)
+from slmcoint.cli import main as cli_main
 from slmcoint.processes import _sine_table
 
 
@@ -312,13 +313,16 @@ def test_model_endogeneity_correlates_shocks_and_errors():
 
 
 def test_model_csv_roundtrip(tmp_path):
+    # `slmcoint simulate` writes path.csv with repr floats: reading it back
+    # gives the simulated arrays exactly
     spec, noise = _spec_noise(n=50)
     path = simulate_model(spec, noise, f=regression_function_sine)
-    out = tmp_path / "path.csv"
-    path.to_csv(out)
-    x, u, y = path.read_csv(out)
-    assert np.array_equal(x, path.x) and np.array_equal(u, path.u) \
-        and np.array_equal(y, path.y)
+    assert cli_main(["simulate", "--n", "50", "--d", "0.2", "--lam", repr(spec.lam),
+                     "--memory", "slm", "--seed", "11", "--out", str(tmp_path)]) == 0
+    data = np.genfromtxt(tmp_path / "path.csv", delimiter=",", names=True)
+    assert np.array_equal(data["k"], np.arange(1, 51))
+    assert np.array_equal(data["x"], path.x) and np.array_equal(data["u"], path.u) \
+        and np.array_equal(data["y"], path.y)
 
 
 def test_innovation_length_shared_across_settings():

@@ -112,6 +112,28 @@ def test_spec_test_rejects_nonfinite_input(case):
                 call()
 
 
+@pytest.mark.parametrize("kind, d, lam, match", [
+    ("lm", 0.7, 0.0, r"long memory requires 0 <= d < 1/2, got 0.7$"),
+    ("lm", -0.2, 0.0, r"long memory requires 0 <= d < 1/2, got -0.2$"),
+    ("lm", 0.2, 0.3, r"long memory requires lam(_b)? = 0, got 0.3$"),
+    ("short", 0.3, 0.0, r"short memory requires d = 0, got 0.3$"),
+])
+def test_spec_test_rejects_memory_the_simulator_rejects(kind, d, lam, match):
+    # the statistics and the simulator share one rule per memory kind
+    x, y = _draw(40, seed=16)
+    with pytest.raises(ValueError, match=match):
+        normalized_statistic(1.0, 40, lam, d, 0.5, kind)
+    with pytest.raises(ValueError, match=match):
+        subsample_statistics(x, y, linear_family(), 10, 0.5, lam, d, kind,
+                             GAUSSIAN, uniform_weight(), 256)
+    with pytest.raises(ValueError, match=match):
+        run_spec_test(x, y, linear_family(), 0.5, 10, GAUSSIAN, uniform_weight(),
+                      memory_kind=kind, d=d, lam=lam, h_b=0.5, lam_b=lam,
+                      quad_cells=256)
+    with pytest.raises(ValueError, match=match):
+        TemperedProcessSpec(d=d, lam=lam, n=40, memory_kind=kind)
+
+
 def test_spec_test_rejects_unequal_lengths():
     x, y = _draw(40, seed=15)
     with pytest.raises(ValueError, match="equal length"):
@@ -351,8 +373,9 @@ def test_run_spec_test_fields_and_determinism():
     for lv in (0.01, 0.05, 0.10):
         expect = a.t_normalized > subsample_quantile(a.subsample_values, lv)
         assert a.reject(lv) == expect
-    payload = a.to_json()
-    assert '"p_value"' in payload
+    payload = a.to_dict()
+    assert payload["p_value"] == a.p_value
+    assert payload["subsample_values"] == list(a.subsample_values)
 
 
 @st.composite

@@ -8,6 +8,7 @@ import slmcoint.whittle as whittle
 from slmcoint import (artfima_spectral_density, periodogram, whittle_objective,
                       profile_sigma2, one_step_residuals, fit_artfima00,
                       fit_arfima00, simulate_artfima00)
+from slmcoint.mc import write_json
 
 TWO_PI = 2.0 * np.pi
 
@@ -268,8 +269,7 @@ def test_fit_json_roundtrip(tmp_path):
     rng = np.random.default_rng(10)
     z = simulate_artfima00(512, d=0.8, lam=0.15, rng=rng)
     fit = fit_artfima00(z)
-    out = tmp_path / "fit.json"
-    fit.to_json(out)
+    out = write_json(tmp_path / "fit.json", fit.to_dict())
     import json
     payload = json.loads(out.read_text())
     assert payload["d_hat"] == fit.d_hat
