@@ -7,6 +7,7 @@ pipeline: ingest, tempered-model fits of both logged series, and the
 specification-test p-value grid for the linear and quadratic links.
 """
 
+import os
 import tempfile
 
 import numpy as np
@@ -27,8 +28,9 @@ def synth_country(path, n=59, seed=5):
 
 
 def main():
-    path = synth_country(tempfile.mktemp(suffix=".csv"))
-    series = ingest_ckc_csv(path, country="Synthia")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = synth_country(os.path.join(tmp, "synthia.csv"))
+        series = ingest_ckc_csv(path, country="Synthia")
     print(f"{series.country}: {len(series)} annual observations "
           f"({series.years[0]}-{series.years[-1]})")
 

@@ -7,6 +7,8 @@ import numpy as np
 
 _GAUSS_NORM = 1.0 / np.sqrt(2.0 * np.pi)
 _WORKSPACE_ROWS = 512
+# below it a Gaussian mass is subnormal and its weighted mean keeps few bits
+_MIN_MASS = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -63,69 +65,101 @@ def kernel_sums(x, points, h, kernel, columns=()):
 
         mass[p]    = sum_k K(u_k),
         count[p]   = #{k : |u_k| <= halfwidth},
-        sums[c, p] = sum_k K(u_k) * columns[c][k],
+        sums[c, p] = sum_k K(u_k) * columns[c][k].
 
-    as arrays of shape (len(points),), (len(points),) and
-    (len(columns), len(points)).  x is sorted once and each point sums
-    only over its window of the sorted sample, found by binary search and
+    For one path x of shape (n,), one bandwidth h and g points the arrays
+    have shapes (g,), (g,) and (len(columns), g).  A stack of m paths (x of
+    shape (m, n)) and a 1-D vector of k bandwidths each add a leading axis,
+    so the shapes become (m, k, g), (m, k, g) and (m, k, len(columns), g).
+    Points are shared, shape (g,), or given per path, shape (m, g).  Each
+    column has the shape of x or, when it differs between the bandwidths,
+    one row per bandwidth: shape x.shape[:-1] + (k, n).
+
+    Each path is sorted once and each (path, bandwidth, point) sums only
+    over its window of the sorted sample, found by binary search and
     widened by a relative 1e-12 so that no observation with
     |u_k| <= halfwidth falls outside it; weights and counts are computed
     from the same u_k as a dense evaluation.  For a kernel of unbounded
-    support the window is the whole sample.  Sums accumulate in sorted-x
-    order per point, chunked over points so that the workspace stays
-    within ``_WORKSPACE_ROWS`` rows of the sample.
+    support the window is the whole path.  All windows go through one
+    ``bincount`` pass, chunked so that the workspace stays within
+    ``_WORKSPACE_ROWS`` rows of a path; every window sums in sorted-x
+    order, so a batch equals its separate one-path, one-bandwidth calls
+    bit for bit.
     """
-    _check_positive("bandwidth h", h)
     kernel = get_kernel(kernel)
     x = np.asarray(x, dtype=float)
+    h = np.asarray(h, dtype=float)
     points = np.atleast_1d(np.asarray(points, dtype=float))
-    if x.ndim != 1 or x.shape[0] == 0:
-        raise ValueError("x must be a nonempty 1-D array")
-    if points.ndim != 1:
-        raise ValueError("points must be 1-D")
-    cols = np.asarray(columns, dtype=float) if len(columns) else np.empty((0, x.shape[0]))
-    if cols.ndim != 2 or cols.shape[1] != x.shape[0]:
+    if h.ndim > 1 or h.size == 0:
+        raise ValueError("h must be one bandwidth or a nonempty 1-D vector of them")
+    for value in h.ravel():
+        _check_positive("bandwidth h", value)
+    if x.ndim not in (1, 2) or x.size == 0:
+        raise ValueError("x must be a nonempty 1-D array or a 2-D stack of paths")
+    if not (points.ndim == 1 or (points.ndim == 2 and x.ndim == 2
+                                 and points.shape[0] == x.shape[0])):
+        raise ValueError("points must be 1-D, or hold one row per path of x")
+    cols = np.asarray(columns, dtype=float) if len(columns) else np.empty((0,) + x.shape)
+    per_bandwidth = h.ndim == 1 and cols.shape[1:] == x.shape[:-1] + h.shape + x.shape[-1:]
+    if cols.shape[1:] != x.shape and not per_bandwidth:
         raise ValueError("every summed column must align with x")
     for name, arr in (("x", x), ("evaluation points", points),
                       ("summed columns (y or residuals)", cols)):
         _check_finite(name, arr)
 
-    n = x.shape[0]
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    cols = cols[:, order]
+    n = x.shape[-1]
+    paths = x.reshape(-1, n)
+    m, k, g = paths.shape[0], h.size, points.shape[-1]
+    # the point and bandwidth of every (path, bandwidth, point) window
+    pts = np.broadcast_to(points.reshape(-1, 1, g), (m, k, g))
+    hs = np.broadcast_to(h.reshape(k, 1), (m, k, g))
+    order = np.argsort(paths, axis=-1, kind="stable")
+    xs = np.take_along_axis(paths, order, axis=-1)
     if np.isfinite(kernel.halfwidth):
-        reach = kernel.halfwidth * h
-        slack = 1e-12 * (np.abs(points) + reach)
-        lo = np.searchsorted(xs, points - reach - slack, side="left")
-        hi = np.searchsorted(xs, points + reach + slack, side="right")
+        reach = kernel.halfwidth * hs
+        slack = 1e-12 * (np.abs(pts) + reach)
+        lo = np.empty((m, k, g), dtype=np.intp)
+        hi = np.empty((m, k, g), dtype=np.intp)
+        for i in range(m):
+            lo[i] = np.searchsorted(xs[i], pts[i] - reach[i] - slack[i], side="left")
+            hi[i] = np.searchsorted(xs[i], pts[i] + reach[i] + slack[i], side="right")
     else:
-        lo = np.zeros(points.shape, dtype=np.intp)
-        hi = np.full(points.shape, n, dtype=np.intp)
-    length = hi - lo
+        lo = np.zeros((m, k, g), dtype=np.intp)
+        hi = np.full((m, k, g), n, dtype=np.intp)
+    length = (hi - lo).ravel()
+    # one sorted row of x and of every column per (path, bandwidth), and
+    # each window's first entry in them
+    xs = np.broadcast_to(xs[:, None, :], (m, k, n)).ravel()
+    c = cols.shape[0]
+    cs = np.take_along_axis(
+        np.broadcast_to(cols.reshape(c, m, k if per_bandwidth else 1, n), (c, m, k, n)),
+        order[None, :, None, :], axis=-1).reshape(c, m * k * n)
+    start = (lo + np.arange(0, m * k * n, n).reshape(m, k, 1)).ravel()
+    pts, hs = pts.ravel(), hs.ravel()
     ends = np.cumsum(length)
     first = ends - length
 
-    g = points.shape[0]
-    mass = np.empty(g)
-    count = np.empty(g, dtype=np.intp)
-    sums = np.empty((cols.shape[0], g))
+    mass = np.empty(m * k * g)
+    count = np.empty(m * k * g, dtype=np.intp)
+    sums = np.empty((c, m * k * g))
     a = 0
-    while a < g:
-        # a window holds at most n entries, so every chunk takes >= 1 point
+    while a < m * k * g:
+        # a window holds at most n entries, so every chunk takes >= 1 window
         b = int(np.searchsorted(ends, first[a] + _WORKSPACE_ROWS * n, side="right"))
         sel = slice(a, b)
-        seg = np.repeat(np.arange(b - a), length[sel])
-        idx = np.arange(seg.shape[0]) + np.repeat(lo[sel] - first[sel] + first[a],
-                                                  length[sel])
-        u = (xs[idx] - np.repeat(points[sel], length[sel])) / h
+        reps = length[sel]
+        seg = np.repeat(np.arange(b - a), reps)
+        idx = np.arange(seg.shape[0]) + np.repeat(start[sel] - first[sel] + first[a], reps)
+        u = (xs[idx] - np.repeat(pts[sel], reps)) / np.repeat(hs[sel], reps)
         w = kernel(u)
         mass[sel] = np.bincount(seg, weights=w, minlength=b - a)
         count[sel] = np.bincount(seg[np.abs(u) <= kernel.halfwidth], minlength=b - a)
-        for c in range(cols.shape[0]):
-            sums[c, sel] = np.bincount(seg, weights=w * cols[c, idx], minlength=b - a)
+        for j in range(c):
+            sums[j, sel] = np.bincount(seg, weights=w * cs[j, idx], minlength=b - a)
         a = b
-    return mass, count, sums
+    lead = x.shape[:-1] + h.shape
+    return (mass.reshape(lead + (g,)), count.reshape(lead + (g,)),
+            np.moveaxis(sums.reshape((c,) + lead + (g,)), 0, -2))
 
 
 @lru_cache(maxsize=16)
@@ -152,13 +186,15 @@ def nw_estimate(x, y, grid, h, kernel=EPANECHNIKOV):
 
 
 def fitted_values(x, y, h, kernel=EPANECHNIKOV):
-    """Leave-in NW fitted values at the observations themselves.
+    """Leave-in NW fitted values at the observations themselves, of shape
+    (n,) or, for a stack of paths and/or a vector of bandwidths, with the
+    same leading axes as ``kernel_sums``.
 
     Observation k contributes to its own fit, so the denominator is always
     positive (K(0) > 0).
     """
-    mass, _, (sy,) = kernel_sums(x, x, h, kernel, (y,))
-    return sy / mass
+    mass, _, sums = kernel_sums(x, x, h, kernel, (y,))
+    return sums[..., 0, :] / mass
 
 
 @dataclass
@@ -168,8 +204,12 @@ class KernelEstimate:
     ``local_mass`` is the unscaled kernel sum and ``window_count`` the
     number of observations in each point's kernel window.  The band is
     fhat -/+ ``half_width``; ``sigma2hat`` and ``half_width`` are None
-    when they were not asked for.  Undefined grid points (zero kernel
-    mass) carry NaN entries.
+    when they were not asked for.  A point is defined where its mass is at
+    least the smallest normal float; elsewhere (no data in the window, or
+    a Gaussian mass so small that its weights keep only a few bits) its
+    entries are NaN.  A stack of paths or a vector of bandwidths gives
+    every array the leading axes of ``kernel_sums``, and ``bandwidth`` is
+    then the vector.
     """
 
     grid: np.ndarray
@@ -177,13 +217,13 @@ class KernelEstimate:
     sigma2hat: np.ndarray
     local_mass: np.ndarray
     window_count: np.ndarray
-    bandwidth: float
+    bandwidth: object
     kernel: Kernel
     half_width: np.ndarray = None
 
     @property
     def defined(self):
-        return self.local_mass > 0
+        return self.local_mass >= _MIN_MASS
 
     @property
     def ci_lo(self):
@@ -204,13 +244,17 @@ def kernel_estimate(x, y, grid, h, kernel=EPANECHNIKOV, alpha=None,
         sigma2(p)  = sum_k r_k^2 K_k / sum_k K_k,
         half_width = z_{alpha/2} * sqrt(sigma2(p) * intK2 / (mass(p) * intK)),
 
-    with mass(p) = sum_k K_k, the unscaled local mass.  Points with zero
-    mass are NaN (no data in the window), never silently zero.
+    with mass(p) = sum_k K_k, the unscaled local mass.  Points with a mass
+    below the smallest normal float are NaN, never silently zero.
     ``variance="centered"`` takes r_k = y_k - fhat(x_k), the residual around
     the leave-in fitted values (one more pass, over the observations);
     ``"uncentered"`` takes r_k = y_k, the local second moment of y, as in
     the coverage study; None skips the variance and the band.  ``alpha``
     in (0, 1] asks for the band, which needs a variance.
+
+    x and y may be a stack of paths of shape (m, n), the grid shared or one
+    row per path, and h a 1-D vector of bandwidths, as in ``kernel_sums``;
+    the result equals the separate one-path, one-bandwidth fits bit for bit.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -220,25 +264,30 @@ def kernel_estimate(x, y, grid, h, kernel=EPANECHNIKOV, alpha=None,
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
     kernel = get_kernel(kernel)
+    h = np.asarray(h, dtype=float)
     if variance is None:
         if alpha is not None:
             raise ValueError(f"alpha={alpha} asks for a band, which variance=None "
                              "does not give; pass variance='centered' or 'uncentered'")
         columns = (y,)
     elif variance == "centered":
-        columns = (y, (y - fitted_values(x, y, h, kernel)) ** 2)
+        # one residual row per bandwidth when h is a vector
+        yk = y[..., None, :] if h.ndim else y
+        r2 = (yk - fitted_values(x, y, h, kernel)) ** 2
+        columns = (np.broadcast_to(yk, r2.shape), r2)
     elif variance == "uncentered":
         columns = (y, y * y)
     else:
         raise ValueError("variance must be 'centered', 'uncentered' or None")
     z = None if alpha is None else _normal_quantile(alpha)
     mass, count, sums = kernel_sums(x, grid, h, kernel, columns)
-    # fhat and sigma2 where the mass is positive, NaN elsewhere
-    ratios = np.divide(sums, mass, out=np.full(sums.shape, np.nan), where=mass > 0)
-    est = KernelEstimate(grid=grid, fhat=ratios[0],
-                         sigma2hat=None if variance is None else ratios[1],
-                         local_mass=mass, window_count=count, bandwidth=float(h),
-                         kernel=kernel)
+    # fhat and sigma2 where the point is defined, NaN elsewhere
+    ratios = np.divide(sums, mass[..., None, :], out=np.full(sums.shape, np.nan),
+                       where=mass[..., None, :] >= _MIN_MASS)
+    est = KernelEstimate(grid=grid, fhat=ratios[..., 0, :],
+                         sigma2hat=None if variance is None else ratios[..., 1, :],
+                         local_mass=mass, window_count=count,
+                         bandwidth=h if h.ndim else float(h), kernel=kernel)
     if z is not None:
         with np.errstate(invalid="ignore", divide="ignore"):
             est.half_width = z * np.sqrt(est.sigma2hat * kernel.k2 / (mass * kernel.d1))

@@ -243,9 +243,10 @@ def _match(a, b):
 
 
 def _paths(config, lo, hi):
-    """Yield (setting, d, x, u) for every (setting, d) of replications
-    lo..hi-1.  Replication r draws its innovations once, from a generator
-    seeded by (master_seed, r), and shares them across the settings."""
+    """Yield (x, u) for replications lo..hi-1: x stacks one regressor per
+    (setting, d) of ``settings_grid()``, shape (settings, n), and u is the
+    error they share.  Replication r draws its innovations once, from a
+    generator seeded by (master_seed, r)."""
     grid = config.settings_grid()
     if not grid:
         return
@@ -256,12 +257,10 @@ def _paths(config, lo, hi):
         rng = np.random.default_rng([config.master_seed, rep])
         xi, eps = simulate_innovations(length, noise, rng=rng)
         u = simulate_error_ar1(eps, config.psi, n_keep=config.n)
-        # all of a replication's regressors are built before any is used:
-        # building each just before its kernel sums measured 5-10% slower
-        # on the estimation study (2-core host)
-        xs = [simulate_regressor(config.spec_for(ms, d), xi) for ms, d in grid]
-        for (ms, d), x in zip(grid, xs):
-            yield ms, d, x, u
+        # the whole stack is built first: the estimation and coverage
+        # studies fit all of a replication's paths in one kernel pass
+        x = np.stack([simulate_regressor(config.spec_for(ms, d), xi) for ms, d in grid])
+        yield x, u
 
 
 def _cell_keys(config):
@@ -305,28 +304,34 @@ def _f_evaluator(config):
     return sine_series_interpolator(config.f_terms)
 
 
+def _bandwidths(config):
+    """h = n^e for every bandwidth exponent e, one Python power each."""
+    return np.array([float(config.n) ** he for he in config.bandwidth_exponents])
+
+
 def _estimation_chunk(args):
     """Per cell, a (5, grid_points) array: the count, sum of errors, sum of
-    squared errors, zero-mass count and excluded count at each point."""
+    squared errors, zero-mass (undefined) count and excluded count at each
+    point."""
     config, lo, hi = args
     kernel = get_kernel(config.kernel)
     grid = np.linspace(0.0, 1.0, config.grid_points)
+    h = _bandwidths(config)
     f = _f_evaluator(config)
     ftrue = f(grid)
-    cells = {key: np.zeros((5, config.grid_points)) for key in _cell_keys(config)}
-    for ms, d, x, u in _paths(config, lo, hi):
-        y = f(x) + config.sigma * u
-        for he in config.bandwidth_exponents:
-            est = nw_estimate(x, y, grid, float(config.n) ** he, kernel)
-            ok = est.defined & (est.window_count >= _MIN_WINDOW_COUNT)
-            e = est.fhat[ok] - ftrue[ok]
-            acc = cells[ms.label, d, he]
-            acc[0, ok] += 1.0
-            acc[1, ok] += e
-            acc[2, ok] += e * e
-            acc[3] += est.local_mass == 0
-            acc[4] += ~ok
-    return cells
+    keys = _cell_keys(config)
+    # (setting, bandwidth, statistic, point); cells follow _cell_keys order
+    acc = np.zeros((len(config.settings_grid()), h.size, 5, config.grid_points))
+    for x, u in _paths(config, lo, hi):
+        est = nw_estimate(x, f(x) + config.sigma * u, grid, h, kernel)
+        ok = est.defined & (est.window_count >= _MIN_WINDOW_COUNT)
+        e = np.where(ok, est.fhat - ftrue, 0.0)
+        acc[:, :, 0] += ok
+        acc[:, :, 1] += e
+        acc[:, :, 2] += e * e
+        acc[:, :, 3] += ~est.defined
+        acc[:, :, 4] += ~ok
+    return dict(zip(keys, acc.reshape(len(keys), 5, config.grid_points)))
 
 
 def _point_stats(cnt, s1, s2):
@@ -346,10 +351,11 @@ def run_estimation_study(config, threads=1):
     """Bias / Std / RMSE of the kernel regression estimator over an
     equally spaced grid on [0, 1], averaged across grid points.
 
-    A (replication, point) pair enters the averages only when its kernel
-    window holds at least ``_MIN_WINDOW_COUNT`` (2) observations; the
-    zero-mass and excluded fractions are reported per cell, and cells with
-    more than 1% zero-mass pairs are flagged.
+    A (replication, point) pair enters the averages only when its point is
+    defined and its kernel window holds at least ``_MIN_WINDOW_COUNT`` (2)
+    observations; the zero-mass (undefined) and excluded fractions are
+    reported per cell, and cells with more than 1% zero-mass pairs are
+    flagged.
     """
     if config.study_kind != "estimation":
         raise ValueError("config.study_kind must be 'estimation'")
@@ -378,22 +384,22 @@ def _coverage_chunk(args):
     and summed interval length at each point."""
     config, lo, hi = args
     kernel = get_kernel(config.kernel)
+    h = _bandwidths(config)
     f = _f_evaluator(config)
     pts = np.asarray(config.eval_points)
     fpts = f(pts)
-    cells = {key: np.zeros((3, pts.shape[0])) for key in _cell_keys(config)}
-    for ms, d, x, u in _paths(config, lo, hi):
-        y = f(x) + config.sigma * u
-        for he in config.bandwidth_exponents:
-            est = kernel_estimate(x, y, pts, float(config.n) ** he, kernel,
-                                  alpha=config.alpha, variance="uncentered")
-            ok = est.defined
-            half = est.half_width[ok]
-            acc = cells[ms.label, d, he]
-            acc[0, ok] += 1
-            acc[1, ok] += np.abs(est.fhat[ok] - fpts[ok]) <= half
-            acc[2, ok] += 2.0 * half
-    return cells
+    keys = _cell_keys(config)
+    # (setting, bandwidth, statistic, point); cells follow _cell_keys order
+    acc = np.zeros((len(config.settings_grid()), h.size, 3, pts.shape[0]))
+    for x, u in _paths(config, lo, hi):
+        est = kernel_estimate(x, f(x) + config.sigma * u, pts, h, kernel,
+                              alpha=config.alpha, variance="uncentered")
+        ok = est.defined
+        half = np.where(ok, est.half_width, 0.0)
+        acc[:, :, 0] += ok
+        acc[:, :, 1] += ok & (np.abs(est.fhat - fpts) <= half)
+        acc[:, :, 2] += 2.0 * half
+    return dict(zip(keys, acc.reshape(len(keys), 3, pts.shape[0])))
 
 
 def run_coverage_study(config, threads=1):
@@ -443,25 +449,27 @@ def _size_chunk(args):
     kernel = get_kernel(config.kernel)
     weight = uniform_weight(*config.weight_support)
     family = linear_family()
+    grid = config.settings_grid()
     cells = {key: [] for key in _cell_keys(config)}
-    for ms, d, x, u in _paths(config, lo, hi):
-        y = x + config.sigma * u  # H0: theta = (0, 1)
-        lam = ms.lam(config.n)
-        theta = nls_fit(family, x, y)
-        for he in config.bandwidth_exponents:
-            h = float(config.n) ** he
-            t_raw = t_statistic(x, y, family, theta, h, kernel,
-                                weight, config.quad_cells)
-            t_norm, _ = normalized_statistic(t_raw, config.n, lam, d, h, ms.kind)
-            row = [t_norm]
-            for br in config.block_rules:
-                b = br.size(config.n)
-                vals = subsample_statistics(
-                    x, y, family, b, float(b) ** he, ms.lam(b), d, ms.kind, kernel,
-                    weight, config.quad_cells)
-                row += [t_norm > subsample_quantile(vals, lv)
-                        for lv in config.nominal_levels]
-            cells[ms.label, d, he].append(row)
+    for xs, u in _paths(config, lo, hi):
+        for (ms, d), x in zip(grid, xs):
+            y = x + config.sigma * u  # H0: theta = (0, 1)
+            lam = ms.lam(config.n)
+            theta = nls_fit(family, x, y)
+            for he in config.bandwidth_exponents:
+                h = float(config.n) ** he
+                t_raw = t_statistic(x, y, family, theta, h, kernel,
+                                    weight, config.quad_cells)
+                t_norm, _ = normalized_statistic(t_raw, config.n, lam, d, h, ms.kind)
+                row = [t_norm]
+                for br in config.block_rules:
+                    b = br.size(config.n)
+                    vals = subsample_statistics(
+                        x, y, family, b, float(b) ** he, ms.lam(b), d, ms.kind, kernel,
+                        weight, config.quad_cells)
+                    row += [t_norm > subsample_quantile(vals, lv)
+                            for lv in config.nominal_levels]
+                cells[ms.label, d, he].append(row)
     return {key: np.array(rows, dtype=float) for key, rows in cells.items()}
 
 

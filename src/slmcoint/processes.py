@@ -80,16 +80,20 @@ def _fast_len(n):
     return best
 
 
-def fftconvolve(a, b):
+def fftconvolve(a, b, b_spectrum=None):
     """Full linear convolution of two 1-D float arrays by real FFTs at the
     smallest 5-smooth length that holds it, which is what
     scipy.signal.fftconvolve computes, bit for bit.  A one-tap input is a
-    plain product, as in scipy (an FFT would round it)."""
+    plain product, as in scipy (an FFT would round it).  ``b_spectrum``,
+    when given, is ``np.fft.rfft(b, size)`` at that length, kept by a
+    caller that convolves many ``a`` of one length with the same ``b``."""
     if a.shape[0] == 1 or b.shape[0] == 1:
         return a * b
     n = a.shape[0] + b.shape[0] - 1
     size = _fast_len(n)
-    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:n]
+    if b_spectrum is None:
+        b_spectrum = np.fft.rfft(b, size)
+    return np.fft.irfft(np.fft.rfft(a, size) * b_spectrum, size)[:n]
 
 
 def frac_coeffs(d, n_lags):
@@ -250,20 +254,37 @@ def simulate_regressor(spec, xi):
     The trailing ``spec.n`` entries of xi are the in-sample innovations;
     the ``spec.history_lags`` entries before them supply the pre-sample
     shock history.  Shocks are computed by FFT convolution with the
-    (tempered) fractional coefficients and then cumulated.
+    (tempered) fractional coefficients, whose spectrum is cached per spec,
+    and then cumulated.
     """
     xi = np.asarray(xi, dtype=float)
     hist = spec.history_lags
     need = spec.n + hist
     if xi.shape[0] < need:
         raise ValueError(f"innovation stream too short: need >= {need}, got {xi.shape[0]}")
+    phi, spectrum = _shock_filter(spec)
+    shocks = fftconvolve(xi[-need:], phi, spectrum)[hist:hist + spec.n]
+    return np.cumsum(shocks)
+
+
+@lru_cache(maxsize=32)
+def _shock_filter(spec):
+    """The coefficients of ``spec`` and their real-FFT spectrum at the length
+    ``fftconvolve`` takes for a stream of n + history_lags innovations, both
+    read-only.  A Monte Carlo study simulates many regressors per spec, and
+    this is the part they share.
+
+    Trailing zero coefficients (delta case, underflowed tempered tails)
+    contribute nothing; trimming them keeps equal-coefficient specs
+    bit-identical.
+    """
     phi = spec.coefficients()
-    # trailing zero coefficients (delta case, underflowed tempered tails)
-    # contribute nothing; trimming keeps equal-coefficient specs bit-identical
     nz = np.nonzero(phi)[0]
     phi = phi[:int(nz[-1]) + 1] if nz.size else phi[:1]
-    shocks = fftconvolve(xi[-need:], phi)[hist:hist + spec.n]
-    return np.cumsum(shocks)
+    spectrum = np.fft.rfft(phi, _fast_len(spec.n + spec.history_lags + phi.shape[0] - 1))
+    for arr in (phi, spectrum):
+        arr.flags.writeable = False
+    return phi, spectrum
 
 
 def simulate_error_ar1(eps, psi, n_keep=None):

@@ -25,3 +25,5 @@ def test_demo_runs(script, tmp_path):
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    if script == "ckc_workflow.py":  # its synthetic country is a temp file
+        assert os.listdir(tmp_path) == []

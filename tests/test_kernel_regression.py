@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from slmcoint import (EPANECHNIKOV, GAUSSIAN, nw_estimate, fitted_values,
                       TemperedProcessSpec, NoiseConfig, simulate_model,
                       sine_series_interpolator)
 from slmcoint.cli import main as cli_main
+from slmcoint import kernel_regression
 from slmcoint.kernel_regression import kernel_sums
 
 
@@ -120,6 +123,113 @@ def test_kernel_sums_chunks_like_one_pass():
     assert_allclose(sy, esy, rtol=1e-12, atol=1e-12)
 
 
+@st.composite
+def _batch_case(draw):
+    """A stack of paths of one length (ties within a path), one to three
+    mixed bandwidths, points shared by the paths or one row per path
+    (some at exactly x +- h), and a workspace size for the chunking."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 12))
+    values = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
+    x = np.array([draw(st.lists(st.sampled_from(draw(st.lists(values, min_size=1,
+                                                              max_size=n))),
+                                min_size=n, max_size=n)) for _ in range(m)])
+    h = np.array(draw(st.lists(st.floats(1e-3, 20.0), min_size=1, max_size=3)))
+    g = draw(st.integers(1, 6))
+
+    def point(i):
+        if draw(st.booleans()):
+            return (x[i, draw(st.integers(0, n - 1))]
+                    + draw(st.sampled_from([-1.0, 0.0, 1.0])) * draw(st.sampled_from(h)))
+        return draw(st.floats(-120.0, 120.0))
+
+    shared = draw(st.booleans())
+    points = np.array([[point(i) for _ in range(g)] for i in range(1 if shared else m)])
+    y = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=m * n,
+                               max_size=m * n))).reshape(m, n)
+    rows = draw(st.sampled_from([1, 3, 512]))
+    return x, points[0] if shared else points, h, y, rows
+
+
+@pytest.mark.parametrize("kernel", [EPANECHNIKOV, GAUSSIAN])
+@settings(max_examples=100, deadline=None)
+@given(case=_batch_case())
+def test_kernel_sums_batch_equals_separate_calls(kernel, case):
+    x, points, h, y, rows = case
+    (m, n), k = x.shape, h.size
+    # a column that differs between the bandwidths
+    per_h = y[:, None, :] + h[None, :, None]
+    with mock.patch.object(kernel_regression, "_WORKSPACE_ROWS", rows):
+        mass, count, sums = kernel_sums(x, points, h, kernel, (y, y * y))
+        _, _, hsums = kernel_sums(x, points, h, kernel, (per_h,))
+    g = points.shape[-1]
+    assert mass.shape == count.shape == (m, k, g)
+    assert sums.shape == (m, k, 2, g) and hsums.shape == (m, k, 1, g)
+    for i in range(m):
+        p = points if points.ndim == 1 else points[i]
+        for j in range(k):
+            one = kernel_sums(x[i], p, h[j], kernel, (y[i], y[i] * y[i]))
+            assert np.array_equal(mass[i, j], one[0])
+            assert np.array_equal(count[i, j], one[1])
+            assert np.array_equal(sums[i, j], one[2])
+            assert np.array_equal(hsums[i, j],
+                                  kernel_sums(x[i], p, h[j], kernel, (per_h[i, j],))[2])
+            emass, ecount, esums = _dense_sums(x[i], p, h[j], kernel,
+                                               (y[i], y[i] * y[i]))
+            assert_allclose(mass[i, j], emass, rtol=1e-12, atol=1e-12)
+            assert np.array_equal(count[i, j], ecount)
+            assert_allclose(sums[i, j], esums, rtol=1e-12, atol=1e-12)
+
+
+def test_kernel_sums_batch_crosses_chunks():
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((2, 3))
+    y = rng.standard_normal((2, 3))
+    h = np.array([0.7, 2.0])
+    points = np.linspace(-4, 4, 2000)  # 24,000 entries, > 512 rows of a path
+    mass, count, sums = kernel_sums(x, points, h, GAUSSIAN, (y,))
+    for i in range(2):
+        for j in range(2):
+            one = kernel_sums(x[i], points, h[j], GAUSSIAN, (y[i],))
+            assert np.array_equal(mass[i, j], one[0])
+            assert np.array_equal(count[i, j], one[1])
+            assert np.array_equal(sums[i, j], one[2])
+
+
+@pytest.mark.parametrize("kernel", [EPANECHNIKOV, GAUSSIAN])
+@settings(max_examples=60, deadline=None)
+@given(case=_batch_case())
+def test_kernel_estimate_stack_equals_separate_calls(kernel, case):
+    x, points, h, y, _ = case
+    for variance, alpha in ((None, None), ("centered", 0.05), ("uncentered", 0.1)):
+        est = kernel_estimate(x, y, points, h, kernel, alpha=alpha, variance=variance)
+        assert np.array_equal(est.bandwidth, h)
+        for i in range(x.shape[0]):
+            p = points if points.ndim == 1 else points[i]
+            for j in range(h.size):
+                one = kernel_estimate(x[i], y[i], p, h[j], kernel, alpha=alpha,
+                                      variance=variance)
+                for name in ("fhat", "sigma2hat", "local_mass", "window_count",
+                             "half_width"):
+                    a, b = getattr(est, name), getattr(one, name)
+                    assert (a is None and b is None) or np.array_equal(
+                        a[i, j], b, equal_nan=True), name
+
+
+def test_kernel_sums_rejects_bad_batch():
+    x = np.zeros((2, 3))
+    with pytest.raises(ValueError, match="one row per path"):
+        kernel_sums(x, np.zeros((3, 4)), 0.5, EPANECHNIKOV)
+    with pytest.raises(ValueError, match="one row per path"):
+        kernel_sums(x[0], np.zeros((1, 4)), 0.5, EPANECHNIKOV)
+    with pytest.raises(ValueError, match="align"):
+        kernel_sums(x, [0.0], [0.5, 1.0], EPANECHNIKOV, (np.zeros((2, 3, 3)),))
+    with pytest.raises(ValueError, match="bandwidth h must be finite and > 0, got 0.0"):
+        kernel_sums(x, [0.0], [0.5, 0.0], EPANECHNIKOV)
+    with pytest.raises(ValueError, match="nonempty 1-D vector"):
+        kernel_sums(x, [0.0], np.ones((2, 2)), EPANECHNIKOV)
+
+
 @pytest.mark.parametrize("bad, match", [
     (dict(x=[0.0, 1.0, np.nan]), "in x"),
     (dict(points=[np.inf]), "in evaluation points"),
@@ -213,6 +323,18 @@ def test_nw_undefined_points_flagged():
     est = nw_estimate(x, np.array([1.0, 2.0]), np.array([0.05, 50.0]), 0.1)
     assert est.defined[0] and not est.defined[1]
     assert np.isnan(est.fhat[1])
+
+
+def test_gaussian_fit_undefined_at_subnormal_mass():
+    # 38 bandwidths from the data the Gaussian mass is subnormal and the
+    # weighted mean (2.99999999...) would come out as exactly 3.0
+    est = kernel_estimate([0.0, 0.5], [1.0, 3.0], [0.25, 38.6], 1.0, GAUSSIAN,
+                          alpha=0.05, variance="uncentered")
+    assert 0.0 < est.local_mass[1] < np.finfo(float).tiny
+    assert est.defined.tolist() == [True, False]
+    assert np.isnan(est.fhat[1]) and np.isnan(est.sigma2hat[1])
+    assert np.isnan(est.half_width[1])
+    assert np.isnan(nw_estimate([0.0, 0.5], [1.0, 3.0], [38.6], 1.0, GAUSSIAN).fhat[0])
 
 
 # ------------------------------------------------------- residual variance
@@ -402,9 +524,7 @@ def test_nw_shift_equivariant(sample, h, c, kernel):
     a = nw_estimate(x, y, grid, h, kernel)
     b = nw_estimate(x, y + c, grid, h, kernel)
     assert np.array_equal(b.defined, a.defined)
-    # a subnormal kernel mass (Gaussian tails) keeps too few bits for any
-    # relative bound, so the check runs where the mass is a normal float
-    ok = a.local_mass >= np.finfo(float).tiny
+    ok = a.defined  # a mass of at least the smallest normal float
     scale = np.abs(y).max() + abs(c)
     assert_allclose(b.fhat[ok], a.fhat[ok] + c, rtol=1e-12, atol=1e-12 * scale)
 

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slmcoint import (StudyConfig, MemorySetting, BlockRule, SLM_RULES,
                       parse_exponent, run_estimation_study, run_coverage_study,
@@ -95,6 +96,36 @@ def test_thread_count_invariance(config):
     assert list(a.histograms) == list(b.histograms)
     for key in a.histograms:
         assert np.array_equal(a.histograms[key], b.histograms[key])
+
+
+@st.composite
+def _small_study(draw):
+    """A small estimation or coverage config: n 60-150, R 2-6, chunks of
+    1-3 replications, one or two settings, d values and bandwidths."""
+    kind = draw(st.sampled_from(["estimation", "coverage"]))
+    extra = {"grid_points": draw(st.integers(5, 40))} if kind == "estimation" else {
+        "eval_points": tuple(draw(st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=4))),
+        "alpha": draw(st.sampled_from([0.05, 0.1, 1.0]))}
+    return StudyConfig(
+        study_kind=kind, n=draw(st.integers(60, 150)),
+        replications=draw(st.integers(2, 6)), chunk_size=draw(st.integers(1, 3)),
+        d_values=tuple(draw(st.lists(st.sampled_from([0.0, 0.1, 0.3]), min_size=1,
+                                     max_size=2, unique=True))),
+        memory_settings=tuple(draw(st.lists(st.sampled_from(["lm", "SLM1", "SLM3"]),
+                                            min_size=1, max_size=2, unique=True))),
+        bandwidth_exponents=tuple(draw(st.lists(st.sampled_from([-0.5, -1.0 / 3.0, -0.2]),
+                                                min_size=1, max_size=2, unique=True))),
+        kernel=draw(st.sampled_from(["epanechnikov", "gaussian"])),
+        sigma=draw(st.sampled_from([0.0, 0.2, 1.0])),
+        master_seed=draw(st.integers(0, 2 ** 32 - 1)), **extra)
+
+
+@settings(max_examples=10, deadline=None)
+@given(config=_small_study())
+def test_thread_count_invariance_property(config):
+    a = run_study(config, threads=1)
+    b = run_study(config, threads=2)
+    assert json.dumps(a.tables) == json.dumps(b.tables)
 
 
 def test_estimation_cell_order_invariance():

@@ -10,7 +10,7 @@ from slmcoint import (MemoryKind, TemperedProcessSpec, NoiseConfig,
                       sine_series_interpolator, simulate_model, scale_dn,
                       innovation_length)
 from slmcoint.cli import main as cli_main
-from slmcoint.processes import _sine_table
+from slmcoint.processes import _sine_table, fftconvolve
 
 
 # ----------------------------------------------------------- coefficients
@@ -177,6 +177,28 @@ def test_regressor_presample_modes():
     # in-sample-only shocks ignore everything before the last n draws
     xi2 = np.concatenate([np.full(500, 123.0), xi[-100:]])
     assert_allclose(simulate_regressor(none, xi2), x_none)
+
+
+@pytest.mark.parametrize("spec", [
+    TemperedProcessSpec(d=0.3, lam=0.0, n=200, memory_kind="lm"),
+    TemperedProcessSpec(d=0.3, lam=0.0, n=200, memory_kind="lm", presample=0),
+    TemperedProcessSpec(d=0.3, lam=0.0, n=150, memory_kind="lm", presample=7),
+    TemperedProcessSpec(d=0.2, lam=0.05, n=200, memory_kind="slm", presample=0),
+    TemperedProcessSpec(d=0.0, lam=0.0, n=200, memory_kind="short"),
+    TemperedProcessSpec(d=0.0, lam=0.0, n=1, memory_kind="lm", presample=0),
+], ids=["lm-full", "lm-0", "lm-n150-7", "slm-0", "short", "n1"])
+def test_regressor_cached_spectrum_equals_fftconvolve(spec):
+    # the cached filter spectrum gives the bits of a plain fftconvolve,
+    # on the first call and on later calls with other streams
+    rng = np.random.default_rng(5)
+    phi = spec.coefficients()
+    nz = np.nonzero(phi)[0]
+    phi = phi[:int(nz[-1]) + 1]
+    need = spec.n + spec.history_lags
+    for _ in range(3):
+        xi = rng.standard_normal(need + 10)
+        shocks = fftconvolve(xi[-need:], phi)[spec.history_lags:need]
+        assert np.array_equal(simulate_regressor(spec, xi), np.cumsum(shocks))
 
 
 def test_regressor_rejects_short_stream():
