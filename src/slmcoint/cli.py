@@ -2,10 +2,11 @@
 
 Commands: simulate, estimate, spec-test, fit-artfima, mc, ckc.  Every
 command writes its outputs plus a manifest.json (arguments, seeds, input
-hashes) sufficient to re-run it bit-identically; ``mc.write_json`` and
-``mc.write_csv`` write every file.  Exit codes: 0 success,
-2 validation error (``ValueError``, missing file or column: bad or
-non-finite input, a singular full-sample design), 3 numerical failure
+hashes) sufficient to re-run it bit-identically; ``mc.read_csv`` reads
+every data file, and ``mc.write_json`` and ``mc.write_csv`` write every
+file.  Exit codes: 0 success, 2 validation error (``ValueError``, missing
+file or column: bad or non-finite input, a singular full-sample design;
+the message names the data file), 3 numerical failure
 (``SubsamplingError``: too many singular subsample blocks).
 """
 
@@ -24,8 +25,8 @@ from .kernel_regression import get_kernel, kernel_estimate
 from .spec_test import (DEFAULT_QUAD_CELLS, DEFAULT_WEIGHT_SUPPORT, run_spec_test,
                         get_family, uniform_weight, SubsamplingError)
 from .whittle import fit_artfima00, fit_arfima00
-from .mc import (StudyConfig, run_study, export_study, parse_exponent, write_json,
-                 write_csv, _fmt)
+from .mc import (StudyConfig, run_study, export_study, parse_exponent, read_csv,
+                 write_json, write_csv, _fmt)
 from .empirical import ingest_ckc_csv, ckc_analysis
 
 EXIT_OK = 0
@@ -52,14 +53,6 @@ def _save_manifest(outdir, command, args_dict, inputs=()):
     return write_json(os.path.join(outdir, "manifest.json"), manifest)
 
 
-def _read_xy(path):
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    names = data.dtype.names
-    if names is None or "x" not in names or "y" not in names:
-        raise ValueError(f"{path}: need a CSV with 'x' and 'y' columns")
-    return np.asarray(data["x"], dtype=float), np.asarray(data["y"], dtype=float)
-
-
 def _cmd_simulate(args):
     spec = TemperedProcessSpec(
         d=args.d, lam=args.lam, n=args.n, memory_kind=MemoryKind.parse(args.memory),
@@ -82,8 +75,10 @@ def _cmd_simulate(args):
 
 
 def _cmd_estimate(args):
-    x, y = _read_xy(args.data)
+    x, y = read_csv(args.data, ("x", "y")).values()
     n = x.shape[0]
+    if n < 2:  # one observation is its own fit, with no residual to spread
+        raise ValueError(f"a variance needs at least 2 observations, got {n}")
     h = (args.bandwidth if args.bandwidth is not None
          else n ** parse_exponent(args.bandwidth_rule))
     grid = np.linspace(args.grid_start, args.grid_stop, args.grid_points)
@@ -103,7 +98,7 @@ def _cmd_estimate(args):
 
 
 def _cmd_spec_test(args):
-    x, y = _read_xy(args.data)
+    x, y = read_csv(args.data, ("x", "y")).values()
     n = x.shape[0]
     b = args.block_size if args.block_size is not None else int(
         args.block_coef * n ** args.block_exponent)
@@ -131,17 +126,10 @@ def _cmd_spec_test(args):
 
 
 def _cmd_fit_artfima(args):
-    data = np.genfromtxt(args.data, delimiter=",", names=True)
-    names = data.dtype.names
-    if names is None:
-        series = np.genfromtxt(args.data, delimiter=",")
-    else:
-        cols = [c for c in names if c != "year"]
-        if len(cols) != 1:
-            raise ValueError(
-                f"{args.data}: expected a single value column (plus optional year)")
-        series = np.asarray(data[cols[0]], dtype=float)
-    fit = fit_artfima00(series) if args.model == "artfima" else fit_arfima00(series)
+    series = [v for name, v in read_csv(args.data).items() if name != "year"]
+    if len(series) != 1:
+        raise ValueError("expected a single value column (plus optional year)")
+    fit = (fit_artfima00 if args.model == "artfima" else fit_arfima00)(series[0])
     os.makedirs(args.out, exist_ok=True)
     write_json(os.path.join(args.out, "fit.json"), fit.to_dict())
     _save_manifest(args.out, "fit-artfima", vars(args), inputs=[args.data])
@@ -199,7 +187,7 @@ def build_parser():
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("estimate", help="kernel regression with confidence bands")
-    p.add_argument("--data", required=True)
+    p.add_argument("--data", required=True, help="CSV with a header row naming x and y")
     p.add_argument("--bandwidth", type=float, default=None)
     p.add_argument("--bandwidth-rule", default="n^-1/3")
     p.add_argument("--kernel", choices=["epanechnikov", "gaussian"],
@@ -214,7 +202,7 @@ def build_parser():
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("spec-test", help="parametric specification test")
-    p.add_argument("--data", required=True)
+    p.add_argument("--data", required=True, help="CSV with a header row naming x and y")
     p.add_argument("--family", choices=["linear", "quadratic"], default="linear")
     p.add_argument("--bandwidth", type=float, default=None)
     p.add_argument("--bandwidth-rule", default="n^-1/5")
@@ -236,7 +224,7 @@ def build_parser():
 
     p = sub.add_parser("fit-artfima", help="Whittle fit of tempered noise")
     p.add_argument("--data", required=True,
-                   help="single-column CSV (optional year column ignored)")
+                   help="CSV with a header row: a value column and an optional year")
     p.add_argument("--model", choices=["artfima", "arfima"], default="artfima")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_fit_artfima)
@@ -264,7 +252,11 @@ def main(argv=None):
     try:
         return args.func(args)
     except (ValueError, FileNotFoundError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message, data = str(exc), getattr(args, "data", None)
+        # a validation error of a command that reads a data file names it
+        if isinstance(exc, ValueError) and data and not message.startswith(f"{data}: "):
+            message = f"{data}: {message}"
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_VALIDATION
     except SubsamplingError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

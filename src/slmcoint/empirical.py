@@ -2,7 +2,6 @@
 tempered-model fits for both logged variables, and subsampled specification
 tests of linear and quadratic links between them."""
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,6 +10,7 @@ from .whittle import fit_artfima00, fit_arfima00
 from .spec_test import (DEFAULT_QUAD_CELLS, DEFAULT_WEIGHT_SUPPORT, run_spec_test,
                         get_family, uniform_weight)
 from .kernel_regression import GAUSSIAN
+from .mc import read_csv
 
 H_EXPONENTS = (-0.5, -1.0)
 BLOCK_COEFS = (2.0, 4.0, 6.0)
@@ -28,7 +28,12 @@ class EmpiricalSeries:
     country: str = ""
 
     def __post_init__(self):
-        self.years = np.asarray(self.years, dtype=int)
+        years = np.asarray(self.years, dtype=float)
+        bad = np.nonzero(~(np.isfinite(years) & (years == np.floor(years))))[0]
+        if bad.size:
+            raise ValueError(f"row {bad[0] + 1}: year {float(years[bad[0]])!r} "
+                             "is not a whole number")
+        self.years = years.astype(int)
         self.gdp = np.asarray(self.gdp, dtype=float)
         self.co2 = np.asarray(self.co2, dtype=float)
         n = self.years.shape[0]
@@ -50,24 +55,8 @@ class EmpiricalSeries:
 
 def ingest_ckc_csv(path, country=""):
     """Read and validate a `year,gdp,co2` CSV (extra columns ignored)."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ValueError(f"{path}: empty file")
-        missing = {"year", "gdp", "co2"} - set(reader.fieldnames)
-        if missing:
-            raise ValueError(f"{path}: missing column(s) {sorted(missing)}")
-        years, gdp, co2 = [], [], []
-        for i, row in enumerate(reader, start=1):
-            try:
-                years.append(int(row["year"]))
-                gdp.append(float(row["gdp"]))
-                co2.append(float(row["co2"]))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: row {i}: {exc}") from exc
-    if not years:
-        raise ValueError(f"{path}: no data rows")
-    return EmpiricalSeries(years=years, gdp=gdp, co2=co2, country=country)
+    return EmpiricalSeries(*read_csv(path, ("year", "gdp", "co2")).values(),
+                           country=country)
 
 
 def ckc_analysis(series, quad_cells=DEFAULT_QUAD_CELLS):

@@ -1,7 +1,6 @@
 """Nadaraya-Watson regression, residual variance and pointwise confidence bands."""
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -162,21 +161,15 @@ def kernel_sums(x, points, h, kernel, columns=()):
             np.moveaxis(sums.reshape((c,) + lead + (g,)), 0, -2))
 
 
-@lru_cache(maxsize=16)
 def _normal_quantile(alpha):
-    """z_{alpha/2}, the upper alpha/2 standard normal quantile, for alpha
-    in (0, 1]; alpha = 1 gives z = 0, the zero-width interval.
-
-    scipy is imported here, on first use, so that ``import slmcoint`` needs
-    only numpy.  ndtri is the function scipy.stats.norm.ppf evaluates, so
-    the two agree bit for bit.  Values are cached: a process that resolves
-    z before it forks workers hands them the value, and they never import
-    scipy themselves.
-    """
+    """z_{alpha/2} = |Phi^-1(alpha/2)| for alpha in (0, 1]: the lower tail
+    keeps full precision for small alpha, and alpha = 1 gives z = 0, the
+    zero-width interval.  ``statistics`` is imported on first use, so that
+    ``import slmcoint`` loads numpy only."""
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    from scipy.special import ndtri
-    return ndtri(1.0 - alpha / 2.0)
+    from statistics import NormalDist
+    return abs(NormalDist().inv_cdf(alpha / 2.0))
 
 
 def nw_estimate(x, y, grid, h, kernel=EPANECHNIKOV):

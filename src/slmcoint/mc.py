@@ -9,6 +9,7 @@ chunk order, so every cell is reproducible bit for bit regardless of thread
 count or cell execution order.
 """
 
+import csv
 import json
 import os
 import warnings
@@ -172,7 +173,8 @@ class StudyConfig:
             raise ValueError("replications must be >= 1")
         if self.chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
-        object.__setattr__(self, "d_values", tuple(float(v) for v in self.d_values))
+        for name in ("d_values", "eval_points", "nominal_levels", "weight_support"):
+            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
         object.__setattr__(self, "memory_settings", tuple(
             ms if isinstance(ms, MemorySetting) else MemorySetting.from_dict(ms)
             for ms in self.memory_settings))
@@ -181,11 +183,13 @@ class StudyConfig:
         object.__setattr__(self, "block_rules", tuple(
             br if isinstance(br, BlockRule) else BlockRule(*br)
             for br in self.block_rules))
-        object.__setattr__(self, "eval_points", tuple(float(v) for v in self.eval_points))
-        object.__setattr__(self, "nominal_levels",
-                           tuple(float(v) for v in self.nominal_levels))
-        object.__setattr__(self, "weight_support",
-                           tuple(float(v) for v in self.weight_support))
+        # each value keys its own cells: a repeat would count replications twice
+        for name, keys in (("d_values", self.d_values),
+                           ("memory_settings", [ms.label for ms in self.memory_settings]),
+                           ("bandwidth_exponents", self.bandwidth_exponents)):
+            for i, key in enumerate(keys):
+                if key in keys[:i]:
+                    raise ValueError(f"{name} repeats {key!r}")
 
     def to_dict(self):
         out = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -415,9 +419,7 @@ def run_coverage_study(config, threads=1):
     """
     if config.study_kind != "coverage":
         raise ValueError("config.study_kind must be 'coverage'")
-    # validated, and resolved (with scipy imported) once here: forked
-    # workers inherit the cached z instead of each paying the import
-    _normal_quantile(config.alpha)
+    _normal_quantile(config.alpha)  # rejects a bad alpha before any work
     chunks, sizes = _run_chunked(_coverage_chunk, config, threads)
     tables = {"coverage": [], "length": []}
     r = config.replications
@@ -507,20 +509,14 @@ def run_study(config, threads=1):
 
 # -------------------------------------------------------------------- export
 
-_COLUMNS = {
-    "bias": ("memory", "bandwidth_rule", "d", "value", "mc_error",
-             "zero_mass_frac", "excluded_frac"),
-    "std": ("memory", "bandwidth_rule", "d", "value", "mc_error",
-            "zero_mass_frac", "excluded_frac"),
-    "rmse": ("memory", "bandwidth_rule", "d", "value", "mc_error",
-             "zero_mass_frac", "excluded_frac"),
-    "coverage": ("memory", "bandwidth_rule", "d", "x", "value", "mc_error",
-                 "defined_frac"),
-    "length": ("memory", "bandwidth_rule", "d", "x", "value", "mc_error",
-               "defined_frac"),
-    "size": ("memory", "bandwidth_rule", "d", "block_rule", "level", "value",
-             "mc_error"),
-}
+_ERROR_COLUMNS = ("memory", "bandwidth_rule", "d", "value", "mc_error",
+                  "zero_mass_frac", "excluded_frac")
+_COVERAGE_COLUMNS = ("memory", "bandwidth_rule", "d", "x", "value", "mc_error",
+                     "defined_frac")
+_COLUMNS = {"bias": _ERROR_COLUMNS, "std": _ERROR_COLUMNS, "rmse": _ERROR_COLUMNS,
+            "coverage": _COVERAGE_COLUMNS, "length": _COVERAGE_COLUMNS,
+            "size": ("memory", "bandwidth_rule", "d", "block_rule", "level",
+                     "value", "mc_error")}
 
 
 def _fmt(v):
@@ -544,6 +540,44 @@ def write_csv(path, header, rows):
         for row in rows:
             fh.write(",".join(row) + "\n")
     return path
+
+
+def read_csv(path, columns=None):
+    """{name: 1-D float array} of the named columns (all when None), in
+    their order, from a numeric CSV whose first row names its columns.
+
+    Names are stripped of spaces; a cell is parsed by ``float``, and an
+    empty one is NaN (missing), as numpy's text readers read it.  A bad
+    file is rejected with a message that names it, and the row."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise ValueError(f"{path}: empty file")
+        header = reader.fieldnames = [name.strip() for name in reader.fieldnames]
+        try:
+            [float(name) for name in header]
+        except ValueError:
+            pass
+        else:
+            raise ValueError(f"{path}: the first row {','.join(header)} is data; "
+                             "the file needs a header row naming its columns")
+        columns = header if columns is None else list(columns)
+        missing = set(columns) - set(header)
+        if missing:
+            raise ValueError(f"{path}: missing column(s) {sorted(missing)}")
+        values = {name: [] for name in columns}
+        for i, row in enumerate(reader, start=1):
+            for name in columns:
+                cell = row[name]
+                if cell is None:
+                    raise ValueError(f"{path}: row {i}: no cell in column {name!r}")
+                try:
+                    values[name].append(float(cell) if cell.strip() else np.nan)
+                except ValueError as exc:
+                    raise ValueError(f"{path}: row {i}: {exc} in column {name!r}") from exc
+    if not any(values.values()):
+        raise ValueError(f"{path}: no data rows")
+    return {name: np.array(cells, dtype=float) for name, cells in values.items()}
 
 
 def export_study(result, outdir):

@@ -190,7 +190,7 @@ def _standardize(x):
 
 def _sliding_theta(x, y, family, b):
     """Closed-form polynomial least squares on every length-b window via
-    cumulative sums of cross products.
+    one cumulative sum of cross products.
 
     Fits of degree >= 2 run in globally standardized coordinates
     u = (x - mean)/std (same span, far better conditioned when x sits far
@@ -205,22 +205,12 @@ def _sliding_theta(x, y, family, b):
     u = x if family.degree == 1 else _standardize(x)[0]
     p = family.dim
     B = family.basis(u)
-    cross = []
-    for i in range(p):
-        for j in range(i, p):
-            cross.append(B[:, i] * B[:, j])
-    rhs = [B[:, i] * y for i in range(p)]
-    csum = lambda v: np.concatenate([[0.0], np.cumsum(v)])
-    t = np.arange(nb)
-    cross_s = [csum(v)[t + b] - csum(v)[t] for v in cross]
-    rhs_s = np.stack([csum(v)[t + b] - csum(v)[t] for v in rhs], axis=1)
-    A = np.empty((nb, p, p))
-    idx = 0
-    for i in range(p):
-        for j in range(i, p):
-            A[:, i, j] = cross_s[idx]
-            A[:, j, i] = cross_s[idx]
-            idx += 1
+    # per observation, the cross products B_i B_j (j < p) and B_i y (j = p),
+    # summed over every window by one cumulative sum
+    prods = B[:, :, None] * np.column_stack([B, y])[:, None, :]
+    csum = np.concatenate([np.zeros((1, p, p + 1)), np.cumsum(prods, axis=0)])
+    window = csum[b:] - csum[:nb]
+    A, rhs_s = window[:, :, :p], window[:, :, p]
     diag = np.sqrt(np.einsum("kii->ki", A))
     diag = np.where(diag > 0, diag, 1.0)
     scaled = A / diag[:, :, None] / diag[:, None, :]

@@ -17,8 +17,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .kernel_regression import _check_positive
-from .processes import _check_memory, fftconvolve, tempered_coeffs
+from .kernel_regression import _check_finite, _check_positive
+from .processes import (_TEMPER_LAG_FLOOR, _TEMPER_TRUNC_TOL, _check_memory,
+                        fftconvolve, tempered_coeffs)
 
 _TWO_PI = 2.0 * np.pi
 ARTFIMA_D_RANGE = (-1.0, 3.0)
@@ -53,9 +54,7 @@ def periodogram(series):
     n = z.shape[0]
     if n < 4:
         raise ValueError("need at least 4 observations")
-    bad = n - np.count_nonzero(np.isfinite(z))
-    if bad:
-        raise ValueError(f"non-finite input: {bad} NaN or inf value(s) in the series")
+    _check_finite("the series", z)
     z = z - z.mean()
     jmax = (n - 1) // 2
     coeffs = np.fft.rfft(z)[1:jmax + 1]
@@ -292,7 +291,7 @@ def simulate_artfima00(n, d, lam, sigma2=1.0, rng=None, truncation=None):
         rng = np.random.default_rng()
     if truncation is None:
         truncation = n if lam <= 0 else min(
-            4 * n, int(np.ceil(-np.log(1e-12) / lam)) + 50)
+            4 * n, int(np.ceil(-np.log(_TEMPER_TRUNC_TOL) / lam)) + _TEMPER_LAG_FLOOR)
     phi = tempered_coeffs(d, lam, truncation)
     eps = np.sqrt(sigma2) * rng.standard_normal(n + truncation)
     return fftconvolve(eps, phi)[truncation:truncation + n]

@@ -5,7 +5,8 @@ import pytest
 
 from slmcoint import EmpiricalSeries, ingest_ckc_csv, ckc_analysis
 from slmcoint.cli import main as cli_main
-from slmcoint.mc import _fmt, write_csv
+from slmcoint.mc import _fmt, read_csv, write_csv
+from slmcoint.whittle import fit_artfima00
 
 
 def _write_ckc(path, n=59, noise=1e-3, quadratic=True, seed=0):
@@ -65,6 +66,58 @@ def test_ingest_export_roundtrip(tmp_path):
     assert np.array_equal(series.years, again.years)
     assert np.array_equal(series.gdp, again.gdp)
     assert np.array_equal(series.co2, again.co2)
+
+
+def test_ingest_rejects_fractional_year(tmp_path):
+    path = tmp_path / "year.csv"
+    path.write_text("year,gdp,co2\n1950,100.0,1.0\n1950.5,101.0,1.1\n")
+    with pytest.raises(ValueError, match=r"row 2: year 1950.5 is not a whole number"):
+        ingest_ckc_csv(path)
+
+
+# ------------------------------------------------------------------ reader
+
+def test_read_csv_matches_genfromtxt(tmp_path):
+    # names are stripped, extra columns are not read, an empty cell is NaN
+    rng = np.random.default_rng(8)
+    rows = rng.standard_normal((40, 3)) * 10.0 ** rng.integers(-5, 5, (40, 3))
+    cells = [[repr(float(v)) for v in row] for row in rows]
+    cells[7][1] = ""
+    cells[9][0] = f"{rows[9, 0]:.6e}"
+    path = tmp_path / "xy.csv"
+    path.write_text(" x , y ,k\n" + "".join(",".join(r) + "\n" for r in cells))
+    want = np.genfromtxt(path, delimiter=",", names=True)
+    got = read_csv(path, ("y", "x"))
+    assert list(got) == ["y", "x"]
+    for name in ("x", "y"):
+        assert np.array_equal(got[name], want[name], equal_nan=True)
+    assert np.isnan(got["y"][7])
+    assert list(read_csv(path)) == ["x", "y", "k"]
+
+
+def test_read_csv_single_row_is_one_dimensional(tmp_path):
+    path = tmp_path / "one.csv"
+    path.write_text("x,y\n0.5,1.5\n")
+    got = read_csv(path, ("x", "y"))
+    assert got["x"].shape == (1,) and got["y"].tolist() == [1.5]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty file"),
+    ("x,y\n", "no data rows"),
+    ("x\n0.5\n", "missing column(s) ['y']"),
+    ("0.5,1.0\n0.6,1.1\n", "the first row 0.5,1.0 is data"),
+    ("x,y\n0.5,1.0\n0.6,abc\n",
+     "row 2: could not convert string to float: 'abc' in column 'y'"),
+    ("x,y\n0.5,1.0\n0.6\n", "row 2: no cell in column 'y'"),
+], ids=["empty", "header-only", "missing-column", "headerless", "non-numeric",
+        "short-row"])
+def test_read_csv_rejects_bad_file(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        read_csv(path, ("x", "y"))
+    assert str(err.value).startswith(f"{path}: {message}")
 
 
 # ---------------------------------------------------------------- analysis
@@ -251,6 +304,41 @@ def test_cli_fit_artfima(tmp_path):
     assert payload["model"] == "arfima00"
 
 
+def test_cli_fit_artfima_reads_every_value(tmp_path):
+    # the one value column beside an optional year, all 300 values of it
+    z = np.cumsum(np.random.default_rng(4).standard_normal(300))
+    data = tmp_path / "series.csv"
+    data.write_text("year, gdp\n" + "".join(f"{1700 + i},{float(v)!r}\n"
+                                             for i, v in enumerate(z)))
+    out = tmp_path / "fit"
+    assert cli_main(["fit-artfima", "--data", str(data), "--out", str(out)]) == 0
+    payload = json.loads((out / "fit.json").read_text())
+    assert payload["d_hat"] == fit_artfima00(z).d_hat
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("estimate", "x,y\n", "no data rows"),
+    ("estimate", "x,y\n0.5,1.0\n",
+     "a variance needs at least 2 observations, got 1"),
+    ("spec-test", "x,y\n0.5,1.0\n", "block size must satisfy 2 <= b <= n, got 1"),
+    ("fit-artfima", "value\n0.5\n", "need at least 32 observations"),
+    ("fit-artfima", "".join(f"{float(v)!r}\n" for v in np.linspace(0.0, 1.0, 300) ** 2),
+     "the first row 0.0 is data"),
+    ("estimate", "x,y\n0.0,1.0\n0.5,abc\n1.0,2.0\n",
+     "row 2: could not convert string to float: 'abc'"),
+    ("ckc", "year,gdp,co2\n1950,1.0,1.0\n1951,1.1,-1.0\n",
+     "row 2: non-positive co2 value"),
+], ids=["header-only", "one-row-estimate", "one-row-spec-test", "one-row-fit-artfima",
+        "headerless-column", "non-numeric-cell", "ckc-value"])
+def test_cli_bad_file_names_it(tmp_path, capsys, command, text, message):
+    data = tmp_path / "bad.csv"
+    data.write_text(text)
+    out = tmp_path / "out"
+    assert cli_main([command, "--data", str(data), "--out", str(out)]) == 2
+    assert f"error: {data}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_mc_runs_config(tmp_path):
     cfg = {
         "study_kind": "estimation", "n": 100, "replications": 4,
@@ -298,6 +386,7 @@ def test_cli_mc_reruns_from_study_config(tmp_path):
     ({"memory_settings": ["SLM9"]}, "['SLM1', 'SLM2', 'SLM3', 'SLM4']"),
     ({"memory_settings": [{"rule": "SLM9"}]},
      "unknown SLM rule 'SLM9'; choose from ['SLM1', 'SLM2', 'SLM3', 'SLM4']"),
+    ({"d_values": [0.1, 0.1]}, "d_values repeats 0.1"),
 ])
 def test_cli_mc_rejects_bad_config(tmp_path, capsys, change, message):
     cfg = {

@@ -67,6 +67,19 @@ def test_config_rejects_nonpositive_counts(field, value, message):
         _tiny("estimation", **{field: value})
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("d_values", (0.1, 0.2, 0.1), "d_values repeats 0.1"),
+    ("memory_settings", ("SLM3", {"kind": "slm", "lambda_exponent": -0.2}),
+     "memory_settings repeats 'SLM3'"),
+    ("bandwidth_exponents", ("n^-1/5", -0.2), "bandwidth_exponents repeats -0.2"),
+])
+def test_config_rejects_repeated_cell_values(field, value, message):
+    # a repeated value would put every replication into its cell twice
+    for kind in ("estimation", "size"):
+        with pytest.raises(ValueError, match=message):
+            _tiny(kind, **{field: value})
+
+
 def test_settings_grid_skips_invalid_lm_rows():
     config = _tiny("estimation", memory_settings=("lm", "SLM3"),
                    d_values=(0.0, 0.45, 0.8))

@@ -1,7 +1,9 @@
 """``import slmcoint`` loads numpy only.  The library's FFT convolution, AR(1)
-recursion, normal quantile and bounded Nelder-Mead stand in for scipy's, and
-each must return exactly scipy's floats, which these tests compare by ``==``."""
+recursion and bounded Nelder-Mead stand in for scipy's, and each must return
+exactly scipy's floats, which these tests compare by ``==``; the stdlib normal
+quantile matches scipy's to 1.2e-15 relative."""
 
+import math
 import os
 import subprocess
 import sys
@@ -17,13 +19,17 @@ from slmcoint.kernel_regression import _normal_quantile
 from slmcoint.processes import _fast_len, fftconvolve, simulate_error_ar1
 
 
-def test_import_loads_no_scipy():
+def _env():
+    """The environment of a child interpreter that imports this slmcoint."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(slmcoint.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
+def test_import_loads_no_scipy():
     code = ("import sys, slmcoint, slmcoint.cli; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", code], env=_env(), check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
 
@@ -60,7 +66,41 @@ def test_ar1_matches_lfilter(psi):
 
 @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1, 0.2, 0.5, 1e-6, 1.0])
 def test_normal_quantile_matches_norm_ppf(alpha):
-    assert _normal_quantile(alpha) == stats.norm.ppf(1.0 - alpha / 2.0)
+    # the stdlib inverse (Wichura's AS241) and scipy's ndtri differ by at
+    # most 1.2e-15 relative; the lower tail keeps alpha/2 exact, where
+    # 1 - alpha/2 would round (3e-12 relative at alpha = 1e-6)
+    want = -stats.norm.ppf(alpha / 2.0)
+    assert abs(_normal_quantile(alpha) - want) <= 1.2e-15 * want
+
+
+def test_normal_quantile_edges():
+    assert math.copysign(1.0, _normal_quantile(1.0)) == 1.0  # +0.0, not -0.0
+    assert _normal_quantile(1.0) == 0.0
+    assert _normal_quantile(1e-300) == pytest.approx(37.0658, abs=1e-4)
+
+
+def test_intervals_run_without_scipy(tmp_path):
+    # a coverage study and the estimate command, with any import of scipy
+    # made to fail
+    code = f"""
+import sys
+sys.modules["scipy"] = None
+from slmcoint import StudyConfig, run_study
+from slmcoint.cli import main
+config = StudyConfig(study_kind="coverage", n=80, replications=2,
+                     d_values=[0.1], memory_settings=["SLM3"],
+                     bandwidth_exponents=["n^-1/3"], f_terms=50)
+length = run_study(config).tables["length"][0]["value"]
+assert length > 0, length
+out = {str(tmp_path)!r}
+assert main(["simulate", "--n", "60", "--out", out + "/sim"]) == 0
+assert main(["estimate", "--data", out + "/sim/path.csv", "--alpha", "0.05",
+             "--out", out + "/est"]) == 0
+print("ok")
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=_env(), check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "ok"
 
 
 # ----------------------------------------------------------- Nelder-Mead

@@ -407,6 +407,51 @@ def test_p_value_counts_block_exceedances(case):
     assert 1.0 / (m + 1) <= res.p_value <= 1.0
 
 
+@st.composite
+def _family_shift_case(draw):
+    """A random-walk path, a family, a block size and a member g(x, theta')
+    of the family with coefficients in [-2, 2]."""
+    family = get_family(draw(st.sampled_from(["linear", "quadratic"])))
+    n = draw(st.integers(40, 120))
+    b = draw(st.integers(family.dim + 2, n // 2))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    noise = draw(st.floats(0.1, 2.0))
+    shift = draw(st.lists(st.floats(-2.0, 2.0), min_size=family.dim,
+                          max_size=family.dim))
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(rng.standard_normal(n))
+    y = x + noise * rng.standard_normal(n)
+    return family, x, y, b, np.array(shift)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=_family_shift_case())
+def test_statistic_invariant_to_family_member(case):
+    # the fit absorbs any member of the family, so y and y + g(x, theta')
+    # give the same residuals, statistics and (up to near-ties) p-value
+    family, x, y, b, shift = case
+    n = x.size
+
+    def run(yy):
+        return run_spec_test(x, yy, family, n ** -0.2, b, GAUSSIAN,
+                             uniform_weight(), memory_kind="slm", d=0.1,
+                             lam=n ** -0.2, h_b=b ** -0.2, lam_b=b ** -0.2,
+                             quad_cells=64)
+
+    base = run(y)
+    moved = run(y + np.polynomial.polynomial.polyval(x, shift))
+    # 1e-8 relative; a block value near 0 is a near-perfect fit whose
+    # residuals cancel, so it is held to 1e-8 of the largest block value
+    tol = 1e-8
+    t, blocks = base.t_normalized, base.subsample_by_block
+    assert_allclose(moved.t_normalized, t, rtol=tol, atol=0)
+    assert np.array_equal(moved.block_index, base.block_index)
+    scale = np.max(np.abs(blocks), initial=abs(t))
+    assert_allclose(moved.subsample_by_block, blocks, rtol=tol, atol=tol * scale)
+    if not np.any(np.abs(blocks - t) <= tol * scale):
+        assert moved.p_value == base.p_value
+
+
 def test_divergence_under_fixed_alternative():
     # deviation m(x) = sin(pi x) on top of the linear null: the median
     # normalized statistic grows with the sample size
