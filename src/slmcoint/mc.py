@@ -190,6 +190,16 @@ class StudyConfig:
             for i, key in enumerate(keys):
                 if key in keys[:i]:
                     raise ValueError(f"{name} repeats {key!r}")
+        # ... and names its histogram file by the value's :g form (6 digits),
+        # so two values that print alike would write one file
+        for name, values in (("d_values", self.d_values),
+                             ("bandwidth_exponents", self.bandwidth_exponents)):
+            for i, value in enumerate(values):
+                for other in values[:i]:
+                    if f"{value:g}" == f"{other:g}":
+                        raise ValueError(
+                            f"{name} {other!r} and {value!r} both print as "
+                            f"{value:g} in output file names")
 
     def to_dict(self):
         out = {f.name: getattr(self, f.name) for f in fields(self)}

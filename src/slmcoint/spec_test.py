@@ -21,6 +21,7 @@ DEFAULT_QUAD_CELLS = 2048
 DEFAULT_WEIGHT_SUPPORT = (-100.0, 100.0)
 _DOMAIN_PAD_BANDWIDTHS = 6.0
 _MAX_SKIPPED_FRACTION = 0.05
+_TILE_FLOATS = 2 ** 14  # kernel values per node tile: 32 rows at n = 500
 _DEGREES = {"linear": 1, "quadratic": 2}
 
 
@@ -138,6 +139,17 @@ def _quad_nodes(domain, quad_cells):
     return lo + (np.arange(quad_cells) + 0.5) * dx, dx
 
 
+def _node_tiles(x, h, kernel, nodes):
+    """Yield (rows, K) over consecutive row tiles of the nodes, with
+    K[i, k] = kernel((x_k - nodes[rows][i]) / h).  A tile holds about
+    ``_TILE_FLOATS`` kernel values, so that the working arrays derived from
+    it stay in cache and none is large enough to be mapped afresh per call."""
+    step = max(1, _TILE_FLOATS // x.shape[0])
+    for lo in range(0, nodes.shape[0], step):
+        rows = slice(lo, lo + step)
+        yield rows, kernel((x[None, :] - nodes[rows, None]) / h)
+
+
 def t_statistic(x, y, family, theta, h, kernel, weight, quad_cells=DEFAULT_QUAD_CELLS,
                 domain=None):
     """Raw specification statistic by composite midpoint quadrature.
@@ -154,10 +166,11 @@ def t_statistic(x, y, family, theta, h, kernel, weight, quad_cells=DEFAULT_QUAD_
     if domain is None:
         domain = integration_domain(x, h, weight)
     nodes, dx = _quad_nodes(domain, quad_cells)
-    K = kernel((x[None, :] - nodes[:, None]) / h)
-    # einsum's own loop, not BLAS: OpenBLAS threads this product and its
-    # spinning helper threads make a 2-worker study slower than a serial one
-    S = np.einsum("ij,j->i", K, r)
+    S = np.empty(quad_cells)
+    for rows, K in _node_tiles(x, h, kernel, nodes):
+        # einsum's own loop, not BLAS: OpenBLAS threads this product and its
+        # spinning helper threads make a 2-worker study slower than a serial one
+        S[rows] = np.einsum("ij,j->i", K, r)
     return float(np.sum(S * S) * dx)
 
 
@@ -247,17 +260,24 @@ def subsample_statistics(x, y, family, b, h_b, lam_b, d, memory_kind, kernel,
     nodes, dx = _quad_nodes(domain, quad_cells)
 
     theta, valid, u = _sliding_theta(x, y, family, b)
-    K = kernel((x[None, :] - nodes[:, None]) / h_b)
-    csum2 = lambda M: np.concatenate(
-        [np.zeros((M.shape[0], 1)), np.cumsum(M, axis=1)], axis=1)
-    Cy = csum2(K * y[None, :])
-    Cb = [csum2(K * (u ** j)[None, :]) for j in range(family.dim)]
-    t = np.arange(nb)
-    S = Cy[:, t + b] - Cy[:, t]
-    for j in range(family.dim):
-        S -= theta[:, j][None, :] * (Cb[j][:, t + b] - Cb[j][:, t])
-    raw = np.sum(S * S, axis=0) * dx
-    raw = raw[valid]
+    # per node tile: y and the basis u^j, weighted by K, summed over every
+    # block as differences of one cumulative sum along the observations
+    # (from a leading 0), held as (column, observation, node)
+    cols = np.stack([y] + [u ** j for j in range(family.dim)])
+    # squared block sums with the nodes contiguous: the sum over the nodes is
+    # then numpy's pairwise sum of a whole row (a running sum across tiles
+    # would round differently)
+    sq = np.empty((nb, quad_cells))
+    for rows, K in _node_tiles(x, h_b, kernel, nodes):
+        C = np.zeros((cols.shape[0], n + 1, K.shape[0]))
+        np.multiply(K.T, cols[:, :, None], out=C[:, 1:])
+        np.cumsum(C, axis=1, out=C)
+        D = C[:, b:] - C[:, :nb]
+        S = D[0]
+        for j in range(family.dim):
+            S -= theta[:, j, None] * D[1 + j]
+        np.multiply(S, S, out=sq[:, rows])
+    raw = np.sum(sq, axis=1)[valid] * dx
     skipped = int(nb - valid.sum())
     order_index = np.nonzero(valid)[0]
 

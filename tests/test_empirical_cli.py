@@ -401,6 +401,20 @@ def test_cli_mc_rejects_bad_config(tmp_path, capsys, change, message):
     assert message in capsys.readouterr().err
 
 
+def test_cli_mc_rejects_cells_that_share_a_file_name(tmp_path, capsys):
+    # histogram_SLM3_d0.1_h0.2.csv would hold whichever cell was written last
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "study_kind": "size", "n": 120, "replications": 2,
+        "d_values": [0.1, 0.1000001], "memory_settings": ["SLM3"],
+        "bandwidth_exponents": [-0.2], "quad_cells": 256}))
+    assert cli_main(["mc", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "mc")]) == 2
+    assert ("d_values 0.1 and 0.1000001 both print as 0.1 in output file names"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "mc").exists()
+
+
 def test_cli_ckc_end_to_end(tmp_path, capsys):
     data = _write_ckc(tmp_path / "c.csv")
     out = tmp_path / "ckc"

@@ -80,6 +80,20 @@ def test_config_rejects_repeated_cell_values(field, value, message):
             _tiny(kind, **{field: value})
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("d_values", (0.1, 0.2, 0.1000001),
+     r"d_values 0\.1 and 0\.1000001 both print as 0\.1 in output file names"),
+    ("bandwidth_exponents", ("n^-1/5", -0.20000001),
+     r"bandwidth_exponents -0\.2 and -0\.20000001 both print as -0\.2 in output"),
+])
+def test_config_rejects_values_that_print_alike(field, value, message):
+    # a size histogram is named by d and the exponent under :g, so these
+    # cells would write one file
+    for kind in ("estimation", "size"):
+        with pytest.raises(ValueError, match=message):
+            _tiny(kind, **{field: value})
+
+
 def test_settings_grid_skips_invalid_lm_rows():
     config = _tiny("estimation", memory_settings=("lm", "SLM3"),
                    d_values=(0.0, 0.45, 0.8))

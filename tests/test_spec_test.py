@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from slmcoint import (linear_family, quadratic_family, get_family,
                       SubsamplingError, GAUSSIAN, EPANECHNIKOV,
                       TemperedProcessSpec, NoiseConfig, simulate_model,
                       integration_domain)
-from slmcoint.spec_test import _quad_nodes
+from slmcoint.spec_test import _quad_nodes, _sliding_theta
 
 
 # --------------------------------------------------------------------- NLS
@@ -335,6 +336,141 @@ def test_monotone_p_value():
     ts = np.linspace(-0.5, 1.5, 41)
     ps = [pval(t) for t in ts]
     assert all(a >= b for a, b in zip(ps, ps[1:]))
+
+
+# --------------------------------------------- untiled quadrature oracle
+# These two functions take the statistic's node sums over the whole
+# (quad_cells x n) kernel matrix.  The library takes them in row tiles of the
+# nodes and must equal this form bit for bit: the same elementwise products,
+# the same cumulative sums along the observations and the same pairwise sum
+# over the nodes.
+
+def _untiled_t_statistic(x, y, family, theta, h, kernel, weight, quad_cells):
+    r = family.residuals(x, y, np.asarray(theta, dtype=float))
+    nodes, dx = _quad_nodes(integration_domain(x, h, weight), quad_cells)
+    K = kernel((x[None, :] - nodes[:, None]) / h)
+    S = np.einsum("ij,j->i", K, r)
+    return float(np.sum(S * S) * dx)
+
+
+def _untiled_subsample(x, y, family, b, h_b, lam_b, d, kind, kernel, weight,
+                       quad_cells):
+    n = x.shape[0]
+    nb = n - b + 1
+    nodes, dx = _quad_nodes(integration_domain(x, h_b, weight), quad_cells)
+    theta, valid, u = _sliding_theta(x, y, family, b)
+    K = kernel((x[None, :] - nodes[:, None]) / h_b)
+    csum2 = lambda M: np.concatenate(
+        [np.zeros((M.shape[0], 1)), np.cumsum(M, axis=1)], axis=1)
+    Cy = csum2(K * y[None, :])
+    Cb = [csum2(K * (u ** j)[None, :]) for j in range(family.dim)]
+    t = np.arange(nb)
+    S = Cy[:, t + b] - Cy[:, t]
+    for j in range(family.dim):
+        S -= theta[:, j][None, :] * (Cb[j][:, t + b] - Cb[j][:, t])
+    raw = np.sum(S * S, axis=0) * dx
+    raw = raw[valid]
+    skipped = int(nb - valid.sum())
+    if skipped > 0.05 * nb:
+        raise SubsamplingError(f"{skipped} of {nb} block fits failed")
+    normalized = (normalized_statistic(raw, b, lam_b, d, h_b, kind)[0]
+                  if raw.size else raw)
+    return np.sort(normalized), normalized, np.nonzero(valid)[0], skipped
+
+
+def _assert_tiled_equals_untiled(x, y, family, kernel, weight, quad_cells, blocks):
+    n = x.shape[0]
+    h = n ** -0.2
+    theta = nls_fit(family, x, y)
+    assert (t_statistic(x, y, family, theta, h, kernel, weight, quad_cells)
+            == _untiled_t_statistic(x, y, family, theta, h, kernel, weight,
+                                    quad_cells))
+    for b in blocks:
+        args = (x, y, family, b, b ** -0.2, b ** -0.2, 0.1, "slm", kernel, weight,
+                quad_cells)
+        try:
+            expect = _untiled_subsample(*args)
+        except SubsamplingError:
+            with pytest.raises(SubsamplingError):
+                subsample_statistics(*args)
+            continue
+        got = subsample_statistics(*args, return_by_block=True)
+        for a, e in zip(got[:3], expect[:3]):
+            assert np.array_equal(a, e)
+        assert got[3] == expect[3]
+
+
+def _walk(n, seed, offset=0.0):
+    rng = np.random.default_rng(seed)
+    x = offset + np.cumsum(rng.standard_normal(n))
+    return x, x + 0.05 * (x - offset) ** 2 + 0.3 * rng.standard_normal(n)
+
+
+# (n, quad_cells): most cell counts are not a multiple of the tile rows, and
+# at n = 5 and 17 one tile holds every node
+_TILING_CASES = [(5, 2), (17, 100), (64, 1000), (257, 2048), (501, 1024),
+                 (600, 2048)]
+
+
+@pytest.mark.parametrize("n,quad_cells", _TILING_CASES,
+                         ids=[f"n{n}-q{q}" for n, q in _TILING_CASES])
+@pytest.mark.parametrize("kernel", [GAUSSIAN, EPANECHNIKOV],
+                         ids=["gaussian", "epanechnikov"])
+@pytest.mark.parametrize("family", [linear_family(), quadratic_family()],
+                         ids=["linear", "quadratic"])
+def test_tiled_statistic_equals_untiled(family, kernel, n, quad_cells):
+    x, y = _walk(n, seed=n)
+    blocks = sorted({2, family.dim + 1, n})
+    _assert_tiled_equals_untiled(x, y, family, kernel, uniform_weight(),
+                                 quad_cells, blocks)
+
+
+@pytest.mark.parametrize("kernel", [GAUSSIAN, EPANECHNIKOV],
+                         ids=["gaussian", "epanechnikov"])
+@pytest.mark.parametrize("family", [linear_family(), quadratic_family()],
+                         ids=["linear", "quadratic"])
+def test_tiled_statistic_equals_untiled_far_from_origin(family, kernel):
+    # the quadratic blocks fit in standardized coordinates; the path also
+    # runs past the weight's edge at 100, which cuts the domain
+    x, y = _walk(300, seed=31, offset=90.0)
+    _assert_tiled_equals_untiled(x, y, family, kernel, uniform_weight(), 1000,
+                                 [family.dim + 1, 40, 300])
+
+
+@pytest.mark.parametrize("family", [linear_family(), quadratic_family()],
+                         ids=["linear", "quadratic"])
+def test_tiled_statistic_equals_untiled_with_skipped_blocks(family):
+    x, y = _walk(400, seed=9)
+    x[100:120] = x[99] + 1.0  # a constant stretch: some block fits are singular
+    _, _, _, skipped = _untiled_subsample(x, y, family, 20, 0.5, 0.4, 0.1, "slm",
+                                          GAUSSIAN, uniform_weight(), 1024)
+    assert skipped >= 1
+    _assert_tiled_equals_untiled(x, y, family, GAUSSIAN, uniform_weight(), 1024,
+                                 [20])
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_statistic_working_memory():
+    # n = 500, b = 22 and 1024 cells, as in the size study: the untiled form
+    # peaked at 32.1 MB (blocks) and 13.0 MB (full statistic)
+    x, y = _walk(500, seed=14)
+    fam = linear_family()
+    theta = nls_fit(fam, x, y)
+    h, h_b = 500 ** -0.2, 22 ** -0.2
+    peak = _traced_peak(lambda: subsample_statistics(
+        x, y, fam, 22, h_b, h_b, 0.1, "slm", GAUSSIAN, uniform_weight(), 1024))
+    assert peak < 10e6
+    peak = _traced_peak(lambda: t_statistic(
+        x, y, fam, theta, h, GAUSSIAN, uniform_weight(), 1024))
+    assert peak < 3e6
 
 
 # ------------------------------------------------------------ full test run
