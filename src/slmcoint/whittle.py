@@ -4,10 +4,10 @@ The tempered fractional noise model has spectral density
 
     f(w) = (sigma^2 / 2 pi) |1 - exp(-(lam + i w))|^{-2 d},
 
-which reduces to ARFIMA(0, d, 0) at lam = 0.  Estimation minimizes the
-profile-sigma^2 Whittle objective over a coarse (d, lam) grid, scanned by
-broadcast evaluations of the objective over a few d rows at a time, followed
-by derivative-free refinement of its scalar case.
+which reduces to ARFIMA(0, d, 0) at lam = 0, and is computed as exp(-d ln m)
+from ln m = ln |1 - exp(-(lam + i w))|^2.  Estimation scans the profile
+Whittle objective over a coarse (d, lam) grid, a few d rows per broadcast
+call, and refines the grid minimum by Nelder-Mead on scalar calls.
 """
 
 import math
@@ -41,16 +41,19 @@ def artfima_spectral_density(d, lam, sigma2, omega):
     omega = np.asarray(omega, dtype=float)
     if np.any(omega <= 0) or np.any(omega > np.pi):
         raise ValueError("omega must lie in (0, pi]")
+    _check_memory(None, d, "lam", lam)
     _check_positive("sigma2", sigma2)
-    return (sigma2 / _TWO_PI) * _transfer(d, lam, omega)
+    return (sigma2 / _TWO_PI) * np.exp(-d * _log_mod2(lam, np.cos(omega)))
 
 
 def periodogram(series):
     """Periodogram I(w_j) = |sum_k z_k e^{-i w_j k}|^2 / (2 pi n) at Fourier
-    frequencies w_j = 2 pi j / n, j = 1..floor((n-1)/2), on the mean-removed
-    series.  A constant series yields an all-zero periodogram (flagged with
-    a warning); a non-finite value is rejected."""
+    frequencies w_j = 2 pi j / n, j = 1..floor((n-1)/2), of the mean-removed
+    1-D series.  A constant series gives zeros (with a warning); a non-finite
+    value, or a scale where the squares overflow or lose digits, is rejected."""
     z = np.asarray(series, dtype=float)
+    if z.ndim != 1:
+        raise ValueError(f"the series must be 1-D, got shape {z.shape}")
     n = z.shape[0]
     if n < 4:
         raise ValueError("need at least 4 observations")
@@ -58,20 +61,21 @@ def periodogram(series):
     z = z - z.mean()
     jmax = (n - 1) // 2
     coeffs = np.fft.rfft(z)[1:jmax + 1]
-    pgram = np.abs(coeffs) ** 2 / (_TWO_PI * n)
+    with np.errstate(over="ignore"):
+        pgram = np.abs(coeffs) ** 2 / (_TWO_PI * n)
+    scale, tiny = np.abs(z).max(), np.finfo(float).tiny
+    if np.any(np.isinf(pgram) | ((pgram > 0) & (pgram < tiny))) or 0 < scale < np.sqrt(tiny):
+        raise ValueError("the periodogram of the series is out of float range "
+                         f"(max |z - mean| = {scale:.3g}); rescale the series")
     if not np.any(pgram > 0):
         warnings.warn("constant series: all-zero periodogram", RuntimeWarning)
     freqs = _TWO_PI * np.arange(1, jmax + 1) / n
     return freqs, pgram
 
 
-def _mod2(lam, freqs):
-    """|1 - e^{-(lam + i w)}|^2."""
-    return 1.0 - 2.0 * np.exp(-lam) * np.cos(freqs) + np.exp(-2.0 * lam)
-
-
-def _transfer(d, lam, freqs):
-    return _mod2(lam, freqs) ** (-d)
+def _log_mod2(lam, cos_freqs):
+    """ln |1 - e^{-(lam + i w)}|^2 from cos w."""
+    return np.log(1.0 - 2.0 * np.exp(-lam) * cos_freqs + np.exp(-2.0 * lam))
 
 
 def _cells(v):
@@ -81,38 +85,35 @@ def _cells(v):
     return v[..., None] if v.ndim else v[()]
 
 
-def whittle_objective(d, lam, freqs, pgram, *, workspace=None):
+def whittle_objective(d, lam, freqs, pgram, *, workspace=None, log_mod2=None):
     """Profile-sigma^2 Whittle objective,
 
-    W(d, lam) = ln( mean_j I_j / g_j ) + mean_j ln g_j,
+    W(d, lam) = ln( mean_j I_j / g_j ) + mean_j ln g_j
+              = ln( mean_j I_j exp(d ln m_j) ) - d mean_j ln m_j,
 
-    with g_j the unit-variance transfer |1 - e^{-(lam+i w_j)}|^{-2d}, and
-    inf where the mean ratio is not finite and > 0.  d and lam broadcast
-    against each other to an array of cells, each computed by the same
-    elementwise operations as a scalar call, which returns a float.
-    ``workspace``, a flat float array of at least 2 x cells x frequencies
-    entries, receives the cells x frequencies temporaries (one is allocated
-    when it is omitted); the values do not depend on it.
+    with m_j = |1 - e^{-(lam+i w_j)}|^2 and g_j = m_j^{-d}, and inf where the
+    mean ratio is not finite and > 0.  d and lam broadcast to cells, each
+    computed by the same elementwise operations as a scalar call (a float).
+    ``log_mod2``, ln m at lam with a trailing frequency axis, stands in for
+    lam; ``workspace``, a flat array of at least cells x frequencies floats,
+    holds the one such temporary.  Neither keyword changes a value.
     """
-    d, lam = _cells(d), _cells(lam)
-    mod2 = _mod2(lam, freqs)
-    shape = np.broadcast_shapes(np.shape(d), mod2.shape)
-    size = math.prod(shape)
-    if workspace is None:
-        workspace = np.empty(2 * size)
-    g = np.power(mod2, -d, out=workspace[:size].reshape(shape))
-    scratch = workspace[size:2 * size].reshape(shape)
-    ratio = np.mean(np.divide(pgram, g, out=scratch), axis=-1)
-    mean_log_g = np.mean(np.log(g, out=scratch), axis=-1)
+    if log_mod2 is None:
+        log_mod2 = _log_mod2(_cells(lam), np.cos(freqs))
+    shape = np.broadcast_shapes(np.shape(_cells(d)), log_mod2.shape)
+    work = np.empty(shape) if workspace is None else workspace[:math.prod(shape)].reshape(shape)
+    ratio = np.multiply(_cells(d), log_mod2, out=work)
+    ratio = np.mean(np.multiply(pgram, np.exp(ratio, out=ratio), out=ratio), axis=-1)
     ok = np.isfinite(ratio) & (ratio > 0)
     # ln 1 = 0 stands in for a bad ratio, so no log of it is taken
-    obj = np.where(ok, np.log(np.where(ok, ratio, 1.0)) + mean_log_g, np.inf)
+    log_ratio = np.log(np.where(ok, ratio, 1.0))
+    obj = np.where(ok, log_ratio - np.asarray(d) * np.mean(log_mod2, axis=-1), np.inf)
     return float(obj) if obj.ndim == 0 else obj
 
 
 def profile_sigma2(d, lam, freqs, pgram):
     """Innovation variance at the profile optimum: 2 pi mean_j I_j / g_j."""
-    return float(_TWO_PI * np.mean(pgram / _transfer(d, lam, freqs)))
+    return float(_TWO_PI * np.mean(pgram * np.exp(d * _log_mod2(lam, np.cos(freqs)))))
 
 
 def one_step_residuals(series, d, lam, truncation=_AR_TRUNCATION):
@@ -122,7 +123,9 @@ def one_step_residuals(series, d, lam, truncation=_AR_TRUNCATION):
     The AR weights are the coefficients of (1 - e^{-lam} z)^{d}; early
     residuals use the available (shorter) history.
     """
+    _check_memory(None, d, "lam", lam)
     z = np.asarray(series, dtype=float)
+    _check_finite("the series", z)
     z = z - z.mean()
     return fftconvolve(z, tempered_coeffs(-d, lam, truncation))[:z.shape[0]]
 
@@ -143,15 +146,6 @@ class ArtfimaFit:
 
     def to_dict(self):
         return asdict(self)
-
-
-def _check_series(series):
-    z = np.asarray(series, dtype=float)
-    if z.shape[0] < 32:
-        raise ValueError("need at least 32 observations for Whittle fitting")
-    if np.ptp(z) == 0:
-        raise ValueError("degenerate (constant) series")
-    return z
 
 
 def minimize(fun, x0, bounds, xatol, fatol, maxiter):
@@ -226,25 +220,31 @@ def _fit(series, model, d_grid, lam_grid, bounds, maxiter):
     holds the (d, lam) ranges, or only d's range when lam is fixed at the
     one point of ``lam_grid``.
 
-    The chunks share one workspace, allocated once per fit.  With fresh
-    ~0.5 MB temporaries per chunk, glibc can hand them back to the OS and
-    fault them in again on every chunk, depending on what else holds the
-    top of the heap: up to about 6,500 minor faults per n=2000 series, and
-    1.4x the time.
+    ln m is computed once per fit for the grid's lam rows, and from cos w_j,
+    cached for the fit, at each refinement point.  The chunks share one
+    workspace, allocated once per fit (see the README on minor faults).
     """
-    z = _check_series(series)
+    z = np.asarray(series, dtype=float)
+    if z.size < 32:
+        raise ValueError("need at least 32 observations for Whittle fitting")
+    if np.ptp(z) == 0:
+        raise ValueError("degenerate (constant) series")
     freqs, pgram = periodogram(z)
+    cos_freqs = np.cos(freqs)
+    grid_log_mod2 = _log_mod2(_cells(lam_grid), cos_freqs)
     rows = max(1, _GRID_CHUNK_CELLS // lam_grid.size)
-    workspace = np.empty(2 * min(rows, d_grid.size) * lam_grid.size * freqs.size)
+    workspace = np.empty(min(rows, d_grid.size) * lam_grid.size * freqs.size)
     objs = np.concatenate([whittle_objective(d_grid[i:i + rows, None], lam_grid, freqs, pgram,
-                                             workspace=workspace)
+                                             workspace=workspace, log_mod2=grid_log_mod2)
                            for i in range(0, d_grid.size, rows)])
     i0 = np.unravel_index(np.argmin(objs), objs.shape)
     grid_obj, start = objs[i0], (d_grid[i0[0]], lam_grid[i0[1]])[:len(bounds)]
     free_lam = len(bounds) == 2
 
     def objective(p):
-        return whittle_objective(p[0], p[1] if free_lam else lam_grid[0], freqs, pgram)
+        lam = p[1] if free_lam else lam_grid[0]
+        log_mod2 = _log_mod2(lam, cos_freqs) if free_lam else grid_log_mod2[0]
+        return whittle_objective(p[0], lam, freqs, pgram, log_mod2=log_mod2)
 
     res = minimize(objective, np.asarray(start), bounds=bounds, xatol=1e-8, fatol=1e-10,
                    maxiter=maxiter)

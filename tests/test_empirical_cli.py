@@ -316,6 +316,17 @@ def test_cli_fit_artfima_reads_every_value(tmp_path):
     assert payload["d_hat"] == fit_artfima00(z).d_hat
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-160])
+def test_cli_fit_artfima_rejects_out_of_range_scale(tmp_path, capsys, scale):
+    z = scale * np.cumsum(np.random.default_rng(4).standard_normal(300))
+    data = tmp_path / "series.csv"
+    data.write_text("value\n" + "".join(f"{float(v)!r}\n" for v in z))
+    out = tmp_path / "fit"
+    assert cli_main(["fit-artfima", "--data", str(data), "--out", str(out)]) == 2
+    assert "out of float range" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, text, message", [
     ("estimate", "x,y\n", "no data rows"),
     ("estimate", "x,y\n0.5,1.0\n",

@@ -40,6 +40,18 @@ def test_spectral_density_rejects_zero_frequency():
         artfima_spectral_density(0.3, 0.1, -1.0, 0.5)
 
 
+@pytest.mark.parametrize("d, lam, message", [
+    (np.nan, 0.1, "memory parameter d must be finite, got nan"),
+    (0.3, np.inf, "tempering parameter lam must be finite, got inf"),
+    (0.3, -1.0, "tempering parameter lam must be >= 0, got -1.0"),
+], ids=["d-nan", "lam-inf", "lam-negative"])
+def test_spectral_density_and_residuals_reject_bad_parameters(d, lam, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        artfima_spectral_density(d, lam, 1.0, 0.5)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        one_step_residuals(np.random.default_rng(0).standard_normal(64), d, lam)
+
+
 # -------------------------------------------------------------- periodogram
 
 def test_periodogram_constant_series_zero():
@@ -55,6 +67,33 @@ def test_fit_rejects_non_finite_series(bad):
     z[10] = bad
     with pytest.raises(ValueError, match="non-finite"):
         fit_artfima00(z)
+    with pytest.raises(ValueError, match="non-finite"):
+        one_step_residuals(z, 0.4, 0.1)
+
+
+@pytest.mark.parametrize("shape", [(100, 2), (2, 100), ()])
+def test_periodogram_and_fits_reject_non_1d_series(shape):
+    z = np.random.default_rng(3).standard_normal(shape)
+    message = re.escape(f"the series must be 1-D, got shape {shape}")
+    with pytest.raises(ValueError, match=message):
+        periodogram(z)
+    if shape:  # a 0-d series is too short before it is not 1-D
+        for fit in (fit_arfima00, fit_artfima00):
+            with pytest.raises(ValueError, match=message):
+                fit(z)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-160, 1e-200])
+def test_periodogram_out_of_float_range_is_rejected(scale):
+    # at 1e200 the periodogram overflows to inf, at 1e-160 it is subnormal,
+    # and at 1e-200 it is all zero, as for a constant series
+    z = simulate_artfima00(500, d=0.4, lam=0.1, rng=np.random.default_rng(12))
+    for call in (periodogram, fit_artfima00, fit_arfima00):
+        with pytest.raises(ValueError, match="out of float range.*rescale the series"):
+            call(scale * z)
+    # a power-of-two rescale into range changes no periodogram bit
+    freqs, I = periodogram(z)
+    assert np.array_equal(periodogram(2.0 ** 100 * z)[1], 2.0 ** 200 * I)
 
 
 def test_periodogram_pure_cosine_concentrates():
@@ -97,6 +136,42 @@ def test_objective_reduces_to_log_mean_at_d0():
     w1 = whittle_objective(0.0, 1.5, freqs, I)
     assert w0 == pytest.approx(np.log(I.mean()), rel=1e-12)
     assert w0 == pytest.approx(w1, rel=1e-12)
+
+
+def _pow_and_log_objective(d, lam, freqs, I):
+    """The objective in its former form, ln mean(I / g) + mean(ln g) with
+    g = m**(-d), and m = |1 - e^{-(lam + i w)}|^2 expanded as the library
+    computes it (the complex modulus differs by up to 1e-11 relative at
+    the lowest frequencies, where the expansion cancels)."""
+    m = 1.0 - 2.0 * np.exp(-lam) * np.cos(freqs) + np.exp(-2.0 * lam)
+    g = m ** (-d)
+    return np.log(np.mean(I / g)) + np.mean(np.log(g))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_objective_equals_pow_and_log_form(seed):
+    rng = np.random.default_rng([seed, 43])
+    z = simulate_artfima00(int(rng.integers(64, 3000)), d=rng.uniform(0.0, 1.5),
+                           lam=rng.uniform(0.01, 1.0), rng=rng)
+    freqs, I = periodogram(z)
+    d = rng.uniform(*whittle.ARTFIMA_D_RANGE, size=40)
+    lam = np.exp(rng.uniform(*np.log(whittle.ARTFIMA_LAM_RANGE), size=40))
+    lam[:10] = 0.0
+    new = np.array([whittle_objective(dv, lv, freqs, I) for dv, lv in zip(d, lam)])
+    old = np.array([_pow_and_log_objective(dv, lv, freqs, I) for dv, lv in zip(d, lam)])
+    # 1e-12 relative, or absolute for a cell whose objective is near 0
+    assert_allclose(new, old, rtol=1e-12, atol=1e-12)
+    assert_allclose(whittle_objective(d[:, None], lam, freqs, I),
+                    [[_pow_and_log_objective(dv, lv, freqs, I) for lv in lam] for dv in d],
+                    rtol=1e-12, atol=1e-12)
+
+
+def test_objective_at_d0_is_log_mean_exactly():
+    z = simulate_artfima00(999, d=0.8, lam=0.2, rng=np.random.default_rng(4))
+    freqs, I = periodogram(z)
+    lam = np.array([0.0, 1e-6, 0.3, 2.0])
+    assert all(whittle_objective(0.0, lv, freqs, I) == np.log(np.mean(I)) for lv in lam)
+    assert (whittle_objective(np.zeros((3, 1)), lam, freqs, I) == np.log(np.mean(I))).all()
 
 
 def test_objective_mean_shift_invariance():
@@ -167,6 +242,18 @@ def test_fit_grid_matches_scalar_scan(seed, monkeypatch):
     arf_obj, arf_cell = _scalar_scan(z, arf_d, [0.0])
     assert art.grid_objective == art_obj and arf.grid_objective == arf_obj
     assert starts == [art_cell, arf_cell[:1]]
+
+
+@pytest.mark.parametrize("seed", [21, 22, 23])
+def test_fit_objective_equals_scalar_call(seed):
+    # the fits pass precomputed ln m rows; a scalar call computes its own
+    rng = np.random.default_rng([seed, 5])
+    z = simulate_artfima00(600, d=rng.uniform(0.3, 1.2), lam=rng.uniform(0.05, 0.5),
+                           rng=rng)
+    freqs, I = periodogram(z)
+    for fit in (fit_artfima00(z), fit_arfima00(z)):
+        assert fit.objective == whittle_objective(fit.d_hat, fit.lambda_hat, freqs, I)
+        assert fit.sigma2_hat == profile_sigma2(fit.d_hat, fit.lambda_hat, freqs, I)
 
 
 def test_profile_sigma2_white_noise():
