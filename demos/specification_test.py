@@ -4,7 +4,7 @@ misspecified parametric family.
 
 import numpy as np
 
-from slmcoint import (TemperedProcessSpec, NoiseConfig, simulate_model,
+from slmcoint import (TemperedProcessSpec, NoiseConfig, simulate_model, BlockRule,
                       run_spec_test, linear_family, uniform_weight, GAUSSIAN)
 
 
@@ -14,17 +14,22 @@ def run_case(title, y_builder, n=500, seed=3):
     noise = NoiseConfig(rho=0.5, psi=0.25, sigma=0.2, seed=seed)
     path = simulate_model(spec, noise)
     y = y_builder(path)
-    b = int(2 * np.sqrt(n))
-    res = run_spec_test(
-        path.x, y, linear_family(), h=n ** -0.2, b=b,
+    # one fit and one full-sample statistic, calibrated against blocks of
+    # b = [c sqrt(n)] for c = 2 and 4, with the rules n^a mapped to b^a
+    sizes = [BlockRule(c).size(n) for c in (2.0, 4.0)]
+    results = run_spec_test(
+        path.x, y, linear_family(), h=n ** -0.2,
         kernel=GAUSSIAN, weight=uniform_weight(-100, 100),
-        memory_kind="slm", d=0.1, lam=n ** -0.2, h_b=b ** -0.2, lam_b=b ** -0.2)
+        memory_kind="slm", d=0.1, lam=n ** -0.2,
+        blocks=[(b, b ** -0.2, b ** -0.2) for b in sizes])
+    first = results[0]
     print(f"--- {title}")
-    print(f"theta_hat = {np.round(res.theta_hat, 4)}")
-    print(f"T (raw) = {res.t_raw:.4f}  normalized = {res.t_normalized:.4f}")
-    print(f"subsample blocks: {len(res.subsample_values)} of size {res.block_size}"
-          f" (h_b = {res.h_b:.3f}, lam_b = {res.lam_b:.3f})")
-    print(f"p-value = {res.p_value:.4f}   reject at 5%: {res.reject(0.05)}")
+    print(f"theta_hat = {np.round(first.theta_hat, 4)}")
+    print(f"T (raw) = {first.t_raw:.4f}  normalized = {first.t_normalized:.4f}")
+    for res in results:
+        print(f"subsample blocks: {len(res.subsample_values)} of size {res.block_size}"
+              f" (h_b = {res.h_b:.3f}, lam_b = {res.lam_b:.3f})"
+              f"  p-value = {res.p_value:.4f}   reject at 5%: {res.reject(0.05)}")
     print()
 
 

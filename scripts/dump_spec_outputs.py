@@ -1,6 +1,9 @@
 """Write every output of the perfbench workloads that run the specification
 test as JSON: the tables and histograms of both size configs on all 8 master
-seeds, and the ``slmcoint ckc`` report of all 48 pool countries.
+seeds, the ``slmcoint ckc`` report of all 48 pool countries, and the
+``slmcoint spec-test`` outputs (``spec_test.json`` and the printed line) for
+the linear and quadratic families under the Gaussian and Epanechnikov
+kernels on one fixed 400-point series.
 
 Run from the root of a checkout, so that its own ``src`` is imported:
 
@@ -52,11 +55,44 @@ def ckc_report(workdir, country, n):
         return json.load(fh)
 
 
+def write_spec_series(path, n=400, seed=4242):
+    """A random-walk regressor with y = 1 + x - 0.05 x^2 + 0.3 e."""
+    import numpy as np
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(rng.standard_normal(n)) * 0.5
+    y = 1.0 + x - 0.05 * x ** 2 + 0.3 * rng.standard_normal(n)
+    with open(path, "w", newline="\n") as fh:
+        fh.write("x,y\n")
+        for xi, yi in zip(x, y):
+            fh.write(f"{float(xi)!r},{float(yi)!r}\n")
+
+
+def spec_test_outputs(workdir):
+    data = os.path.join(workdir, "spec_series.csv")
+    write_spec_series(data)
+    out = {}
+    for family in ("linear", "quadratic"):
+        for kernel in ("gaussian", "epanechnikov"):
+            outdir = os.path.join(workdir, f"spec-{family}-{kernel}")
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = cli.main(["spec-test", "--data", data, "--family", family,
+                                 "--kernel", kernel, "--d", "0.1", "--out", outdir])
+            if code != 0:
+                raise RuntimeError(f"slmcoint spec-test exited {code} on "
+                                   f"{family}/{kernel}")
+            with open(os.path.join(outdir, "spec_test.json")) as fh:
+                out[f"{family}|{kernel}"] = {"spec_test": json.load(fh),
+                                             "stdout": stdout.getvalue()}
+    return out
+
+
 def main(path):
     dump = {"size": {str(mseed): size_outputs(mseed) for mseed in MASTER_SEEDS}}
     with tempfile.TemporaryDirectory() as workdir:
         dump["ckc"] = {str(country): ckc_report(workdir, country, n)
                        for country, n in ckc_pool()}
+        dump["spec_test"] = spec_test_outputs(workdir)
     with open(path, "w", newline="\n") as fh:
         json.dump(dump, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -4,10 +4,12 @@ Commands: simulate, estimate, spec-test, fit-artfima, mc, ckc.  Every
 command writes its outputs plus a manifest.json (arguments, seeds, input
 hashes) sufficient to re-run it bit-identically; ``mc.read_csv`` reads
 every data file, and ``mc.write_json`` and ``mc.write_csv`` write every
-file.  Exit codes: 0 success, 2 validation error (``ValueError``, missing
-file or column: bad or non-finite input, a singular full-sample design;
-the message names the data file), 3 numerical failure
-(``SubsamplingError``: too many singular subsample blocks).
+file.  ``spec-test`` runs one block size, ``--block-size`` or the
+``mc.BlockRule`` of ``--block-rule`` and ``--block-exponent``.  Exit codes:
+0 success, 2 validation error (``ValueError``, missing file or column, a
+bad option: bad or non-finite input, a singular full-sample design; the
+message names the data file), 3 numerical failure (``SubsamplingError``:
+too many singular subsample blocks).
 """
 
 import argparse
@@ -25,8 +27,8 @@ from .kernel_regression import get_kernel, kernel_estimate
 from .spec_test import (DEFAULT_QUAD_CELLS, DEFAULT_WEIGHT_SUPPORT, run_spec_test,
                         get_family, uniform_weight, SubsamplingError)
 from .whittle import fit_artfima00, fit_arfima00
-from .mc import (StudyConfig, run_study, export_study, parse_exponent, read_csv,
-                 write_json, write_csv, _fmt)
+from .mc import (BlockRule, StudyConfig, run_study, export_study, parse_exponent,
+                 read_csv, write_json, write_csv, _fmt)
 from .empirical import ingest_ckc_csv, ckc_analysis
 
 EXIT_OK = 0
@@ -51,6 +53,17 @@ def _save_manifest(outdir, command, args_dict, inputs=()):
         "input_sha256": {os.path.basename(p): _sha256(p) for p in inputs},
     }
     return write_json(os.path.join(outdir, "manifest.json"), manifest)
+
+
+def _weight_support(text):
+    """--weight-support a,b: two numbers with a < b."""
+    try:
+        a, b = (float(v) for v in text.split(","))
+        if a < b:
+            return a, b
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected two numbers a,b with a < b, got {text!r}")
 
 
 def _cmd_simulate(args):
@@ -100,11 +113,10 @@ def _cmd_estimate(args):
 def _cmd_spec_test(args):
     x, y = read_csv(args.data, ("x", "y")).values()
     n = x.shape[0]
-    b = args.block_size if args.block_size is not None else int(
-        args.block_coef * n ** args.block_exponent)
+    b = args.block_size if args.block_size is not None else BlockRule(
+        args.block_coef, args.block_exponent).size(n)
     if b < 2:  # before b is raised to the negative block-scale powers
         raise ValueError(f"block size must satisfy 2 <= b <= n, got {b}")
-    a, bsup = (float(v) for v in args.weight_support.split(","))
     # a rule n^a maps to b^a at block scale; an explicit value is held fixed
     h = h_b = args.bandwidth
     if h is None:
@@ -114,10 +126,10 @@ def _cmd_spec_test(args):
         lam = lam_b = 0.0
         if args.memory == "slm" and args.lambda_rule:
             lam, lam_b = (float(m) ** parse_exponent(args.lambda_rule) for m in (n, b))
-    result = run_spec_test(
-        x, y, get_family(args.family), h, b, get_kernel(args.kernel),
-        uniform_weight(a, bsup), memory_kind=args.memory, d=args.d, lam=lam,
-        h_b=h_b, lam_b=lam_b, quad_cells=args.quad_cells)
+    (result,) = run_spec_test(
+        x, y, get_family(args.family), h, get_kernel(args.kernel),
+        uniform_weight(*args.weight_support), memory_kind=args.memory, d=args.d,
+        lam=lam, blocks=[(b, h_b, lam_b)], quad_cells=args.quad_cells)
     os.makedirs(args.out, exist_ok=True)
     write_json(os.path.join(args.out, "spec_test.json"), result.to_dict())
     _save_manifest(args.out, "spec-test", vars(args), inputs=[args.data])
@@ -216,8 +228,9 @@ def build_parser():
     p.add_argument("--lambda-rule", default="n^-1/5")
     p.add_argument("--kernel", choices=["gaussian", "epanechnikov"],
                    default="gaussian")
-    p.add_argument("--weight-support",
-                   default=",".join(f"{v:g}" for v in DEFAULT_WEIGHT_SUPPORT))
+    p.add_argument("--weight-support", type=_weight_support,
+                   default=DEFAULT_WEIGHT_SUPPORT,
+                   help="support a,b of the uniform weight, a < b")
     p.add_argument("--quad-cells", type=int, default=DEFAULT_QUAD_CELLS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_spec_test)

@@ -7,10 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .whittle import fit_artfima00, fit_arfima00
-from .spec_test import (DEFAULT_QUAD_CELLS, DEFAULT_WEIGHT_SUPPORT, run_spec_test,
-                        get_family, uniform_weight)
+from .spec_test import DEFAULT_QUAD_CELLS, run_spec_test, get_family, uniform_weight
 from .kernel_regression import GAUSSIAN
-from .mc import read_csv
+from .mc import BlockRule, read_csv
 
 H_EXPONENTS = (-0.5, -1.0)
 BLOCK_COEFS = (2.0, 4.0, 6.0)
@@ -66,41 +65,38 @@ def ckc_analysis(series, quad_cells=DEFAULT_QUAD_CELLS):
     then tests each hypothesized link z = g(e, theta) + u between
     e = log(gdp) and z = log(co2) (``HYPOTHESES``) for every pair of a
     bandwidth rule h = n^a (``H_EXPONENTS``) and a block rule
-    b = [c sqrt(n)] (``BLOCK_COEFS``), using the semi-long-memory
-    normalization with the regressor's fitted (d, lam).  The bandwidth
-    follows its power rule at block scale (h_b = b^a); the fitted tempering
-    parameter is a constant, not a schedule, so it is held fixed at both
-    scales (p-values are invariant to the common factor lam_hat^d_hat in
-    the normalizers).
+    b = [c sqrt(n)] (``BLOCK_COEFS``, through ``BlockRule``), using the
+    semi-long-memory normalization with the regressor's fitted (d, lam).
+    Each (hypothesis, bandwidth) pair is one ``run_spec_test`` call: one fit
+    and one full-sample statistic, calibrated against all the block rules.
+    The bandwidth follows its power rule at block scale (h_b = b^a); the
+    fitted tempering parameter is a constant, not a schedule, so it is held
+    fixed at both scales (p-values are invariant to the common factor
+    lam_hat^d_hat in the normalizers).
     """
     n = len(series)
-    if n < 30:
-        import warnings
-        warnings.warn("fewer than 30 observations: block rules may collapse")
     e = np.log(series.gdp)
     z = np.log(series.co2)
-    fits = {}
-    for name, values in (("log_gdp", e), ("log_co2", z)):
-        fits[name] = {"artfima": fit_artfima00(values).to_dict(),
-                      "arfima": fit_arfima00(values).to_dict()}
+    fits = {name: {"artfima": fit_artfima00(values).to_dict(),
+                   "arfima": fit_arfima00(values).to_dict()}
+            for name, values in (("log_gdp", e), ("log_co2", z))}
     d_hat = fits["log_gdp"]["artfima"]["d_hat"]
     lam_hat = fits["log_gdp"]["artfima"]["lambda_hat"]
-    weight = uniform_weight(*DEFAULT_WEIGHT_SUPPORT)
     pvals = []
+    sizes = [BlockRule(coef).size(n) for coef in BLOCK_COEFS]
     for hyp in HYPOTHESES:
         family = get_family(hyp)
         for he in H_EXPONENTS:
-            h = float(n) ** he
-            for coef in BLOCK_COEFS:
-                b = int(coef * np.sqrt(n))
-                res = run_spec_test(
-                    e, z, family, h, b, GAUSSIAN, weight,
-                    memory_kind="semi_long", d=d_hat, lam=lam_hat,
-                    h_b=float(b) ** he, lam_b=lam_hat, quad_cells=quad_cells)
+            results = run_spec_test(
+                e, z, family, float(n) ** he, GAUSSIAN, uniform_weight(),
+                memory_kind="semi_long", d=d_hat, lam=lam_hat,
+                blocks=[(b, float(b) ** he, lam_hat) for b in sizes],
+                quad_cells=quad_cells)
+            for coef, res in zip(BLOCK_COEFS, results):
                 pvals.append({
                     "hypothesis": family.kind, "bandwidth_rule": f"n^{he!r}",
                     "bandwidth_exponent": he, "block_coef": coef,
-                    "block_size": b, "p_value": res.p_value,
+                    "block_size": res.block_size, "p_value": res.p_value,
                     "t_normalized": res.t_normalized,
                     "theta_hat": [float(v) for v in res.theta_hat]})
     return {"country": series.country, "n": n, "fits": fits,

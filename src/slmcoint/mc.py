@@ -24,9 +24,7 @@ from .processes import (MemoryKind, TemperedProcessSpec, NoiseConfig,
                         innovation_length)
 from .kernel_regression import (get_kernel, nw_estimate, kernel_estimate,
                                 _normal_quantile)
-from .spec_test import (DEFAULT_WEIGHT_SUPPORT, linear_family, uniform_weight,
-                        nls_fit, t_statistic, normalized_statistic,
-                        subsample_statistics, subsample_quantile)
+from .spec_test import DEFAULT_WEIGHT_SUPPORT, run_spec_test, uniform_weight
 
 SLM_RULES = {"SLM1": -1.0 / 3.0, "SLM2": -0.25, "SLM3": -0.2, "SLM4": -1.0 / 6.0}
 DEFAULT_BLOCK_RULES = ((0.5, 0.5), (1.0, 0.5), (2.0, 0.5), (4.0, 0.5))
@@ -81,16 +79,12 @@ class MemorySetting:
                     "tempering schedule must satisfy lam -> 0 and n*lam -> inf "
                     "(exponent in (-1, 0))")
         if self.label is None:
+            label = "LM" if self.kind is MemoryKind.LONG else "SHORT"
             if self.kind is MemoryKind.SEMI_LONG:
-                for name, expo in SLM_RULES.items():
-                    if abs(expo - self.lambda_exponent) < 1e-12:
-                        object.__setattr__(self, "label", name)
-                        break
-                else:
-                    object.__setattr__(self, "label", f"SLM(n^{self.lambda_exponent:g})")
-            else:
-                object.__setattr__(self, "label",
-                                   "LM" if self.kind is MemoryKind.LONG else "SHORT")
+                label = next((name for name, expo in SLM_RULES.items()
+                              if abs(expo - self.lambda_exponent) < 1e-12),
+                             f"SLM(n^{self.lambda_exponent:g})")
+            object.__setattr__(self, "label", label)
 
     def lam(self, n):
         if self.kind is MemoryKind.SEMI_LONG:
@@ -183,23 +177,29 @@ class StudyConfig:
         object.__setattr__(self, "block_rules", tuple(
             br if isinstance(br, BlockRule) else BlockRule(*br)
             for br in self.block_rules))
-        # each value keys its own cells: a repeat would count replications twice
+        ws = self.weight_support
+        if len(ws) != 2 or not ws[0] < ws[1]:
+            raise ValueError(f"weight_support must be two values a < b, got {list(ws)}")
+        for level in self.nominal_levels:
+            if not 0.0 < level < 1.0:
+                raise ValueError(f"nominal_levels must lie in (0, 1), got {level!r}")
+        for br in self.block_rules if self.study_kind == "size" else ():
+            if not 2 <= br.size(self.n) <= self.n:
+                raise ValueError(f"block_rules {br.label()} gives b = {br.size(self.n)} "
+                                 f"at n = {self.n}; need 2 <= b <= n")
+        # each value keys its own cells and names its histogram file by its
+        # :g form (6 digits): a repeat would count replications twice, and two
+        # values that print alike would write one file
         for name, keys in (("d_values", self.d_values),
                            ("memory_settings", [ms.label for ms in self.memory_settings]),
                            ("bandwidth_exponents", self.bandwidth_exponents)):
+            printed = [f"{k:g}" if isinstance(k, float) else k for k in keys]
             for i, key in enumerate(keys):
                 if key in keys[:i]:
                     raise ValueError(f"{name} repeats {key!r}")
-        # ... and names its histogram file by the value's :g form (6 digits),
-        # so two values that print alike would write one file
-        for name, values in (("d_values", self.d_values),
-                             ("bandwidth_exponents", self.bandwidth_exponents)):
-            for i, value in enumerate(values):
-                for other in values[:i]:
-                    if f"{value:g}" == f"{other:g}":
-                        raise ValueError(
-                            f"{name} {other!r} and {value!r} both print as "
-                            f"{value:g} in output file names")
+                if printed[i] in printed[:i]:
+                    raise ValueError(f"{name} {keys[printed.index(printed[i])]!r} and "
+                                     f"{key!r} both print as {printed[i]} in output file names")
 
     def to_dict(self):
         out = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -458,30 +458,20 @@ def _size_chunk(args):
     """Per cell, one row per replication: the normalized statistic, then 0/1
     for a rejection at each (block rule, level)."""
     config, lo, hi = args
-    kernel = get_kernel(config.kernel)
     weight = uniform_weight(*config.weight_support)
-    family = linear_family()
     grid = config.settings_grid()
+    sizes = [br.size(config.n) for br in config.block_rules]
     cells = {key: [] for key in _cell_keys(config)}
     for xs, u in _paths(config, lo, hi):
         for (ms, d), x in zip(grid, xs):
             y = x + config.sigma * u  # H0: theta = (0, 1)
-            lam = ms.lam(config.n)
-            theta = nls_fit(family, x, y)
             for he in config.bandwidth_exponents:
-                h = float(config.n) ** he
-                t_raw = t_statistic(x, y, family, theta, h, kernel,
-                                    weight, config.quad_cells)
-                t_norm, _ = normalized_statistic(t_raw, config.n, lam, d, h, ms.kind)
-                row = [t_norm]
-                for br in config.block_rules:
-                    b = br.size(config.n)
-                    vals = subsample_statistics(
-                        x, y, family, b, float(b) ** he, ms.lam(b), d, ms.kind, kernel,
-                        weight, config.quad_cells)
-                    row += [t_norm > subsample_quantile(vals, lv)
-                            for lv in config.nominal_levels]
-                cells[ms.label, d, he].append(row)
+                blocks = [(b, float(b) ** he, ms.lam(b)) for b in sizes]
+                results = run_spec_test(x, y, "linear", float(config.n) ** he, config.kernel,
+                                        weight, ms.kind, d, ms.lam(config.n), blocks=blocks,
+                                        quad_cells=config.quad_cells)
+                cells[ms.label, d, he].append([results[0].t_normalized] + [
+                    res.reject(lv) for res in results for lv in config.nominal_levels])
     return {key: np.array(rows, dtype=float) for key, rows in cells.items()}
 
 

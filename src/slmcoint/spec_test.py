@@ -10,7 +10,7 @@ recomputing the normalized statistic on all length-b blocks of consecutive
 observations (overlapping subsampling).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -329,44 +329,41 @@ class SpecTestResult:
         return self.t_normalized > subsample_quantile(self.subsample_values, alpha)
 
     def to_dict(self):
-        return {
-            "t_raw": self.t_raw,
-            "t_normalized": self.t_normalized,
-            "normalizer": self.normalizer,
-            "theta_hat": [float(v) for v in np.atleast_1d(self.theta_hat)],
-            "p_value": self.p_value,
-            "block_size": self.block_size,
-            "n_blocks_skipped": self.n_blocks_skipped,
-            "memory_kind": self.memory_kind,
-            "h": self.h, "h_b": self.h_b, "lam": self.lam, "lam_b": self.lam_b,
-            "d": self.d,
-            "subsample_values": [float(v) for v in self.subsample_values],
-        }
+        """Every field but the block-ordered values and their indices."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("subsample_by_block", "block_index")}
+        for name in ("theta_hat", "subsample_values"):
+            out[name] = [float(v) for v in np.atleast_1d(out[name])]
+        return out
 
 
-def run_spec_test(x, y, family, h, b, kernel, weight, memory_kind, d, lam=0.0, *,
-                  h_b, lam_b=0.0, quad_cells=DEFAULT_QUAD_CELLS):
-    """Full specification test: fit, statistic, normalization, subsampling.
+def run_spec_test(x, y, family, h, kernel, weight, memory_kind, d, lam=0.0, *,
+                  blocks, quad_cells=DEFAULT_QUAD_CELLS):
+    """Full specification test: one fit and statistic, normalized, then
+    subsampled at each (b, h_b, lam_b) of the nonempty ``blocks``; returns
+    one ``SpecTestResult`` per entry, in order.
 
     The caller states the block-scale tuning values: h_b, and lam_b > 0
     under semi-long memory.  A power rule h = n^a gives h_b = b^a; a fixed
     value is passed unchanged.  The p-value uses add-one smoothing,
     (1 + #{blocks >= T}) / (1 + #blocks), with ties counted as exceedances.
     """
+    if len(blocks) == 0:
+        raise ValueError("blocks must hold at least one (b, h_b, lam_b)")
     kind = MemoryKind.parse(memory_kind)
-    x, y = _as_xy(x, y)
-    n = x.shape[0]
-    family = get_family(family)
-    theta_hat = nls_fit(family, x, y)
+    theta_hat = nls_fit(family, x, y)  # rejects bad x and y before any other work
     t_raw = t_statistic(x, y, family, theta_hat, h, kernel, weight, quad_cells)
-    t_norm, scale = normalized_statistic(t_raw, n, lam, d, h, kind)
-    sorted_vals, by_block, order_index, skipped = subsample_statistics(
-        x, y, family, b, h_b, lam_b, d, kind, kernel, weight, quad_cells,
-        return_by_block=True)
-    p_value = (1.0 + np.count_nonzero(sorted_vals >= t_norm)) / (1.0 + sorted_vals.size)
-    return SpecTestResult(
-        t_raw=t_raw, t_normalized=t_norm, normalizer=scale, theta_hat=theta_hat,
-        subsample_values=sorted_vals, p_value=float(p_value), block_size=int(b),
-        subsample_by_block=by_block, block_index=order_index,
-        n_blocks_skipped=skipped, memory_kind=kind.value,
-        h=float(h), h_b=float(h_b), lam=float(lam), lam_b=float(lam_b), d=float(d))
+    t_norm, scale = normalized_statistic(t_raw, len(x), lam, d, h, kind)
+    results = []
+    for b, h_b, lam_b in blocks:
+        sorted_vals, by_block, order_index, skipped = subsample_statistics(
+            x, y, family, b, h_b, lam_b, d, kind, kernel, weight, quad_cells,
+            return_by_block=True)
+        p_value = (1.0 + np.count_nonzero(sorted_vals >= t_norm)) / (1.0 + sorted_vals.size)
+        results.append(SpecTestResult(
+            t_raw=t_raw, t_normalized=t_norm, normalizer=scale, theta_hat=theta_hat,
+            subsample_values=sorted_vals, p_value=float(p_value), block_size=int(b),
+            subsample_by_block=by_block, block_index=order_index,
+            n_blocks_skipped=skipped, memory_kind=kind.value,
+            h=float(h), h_b=float(h_b), lam=float(lam), lam_b=float(lam_b), d=float(d)))
+    return tuple(results)

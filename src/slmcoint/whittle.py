@@ -49,7 +49,8 @@ def artfima_spectral_density(d, lam, sigma2, omega):
 def periodogram(series):
     """Periodogram I(w_j) = |sum_k z_k e^{-i w_j k}|^2 / (2 pi n) at Fourier
     frequencies w_j = 2 pi j / n, j = 1..floor((n-1)/2), of the mean-removed
-    1-D series.  A constant series gives zeros (with a warning); a non-finite
+    1-D series.  A constant series gives zeros (with a warning), as does one
+    whose only power is at frequency pi (no warning); a non-finite
     value, or a scale where the squares overflow or lose digits, is rejected."""
     z = np.asarray(series, dtype=float)
     if z.ndim != 1:
@@ -67,7 +68,7 @@ def periodogram(series):
     if np.any(np.isinf(pgram) | ((pgram > 0) & (pgram < tiny))) or 0 < scale < np.sqrt(tiny):
         raise ValueError("the periodogram of the series is out of float range "
                          f"(max |z - mean| = {scale:.3g}); rescale the series")
-    if not np.any(pgram > 0):
+    if scale == 0:
         warnings.warn("constant series: all-zero periodogram", RuntimeWarning)
     freqs = _TWO_PI * np.arange(1, jmax + 1) / n
     return freqs, pgram
@@ -230,6 +231,9 @@ def _fit(series, model, d_grid, lam_grid, bounds, maxiter):
     if np.ptp(z) == 0:
         raise ValueError("degenerate (constant) series")
     freqs, pgram = periodogram(z)
+    if not np.any(pgram > 0):
+        raise ValueError("the series has no power at any Fourier frequency "
+                         "2 pi j / n, j = 1..floor((n-1)/2)")
     cos_freqs = np.cos(freqs)
     grid_log_mod2 = _log_mod2(_cells(lam_grid), cos_freqs)
     rows = max(1, _GRID_CHUNK_CELLS // lam_grid.size)

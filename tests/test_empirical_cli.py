@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from slmcoint import EmpiricalSeries, ingest_ckc_csv, ckc_analysis
+from slmcoint import EmpiricalSeries, ingest_ckc_csv, ckc_analysis, spec_test
 from slmcoint.cli import main as cli_main
 from slmcoint.mc import _fmt, read_csv, write_csv
 from slmcoint.whittle import fit_artfima00
@@ -139,6 +139,22 @@ def test_ckc_report_structure(quadratic_report):
         assert 0.0 < row["p_value"] <= 1.0
 
 
+def test_ckc_computes_each_statistic_once(tmp_path, monkeypatch):
+    # one fit and one full-sample statistic per (hypothesis, bandwidth),
+    # calibrated against all three block rules
+    calls = []
+    t_statistic = spec_test.t_statistic
+
+    def counted(*args, **kwargs):
+        calls.append(args[4])  # the bandwidth h
+        return t_statistic(*args, **kwargs)
+
+    monkeypatch.setattr(spec_test, "t_statistic", counted)
+    report = ckc_analysis(ingest_ckc_csv(_write_ckc(tmp_path / "c.csv")), quad_cells=256)
+    assert calls == [59.0 ** -0.5, 59.0 ** -1.0] * 2
+    assert len(report["p_values"]) == 12
+
+
 def test_ckc_quadratic_data_prefers_quadratic(tmp_path):
     # on data generated exactly under the quadratic link, the misspecified
     # linear statistic dwarfs the quadratic one in every cell; the p-value
@@ -197,6 +213,22 @@ def test_cli_estimate_and_spec_test(tmp_path):
                      "--out", str(st)]) == 0
     payload = json.loads((st / "spec_test.json").read_text())
     assert 0.0 < payload["p_value"] <= 1.0
+
+
+@pytest.mark.parametrize("support", ["1,2,3", "abc", "1", "5,-5", "2,2"])
+def test_cli_spec_test_rejects_bad_weight_support(tmp_path, capsys, support):
+    # the option's own error, not one that blames the data file
+    data = tmp_path / "xy.csv"
+    data.write_text("x,y\n" + "".join(f"{0.1 * i!r},{0.2 * i!r}\n" for i in range(50)))
+    with pytest.raises(SystemExit) as err:
+        cli_main(["spec-test", "--data", str(data), "--weight-support", support,
+                  "--out", str(tmp_path / "st")])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert (f"argument --weight-support: expected two numbers a,b with a < b, "
+            f"got {support!r}") in message
+    assert str(data) not in message
+    assert not (tmp_path / "st").exists()
 
 
 def test_cli_estimate_rejects_empty_cell(tmp_path, capsys):
@@ -327,6 +359,15 @@ def test_cli_fit_artfima_rejects_out_of_range_scale(tmp_path, capsys, scale):
     assert not out.exists()
 
 
+def test_cli_fit_artfima_rejects_series_without_fourier_power(tmp_path, capsys):
+    data = tmp_path / "series.csv"
+    data.write_text("value\n" + "1.0\n-1.0\n" * 32)
+    out = tmp_path / "fit"
+    assert cli_main(["fit-artfima", "--data", str(data), "--out", str(out)]) == 2
+    assert "no power at any Fourier frequency" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, text, message", [
     ("estimate", "x,y\n", "no data rows"),
     ("estimate", "x,y\n0.5,1.0\n",
@@ -398,6 +439,16 @@ def test_cli_mc_reruns_from_study_config(tmp_path):
     ({"memory_settings": [{"rule": "SLM9"}]},
      "unknown SLM rule 'SLM9'; choose from ['SLM1', 'SLM2', 'SLM3', 'SLM4']"),
     ({"d_values": [0.1, 0.1]}, "d_values repeats 0.1"),
+    ({"weight_support": [1, 2, 3]},
+     "weight_support must be two values a < b, got [1.0, 2.0, 3.0]"),
+    ({"weight_support": [5, -5]},
+     "weight_support must be two values a < b, got [5.0, -5.0]"),
+    ({"study_kind": "size", "n": 60, "block_rules": [[0.1, 0.5]]},
+     "block_rules 0.1n^0.5 gives b = 0 at n = 60; need 2 <= b <= n"),
+    ({"study_kind": "size", "n": 60, "block_rules": [[1.0, 1.5]]},
+     "block_rules 1n^1.5 gives b = 464 at n = 60; need 2 <= b <= n"),
+    ({"nominal_levels": [0.05, 1.5]}, "nominal_levels must lie in (0, 1), got 1.5"),
+    ({"nominal_levels": [0.0]}, "nominal_levels must lie in (0, 1), got 0.0"),
 ])
 def test_cli_mc_rejects_bad_config(tmp_path, capsys, change, message):
     cfg = {

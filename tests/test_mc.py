@@ -50,6 +50,15 @@ def test_block_rule_floor():
     assert BlockRule(4.0, 0.5).size(500) == 89
 
 
+def test_block_rule_is_the_square_root_rule():
+    # the one block-size rule of the size study, ckc and the CLI: at the
+    # default exponent it is the [c sqrt(n)] that ckc computed before
+    ns = np.arange(2, 10001)
+    for c in (2.0, 4.0, 6.0):
+        rule = BlockRule(c)
+        assert [rule.size(int(n)) for n in ns] == [int(c * np.sqrt(n)) for n in ns]
+
+
 def test_config_json_roundtrip(tmp_path):
     config = _tiny("size")
     path = write_json(tmp_path / "cfg.json", config.to_dict())

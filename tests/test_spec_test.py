@@ -104,8 +104,9 @@ def test_spec_test_rejects_nonfinite_input(case):
             x, y, fam, 10, v["h_b"], v["lam_b"], v["d"], "slm", GAUSSIAN, w,
             v["quad_cells"]),
         ("x", "y", *v): lambda: run_spec_test(
-            x, y, fam, v["h"], 10, GAUSSIAN, w, memory_kind="slm", d=v["d"],
-            lam=v["lam"], h_b=v["h_b"], lam_b=v["lam_b"], quad_cells=v["quad_cells"]),
+            x, y, fam, v["h"], GAUSSIAN, w, memory_kind="slm", d=v["d"],
+            lam=v["lam"], blocks=[(10, v["h_b"], v["lam_b"])],
+            quad_cells=v["quad_cells"]),
     }
     for takes, call in calls.items():
         if name in takes:
@@ -128,8 +129,8 @@ def test_spec_test_rejects_memory_the_simulator_rejects(kind, d, lam, match):
         subsample_statistics(x, y, linear_family(), 10, 0.5, lam, d, kind,
                              GAUSSIAN, uniform_weight(), 256)
     with pytest.raises(ValueError, match=match):
-        run_spec_test(x, y, linear_family(), 0.5, 10, GAUSSIAN, uniform_weight(),
-                      memory_kind=kind, d=d, lam=lam, h_b=0.5, lam_b=lam,
+        run_spec_test(x, y, linear_family(), 0.5, GAUSSIAN, uniform_weight(),
+                      memory_kind=kind, d=d, lam=lam, blocks=[(10, 0.5, lam)],
                       quad_cells=256)
     with pytest.raises(ValueError, match=match):
         TemperedProcessSpec(d=d, lam=lam, n=40, memory_kind=kind)
@@ -478,10 +479,10 @@ def test_statistic_working_memory():
 def test_run_spec_test_degenerate_null():
     x, _ = _draw(80, seed=12)
     y = np.zeros_like(x)
-    res = run_spec_test(x, y, linear_family(), 0.4, 20, GAUSSIAN,
-                        uniform_weight(), memory_kind="slm", d=0.1,
-                        lam=80 ** -0.2, h_b=20 ** (np.log(0.4) / np.log(80)),
-                        lam_b=20 ** -0.2)
+    (res,) = run_spec_test(x, y, linear_family(), 0.4, GAUSSIAN,
+                           uniform_weight(), memory_kind="slm", d=0.1,
+                           lam=80 ** -0.2,
+                           blocks=[(20, 20 ** (np.log(0.4) / np.log(80)), 20 ** -0.2)])
     assert res.t_raw == 0.0
     assert res.p_value == 1.0
 
@@ -492,12 +493,12 @@ def test_run_spec_test_fields_and_determinism():
     noise = NoiseConfig(rho=0.5, psi=0.25, sigma=0.2, seed=13)
     path = simulate_model(spec, noise)
     y = path.x + 0.2 * path.u
-    kwargs = dict(memory_kind="slm", d=0.1, lam=200 ** -0.2, h_b=28 ** -0.2,
-                  lam_b=28 ** -0.2, quad_cells=512)
-    a = run_spec_test(path.x, y, linear_family(), 200 ** -0.2, 28, GAUSSIAN,
-                      uniform_weight(), **kwargs)
-    b = run_spec_test(path.x, y, linear_family(), 200 ** -0.2, 28, GAUSSIAN,
-                      uniform_weight(), **kwargs)
+    kwargs = dict(memory_kind="slm", d=0.1, lam=200 ** -0.2,
+                  blocks=[(28, 28 ** -0.2, 28 ** -0.2)], quad_cells=512)
+    (a,) = run_spec_test(path.x, y, linear_family(), 200 ** -0.2, GAUSSIAN,
+                         uniform_weight(), **kwargs)
+    (b,) = run_spec_test(path.x, y, linear_family(), 200 ** -0.2, GAUSSIAN,
+                         uniform_weight(), **kwargs)
     assert a.t_raw == b.t_raw
     assert np.array_equal(a.subsample_values, b.subsample_values)
     assert a.subsample_values.shape == (200 - 28 + 1,)
@@ -512,6 +513,52 @@ def test_run_spec_test_fields_and_determinism():
     payload = a.to_dict()
     assert payload["p_value"] == a.p_value
     assert payload["subsample_values"] == list(a.subsample_values)
+
+
+def _same_result(a, b):
+    assert a.to_dict() == b.to_dict()
+    for name in ("theta_hat", "subsample_values", "subsample_by_block", "block_index"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+@pytest.mark.parametrize("family", ["linear", "quadratic"])
+def test_run_spec_test_blocks_equal_separate_calls(family):
+    # one fit and one full-sample statistic serve every block size: each
+    # result equals the call with its block alone, bit for bit
+    rng = np.random.default_rng(23)
+    n = 200
+    x = np.cumsum(rng.standard_normal(n))
+    x[60:70] = x[59]  # a few singular length-8 windows: skipped, not fatal
+    y = x + 0.3 * rng.standard_normal(n)
+    blocks = [(8, 8 ** -0.2, 8 ** -0.2), (28, 0.5, 0.4), (56, 56 ** -0.2, 56 ** -0.2)]
+    kwargs = dict(memory_kind="slm", d=0.1, lam=n ** -0.2, quad_cells=256)
+    together = run_spec_test(x, y, family, n ** -0.2, GAUSSIAN, uniform_weight(),
+                             blocks=blocks, **kwargs)
+    assert [res.block_size for res in together] == [8, 28, 56]
+    assert together[0].n_blocks_skipped > 0
+    for block, res in zip(blocks, together):
+        (alone,) = run_spec_test(x, y, family, n ** -0.2, GAUSSIAN, uniform_weight(),
+                                 blocks=[block], **kwargs)
+        _same_result(res, alone)
+
+
+def test_run_spec_test_blocks_propagate_subsampling_error():
+    rng = np.random.default_rng(10)
+    n = 100
+    x = np.cumsum(rng.standard_normal(n))
+    x[20:80] = x[19]  # most length-10 windows are flat; no length-70 one is
+    y = x + 0.1 * rng.standard_normal(n)
+    kwargs = dict(memory_kind="slm", d=0.1, lam=0.4, quad_cells=256)
+    good, bad = (70, 0.5, 0.4), (10, 0.5, 0.4)
+    run_spec_test(x, y, linear_family(), 0.5, GAUSSIAN, uniform_weight(),
+                  blocks=[good], **kwargs)
+    for blocks in ([bad], [good, bad], [bad, good]):
+        with pytest.raises(SubsamplingError):
+            run_spec_test(x, y, linear_family(), 0.5, GAUSSIAN, uniform_weight(),
+                          blocks=blocks, **kwargs)
+    with pytest.raises(ValueError, match="blocks must hold at least one"):
+        run_spec_test(x, y, linear_family(), 0.5, GAUSSIAN, uniform_weight(),
+                      blocks=[], **kwargs)
 
 
 @st.composite
@@ -532,10 +579,10 @@ def _spec_case(draw):
 def test_p_value_counts_block_exceedances(case):
     x, y, b = case
     n = x.size
-    res = run_spec_test(x, y, linear_family(), n ** -0.2, b, GAUSSIAN,
-                        uniform_weight(), memory_kind="slm", d=0.1,
-                        lam=n ** -0.2, h_b=b ** -0.2, lam_b=b ** -0.2,
-                        quad_cells=64)
+    (res,) = run_spec_test(x, y, linear_family(), n ** -0.2, GAUSSIAN,
+                           uniform_weight(), memory_kind="slm", d=0.1,
+                           lam=n ** -0.2, blocks=[(b, b ** -0.2, b ** -0.2)],
+                           quad_cells=64)
     m = res.subsample_values.size
     assert m == n - b + 1 - res.n_blocks_skipped
     exceed = sum(1 for v in res.subsample_by_block if v >= res.t_normalized)
@@ -569,10 +616,11 @@ def test_statistic_invariant_to_family_member(case):
     n = x.size
 
     def run(yy):
-        return run_spec_test(x, yy, family, n ** -0.2, b, GAUSSIAN,
-                             uniform_weight(), memory_kind="slm", d=0.1,
-                             lam=n ** -0.2, h_b=b ** -0.2, lam_b=b ** -0.2,
-                             quad_cells=64)
+        (res,) = run_spec_test(x, yy, family, n ** -0.2, GAUSSIAN,
+                               uniform_weight(), memory_kind="slm", d=0.1,
+                               lam=n ** -0.2, blocks=[(b, b ** -0.2, b ** -0.2)],
+                               quad_cells=64)
+        return res
 
     base = run(y)
     moved = run(y + np.polynomial.polynomial.polyval(x, shift))

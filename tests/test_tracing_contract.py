@@ -19,10 +19,11 @@ def _spec_test():
     x = np.cumsum(rng.standard_normal(80))
     y = x + 0.2 * rng.standard_normal(80)
     # through the module attribute, which is what install() replaces
-    return sl.spec_test.run_spec_test(
-        x, y, sl.linear_family(), 80 ** -0.2, 16, sl.GAUSSIAN,
+    (result,) = sl.spec_test.run_spec_test(
+        x, y, sl.linear_family(), 80 ** -0.2, sl.GAUSSIAN,
         sl.uniform_weight(), memory_kind="slm", d=0.1, lam=80 ** -0.2,
-        h_b=16 ** -0.2, lam_b=16 ** -0.2, quad_cells=256)
+        blocks=[(16, 16 ** -0.2, 16 ** -0.2)], quad_cells=256)
+    return result
 
 
 def test_tracer_wraps_live_library(monkeypatch):

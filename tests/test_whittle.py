@@ -61,6 +61,17 @@ def test_periodogram_constant_series_zero():
     assert freqs.shape == ((32 - 1) // 2,)
 
 
+def test_fits_reject_series_without_power_at_fourier_frequencies():
+    # +1, -1, +1, ... is not constant, but all its power sits at frequency
+    # pi, which the Whittle sum leaves out: the periodogram is all zero
+    z = np.tile([1.0, -1.0], 32)
+    freqs, I = periodogram(z)
+    assert not np.any(I)
+    for fit in (fit_artfima00, fit_arfima00):
+        with pytest.raises(ValueError, match="no power at any Fourier frequency"):
+            fit(z)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_fit_rejects_non_finite_series(bad):
     z = np.cumsum(np.random.default_rng(3).standard_normal(64))
