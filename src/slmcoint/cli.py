@@ -66,6 +66,19 @@ def _weight_support(text):
     raise argparse.ArgumentTypeError(f"expected two numbers a,b with a < b, got {text!r}")
 
 
+def _attach_weight_support(argv):
+    """``--weight-support a,b`` as ``--weight-support=a,b``: argparse reads a
+    separate value such as -50,50, which starts with '-' and is not a plain
+    number, as an option and rejects it."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--weight-support":
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _cmd_simulate(args):
     spec = TemperedProcessSpec(
         d=args.d, lam=args.lam, n=args.n, memory_kind=MemoryKind.parse(args.memory),
@@ -230,7 +243,8 @@ def build_parser():
                    default="gaussian")
     p.add_argument("--weight-support", type=_weight_support,
                    default=DEFAULT_WEIGHT_SUPPORT,
-                   help="support a,b of the uniform weight, a < b")
+                   help="support a,b of the uniform weight, a < b, given as "
+                        "--weight-support a,b or --weight-support=a,b")
     p.add_argument("--quad-cells", type=int, default=DEFAULT_QUAD_CELLS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_spec_test)
@@ -261,7 +275,7 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_weight_support(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (ValueError, FileNotFoundError, KeyError) as exc:

@@ -22,6 +22,7 @@ DEFAULT_WEIGHT_SUPPORT = (-100.0, 100.0)
 _DOMAIN_PAD_BANDWIDTHS = 6.0
 _MAX_SKIPPED_FRACTION = 0.05
 _TILE_FLOATS = 2 ** 14  # kernel values per node tile: 32 rows at n = 500
+_GAUSSIAN_REACH = 40.0  # the Gaussian weight is exactly 0.0 beyond |u| = 38.58
 _DEGREES = {"linear": 1, "quadratic": 2}
 
 
@@ -140,14 +141,23 @@ def _quad_nodes(domain, quad_cells):
 
 
 def _node_tiles(x, h, kernel, nodes):
-    """Yield (rows, K) over consecutive row tiles of the nodes, with
-    K[i, k] = kernel((x_k - nodes[rows][i]) / h).  A tile holds about
+    """Yield (rows, keep, K) over consecutive row tiles of the ascending
+    nodes: ``keep`` indexes, in time order, the observations within reach of
+    the tile's nodes, and K[k, i] = kernel((x[keep][k] - nodes[rows][i]) / h).
+    The reach is the kernel's half-width, or ``_GAUSSIAN_REACH`` for the
+    Gaussian, widened by a relative 1e-12 as in ``kernel_sums``: every
+    observation left out has weight exactly 0.0 at every node of the tile,
+    and adding 0.0 leaves a sum unchanged bit for bit.  A tile holds at most
     ``_TILE_FLOATS`` kernel values, so that the working arrays derived from
     it stay in cache and none is large enough to be mapped afresh per call."""
+    reach = h * (kernel.halfwidth if np.isfinite(kernel.halfwidth) else _GAUSSIAN_REACH)
     step = max(1, _TILE_FLOATS // x.shape[0])
     for lo in range(0, nodes.shape[0], step):
         rows = slice(lo, lo + step)
-        yield rows, kernel((x[None, :] - nodes[rows, None]) / h)
+        first, last = nodes[rows][0], nodes[rows][-1]
+        pad = reach + 1e-12 * (max(abs(first), abs(last)) + reach)
+        keep = np.flatnonzero((x >= first - pad) & (x <= last + pad))
+        yield rows, keep, kernel((x[keep, None] - nodes[None, rows]) / h)
 
 
 def t_statistic(x, y, family, theta, h, kernel, weight, quad_cells=DEFAULT_QUAD_CELLS,
@@ -167,10 +177,13 @@ def t_statistic(x, y, family, theta, h, kernel, weight, quad_cells=DEFAULT_QUAD_
         domain = integration_domain(x, h, weight)
     nodes, dx = _quad_nodes(domain, quad_cells)
     S = np.empty(quad_cells)
-    for rows, K in _node_tiles(x, h, kernel, nodes):
+    for rows, keep, K in _node_tiles(x, h, kernel, nodes):
+        # over full rows, zeros included: einsum's rounding depends on position
+        full = np.zeros((K.shape[1], x.shape[0]))
+        full[:, keep] = K.T
         # einsum's own loop, not BLAS: OpenBLAS threads this product and its
         # spinning helper threads make a 2-worker study slower than a serial one
-        S[rows] = np.einsum("ij,j->i", K, r)
+        S[rows] = np.einsum("ij,j->i", full, r)
     return float(np.sum(S * S) * dx)
 
 
@@ -261,17 +274,20 @@ def subsample_statistics(x, y, family, b, h_b, lam_b, d, memory_kind, kernel,
 
     theta, valid, u = _sliding_theta(x, y, family, b)
     # per node tile: y and the basis u^j, weighted by K, summed over every
-    # block as differences of one cumulative sum along the observations
+    # block as differences of one cumulative sum along the kept observations
     # (from a leading 0), held as (column, observation, node)
     cols = np.stack([y] + [u ** j for j in range(family.dim)])
     # squared block sums with the nodes contiguous: the sum over the nodes is
     # then numpy's pairwise sum of a whole row (a running sum across tiles
     # would round differently)
     sq = np.empty((nb, quad_cells))
-    for rows, K in _node_tiles(x, h_b, kernel, nodes):
-        C = np.zeros((cols.shape[0], n + 1, K.shape[0]))
-        np.multiply(K.T, cols[:, :, None], out=C[:, 1:])
+    for rows, keep, K in _node_tiles(x, h_b, kernel, nodes):
+        C = np.zeros((cols.shape[0], keep.size + 1, K.shape[1]))
+        np.multiply(K, cols[:, keep, None], out=C[:, 1:])
         np.cumsum(C, axis=1, out=C)
+        # C[:, k] for every k = 0..n: the sum over the kept observations
+        # before k, which is the sum over all of them (the rest weigh 0.0)
+        C = np.take(C, np.searchsorted(keep, np.arange(n + 1)), axis=1)
         D = C[:, b:] - C[:, :nb]
         S = D[0]
         for j in range(family.dim):

@@ -231,6 +231,30 @@ def test_cli_spec_test_rejects_bad_weight_support(tmp_path, capsys, support):
     assert not (tmp_path / "st").exists()
 
 
+def test_cli_spec_test_weight_support_forms_agree(tmp_path, capsys):
+    # a separate value that starts with '-' is the value of the option, as
+    # it is after '='; the help text names both forms
+    data = tmp_path / "xy.csv"
+    rng = np.random.default_rng(5)
+    x = np.cumsum(rng.standard_normal(100))
+    y = 1.0 + x + 0.3 * rng.standard_normal(100)
+    data.write_text("x,y\n" + "".join(f"{a!r},{b!r}\n"
+                                      for a, b in zip(x.tolist(), y.tolist())))
+    outputs = []
+    for form in (["--weight-support", "-50,50"], ["--weight-support=-50,50"]):
+        out = tmp_path / f"st{len(outputs)}"
+        assert cli_main(["spec-test", "--data", str(data), "--quad-cells", "256",
+                         *form, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["arguments"]["weight_support"] == [-50.0, 50.0]
+        outputs.append(((out / "spec_test.json").read_text(), capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    with pytest.raises(SystemExit) as err:
+        cli_main(["spec-test", "--help"])
+    assert err.value.code == 0
+    assert "--weight-support=a,b" in " ".join(capsys.readouterr().out.split())
+
+
 def test_cli_estimate_rejects_empty_cell(tmp_path, capsys):
     data = tmp_path / "gap.csv"
     data.write_text("x,y\n0.0,1.0\n0.5,\n1.0,2.0\n1.5,2.5\n")

@@ -12,7 +12,8 @@ from slmcoint import (linear_family, quadratic_family, get_family,
                       SubsamplingError, GAUSSIAN, EPANECHNIKOV,
                       TemperedProcessSpec, NoiseConfig, simulate_model,
                       integration_domain)
-from slmcoint.spec_test import _quad_nodes, _sliding_theta
+from slmcoint.spec_test import (_GAUSSIAN_REACH, _TILE_FLOATS, _node_tiles, _quad_nodes,
+                                _sliding_theta)
 
 
 # --------------------------------------------------------------------- NLS
@@ -448,6 +449,82 @@ def test_tiled_statistic_equals_untiled_with_skipped_blocks(family):
     assert skipped >= 1
     _assert_tiled_equals_untiled(x, y, family, GAUSSIAN, uniform_weight(), 1024,
                                  [20])
+
+
+@pytest.mark.parametrize("family", [linear_family(), quadratic_family()],
+                         ids=["linear", "quadratic"])
+def test_tiled_statistic_equals_untiled_at_epanechnikov_reach(family):
+    # observations at exactly h from the first and the last node of node
+    # tiles, and one float step closer, for the full-sample h and the block
+    # h_b: the edge of the reach a tile keeps
+    n, b, quad_cells = 300, 40, 512
+    x, y = _walk(n, seed=23)
+    step = _TILE_FLOATS // n
+    values = []
+    for h in (n ** -0.2, b ** -0.2):
+        nodes = _quad_nodes(integration_domain(x, h, uniform_weight()), quad_cells)[0]
+        for i in range(0, quad_cells, step):
+            values += [nodes[i] - h, np.nextafter(nodes[i] - h, nodes[i])]
+        for i in range(step - 1, quad_cells, step):
+            values += [nodes[i] + h, np.nextafter(nodes[i] + h, nodes[i])]
+    values = [v for v in values if x.min() < v < x.max()]
+    inner = [k for k in range(n) if k not in (np.argmin(x), np.argmax(x))]
+    x[inner[:len(values)]] = values  # the extremes, and so the nodes, stay
+    h = n ** -0.2
+    nodes = _quad_nodes(integration_domain(x, h, uniform_weight()), quad_cells)[0]
+    assert np.count_nonzero(np.abs((x[:, None] - nodes) / h) == 1.0) >= 5
+    _assert_tiled_equals_untiled(x, y, family, EPANECHNIKOV, uniform_weight(),
+                                 quad_cells, [b])
+
+
+@pytest.mark.parametrize("kernel", [GAUSSIAN, EPANECHNIKOV],
+                         ids=["gaussian", "epanechnikov"])
+@pytest.mark.parametrize("family", [linear_family(), quadratic_family()],
+                         ids=["linear", "quadratic"])
+def test_tiled_statistic_equals_untiled_on_a_gappy_path(family, kernel):
+    # two clusters 80 apart: the tiles between them reach no observation
+    x, y = _walk(300, seed=41)
+    x[150:] += 80.0
+    x -= 40.0
+    h = 300 ** -0.2
+    nodes = _quad_nodes(integration_domain(x, h, uniform_weight()), 1024)[0]
+    assert any(keep.size == 0 for _, keep, _ in _node_tiles(x, h, kernel, nodes))
+    _assert_tiled_equals_untiled(x, y, family, kernel, uniform_weight(), 1024,
+                                 [family.dim + 1, 40, 300])
+
+
+@pytest.mark.parametrize("support", [10.0, 20.0])
+@pytest.mark.parametrize("kernel", [GAUSSIAN, EPANECHNIKOV],
+                         ids=["gaussian", "epanechnikov"])
+@pytest.mark.parametrize("family", [linear_family(), quadratic_family()],
+                         ids=["linear", "quadratic"])
+def test_tiled_statistic_equals_untiled_with_cut_support(family, kernel, support):
+    x, y = _walk(400, seed=4)
+    assert x.min() < -support or x.max() > support  # the weight cuts the path
+    _assert_tiled_equals_untiled(x, y, family, kernel, uniform_weight(-support, support),
+                                 1024, [22, 89])
+
+
+@pytest.mark.parametrize("kernel", [GAUSSIAN, EPANECHNIKOV],
+                         ids=["gaussian", "epanechnikov"])
+def test_tiled_statistic_equals_untiled_short_quadratic(kernel):
+    # a 59-year country series in logs, with the block sizes of its CKC
+    # workflow, int(c * sqrt(59)) for c = 2, 4, 6
+    rng = np.random.default_rng(59)
+    x = 9.0 + 0.02 * np.arange(59) + 0.01 * np.cumsum(rng.standard_normal(59))
+    y = -40.0 + 9.0 * x - 0.47 * x ** 2 + 0.01 * rng.standard_normal(59)
+    _assert_tiled_equals_untiled(x, y, quadratic_family(), kernel, uniform_weight(),
+                                 2048, [15, 30, 46])
+
+
+def test_gaussian_weight_is_zero_beyond_the_reach():
+    # the tiles drop observations further than _GAUSSIAN_REACH bandwidths
+    # from every node, so their weight must be exactly 0.0, not just small
+    reach = _GAUSSIAN_REACH
+    u = np.array([reach, np.nextafter(reach, 0.0), np.nextafter(reach, np.inf),
+                  1.5 * reach, 1e150, np.inf])
+    assert np.all(GAUSSIAN(u) == 0.0) and np.all(GAUSSIAN(-u) == 0.0)
+    assert GAUSSIAN(38.5) > 0.0  # the first exact zero is near 38.58
 
 
 def _traced_peak(fn):
