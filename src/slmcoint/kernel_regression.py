@@ -57,6 +57,39 @@ def _check_positive(name, value):
         raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
+def _window_bounds(points, h, kernel):
+    """Lowest and highest x of every (path, bandwidth, point) window of a
+    kernel of bounded support, each of shape (rows of points, bandwidths,
+    points): p -/+ (halfwidth*h + 1e-12*(|p| + halfwidth*h)).  The relative
+    1e-12 widens each window so that no observation with |u| <= halfwidth
+    falls outside it."""
+    g = points.shape[-1]
+    pts = points.reshape(-1, 1, g)
+    reach = kernel.halfwidth * h.reshape(-1, 1)
+    slack = 1e-12 * (np.abs(pts) + reach)
+    return pts - reach - slack, pts + reach + slack
+
+
+def _reach_mask(x, points, h, kernel):
+    """True at the observations of each path that some window reaches.
+
+    Arguments are as in ``kernel_sums``.  An observation is marked when it
+    lies in the hull of its path's window bounds (``_window_bounds``), over
+    every point and bandwidth; for a kernel of unbounded support every
+    observation is marked.  ``kernel_sums`` reads x and the columns only at
+    marked observations, so the values elsewhere never matter.
+    """
+    x = np.asarray(x, dtype=float)
+    kernel = get_kernel(kernel)
+    if not np.isfinite(kernel.halfwidth):
+        return np.ones(x.shape, dtype=bool)
+    lo, hi = _window_bounds(np.atleast_1d(np.asarray(points, dtype=float)),
+                           np.asarray(h, dtype=float), kernel)
+    lo = lo.reshape(lo.shape[0], -1).min(axis=1, initial=np.inf)[:, None]
+    hi = hi.reshape(hi.shape[0], -1).max(axis=1, initial=-np.inf)[:, None]
+    return ((x >= lo) & (x <= hi)).reshape(x.shape)
+
+
 def kernel_sums(x, points, h, kernel, columns=()):
     """Kernel mass, window count and weighted column sums at each point.
 
@@ -74,16 +107,17 @@ def kernel_sums(x, points, h, kernel, columns=()):
     column has the shape of x or, when it differs between the bandwidths,
     one row per bandwidth: shape x.shape[:-1] + (k, n).
 
-    Each path is sorted once and each (path, bandwidth, point) sums only
-    over its window of the sorted sample, found by binary search and
-    widened by a relative 1e-12 so that no observation with
-    |u_k| <= halfwidth falls outside it; weights and counts are computed
-    from the same u_k as a dense evaluation.  For a kernel of unbounded
-    support the window is the whole path.  All windows go through one
-    ``bincount`` pass, chunked so that the workspace stays within
-    ``_WORKSPACE_ROWS`` rows of a path; every window sums in sorted-x
-    order, so a batch equals its separate one-path, one-bandwidth calls
-    bit for bit.
+    Only the observations that some window of their path reaches
+    (``_reach_mask``) are read.  They are stably sorted by x, path by path,
+    which keeps them in the order a sort of the whole path gives them, and
+    each (path, bandwidth, point) sums only over its window of them, found
+    by binary search between its bounds (``_window_bounds``); weights and
+    counts are computed from the same u_k as a dense evaluation.  For a
+    kernel of unbounded support every observation is read and the window
+    is the whole path.  All windows go through one ``bincount`` pass,
+    chunked so that the workspace stays within ``_WORKSPACE_ROWS`` rows of
+    a path; every window sums in sorted-x order, so a batch equals its
+    separate one-path, one-bandwidth calls bit for bit.
     """
     kernel = get_kernel(kernel)
     x = np.asarray(x, dtype=float)
@@ -109,32 +143,41 @@ def kernel_sums(x, points, h, kernel, columns=()):
     n = x.shape[-1]
     paths = x.reshape(-1, n)
     m, k, g = paths.shape[0], h.size, points.shape[-1]
-    # the point and bandwidth of every (path, bandwidth, point) window
-    pts = np.broadcast_to(points.reshape(-1, 1, g), (m, k, g))
-    hs = np.broadcast_to(h.reshape(k, 1), (m, k, g))
-    order = np.argsort(paths, axis=-1, kind="stable")
-    xs = np.take_along_axis(paths, order, axis=-1)
+    # xs holds the observations some window reaches, path after path, each
+    # path in stable sorted-x order: the order a stable sort of the whole
+    # path gives them, so every window sums the same entries in the same order
+    near = _reach_mask(paths, points, h, kernel)
+    kept = np.count_nonzero(near, axis=1)
+    path_end = np.cumsum(kept)  # each path's first and end entry in xs
+    path_first = path_end - kept
+    row, col = np.nonzero(near)
+    # one row of kept x per path, padded with +inf, which sorts after any x
+    padded = np.full((m, kept.max()), np.inf)
+    padded[row, np.arange(row.size) - path_first[row]] = paths[row, col]
+    ranks = np.argsort(padded, axis=-1, kind="stable")
+    col = col[path_first[row] + ranks[np.arange(padded.shape[1]) < kept[:, None]]]
+    xs = paths[row, col]
+    # each window's first and end entry in xs
     if np.isfinite(kernel.halfwidth):
-        reach = kernel.halfwidth * hs
-        slack = 1e-12 * (np.abs(pts) + reach)
+        bounds = [np.broadcast_to(b, (m, k, g)) for b in _window_bounds(points, h, kernel)]
         lo = np.empty((m, k, g), dtype=np.intp)
         hi = np.empty((m, k, g), dtype=np.intp)
-        for i in range(m):
-            lo[i] = np.searchsorted(xs[i], pts[i] - reach[i] - slack[i], side="left")
-            hi[i] = np.searchsorted(xs[i], pts[i] + reach[i] + slack[i], side="right")
+        for i, (a, b) in enumerate(zip(path_first, path_end)):
+            lo[i] = a + np.searchsorted(xs[a:b], bounds[0][i], side="left")
+            hi[i] = a + np.searchsorted(xs[a:b], bounds[1][i], side="right")
     else:
-        lo = np.zeros((m, k, g), dtype=np.intp)
-        hi = np.full((m, k, g), n, dtype=np.intp)
+        lo = np.broadcast_to(path_first.reshape(m, 1, 1), (m, k, g))
+        hi = np.broadcast_to(path_end.reshape(m, 1, 1), (m, k, g))
     length = (hi - lo).ravel()
-    # one sorted row of x and of every column per (path, bandwidth), and
-    # each window's first entry in them
-    xs = np.broadcast_to(xs[:, None, :], (m, k, n)).ravel()
-    c = cols.shape[0]
-    cs = np.take_along_axis(
-        np.broadcast_to(cols.reshape(c, m, k if per_bandwidth else 1, n), (c, m, k, n)),
-        order[None, :, None, :], axis=-1).reshape(c, m * k * n)
-    start = (lo + np.arange(0, m * k * n, n).reshape(m, k, 1)).ravel()
-    pts, hs = pts.ravel(), hs.ravel()
+    # one row of the kept x and of every kept column per column bandwidth
+    # (one row unless the columns differ between the bandwidths)
+    c, total, kb = cols.shape[0], xs.shape[0], k if per_bandwidth else 1
+    cs = np.moveaxis(cols.reshape(c, m, kb, n), 2, 1)[:, :, row, col].reshape(c, kb * total)
+    xs = np.broadcast_to(xs, (kb, total)).ravel()
+    start = (lo + (np.arange(kb) * total).reshape(kb, 1)).ravel()
+    # the point and bandwidth of every (path, bandwidth, point) window
+    pts = np.broadcast_to(points.reshape(-1, 1, g), (m, k, g)).ravel()
+    hs = np.broadcast_to(h.reshape(k, 1), (m, k, g)).ravel()
     ends = np.cumsum(length)
     first = ends - length
 

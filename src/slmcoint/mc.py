@@ -23,7 +23,7 @@ from .processes import (MemoryKind, TemperedProcessSpec, NoiseConfig,
                         simulate_error_ar1, sine_series_interpolator,
                         innovation_length)
 from .kernel_regression import (get_kernel, nw_estimate, kernel_estimate,
-                                _normal_quantile)
+                                _reach_mask)
 from .spec_test import DEFAULT_WEIGHT_SUPPORT, run_spec_test, uniform_weight
 
 SLM_RULES = {"SLM1": -1.0 / 3.0, "SLM2": -0.25, "SLM3": -0.2, "SLM4": -1.0 / 6.0}
@@ -167,6 +167,17 @@ class StudyConfig:
             raise ValueError("replications must be >= 1")
         if self.chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
+        if self.grid_points < 1:
+            raise ValueError(f"grid_points must be >= 1, got {self.grid_points}")
+        if self.f_terms < 0:
+            raise ValueError(f"f_terms must be >= 0 (0 is the zero function), "
+                             f"got {self.f_terms}")
+        if not 0.0 < self.alpha <= 1.0:
+            raise ValueError(f"alpha must be in (0, 1], got {self.alpha!r}")
+        try:
+            get_kernel(self.kernel)
+        except ValueError as exc:
+            raise ValueError(f"kernel: {exc}") from None
         for name in ("d_values", "eval_points", "nominal_levels", "weight_support"):
             object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
         object.__setattr__(self, "memory_settings", tuple(
@@ -177,6 +188,10 @@ class StudyConfig:
         object.__setattr__(self, "block_rules", tuple(
             br if isinstance(br, BlockRule) else BlockRule(*br)
             for br in self.block_rules))
+        if self.study_kind == "coverage" and not (
+                self.eval_points and all(np.isfinite(self.eval_points))):
+            raise ValueError("eval_points must be nonempty and finite, "
+                             f"got {list(self.eval_points)}")
         ws = self.weight_support
         if len(ws) != 2 or not ws[0] < ws[1]:
             raise ValueError(f"weight_support must be two values a < b, got {list(ws)}")
@@ -323,6 +338,17 @@ def _bandwidths(config):
     return np.array([float(config.n) ** he for he in config.bandwidth_exponents])
 
 
+def _response(x, u, f, points, h, kernel, sigma):
+    """y = f(x) + sigma*u for the stack of paths x, with f evaluated only
+    where a kernel window at ``points`` reaches (``_reach_mask``).  Elsewhere
+    y is sigma*u, which no window reads, so every fit equals the fit on the
+    full response bit for bit."""
+    y = np.broadcast_to(sigma * u, x.shape).copy()
+    near = _reach_mask(x, points, h, kernel)
+    y[near] += f(x[near])
+    return y
+
+
 def _estimation_chunk(args):
     """Per cell, a (5, grid_points) array: the count, sum of errors, sum of
     squared errors, zero-mass (undefined) count and excluded count at each
@@ -337,7 +363,8 @@ def _estimation_chunk(args):
     # (setting, bandwidth, statistic, point); cells follow _cell_keys order
     acc = np.zeros((len(config.settings_grid()), h.size, 5, config.grid_points))
     for x, u in _paths(config, lo, hi):
-        est = nw_estimate(x, f(x) + config.sigma * u, grid, h, kernel)
+        est = nw_estimate(x, _response(x, u, f, grid, h, kernel, config.sigma),
+                          grid, h, kernel)
         ok = est.defined & (est.window_count >= _MIN_WINDOW_COUNT)
         e = np.where(ok, est.fhat - ftrue, 0.0)
         acc[:, :, 0] += ok
@@ -406,8 +433,8 @@ def _coverage_chunk(args):
     # (setting, bandwidth, statistic, point); cells follow _cell_keys order
     acc = np.zeros((len(config.settings_grid()), h.size, 3, pts.shape[0]))
     for x, u in _paths(config, lo, hi):
-        est = kernel_estimate(x, f(x) + config.sigma * u, pts, h, kernel,
-                              alpha=config.alpha, variance="uncentered")
+        est = kernel_estimate(x, _response(x, u, f, pts, h, kernel, config.sigma),
+                              pts, h, kernel, alpha=config.alpha, variance="uncentered")
         ok = est.defined
         half = np.where(ok, est.half_width, 0.0)
         acc[:, :, 0] += ok
@@ -429,7 +456,6 @@ def run_coverage_study(config, threads=1):
     """
     if config.study_kind != "coverage":
         raise ValueError("config.study_kind must be 'coverage'")
-    _normal_quantile(config.alpha)  # rejects a bad alpha before any work
     chunks, sizes = _run_chunked(_coverage_chunk, config, threads)
     tables = {"coverage": [], "length": []}
     r = config.replications

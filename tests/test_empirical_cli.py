@@ -473,6 +473,17 @@ def test_cli_mc_reruns_from_study_config(tmp_path):
      "block_rules 1n^1.5 gives b = 464 at n = 60; need 2 <= b <= n"),
     ({"nominal_levels": [0.05, 1.5]}, "nominal_levels must lie in (0, 1), got 1.5"),
     ({"nominal_levels": [0.0]}, "nominal_levels must lie in (0, 1), got 0.0"),
+    ({"grid_points": -3}, "grid_points must be >= 1, got -3"),
+    ({"grid_points": 0}, "grid_points must be >= 1, got 0"),
+    ({"study_kind": "coverage", "eval_points": []},
+     "eval_points must be nonempty and finite, got []"),
+    ({"study_kind": "coverage", "eval_points": [0.5, float("nan")]},
+     "eval_points must be nonempty and finite, got [0.5, nan]"),
+    ({"f_terms": -1}, "f_terms must be >= 0 (0 is the zero function), got -1"),
+    ({"study_kind": "coverage", "alpha": 0.0}, "alpha must be in (0, 1], got 0.0"),
+    ({"alpha": 1.5}, "alpha must be in (0, 1], got 1.5"),
+    ({"kernel": "triangle"},
+     "kernel: unknown kernel 'triangle'; choose from ['epanechnikov', 'gaussian']"),
 ])
 def test_cli_mc_rejects_bad_config(tmp_path, capsys, change, message):
     cfg = {
@@ -485,6 +496,7 @@ def test_cli_mc_rejects_bad_config(tmp_path, capsys, change, message):
     assert cli_main(["mc", "--config", str(cfg_path),
                      "--out", str(tmp_path / "mc")]) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "mc").exists()
 
 
 def test_cli_mc_rejects_cells_that_share_a_file_name(tmp_path, capsys):

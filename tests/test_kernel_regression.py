@@ -112,6 +112,122 @@ def test_kernel_sums_boundary_points_count():
     assert sums.shape == (0, 3)
 
 
+def _sorted_loop_sums(x, points, h, kernel, columns):
+    """The double loop in stable sorted-x order, the order in which every
+    window of ``kernel_sums`` sums: equal to it bit for bit."""
+    order = np.argsort(x, kind="stable")
+    mass = np.zeros(len(points))
+    count = np.zeros(len(points), dtype=int)
+    sums = np.zeros((len(columns), len(points)))
+    for i, p in enumerate(points):
+        for k in order:
+            u = (x[k] - p) / h
+            w = float(kernel(u))
+            mass[i] += w
+            count[i] += abs(u) <= kernel.halfwidth
+            for c, col in enumerate(columns):
+                sums[c, i] += w * col[k]
+    return mass, count, sums
+
+
+def _assert_equals_sorted_loop(x, points, h, kernel, columns):
+    """kernel_sums of a stack of paths (one row of points per path or
+    shared, a vector of bandwidths, columns per path or per path and
+    bandwidth) equals the sorted double loop of each path and bandwidth."""
+    mass, count, sums = kernel_sums(x, points, h, kernel, columns)
+    for i in range(x.shape[0]):
+        p = points if points.ndim == 1 else points[i]
+        for j in range(h.size):
+            cols = [col[i, j] if col.ndim == 3 else col[i] for col in columns]
+            emass, ecount, esums = _sorted_loop_sums(x[i], p, h[j], kernel, cols)
+            assert np.array_equal(mass[i, j], emass)
+            assert np.array_equal(count[i, j], ecount)
+            assert np.array_equal(sums[i, j], esums)
+    return mass, count, sums
+
+
+def test_kernel_sums_reach_edges_equal_sorted_loop():
+    # observations at exactly p -/+ h and one float step inside and outside,
+    # and at exactly the widened window bounds and one step beyond them
+    rng = np.random.default_rng(21)
+    points = np.array([0.3, 0.55, 0.7])
+    h = np.array([0.1, 0.04])
+    values = list(rng.uniform(-0.5, 1.5, 40))
+    for p in points:
+        for hj in h:
+            for edge in (p - hj, p + hj, p - hj - 1e-12 * (abs(p) + hj),
+                         p + hj + 1e-12 * (abs(p) + hj)):
+                values += [edge, np.nextafter(edge, p), np.nextafter(edge, 2 * edge - p)]
+    x = rng.permutation(np.array(values + values[-6:]))  # with ties
+    y = rng.standard_normal(x.shape)
+    _assert_equals_sorted_loop(x[None], points, h, EPANECHNIKOV, (y[None], y[None] ** 2))
+    # the hull of the widest windows: its bounds in, one step beyond out
+    lo = points[0] - h[0] - 1e-12 * (abs(points[0]) + h[0])
+    hi = points[-1] + h[0] + 1e-12 * (abs(points[-1]) + h[0])
+    near = kernel_regression._reach_mask(x, points, h, EPANECHNIKOV)
+    assert np.array_equal(near, (x >= lo) & (x <= hi))
+    assert near[x == lo].all() and near[x == hi].all()
+    assert not near[(x == np.nextafter(lo, -1.0)) | (x == np.nextafter(hi, 2.0))].any()
+
+
+def test_kernel_sums_grid_outside_data_is_empty():
+    rng = np.random.default_rng(22)
+    x = rng.uniform(0.0, 1.0, (2, 30))
+    y = rng.standard_normal((2, 30))
+    h = np.array([0.5, 1.0])
+    # no observation in reach; then every observation in the hull of the
+    # windows, but none in a window
+    for points, reached in (([5.0, 6.0], False), ([-4.0, 5.0], True)):
+        points = np.array(points)
+        assert kernel_regression._reach_mask(x, points, h, EPANECHNIKOV).all() == reached
+        mass, count, sums = _assert_equals_sorted_loop(x, points, h, EPANECHNIKOV, (y,))
+        assert not mass.any() and not count.any() and not sums.any()
+
+
+@pytest.mark.parametrize("kernel", [EPANECHNIKOV, GAUSSIAN])
+def test_kernel_sums_per_path_points_equal_sorted_loop(kernel):
+    # per-path points of different spans, the last path with no observation
+    # in any window, and a column that differs between the bandwidths
+    rng = np.random.default_rng(23)
+    x = rng.uniform(-2.0, 3.0, (3, 60))
+    x[:, :10] = np.round(x[:, :10], 1)  # ties
+    points = np.array([np.linspace(-1.0, 0.0, 7), np.linspace(0.0, 3.0, 7),
+                       np.linspace(10.0, 11.0, 7)])
+    h = np.array([0.3, 0.05, 0.8])
+    y = rng.standard_normal((3, 60))
+    per_h = y[:, None, :] * h[None, :, None] + 1.0
+    near = kernel_regression._reach_mask(x, points, h, kernel)
+    if kernel is EPANECHNIKOV:
+        assert near[0].any() and near[1].any() and not near[2].any()
+        assert not near[0].all() and not near[1].all()
+    else:
+        assert near.all()  # unbounded support: every observation
+    mass, count, _ = _assert_equals_sorted_loop(
+        x, points, h, kernel, (np.broadcast_to(y[:, None, :], per_h.shape), per_h))
+    if kernel is EPANECHNIKOV:
+        assert not mass[2].any() and not count[2].any()
+
+
+@pytest.mark.parametrize("kernel", [EPANECHNIKOV, GAUSSIAN])
+def test_kernel_sums_read_columns_only_within_reach(kernel):
+    # mc evaluates f only where _reach_mask marks: column values elsewhere
+    # must never enter a sum
+    rng = np.random.default_rng(24)
+    x = rng.standard_normal((4, 200)) + np.arange(4)[:, None]
+    points = np.linspace(0.0, 1.0, 25)
+    h = np.array([200 ** (-1 / 3), 200 ** -0.2])
+    y = rng.standard_normal((4, 200))
+    per_h = y[:, None, :] - h[None, :, None]
+    far = ~kernel_regression._reach_mask(x, points, h, kernel)
+    assert kernel is GAUSSIAN or far.any()
+    got = kernel_sums(x, points, h, kernel, (np.where(far, 1e300, y),))
+    for a, b in zip(got, kernel_sums(x, points, h, kernel, (y,))):
+        assert np.array_equal(a, b)
+    got = kernel_sums(x, points, h, kernel, (np.where(far[:, None, :], 1e300, per_h),))
+    for a, b in zip(got, kernel_sums(x, points, h, kernel, (per_h,))):
+        assert np.array_equal(a, b)
+
+
 def test_kernel_sums_chunks_like_one_pass():
     rng = np.random.default_rng(9)
     x = rng.standard_normal(3)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from slmcoint import (StudyConfig, MemorySetting, BlockRule, SLM_RULES,
                       parse_exponent, run_estimation_study, run_coverage_study,
                       run_size_study, run_study, export_study)
+from slmcoint import mc
 from slmcoint.mc import write_json
 
 
@@ -179,6 +180,36 @@ def test_estimation_cell_order_invariance():
 def test_run_study_dispatch():
     res = run_study(_tiny("coverage", replications=4, chunk_size=2))
     assert res.study_kind == "coverage"
+
+
+@pytest.mark.parametrize("kernel", ["epanechnikov", "gaussian"])
+@pytest.mark.parametrize("study_kind", ["estimation", "coverage"])
+def test_chunks_equal_f_evaluated_everywhere(monkeypatch, study_kind, kernel):
+    # the chunks evaluate f only where a kernel window reaches; the oracle
+    # is the full response f(x) + sigma*u
+    config = _tiny(study_kind, n=300, replications=4, chunk_size=4, kernel=kernel,
+                   d_values=(0.0, 0.4), memory_settings=("lm", "SLM3"),
+                   bandwidth_exponents=(-1.0 / 3.0, -0.2), grid_points=40,
+                   eval_points=(0.0, 0.25, 0.5, 0.95, 3.0))
+    chunk = {"estimation": mc._estimation_chunk, "coverage": mc._coverage_chunk}[study_kind]
+    f = mc._f_evaluator(config)
+    points = []  # the number of points of each f call
+
+    def counted(x):
+        points.append(np.size(x))
+        return f(x)
+
+    monkeypatch.setattr(mc, "_f_evaluator", lambda config: counted)
+    got = chunk((config, 0, 4))
+    reached = sum(points)
+    monkeypatch.setattr(mc, "_response",
+                        lambda x, u, f, grid, h, kernel, sigma: f(x) + sigma * u)
+    want = chunk((config, 0, 4))
+    assert got.keys() == want.keys()
+    for key in want:
+        assert np.array_equal(got[key], want[key], equal_nan=True), key
+    if kernel == "epanechnikov":  # 5% to 22% of a replication's 1200 observations
+        assert reached < 0.5 * (sum(points) - reached)
 
 
 # --------------------------------------------------------horizon degenerate
