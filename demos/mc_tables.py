@@ -43,8 +43,7 @@ def main():
         study_kind="size", n=300, replications=100,
         d_values=(0.1,), memory_settings=("SLM3",),
         bandwidth_exponents=("n^-1/5",), block_rules=((1.0, 0.5), (4.0, 0.5)),
-        nominal_levels=(0.05,), kernel="gaussian", quad_cells=512,
-        master_seed=3)
+        nominal_levels=(0.05,), kernel="gaussian", master_seed=3)
     size = run_size_study(size_cfg, threads=THREADS)
     print("empirical size of the subsampled test (nominal 5%):")
     for row in size.tables["size"]:

@@ -23,7 +23,7 @@ from .kernel_regression import (
 from .spec_test import (
     SubsamplingError, linear_family, quadratic_family, get_family,
     uniform_weight, nls_fit, t_statistic, normalized_statistic,
-    subsample_statistics, subsample_quantile, run_spec_test, integration_domain,
+    subsample_statistics, subsample_quantile, run_spec_test,
 )
 from .whittle import (
     artfima_spectral_density, periodogram, whittle_objective, profile_sigma2,

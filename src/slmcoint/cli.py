@@ -24,8 +24,8 @@ from . import __version__
 from .processes import (TemperedProcessSpec, NoiseConfig, simulate_model,
                         regression_function_sine, MemoryKind)
 from .kernel_regression import get_kernel, kernel_estimate
-from .spec_test import (DEFAULT_QUAD_CELLS, DEFAULT_WEIGHT_SUPPORT, run_spec_test,
-                        get_family, uniform_weight, SubsamplingError)
+from .spec_test import (DEFAULT_WEIGHT_SUPPORT, run_spec_test, get_family,
+                        uniform_weight, SubsamplingError)
 from .whittle import fit_artfima00, fit_arfima00
 from .mc import (BlockRule, StudyConfig, run_study, export_study, parse_exponent,
                  read_csv, write_json, write_csv, _fmt)
@@ -142,7 +142,7 @@ def _cmd_spec_test(args):
     (result,) = run_spec_test(
         x, y, get_family(args.family), h, get_kernel(args.kernel),
         uniform_weight(*args.weight_support), memory_kind=args.memory, d=args.d,
-        lam=lam, blocks=[(b, h_b, lam_b)], quad_cells=args.quad_cells)
+        lam=lam, blocks=[(b, h_b, lam_b)])
     os.makedirs(args.out, exist_ok=True)
     write_json(os.path.join(args.out, "spec_test.json"), result.to_dict())
     _save_manifest(args.out, "spec-test", vars(args), inputs=[args.data])
@@ -178,7 +178,7 @@ def _cmd_mc(args):
 
 def _cmd_ckc(args):
     series = ingest_ckc_csv(args.data, country=args.country)
-    report = ckc_analysis(series, quad_cells=args.quad_cells)
+    report = ckc_analysis(series)
     os.makedirs(args.out, exist_ok=True)
     write_json(os.path.join(args.out, "ckc_report.json"), report)
     _save_manifest(args.out, "ckc", vars(args), inputs=[args.data])
@@ -245,7 +245,6 @@ def build_parser():
                    default=DEFAULT_WEIGHT_SUPPORT,
                    help="support a,b of the uniform weight, a < b, given as "
                         "--weight-support a,b or --weight-support=a,b")
-    p.add_argument("--quad-cells", type=int, default=DEFAULT_QUAD_CELLS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_spec_test)
 
@@ -267,7 +266,6 @@ def build_parser():
     p = sub.add_parser("ckc", help="Carbon Kuznets curve workflow")
     p.add_argument("--data", required=True, help="CSV with year,gdp,co2 columns")
     p.add_argument("--country", default="")
-    p.add_argument("--quad-cells", type=int, default=DEFAULT_QUAD_CELLS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_ckc)
     return parser

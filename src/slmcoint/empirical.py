@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .whittle import fit_artfima00, fit_arfima00
-from .spec_test import DEFAULT_QUAD_CELLS, run_spec_test, get_family, uniform_weight
+from .spec_test import run_spec_test, get_family, uniform_weight
 from .kernel_regression import GAUSSIAN
 from .mc import BlockRule, read_csv
 
@@ -58,7 +58,7 @@ def ingest_ckc_csv(path, country=""):
                            country=country)
 
 
-def ckc_analysis(series, quad_cells=DEFAULT_QUAD_CELLS):
+def ckc_analysis(series):
     """Tempered-model fits and specification-test p-values for one country.
 
     Fits ARTFIMA(0,d,lam,0) and ARFIMA(0,d,0) to log(gdp) and log(co2),
@@ -68,7 +68,8 @@ def ckc_analysis(series, quad_cells=DEFAULT_QUAD_CELLS):
     b = [c sqrt(n)] (``BLOCK_COEFS``, through ``BlockRule``), using the
     semi-long-memory normalization with the regressor's fitted (d, lam).
     Each (hypothesis, bandwidth) pair is one ``run_spec_test`` call: one fit
-    and one full-sample statistic, calibrated against all the block rules.
+    and one full-sample statistic, calibrated against all the block rules,
+    at ``run_spec_test``'s quadrature resolution of 2048 cells.
     The bandwidth follows its power rule at block scale (h_b = b^a); the
     fitted tempering parameter is a constant, not a schedule, so it is held
     fixed at both scales (p-values are invariant to the common factor
@@ -90,8 +91,7 @@ def ckc_analysis(series, quad_cells=DEFAULT_QUAD_CELLS):
             results = run_spec_test(
                 e, z, family, float(n) ** he, GAUSSIAN, uniform_weight(),
                 memory_kind="semi_long", d=d_hat, lam=lam_hat,
-                blocks=[(b, float(b) ** he, lam_hat) for b in sizes],
-                quad_cells=quad_cells)
+                blocks=[(b, float(b) ** he, lam_hat) for b in sizes])
             for coef, res in zip(BLOCK_COEFS, results):
                 pvals.append({
                     "hypothesis": family.kind, "bandwidth_rule": f"n^{he!r}",

@@ -58,24 +58,22 @@ def _check_positive(name, value):
 
 
 def _window_bounds(points, h, kernel):
-    """Lowest and highest x of every (path, bandwidth, point) window of a
-    kernel of bounded support, each of shape (rows of points, bandwidths,
-    points): p -/+ (halfwidth*h + 1e-12*(|p| + halfwidth*h)).  The relative
-    1e-12 widens each window so that no observation with |u| <= halfwidth
-    falls outside it."""
-    g = points.shape[-1]
-    pts = points.reshape(-1, 1, g)
+    """Lowest and highest x of every (bandwidth, point) window of a kernel
+    of bounded support, each of shape (bandwidths, points):
+    p -/+ (halfwidth*h + 1e-12*(|p| + halfwidth*h)).  The relative 1e-12
+    widens each window so that no observation with |u| <= halfwidth falls
+    outside it."""
     reach = kernel.halfwidth * h.reshape(-1, 1)
-    slack = 1e-12 * (np.abs(pts) + reach)
-    return pts - reach - slack, pts + reach + slack
+    slack = 1e-12 * (np.abs(points) + reach)
+    return points - reach - slack, points + reach + slack
 
 
 def _reach_mask(x, points, h, kernel):
     """True at the observations of each path that some window reaches.
 
     Arguments are as in ``kernel_sums``.  An observation is marked when it
-    lies in the hull of its path's window bounds (``_window_bounds``), over
-    every point and bandwidth; for a kernel of unbounded support every
+    lies in the hull of the window bounds (``_window_bounds``), over every
+    point and bandwidth; for a kernel of unbounded support every
     observation is marked.  ``kernel_sums`` reads x and the columns only at
     marked observations, so the values elsewhere never matter.
     """
@@ -85,9 +83,7 @@ def _reach_mask(x, points, h, kernel):
         return np.ones(x.shape, dtype=bool)
     lo, hi = _window_bounds(np.atleast_1d(np.asarray(points, dtype=float)),
                            np.asarray(h, dtype=float), kernel)
-    lo = lo.reshape(lo.shape[0], -1).min(axis=1, initial=np.inf)[:, None]
-    hi = hi.reshape(hi.shape[0], -1).max(axis=1, initial=-np.inf)[:, None]
-    return ((x >= lo) & (x <= hi)).reshape(x.shape)
+    return (x >= lo.min(initial=np.inf)) & (x <= hi.max(initial=-np.inf))
 
 
 def kernel_sums(x, points, h, kernel, columns=()):
@@ -103,9 +99,8 @@ def kernel_sums(x, points, h, kernel, columns=()):
     have shapes (g,), (g,) and (len(columns), g).  A stack of m paths (x of
     shape (m, n)) and a 1-D vector of k bandwidths each add a leading axis,
     so the shapes become (m, k, g), (m, k, g) and (m, k, len(columns), g).
-    Points are shared, shape (g,), or given per path, shape (m, g).  Each
-    column has the shape of x or, when it differs between the bandwidths,
-    one row per bandwidth: shape x.shape[:-1] + (k, n).
+    The points, of shape (g,), are shared by every path, and every column
+    has the shape of x.
 
     Only the observations that some window of their path reaches
     (``_reach_mask``) are read.  They are stably sorted by x, path by path,
@@ -129,20 +124,19 @@ def kernel_sums(x, points, h, kernel, columns=()):
         _check_positive("bandwidth h", value)
     if x.ndim not in (1, 2) or x.size == 0:
         raise ValueError("x must be a nonempty 1-D array or a 2-D stack of paths")
-    if not (points.ndim == 1 or (points.ndim == 2 and x.ndim == 2
-                                 and points.shape[0] == x.shape[0])):
-        raise ValueError("points must be 1-D, or hold one row per path of x")
+    if points.ndim != 1:
+        raise ValueError(f"points must be 1-D, shared by every path, got shape "
+                         f"{points.shape}")
     cols = np.asarray(columns, dtype=float) if len(columns) else np.empty((0,) + x.shape)
-    per_bandwidth = h.ndim == 1 and cols.shape[1:] == x.shape[:-1] + h.shape + x.shape[-1:]
-    if cols.shape[1:] != x.shape and not per_bandwidth:
-        raise ValueError("every summed column must align with x")
+    if cols.shape[1:] != x.shape:
+        raise ValueError(f"every summed column must align with x, of shape {x.shape}")
     for name, arr in (("x", x), ("evaluation points", points),
                       ("summed columns (y or residuals)", cols)):
         _check_finite(name, arr)
 
     n = x.shape[-1]
     paths = x.reshape(-1, n)
-    m, k, g = paths.shape[0], h.size, points.shape[-1]
+    m, k, g = paths.shape[0], h.size, points.shape[0]
     # xs holds the observations some window reaches, path after path, each
     # path in stable sorted-x order: the order a stable sort of the whole
     # path gives them, so every window sums the same entries in the same order
@@ -159,24 +153,22 @@ def kernel_sums(x, points, h, kernel, columns=()):
     xs = paths[row, col]
     # each window's first and end entry in xs
     if np.isfinite(kernel.halfwidth):
-        bounds = [np.broadcast_to(b, (m, k, g)) for b in _window_bounds(points, h, kernel)]
+        left, right = _window_bounds(points, h, kernel)
         lo = np.empty((m, k, g), dtype=np.intp)
         hi = np.empty((m, k, g), dtype=np.intp)
         for i, (a, b) in enumerate(zip(path_first, path_end)):
-            lo[i] = a + np.searchsorted(xs[a:b], bounds[0][i], side="left")
-            hi[i] = a + np.searchsorted(xs[a:b], bounds[1][i], side="right")
+            lo[i] = a + np.searchsorted(xs[a:b], left, side="left")
+            hi[i] = a + np.searchsorted(xs[a:b], right, side="right")
     else:
         lo = np.broadcast_to(path_first.reshape(m, 1, 1), (m, k, g))
         hi = np.broadcast_to(path_end.reshape(m, 1, 1), (m, k, g))
     length = (hi - lo).ravel()
-    # one row of the kept x and of every kept column per column bandwidth
-    # (one row unless the columns differ between the bandwidths)
-    c, total, kb = cols.shape[0], xs.shape[0], k if per_bandwidth else 1
-    cs = np.moveaxis(cols.reshape(c, m, kb, n), 2, 1)[:, :, row, col].reshape(c, kb * total)
-    xs = np.broadcast_to(xs, (kb, total)).ravel()
-    start = (lo + (np.arange(kb) * total).reshape(kb, 1)).ravel()
+    start = lo.ravel()
+    # every column at the kept observations, in the order of xs
+    c = cols.shape[0]
+    cs = cols.reshape(c, m, n)[:, row, col]
     # the point and bandwidth of every (path, bandwidth, point) window
-    pts = np.broadcast_to(points.reshape(-1, 1, g), (m, k, g)).ravel()
+    pts = np.broadcast_to(points, (m, k, g)).ravel()
     hs = np.broadcast_to(h.reshape(k, 1), (m, k, g)).ravel()
     ends = np.cumsum(length)
     first = ends - length
@@ -222,9 +214,8 @@ def nw_estimate(x, y, grid, h, kernel=EPANECHNIKOV):
 
 
 def fitted_values(x, y, h, kernel=EPANECHNIKOV):
-    """Leave-in NW fitted values at the observations themselves, of shape
-    (n,) or, for a stack of paths and/or a vector of bandwidths, with the
-    same leading axes as ``kernel_sums``.
+    """Leave-in NW fitted values at the observations of one path x, of
+    shape (n,), or (k, n) for a 1-D vector of k bandwidths.
 
     Observation k contributes to its own fit, so the denominator is always
     positive (K(0) > 0).
@@ -288,9 +279,10 @@ def kernel_estimate(x, y, grid, h, kernel=EPANECHNIKOV, alpha=None,
     the coverage study; None skips the variance and the band.  ``alpha``
     in (0, 1] asks for the band, which needs a variance.
 
-    x and y may be a stack of paths of shape (m, n), the grid shared or one
-    row per path, and h a 1-D vector of bandwidths, as in ``kernel_sums``;
-    the result equals the separate one-path, one-bandwidth fits bit for bit.
+    x and y may be a stack of paths of shape (m, n), with the grid shared by
+    every path, and h a 1-D vector of bandwidths, as in ``kernel_sums``; the
+    result equals the separate one-path, one-bandwidth fits bit for bit.
+    The centered variance takes one path and one bandwidth.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -307,10 +299,10 @@ def kernel_estimate(x, y, grid, h, kernel=EPANECHNIKOV, alpha=None,
                              "does not give; pass variance='centered' or 'uncentered'")
         columns = (y,)
     elif variance == "centered":
-        # one residual row per bandwidth when h is a vector
-        yk = y[..., None, :] if h.ndim else y
-        r2 = (yk - fitted_values(x, y, h, kernel)) ** 2
-        columns = (np.broadcast_to(yk, r2.shape), r2)
+        if x.ndim != 1 or h.ndim:
+            raise ValueError(f"the centered variance takes one path x of shape (n,) "
+                             f"and one bandwidth h, got shapes {x.shape} and {h.shape}")
+        columns = (y, (y - fitted_values(x, y, h, kernel)) ** 2)
     elif variance == "uncentered":
         columns = (y, y * y)
     else:

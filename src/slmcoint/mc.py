@@ -30,6 +30,10 @@ SLM_RULES = {"SLM1": -1.0 / 3.0, "SLM2": -0.25, "SLM3": -0.2, "SLM4": -1.0 / 6.0
 DEFAULT_BLOCK_RULES = ((0.5, 0.5), (1.0, 0.5), (2.0, 0.5), (4.0, 0.5))
 DEFAULT_LEVELS = (0.01, 0.05, 0.10)
 _CHUNK_SIZE = 25
+_SIZE_QUAD_CELLS = 1024  # the quad_cells of every size-study statistic
+# the integer fields of a study config, each with its least value
+_COUNT_FIELDS = {"n": 1, "replications": 1, "chunk_size": 1, "grid_points": 1,
+                 "f_terms": 0, "burn_in": 0, "master_seed": None}
 _MIN_WINDOW_COUNT = 2  # window observations an estimation pair needs
 
 
@@ -131,10 +135,11 @@ class StudyConfig:
     """Monte Carlo study configuration (JSON-serializable).
 
     Study-specific fields: ``eval_points``/``alpha`` for coverage,
-    ``block_rules``/``nominal_levels``/``weight_support``/``quad_cells`` for
-    size, ``grid_points`` for estimation.  ``presample`` is the shock
-    history length used by the simulations (0 = in-sample innovations only,
-    the tables' convention; "full" = complete truncated history).
+    ``block_rules``/``nominal_levels``/``weight_support`` for size (whose
+    statistics use 1024 quadrature cells), ``grid_points`` for estimation.
+    ``presample`` is the shock history length used by the simulations (0 =
+    in-sample innovations only, the tables' convention; "full" = complete
+    truncated history).  The counts (``_COUNT_FIELDS``) must be integers.
     """
 
     study_kind: str
@@ -156,22 +161,19 @@ class StudyConfig:
     block_rules: tuple = DEFAULT_BLOCK_RULES
     nominal_levels: tuple = DEFAULT_LEVELS
     weight_support: tuple = DEFAULT_WEIGHT_SUPPORT
-    quad_cells: int = 1024
     presample: object = 0
     chunk_size: int = _CHUNK_SIZE
 
     def __post_init__(self):
         if self.study_kind not in ("estimation", "coverage", "size"):
             raise ValueError("study_kind must be estimation, coverage or size")
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        if self.chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
-        if self.grid_points < 1:
-            raise ValueError(f"grid_points must be >= 1, got {self.grid_points}")
-        if self.f_terms < 0:
-            raise ValueError(f"f_terms must be >= 0 (0 is the zero function), "
-                             f"got {self.f_terms}")
+        for name, least in _COUNT_FIELDS.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if least is not None and value < least:
+                note = " (0 is the zero function)" if name == "f_terms" else ""
+                raise ValueError(f"{name} must be >= {least}{note}, got {value}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha!r}")
         try:
@@ -299,14 +301,17 @@ def _cell_keys(config):
 
 
 def _run_chunked(worker, config, threads):
-    """Run ``worker`` on chunks of ``chunk_size`` replications.  Returns
-    {cell key: [the cell's accumulator from each chunk, in chunk order]}
-    and the chunk sizes."""
+    """Run ``worker`` on chunks of ``chunk_size`` replications, forking at
+    most one of the ``threads`` workers per chunk.  Returns {cell key: [the
+    cell's accumulator from each chunk, in chunk order]} and the chunk sizes."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     r, cs = config.replications, config.chunk_size
     bounds = [(lo, min(lo + cs, r)) for lo in range(0, r, cs)]
     jobs = [(config, lo, hi) for lo, hi in bounds]
-    if threads and threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             payloads = list(pool.map(worker, jobs))
     else:
         payloads = [worker(j) for j in jobs]
@@ -495,7 +500,7 @@ def _size_chunk(args):
                 blocks = [(b, float(b) ** he, ms.lam(b)) for b in sizes]
                 results = run_spec_test(x, y, "linear", float(config.n) ** he, config.kernel,
                                         weight, ms.kind, d, ms.lam(config.n), blocks=blocks,
-                                        quad_cells=config.quad_cells)
+                                        quad_cells=_SIZE_QUAD_CELLS)
                 cells[ms.label, d, he].append([results[0].t_normalized] + [
                     res.reject(lv) for res in results for lv in config.nominal_levels])
     return {key: np.array(rows, dtype=float) for key, rows in cells.items()}

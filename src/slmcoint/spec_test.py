@@ -120,13 +120,13 @@ def nls_fit(family, x, y):
     return np.pad(raw, (0, family.dim - raw.size))
 
 
-def integration_domain(x, h, weight, pad=_DOMAIN_PAD_BANDWIDTHS):
+def integration_domain(x, h, weight):
     """Quadrature interval: weight support clipped to the realized data range
-    plus a pad of ``pad`` bandwidths (the smoothed residual field is
-    numerically zero further out)."""
+    plus a pad of ``_DOMAIN_PAD_BANDWIDTHS`` bandwidths (the smoothed
+    residual field is numerically zero further out)."""
     x = np.asarray(x, dtype=float)
-    lo = max(weight.a, float(x.min()) - pad * h)
-    hi = min(weight.b, float(x.max()) + pad * h)
+    lo = max(weight.a, float(x.min()) - _DOMAIN_PAD_BANDWIDTHS * h)
+    hi = min(weight.b, float(x.max()) + _DOMAIN_PAD_BANDWIDTHS * h)
     if hi <= lo:
         return weight.a, weight.b
     return lo, hi
@@ -160,22 +160,21 @@ def _node_tiles(x, h, kernel, nodes):
         yield rows, keep, kernel((x[keep, None] - nodes[None, rows]) / h)
 
 
-def t_statistic(x, y, family, theta, h, kernel, weight, quad_cells=DEFAULT_QUAD_CELLS,
-                domain=None):
+def t_statistic(x, y, family, theta, h, kernel, weight, quad_cells=DEFAULT_QUAD_CELLS):
     """Raw specification statistic by composite midpoint quadrature.
 
     The integrand { sum_k K[(x_k-x)/h] r_k }^2 pi(x) is evaluated on
-    ``quad_cells`` midpoint nodes over ``domain`` (defaults to the weight
-    support clipped to the data range).
+    ``quad_cells`` midpoint nodes over ``integration_domain``: the weight
+    support clipped to the data range.  ``quad_cells`` is 2048 by default,
+    the resolution of ``run_spec_test``, the CLI and the empirical
+    workflow; the size study passes 1024.
     """
     _check_positive("bandwidth h", h)
     family = get_family(family)
     kernel = get_kernel(kernel)
     x, y = _as_xy(x, y)
     r = family.residuals(x, y, np.asarray(theta, dtype=float))
-    if domain is None:
-        domain = integration_domain(x, h, weight)
-    nodes, dx = _quad_nodes(domain, quad_cells)
+    nodes, dx = _quad_nodes(integration_domain(x, h, weight), quad_cells)
     S = np.empty(quad_cells)
     for rows, keep, K in _node_tiles(x, h, kernel, nodes):
         # over full rows, zeros included: einsum's rounding depends on position

@@ -49,7 +49,7 @@ def size_lm_study():
         d_values=(0.2,), memory_settings=("lm",),
         bandwidth_exponents=(-1.0 / 3.0,),
         block_rules=((1.0, 0.5),), nominal_levels=(0.05,),
-        weight_support=(-100.0, 100.0), quad_cells=1024,
+        weight_support=(-100.0, 100.0),
         kernel="gaussian", master_seed=MASTER_SEED)
     return run_size_study(config, threads=THREADS)
 
@@ -63,7 +63,7 @@ def size_slm_study():
         d_values=(0.1,), memory_settings=("SLM3",),
         bandwidth_exponents=(-0.2,),
         block_rules=((4.0, 0.5),), nominal_levels=(0.01,),
-        weight_support=(-100.0, 100.0), quad_cells=1024,
+        weight_support=(-100.0, 100.0),
         kernel="gaussian", master_seed=MASTER_SEED)
     return run_size_study(config, threads=THREADS)
 

@@ -126,7 +126,7 @@ def test_read_csv_rejects_bad_file(tmp_path, text, message):
 def quadratic_report(tmp_path_factory):
     path = _write_ckc(tmp_path_factory.mktemp("ckc") / "q.csv", noise=1e-3)
     series = ingest_ckc_csv(path, country="Synthia")
-    return ckc_analysis(series, quad_cells=1024)
+    return ckc_analysis(series)
 
 
 def test_ckc_report_structure(quadratic_report):
@@ -150,7 +150,7 @@ def test_ckc_computes_each_statistic_once(tmp_path, monkeypatch):
         return t_statistic(*args, **kwargs)
 
     monkeypatch.setattr(spec_test, "t_statistic", counted)
-    report = ckc_analysis(ingest_ckc_csv(_write_ckc(tmp_path / "c.csv")), quad_cells=256)
+    report = ckc_analysis(ingest_ckc_csv(_write_ckc(tmp_path / "c.csv")))
     assert calls == [59.0 ** -0.5, 59.0 ** -1.0] * 2
     assert len(report["p_values"]) == 12
 
@@ -161,7 +161,7 @@ def test_ckc_quadratic_data_prefers_quadratic(tmp_path):
     # ordering is weak (never reversed, strict where the subsample
     # distribution has room above the full statistic)
     path = _write_ckc(tmp_path / "q200.csv", n=200, noise=0.02)
-    rows = ckc_analysis(ingest_ckc_csv(path), quad_cells=1024)["p_values"]
+    rows = ckc_analysis(ingest_ckc_csv(path))["p_values"]
     strict = 0
     for he in (-0.5, -1.0):
         for coef in (2.0, 4.0, 6.0):
@@ -209,8 +209,7 @@ def test_cli_estimate_and_spec_test(tmp_path):
     st = tmp_path / "st"
     assert cli_main(["spec-test", "--data", str(sim / "path.csv"),
                      "--family", "linear", "--memory", "short",
-                     "--block-rule", "2", "--quad-cells", "512",
-                     "--out", str(st)]) == 0
+                     "--block-rule", "2", "--out", str(st)]) == 0
     payload = json.loads((st / "spec_test.json").read_text())
     assert 0.0 < payload["p_value"] <= 1.0
 
@@ -243,8 +242,7 @@ def test_cli_spec_test_weight_support_forms_agree(tmp_path, capsys):
     outputs = []
     for form in (["--weight-support", "-50,50"], ["--weight-support=-50,50"]):
         out = tmp_path / f"st{len(outputs)}"
-        assert cli_main(["spec-test", "--data", str(data), "--quad-cells", "256",
-                         *form, "--out", str(out)]) == 0
+        assert cli_main(["spec-test", "--data", str(data), *form, "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["arguments"]["weight_support"] == [-50.0, 50.0]
         outputs.append(((out / "spec_test.json").read_text(), capsys.readouterr().out))
@@ -310,7 +308,7 @@ def test_cli_spec_test_rejects_empty_cell(tmp_path, capfd, column, flags, messag
     data = tmp_path / "gap.csv"
     data.write_text("x,y\n" + "".join(",".join(row) + "\n" for row in cells))
     assert cli_main(["spec-test", "--data", str(data), "--memory", "slm",
-                     "--d", "0.1", "--quad-cells", "256", *flags,
+                     "--d", "0.1", *flags,
                      "--out", str(tmp_path / "st")]) == 2
     out, err = capfd.readouterr()
     assert message in err
@@ -326,8 +324,7 @@ def _cli_block_values(tmp_path, flags):
                                       for a, b in zip(x, y)))
     out = tmp_path / "st"
     assert cli_main(["spec-test", "--data", str(data), "--memory", "slm",
-                     "--d", "0.1", "--block-size", "28", "--quad-cells", "256",
-                     *flags, "--out", str(out)]) == 0
+                     "--d", "0.1", "--block-size", "28", *flags, "--out", str(out)]) == 0
     return json.loads((out / "spec_test.json").read_text())
 
 
@@ -430,6 +427,17 @@ def test_cli_mc_runs_config(tmp_path):
     assert (out / "manifest.json").exists()
 
 
+def test_cli_mc_rejects_zero_threads(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "study_kind": "estimation", "n": 100, "replications": 4, "d_values": [0.1],
+        "memory_settings": ["SLM3"], "bandwidth_exponents": ["n^-1/3"]}))
+    assert cli_main(["mc", "--config", str(cfg_path), "--out", str(tmp_path / "mc"),
+                     "--threads", "0"]) == 2
+    assert "threads must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "mc").exists()
+
+
 def test_cli_mc_reruns_from_study_config(tmp_path):
     # export_study saves the resolved config next to the command manifest;
     # a second run from it reproduces every table byte for byte
@@ -437,7 +445,7 @@ def test_cli_mc_reruns_from_study_config(tmp_path):
         "study_kind": "size", "n": 100, "replications": 3, "chunk_size": 2,
         "d_values": [0.1], "memory_settings": ["SLM3"],
         "bandwidth_exponents": ["n^-1/5"], "block_rules": [[1.0, 0.5]],
-        "nominal_levels": [0.05], "kernel": "gaussian", "quad_cells": 128,
+        "nominal_levels": [0.05], "kernel": "gaussian",
         "master_seed": 5,
     }
     cfg_path = tmp_path / "cfg.json"
@@ -484,6 +492,19 @@ def test_cli_mc_reruns_from_study_config(tmp_path):
     ({"alpha": 1.5}, "alpha must be in (0, 1], got 1.5"),
     ({"kernel": "triangle"},
      "kernel: unknown kernel 'triangle'; choose from ['epanechnikov', 'gaussian']"),
+    ({"n": 100.5}, "n must be an integer, got 100.5"),
+    ({"n": 0}, "n must be >= 1, got 0"),
+    ({"replications": 2.5}, "replications must be an integer, got 2.5"),
+    ({"chunk_size": 1.5}, "chunk_size must be an integer, got 1.5"),
+    ({"grid_points": 2.5}, "grid_points must be an integer, got 2.5"),
+    ({"f_terms": 10.0}, "f_terms must be an integer, got 10.0"),
+    ({"burn_in": 0.5}, "burn_in must be an integer, got 0.5"),
+    ({"burn_in": -1}, "burn_in must be >= 0, got -1"),
+    ({"master_seed": "7"}, "master_seed must be an integer, got '7'"),
+    ({"replications": True}, "replications must be an integer, got True"),
+    # the study_config.json of an older version, written with quad_cells
+    ({"study_kind": "size", "quad_cells": 1024},
+     "unknown study config field(s): quad_cells"),
 ])
 def test_cli_mc_rejects_bad_config(tmp_path, capsys, change, message):
     cfg = {
@@ -505,7 +526,7 @@ def test_cli_mc_rejects_cells_that_share_a_file_name(tmp_path, capsys):
     cfg_path.write_text(json.dumps({
         "study_kind": "size", "n": 120, "replications": 2,
         "d_values": [0.1, 0.1000001], "memory_settings": ["SLM3"],
-        "bandwidth_exponents": [-0.2], "quad_cells": 256}))
+        "bandwidth_exponents": [-0.2]}))
     assert cli_main(["mc", "--config", str(cfg_path),
                      "--out", str(tmp_path / "mc")]) == 2
     assert ("d_values 0.1 and 0.1000001 both print as 0.1 in output file names"
@@ -517,7 +538,7 @@ def test_cli_ckc_end_to_end(tmp_path, capsys):
     data = _write_ckc(tmp_path / "c.csv")
     out = tmp_path / "ckc"
     assert cli_main(["ckc", "--data", str(data), "--country", "Synthia",
-                     "--quad-cells", "512", "--out", str(out)]) == 0
+                     "--out", str(out)]) == 0
     report = json.loads((out / "ckc_report.json").read_text())
     assert report["country"] == "Synthia"
     assert capsys.readouterr().out.count("quadratic") == 6
@@ -546,7 +567,7 @@ def test_cli_numerical_failure_exit_code(tmp_path):
             fh.write(f"{float(xv)!r},{float(yv)!r}\n")
     code = cli_main(["spec-test", "--data", str(data), "--family", "linear",
                      "--memory", "short", "--block-size", "10",
-                     "--quad-cells", "256", "--out", str(tmp_path / "o3")])
+                     "--out", str(tmp_path / "o3")])
     assert code == 3
 
 

@@ -131,15 +131,14 @@ def _sorted_loop_sums(x, points, h, kernel, columns):
 
 
 def _assert_equals_sorted_loop(x, points, h, kernel, columns):
-    """kernel_sums of a stack of paths (one row of points per path or
-    shared, a vector of bandwidths, columns per path or per path and
-    bandwidth) equals the sorted double loop of each path and bandwidth."""
+    """kernel_sums of a stack of paths (shared points, a vector of
+    bandwidths, one row of every column per path) equals the sorted double
+    loop of each path and bandwidth."""
     mass, count, sums = kernel_sums(x, points, h, kernel, columns)
     for i in range(x.shape[0]):
-        p = points if points.ndim == 1 else points[i]
         for j in range(h.size):
-            cols = [col[i, j] if col.ndim == 3 else col[i] for col in columns]
-            emass, ecount, esums = _sorted_loop_sums(x[i], p, h[j], kernel, cols)
+            cols = [col[i] for col in columns]
+            emass, ecount, esums = _sorted_loop_sums(x[i], points, h[j], kernel, cols)
             assert np.array_equal(mass[i, j], emass)
             assert np.array_equal(count[i, j], ecount)
             assert np.array_equal(sums[i, j], esums)
@@ -182,30 +181,13 @@ def test_kernel_sums_grid_outside_data_is_empty():
         assert kernel_regression._reach_mask(x, points, h, EPANECHNIKOV).all() == reached
         mass, count, sums = _assert_equals_sorted_loop(x, points, h, EPANECHNIKOV, (y,))
         assert not mass.any() and not count.any() and not sums.any()
-
-
-@pytest.mark.parametrize("kernel", [EPANECHNIKOV, GAUSSIAN])
-def test_kernel_sums_per_path_points_equal_sorted_loop(kernel):
-    # per-path points of different spans, the last path with no observation
-    # in any window, and a column that differs between the bandwidths
-    rng = np.random.default_rng(23)
-    x = rng.uniform(-2.0, 3.0, (3, 60))
-    x[:, :10] = np.round(x[:, :10], 1)  # ties
-    points = np.array([np.linspace(-1.0, 0.0, 7), np.linspace(0.0, 3.0, 7),
-                       np.linspace(10.0, 11.0, 7)])
-    h = np.array([0.3, 0.05, 0.8])
-    y = rng.standard_normal((3, 60))
-    per_h = y[:, None, :] * h[None, :, None] + 1.0
-    near = kernel_regression._reach_mask(x, points, h, kernel)
-    if kernel is EPANECHNIKOV:
-        assert near[0].any() and near[1].any() and not near[2].any()
-        assert not near[0].all() and not near[1].all()
-    else:
-        assert near.all()  # unbounded support: every observation
-    mass, count, _ = _assert_equals_sorted_loop(
-        x, points, h, kernel, (np.broadcast_to(y[:, None, :], per_h.shape), per_h))
-    if kernel is EPANECHNIKOV:
-        assert not mass[2].any() and not count[2].any()
+    # one path wholly in reach and the other wholly out of it
+    x[1] += 10.0
+    points = np.array([0.2, 0.7])
+    near = kernel_regression._reach_mask(x, points, h, EPANECHNIKOV)
+    assert near[0].all() and not near[1].any()
+    mass, count, _ = _assert_equals_sorted_loop(x, points, h, EPANECHNIKOV, (y,))
+    assert mass[0].all() and not mass[1].any() and not count[1].any()
 
 
 @pytest.mark.parametrize("kernel", [EPANECHNIKOV, GAUSSIAN])
@@ -217,14 +199,10 @@ def test_kernel_sums_read_columns_only_within_reach(kernel):
     points = np.linspace(0.0, 1.0, 25)
     h = np.array([200 ** (-1 / 3), 200 ** -0.2])
     y = rng.standard_normal((4, 200))
-    per_h = y[:, None, :] - h[None, :, None]
     far = ~kernel_regression._reach_mask(x, points, h, kernel)
     assert kernel is GAUSSIAN or far.any()
     got = kernel_sums(x, points, h, kernel, (np.where(far, 1e300, y),))
     for a, b in zip(got, kernel_sums(x, points, h, kernel, (y,))):
-        assert np.array_equal(a, b)
-    got = kernel_sums(x, points, h, kernel, (np.where(far[:, None, :], 1e300, per_h),))
-    for a, b in zip(got, kernel_sums(x, points, h, kernel, (per_h,))):
         assert np.array_equal(a, b)
 
 
@@ -242,8 +220,8 @@ def test_kernel_sums_chunks_like_one_pass():
 @st.composite
 def _batch_case(draw):
     """A stack of paths of one length (ties within a path), one to three
-    mixed bandwidths, points shared by the paths or one row per path
-    (some at exactly x +- h), and a workspace size for the chunking."""
+    mixed bandwidths, points shared by the paths (some at exactly x +- h of
+    one of them), and a workspace size for the chunking."""
     m = draw(st.integers(1, 4))
     n = draw(st.integers(1, 12))
     values = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
@@ -253,18 +231,17 @@ def _batch_case(draw):
     h = np.array(draw(st.lists(st.floats(1e-3, 20.0), min_size=1, max_size=3)))
     g = draw(st.integers(1, 6))
 
-    def point(i):
+    def point():
         if draw(st.booleans()):
-            return (x[i, draw(st.integers(0, n - 1))]
+            return (x[draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1))]
                     + draw(st.sampled_from([-1.0, 0.0, 1.0])) * draw(st.sampled_from(h)))
         return draw(st.floats(-120.0, 120.0))
 
-    shared = draw(st.booleans())
-    points = np.array([[point(i) for _ in range(g)] for i in range(1 if shared else m)])
+    points = np.array([point() for _ in range(g)])
     y = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=m * n,
                                max_size=m * n))).reshape(m, n)
     rows = draw(st.sampled_from([1, 3, 512]))
-    return x, points[0] if shared else points, h, y, rows
+    return x, points, h, y, rows
 
 
 @pytest.mark.parametrize("kernel", [EPANECHNIKOV, GAUSSIAN])
@@ -273,24 +250,18 @@ def _batch_case(draw):
 def test_kernel_sums_batch_equals_separate_calls(kernel, case):
     x, points, h, y, rows = case
     (m, n), k = x.shape, h.size
-    # a column that differs between the bandwidths
-    per_h = y[:, None, :] + h[None, :, None]
     with mock.patch.object(kernel_regression, "_WORKSPACE_ROWS", rows):
         mass, count, sums = kernel_sums(x, points, h, kernel, (y, y * y))
-        _, _, hsums = kernel_sums(x, points, h, kernel, (per_h,))
-    g = points.shape[-1]
+    g = points.shape[0]
     assert mass.shape == count.shape == (m, k, g)
-    assert sums.shape == (m, k, 2, g) and hsums.shape == (m, k, 1, g)
+    assert sums.shape == (m, k, 2, g)
     for i in range(m):
-        p = points if points.ndim == 1 else points[i]
         for j in range(k):
-            one = kernel_sums(x[i], p, h[j], kernel, (y[i], y[i] * y[i]))
+            one = kernel_sums(x[i], points, h[j], kernel, (y[i], y[i] * y[i]))
             assert np.array_equal(mass[i, j], one[0])
             assert np.array_equal(count[i, j], one[1])
             assert np.array_equal(sums[i, j], one[2])
-            assert np.array_equal(hsums[i, j],
-                                  kernel_sums(x[i], p, h[j], kernel, (per_h[i, j],))[2])
-            emass, ecount, esums = _dense_sums(x[i], p, h[j], kernel,
+            emass, ecount, esums = _dense_sums(x[i], points, h[j], kernel,
                                                (y[i], y[i] * y[i]))
             assert_allclose(mass[i, j], emass, rtol=1e-12, atol=1e-12)
             assert np.array_equal(count[i, j], ecount)
@@ -316,14 +287,14 @@ def test_kernel_sums_batch_crosses_chunks():
 @settings(max_examples=60, deadline=None)
 @given(case=_batch_case())
 def test_kernel_estimate_stack_equals_separate_calls(kernel, case):
+    # the centered variance takes one path and one bandwidth
     x, points, h, y, _ = case
-    for variance, alpha in ((None, None), ("centered", 0.05), ("uncentered", 0.1)):
+    for variance, alpha in ((None, None), ("uncentered", 0.1)):
         est = kernel_estimate(x, y, points, h, kernel, alpha=alpha, variance=variance)
         assert np.array_equal(est.bandwidth, h)
         for i in range(x.shape[0]):
-            p = points if points.ndim == 1 else points[i]
             for j in range(h.size):
-                one = kernel_estimate(x[i], y[i], p, h[j], kernel, alpha=alpha,
+                one = kernel_estimate(x[i], y[i], points, h[j], kernel, alpha=alpha,
                                       variance=variance)
                 for name in ("fhat", "sigma2hat", "local_mass", "window_count",
                              "half_width"):
@@ -334,12 +305,28 @@ def test_kernel_estimate_stack_equals_separate_calls(kernel, case):
 
 def test_kernel_sums_rejects_bad_batch():
     x = np.zeros((2, 3))
-    with pytest.raises(ValueError, match="one row per path"):
-        kernel_sums(x, np.zeros((3, 4)), 0.5, EPANECHNIKOV)
-    with pytest.raises(ValueError, match="one row per path"):
+    # points are shared by every path, even with one row per path
+    for points in (np.zeros((2, 4)), np.zeros((3, 4))):
+        with pytest.raises(ValueError, match=r"points must be 1-D, shared by every "
+                                             r"path, got shape \(\d, 4\)"):
+            kernel_sums(x, points, 0.5, EPANECHNIKOV)
+    with pytest.raises(ValueError, match="points must be 1-D"):
         kernel_sums(x[0], np.zeros((1, 4)), 0.5, EPANECHNIKOV)
-    with pytest.raises(ValueError, match="align"):
-        kernel_sums(x, [0.0], [0.5, 1.0], EPANECHNIKOV, (np.zeros((2, 3, 3)),))
+    # every column has the shape of x, also one row per bandwidth
+    for column in (np.zeros((2, 2, 3)), np.zeros((2, 3, 3))):
+        with pytest.raises(ValueError, match=r"must align with x, of shape \(2, 3\)"):
+            kernel_sums(x, [0.0], [0.5, 1.0], EPANECHNIKOV, (column,))
+    # the centered variance takes one path and one bandwidth
+    for xs, h, shapes in ((x, 0.5, r"\(2, 3\) and \(\)"),
+                          (x[0], [0.5, 1.0], r"\(3,\) and \(2,\)"),
+                          (x, [0.5], r"\(2, 3\) and \(1,\)")):
+        with pytest.raises(ValueError, match=r"the centered variance takes one path x "
+                                             r"of shape \(n,\) and one bandwidth h, "
+                                             r"got shapes " + shapes):
+            kernel_estimate(xs, np.zeros_like(xs), [0.0], h, EPANECHNIKOV)
+    with pytest.raises(ValueError, match=r"points must be 1-D, shared by every path, "
+                                         r"got shape \(2, 3\)"):
+        fitted_values(x, x, 0.5)
     with pytest.raises(ValueError, match="bandwidth h must be finite and > 0, got 0.0"):
         kernel_sums(x, [0.0], [0.5, 0.0], EPANECHNIKOV)
     with pytest.raises(ValueError, match="nonempty 1-D vector"):

@@ -15,8 +15,7 @@ def _tiny(study_kind, **kw):
     base = dict(
         study_kind=study_kind, n=120, replications=6, chunk_size=3,
         d_values=(0.1,), memory_settings=("SLM3",),
-        bandwidth_exponents=(-0.2,), master_seed=4242,
-        quad_cells=256)
+        bandwidth_exponents=(-0.2,), master_seed=4242)
     if study_kind == "size":
         base.update(kernel="gaussian", block_rules=((1.0, 0.5),),
                     nominal_levels=(0.05,))
@@ -122,7 +121,7 @@ def test_settings_grid_skips_invalid_lm_rows():
     _tiny("size", n=100, replications=5, chunk_size=2,
           block_rules=((1.0, 0.5), (2.0, 0.5)), nominal_levels=(0.05, 0.10)),
     # the 3b acceptance cell at R=4: the matrix sizes of the size benchmark
-    _tiny("size", n=500, replications=4, chunk_size=2, quad_cells=1024,
+    _tiny("size", n=500, replications=4, chunk_size=2,
           block_rules=((4.0, 0.5),), nominal_levels=(0.01,),
           master_seed=20250808),
 ], ids=["estimation", "coverage", "size", "size-3b-cell"])
@@ -163,6 +162,51 @@ def test_thread_count_invariance_property(config):
     a = run_study(config, threads=1)
     b = run_study(config, threads=2)
     assert json.dumps(a.tables) == json.dumps(b.tables)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the worker count it is
+    asked for and maps in this process, so no worker is forked."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("replications, threads, workers", [
+    (6, 8, [2]),  # 2 chunks of 3: 2 workers, not 8
+    (6, 2, [2]),
+    (7, 2, [2]),  # 3 chunks
+    (3, 8, []),   # 1 chunk: no pool
+    (6, 1, []),
+])
+def test_run_chunked_forks_at_most_one_worker_per_chunk(monkeypatch, replications,
+                                                         threads, workers):
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    config = _tiny("estimation", replications=replications)
+    result = run_study(config, threads=threads)
+    assert _RecordingPool.sizes == workers
+    assert json.dumps(result.tables) == json.dumps(run_study(config).tables)
+
+
+@pytest.mark.parametrize("threads", [0, -2])
+def test_run_chunked_rejects_fewer_than_one_thread(monkeypatch, threads):
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}$"):
+        run_study(_tiny("estimation"), threads=threads)
+    assert _RecordingPool.sizes == []
 
 
 def test_estimation_cell_order_invariance():

@@ -10,10 +10,9 @@ from slmcoint import (linear_family, quadratic_family, get_family,
                       uniform_weight, nls_fit, t_statistic,
                       normalized_statistic, subsample_statistics, subsample_quantile, run_spec_test,
                       SubsamplingError, GAUSSIAN, EPANECHNIKOV,
-                      TemperedProcessSpec, NoiseConfig, simulate_model,
-                      integration_domain)
+                      TemperedProcessSpec, NoiseConfig, simulate_model)
 from slmcoint.spec_test import (_GAUSSIAN_REACH, _TILE_FLOATS, _node_tiles, _quad_nodes,
-                                _sliding_theta)
+                                _sliding_theta, integration_domain)
 
 
 # --------------------------------------------------------------------- NLS
@@ -288,13 +287,15 @@ def test_subsample_matches_per_block_oracle():
         quad_cells=512, return_by_block=True)
     assert skipped == 0
     assert vals.shape == (n - b + 1,)
-    domain = integration_domain(x, h_b, w)
+    # every block integrates over the full path's domain: the block's own
+    # node sums, squared and summed on the full path's 512 nodes
+    nodes, dx = _quad_nodes(integration_domain(x, h_b, w), 512)
     oracle = []
     for t0 in range(n - b + 1):
         sl = slice(t0, t0 + b)
-        theta = nls_fit(fam, x[sl], y[sl])
-        traw = t_statistic(x[sl], y[sl], fam, theta, h_b, GAUSSIAN, w,
-                           quad_cells=512, domain=domain)
+        r = fam.residuals(x[sl], y[sl], nls_fit(fam, x[sl], y[sl]))
+        sums = GAUSSIAN((x[sl][None, :] - nodes[:, None]) / h_b) @ r
+        traw = float(np.sum(sums * sums) * dx)
         oracle.append(normalized_statistic(traw, b, lam_b, 0.1, h_b, "slm")[0])
     assert_allclose(by_block, oracle, rtol=1e-9)
     assert_allclose(vals, np.sort(oracle), rtol=1e-9)

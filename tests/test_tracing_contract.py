@@ -61,7 +61,7 @@ def test_tracer_wraps_study_chunks(monkeypatch, kind):
     config = sl.StudyConfig(
         study_kind=kind, n=120, replications=5, chunk_size=2, d_values=(0.1,),
         memory_settings=("SLM3",), bandwidth_exponents=(-0.2,),
-        master_seed=4242, quad_cells=256, block_rules=((1.0, 0.5),),
+        master_seed=4242, block_rules=((1.0, 0.5),),
         nominal_levels=(0.05,))
     plain = sl.mc.run_study(config)
     tracer = tracing.Tracer()
