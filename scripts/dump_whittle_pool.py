@@ -7,7 +7,9 @@ Run from the root of a checkout, so that its own ``src`` is imported:
 
 Floats are written by ``repr``, so the files of two checkouts compare byte
 for byte (``cmp a.json b.json``) exactly when every fit is bit-identical.
-When they are not, compare them by value:
+It also prints to stderr the mean number of grid cells evaluated per
+ARTFIMA and per ARFIMA fit (the objective's cells outside the refinement),
+which stays out of the file.  When the files differ, compare them by value:
 
     python3 scripts/dump_whittle_pool.py --compare a.json b.json
 
@@ -32,21 +34,35 @@ def main(path):
     from workloads import WHITTLE_BASE, WHITTLE_POOL
 
     starts = []
-    minimize = whittle.minimize
+    minimize, objective = whittle.minimize, whittle.whittle_objective
+    grid_cells, refining = {"artfima00": 0, "arfima00": 0}, [False]
 
     def recording_minimize(fun, x0, **kwargs):
         starts.append([float(v) for v in x0])
-        return minimize(fun, x0, **kwargs)
+        refining[0] = True
+        try:
+            return minimize(fun, x0, **kwargs)
+        finally:
+            refining[0] = False
 
-    whittle.minimize = recording_minimize
+    def counting_objective(*args, **kwargs):
+        # model is the fit the loop below is running
+        value = objective(*args, **kwargs)
+        if not refining[0]:
+            grid_cells[model] += np.size(value)
+        return value
+
+    whittle.minimize, whittle.whittle_objective = recording_minimize, counting_objective
     fits = []
     for index in range(WHITTLE_POOL):
         rng = np.random.default_rng([WHITTLE_BASE, 7, index])
         z = whittle.simulate_artfima00(2000, d=1.0, lam=0.12, sigma2=1.0, rng=rng)
-        fits.append({"index": index,
-                     "artfima00": whittle.fit_artfima00(z).to_dict(),
-                     "arfima00": whittle.fit_arfima00(z).to_dict(),
-                     "grid_starts": starts[-2:]})
+        item = {"index": index}
+        for model in ("artfima00", "arfima00"):
+            item[model] = getattr(whittle, f"fit_{model}")(z).to_dict()
+        fits.append(dict(item, grid_starts=starts[-2:]))
+    for model, cells in grid_cells.items():
+        print(f"{model}: {cells / WHITTLE_POOL:.1f} grid cells per fit", file=sys.stderr)
     with open(path, "w", newline="\n") as fh:
         json.dump(fits, fh, indent=1, sort_keys=True)
         fh.write("\n")

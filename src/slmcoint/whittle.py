@@ -5,9 +5,13 @@ The tempered fractional noise model has spectral density
     f(w) = (sigma^2 / 2 pi) |1 - exp(-(lam + i w))|^{-2 d},
 
 which reduces to ARFIMA(0, d, 0) at lam = 0, and is computed as exp(-d ln m)
-from ln m = ln |1 - exp(-(lam + i w))|^2.  Estimation scans the profile
-Whittle objective over a coarse (d, lam) grid, a few d rows per broadcast
-call, and refines the grid minimum by Nelder-Mead on scalar calls.
+from ln m = ln |1 - exp(-(lam + i w))|^2.  Estimation finds the first minimum
+of the profile Whittle objective over a coarse (d, lam) grid and refines it by
+Nelder-Mead on scalar calls.  The objective is convex in d for each lam, so
+each lam column's minimum is found by bisection, one broadcast call over all
+columns per step, and confirmed from its neighbours (or, where they cannot
+confirm it, by scanning the column); a scalar call takes a short route with
+the same operations.
 """
 
 import math
@@ -28,9 +32,13 @@ ARFIMA_D_RANGE = (-0.5 + 1e-6, 0.5 - 1e-6)
 _GRID_D_STEP = 0.05
 _GRID_LAM_POINTS = 20
 _AR_TRUNCATION = 50
-# (d, lam) cells per broadcast grid evaluation: bounds the cells x frequencies
-# workspace (one cell-wide broadcast over the whole grid is no faster)
+# most (d, lam) cells per grid call of the objective (a bisection step, a
+# chunk of the confirming windows or of a scanned column): bounds the
+# cells x frequencies workspace, and so the peak memory of a fit
 _GRID_CHUNK_CELLS = 60
+# a window's +-2 cells must exceed its minimum by this, times max(1, |min|),
+# to confirm it: far above rounding (about 1e-14), even for W near 0
+_GRID_MARGIN = 1e-10
 # Nelder-Mead's relative and zero-coordinate initial steps
 _NM_STEP = 0.05
 _NM_ZERO_STEP = 0.00025
@@ -75,13 +83,17 @@ def periodogram(series):
 
 
 def _log_mod2(lam, cos_freqs):
-    """ln |1 - e^{-(lam + i w)}|^2 from cos w."""
-    return np.log(1.0 - 2.0 * np.exp(-lam) * cos_freqs + np.exp(-2.0 * lam))
+    """ln |1 - e^{-(lam + i w)}|^2 from cos w, computed in place in one array
+    (a 0-d one for scalar lam and cos w)."""
+    m = np.asarray(np.multiply(2.0 * np.exp(-lam), cos_freqs))
+    np.subtract(1.0, m, out=m)
+    np.add(m, np.exp(-2.0 * lam), out=m)
+    return np.log(m, out=m)
 
 
 def _cells(v):
-    """v with a trailing frequency axis, or a scalar if v is 0-d (the
-    refinement's calls then skip broadcasting a one-element axis)."""
+    """v with a trailing frequency axis, or a scalar if v is 0-d (so a
+    scalar lam gives one 1-D ln m row, and a scalar call the scalar route)."""
     v = np.asarray(v, dtype=float)
     return v[..., None] if v.ndim else v[()]
 
@@ -97,10 +109,19 @@ def whittle_objective(d, lam, freqs, pgram, *, workspace=None, log_mod2=None):
     computed by the same elementwise operations as a scalar call (a float).
     ``log_mod2``, ln m at lam with a trailing frequency axis, stands in for
     lam; ``workspace``, a flat array of at least cells x frequencies floats,
-    holds the one such temporary.  Neither keyword changes a value.
+    holds the one such temporary.  Neither keyword changes a value.  A 0-d d
+    with a 1-D ln m (the refinement's calls) takes a route with the same
+    operations on one row and fewer numpy calls.
     """
     if log_mod2 is None:
         log_mod2 = _log_mod2(_cells(lam), np.cos(freqs))
+    if np.ndim(d) == 0 and log_mod2.ndim == 1:
+        t = np.multiply(d, log_mod2)
+        ratio = np.add.reduce(np.multiply(pgram, np.exp(t, out=t), out=t)) / t.size
+        if not 0.0 < ratio < np.inf:
+            return math.inf
+        # numpy's log, not math.log, which can differ in the last bit
+        return float(np.log(ratio) - d * (np.add.reduce(log_mod2) / log_mod2.size))
     shape = np.broadcast_shapes(np.shape(_cells(d)), log_mod2.shape)
     work = np.empty(shape) if workspace is None else workspace[:math.prod(shape)].reshape(shape)
     ratio = np.multiply(_cells(d), log_mod2, out=work)
@@ -108,8 +129,7 @@ def whittle_objective(d, lam, freqs, pgram, *, workspace=None, log_mod2=None):
     ok = np.isfinite(ratio) & (ratio > 0)
     # ln 1 = 0 stands in for a bad ratio, so no log of it is taken
     log_ratio = np.log(np.where(ok, ratio, 1.0))
-    obj = np.where(ok, log_ratio - np.asarray(d) * np.mean(log_mod2, axis=-1), np.inf)
-    return float(obj) if obj.ndim == 0 else obj
+    return np.where(ok, log_ratio - np.asarray(d) * np.mean(log_mod2, axis=-1), np.inf)
 
 
 def profile_sigma2(d, lam, freqs, pgram):
@@ -214,16 +234,67 @@ def minimize(fun, x0, bounds, xatol, fatol, maxiter):
     return SimpleNamespace(x=sim[0], fun=np.min(fsim), nit=iterations)
 
 
+def _grid_minimum(d_grid, log_mod2, freqs, pgram):
+    """Row, column and value of the first minimum, in d-major order, of the
+    objective over ``d_grid`` x the lam rows of ``log_mod2``: the cell that
+    ``np.argmin`` of the whole grid picks, from a fraction of its cells.
+
+    For fixed lam, W(d) = ln mean_j(I_j e^{d l_j}) - d mean_j l_j with
+    l_j = ln m_j is a log-mean-exp of affine functions of d less a linear
+    term, so convex in d.  Each column's first minimum is found by bisection
+    on the sign of W(d_{i+1}) - W(d_i), one broadcast call over all columns
+    per step, and then taken as the first minimum of its cells i-2..i+2
+    (clipped at the grid ends).  That is the column's first minimum if the
+    cells are finite and each +-2 cell inside the grid exceeds their minimum
+    by the margin: convexity puts every farther cell above that +-2 cell,
+    and rounding cannot close the margin.  Otherwise the column is scanned
+    whole.  The start is the least (value, d-major index) over the columns.
+    Every call evaluates at most ``_GRID_CHUNK_CELLS`` cells into one
+    workspace (see the README on minor faults).
+    """
+    n_rows, n_cols = d_grid.size, log_mod2.shape[0]
+    workspace = np.empty(min(_GRID_CHUNK_CELLS, n_rows * n_cols) * freqs.size)
+
+    def evaluate(rows, columns=slice(None)):
+        # rows holds d_grid indices, one column per ln m row of ``columns``
+        step = max(1, _GRID_CHUNK_CELLS // rows.shape[1])
+        return np.concatenate([
+            whittle_objective(d_grid[rows[k:k + step]], None, freqs, pgram,
+                              workspace=workspace, log_mod2=log_mod2[columns])
+            for k in range(0, len(rows), step)])
+
+    lo, hi = np.zeros(n_cols, dtype=int), np.full(n_cols, n_rows - 1)
+    while np.any(lo < hi):
+        mid = (lo + hi) // 2
+        pair = evaluate(np.minimum(mid + [[0], [1]], n_rows - 1))
+        rising = pair[1] >= pair[0]
+        lo, hi = np.where(rising | (lo == hi), lo, mid + 1), np.where(rising, mid, hi)
+    cols = np.arange(n_cols)
+    window = np.clip(lo + np.arange(-2, 3)[:, None], 0, n_rows - 1)
+    values = evaluate(window)
+    first = np.argmin(values, axis=0)
+    row, value = window[first, cols], values[first, cols]
+    floor = value + _GRID_MARGIN * np.maximum(1.0, np.abs(value))
+    confirmed = (np.isfinite(values).all(axis=0)
+                 & ((lo < 2) | (values[0] > floor))
+                 & ((lo > n_rows - 3) | (values[-1] > floor)))
+    for j in np.flatnonzero(~confirmed):
+        column = evaluate(np.arange(n_rows)[:, None], slice(j, j + 1))[:, 0]
+        row[j] = np.argmin(column)
+        value[j] = column[row[j]]
+    j = min(range(n_cols), key=lambda j: (value[j], row[j]))
+    return int(row[j]), j, value[j]
+
+
 def _fit(series, model, d_grid, lam_grid, bounds, maxiter):
-    """Grid scan (first minimum in d-major order, by broadcast objective
-    calls over chunks of d rows) refined by bounded Nelder-Mead; the
-    refinement is kept only if it is no worse than the grid.  ``bounds``
-    holds the (d, lam) ranges, or only d's range when lam is fixed at the
-    one point of ``lam_grid``.
+    """The grid's first minimum in d-major order (``_grid_minimum``), refined
+    by bounded Nelder-Mead; the refinement is kept only if it is no worse
+    than the grid.  ``bounds`` holds the (d, lam) ranges, or only d's range
+    when lam is fixed at the one point of ``lam_grid``.
 
     ln m is computed once per fit for the grid's lam rows, and from cos w_j,
-    cached for the fit, at each refinement point.  The chunks share one
-    workspace, allocated once per fit (see the README on minor faults).
+    cached for the fit, at each refinement point, whose objective call
+    takes the scalar route.
     """
     z = np.asarray(series, dtype=float)
     if z.size < 32:
@@ -236,13 +307,8 @@ def _fit(series, model, d_grid, lam_grid, bounds, maxiter):
                          "2 pi j / n, j = 1..floor((n-1)/2)")
     cos_freqs = np.cos(freqs)
     grid_log_mod2 = _log_mod2(_cells(lam_grid), cos_freqs)
-    rows = max(1, _GRID_CHUNK_CELLS // lam_grid.size)
-    workspace = np.empty(min(rows, d_grid.size) * lam_grid.size * freqs.size)
-    objs = np.concatenate([whittle_objective(d_grid[i:i + rows, None], lam_grid, freqs, pgram,
-                                             workspace=workspace, log_mod2=grid_log_mod2)
-                           for i in range(0, d_grid.size, rows)])
-    i0 = np.unravel_index(np.argmin(objs), objs.shape)
-    grid_obj, start = objs[i0], (d_grid[i0[0]], lam_grid[i0[1]])[:len(bounds)]
+    row, col, grid_obj = _grid_minimum(d_grid, grid_log_mod2, freqs, pgram)
+    start = (d_grid[row], lam_grid[col])[:len(bounds)]
     free_lam = len(bounds) == 2
 
     def objective(p):

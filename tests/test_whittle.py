@@ -216,6 +216,28 @@ def test_objective_broadcast_matches_scalar_calls(seed, zero_pgram):
     # a 0-d or scalar call is a float
     assert type(whittle_objective(np.asarray(d[1, 0]), lam[0], freqs, I)) is float
     assert type(whittle_objective(float(d[1, 0]), np.float64(lam[0]), freqs, I)) is float
+    # the refinement's form, a 0-d d with one 1-D ln m row, takes the scalar
+    # route: the same cells, inf ones included, as Python floats
+    cos_freqs = np.cos(freqs)
+    with np.errstate(all="ignore"):
+        for j, lv in enumerate(lam):
+            row = whittle._log_mod2(lv, cos_freqs)
+            assert row.shape == freqs.shape
+            for i, dv in enumerate(d[:, 0]):
+                for form in (float(dv), np.float64(dv), np.asarray(dv)):
+                    got = whittle_objective(form, lv, freqs, I, log_mod2=row)
+                    assert type(got) is float and got == grid[i, j]
+
+
+def test_scalar_route_equals_broadcast_on_many_points():
+    # numpy's log on the scalar route: math.log differs from it in the last
+    # bit for about 1 in 8,000 ratios
+    rng = np.random.default_rng(42)
+    freqs, I = periodogram(simulate_artfima00(64, d=0.8, lam=0.2, rng=rng))
+    d = rng.uniform(*whittle.ARTFIMA_D_RANGE, size=30000)
+    lam = np.exp(rng.uniform(*np.log(whittle.ARTFIMA_LAM_RANGE), size=d.size))
+    grid = whittle_objective(d, lam, freqs, I)
+    assert [whittle_objective(dv, lv, freqs, I) for dv, lv in zip(d, lam)] == grid.tolist()
 
 
 def _scalar_scan(z, d_grid, lam_grid):
@@ -253,6 +275,110 @@ def test_fit_grid_matches_scalar_scan(seed, monkeypatch):
     arf_obj, arf_cell = _scalar_scan(z, arf_d, [0.0])
     assert art.grid_objective == art_obj and arf.grid_objective == arf_obj
     assert starts == [art_cell, arf_cell[:1]]
+
+
+def _fit_grids():
+    """The ARTFIMA and ARFIMA (d, lam) grids of the fits."""
+    art_d = np.arange(whittle.ARTFIMA_D_RANGE[0], whittle.ARTFIMA_D_RANGE[1] + 1e-9,
+                      whittle._GRID_D_STEP)
+    art_lam = np.geomspace(*whittle.ARTFIMA_LAM_RANGE, whittle._GRID_LAM_POINTS)
+    arf_d = np.arange(whittle.ARFIMA_D_RANGE[0], whittle.ARFIMA_D_RANGE[1] + 1e-9,
+                      whittle._GRID_D_STEP / 2)
+    return (art_d, art_lam), (arf_d, np.zeros(1))
+
+
+def _full_scan(d_grid, log_mod2, freqs, I):
+    """Row, column and value of np.argmin over one broadcast call of the
+    whole grid."""
+    with np.errstate(all="ignore"):
+        objs = whittle_objective(d_grid[:, None], None, freqs, I, log_mod2=log_mod2)
+    row, col = np.unravel_index(np.argmin(objs), objs.shape)
+    return row, col, objs[row, col]
+
+
+def test_grid_minimum_scans_a_flat_column(monkeypatch):
+    # with ln m = 0 the objective is ln mean I at every d: no cell of the
+    # window is above its minimum, so the column is scanned, in calls of at
+    # most 60 cells, and its first cell is the minimum
+    z = np.random.default_rng(14).standard_normal(300)
+    freqs, I = periodogram(z)
+    (d_grid, _), _ = _fit_grids()
+    shapes = []
+    real_objective = whittle.whittle_objective
+
+    def spy(*args, **kwargs):
+        value = real_objective(*args, **kwargs)
+        shapes.append(np.shape(value))
+        return value
+
+    monkeypatch.setattr(whittle, "whittle_objective", spy)
+    flat = np.zeros((1, freqs.size))
+    got = whittle._grid_minimum(d_grid, flat, freqs, I)
+    assert got == (0, 0, np.log(np.mean(I))) == _full_scan(d_grid, flat, freqs, I)
+    assert shapes[-2:] == [(60, 1), (21, 1)]
+    assert all(np.prod(shape) <= whittle._GRID_CHUNK_CELLS for shape in shapes)
+    # beside sloped columns, the flat one is scanned and the least
+    # (value, d-major index) over the columns is the whole grid's argmin
+    lam_grid = np.array([0.05, 0.5])
+    rows = np.concatenate([whittle._log_mod2(lam_grid[:, None], np.cos(freqs)), flat])
+    assert whittle._grid_minimum(d_grid, rows, freqs, I) == _full_scan(d_grid, rows, freqs, I)
+    assert shapes[-2:] == [(60, 1), (21, 1)]
+    # with a constant periodogram every column is least at d = 0, all at the
+    # flat column's value: the tie goes to the lower d row, (0, flat = 2)
+    d_grid = np.arange(-20, 21) / 20
+    I = np.full_like(I, 2.0)
+    got = whittle._grid_minimum(d_grid, rows, freqs, I)
+    assert got == (0, 2, np.log(np.mean(I))) == _full_scan(d_grid, rows, freqs, I)
+
+
+def test_grid_minimum_of_an_all_inf_grid_is_the_first_cell():
+    # a zero periodogram makes every cell inf; np.argmin picks (0, 0)
+    z = np.random.default_rng(15).standard_normal(300)
+    freqs, I = periodogram(z)
+    I = np.zeros_like(I)
+    for d_grid, lam_grid in _fit_grids():
+        log_mod2 = whittle._log_mod2(lam_grid[:, None], np.cos(freqs))
+        got = whittle._grid_minimum(d_grid, log_mod2, freqs, I)
+        assert got == (0, 0, np.inf) == _full_scan(d_grid, log_mod2, freqs, I)
+
+
+def _rule_series(kind, n, rng):
+    """A unit-variance series of one of the grid-rule test's kinds."""
+    if kind == "white":
+        z = rng.standard_normal(n)
+    elif kind == "double-integrated":
+        z = np.cumsum(np.cumsum(rng.standard_normal(n)))
+    elif kind == "near-sinusoid":
+        z = np.sin(0.7 * np.arange(n)) + 1e-3 * rng.standard_normal(n)
+    else:
+        z = simulate_artfima00(n, d=1.0, lam=0.12, rng=rng)
+    return z / np.std(z)
+
+
+@pytest.mark.parametrize("kind", ["white", "double-integrated", "near-sinusoid", "artfima"])
+def test_fit_grid_rule_matches_full_broadcast_scan(kind, monkeypatch):
+    # the bisected grid picks the start cell and grid objective of one
+    # broadcast call over the whole grid and np.argmin, at the CKC lengths
+    # and at n = 500 and 2000, at tiny and huge scales
+    starts = []
+    real_minimize = whittle.minimize
+
+    def spy(fun, x0, **kwargs):
+        starts.append(tuple(x0))
+        return real_minimize(fun, x0, **kwargs)
+
+    monkeypatch.setattr(whittle, "minimize", spy)
+    rng = np.random.default_rng(16)
+    for n in (59, 101, 170, 500, 2000):
+        for scale in (1e-150, 1e150):
+            z = scale * _rule_series(kind, n, rng)
+            freqs, I = periodogram(z)
+            for fit, (d_grid, lam_grid) in zip((fit_artfima00, fit_arfima00), _fit_grids()):
+                result = fit(z)
+                log_mod2 = whittle._log_mod2(lam_grid[:, None], np.cos(freqs))
+                row, col, value = _full_scan(d_grid, log_mod2, freqs, I)
+                assert result.grid_objective == value
+                assert starts[-1] == (d_grid[row], lam_grid[col])[:len(starts[-1])]
 
 
 @pytest.mark.parametrize("seed", [21, 22, 23])
