@@ -11,10 +11,11 @@ count or cell execution order.
 
 import csv
 import json
+import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -49,19 +50,25 @@ def parse_exponent(value):
     """Exponent a of a power rule n^a, from a number or strings like
     'n^-1/3', '1/sqrt(n)', '1/n'."""
     if isinstance(value, (int, float)):
-        return float(value)
-    s = str(value).strip().lower().replace(" ", "")
-    if s in ("1/sqrt(n)", "n^-1/2"):
-        return -0.5
-    if s == "1/n":
-        return -1.0
-    if s.startswith("n^"):
-        body = s[2:].strip("{}")
-        if "/" in body:
-            num, den = body.split("/")
-            return float(num) / float(den)
-        return float(body)
-    raise ValueError(f"cannot parse power rule {value!r}")
+        exponent = float(value)
+    else:
+        s = str(value).strip().lower().replace(" ", "")
+        if s in ("1/sqrt(n)", "n^-1/2"):
+            return -0.5
+        if s == "1/n":
+            return -1.0
+        if not s.startswith("n^"):
+            raise ValueError(f"cannot parse power rule {value!r}")
+        num, slash, den = s[2:].strip("{}").partition("/")
+        try:
+            exponent = float(num) / (float(den) if slash else 1.0)
+        except ValueError:
+            raise ValueError(f"cannot parse power rule {value!r}") from None
+        except ZeroDivisionError:
+            raise ValueError(f"power rule {value!r} divides by zero") from None
+    if not math.isfinite(exponent):
+        raise ValueError(f"power rule {value!r} has a non-finite exponent")
+    return exponent
 
 
 @dataclass(frozen=True)
@@ -106,6 +113,9 @@ class MemorySetting:
             if payload[:3].upper() == "SLM" and payload[3:].strip():
                 return cls(MemoryKind.SEMI_LONG, _slm_rule(payload))
             return cls(MemoryKind.parse(payload))
+        if not isinstance(payload, dict):
+            raise ValueError("memory_settings entries must be a name or an object, "
+                             f"got {payload!r}")
         payload = dict(payload)
         rule = payload.pop("rule", None)
         if rule is not None:
@@ -187,6 +197,11 @@ class StudyConfig:
             for ms in self.memory_settings))
         object.__setattr__(self, "bandwidth_exponents", tuple(
             parse_exponent(e) for e in self.bandwidth_exponents))
+        for br in self.block_rules:
+            if not (isinstance(br, BlockRule)
+                    or isinstance(br, (list, tuple)) and len(br) == 2):
+                raise ValueError("block_rules entries must be pairs [coef, exponent], "
+                                 f"got {br!r}")
         object.__setattr__(self, "block_rules", tuple(
             br if isinstance(br, BlockRule) else BlockRule(*br)
             for br in self.block_rules))
@@ -226,10 +241,20 @@ class StudyConfig:
 
     @classmethod
     def from_dict(cls, payload):
+        if not isinstance(payload, dict):
+            raise ValueError("a study config must be a JSON object, "
+                             f"got a {type(payload).__name__}")
         unknown = sorted(set(payload) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown study config field(s): {', '.join(unknown)}")
-        return cls(**payload)
+        missing = [f.name for f in fields(cls)
+                   if f.default is MISSING and f.name not in payload]
+        if missing:
+            raise ValueError(f"missing required study config field(s): {', '.join(missing)}")
+        try:
+            return cls(**payload)
+        except TypeError as exc:  # a field value of the wrong JSON type
+            raise ValueError(f"study config: {exc}") from None
 
     def settings_grid(self):
         """(setting, d) combinations, honoring the memory-kind d ranges:

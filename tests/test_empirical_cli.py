@@ -505,6 +505,15 @@ def test_cli_mc_reruns_from_study_config(tmp_path):
     # the study_config.json of an older version, written with quad_cells
     ({"study_kind": "size", "quad_cells": 1024},
      "unknown study config field(s): quad_cells"),
+    ({"memory_settings": [5]}, "memory_settings entries must be a name or an object, got 5"),
+    ({"study_kind": "size", "block_rules": [[1.0]]},
+     "block_rules entries must be pairs [coef, exponent], got [1.0]"),
+    ({"study_kind": "size", "block_rules": [2.0]},
+     "block_rules entries must be pairs [coef, exponent], got 2.0"),
+    ({"bandwidth_exponents": ["n^-1/0"]}, "power rule 'n^-1/0' divides by zero"),
+    ({"memory_settings": [{"lambda_exponent": -0.2}]},
+     "missing 1 required positional argument: 'kind'"),
+    ({"d_values": 5}, "study config: 'int' object is not iterable"),
 ])
 def test_cli_mc_rejects_bad_config(tmp_path, capsys, change, message):
     cfg = {
@@ -518,6 +527,34 @@ def test_cli_mc_rejects_bad_config(tmp_path, capsys, change, message):
                      "--out", str(tmp_path / "mc")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "mc").exists()
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"study_kind": "size"}, "missing required study config field(s): n, replications, "
+                             "d_values, memory_settings, bandwidth_exponents"),
+    ({"study_kind": "estimation", "n": 100, "replications": 4, "d_values": [0.1],
+      "memory_settings": ["SLM3"]}, "missing required study config field(s): "
+                                    "bandwidth_exponents"),
+    ([1, 2], "a study config must be a JSON object, got a list"),
+    ("size", "a study config must be a JSON object, got a str"),
+])
+def test_cli_mc_rejects_malformed_config(tmp_path, capsys, payload, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(payload))
+    assert cli_main(["mc", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "mc")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "mc").exists()
+
+
+@pytest.mark.parametrize("command, flag", [("estimate", "--bandwidth-rule"),
+                                           ("spec-test", "--lambda-rule")])
+def test_cli_rejects_zero_denominator_rule(tmp_path, capsys, command, flag):
+    data = tmp_path / "xy.csv"
+    data.write_text("x,y\n" + "".join(f"{i},{i % 3}\n" for i in range(40)))
+    assert cli_main([command, "--data", str(data), flag, "n^1/0",
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "power rule 'n^1/0' divides by zero" in capsys.readouterr().err
 
 
 def test_cli_mc_rejects_cells_that_share_a_file_name(tmp_path, capsys):

@@ -32,6 +32,11 @@ def test_parse_exponent_forms():
     assert parse_exponent(-0.25) == -0.25
     with pytest.raises(ValueError):
         parse_exponent("h=0.3")
+    with pytest.raises(ValueError, match=r"power rule 'n\^-1/0' divides by zero"):
+        parse_exponent("n^-1/0")
+    for rule in ("n^inf", "n^1e400", float("nan")):
+        with pytest.raises(ValueError, match="has a non-finite exponent"):
+            parse_exponent(rule)
 
 
 def test_memory_setting_labels_and_rules():
