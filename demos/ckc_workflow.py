@@ -1,7 +1,7 @@
 """The Carbon Kuznets Curve workflow on a synthetic country.
 
 Real per-capita GDP / CO2 files are user-supplied (see
-scripts/fetch_ckc_data.py); this demo builds a synthetic country whose
+data/README.md); this demo builds a synthetic country whose
 log-emissions follow an exact inverted-U in log-GDP, then runs the full
 pipeline: ingest, tempered-model fits of both logged series, and the
 specification-test p-value grid for the linear and quadratic links.

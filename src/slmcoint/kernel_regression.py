@@ -145,11 +145,9 @@ def kernel_sums(x, points, h, kernel, columns=()):
     path_end = np.cumsum(kept)  # each path's first and end entry in xs
     path_first = path_end - kept
     row, col = np.nonzero(near)
-    # one row of kept x per path, padded with +inf, which sorts after any x
-    padded = np.full((m, kept.max()), np.inf)
-    padded[row, np.arange(row.size) - path_first[row]] = paths[row, col]
-    ranks = np.argsort(padded, axis=-1, kind="stable")
-    col = col[path_first[row] + ranks[np.arange(padded.shape[1]) < kept[:, None]]]
+    # sorted by path, then by x; lexsort is stable, so ties keep time order
+    order = np.lexsort((paths[row, col], row))
+    row, col = row[order], col[order]
     xs = paths[row, col]
     # each window's first and end entry in xs
     if np.isfinite(kernel.halfwidth):

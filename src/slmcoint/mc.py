@@ -46,6 +46,14 @@ def _slm_rule(name):
     return SLM_RULES[key]
 
 
+def _number(field, value):
+    """``value`` as a float, or a ValueError that names the config field."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{field} must hold numbers, got {value!r}") from None
+
+
 def parse_exponent(value):
     """Exponent a of a power rule n^a, from a number or strings like
     'n^-1/3', '1/sqrt(n)', '1/n'."""
@@ -191,7 +199,7 @@ class StudyConfig:
         except ValueError as exc:
             raise ValueError(f"kernel: {exc}") from None
         for name in ("d_values", "eval_points", "nominal_levels", "weight_support"):
-            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
+            object.__setattr__(self, name, tuple(_number(name, v) for v in getattr(self, name)))
         object.__setattr__(self, "memory_settings", tuple(
             ms if isinstance(ms, MemorySetting) else MemorySetting.from_dict(ms)
             for ms in self.memory_settings))

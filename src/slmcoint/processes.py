@@ -19,6 +19,8 @@ import numpy as np
 
 DEFAULT_BURN_IN = 1000
 DEFAULT_SINE_TERMS = 1000
+# nodes of the sine table over one period [-1, 1]
+_SINE_RESOLUTION = 200001
 _TEMPER_TRUNC_TOL = 1e-12
 _TEMPER_LAG_FLOOR = 50
 
@@ -133,18 +135,20 @@ def tempered_coeffs(d, lam, n_lags):
     return coeffs
 
 
-def default_truncation(n, burn_in, memory_kind, lam=0.0):
-    """Default MA truncation lag: n + burn_in, shortened under tempering.
+def _tempered_lag_cap(lam):
+    """Truncation lag of a filter tempered by e^{-lam j}, lam > 0: lags beyond
+    -ln(tol)/lam are negligible, so the cap is there (plus a small lag
+    floor)."""
+    return int(np.ceil(-np.log(_TEMPER_TRUNC_TOL) / lam)) + _TEMPER_LAG_FLOOR
 
-    Under semi-long memory the exponential factor makes lags beyond
-    -ln(tol)/lam negligible, so the truncation is capped there (plus a
-    small lag floor).
-    """
+
+def default_truncation(n, burn_in, memory_kind, lam=0.0):
+    """Default MA truncation lag: n + burn_in, shortened under tempering
+    (semi-long memory) to ``_tempered_lag_cap(lam)``."""
     kind = MemoryKind.parse(memory_kind)
     base = n + burn_in
     if kind is MemoryKind.SEMI_LONG and lam > 0:
-        capped = int(np.ceil(-np.log(_TEMPER_TRUNC_TOL) / lam)) + _TEMPER_LAG_FLOOR
-        return min(base, capped)
+        return min(base, _tempered_lag_cap(lam))
     return base
 
 
@@ -357,38 +361,18 @@ def _sine_table(terms, resolution):
     return grid, np.append(values, values[0])
 
 
-@lru_cache(maxsize=4)
-def _sine_slopes(terms, resolution):
-    """Per-cell slopes of the sine table, by np.interp's own formula."""
-    grid, table = _sine_table(terms, resolution)
-    return (table[1:] - table[:-1]) / (grid[1:] - grid[:-1])
-
-
-def sine_series_interpolator(terms=DEFAULT_SINE_TERMS, resolution=200001):
+def sine_series_interpolator(terms=DEFAULT_SINE_TERMS):
     """Fast evaluator of regression_function_sine via one-period interpolation.
 
-    The series has period 2, so values are looked up on a dense table over
-    [-1, 1].  Interpolation error is below 2e-4 at the default resolution;
-    intended for Monte Carlo harness use where f is evaluated millions of
-    times.  The result equals np.interp on the table bit for bit, but the
-    grid is uniform, so each point's cell is found by scaling rather than
-    by np.interp's binary search (about 3x faster on 1000 points).
+    The series has period 2, so each point is folded into [-1, 1) and read
+    from a table of ``_SINE_RESOLUTION`` nodes by np.interp.  Interpolation
+    error is below 2e-4; intended for Monte Carlo harness use where f is
+    evaluated millions of times.
     """
-    grid, table = _sine_table(terms, resolution)
-    slopes = _sine_slopes(terms, resolution)
-    cells = resolution - 1
+    grid, table = _sine_table(terms, _SINE_RESOLUTION)
 
     def evaluate(x):
-        x = np.asarray(x, dtype=float)
-        folded = np.mod(x.ravel() + 1.0, 2.0) - 1.0
-        # fmin also sends a NaN point to a valid cell, where it stays NaN
-        j = np.fmin((folded + 1.0) * (0.5 * cells), cells - 1).astype(np.intp)
-        # the scaled index can be one cell off near a node
-        j -= grid[j] > folded
-        j += grid[j + 1] <= folded
-        np.minimum(j, cells - 1, out=j)
-        out = slopes[j] * (folded - grid[j]) + table[j]
-        return out.reshape(x.shape)[()]
+        return np.interp(np.mod(np.asarray(x, dtype=float) + 1.0, 2.0) - 1.0, grid, table)
 
     return evaluate
 

@@ -22,8 +22,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .kernel_regression import _check_finite, _check_positive
-from .processes import (_TEMPER_LAG_FLOOR, _TEMPER_TRUNC_TOL, _check_memory,
-                        fftconvolve, tempered_coeffs)
+from .processes import _check_memory, _tempered_lag_cap, fftconvolve, tempered_coeffs
 
 _TWO_PI = 2.0 * np.pi
 ARTFIMA_D_RANGE = (-1.0, 3.0)
@@ -137,18 +136,19 @@ def profile_sigma2(d, lam, freqs, pgram):
     return float(_TWO_PI * np.mean(pgram * np.exp(d * _log_mod2(lam, np.cos(freqs)))))
 
 
-def one_step_residuals(series, d, lam, truncation=_AR_TRUNCATION):
+def one_step_residuals(series, d, lam):
     """In-sample one-step residuals from the truncated AR(infinity) inversion
     of the fitted model, applied to the mean-removed series.
 
-    The AR weights are the coefficients of (1 - e^{-lam} z)^{d}; early
-    residuals use the available (shorter) history.
+    The AR weights are the coefficients of (1 - e^{-lam} z)^{d} up to lag
+    ``_AR_TRUNCATION``; early residuals use the available (shorter)
+    history.
     """
     _check_memory(None, d, "lam", lam)
     z = np.asarray(series, dtype=float)
     _check_finite("the series", z)
     z = z - z.mean()
-    return fftconvolve(z, tempered_coeffs(-d, lam, truncation))[:z.shape[0]]
+    return fftconvolve(z, tempered_coeffs(-d, lam, _AR_TRUNCATION))[:z.shape[0]]
 
 
 @dataclass
@@ -352,16 +352,14 @@ def fit_arfima00(series):
     return _fit(series, "arfima00", d_grid, np.zeros(1), [ARFIMA_D_RANGE], maxiter=2000)
 
 
-def simulate_artfima00(n, d, lam, sigma2=1.0, rng=None, truncation=None):
+def simulate_artfima00(n, d, lam, sigma2=1.0, rng=None):
     """Simulate ARTFIMA(0, d, lam, 0) noise via the truncated MA(infinity)
     representation with full pre-sample history."""
     _check_memory(None, d, "lam", lam)
     _check_positive("sigma2", sigma2)
     if rng is None:
         rng = np.random.default_rng()
-    if truncation is None:
-        truncation = n if lam <= 0 else min(
-            4 * n, int(np.ceil(-np.log(_TEMPER_TRUNC_TOL) / lam)) + _TEMPER_LAG_FLOOR)
+    truncation = n if lam <= 0 else min(4 * n, _tempered_lag_cap(lam))
     phi = tempered_coeffs(d, lam, truncation)
     eps = np.sqrt(sigma2) * rng.standard_normal(n + truncation)
     return fftconvolve(eps, phi)[truncation:truncation + n]

@@ -514,6 +514,8 @@ def test_cli_mc_reruns_from_study_config(tmp_path):
     ({"memory_settings": [{"lambda_exponent": -0.2}]},
      "missing 1 required positional argument: 'kind'"),
     ({"d_values": 5}, "study config: 'int' object is not iterable"),
+    ({"nominal_levels": ["x"]}, "nominal_levels must hold numbers, got 'x'"),
+    ({"nominal_levels": [None]}, "nominal_levels must hold numbers, got None"),
 ])
 def test_cli_mc_rejects_bad_config(tmp_path, capsys, change, message):
     cfg = {

@@ -10,7 +10,7 @@ from slmcoint import (MemoryKind, TemperedProcessSpec, NoiseConfig,
                       sine_series_interpolator, simulate_model, scale_dn,
                       innovation_length)
 from slmcoint.cli import main as cli_main
-from slmcoint.processes import _sine_table, fftconvolve
+from slmcoint.processes import _SINE_RESOLUTION, _sine_table, fftconvolve
 
 
 # ----------------------------------------------------------- coefficients
@@ -255,12 +255,10 @@ def test_sine_interpolator_matches_exact():
     assert_allclose(f(x), regression_function_sine(x, 1000), atol=1e-4)
 
 
-@pytest.mark.parametrize("terms, resolution", [(1000, 200001), (500, 101), (7, 2)])
-def test_sine_interpolator_equals_np_interp(terms, resolution):
-    # the evaluator indexes the uniform grid directly; it must round
-    # exactly as np.interp's binary search does
-    grid, table = _sine_table(terms, resolution)
-    f = sine_series_interpolator(terms, resolution)
+def test_sine_interpolator_equals_np_interp():
+    # the evaluator folds each point into one period and reads the table
+    grid, table = _sine_table(1000, _SINE_RESOLUTION)
+    f = sine_series_interpolator(1000)
     rng = np.random.default_rng(17)
     probes = [grid, 0.5 * (grid[1:] + grid[:-1]),
               np.nextafter(grid, np.inf), np.nextafter(grid, -np.inf),
