@@ -82,12 +82,9 @@ def _attach_weight_support(argv):
 def _cmd_simulate(args):
     spec = TemperedProcessSpec(
         d=args.d, lam=args.lam, n=args.n, memory_kind=MemoryKind.parse(args.memory),
-        burn_in=args.burn_in,
-        presample="full" if args.presample == "full" else int(args.presample))
+        burn_in=args.burn_in, presample=args.presample)
     noise = NoiseConfig(rho=args.rho, psi=args.psi, sigma=args.sigma, seed=args.seed)
-    f = None if args.zero_function else (
-        lambda x: regression_function_sine(x, args.f_terms))
-    path = simulate_model(spec, noise, f=f)
+    path = simulate_model(spec, noise, f=lambda x: regression_function_sine(x, args.f_terms))
     os.makedirs(args.out, exist_ok=True)
     csv_path = write_csv(
         os.path.join(args.out, "path.csv"), ("k", "x", "u", "y"),
@@ -207,7 +204,6 @@ def build_parser():
     p.add_argument("--burn-in", type=int, default=1000)
     p.add_argument("--presample", default="full")
     p.add_argument("--f-terms", type=int, default=1000)
-    p.add_argument("--zero-function", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 

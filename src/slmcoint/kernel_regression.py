@@ -58,11 +58,12 @@ def _check_positive(name, value):
 
 
 def _window_bounds(points, h, kernel):
-    """Lowest and highest x of every (bandwidth, point) window of a kernel
-    of bounded support, each of shape (bandwidths, points):
-    p -/+ (halfwidth*h + 1e-12*(|p| + halfwidth*h)).  The relative 1e-12
-    widens each window so that no observation with |u| <= halfwidth falls
-    outside it."""
+    """Lowest and highest x of every (bandwidth, point) window, each of
+    shape (bandwidths, points): p -/+ (halfwidth*h + 1e-12*(|p| +
+    halfwidth*h)).  The relative 1e-12 widens each window so that no
+    observation with |u| <= halfwidth falls outside it.  A kernel of
+    unbounded support (halfwidth inf) has the bounds -inf and +inf, so its
+    window is the whole path."""
     reach = kernel.halfwidth * h.reshape(-1, 1)
     slack = 1e-12 * (np.abs(points) + reach)
     return points - reach - slack, points + reach + slack
@@ -73,14 +74,12 @@ def _reach_mask(x, points, h, kernel):
 
     Arguments are as in ``kernel_sums``.  An observation is marked when it
     lies in the hull of the window bounds (``_window_bounds``), over every
-    point and bandwidth; for a kernel of unbounded support every
+    point and bandwidth; for a kernel of unbounded support every finite
     observation is marked.  ``kernel_sums`` reads x and the columns only at
     marked observations, so the values elsewhere never matter.
     """
     x = np.asarray(x, dtype=float)
     kernel = get_kernel(kernel)
-    if not np.isfinite(kernel.halfwidth):
-        return np.ones(x.shape, dtype=bool)
     lo, hi = _window_bounds(np.atleast_1d(np.asarray(points, dtype=float)),
                            np.asarray(h, dtype=float), kernel)
     return (x >= lo.min(initial=np.inf)) & (x <= hi.max(initial=-np.inf))
@@ -108,11 +107,12 @@ def kernel_sums(x, points, h, kernel, columns=()):
     each (path, bandwidth, point) sums only over its window of them, found
     by binary search between its bounds (``_window_bounds``); weights and
     counts are computed from the same u_k as a dense evaluation.  For a
-    kernel of unbounded support every observation is read and the window
-    is the whole path.  All windows go through one ``bincount`` pass,
-    chunked so that the workspace stays within ``_WORKSPACE_ROWS`` rows of
-    a path; every window sums in sorted-x order, so a batch equals its
-    separate one-path, one-bandwidth calls bit for bit.
+    kernel of unbounded support the bounds are infinite, so every
+    observation is read and the window is the whole path.  All windows go
+    through one ``bincount`` pass, chunked so that the workspace stays
+    within ``_WORKSPACE_ROWS`` rows of a path; every window sums in
+    sorted-x order, so a batch equals its separate one-path, one-bandwidth
+    calls bit for bit.
     """
     kernel = get_kernel(kernel)
     x = np.asarray(x, dtype=float)
@@ -150,16 +150,12 @@ def kernel_sums(x, points, h, kernel, columns=()):
     row, col = row[order], col[order]
     xs = paths[row, col]
     # each window's first and end entry in xs
-    if np.isfinite(kernel.halfwidth):
-        left, right = _window_bounds(points, h, kernel)
-        lo = np.empty((m, k, g), dtype=np.intp)
-        hi = np.empty((m, k, g), dtype=np.intp)
-        for i, (a, b) in enumerate(zip(path_first, path_end)):
-            lo[i] = a + np.searchsorted(xs[a:b], left, side="left")
-            hi[i] = a + np.searchsorted(xs[a:b], right, side="right")
-    else:
-        lo = np.broadcast_to(path_first.reshape(m, 1, 1), (m, k, g))
-        hi = np.broadcast_to(path_end.reshape(m, 1, 1), (m, k, g))
+    left, right = _window_bounds(points, h, kernel)
+    lo = np.empty((m, k, g), dtype=np.intp)
+    hi = np.empty((m, k, g), dtype=np.intp)
+    for i, (a, b) in enumerate(zip(path_first, path_end)):
+        lo[i] = a + np.searchsorted(xs[a:b], left, side="left")
+        hi[i] = a + np.searchsorted(xs[a:b], right, side="right")
     length = (hi - lo).ravel()
     start = lo.ravel()
     # every column at the kept observations, in the order of xs

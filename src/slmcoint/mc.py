@@ -364,13 +364,6 @@ def _batch_se(values):
 
 # ---------------------------------------------------------------- estimation
 
-def _f_evaluator(config):
-    # f_terms = 0 selects the zero regression function
-    if config.f_terms == 0:
-        return lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    return sine_series_interpolator(config.f_terms)
-
-
 def _bandwidths(config):
     """h = n^e for every bandwidth exponent e, one Python power each."""
     return np.array([float(config.n) ** he for he in config.bandwidth_exponents])
@@ -395,7 +388,7 @@ def _estimation_chunk(args):
     kernel = get_kernel(config.kernel)
     grid = np.linspace(0.0, 1.0, config.grid_points)
     h = _bandwidths(config)
-    f = _f_evaluator(config)
+    f = sine_series_interpolator(config.f_terms)
     ftrue = f(grid)
     keys = _cell_keys(config)
     # (setting, bandwidth, statistic, point); cells follow _cell_keys order
@@ -464,7 +457,7 @@ def _coverage_chunk(args):
     config, lo, hi = args
     kernel = get_kernel(config.kernel)
     h = _bandwidths(config)
-    f = _f_evaluator(config)
+    f = sine_series_interpolator(config.f_terms)
     pts = np.asarray(config.eval_points)
     fpts = f(pts)
     keys = _cell_keys(config)

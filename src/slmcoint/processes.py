@@ -119,20 +119,17 @@ def frac_coeffs(d, n_lags):
         raise ValueError("n_lags must be >= 0")
     out = np.empty(n_lags + 1)
     out[0] = 1.0
-    if n_lags:
-        j = np.arange(1, n_lags + 1)
-        out[1:] = np.cumprod((j - 1.0 + float(d)) / j)
+    j = np.arange(1, n_lags + 1)
+    out[1:] = np.cumprod((j - 1.0 + float(d)) / j)
     return out
 
 
 def tempered_coeffs(d, lam, n_lags):
-    """Exponentially tempered fractional coefficients phi(j) = e^{-lam*j} b_d(j)."""
+    """Exponentially tempered fractional coefficients phi(j) = e^{-lam*j} b_d(j);
+    lam = 0 gives b_d(j) itself (each factor is exactly 1.0)."""
     if lam < 0:
         raise ValueError("lam must be >= 0")
-    coeffs = frac_coeffs(d, n_lags)
-    if lam > 0:
-        coeffs = coeffs * np.exp(-lam * np.arange(n_lags + 1))
-    return coeffs
+    return frac_coeffs(d, n_lags) * np.exp(-lam * np.arange(n_lags + 1))
 
 
 def _tempered_lag_cap(lam):
@@ -199,8 +196,8 @@ class TemperedProcessSpec:
         return self.truncation if self.presample == "full" else self.presample
 
     def coefficients(self):
-        if self.memory_kind is MemoryKind.SHORT:
-            return np.ones(1)
+        """The shock filter phi(0..truncation); short memory is the d = 0
+        case, whose coefficients are the delta sequence."""
         return tempered_coeffs(self.d, self.lam, self.truncation)
 
     def to_dict(self):
@@ -284,7 +281,7 @@ def _shock_filter(spec):
     """
     phi = spec.coefficients()
     nz = np.nonzero(phi)[0]
-    phi = phi[:int(nz[-1]) + 1] if nz.size else phi[:1]
+    phi = phi[:int(nz[-1]) + 1]  # phi[0] = 1.0, so nz is never empty
     spectrum = np.fft.rfft(phi, _fast_len(spec.n + spec.history_lags + phi.shape[0] - 1))
     for arr in (phi, spectrum):
         arr.flags.writeable = False
@@ -321,9 +318,10 @@ def regression_function_sine(x, terms=DEFAULT_SINE_TERMS):
 
     f(x) = sum_{j=1}^{terms} (-1)^{j+1} sin(j*pi*x) / j^2; the truncation
     error of the infinite series is bounded by sum_{j>terms} j^{-2} < 1/terms.
+    0 terms is the zero function.
     """
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
+    if terms < 0:
+        raise ValueError("terms must be >= 0")
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     xv = np.atleast_1d(x)
@@ -345,11 +343,11 @@ def _sine_table(terms, resolution):
     (-1)^{j+1} sin(j*pi*x_k) = -sin(2*pi*j*k/N), so
     f(x_k) = -sum_j sin(2*pi*j*k/N) / j^2 = Im(FFT(c))_k with c_j = 1/j^2.
     Frequencies j >= N alias onto j mod N, so folding them there keeps the
-    table exact for every (terms, resolution).  The last node x = 1 repeats
-    the first (period 2).
+    table exact for every (terms, resolution); 0 terms give a table of
+    zeros.  The last node x = 1 repeats the first (period 2).
     """
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
+    if terms < 0:
+        raise ValueError("terms must be >= 0")
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     period = resolution - 1
@@ -418,14 +416,12 @@ def simulate_model(spec, noise, f=None, rng=None):
 def scale_dn(n, lam, d, memory_kind):
     """Normalization d_N of the partial-sum regressor.
 
-    sqrt(n)/lam^d under semi-long memory, n^{d+1/2} under long memory and
-    sqrt(n) under short memory (unit long-run variance convention).
+    n^{d+1/2} under long memory and sqrt(n)/lam^d otherwise: short memory
+    is the d = 0 case, sqrt(n) (unit long-run variance convention).
+    (kind, d, lam) must satisfy the rule of their memory kind.
     """
     kind = MemoryKind.parse(memory_kind)
-    if kind is MemoryKind.SEMI_LONG:
-        if lam <= 0:
-            raise ValueError("semi-long memory scale requires lam > 0")
-        return np.sqrt(n) / lam ** d
+    _check_memory(kind, d, "lam", lam)
     if kind is MemoryKind.LONG:
         return float(n) ** (d + 0.5)
-    return np.sqrt(n)
+    return np.sqrt(n) / lam ** d

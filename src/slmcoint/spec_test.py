@@ -189,18 +189,16 @@ def t_statistic(x, y, family, theta, h, kernel, weight, quad_cells=DEFAULT_QUAD_
 def normalized_statistic(t_raw, n, lam, d, h, memory_kind):
     """Memory-dependent normalization of the raw statistic.
 
-    semi-long: T / (sqrt(n) lam^d h); long: T * n^{d-1/2} / h;
-    short: T / (sqrt(n) h) (unit long-run variance convention).
+    long: T * n^{d-1/2} / h; otherwise T / (sqrt(n) lam^d h), where short
+    memory is the d = 0 case, T / (sqrt(n) h) (unit long-run variance
+    convention).
     """
     kind = MemoryKind.parse(memory_kind)
     _check_memory(kind, d, "lam", lam)
-    if kind is MemoryKind.SEMI_LONG:
-        scale = float(np.sqrt(n) * lam ** d * h)
-        return t_raw / scale, scale
     if kind is MemoryKind.LONG:
         mult = float(n) ** (d - 0.5) / h
         return t_raw * mult, 1.0 / mult
-    scale = float(np.sqrt(n) * h)
+    scale = float(np.sqrt(n) * lam ** d * h)
     return t_raw / scale, scale
 
 
@@ -299,8 +297,7 @@ def subsample_statistics(x, y, family, b, h_b, lam_b, d, memory_kind, kernel,
     if skipped > _MAX_SKIPPED_FRACTION * nb:
         raise SubsamplingError(
             f"{skipped} of {nb} block fits failed (> {_MAX_SKIPPED_FRACTION:.0%})")
-    normalized = (normalized_statistic(raw, b, lam_b, d, h_b, kind)[0]
-                  if raw.size else raw)
+    normalized = normalized_statistic(raw, b, lam_b, d, h_b, kind)[0]
     if return_by_block:
         return np.sort(normalized), normalized, order_index, skipped
     return np.sort(normalized)

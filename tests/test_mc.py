@@ -241,14 +241,14 @@ def test_chunks_equal_f_evaluated_everywhere(monkeypatch, study_kind, kernel):
                    bandwidth_exponents=(-1.0 / 3.0, -0.2), grid_points=40,
                    eval_points=(0.0, 0.25, 0.5, 0.95, 3.0))
     chunk = {"estimation": mc._estimation_chunk, "coverage": mc._coverage_chunk}[study_kind]
-    f = mc._f_evaluator(config)
+    f = mc.sine_series_interpolator(config.f_terms)
     points = []  # the number of points of each f call
 
     def counted(x):
         points.append(np.size(x))
         return f(x)
 
-    monkeypatch.setattr(mc, "_f_evaluator", lambda config: counted)
+    monkeypatch.setattr(mc, "sine_series_interpolator", lambda terms: counted)
     got = chunk((config, 0, 4))
     reached = sum(points)
     monkeypatch.setattr(mc, "_response",

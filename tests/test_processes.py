@@ -55,6 +55,14 @@ def test_tempered_reduces_to_fractional_at_lam0():
     assert_allclose(tempered_coeffs(0.3, 0.0, 50), frac_coeffs(0.3, 50))
 
 
+@pytest.mark.parametrize("d", [0.0, 0.3, -0.45, 1.0])
+def test_untempered_limits_are_bit_exact(d):
+    # lam = 0 multiplies by exp(-0.0 j) = 1.0, and J = 0 is b(0) alone
+    assert np.array_equal(tempered_coeffs(d, 0.0, 60), frac_coeffs(d, 60))
+    assert np.array_equal(frac_coeffs(d, 0), [1.0])
+    assert np.array_equal(tempered_coeffs(d, 0.4, 0), [1.0])
+
+
 def test_tempered_one_term():
     assert_allclose(tempered_coeffs(0.3, 0.1, 1), [1.0, 0.3 * np.exp(-0.1)])
 
@@ -127,6 +135,19 @@ def test_regressor_random_walk_at_d0():
     spec = TemperedProcessSpec(d=0.0, lam=0.0, n=100, memory_kind="lm")
     x = simulate_regressor(spec, xi)
     assert_allclose(x, np.cumsum(xi[-100:]), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("presample", [0, "full"])
+@pytest.mark.parametrize("lam", [0.0, 0.3])
+def test_short_memory_is_lm_at_d0_bit_for_bit(presample, lam):
+    # short memory is the d = 0 case: the delta filter, trimmed to one tap
+    xi = np.random.default_rng(5).standard_normal(3000)
+    short = TemperedProcessSpec(d=0.0, lam=lam, n=120, memory_kind="short",
+                                presample=presample)
+    lm = TemperedProcessSpec(d=0.0, lam=0.0, n=120, memory_kind="lm", presample=presample)
+    x = simulate_regressor(short, xi)
+    assert np.array_equal(x, simulate_regressor(lm, xi))
+    assert np.array_equal(x, np.cumsum(xi[-120:]))
 
 
 def test_regressor_truncation_zero_equals_random_walk():
@@ -287,9 +308,32 @@ def test_sine_table_matches_series_on_whole_grid(terms, resolution):
 
 def test_sine_table_rejects_bad_sizes():
     with pytest.raises(ValueError):
-        _sine_table(0, 11)
+        _sine_table(-1, 11)
     with pytest.raises(ValueError):
         _sine_table(10, 1)
+
+
+def test_zero_terms_are_the_zero_function():
+    _, table = _sine_table(0, 11)
+    assert np.array_equal(table, np.zeros(11)) and not np.signbit(table).any()
+    x = np.linspace(-3.0, 3.0, 13)
+    assert np.array_equal(regression_function_sine(x, 0), np.zeros(13))
+    assert np.array_equal(sine_series_interpolator(0)(x), np.zeros(13))
+    with pytest.raises(ValueError, match="terms must be >= 0"):
+        regression_function_sine(x, -1)
+
+
+def test_cli_simulate_f_terms_zero_is_pure_error(tmp_path):
+    assert cli_main(["simulate", "--n", "40", "--f-terms", "0", "--sigma", "0.3",
+                     "--out", str(tmp_path)]) == 0
+    data = np.genfromtxt(tmp_path / "path.csv", delimiter=",", names=True)
+    assert np.array_equal(data["y"], 0.3 * data["u"])
+
+
+def test_cli_simulate_zero_function_flag_is_gone(tmp_path):
+    with pytest.raises(SystemExit) as err:
+        cli_main(["simulate", "--n", "40", "--zero-function", "--out", str(tmp_path)])
+    assert err.value.code == 2
 
 
 # ------------------------------------------------------------------- model
@@ -357,6 +401,12 @@ def test_scale_dn_short():
     assert scale_dn(100, 0.0, 0.0, "short") == pytest.approx(10.0)
 
 
+@pytest.mark.parametrize("n", [100, 37, 2000])
+@pytest.mark.parametrize("lam", [0.0, 0.3])
+def test_scale_dn_short_is_sqrt_n_bit_for_bit(n, lam):
+    assert scale_dn(n, lam, 0.0, "short") == np.sqrt(n)
+
+
 def test_scale_dn_slm_unit_lambda():
     assert scale_dn(100, 1.0, 0.37, "slm") == pytest.approx(10.0)
 
@@ -368,6 +418,13 @@ def test_scale_dn_lm():
 def test_scale_dn_rejects_slm_lam0():
     with pytest.raises(ValueError):
         scale_dn(100, 0.0, 0.3, "slm")
+
+
+@pytest.mark.parametrize("lam, d, message", [
+    (0.0, 0.5, "0 <= d < 1/2"), (0.0, 0.7, "0 <= d < 1/2"), (0.1, 0.2, "lam = 0")])
+def test_scale_dn_checks_long_memory_rule(lam, d, message):
+    with pytest.raises(ValueError, match=message):
+        scale_dn(100, lam, d, "lm")
 
 
 def test_partial_sum_scaling_bounded():

@@ -243,6 +243,15 @@ def test_normalized_statistic_slm_unit_lambda_matches_short():
     assert a == pytest.approx(b)
 
 
+@pytest.mark.parametrize("n, lam, h", [(100, 0.0, 0.1), (437, 0.25, 0.37), (59, 0.0, 2.0)])
+def test_normalized_statistic_short_is_sqrt_n_h_bit_for_bit(n, lam, h):
+    # short memory is the d = 0 case of the semi-long scale: lam^0 = 1.0
+    for t in (3.7, np.array([0.0, 1e-300, 2.5, 7e10])):
+        got, scale = normalized_statistic(t, n, lam, 0.0, h, "short")
+        assert scale == float(np.sqrt(n) * h)
+        assert np.array_equal(got, t / float(np.sqrt(n) * h))
+
+
 def test_normalized_statistic_rejects_slm_lam0():
     with pytest.raises(ValueError):
         normalized_statistic(1.0, 100, 0.0, 0.3, 0.1, "slm")
