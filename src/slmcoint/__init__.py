@@ -12,9 +12,9 @@ __version__ = "0.1.0"
 
 from .processes import (
     MemoryKind, TemperedProcessSpec, NoiseConfig, frac_coeffs, tempered_coeffs,
-    default_truncation, simulate_innovations, simulate_regressor,
-    simulate_error_ar1, regression_function_sine, sine_series_interpolator,
-    simulate_model, scale_dn, innovation_length,
+    simulate_innovations, simulate_regressor, simulate_error_ar1,
+    regression_function_sine, sine_series_interpolator, simulate_model,
+    scale_dn, innovation_length,
 )
 from .kernel_regression import (
     EPANECHNIKOV, GAUSSIAN, get_kernel, nw_estimate, fitted_values,

@@ -272,7 +272,7 @@ def main(argv=None):
     args = parser.parse_args(_attach_weight_support(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         message, data = str(exc), getattr(args, "data", None)
         # a validation error of a command that reads a data file names it
         if isinstance(exc, ValueError) and data and not message.startswith(f"{data}: "):

@@ -13,7 +13,6 @@ import csv
 import json
 import math
 import os
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 
@@ -22,7 +21,7 @@ import numpy as np
 from .processes import (MemoryKind, TemperedProcessSpec, NoiseConfig,
                         simulate_innovations, simulate_regressor,
                         simulate_error_ar1, sine_series_interpolator,
-                        innovation_length)
+                        innovation_length, _check_memory)
 from .kernel_regression import (get_kernel, nw_estimate, kernel_estimate,
                                 _reach_mask)
 from .spec_test import DEFAULT_WEIGHT_SUPPORT, run_spec_test, uniform_weight
@@ -125,10 +124,6 @@ class MemorySetting:
             raise ValueError("memory_settings entries must be a name or an object, "
                              f"got {payload!r}")
         payload = dict(payload)
-        rule = payload.pop("rule", None)
-        if rule is not None:
-            payload.setdefault("lambda_exponent", _slm_rule(rule))
-            payload.setdefault("kind", "semi_long")
         if payload.get("lambda_exponent") is not None:
             payload["lambda_exponent"] = parse_exponent(payload["lambda_exponent"])
         return cls(**payload)
@@ -213,6 +208,8 @@ class StudyConfig:
         object.__setattr__(self, "block_rules", tuple(
             br if isinstance(br, BlockRule) else BlockRule(*br)
             for br in self.block_rules))
+        if not all(np.isfinite(self.d_values)):
+            raise ValueError(f"d_values must be finite, got {list(self.d_values)}")
         if self.study_kind == "coverage" and not (
                 self.eval_points and all(np.isfinite(self.eval_points))):
             raise ValueError("eval_points must be nonempty and finite, "
@@ -265,14 +262,15 @@ class StudyConfig:
             raise ValueError(f"study config: {exc}") from None
 
     def settings_grid(self):
-        """(setting, d) combinations, honoring the memory-kind d ranges:
-        long memory rows with d outside [0, 1/2) are skipped."""
+        """The (setting, d) combinations that the memory rule
+        (``_check_memory``) admits: long memory keeps 0 <= d < 1/2, short
+        memory d = 0."""
         out = []
         for ms in self.memory_settings:
             for d in self.d_values:
-                if ms.kind is MemoryKind.LONG and not (0.0 <= d < 0.5):
-                    continue
-                if ms.kind is MemoryKind.SHORT and d != 0.0:
+                try:
+                    _check_memory(ms.kind, d, "lam", ms.lam(self.n))
+                except ValueError:
                     continue
                 out.append((ms, d))
         return out
@@ -358,9 +356,7 @@ def _batch_se(values):
     n = np.count_nonzero(np.isfinite(vals))
     if n < 2:
         return float("nan")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return float(np.nanstd(vals, ddof=1) / np.sqrt(len(vals)))
+    return float(np.nanstd(vals, ddof=1) / np.sqrt(n))
 
 # ---------------------------------------------------------------- estimation
 

@@ -12,7 +12,7 @@ contemporaneous correlation rho.
 """
 
 import enum
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, field
 from functools import lru_cache
 
 import numpy as np
@@ -35,12 +35,8 @@ class MemoryKind(str, enum.Enum):
         if isinstance(value, cls):
             return value
         key = str(value).strip().lower().replace("-", "_")
-        aliases = {
-            "lm": cls.LONG, "long": cls.LONG, "long_memory": cls.LONG,
-            "slm": cls.SEMI_LONG, "semi_long": cls.SEMI_LONG,
-            "semi_long_memory": cls.SEMI_LONG, "semilong": cls.SEMI_LONG,
-            "short": cls.SHORT, "sm": cls.SHORT, "short_memory": cls.SHORT,
-        }
+        aliases = {"lm": cls.LONG, "long": cls.LONG, "slm": cls.SEMI_LONG,
+                   "semi_long": cls.SEMI_LONG, "short": cls.SHORT}
         if key not in aliases:
             raise ValueError(f"unknown memory kind: {value!r}")
         return aliases[key]
@@ -139,16 +135,6 @@ def _tempered_lag_cap(lam):
     return int(np.ceil(-np.log(_TEMPER_TRUNC_TOL) / lam)) + _TEMPER_LAG_FLOOR
 
 
-def default_truncation(n, burn_in, memory_kind, lam=0.0):
-    """Default MA truncation lag: n + burn_in, shortened under tempering
-    (semi-long memory) to ``_tempered_lag_cap(lam)``."""
-    kind = MemoryKind.parse(memory_kind)
-    base = n + burn_in
-    if kind is MemoryKind.SEMI_LONG and lam > 0:
-        return min(base, _tempered_lag_cap(lam))
-    return base
-
-
 @dataclass(frozen=True)
 class TemperedProcessSpec:
     """Parameters of a shock/regressor process.
@@ -156,16 +142,18 @@ class TemperedProcessSpec:
     ``presample`` controls how much innovation history feeds the first
     shock X(1): ``"full"`` gives every shock its complete truncated
     history, while an integer gives that many pre-sample lags (0 builds
-    the shocks from in-sample innovations only).
+    the shocks from in-sample innovations only).  The MA truncation lag
+    is derived: n + burn_in, capped at ``_tempered_lag_cap(lam)`` when
+    lam > 0.
     """
 
     d: float
     lam: float
     n: int
     memory_kind: MemoryKind
-    truncation: int = None
     burn_in: int = DEFAULT_BURN_IN
     presample: object = "full"
+    truncation: int = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "memory_kind", MemoryKind.parse(self.memory_kind))
@@ -179,12 +167,10 @@ class TemperedProcessSpec:
         # semi-long regressor needs d >= 0
         if kind is MemoryKind.SEMI_LONG and self.d < 0.0:
             raise ValueError("semi-long memory requires d >= 0")
-        if self.truncation is None:
-            object.__setattr__(
-                self, "truncation",
-                default_truncation(self.n, self.burn_in, kind, self.lam))
-        if self.truncation < 0:
-            raise ValueError("truncation must be >= 0")
+        truncation = self.n + self.burn_in
+        if self.lam > 0:
+            truncation = min(truncation, _tempered_lag_cap(self.lam))
+        object.__setattr__(self, "truncation", truncation)
         if self.presample != "full":
             p = int(self.presample)
             if p < 0:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .kernel_regression import _check_finite, _check_positive, get_kernel
-from .processes import MemoryKind, _check_memory
+from .processes import MemoryKind, _check_memory, scale_dn
 
 DEFAULT_QUAD_CELLS = 2048
 DEFAULT_WEIGHT_SUPPORT = (-100.0, 100.0)
@@ -187,18 +187,10 @@ def t_statistic(x, y, family, theta, h, kernel, weight, quad_cells=DEFAULT_QUAD_
 
 
 def normalized_statistic(t_raw, n, lam, d, h, memory_kind):
-    """Memory-dependent normalization of the raw statistic.
-
-    long: T * n^{d-1/2} / h; otherwise T / (sqrt(n) lam^d h), where short
-    memory is the d = 0 case, T / (sqrt(n) h) (unit long-run variance
-    convention).
-    """
-    kind = MemoryKind.parse(memory_kind)
-    _check_memory(kind, d, "lam", lam)
-    if kind is MemoryKind.LONG:
-        mult = float(n) ** (d - 0.5) / h
-        return t_raw * mult, 1.0 / mult
-    scale = float(np.sqrt(n) * lam ** d * h)
+    """The raw statistic over its normalizer n h / d_N, with d_N the
+    regressor's partial-sum scale ``scale_dn(n, lam, d, memory_kind)``;
+    returns (T d_N / (n h), n h / d_N)."""
+    scale = float(n * h / scale_dn(n, lam, d, memory_kind))
     return t_raw / scale, scale
 
 

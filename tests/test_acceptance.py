@@ -320,8 +320,8 @@ def test_criterion_5_coefficients_and_moments():
     for d in (0.3, 1.0):
         vals = []
         for lam in (0.1, 0.05, 0.025, 0.0125):
-            trunc = sl.default_truncation(1000, 1000, "slm", lam)
-            vals.append(sl.tempered_coeffs(d, lam, trunc).sum() * lam ** d)
+            spec = sl.TemperedProcessSpec(d=d, lam=lam, n=1000, memory_kind="slm")
+            vals.append(spec.coefficients().sum() * lam ** d)
         stable = stable and (max(vals) / min(vals) < 1.2)
     i1 = quad(lambda u: float(sl.EPANECHNIKOV(u)), -1, 1)[0]
     i2 = quad(lambda u: float(sl.EPANECHNIKOV(u)) ** 2, -1, 1)[0]

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from slmcoint import EmpiricalSeries, ingest_ckc_csv, ckc_analysis, spec_test
+from slmcoint import EmpiricalSeries, ingest_ckc_csv, ckc_analysis, cli, spec_test
 from slmcoint.cli import main as cli_main
 from slmcoint.mc import _fmt, read_csv, write_csv
 from slmcoint.whittle import fit_artfima00
@@ -263,6 +263,25 @@ def test_cli_estimate_rejects_empty_cell(tmp_path, capsys):
     assert "fitted values must be defined" not in err
 
 
+def test_cli_internal_key_error_is_not_a_validation_error(tmp_path, monkeypatch, capsys):
+    # exit 2 means bad input; a KeyError inside a command is a bug and propagates
+    data = tmp_path / "xy.csv"
+    data.write_text("x,y\n0.0,1.0\n0.5,1.5\n1.0,2.0\n1.5,2.5\n")
+
+    def broken(*args, **kwargs):
+        raise KeyError("x")
+
+    monkeypatch.setattr(cli, "kernel_estimate", broken)
+    with pytest.raises(KeyError):
+        cli_main(["estimate", "--data", str(data), "--bandwidth", "0.8",
+                  "--out", str(tmp_path / "est")])
+    # a missing column is bad input, whatever the command does with it
+    data.write_text("x\n0.0\n0.5\n")
+    assert cli_main(["estimate", "--data", str(data), "--bandwidth", "0.8",
+                     "--out", str(tmp_path / "est")]) == 2
+    assert f"error: {data}: missing column(s) ['y']" in capsys.readouterr().err
+
+
 def test_cli_estimate_rejects_zero_bandwidth(tmp_path, capsys):
     # an explicit 0 is a value, not "use the rule"
     data = tmp_path / "xy.csv"
@@ -468,7 +487,7 @@ def test_cli_mc_reruns_from_study_config(tmp_path):
     ({"variance_mode": "centered", "min_window_count": 2},
      "unknown study config field(s): min_window_count, variance_mode"),
     ({"memory_settings": ["SLM9"]}, "['SLM1', 'SLM2', 'SLM3', 'SLM4']"),
-    ({"memory_settings": [{"rule": "SLM9"}]},
+    ({"memory_settings": ["SLM1", "SLM9"]},
      "unknown SLM rule 'SLM9'; choose from ['SLM1', 'SLM2', 'SLM3', 'SLM4']"),
     ({"d_values": [0.1, 0.1]}, "d_values repeats 0.1"),
     ({"weight_support": [1, 2, 3]},
@@ -516,6 +535,13 @@ def test_cli_mc_reruns_from_study_config(tmp_path):
     ({"d_values": 5}, "study config: 'int' object is not iterable"),
     ({"nominal_levels": ["x"]}, "nominal_levels must hold numbers, got 'x'"),
     ({"nominal_levels": [None]}, "nominal_levels must hold numbers, got None"),
+    # a named schedule is the one form of a rule: "SLM3", not {"rule": "SLM3"}
+    ({"memory_settings": [{"rule": "SLM3"}]},
+     "study config: MemorySetting.__init__() got an unexpected keyword argument 'rule'"),
+    # a NaN d used to drop every long-memory row and fail a semi-long one mid-run
+    ({"memory_settings": ["lm", "SLM3"], "d_values": [0.1, float("nan")]},
+     "d_values must be finite, got [0.1, nan]"),
+    ({"d_values": [float("inf")]}, "d_values must be finite, got [inf]"),
 ])
 def test_cli_mc_rejects_bad_config(tmp_path, capsys, change, message):
     cfg = {

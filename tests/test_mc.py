@@ -44,8 +44,11 @@ def test_memory_setting_labels_and_rules():
     assert ms.label == "SLM3"
     assert ms.lam(100000) == pytest.approx(100000 ** -0.2)
     assert MemorySetting.from_dict("lm").label == "LM"
-    assert MemorySetting.from_dict({"kind": "slm", "rule": "slm1"}).lambda_exponent \
-        == SLM_RULES["SLM1"]
+    assert MemorySetting.from_dict({"kind": "slm", "lambda_exponent": "n^-1/3"}) \
+        == MemorySetting.from_dict("slm1")
+    assert MemorySetting.from_dict("slm1").lambda_exponent == SLM_RULES["SLM1"]
+    with pytest.raises(TypeError, match="rule"):
+        MemorySetting.from_dict({"kind": "slm", "rule": "slm1"})
     with pytest.raises(ValueError):
         MemorySetting.from_dict({"kind": "slm", "lambda_exponent": -1.5})
 
@@ -109,12 +112,20 @@ def test_config_rejects_values_that_print_alike(field, value, message):
 
 
 def test_settings_grid_skips_invalid_lm_rows():
-    config = _tiny("estimation", memory_settings=("lm", "SLM3"),
+    # the grid keeps exactly the (setting, d) pairs that _check_memory admits
+    config = _tiny("estimation", memory_settings=("lm", "short", "SLM3"),
                    d_values=(0.0, 0.45, 0.8))
-    grid = config.settings_grid()
-    labels = [(ms.label, d) for ms, d in grid]
-    assert ("LM", 0.8) not in labels
-    assert ("SLM3", 0.8) in labels
+    labels = [(ms.label, d) for ms, d in config.settings_grid()]
+    assert labels == [("LM", 0.0), ("LM", 0.45), ("SHORT", 0.0),
+                      ("SLM3", 0.0), ("SLM3", 0.45), ("SLM3", 0.8)]
+
+
+def test_batch_se_divides_by_the_finite_chunks():
+    # an empty chunk (NaN) adds no value, so it must not count in the sqrt(m)
+    assert mc._batch_se([1.0, 2.0, np.nan]) == np.std([1.0, 2.0], ddof=1) / np.sqrt(2)
+    values = [0.3, 0.1, 0.7, 0.2]
+    assert mc._batch_se(values) == np.nanstd(values, ddof=1) / np.sqrt(4)
+    assert np.isnan(mc._batch_se([1.0, np.nan]))
 
 
 # ------------------------------------------------------------- determinism

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 from scipy.special import gammaln
 
 from slmcoint import (MemoryKind, TemperedProcessSpec, NoiseConfig,
-                      frac_coeffs, tempered_coeffs, default_truncation,
+                      frac_coeffs, tempered_coeffs,
                       simulate_innovations, simulate_regressor,
                       simulate_error_ar1, regression_function_sine,
                       sine_series_interpolator, simulate_model, scale_dn,
@@ -84,8 +84,7 @@ def test_tempered_sum_tracks_lambda_power():
 def test_tempered_sum_scaling_dyadic(d):
     vals = []
     for lam in (0.1, 0.05, 0.025, 0.0125):
-        trunc = default_truncation(1000, 1000, "slm", lam)
-        a = tempered_coeffs(d, lam, trunc).sum()
+        a = TemperedProcessSpec(d=d, lam=lam, n=1000, memory_kind="slm").coefficients().sum()
         vals.append(a * lam ** d)
         # closed form of the untruncated sum: (1 - e^-lam)^{-d}
         assert_allclose(a, (1.0 - np.exp(-lam)) ** (-d), rtol=1e-6)
@@ -150,20 +149,11 @@ def test_short_memory_is_lm_at_d0_bit_for_bit(presample, lam):
     assert np.array_equal(x, np.cumsum(xi[-120:]))
 
 
-def test_regressor_truncation_zero_equals_random_walk():
-    rng = np.random.default_rng(1)
-    xi = rng.standard_normal(2000)
-    spec = TemperedProcessSpec(d=0.3, lam=0.1, n=50, memory_kind="slm",
-                               truncation=0)
-    x = simulate_regressor(spec, xi)
-    assert_allclose(x, np.cumsum(xi[-50:]), rtol=0, atol=1e-12)
-
-
 def test_regressor_matches_double_loop_oracle():
     rng = np.random.default_rng(2)
     n, J = 5, 200
-    spec = TemperedProcessSpec(d=0.3, lam=0.1, n=n, memory_kind="slm",
-                               truncation=J, burn_in=0)
+    spec = TemperedProcessSpec(d=0.3, lam=0.1, n=n, memory_kind="slm", burn_in=J - n)
+    assert spec.truncation == J
     xi = rng.standard_normal(n + J)
     x = simulate_regressor(spec, xi)
     phi = tempered_coeffs(0.3, 0.1, J)
@@ -177,8 +167,8 @@ def test_regressor_matches_double_loop_oracle():
 def test_regressor_fft_vs_double_loop_bigger():
     rng = np.random.default_rng(3)
     n, J = 100, 500
-    spec = TemperedProcessSpec(d=0.4, lam=0.0, n=n, memory_kind="lm",
-                               truncation=J, burn_in=0)
+    spec = TemperedProcessSpec(d=0.4, lam=0.0, n=n, memory_kind="lm", burn_in=J - n)
+    assert spec.truncation == J
     xi = rng.standard_normal(n + J)
     x = simulate_regressor(spec, xi)
     phi = frac_coeffs(0.4, J)
@@ -223,8 +213,7 @@ def test_regressor_cached_spectrum_equals_fftconvolve(spec):
 
 
 def test_regressor_rejects_short_stream():
-    spec = TemperedProcessSpec(d=0.0, lam=0.0, n=100, memory_kind="short",
-                               truncation=10, burn_in=0)
+    spec = TemperedProcessSpec(d=0.0, lam=0.0, n=100, memory_kind="short", burn_in=0)
     with pytest.raises(ValueError):
         simulate_regressor(spec, np.zeros(50))
 
@@ -395,6 +384,20 @@ def test_innovation_length_shared_across_settings():
     assert innovation_length(a) == innovation_length(b)
 
 
+# ------------------------------------------------------------------ memory
+
+def test_memory_kind_spellings():
+    # the enum values and the CLI names, with '-' read as '_'
+    for names, kind in ((("lm", "long", "LONG"), MemoryKind.LONG),
+                        (("slm", "semi_long", "semi-long", " Semi-Long "), MemoryKind.SEMI_LONG),
+                        (("short",), MemoryKind.SHORT)):
+        for name in names:
+            assert MemoryKind.parse(name) is kind
+    for name in ("long_memory", "semi_long_memory", "semilong", "sm", "short_memory"):
+        with pytest.raises(ValueError, match="unknown memory kind"):
+            MemoryKind.parse(name)
+
+
 # ------------------------------------------------------------------ scales
 
 def test_scale_dn_short():
@@ -470,8 +473,23 @@ def test_spec_rejects_nonfinite_memory(d, lam, message):
         TemperedProcessSpec(d=d, lam=lam, n=10, memory_kind="slm")
 
 
-def test_default_truncation_capped_under_tempering():
-    assert default_truncation(1000, 1000, "lm") == 2000
-    t = default_truncation(1000, 1000, "slm", lam=0.5)
-    assert t == int(np.ceil(-np.log(1e-12) / 0.5)) + 50
-    assert default_truncation(1000, 1000, "slm", lam=1e-9) == 2000
+def _truncation(kind, lam, d=0.0):
+    return TemperedProcessSpec(d=d, lam=lam, n=1000, memory_kind=kind).truncation
+
+
+def test_spec_truncation_capped_under_tempering():
+    # n + burn_in, capped at the tempering lag once lam > 0, whatever the kind
+    cap = int(np.ceil(-np.log(1e-12) / 0.5)) + 50
+    assert _truncation("lm", 0.0, d=0.3) == 2000
+    assert _truncation("slm", 0.5, d=0.3) == cap
+    assert _truncation("slm", 1e-9, d=0.3) == 2000
+    assert _truncation("short", 0.0) == 2000
+    assert _truncation("short", 0.5) == cap
+
+
+def test_spec_truncation_is_derived():
+    with pytest.raises(TypeError, match="truncation"):
+        TemperedProcessSpec(d=0.3, lam=0.1, n=50, memory_kind="slm", truncation=0)
+    spec = TemperedProcessSpec(d=0.3, lam=0.0, n=50, memory_kind="lm", burn_in=20)
+    assert spec.to_dict() == {"d": 0.3, "lam": 0.0, "n": 50, "memory_kind": "long",
+                              "burn_in": 20, "presample": "full", "truncation": 70}

@@ -10,7 +10,7 @@ from slmcoint import (linear_family, quadratic_family, get_family,
                       uniform_weight, nls_fit, t_statistic,
                       normalized_statistic, subsample_statistics, subsample_quantile, run_spec_test,
                       SubsamplingError, GAUSSIAN, EPANECHNIKOV,
-                      TemperedProcessSpec, NoiseConfig, simulate_model)
+                      TemperedProcessSpec, NoiseConfig, simulate_model, scale_dn)
 from slmcoint.spec_test import (_GAUSSIAN_REACH, _TILE_FLOATS, _node_tiles, _quad_nodes,
                                 _sliding_theta, integration_domain)
 
@@ -245,11 +245,27 @@ def test_normalized_statistic_slm_unit_lambda_matches_short():
 
 @pytest.mark.parametrize("n, lam, h", [(100, 0.0, 0.1), (437, 0.25, 0.37), (59, 0.0, 2.0)])
 def test_normalized_statistic_short_is_sqrt_n_h_bit_for_bit(n, lam, h):
-    # short memory is the d = 0 case of the semi-long scale: lam^0 = 1.0
+    # the normalizer is n h / d_N, and short memory's d_N is sqrt(n)
+    # (the d = 0 case of the semi-long scale: lam^0 = 1.0)
     for t in (3.7, np.array([0.0, 1e-300, 2.5, 7e10])):
         got, scale = normalized_statistic(t, n, lam, 0.0, h, "short")
-        assert scale == float(np.sqrt(n) * h)
-        assert np.array_equal(got, t / float(np.sqrt(n) * h))
+        assert scale == float(n * h / np.sqrt(n))
+        assert np.array_equal(got, t / float(n * h / np.sqrt(n)))
+
+
+@pytest.mark.parametrize("n, lam, d, h, kind", [
+    (500, 0.0, 0.3, 0.29, "lm"), (500, 500 ** -0.2, 0.3, 0.29, "slm"),
+    (89, 89 ** -0.2, -0.4, 0.41, "slm"), (170, 0.0, 0.0, 1.3, "short")])
+def test_normalized_statistic_is_n_h_over_scale_dn_bit_for_bit(n, lam, d, h, kind):
+    # the one normalization rule: d_N from scale_dn, normalizer n h / d_N,
+    # which is n^{1/2-d} h under long memory and sqrt(n) lam^d h otherwise
+    scale = float(n * h / scale_dn(n, lam, d, kind))
+    t = np.array([0.0, 2.5e-3, 7.0])
+    got, normalizer = normalized_statistic(t, n, lam, d, h, kind)
+    assert normalizer == scale
+    assert np.array_equal(got, t / scale)
+    closed = n ** (0.5 - d) * h if kind == "lm" else np.sqrt(n) * lam ** d * h
+    assert normalizer == pytest.approx(closed, rel=1e-15)
 
 
 def test_normalized_statistic_rejects_slm_lam0():

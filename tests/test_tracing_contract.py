@@ -5,6 +5,8 @@ so that a rename which breaks ``perfbench/run.py --trace 1`` fails here."""
 import importlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -100,3 +102,13 @@ def test_tracer_wraps_whittle_fit(monkeypatch):
     assert counts["whittle.refine.nit"] > 0
     assert counts["whittle.grid.evals"] == 9
     assert counts["whittle.refine.evals"] > counts["whittle.refine.nit"]
+
+
+def test_benchmark_selftest_passes():
+    # the benchmark's own self-test: traced runs of all four workloads equal
+    # untraced ones, and run.py fails without the library; it writes only
+    # under the ignored perfbench/out
+    run = subprocess.run([sys.executable, os.path.join(PERFBENCH, "selftest.py")],
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert "selftest passed" in run.stdout
