@@ -50,7 +50,7 @@ def artfima_spectral_density(d, lam, sigma2, omega):
         raise ValueError("omega must lie in (0, pi]")
     _check_memory(None, d, "lam", lam)
     _check_positive("sigma2", sigma2)
-    return (sigma2 / _TWO_PI) * np.exp(-d * _log_mod2(lam, np.cos(omega)))
+    return (sigma2 / _TWO_PI) * np.exp(-d * _log_mod2(lam, _sin2_half(omega)))
 
 
 def periodogram(series):
@@ -81,12 +81,18 @@ def periodogram(series):
     return freqs, pgram
 
 
-def _log_mod2(lam, cos_freqs):
-    """ln |1 - e^{-(lam + i w)}|^2 from cos w, computed in place in one array
-    (a 0-d one for scalar lam and cos w)."""
-    m = np.asarray(np.multiply(2.0 * np.exp(-lam), cos_freqs))
-    np.subtract(1.0, m, out=m)
-    np.add(m, np.exp(-2.0 * lam), out=m)
+def _sin2_half(freqs):
+    """sin^2(w/2), from which ``_log_mod2`` computes ln m."""
+    return np.square(np.sin(0.5 * freqs))
+
+
+def _log_mod2(lam, sin2_half):
+    """ln m = ln |1 - e^{-(lam + i w)}|^2 from sin^2(w/2), computed in place
+    in one array (a 0-d one for scalar lam and sin^2(w/2)).  The form
+    m = expm1(-lam)^2 + 4 e^{-lam} sin^2(w/2) has no cancellation, where
+    1 - 2 e^{-lam} cos w + e^{-2 lam} loses digits at low w and small lam."""
+    m = np.asarray(np.multiply(4.0 * np.exp(-lam), sin2_half))
+    np.add(m, np.square(np.expm1(-lam)), out=m)
     return np.log(m, out=m)
 
 
@@ -113,7 +119,7 @@ def whittle_objective(d, lam, freqs, pgram, *, workspace=None, log_mod2=None):
     operations on one row and fewer numpy calls.
     """
     if log_mod2 is None:
-        log_mod2 = _log_mod2(_cells(lam), np.cos(freqs))
+        log_mod2 = _log_mod2(_cells(lam), _sin2_half(freqs))
     if np.ndim(d) == 0 and log_mod2.ndim == 1:
         t = np.multiply(d, log_mod2)
         ratio = np.add.reduce(np.multiply(pgram, np.exp(t, out=t), out=t)) / t.size
@@ -133,7 +139,7 @@ def whittle_objective(d, lam, freqs, pgram, *, workspace=None, log_mod2=None):
 
 def profile_sigma2(d, lam, freqs, pgram):
     """Innovation variance at the profile optimum: 2 pi mean_j I_j / g_j."""
-    return float(_TWO_PI * np.mean(pgram * np.exp(d * _log_mod2(lam, np.cos(freqs)))))
+    return float(_TWO_PI * np.mean(pgram * np.exp(d * _log_mod2(lam, _sin2_half(freqs)))))
 
 
 def one_step_residuals(series, d, lam):
@@ -292,7 +298,7 @@ def _fit(series, model, d_grid, lam_grid, bounds, maxiter):
     than the grid.  ``bounds`` holds the (d, lam) ranges, or only d's range
     when lam is fixed at the one point of ``lam_grid``.
 
-    ln m is computed once per fit for the grid's lam rows, and from cos w_j,
+    ln m is computed once per fit for the grid's lam rows, and from sin^2(w_j/2),
     cached for the fit, at each refinement point, whose objective call
     takes the scalar route.
     """
@@ -305,15 +311,15 @@ def _fit(series, model, d_grid, lam_grid, bounds, maxiter):
     if not np.any(pgram > 0):
         raise ValueError("the series has no power at any Fourier frequency "
                          "2 pi j / n, j = 1..floor((n-1)/2)")
-    cos_freqs = np.cos(freqs)
-    grid_log_mod2 = _log_mod2(_cells(lam_grid), cos_freqs)
+    sin2_half = _sin2_half(freqs)
+    grid_log_mod2 = _log_mod2(_cells(lam_grid), sin2_half)
     row, col, grid_obj = _grid_minimum(d_grid, grid_log_mod2, freqs, pgram)
     start = (d_grid[row], lam_grid[col])[:len(bounds)]
     free_lam = len(bounds) == 2
 
     def objective(p):
         lam = p[1] if free_lam else lam_grid[0]
-        log_mod2 = _log_mod2(lam, cos_freqs) if free_lam else grid_log_mod2[0]
+        log_mod2 = _log_mod2(lam, sin2_half) if free_lam else grid_log_mod2[0]
         return whittle_objective(p[0], lam, freqs, pgram, log_mod2=log_mod2)
 
     res = minimize(objective, np.asarray(start), bounds=bounds, xatol=1e-8, fatol=1e-10,

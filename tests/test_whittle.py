@@ -139,6 +139,20 @@ def test_periodogram_parseval():
 
 # ---------------------------------------------------------------- objective
 
+def test_log_mod2_has_no_low_frequency_cancellation():
+    # against the complex modulus in 50 digits: the expanded form
+    # 1 - 2 e^{-lam} cos w + e^{-2 lam} was off by 1.9e-11 relative at
+    # w = 2 pi / 2000 and lam = 1e-6
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    freqs = TWO_PI * np.array([1, 2, 7, 500, 999]) / 2000
+    for lam in (0.0, 1e-6, 1e-3, 0.12, 2.0):
+        got = whittle._log_mod2(lam, whittle._sin2_half(freqs))
+        want = [float(mpmath.log(abs(1 - mpmath.exp(-(lam + 1j * mpmath.mpf(w)))) ** 2))
+                for w in freqs]
+        assert_allclose(got, want, rtol=4e-15, atol=0)
+
+
 def test_objective_reduces_to_log_mean_at_d0():
     rng = np.random.default_rng(2)
     z = rng.standard_normal(512)
@@ -152,9 +166,8 @@ def test_objective_reduces_to_log_mean_at_d0():
 def _pow_and_log_objective(d, lam, freqs, I):
     """The objective in its former form, ln mean(I / g) + mean(ln g) with
     g = m**(-d), and m = |1 - e^{-(lam + i w)}|^2 expanded as the library
-    computes it (the complex modulus differs by up to 1e-11 relative at
-    the lowest frequencies, where the expansion cancels)."""
-    m = 1.0 - 2.0 * np.exp(-lam) * np.cos(freqs) + np.exp(-2.0 * lam)
+    computes it."""
+    m = np.expm1(-lam) ** 2 + 4.0 * np.exp(-lam) * np.sin(0.5 * freqs) ** 2
     g = m ** (-d)
     return np.log(np.mean(I / g)) + np.mean(np.log(g))
 
@@ -218,10 +231,10 @@ def test_objective_broadcast_matches_scalar_calls(seed, zero_pgram):
     assert type(whittle_objective(float(d[1, 0]), np.float64(lam[0]), freqs, I)) is float
     # the refinement's form, a 0-d d with one 1-D ln m row, takes the scalar
     # route: the same cells, inf ones included, as Python floats
-    cos_freqs = np.cos(freqs)
+    sin2_half = whittle._sin2_half(freqs)
     with np.errstate(all="ignore"):
         for j, lv in enumerate(lam):
-            row = whittle._log_mod2(lv, cos_freqs)
+            row = whittle._log_mod2(lv, sin2_half)
             assert row.shape == freqs.shape
             for i, dv in enumerate(d[:, 0]):
                 for form in (float(dv), np.float64(dv), np.asarray(dv)):
@@ -320,7 +333,8 @@ def test_grid_minimum_scans_a_flat_column(monkeypatch):
     # beside sloped columns, the flat one is scanned and the least
     # (value, d-major index) over the columns is the whole grid's argmin
     lam_grid = np.array([0.05, 0.5])
-    rows = np.concatenate([whittle._log_mod2(lam_grid[:, None], np.cos(freqs)), flat])
+    rows = np.concatenate([whittle._log_mod2(lam_grid[:, None], whittle._sin2_half(freqs)),
+                           flat])
     assert whittle._grid_minimum(d_grid, rows, freqs, I) == _full_scan(d_grid, rows, freqs, I)
     assert shapes[-2:] == [(60, 1), (21, 1)]
     # with a constant periodogram every column is least at d = 0, all at the
@@ -337,7 +351,7 @@ def test_grid_minimum_of_an_all_inf_grid_is_the_first_cell():
     freqs, I = periodogram(z)
     I = np.zeros_like(I)
     for d_grid, lam_grid in _fit_grids():
-        log_mod2 = whittle._log_mod2(lam_grid[:, None], np.cos(freqs))
+        log_mod2 = whittle._log_mod2(lam_grid[:, None], whittle._sin2_half(freqs))
         got = whittle._grid_minimum(d_grid, log_mod2, freqs, I)
         assert got == (0, 0, np.inf) == _full_scan(d_grid, log_mod2, freqs, I)
 
@@ -375,7 +389,7 @@ def test_fit_grid_rule_matches_full_broadcast_scan(kind, monkeypatch):
             freqs, I = periodogram(z)
             for fit, (d_grid, lam_grid) in zip((fit_artfima00, fit_arfima00), _fit_grids()):
                 result = fit(z)
-                log_mod2 = whittle._log_mod2(lam_grid[:, None], np.cos(freqs))
+                log_mod2 = whittle._log_mod2(lam_grid[:, None], whittle._sin2_half(freqs))
                 row, col, value = _full_scan(d_grid, log_mod2, freqs, I)
                 assert result.grid_objective == value
                 assert starts[-1] == (d_grid[row], lam_grid[col])[:len(starts[-1])]
