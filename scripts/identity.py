@@ -14,12 +14,15 @@ which does not change their results.
 - ``nw``: the perfbench estimation tables on all 8 master seeds, coverage
   and Gaussian estimation studies, and ``slmcoint estimate`` on one series.
 - ``whittle``: both fits of the 256 pool series, with their grid start
-  cells; the mean grid cells per fit go to stderr.
+  cells (read from ``_grid_minimum``); the mean grid cells per fit go to
+  stderr.
 
 ``compare`` prints, per top-level section, the largest absolute and
 relative shift over the numeric leaves and of each Whittle estimate, the
-changed non-numeric leaves, the keys on one side only, and how many ckc
-p-values, size rejection rates and Whittle start cells changed.  It exits 0
+changed non-numeric leaves, the keys on one side only, how many ckc
+p-values, size rejection rates and Whittle start cells changed, and per
+model how many Whittle objectives are lower and higher than A's, with the
+largest rise relative to max(1, |W|).  It exits 0
 when the files are equal leaf for leaf and 1 otherwise.  Either file may be
 ``perfbench/reference/whittle.json``, which is only read.
 """
@@ -233,30 +236,35 @@ def whittle_item(index, grid_cells):
     ``grid_cells[model]``."""
     rng = np.random.default_rng([WHITTLE_BASE, 7, index])
     z = whittle.simulate_artfima00(2000, d=1.0, lam=0.12, sigma2=1.0, rng=rng)
-    minimize, objective = whittle.minimize, whittle.whittle_objective
-    item, starts, refining = {"index": index}, [], False
+    grid_minimum, objective = whittle._grid_minimum, whittle.whittle_objective
+    lam_grids = {"artfima00": np.geomspace(*whittle.ARTFIMA_LAM_RANGE,
+                                           whittle._GRID_LAM_POINTS)}
+    item, starts, in_grid = {"index": index}, [], False
 
-    def recording_minimize(fun, x0, **kwargs):
-        nonlocal refining
-        starts.append([float(v) for v in x0])
-        refining = True
+    def recording_grid_minimum(d_grid, *args):
+        nonlocal in_grid
+        in_grid = True
         try:
-            return minimize(fun, x0, **kwargs)
+            found = grid_minimum(d_grid, *args)
         finally:
-            refining = False
+            in_grid = False
+        row, col = found[:2]
+        lam_grid = lam_grids.get(model)
+        starts.append([float(d_grid[row])] + ([] if lam_grid is None else [float(lam_grid[col])]))
+        return found
 
     def counting_objective(*args, **kwargs):
         value = objective(*args, **kwargs)
-        if not refining:
+        if in_grid:
             grid_cells[model] += np.size(value)
         return value
 
-    whittle.minimize, whittle.whittle_objective = recording_minimize, counting_objective
+    whittle._grid_minimum, whittle.whittle_objective = recording_grid_minimum, counting_objective
     try:
         for model in WHITTLE_MODELS:
             item[model] = getattr(whittle, f"fit_{model}")(z).to_dict()
     finally:
-        whittle.minimize, whittle.whittle_objective = minimize, objective
+        whittle._grid_minimum, whittle.whittle_objective = grid_minimum, objective
     return dict(item, grid_starts=starts)
 
 
@@ -323,6 +331,7 @@ def compare_section(name, a, b):
     numeric = changed = other = other_changed = 0
     largest = {None: (0.0, 0.0)}  # leaf name (None: every leaf) -> (abs, rel)
     counted = {key: (set(), set()) for key in COUNTED}  # compared, changed
+    objectives = {}  # model -> [lower, higher, largest rise / max(1, |A|)]
     one_sided = {"A": [], "B": []}  # the keys only that file holds
     for path, x, y in leaves(a, b):
         if MISSING in (x, y):
@@ -341,6 +350,10 @@ def compare_section(name, a, b):
             other, other_changed = other + 1, other_changed + (not same)
             continue
         numeric, changed = numeric + 1, changed + (not same)
+        if key == "objective" and cut > 1:
+            tally = objectives.setdefault(path[cut - 2], [0, 0, 0.0])
+            tally[0], tally[1] = tally[0] + (y < x), tally[1] + (y > x)
+            tally[2] = max(tally[2], (y - x) / max(1.0, abs(x)))
         delta = (0.0, 0.0) if same else shift(x, y)
         for k in (None, key) if key in COMPARED else (None,):
             largest[k] = tuple(map(max, largest.get(k, delta), delta))
@@ -358,6 +371,9 @@ def compare_section(name, a, b):
     for key, (compared, moved) in counted.items():
         if compared:
             print(f"  changed {key}: {len(moved)} of {len(compared)}")
+    for model, (lower, higher, rise) in sorted(objectives.items()):
+        print(f"  {model} objectives: {lower} lower, {higher} higher than A's; "
+              f"largest rise {rise:.3g} of max(1, |A|)")
     return differs
 
 

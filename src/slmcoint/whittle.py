@@ -1,17 +1,13 @@
 """Whittle estimation of ARTFIMA(0, d, lam, 0) and ARFIMA(0, d, 0).
 
 The tempered fractional noise model has spectral density
-
-    f(w) = (sigma^2 / 2 pi) |1 - exp(-(lam + i w))|^{-2 d},
-
-which reduces to ARFIMA(0, d, 0) at lam = 0, and is computed as exp(-d ln m)
-from ln m = ln |1 - exp(-(lam + i w))|^2.  Estimation finds the first minimum
-of the profile Whittle objective over a coarse (d, lam) grid and refines it by
-Nelder-Mead on scalar calls.  The objective is convex in d for each lam, so
-each lam column's minimum is found by bisection, one broadcast call over all
-columns per step, and confirmed from its neighbours (or, where they cannot
-confirm it, by scanning the column); a scalar call takes a short route with
-the same operations.
+f(w) = (sigma^2 / 2 pi) |1 - exp(-(lam + i w))|^{-2 d}, which reduces to
+ARFIMA(0, d, 0) at lam = 0, and is computed as exp(-d ln m) from
+ln m = ln |1 - exp(-(lam + i w))|^2.  The profile Whittle objective is
+convex in d for each lam.  Estimation finds its first minimum over a coarse
+(d, lam) grid, each lam column's by bisection, and refines it by a profile
+search: Newton in d on every lam row, from the row's grid minimum, then a
+secant in ln lam on the slope of the profile next to the best row.
 """
 
 import math
@@ -38,9 +34,8 @@ _GRID_CHUNK_CELLS = 60
 # a window's +-2 cells must exceed its minimum by this, times max(1, |min|),
 # to confirm it: far above rounding (about 1e-14), even for W near 0
 _GRID_MARGIN = 1e-10
-# Nelder-Mead's relative and zero-coordinate initial steps
-_NM_STEP = 0.05
-_NM_ZERO_STEP = 0.00025
+# Newton steps in d, and the secant's interval in ln lam, end below these
+_NEWTON_TOL = _SECANT_TOL = 1e-10
 
 
 def artfima_spectral_density(d, lam, sigma2, omega):
@@ -87,10 +82,9 @@ def _sin2_half(freqs):
 
 
 def _log_mod2(lam, sin2_half):
-    """ln m = ln |1 - e^{-(lam + i w)}|^2 from sin^2(w/2), computed in place
-    in one array (a 0-d one for scalar lam and sin^2(w/2)).  The form
-    m = expm1(-lam)^2 + 4 e^{-lam} sin^2(w/2) has no cancellation, where
-    1 - 2 e^{-lam} cos w + e^{-2 lam} loses digits at low w and small lam."""
+    """ln m = ln |1 - e^{-(lam + i w)}|^2, in place in one array (0-d for
+    scalar arguments), as m = expm1(-lam)^2 + 4 e^{-lam} sin^2(w/2): unlike
+    1 - 2 e^{-lam} cos w + e^{-2 lam}, it does not cancel at low w and lam."""
     m = np.asarray(np.multiply(4.0 * np.exp(-lam), sin2_half))
     np.add(m, np.square(np.expm1(-lam)), out=m)
     return np.log(m, out=m)
@@ -111,12 +105,11 @@ def whittle_objective(d, lam, freqs, pgram, *, workspace=None, log_mod2=None):
 
     with m_j = |1 - e^{-(lam+i w_j)}|^2 and g_j = m_j^{-d}, and inf where the
     mean ratio is not finite and > 0.  d and lam broadcast to cells, each
-    computed by the same elementwise operations as a scalar call (a float).
-    ``log_mod2``, ln m at lam with a trailing frequency axis, stands in for
-    lam; ``workspace``, a flat array of at least cells x frequencies floats,
-    holds the one such temporary.  Neither keyword changes a value.  A 0-d d
-    with a 1-D ln m (the refinement's calls) takes a route with the same
-    operations on one row and fewer numpy calls.
+    computed by the same elementwise operations as a scalar call (a float),
+    which with a 1-D ln m takes a route of fewer numpy calls.  ``log_mod2``,
+    ln m at lam with a trailing frequency axis, stands in for lam;
+    ``workspace``, a flat array of at least cells x frequencies floats, holds
+    the one such temporary.  Neither keyword changes a value.
     """
     if log_mod2 is None:
         log_mod2 = _log_mod2(_cells(lam), _sin2_half(freqs))
@@ -143,13 +136,9 @@ def profile_sigma2(d, lam, freqs, pgram):
 
 
 def one_step_residuals(series, d, lam):
-    """In-sample one-step residuals from the truncated AR(infinity) inversion
-    of the fitted model, applied to the mean-removed series.
-
-    The AR weights are the coefficients of (1 - e^{-lam} z)^{d} up to lag
-    ``_AR_TRUNCATION``; early residuals use the available (shorter)
-    history.
-    """
+    """In-sample one-step residuals of the mean-removed series from the
+    fitted model's AR weights, the coefficients of (1 - e^{-lam} z)^{d} up to
+    lag ``_AR_TRUNCATION``; early residuals use the shorter history."""
     _check_memory(None, d, "lam", lam)
     z = np.asarray(series, dtype=float)
     _check_finite("the series", z)
@@ -175,88 +164,111 @@ class ArtfimaFit:
         return asdict(self)
 
 
-def minimize(fun, x0, bounds, xatol, fatol, maxiter):
-    """Minimize ``fun`` over the box ``bounds`` by Nelder-Mead (Nelder &
-    Mead 1965).  Returns ``x``, ``fun`` and the iteration count ``nit``.
-
-    A step-for-step port of the non-adaptive bounded branch of scipy 1.17's
-    ``minimize(method="Nelder-Mead")`` with ``maxiter`` and no limit on
-    evaluations, so it returns the same floats: 5% (or 0.00025 for a zero
-    coordinate) initial steps, an initial simplex reflected at the upper
-    bounds and then clipped, every trial point clipped into the box, and a
-    stop once both the simplex spread and the spread of its values are
-    within ``xatol`` and ``fatol``.
+def _profile_d(weights, log_mod2, d, bounds):
+    """Minimize W(d) = ln sum_j(w_j e^{d l_j}) - d mean_j l_j over ``bounds``
+    by Newton from ``d``, for each row l of ``log_mod2``.  With a_j = w_j
+    e^{d l_j} and S_k = sum_j a_j l_j^k, W' = S_1/S_0 - mean l and W'' =
+    S_2/S_0 - (S_1/S_0)^2.  A step is clipped to the bounds (a bound where W'
+    points outward is the answer), and one that leaves the sign bracket of
+    W' is replaced by its midpoint; a row stops at a step within
+    ``_NEWTON_TOL``.  Returns per row that step's d, and W and the shares
+    a_j / S_0 where it was taken, and the number of passes.
     """
-    lo, hi = np.asarray(bounds, dtype=float).T
-    x0 = np.clip(np.asarray(x0, dtype=float).ravel(), lo, hi)
-    n = x0.size
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
-    for k in range(n):
-        y = x0.copy()
-        y[k] = (1 + _NM_STEP) * y[k] if y[k] != 0 else _NM_ZERO_STEP
-        sim[k + 1] = y
-    sim = np.clip(np.where(sim > hi, 2 * hi - sim, sim), lo, hi)
-    fsim = np.array([fun(v) for v in sim], dtype=float)
-    # scipy sorts twice before its first iteration; argsort need not be
-    # stable, so the second sort is kept
-    for _ in range(2):
-        order = np.argsort(fsim)
-        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+    low, high = bounds
+    d = [min(max(float(v), low), high) for v in d]
+    lo, hi, value = [-math.inf] * len(d), [math.inf] * len(d), [0.0] * len(d)
+    mean_log = (np.add.reduce(log_mod2, axis=-1) / log_mod2.shape[-1]).tolist()
+    shares, active, passes = np.empty(log_mod2.shape), list(range(len(d))), 0
+    while active:
+        passes += 1
+        rows = log_mod2[active] if len(active) < len(d) else log_mod2
+        terms = np.multiply(weights, np.exp(np.array([d[i] for i in active])[:, None] * rows))
+        sums = zip(np.add.reduce(terms, axis=-1).tolist(),
+                   np.einsum("ij,ij->i", terms, rows).tolist(),
+                   np.einsum("ij,ij,ij->i", terms, rows, rows).tolist())
+        still = []
+        for k, (i, (total, first, second)) in enumerate(zip(active, sums)):
+            x, lead = d[i], first / total
+            slope, curvature = lead - mean_log[i], second / total - lead * lead
+            if slope < 0:
+                lo[i] = x
+            elif slope > 0:
+                hi[i] = x
+            step = (x if slope == 0 else min(max(x - slope / curvature, low), high)
+                    if curvature > 0 else low if slope > 0 else high)
+            if abs(step - x) > _NEWTON_TOL and not lo[i] < step < hi[i]:
+                step = 0.5 * (max(lo[i], low) + min(hi[i], high))
+            d[i] = step
+            if abs(step - x) > _NEWTON_TOL:
+                still.append(i)
+            else:
+                shares[i], value[i] = terms[k] / total, math.log(total) - x * mean_log[i]
+        active = still
+    return d, value, shares, passes
 
-    iterations = 1
-    while iterations < maxiter:
-        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
-            break
-        # reflection 1, expansion 2, contraction 1/2 and shrink 1/2
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = np.clip(2 * xbar - sim[-1], lo, hi)
-        fxr = fun(xr)
-        if fxr < fsim[0]:
-            xe = np.clip(3 * xbar - 2 * sim[-1], lo, hi)
-            fxe = fun(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            if fxr < fsim[-1]:
-                xc = np.clip(1.5 * xbar - 0.5 * sim[-1], lo, hi)
-                fxc = fun(xc)
-                shrink = not fxc <= fxr
-            else:
-                xc = np.clip(0.5 * xbar + 0.5 * sim[-1], lo, hi)
-                fxc = fun(xc)
-                shrink = not fxc < fsim[-1]
-            if shrink:
-                for j in range(1, n + 1):
-                    sim[j] = np.clip(sim[0] + 0.5 * (sim[j] - sim[0]), lo, hi)
-                    fsim[j] = fun(sim[j])
-            else:
-                sim[-1], fsim[-1] = xc, fxc
-        iterations += 1
-        order = np.argsort(fsim)
-        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
-    return SimpleNamespace(x=sim[0], fun=np.min(fsim), nit=iterations)
+
+def minimize(freqs, pgram, sin2_half, lam_grid, log_mod2, d_starts, bounds):
+    """Minimize the objective over ``bounds`` (d's range, and lam's if lam
+    is free) from the lam rows of ``log_mod2``, each profiled in d from
+    ``d_starts`` (``_profile_d``).  The least profile P stands unless lam is
+    free and dP/d ln lam, by the envelope theorem lam d (sum_j a_j l'_j / S_0
+    - mean_j l'_j) with l' = d ln m / d lam = -2 e^{-lam} (expm1(-lam) +
+    2 sin^2(w/2)) / m, goes from - to + towards a neighbouring row.  Its root
+    is then sought in ln lam, first at the minimum of the cubic through both
+    ends' P and slope, then by the Illinois secant (Brent 1973), each point
+    profiled from the d interpolated between the ends; the last point stands
+    if it profiles no higher.  Returns ``x`` = (d, lam), ``fun`` (by a scalar
+    objective call) and ``nit``, the number of Newton passes.
+    """
+    weights = pgram / np.mean(pgram)
+    d, profile, shares, nit = _profile_d(weights, log_mod2, d_starts, bounds[0])
+    j = int(np.argmin(profile))
+    d_hat, lam_hat, row = d[j], lam_grid[j], log_mod2[j]
+
+    def slope(lam, d, shares):
+        tempered, shrink = np.exp(-lam), np.expm1(-lam)
+        dlog = (-2.0 * tempered * (shrink + 2.0 * sin2_half)
+                / (shrink * shrink + 4.0 * tempered * sin2_half))
+        return lam * d * (np.einsum("j,j->", shares, dlog) - np.add.reduce(dlog) / dlog.size)
+
+    f = slope(lam_grid[j], d[j], shares[j]) if len(bounds) == 2 else 0.0
+    k = j - 1 if f > 0 else j + 1
+    g = slope(lam_grid[k], d[k], shares[k]) if f and 0 <= k < lam_grid.size else f
+    if g * f < 0:
+        (u0, p0, f0, d0), (u1, p1, f1, d1) = sorted(
+            [(math.log(lam_grid[i]), profile[i], v, d[i]) for i, v in ((j, f), (k, g))])
+        z1 = f0 + f1 - 3.0 * (p1 - p0) / (u1 - u0)
+        z2 = math.sqrt(z1 * z1 - f0 * f1)
+        u, side = u1 - (u1 - u0) * (f1 + z2 - z1) / (f1 - f0 + 2.0 * z2), 0
+        while True:
+            row_u = _log_mod2(math.exp(u), sin2_half)
+            (d_u,), (p_u,), (shares_u,), passes = _profile_d(
+                weights, row_u[None], [d0 + (u - u0) / (u1 - u0) * (d1 - d0)], bounds[0])
+            nit += passes
+            f = slope(math.exp(u), d_u, shares_u)
+            if f > 0:  # Illinois: halve the end that stays twice running
+                u1, f1, d1, f0, side = u, f, d_u, f0 / 2 if side > 0 else f0, 1
+            elif f < 0:
+                u0, f0, d0, f1, side = u, f, d_u, f1 / 2 if side < 0 else f1, -1
+            if not f or math.isnan(f) or u1 - u0 <= _SECANT_TOL:
+                break
+            u = (u0 * f1 - u1 * f0) / (f1 - f0)
+        if p_u <= profile[j]:
+            d_hat, lam_hat, row = d_u, math.exp(u), row_u
+    return SimpleNamespace(x=np.array([d_hat, lam_hat]), nit=nit,
+                           fun=whittle_objective(d_hat, lam_hat, freqs, pgram, log_mod2=row))
 
 
 def _grid_minimum(d_grid, log_mod2, freqs, pgram):
     """Row, column and value of the first minimum, in d-major order, of the
-    objective over ``d_grid`` x the lam rows of ``log_mod2``: the cell that
-    ``np.argmin`` of the whole grid picks, from a fraction of its cells.
-
-    For fixed lam, W(d) = ln mean_j(I_j e^{d l_j}) - d mean_j l_j with
-    l_j = ln m_j is a log-mean-exp of affine functions of d less a linear
-    term, so convex in d.  Each column's first minimum is found by bisection
-    on the sign of W(d_{i+1}) - W(d_i), one broadcast call over all columns
-    per step, and then taken as the first minimum of its cells i-2..i+2
-    (clipped at the grid ends).  That is the column's first minimum if the
-    cells are finite and each +-2 cell inside the grid exceeds their minimum
-    by the margin: convexity puts every farther cell above that +-2 cell,
-    and rounding cannot close the margin.  Otherwise the column is scanned
-    whole.  The start is the least (value, d-major index) over the columns.
-    Every call evaluates at most ``_GRID_CHUNK_CELLS`` cells into one
-    workspace (see the README on minor faults).
+    objective over ``d_grid`` x the lam rows of ``log_mod2`` (the cell that
+    ``np.argmin`` of the whole grid picks), and each column's first-minimum
+    row.  W is convex in d, so a column's minimum is found by bisection on the
+    sign of W(d_{i+1}) - W(d_i), one broadcast call over all columns per
+    step, as the first minimum of its cells i-2..i+2 if they are finite and
+    each +-2 cell inside the grid exceeds it by the margin (convexity puts
+    every farther cell above); otherwise the column is scanned whole.  A
+    call evaluates at most ``_GRID_CHUNK_CELLS`` cells into one workspace.
     """
     n_rows, n_cols = d_grid.size, log_mod2.shape[0]
     workspace = np.empty(min(_GRID_CHUNK_CELLS, n_rows * n_cols) * freqs.size)
@@ -289,19 +301,13 @@ def _grid_minimum(d_grid, log_mod2, freqs, pgram):
         row[j] = np.argmin(column)
         value[j] = column[row[j]]
     j = min(range(n_cols), key=lambda j: (value[j], row[j]))
-    return int(row[j]), j, value[j]
+    return int(row[j]), j, value[j], row
 
 
-def _fit(series, model, d_grid, lam_grid, bounds, maxiter):
-    """The grid's first minimum in d-major order (``_grid_minimum``), refined
-    by bounded Nelder-Mead; the refinement is kept only if it is no worse
-    than the grid.  ``bounds`` holds the (d, lam) ranges, or only d's range
-    when lam is fixed at the one point of ``lam_grid``.
-
-    ln m is computed once per fit for the grid's lam rows, and from sin^2(w_j/2),
-    cached for the fit, at each refinement point, whose objective call
-    takes the scalar route.
-    """
+def _fit(series, model, d_grid, lam_grid, bounds):
+    """The grid's first minimum in d-major order (``_grid_minimum``),
+    refined by ``minimize`` if that is no worse.  ``bounds`` holds the (d,
+    lam) ranges, or d's alone when lam is fixed at ``lam_grid``'s one point."""
     z = np.asarray(series, dtype=float)
     if z.size < 32:
         raise ValueError("need at least 32 observations for Whittle fitting")
@@ -313,49 +319,36 @@ def _fit(series, model, d_grid, lam_grid, bounds, maxiter):
                          "2 pi j / n, j = 1..floor((n-1)/2)")
     sin2_half = _sin2_half(freqs)
     grid_log_mod2 = _log_mod2(_cells(lam_grid), sin2_half)
-    row, col, grid_obj = _grid_minimum(d_grid, grid_log_mod2, freqs, pgram)
-    start = (d_grid[row], lam_grid[col])[:len(bounds)]
-    free_lam = len(bounds) == 2
-
-    def objective(p):
-        lam = p[1] if free_lam else lam_grid[0]
-        log_mod2 = _log_mod2(lam, sin2_half) if free_lam else grid_log_mod2[0]
-        return whittle_objective(p[0], lam, freqs, pgram, log_mod2=log_mod2)
-
-    res = minimize(objective, np.asarray(start), bounds=bounds, xatol=1e-8, fatol=1e-10,
-                   maxiter=maxiter)
-    if res.fun <= grid_obj:
-        params, obj = [float(v) for v in res.x], float(res.fun)
-    else:
-        params, obj = [float(v) for v in start], float(grid_obj)
-    boundary = any(min(v - lo, hi - v) < 1e-4 for v, (lo, hi) in zip(params, bounds))
-    d_hat = params[0]
-    lam_hat = params[1] if free_lam else float(lam_grid[0])
+    row, col, grid_obj, column_rows = _grid_minimum(d_grid, grid_log_mod2, freqs, pgram)
+    res = minimize(freqs, pgram, sin2_half, lam_grid, grid_log_mod2, d_grid[column_rows],
+                   bounds)
+    if not res.fun <= grid_obj:
+        res = SimpleNamespace(x=(d_grid[row], lam_grid[col]), fun=grid_obj)
+    d_hat, lam_hat = [float(v) for v in res.x]
+    boundary = any(min(v - lo, hi - v) < 1e-4 for v, (lo, hi) in zip((d_hat, lam_hat), bounds))
     resid = one_step_residuals(z, d_hat, lam_hat)
     return ArtfimaFit(
-        d_hat=d_hat, lambda_hat=lam_hat,
-        sigma2_hat=profile_sigma2(d_hat, lam_hat, freqs, pgram),
-        objective=obj, mse=float(np.mean(resid ** 2)), model=model,
+        d_hat=d_hat, lambda_hat=lam_hat, sigma2_hat=profile_sigma2(d_hat, lam_hat, freqs, pgram),
+        objective=float(res.fun), mse=float(np.mean(resid ** 2)), model=model,
         boundary=bool(boundary), grid_objective=float(grid_obj))
 
 
 def fit_artfima00(series):
     """Whittle fit of ARTFIMA(0, d, lam, 0) over d in [-1, 3], lam in [1e-6, 2].
 
-    A coarse grid scan (d step 0.05, lam log-spaced) is refined by
-    Nelder-Mead; the refined optimum never exceeds the best grid value.
-    Convergence onto the parameter bounds is flagged.
-    """
+    A coarse grid scan (d step 0.05, lam log-spaced) is refined by the
+    profile search, never above the best grid value; an optimum on the
+    parameter bounds is flagged."""
     d_grid = np.arange(ARTFIMA_D_RANGE[0], ARTFIMA_D_RANGE[1] + 1e-9, _GRID_D_STEP)
     lam_grid = np.geomspace(ARTFIMA_LAM_RANGE[0], ARTFIMA_LAM_RANGE[1], _GRID_LAM_POINTS)
     return _fit(series, "artfima00", d_grid, lam_grid,
-                [ARTFIMA_D_RANGE, ARTFIMA_LAM_RANGE], maxiter=4000)
+                [ARTFIMA_D_RANGE, ARTFIMA_LAM_RANGE])
 
 
 def fit_arfima00(series):
     """Whittle fit of ARFIMA(0, d, 0) over d in (-1/2, 1/2) with lam = 0."""
     d_grid = np.arange(ARFIMA_D_RANGE[0], ARFIMA_D_RANGE[1] + 1e-9, _GRID_D_STEP / 2)
-    return _fit(series, "arfima00", d_grid, np.zeros(1), [ARFIMA_D_RANGE], maxiter=2000)
+    return _fit(series, "arfima00", d_grid, np.zeros(1), [ARFIMA_D_RANGE])
 
 
 def simulate_artfima00(n, d, lam, sigma2=1.0, rng=None):
@@ -365,7 +358,7 @@ def simulate_artfima00(n, d, lam, sigma2=1.0, rng=None):
     _check_positive("sigma2", sigma2)
     if rng is None:
         rng = np.random.default_rng()
-    truncation = n if lam <= 0 else min(4 * n, _tempered_lag_cap(lam))
+    truncation = n if lam <= 0 else _tempered_lag_cap(lam, 4 * n)
     phi = tempered_coeffs(d, lam, truncation)
     eps = np.sqrt(sigma2) * rng.standard_normal(n + truncation)
     return fftconvolve(eps, phi)[truncation:truncation + n]

@@ -1,7 +1,9 @@
-"""``import slmcoint`` loads numpy only.  The library's FFT convolution, AR(1)
-recursion and bounded Nelder-Mead stand in for scipy's, and each must return
-exactly scipy's floats, which these tests compare by ``==``; the stdlib normal
-quantile matches scipy's to 1.2e-15 relative."""
+"""``import slmcoint`` loads numpy only.  The library's FFT convolution and
+AR(1) recursion stand in for scipy's, and each must return exactly scipy's
+floats, which these tests compare by ``==``; the stdlib normal quantile
+matches scipy's to 1.2e-15 relative.  The Whittle fits' profile search is
+held to scipy's bounded Nelder-Mead from the same grid start: an objective at
+most 1e-12 max(1, |W|) above it, and d and lam within 1e-7."""
 
 import math
 import os
@@ -103,68 +105,121 @@ print("ok")
     assert out.splitlines()[-1] == "ok"
 
 
-# ----------------------------------------------------------- Nelder-Mead
+# ------------------------------------------------------ Whittle refinement
 
-def _scipy_minimize(fun, x0, bounds, xatol, fatol, maxiter):
-    return optimize.minimize(fun, x0, method="Nelder-Mead", bounds=bounds,
-                             options={"xatol": xatol, "fatol": fatol, "maxiter": maxiter})
-
-
-def _recording(fun):
-    calls = []
-
-    def wrapped(x):
-        calls.append(np.array(x, dtype=float))
-        return fun(x)
-    return wrapped, calls
+_FITS = {"artfima00": (whittle.ARTFIMA_D_RANGE, 0.05, True, 4000),
+         "arfima00": (whittle.ARFIMA_D_RANGE, 0.025, False, 2000)}
 
 
-def _rosenbrock(x):
-    return float((1.0 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2)
+def _scipy_refinement(z, model):
+    """(d, lam, objective) of the fit's grid start refined by scipy's
+    bounded Nelder-Mead on scalar objective calls, the refinement the fits
+    made before their profile search; the grid cell where it is worse."""
+    (d_lo, d_hi), step, free_lam, maxiter = _FITS[model]
+    d_grid = np.arange(d_lo, d_hi + 1e-9, step)
+    lam_grid = (np.geomspace(*whittle.ARTFIMA_LAM_RANGE, whittle._GRID_LAM_POINTS)
+                if free_lam else np.zeros(1))
+    freqs, pgram = whittle.periodogram(z)
+    log_mod2 = whittle._log_mod2(lam_grid[:, None], whittle._sin2_half(freqs))
+    row, col, value = whittle._grid_minimum(d_grid, log_mod2, freqs, pgram)[:3]
+    bounds = [(d_lo, d_hi), whittle.ARTFIMA_LAM_RANGE][:1 + free_lam]
+    start = np.clip([d_grid[row], lam_grid[col]][:len(bounds)], *np.transpose(bounds))
+
+    def objective(p):
+        return whittle.whittle_objective(p[0], p[1] if free_lam else 0.0, freqs, pgram)
+
+    res = optimize.minimize(objective, start, method="Nelder-Mead", bounds=bounds,
+                            options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": maxiter})
+    if res.fun <= value:
+        return res.x[0], res.x[1] if free_lam else 0.0, res.fun
+    return d_grid[row], lam_grid[col], value
 
 
-def _quadratic(x):
-    return float((x[0] - 0.3) ** 2)
+def _assert_within_scipy_gate(z, reference=None):
+    """Both fits of z against scipy's refinement: the objective at most
+    1e-12 max(1, |W|) above it, and d and lam within 1e-7 of the refinement
+    of ``reference`` (z itself by default)."""
+    for model in _FITS:
+        fit = getattr(whittle, f"fit_{model}")(z)
+        obj = _scipy_refinement(z, model)[2]
+        d, lam, _ = _scipy_refinement(z if reference is None else reference, model)
+        assert fit.objective <= obj + 1e-12 * max(1.0, abs(obj)), model
+        assert abs(fit.d_hat - d) <= 1e-7 and abs(fit.lambda_hat - lam) <= 1e-7, model
 
 
-def _plateaus(x):
-    # flat steps: on a step, the inside contraction ties with the worst
-    # vertex, and it needs a strict decrease, so the simplex shrinks
-    return float(np.sum(np.floor(4.0 * np.abs(x - 0.37)) ** 2))
-
-
-@pytest.mark.parametrize("fun, x0, bounds, maxiter", [
-    (_rosenbrock, [-1.2, 1.0], [(-2.0, 2.0), (-1.0, 3.0)], 4000),
-    (_rosenbrock, [0.5, 0.5], [(-2.0, 0.8), (-1.0, 0.6)], 4000),  # optimum off the box
-    (_rosenbrock, [2.0, 3.0], [(-2.0, 2.0), (-1.0, 3.0)], 4000),  # start on the upper bounds
-    (_rosenbrock, [-1.2, 1.0], [(-2.0, 2.0), (-1.0, 3.0)], 25),   # stopped by maxiter
-    (_quadratic, [0.0], [(-0.5, 0.5)], 2000),                    # zero start coordinate
-    (_quadratic, [0.5], [(-0.5, 0.5)], 2000),                    # start on the upper bound
-    (_plateaus, [1.9, -1.3], [(-2.0, 2.0), (-2.0, 2.0)], 2000),
-    (_plateaus, [1.9], [(-2.0, 2.0)], 2000),
-])
-def test_minimize_matches_scipy_nelder_mead(fun, x0, bounds, maxiter):
-    ours, our_calls = _recording(fun)
-    theirs, their_calls = _recording(fun)
-    kwargs = dict(bounds=bounds, xatol=1e-8, fatol=1e-10, maxiter=maxiter)
-    got = whittle.minimize(ours, np.asarray(x0, dtype=float), **kwargs)
-    want = _scipy_minimize(theirs, np.asarray(x0, dtype=float), **kwargs)
-    assert np.array_equal(got.x, want.x)
-    assert got.fun == want.fun
-    assert got.nit == want.nit
-    assert len(our_calls) == len(their_calls)
-    assert all(np.array_equal(a, b) for a, b in zip(our_calls, their_calls))
-    if fun is _plateaus:
-        # without a shrink an iteration evaluates at most 2 points
-        n = len(x0)
-        assert len(our_calls) > n + 1 + 2 * (got.nit - 1)
+def _ckc_series(seed, n):
+    """log gdp and log co2 after the synthetic countries of the benchmark:
+    a slow random walk, and an inverted U of it (flat profiles, d near 1;
+    the co2 fits end on lam = 1e-6)."""
+    rng = np.random.default_rng([777, seed])
+    lgdp = 9.0 + 0.02 * np.arange(n) + 0.01 * np.cumsum(rng.standard_normal(n))
+    return lgdp, -40.0 + 9.0 * lgdp - 0.47 * lgdp ** 2 + 0.02 * rng.standard_normal(n)
 
 
 @pytest.mark.parametrize("seed", [5, 6])
-def test_fits_match_scipy_refinement(seed, monkeypatch):
+def test_fits_match_scipy_refinement(seed):
+    # the pool's model at n = 800; the ARFIMA fits end on d = 1/2 - 1e-6
     rng = np.random.default_rng([seed, 9])
     z = whittle.simulate_artfima00(800, d=0.8, lam=0.2, rng=rng)
-    ours = [whittle.fit_artfima00(z).to_dict(), whittle.fit_arfima00(z).to_dict()]
-    monkeypatch.setattr(whittle, "minimize", _scipy_minimize)
-    theirs = [whittle.fit_artfima00(z).to_dict(), whittle.fit_arfima00(z).to_dict()]
-    assert ours == theirs
+    _assert_within_scipy_gate(z)
+    assert whittle.fit_arfima00(z).d_hat == whittle.ARFIMA_D_RANGE[1]
+
+
+@pytest.mark.parametrize("seed, n", [(0, 59), (1, 101), (2, 170), (3, 59)])
+def test_ckc_fits_match_scipy_refinement(seed, n):
+    lgdp, lco2 = _ckc_series(seed, n)
+    _assert_within_scipy_gate(lgdp)
+    _assert_within_scipy_gate(lco2)
+    fit = whittle.fit_artfima00(lco2)
+    assert fit.lambda_hat == whittle.ARTFIMA_LAM_RANGE[0] and fit.boundary
+
+
+def test_fits_on_the_d_bounds_match_scipy_refinement():
+    # a differenced white noise puts both fits on d's lower bound, a
+    # near-sinusoid the ARTFIMA fit on d = 3
+    rng = np.random.default_rng(3)
+    diff = np.diff(rng.standard_normal(600))
+    sinus = np.sin(0.7 * np.arange(500)) + 1e-3 * rng.standard_normal(500)
+    for z in (diff, sinus):
+        _assert_within_scipy_gate(z)
+    assert whittle.fit_artfima00(diff).d_hat == whittle.ARTFIMA_D_RANGE[0]
+    assert whittle.fit_arfima00(diff).d_hat == whittle.ARFIMA_D_RANGE[0]
+    assert whittle.fit_artfima00(sinus).d_hat == whittle.ARTFIMA_D_RANGE[1]
+
+
+@pytest.mark.parametrize("kind", ["white", "double-integrated", "near-sinusoid"])
+@pytest.mark.parametrize("n", [500, 2000])
+def test_fits_at_extreme_scales_match_scipy_refinement(kind, n):
+    # at 1e+-150, |W| is near 690, and Nelder-Mead, which compares values,
+    # resolves d only to about 1e-7 there; the fits, which divide the
+    # periodogram by its mean, stand within 1e-7 of its unit-scale fit
+    rng = np.random.default_rng([n, 16])
+    if kind == "white":
+        z = rng.standard_normal(n)
+    elif kind == "double-integrated":
+        z = np.cumsum(np.cumsum(rng.standard_normal(n)))
+    else:
+        z = np.sin(0.7 * np.arange(n)) + 1e-3 * rng.standard_normal(n)
+    z = z / np.std(z)
+    for scale in (1e-150, 1e150):
+        _assert_within_scipy_gate(scale * z, reference=z)
+
+
+def test_search_finds_the_stationary_d_where_nelder_mead_stops_short():
+    # a white series of n = 59 fits on lam = 2, where W is flat in d
+    # (W'' = 0.034): Nelder-Mead stops 1.5e-7 from the minimum, where the
+    # 40-digit W' is 5e-9; the Newton search's d has W' below 1e-15
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    z = np.random.default_rng([59, 16]).standard_normal(59)
+    freqs, pgram = whittle.periodogram(z / np.std(z))
+    fit = whittle.fit_artfima00(z / np.std(z))
+    assert fit.lambda_hat == whittle.ARTFIMA_LAM_RANGE[1]
+    lam = mpmath.mpf(fit.lambda_hat)
+    ell = [mpmath.log(abs(1 - mpmath.exp(-(lam + 1j * mpmath.mpf(w)))) ** 2) for w in freqs]
+    a = [mpmath.mpf(v) * mpmath.exp(mpmath.mpf(fit.d_hat) * v_ell)
+         for v, v_ell in zip(pgram, ell)]
+    slope = (mpmath.fsum(x * v for x, v in zip(a, ell)) / mpmath.fsum(a)
+             - mpmath.fsum(ell) / len(ell))
+    assert abs(slope) < 1e-15
+    assert fit.objective <= _scipy_refinement(z / np.std(z), "artfima00")[2]

@@ -265,16 +265,26 @@ def _scalar_scan(z, d_grid, lam_grid):
     return best, cell
 
 
+def _spy_start_cells(monkeypatch):
+    """A list that receives each fit's grid start cell, (d, lam) for an
+    ARTFIMA fit and (d,) for an ARFIMA fit, as ``_grid_minimum`` finds it."""
+    starts = []
+    real_grid_minimum = whittle._grid_minimum
+    lam_grid = np.geomspace(*whittle.ARTFIMA_LAM_RANGE, whittle._GRID_LAM_POINTS)
+
+    def spy(d_grid, log_mod2, freqs, pgram):
+        found = real_grid_minimum(d_grid, log_mod2, freqs, pgram)
+        row, col = found[:2]
+        starts.append((d_grid[row], lam_grid[col]) if len(log_mod2) > 1 else (d_grid[row],))
+        return found
+
+    monkeypatch.setattr(whittle, "_grid_minimum", spy)
+    return starts
+
+
 @pytest.mark.parametrize("seed", [11, 12, 13])
 def test_fit_grid_matches_scalar_scan(seed, monkeypatch):
-    starts = []
-    real_minimize = whittle.minimize
-
-    def spy(fun, x0, **kwargs):
-        starts.append(tuple(x0))
-        return real_minimize(fun, x0, **kwargs)
-
-    monkeypatch.setattr(whittle, "minimize", spy)
+    starts = _spy_start_cells(monkeypatch)
     rng = np.random.default_rng([seed, 5])
     z = simulate_artfima00(600, d=rng.uniform(0.3, 1.2), lam=rng.uniform(0.05, 0.5),
                            rng=rng)
@@ -327,7 +337,7 @@ def test_grid_minimum_scans_a_flat_column(monkeypatch):
     monkeypatch.setattr(whittle, "whittle_objective", spy)
     flat = np.zeros((1, freqs.size))
     got = whittle._grid_minimum(d_grid, flat, freqs, I)
-    assert got == (0, 0, np.log(np.mean(I))) == _full_scan(d_grid, flat, freqs, I)
+    assert got[:3] == (0, 0, np.log(np.mean(I))) == _full_scan(d_grid, flat, freqs, I)
     assert shapes[-2:] == [(60, 1), (21, 1)]
     assert all(np.prod(shape) <= whittle._GRID_CHUNK_CELLS for shape in shapes)
     # beside sloped columns, the flat one is scanned and the least
@@ -335,14 +345,20 @@ def test_grid_minimum_scans_a_flat_column(monkeypatch):
     lam_grid = np.array([0.05, 0.5])
     rows = np.concatenate([whittle._log_mod2(lam_grid[:, None], whittle._sin2_half(freqs)),
                            flat])
-    assert whittle._grid_minimum(d_grid, rows, freqs, I) == _full_scan(d_grid, rows, freqs, I)
+    got = whittle._grid_minimum(d_grid, rows, freqs, I)
+    assert got[:3] == _full_scan(d_grid, rows, freqs, I)
+    # with each column's first minimum, from which the refinement starts
+    with np.errstate(all="ignore"):
+        column_rows = np.argmin(whittle_objective(d_grid[:, None], None, freqs, I,
+                                                  log_mod2=rows), axis=0)
+    assert np.array_equal(got[3], column_rows)
     assert shapes[-2:] == [(60, 1), (21, 1)]
     # with a constant periodogram every column is least at d = 0, all at the
     # flat column's value: the tie goes to the lower d row, (0, flat = 2)
     d_grid = np.arange(-20, 21) / 20
     I = np.full_like(I, 2.0)
     got = whittle._grid_minimum(d_grid, rows, freqs, I)
-    assert got == (0, 2, np.log(np.mean(I))) == _full_scan(d_grid, rows, freqs, I)
+    assert got[:3] == (0, 2, np.log(np.mean(I))) == _full_scan(d_grid, rows, freqs, I)
 
 
 def test_grid_minimum_of_an_all_inf_grid_is_the_first_cell():
@@ -353,7 +369,7 @@ def test_grid_minimum_of_an_all_inf_grid_is_the_first_cell():
     for d_grid, lam_grid in _fit_grids():
         log_mod2 = whittle._log_mod2(lam_grid[:, None], whittle._sin2_half(freqs))
         got = whittle._grid_minimum(d_grid, log_mod2, freqs, I)
-        assert got == (0, 0, np.inf) == _full_scan(d_grid, log_mod2, freqs, I)
+        assert got[:3] == (0, 0, np.inf) == _full_scan(d_grid, log_mod2, freqs, I)
 
 
 def _rule_series(kind, n, rng):
@@ -374,14 +390,7 @@ def test_fit_grid_rule_matches_full_broadcast_scan(kind, monkeypatch):
     # the bisected grid picks the start cell and grid objective of one
     # broadcast call over the whole grid and np.argmin, at the CKC lengths
     # and at n = 500 and 2000, at tiny and huge scales
-    starts = []
-    real_minimize = whittle.minimize
-
-    def spy(fun, x0, **kwargs):
-        starts.append(tuple(x0))
-        return real_minimize(fun, x0, **kwargs)
-
-    monkeypatch.setattr(whittle, "minimize", spy)
+    starts = _spy_start_cells(monkeypatch)
     rng = np.random.default_rng(16)
     for n in (59, 101, 170, 500, 2000):
         for scale in (1e-150, 1e150):
