@@ -21,7 +21,7 @@ import numpy as np
 from .processes import (MemoryKind, TemperedProcessSpec, NoiseConfig,
                         simulate_innovations, simulate_regressor,
                         simulate_error_ar1, sine_series_interpolator,
-                        innovation_length, _check_memory)
+                        innovation_length, _check_memory, _check_simulated_d)
 from .kernel_regression import (get_kernel, nw_estimate, kernel_estimate,
                                 _reach_mask)
 from .spec_test import DEFAULT_WEIGHT_SUPPORT, run_spec_test, uniform_weight
@@ -237,6 +237,7 @@ class StudyConfig:
                 if printed[i] in printed[:i]:
                     raise ValueError(f"{name} {keys[printed.index(printed[i])]!r} and "
                                      f"{key!r} both print as {printed[i]} in output file names")
+        self.settings_grid()
 
     def to_dict(self):
         out = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -264,7 +265,9 @@ class StudyConfig:
     def settings_grid(self):
         """The (setting, d) combinations that the memory rule
         (``_check_memory``) admits: long memory keeps 0 <= d < 1/2, short
-        memory d = 0."""
+        memory d = 0.  A semi-long d below 0, which no regressor can be
+        simulated with (``_check_simulated_d``), is an error, raised when
+        the config is built."""
         out = []
         for ms in self.memory_settings:
             for d in self.d_values:
@@ -272,6 +275,7 @@ class StudyConfig:
                     _check_memory(ms.kind, d, "lam", ms.lam(self.n))
                 except ValueError:
                     continue
+                _check_simulated_d(ms.kind, d, "d_values")
                 out.append((ms, d))
         return out
 

@@ -63,6 +63,14 @@ def _check_memory(kind, d, lam_name, lam):
         raise ValueError(f"short memory requires d = 0, got {d}")
 
 
+def _check_simulated_d(kind, d, name):
+    """A simulated semi-long-memory regressor needs d >= 0 (the statistics
+    take a fitted d of either sign); ``name`` is the field that holds d."""
+    if kind is MemoryKind.SEMI_LONG and d < 0.0:
+        raise ValueError(f"{name}: a simulated semi-long-memory regressor needs d >= 0, "
+                         f"got {d}")
+
+
 @lru_cache(maxsize=64)
 def _fast_len(n):
     """Smallest 5-smooth length 2^i 3^j 5^k >= n, the real-FFT length that
@@ -128,11 +136,16 @@ def tempered_coeffs(d, lam, n_lags):
     return frac_coeffs(d, n_lags) * np.exp(-lam * np.arange(n_lags + 1))
 
 
-def _tempered_lag_cap(lam):
-    """Truncation lag of a filter tempered by e^{-lam j}, lam > 0: lags beyond
-    -ln(tol)/lam are negligible, so the cap is there (plus a small lag
-    floor)."""
-    return int(np.ceil(-np.log(_TEMPER_TRUNC_TOL) / lam)) + _TEMPER_LAG_FLOOR
+def _tempered_lag_cap(lam, limit):
+    """Truncation lag of a filter tempered by e^{-lam j}: lags beyond
+    -ln(tol)/lam are negligible, so the lag is there (plus a small lag
+    floor), or ``limit`` if that comes first.  lam * limit is tested before
+    any division, so lam = 0, or a subnormal lam whose -ln(tol)/lam would
+    overflow, gives ``limit``."""
+    reach = -np.log(_TEMPER_TRUNC_TOL)
+    if lam * limit < reach:
+        return limit
+    return min(limit, int(np.ceil(reach / lam)) + _TEMPER_LAG_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -143,8 +156,7 @@ class TemperedProcessSpec:
     shock X(1): ``"full"`` gives every shock its complete truncated
     history, while an integer gives that many pre-sample lags (0 builds
     the shocks from in-sample innovations only).  The MA truncation lag
-    is derived: n + burn_in, capped at ``_tempered_lag_cap(lam)`` when
-    lam > 0.
+    is derived: n + burn_in, capped by ``_tempered_lag_cap``.
     """
 
     d: float
@@ -163,14 +175,9 @@ class TemperedProcessSpec:
             raise ValueError("n must be >= 1")
         if self.burn_in < 0:
             raise ValueError("burn_in must be >= 0")
-        # the test statistics take a fitted d of either sign; a simulated
-        # semi-long regressor needs d >= 0
-        if kind is MemoryKind.SEMI_LONG and self.d < 0.0:
-            raise ValueError("semi-long memory requires d >= 0")
-        truncation = self.n + self.burn_in
-        if self.lam > 0:
-            truncation = min(truncation, _tempered_lag_cap(self.lam))
-        object.__setattr__(self, "truncation", truncation)
+        _check_simulated_d(kind, self.d, "d")
+        object.__setattr__(self, "truncation",
+                           _tempered_lag_cap(self.lam, self.n + self.burn_in))
         if self.presample != "full":
             p = int(self.presample)
             if p < 0:

@@ -457,6 +457,17 @@ def test_cli_mc_rejects_zero_threads(tmp_path, capsys):
     assert not (tmp_path / "mc").exists()
 
 
+def test_cli_mc_rejects_negative_d_under_semi_long_memory(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "study_kind": "estimation", "n": 100, "replications": 4, "d_values": [-0.1],
+        "memory_settings": ["SLM3"], "bandwidth_exponents": ["n^-1/3"]}))
+    assert cli_main(["mc", "--config", str(cfg_path), "--out", str(tmp_path / "mc")]) == 2
+    assert "d_values: a simulated semi-long-memory regressor needs d >= 0" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "mc").exists()
+
+
 def test_cli_mc_reruns_from_study_config(tmp_path):
     # export_study saves the resolved config next to the command manifest;
     # a second run from it reproduces every table byte for byte

@@ -120,6 +120,18 @@ def test_settings_grid_skips_invalid_lm_rows():
                       ("SLM3", 0.0), ("SLM3", 0.45), ("SLM3", 0.8)]
 
 
+def test_config_rejects_negative_d_under_semi_long_memory():
+    # no semi-long regressor can be simulated with d < 0, so the pair is
+    # refused when the config is built, not in the study's first chunk
+    for kind in ("estimation", "size"):
+        with pytest.raises(ValueError, match=r"^d_values: a simulated semi-long-memory "
+                                             r"regressor needs d >= 0, got -0\.1$"):
+            _tiny(kind, d_values=(-0.1, 0.2), memory_settings=("lm", "SLM3"))
+    # long and short memory skip a negative d, as long memory skips d >= 1/2
+    config = _tiny("estimation", d_values=(-0.1, 0.0), memory_settings=("lm", "short"))
+    assert [(ms.label, d) for ms, d in config.settings_grid()] == [("LM", 0.0), ("SHORT", 0.0)]
+
+
 def test_batch_se_divides_by_the_finite_chunks():
     # an empty chunk (NaN) adds no value, so it must not count in the sqrt(m)
     assert mc._batch_se([1.0, 2.0, np.nan]) == np.std([1.0, 2.0], ddof=1) / np.sqrt(2)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,7 +12,8 @@ from slmcoint import (MemoryKind, TemperedProcessSpec, NoiseConfig,
                       sine_series_interpolator, simulate_model, scale_dn,
                       innovation_length)
 from slmcoint.cli import main as cli_main
-from slmcoint.processes import _SINE_RESOLUTION, _sine_table, fftconvolve
+from slmcoint.processes import _SINE_RESOLUTION, _sine_table, _tempered_lag_cap, fftconvolve
+from slmcoint.whittle import simulate_artfima00
 
 
 # ----------------------------------------------------------- coefficients
@@ -485,6 +488,36 @@ def test_spec_truncation_capped_under_tempering():
     assert _truncation("slm", 1e-9, d=0.3) == 2000
     assert _truncation("short", 0.0) == 2000
     assert _truncation("short", 0.5) == cap
+
+
+def test_subnormal_lam_truncates_at_the_limit():
+    # -ln(tol) / lam overflows at lam = 1e-310; lam * limit, tested first,
+    # does not: the spec keeps n + burn_in lags and the simulator 4 n
+    assert _tempered_lag_cap(1e-310, 200) == 200 and _tempered_lag_cap(0.0, 200) == 200
+    assert _tempered_lag_cap(0.5, 2000) == int(np.ceil(-np.log(1e-12) / 0.5)) + 50
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _truncation("slm", 1e-310, d=0.3) == 2000
+        z = simulate_artfima00(50, d=0.3, lam=1e-310, rng=np.random.default_rng(0))
+    eps = np.random.default_rng(0).standard_normal(250)
+    assert np.array_equal(z, fftconvolve(eps, tempered_coeffs(0.3, 1e-310, 200))[200:250])
+
+
+def test_cli_simulates_a_subnormal_lam(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_main(["simulate", "--n", "60", "--memory", "slm", "--d", "0.3",
+                         "--lam", "1e-310", "--out", str(tmp_path / "sim")]) == 0
+    assert (tmp_path / "sim" / "path.csv").exists()
+
+
+def test_spec_rejects_negative_d_under_semi_long_memory():
+    # the statistics take a fitted d of either sign; a simulated semi-long
+    # regressor needs d >= 0 (the study grid asks the same rule)
+    with pytest.raises(ValueError, match=r"^d: a simulated semi-long-memory regressor "
+                                         r"needs d >= 0, got -0\.1$"):
+        TemperedProcessSpec(d=-0.1, lam=0.1, n=10, memory_kind="slm")
+    assert TemperedProcessSpec(d=0.0, lam=0.1, n=10, memory_kind="slm").d == 0.0
 
 
 def test_spec_truncation_is_derived():
