@@ -229,8 +229,8 @@ def test_objective_broadcast_matches_scalar_calls(seed, zero_pgram):
     # a 0-d or scalar call is a float
     assert type(whittle_objective(np.asarray(d[1, 0]), lam[0], freqs, I)) is float
     assert type(whittle_objective(float(d[1, 0]), np.float64(lam[0]), freqs, I)) is float
-    # the refinement's form, a 0-d d with one 1-D ln m row, takes the scalar
-    # route: the same cells, inf ones included, as Python floats
+    # the refined optimum's call, a 0-d d with one 1-D ln m row, takes the
+    # scalar route: the same cells, inf ones included, as Python floats
     sin2_half = whittle._sin2_half(freqs)
     with np.errstate(all="ignore"):
         for j, lv in enumerate(lam):
