@@ -13,18 +13,16 @@ which does not change their results.
   spec-test`` on one series, and ``run_spec_test`` on pruned node tiles.
 - ``nw``: the perfbench estimation tables on all 8 master seeds, coverage
   and Gaussian estimation studies, and ``slmcoint estimate`` on one series.
-- ``whittle``: both fits of the 256 pool series, with their grid start
-  cells (read from ``_grid_minimum``); the mean grid cells per fit go to
-  stderr.
+- ``whittle``: both fits of the 256 pool series.
 
 ``compare`` prints, per top-level section, the largest absolute and
 relative shift over the numeric leaves and of each Whittle estimate, the
 changed non-numeric leaves, the keys on one side only, how many ckc
-p-values, size rejection rates and Whittle start cells changed, and per
-model how many Whittle objectives are lower and higher than A's, with the
-largest rise relative to max(1, |W|).  It exits 0
-when the files are equal leaf for leaf and 1 otherwise.  Either file may be
-``perfbench/reference/whittle.json``, which is only read.
+p-values and size rejection rates changed, and per model how many Whittle
+objectives are lower and higher than A's, with the largest rise relative to
+max(1, |W|).  It exits 0 when the files are equal leaf for leaf and 1
+otherwise.  Either file may be ``perfbench/reference/whittle.json``, which
+is only read.
 """
 
 import argparse
@@ -230,50 +228,16 @@ def dump_nw():
 
 # ----------------------------------------------------------------- whittle
 
-def whittle_item(index, grid_cells):
-    """Both fits of pool series ``index``, with the grid cell each refinement
-    started from; adds the grid cells each fit evaluates to
-    ``grid_cells[model]``."""
+def whittle_item(index):
+    """Both fits of pool series ``index``."""
     rng = np.random.default_rng([WHITTLE_BASE, 7, index])
     z = whittle.simulate_artfima00(2000, d=1.0, lam=0.12, sigma2=1.0, rng=rng)
-    grid_minimum, objective = whittle._grid_minimum, whittle.whittle_objective
-    lam_grids = {"artfima00": np.geomspace(*whittle.ARTFIMA_LAM_RANGE,
-                                           whittle._GRID_LAM_POINTS)}
-    item, starts, in_grid = {"index": index}, [], False
-
-    def recording_grid_minimum(d_grid, *args):
-        nonlocal in_grid
-        in_grid = True
-        try:
-            found = grid_minimum(d_grid, *args)
-        finally:
-            in_grid = False
-        row, col = found[:2]
-        lam_grid = lam_grids.get(model)
-        starts.append([float(d_grid[row])] + ([] if lam_grid is None else [float(lam_grid[col])]))
-        return found
-
-    def counting_objective(*args, **kwargs):
-        value = objective(*args, **kwargs)
-        if in_grid:
-            grid_cells[model] += np.size(value)
-        return value
-
-    whittle._grid_minimum, whittle.whittle_objective = recording_grid_minimum, counting_objective
-    try:
-        for model in WHITTLE_MODELS:
-            item[model] = getattr(whittle, f"fit_{model}")(z).to_dict()
-    finally:
-        whittle._grid_minimum, whittle.whittle_objective = grid_minimum, objective
-    return dict(item, grid_starts=starts)
+    return {"index": index, **{model: getattr(whittle, f"fit_{model}")(z).to_dict()
+                               for model in WHITTLE_MODELS}}
 
 
 def dump_whittle():
-    grid_cells = dict.fromkeys(WHITTLE_MODELS, 0)
-    fits = [whittle_item(index, grid_cells) for index in range(WHITTLE_POOL)]
-    for model, cells in grid_cells.items():
-        print(f"{model}: {cells / WHITTLE_POOL:.1f} grid cells per fit", file=sys.stderr)
-    return fits
+    return [whittle_item(index) for index in range(WHITTLE_POOL)]
 
 
 SECTIONS = {"spec": dump_spec, "nw": dump_nw, "whittle": dump_whittle}
@@ -283,8 +247,8 @@ SECTIONS = {"spec": dump_spec, "nw": dump_nw, "whittle": dump_whittle}
 
 MISSING = object()
 COMPARED = ("d_hat", "lambda_hat", "objective")
-# ckc p-values, size rejection rates, Whittle start cells
-COUNTED = ("p_value", "value", "grid_starts")
+# ckc p-values, size rejection rates
+COUNTED = ("p_value", "value")
 
 
 def load_sections(path):

@@ -26,7 +26,7 @@ from .spec_test import (
     subsample_statistics, subsample_quantile, run_spec_test,
 )
 from .whittle import (
-    artfima_spectral_density, periodogram, whittle_objective, profile_sigma2,
+    periodogram, whittle_objective, profile_sigma2,
     one_step_residuals, fit_artfima00, fit_arfima00, simulate_artfima00,
 )
 from .mc import (

@@ -4,10 +4,10 @@ The tempered fractional noise model has spectral density
 f(w) = (sigma^2 / 2 pi) |1 - exp(-(lam + i w))|^{-2 d}, which reduces to
 ARFIMA(0, d, 0) at lam = 0, and is computed as exp(-d ln m) from
 ln m = ln |1 - exp(-(lam + i w))|^2.  The profile Whittle objective is
-convex in d for each lam.  Estimation finds its first minimum over a coarse
-(d, lam) grid, each lam column's by bisection, and refines it by a profile
-search: Newton in d on every lam row, from the row's grid minimum, then a
-secant in ln lam on the slope of the profile next to the best row.
+convex in d for each lam, so Newton finds each lam row's minimum in d from
+any start.  Estimation profiles 20 log-spaced lam rows in d by Newton from
+the middle of d's range, then runs a secant in ln lam on the slope of the
+profile next to the best row.
 """
 
 import math
@@ -24,28 +24,10 @@ _TWO_PI = 2.0 * np.pi
 ARTFIMA_D_RANGE = (-1.0, 3.0)
 ARTFIMA_LAM_RANGE = (1e-6, 2.0)
 ARFIMA_D_RANGE = (-0.5 + 1e-6, 0.5 - 1e-6)
-_GRID_D_STEP = 0.05
 _GRID_LAM_POINTS = 20
 _AR_TRUNCATION = 50
-# most (d, lam) cells per grid call of the objective (a bisection step, a
-# chunk of the confirming windows or of a scanned column): bounds the
-# cells x frequencies workspace, and so the peak memory of a fit
-_GRID_CHUNK_CELLS = 60
-# a window's +-2 cells must exceed its minimum by this, times max(1, |min|),
-# to confirm it: far above rounding (about 1e-14), even for W near 0
-_GRID_MARGIN = 1e-10
 # Newton steps in d, and the secant's interval in ln lam, end below these
 _NEWTON_TOL = _SECANT_TOL = 1e-10
-
-
-def artfima_spectral_density(d, lam, sigma2, omega):
-    """Spectral density of ARTFIMA(0, d, lam, 0) at frequencies in (0, pi]."""
-    omega = np.asarray(omega, dtype=float)
-    if np.any(omega <= 0) or np.any(omega > np.pi):
-        raise ValueError("omega must lie in (0, pi]")
-    _check_memory(None, d, "lam", lam)
-    _check_positive("sigma2", sigma2)
-    return (sigma2 / _TWO_PI) * np.exp(-d * _log_mod2(lam, _sin2_half(omega)))
 
 
 def periodogram(series):
@@ -92,12 +74,12 @@ def _log_mod2(lam, sin2_half):
 
 def _cells(v):
     """v with a trailing frequency axis, or a scalar if v is 0-d (so a
-    scalar lam gives one 1-D ln m row, and a scalar call the scalar route)."""
+    scalar lam gives one 1-D ln m row)."""
     v = np.asarray(v, dtype=float)
     return v[..., None] if v.ndim else v[()]
 
 
-def whittle_objective(d, lam, freqs, pgram, *, workspace=None, log_mod2=None):
+def whittle_objective(d, lam, freqs, pgram, *, log_mod2=None):
     """Profile-sigma^2 Whittle objective,
 
     W(d, lam) = ln( mean_j I_j / g_j ) + mean_j ln g_j
@@ -105,29 +87,19 @@ def whittle_objective(d, lam, freqs, pgram, *, workspace=None, log_mod2=None):
 
     with m_j = |1 - e^{-(lam+i w_j)}|^2 and g_j = m_j^{-d}, and inf where the
     mean ratio is not finite and > 0.  d and lam broadcast to cells, each
-    computed by the same elementwise operations as a scalar call (a float),
-    which with a 1-D ln m takes a route of fewer numpy calls.  ``log_mod2``,
-    ln m at lam with a trailing frequency axis, stands in for lam;
-    ``workspace``, a flat array of at least cells x frequencies floats, holds
-    the one such temporary.  Neither keyword changes a value.
+    computed by the same elementwise operations as a scalar call, which
+    returns a float.  ``log_mod2``, ln m at lam with a trailing frequency
+    axis, stands in for lam without changing a value.
     """
     if log_mod2 is None:
         log_mod2 = _log_mod2(_cells(lam), _sin2_half(freqs))
-    if np.ndim(d) == 0 and log_mod2.ndim == 1:
-        t = np.multiply(d, log_mod2)
-        ratio = np.add.reduce(np.multiply(pgram, np.exp(t, out=t), out=t)) / t.size
-        if not 0.0 < ratio < np.inf:
-            return math.inf
-        # numpy's log, not math.log, which can differ in the last bit
-        return float(np.log(ratio) - d * (np.add.reduce(log_mod2) / log_mod2.size))
-    shape = np.broadcast_shapes(np.shape(_cells(d)), log_mod2.shape)
-    work = np.empty(shape) if workspace is None else workspace[:math.prod(shape)].reshape(shape)
-    ratio = np.multiply(_cells(d), log_mod2, out=work)
+    ratio = np.multiply(_cells(d), log_mod2)
     ratio = np.mean(np.multiply(pgram, np.exp(ratio, out=ratio), out=ratio), axis=-1)
     ok = np.isfinite(ratio) & (ratio > 0)
     # ln 1 = 0 stands in for a bad ratio, so no log of it is taken
     log_ratio = np.log(np.where(ok, ratio, 1.0))
-    return np.where(ok, log_ratio - np.asarray(d) * np.mean(log_mod2, axis=-1), np.inf)
+    value = np.where(ok, log_ratio - np.asarray(d) * np.mean(log_mod2, axis=-1), np.inf)
+    return float(value) if value.ndim == 0 else value
 
 
 def profile_sigma2(d, lam, freqs, pgram):
@@ -158,7 +130,6 @@ class ArtfimaFit:
     mse: float
     model: str
     boundary: bool
-    grid_objective: float
 
     def to_dict(self):
         return asdict(self)
@@ -207,21 +178,23 @@ def _profile_d(weights, log_mod2, d, bounds):
     return d, value, shares, passes
 
 
-def minimize(freqs, pgram, sin2_half, lam_grid, log_mod2, d_starts, bounds):
+def minimize(freqs, pgram, sin2_half, lam_grid, log_mod2, bounds):
     """Minimize the objective over ``bounds`` (d's range, and lam's if lam
-    is free) from the lam rows of ``log_mod2``, each profiled in d from
-    ``d_starts`` (``_profile_d``).  The least profile P stands unless lam is
-    free and dP/d ln lam, by the envelope theorem lam d (sum_j a_j l'_j / S_0
-    - mean_j l'_j) with l' = d ln m / d lam = -2 e^{-lam} (expm1(-lam) +
-    2 sin^2(w/2)) / m, goes from - to + towards a neighbouring row.  Its root
-    is then sought in ln lam, first at the minimum of the cubic through both
-    ends' P and slope, then by the Illinois secant (Brent 1973), each point
-    profiled from the d interpolated between the ends; the last point stands
-    if it profiles no higher.  Returns ``x`` = (d, lam), ``fun`` (by a scalar
-    objective call) and ``nit``, the number of Newton passes.
+    is free) from the lam rows of ``log_mod2``, each profiled in d from the
+    middle of d's range (``_profile_d``).  The least profile P stands unless
+    lam is free and dP/d ln lam, by the envelope theorem lam d (sum_j a_j
+    l'_j / S_0 - mean_j l'_j) with l' = d ln m / d lam = -2 e^{-lam}
+    (expm1(-lam) + 2 sin^2(w/2)) / m, goes from - to + towards a neighbouring
+    row.  Its root is then sought in ln lam, first at the minimum of the
+    cubic through both ends' P and slope, then by the Illinois secant (Brent
+    1973), each point profiled from the d interpolated between the ends; the
+    last point stands if it profiles no higher.  Returns ``x`` = (d, lam),
+    ``fun`` (by a scalar objective call) and ``nit``, the number of Newton
+    passes.
     """
     weights = pgram / np.mean(pgram)
-    d, profile, shares, nit = _profile_d(weights, log_mod2, d_starts, bounds[0])
+    start = 0.5 * (bounds[0][0] + bounds[0][1])
+    d, profile, shares, nit = _profile_d(weights, log_mod2, [start] * len(lam_grid), bounds[0])
     j = int(np.argmin(profile))
     d_hat, lam_hat, row = d[j], lam_grid[j], log_mod2[j]
 
@@ -259,55 +232,10 @@ def minimize(freqs, pgram, sin2_half, lam_grid, log_mod2, d_starts, bounds):
                            fun=whittle_objective(d_hat, lam_hat, freqs, pgram, log_mod2=row))
 
 
-def _grid_minimum(d_grid, log_mod2, freqs, pgram):
-    """Row, column and value of the first minimum, in d-major order, of the
-    objective over ``d_grid`` x the lam rows of ``log_mod2`` (the cell that
-    ``np.argmin`` of the whole grid picks), and each column's first-minimum
-    row.  W is convex in d, so a column's minimum is found by bisection on the
-    sign of W(d_{i+1}) - W(d_i), one broadcast call over all columns per
-    step, as the first minimum of its cells i-2..i+2 if they are finite and
-    each +-2 cell inside the grid exceeds it by the margin (convexity puts
-    every farther cell above); otherwise the column is scanned whole.  A
-    call evaluates at most ``_GRID_CHUNK_CELLS`` cells into one workspace.
-    """
-    n_rows, n_cols = d_grid.size, log_mod2.shape[0]
-    workspace = np.empty(min(_GRID_CHUNK_CELLS, n_rows * n_cols) * freqs.size)
-
-    def evaluate(rows, columns=slice(None)):
-        # rows holds d_grid indices, one column per ln m row of ``columns``
-        step = max(1, _GRID_CHUNK_CELLS // rows.shape[1])
-        return np.concatenate([
-            whittle_objective(d_grid[rows[k:k + step]], None, freqs, pgram,
-                              workspace=workspace, log_mod2=log_mod2[columns])
-            for k in range(0, len(rows), step)])
-
-    lo, hi = np.zeros(n_cols, dtype=int), np.full(n_cols, n_rows - 1)
-    while np.any(lo < hi):
-        mid = (lo + hi) // 2
-        pair = evaluate(np.minimum(mid + [[0], [1]], n_rows - 1))
-        rising = pair[1] >= pair[0]
-        lo, hi = np.where(rising | (lo == hi), lo, mid + 1), np.where(rising, mid, hi)
-    cols = np.arange(n_cols)
-    window = np.clip(lo + np.arange(-2, 3)[:, None], 0, n_rows - 1)
-    values = evaluate(window)
-    first = np.argmin(values, axis=0)
-    row, value = window[first, cols], values[first, cols]
-    floor = value + _GRID_MARGIN * np.maximum(1.0, np.abs(value))
-    confirmed = (np.isfinite(values).all(axis=0)
-                 & ((lo < 2) | (values[0] > floor))
-                 & ((lo > n_rows - 3) | (values[-1] > floor)))
-    for j in np.flatnonzero(~confirmed):
-        column = evaluate(np.arange(n_rows)[:, None], slice(j, j + 1))[:, 0]
-        row[j] = np.argmin(column)
-        value[j] = column[row[j]]
-    j = min(range(n_cols), key=lambda j: (value[j], row[j]))
-    return int(row[j]), j, value[j], row
-
-
-def _fit(series, model, d_grid, lam_grid, bounds):
-    """The grid's first minimum in d-major order (``_grid_minimum``),
-    refined by ``minimize`` if that is no worse.  ``bounds`` holds the (d,
-    lam) ranges, or d's alone when lam is fixed at ``lam_grid``'s one point."""
+def _fit(series, model, lam_grid, bounds):
+    """The profile search (``minimize``) over the lam rows of ``lam_grid``.
+    ``bounds`` holds the (d, lam) ranges, or d's alone when lam is fixed at
+    ``lam_grid``'s one point."""
     z = np.asarray(series, dtype=float)
     if z.size < 32:
         raise ValueError("need at least 32 observations for Whittle fitting")
@@ -318,37 +246,28 @@ def _fit(series, model, d_grid, lam_grid, bounds):
         raise ValueError("the series has no power at any Fourier frequency "
                          "2 pi j / n, j = 1..floor((n-1)/2)")
     sin2_half = _sin2_half(freqs)
-    grid_log_mod2 = _log_mod2(_cells(lam_grid), sin2_half)
-    row, col, grid_obj, column_rows = _grid_minimum(d_grid, grid_log_mod2, freqs, pgram)
-    res = minimize(freqs, pgram, sin2_half, lam_grid, grid_log_mod2, d_grid[column_rows],
+    res = minimize(freqs, pgram, sin2_half, lam_grid, _log_mod2(_cells(lam_grid), sin2_half),
                    bounds)
-    if not res.fun <= grid_obj:
-        res = SimpleNamespace(x=(d_grid[row], lam_grid[col]), fun=grid_obj)
     d_hat, lam_hat = [float(v) for v in res.x]
     boundary = any(min(v - lo, hi - v) < 1e-4 for v, (lo, hi) in zip((d_hat, lam_hat), bounds))
     resid = one_step_residuals(z, d_hat, lam_hat)
     return ArtfimaFit(
         d_hat=d_hat, lambda_hat=lam_hat, sigma2_hat=profile_sigma2(d_hat, lam_hat, freqs, pgram),
         objective=float(res.fun), mse=float(np.mean(resid ** 2)), model=model,
-        boundary=bool(boundary), grid_objective=float(grid_obj))
+        boundary=bool(boundary))
 
 
 def fit_artfima00(series):
-    """Whittle fit of ARTFIMA(0, d, lam, 0) over d in [-1, 3], lam in [1e-6, 2].
-
-    A coarse grid scan (d step 0.05, lam log-spaced) is refined by the
-    profile search, never above the best grid value; an optimum on the
+    """Whittle fit of ARTFIMA(0, d, lam, 0) over d in [-1, 3], lam in [1e-6, 2],
+    by the profile search from 20 log-spaced lam rows; an optimum on the
     parameter bounds is flagged."""
-    d_grid = np.arange(ARTFIMA_D_RANGE[0], ARTFIMA_D_RANGE[1] + 1e-9, _GRID_D_STEP)
     lam_grid = np.geomspace(ARTFIMA_LAM_RANGE[0], ARTFIMA_LAM_RANGE[1], _GRID_LAM_POINTS)
-    return _fit(series, "artfima00", d_grid, lam_grid,
-                [ARTFIMA_D_RANGE, ARTFIMA_LAM_RANGE])
+    return _fit(series, "artfima00", lam_grid, [ARTFIMA_D_RANGE, ARTFIMA_LAM_RANGE])
 
 
 def fit_arfima00(series):
     """Whittle fit of ARFIMA(0, d, 0) over d in (-1/2, 1/2) with lam = 0."""
-    d_grid = np.arange(ARFIMA_D_RANGE[0], ARFIMA_D_RANGE[1] + 1e-9, _GRID_D_STEP / 2)
-    return _fit(series, "arfima00", d_grid, np.zeros(1), [ARFIMA_D_RANGE])
+    return _fit(series, "arfima00", np.zeros(1), [ARFIMA_D_RANGE])
 
 
 def simulate_artfima00(n, d, lam, sigma2=1.0, rng=None):

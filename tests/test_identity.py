@@ -43,7 +43,7 @@ def dumps(tmp_path_factory):
             "coverage": {"gaussian": tool.coverage_item("gaussian")},
             "gaussian_estimation": tool.gaussian_estimation(),
             "estimate": {"gaussian|n^-1/5": tool.estimate_item("gaussian", "n^-1/5")}},
-        "whittle": [tool.whittle_item(0, dict.fromkeys(tool.WHITTLE_MODELS, 0))],
+        "whittle": [tool.whittle_item(0)],
     }
     paths = {}
     for name, data in sections.items():
@@ -124,18 +124,11 @@ def test_changed_p_value_and_start_cell_are_counted(dumps, tmp_path):
     def move_p_value(data):
         data["ckc"][next(iter(data["ckc"]))]["p_values"][0]["p_value"] += 0.01
 
-    def move_start_cell(data):
-        data[0]["grid_starts"][0][0] += 0.01
-
     code, reports = _compare(dumps["spec"],
                              _edited_copy(dumps["spec"], tmp_path, move_p_value))
     assert code == 1
     assert re.search(r"changed p_value: 1 of \d+", reports["ckc"])
     assert all(report.startswith("same") for name, report in reports.items() if name != "ckc")
-    code, reports = _compare(dumps["whittle"],
-                             _edited_copy(dumps["whittle"], tmp_path, move_start_cell))
-    assert code == 1
-    assert "changed grid_starts: 1 of 1" in reports["whittle"]
 
 
 @pytest.mark.parametrize("argv", [[], ["compare", "a.json"], ["dump", "size", "out.json"]])

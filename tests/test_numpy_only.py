@@ -112,16 +112,18 @@ _FITS = {"artfima00": (whittle.ARTFIMA_D_RANGE, 0.05, True, 4000),
 
 
 def _scipy_refinement(z, model):
-    """(d, lam, objective) of the fit's grid start refined by scipy's
-    bounded Nelder-Mead on scalar objective calls, the refinement the fits
-    made before their profile search; the grid cell where it is worse."""
+    """(d, lam, objective) of the least cell of a (d, lam) grid scan refined
+    by scipy's bounded Nelder-Mead on scalar objective calls, the search the
+    fits made before their profile search; the grid cell where it is worse."""
     (d_lo, d_hi), step, free_lam, maxiter = _FITS[model]
     d_grid = np.arange(d_lo, d_hi + 1e-9, step)
     lam_grid = (np.geomspace(*whittle.ARTFIMA_LAM_RANGE, whittle._GRID_LAM_POINTS)
                 if free_lam else np.zeros(1))
     freqs, pgram = whittle.periodogram(z)
     log_mod2 = whittle._log_mod2(lam_grid[:, None], whittle._sin2_half(freqs))
-    row, col, value = whittle._grid_minimum(d_grid, log_mod2, freqs, pgram)[:3]
+    objs = whittle.whittle_objective(d_grid[:, None], None, freqs, pgram, log_mod2=log_mod2)
+    row, col = np.unravel_index(np.argmin(objs), objs.shape)
+    value = objs[row, col]
     bounds = [(d_lo, d_hi), whittle.ARTFIMA_LAM_RANGE][:1 + free_lam]
     start = np.clip([d_grid[row], lam_grid[col]][:len(bounds)], *np.transpose(bounds))
 

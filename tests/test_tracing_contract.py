@@ -82,11 +82,9 @@ def test_tracer_wraps_study_chunks(monkeypatch, kind):
 
 
 def test_tracer_wraps_whittle_fit(monkeypatch):
-    # the tracer patches whittle.minimize by name and reads its nit, and
-    # counts one grid evaluation per broadcast call: 7 bisection steps over
-    # the 81 d rows, then the 5-row confirming windows in chunks of 3 and 2
-    # rows (no column of this series is scanned whole); the refinement makes
-    # 21 Newton passes and one objective call, at its optimum
+    # the tracer patches whittle.minimize by name and reads its nit; the fit
+    # evaluates no grid, and its profile search makes 23 Newton passes and
+    # one objective call, at its optimum
     monkeypatch.syspath_prepend(PERFBENCH)
     tracing = importlib.import_module("tracing")
     rng = np.random.default_rng([31, 4])
@@ -100,8 +98,8 @@ def test_tracer_wraps_whittle_fit(monkeypatch):
         uninstall()
     assert traced.to_dict() == plain.to_dict()
     counts = tracing.count_metrics(tracing.layer_metrics(tracer))
-    assert counts["whittle.refine.nit"] == 21
-    assert counts["whittle.grid.evals"] == 9
+    assert counts["whittle.refine.nit"] == 23
+    assert counts["whittle.grid.evals"] == 0
     assert counts["whittle.refine.evals"] == 1
 
 

@@ -5,9 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import slmcoint.whittle as whittle
-from slmcoint import (artfima_spectral_density, periodogram, whittle_objective,
-                      profile_sigma2, one_step_residuals, fit_artfima00,
-                      fit_arfima00, simulate_artfima00)
+from slmcoint import (periodogram, whittle_objective, profile_sigma2,
+                      one_step_residuals, fit_artfima00, fit_arfima00,
+                      simulate_artfima00)
 from slmcoint.mc import write_json
 
 TWO_PI = 2.0 * np.pi
@@ -15,29 +15,22 @@ TWO_PI = 2.0 * np.pi
 
 # ---------------------------------------------------------------- spectrum
 
-def test_spectral_density_white_noise():
-    w = np.linspace(0.1, np.pi, 20)
-    assert_allclose(artfima_spectral_density(0.0, 0.3, 2.0, w),
-                    2.0 / TWO_PI, rtol=1e-12)
+def _shape(d, lam, w):
+    """The spectral density over sigma^2 / 2 pi, exp(-d ln m), as the fits
+    compute it."""
+    return np.exp(-d * whittle._log_mod2(lam, whittle._sin2_half(np.asarray(w, dtype=float))))
 
 
 def test_spectral_density_strong_tempering_flattens():
     w = np.linspace(0.1, np.pi, 20)
-    f = artfima_spectral_density(0.7, 50.0, 1.0, w)
-    assert_allclose(f, 1.0 / TWO_PI, rtol=1e-12)
+    assert_allclose(_shape(0.7, 50.0, w), 1.0, rtol=1e-12)
 
 
 def test_spectral_density_complex_modulus_oracle():
-    d, lam, s2, w = 0.3, 0.1, 1.7, np.pi / 2
-    expect = (s2 / TWO_PI) * abs(1 - np.exp(-lam) * (np.cos(w) - 1j * np.sin(w))) ** (-2 * d)
-    assert artfima_spectral_density(d, lam, s2, w) == pytest.approx(expect, rel=1e-12)
-
-
-def test_spectral_density_rejects_zero_frequency():
-    with pytest.raises(ValueError):
-        artfima_spectral_density(0.3, 0.1, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        artfima_spectral_density(0.3, 0.1, -1.0, 0.5)
+    w = np.array([1e-3, 0.1, np.pi / 2, np.pi])
+    for d, lam in [(0.3, 0.1), (-0.8, 1e-6), (2.5, 0.12), (1.0, 2.0)]:
+        expect = np.abs(1 - np.exp(-(lam + 1j * w))) ** (-2 * d)
+        assert_allclose(_shape(d, lam, w), expect, rtol=1e-12)
 
 
 @pytest.mark.parametrize("d, lam, message", [
@@ -45,9 +38,7 @@ def test_spectral_density_rejects_zero_frequency():
     (0.3, np.inf, "tempering parameter lam must be finite, got inf"),
     (0.3, -1.0, "tempering parameter lam must be >= 0, got -1.0"),
 ], ids=["d-nan", "lam-inf", "lam-negative"])
-def test_spectral_density_and_residuals_reject_bad_parameters(d, lam, message):
-    with pytest.raises(ValueError, match=re.escape(message)):
-        artfima_spectral_density(d, lam, 1.0, 0.5)
+def test_residuals_reject_bad_parameters(d, lam, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         one_step_residuals(np.random.default_rng(0).standard_normal(64), d, lam)
 
@@ -229,8 +220,8 @@ def test_objective_broadcast_matches_scalar_calls(seed, zero_pgram):
     # a 0-d or scalar call is a float
     assert type(whittle_objective(np.asarray(d[1, 0]), lam[0], freqs, I)) is float
     assert type(whittle_objective(float(d[1, 0]), np.float64(lam[0]), freqs, I)) is float
-    # the refined optimum's call, a 0-d d with one 1-D ln m row, takes the
-    # scalar route: the same cells, inf ones included, as Python floats
+    # the fits' call at their optimum, a 0-d d with one 1-D ln m row, gives
+    # the same cells, inf ones included, as Python floats
     sin2_half = whittle._sin2_half(freqs)
     with np.errstate(all="ignore"):
         for j, lv in enumerate(lam):
@@ -242,134 +233,40 @@ def test_objective_broadcast_matches_scalar_calls(seed, zero_pgram):
                     assert type(got) is float and got == grid[i, j]
 
 
-def test_scalar_route_equals_broadcast_on_many_points():
-    # numpy's log on the scalar route: math.log differs from it in the last
-    # bit for about 1 in 8,000 ratios
-    rng = np.random.default_rng(42)
-    freqs, I = periodogram(simulate_artfima00(64, d=0.8, lam=0.2, rng=rng))
-    d = rng.uniform(*whittle.ARTFIMA_D_RANGE, size=30000)
-    lam = np.exp(rng.uniform(*np.log(whittle.ARTFIMA_LAM_RANGE), size=d.size))
-    grid = whittle_objective(d, lam, freqs, I)
-    assert [whittle_objective(dv, lv, freqs, I) for dv, lv in zip(d, lam)] == grid.tolist()
-
-
 def _scalar_scan(z, d_grid, lam_grid):
-    """First minimum of a scalar-call loop over the grid, d-major."""
+    """Minimum of a scalar-call loop over the grid."""
     freqs, I = periodogram(z)
-    best, cell = np.inf, None
-    for dv in d_grid:
-        for lv in lam_grid:
-            w = whittle_objective(dv, lv, freqs, I)
-            if w < best:
-                best, cell = w, (dv, lv)
-    return best, cell
-
-
-def _spy_start_cells(monkeypatch):
-    """A list that receives each fit's grid start cell, (d, lam) for an
-    ARTFIMA fit and (d,) for an ARFIMA fit, as ``_grid_minimum`` finds it."""
-    starts = []
-    real_grid_minimum = whittle._grid_minimum
-    lam_grid = np.geomspace(*whittle.ARTFIMA_LAM_RANGE, whittle._GRID_LAM_POINTS)
-
-    def spy(d_grid, log_mod2, freqs, pgram):
-        found = real_grid_minimum(d_grid, log_mod2, freqs, pgram)
-        row, col = found[:2]
-        starts.append((d_grid[row], lam_grid[col]) if len(log_mod2) > 1 else (d_grid[row],))
-        return found
-
-    monkeypatch.setattr(whittle, "_grid_minimum", spy)
-    return starts
-
-
-@pytest.mark.parametrize("seed", [11, 12, 13])
-def test_fit_grid_matches_scalar_scan(seed, monkeypatch):
-    starts = _spy_start_cells(monkeypatch)
-    rng = np.random.default_rng([seed, 5])
-    z = simulate_artfima00(600, d=rng.uniform(0.3, 1.2), lam=rng.uniform(0.05, 0.5),
-                           rng=rng)
-    art_d = np.arange(whittle.ARTFIMA_D_RANGE[0], whittle.ARTFIMA_D_RANGE[1] + 1e-9,
-                      whittle._GRID_D_STEP)
-    art_lam = np.geomspace(*whittle.ARTFIMA_LAM_RANGE, whittle._GRID_LAM_POINTS)
-    arf_d = np.arange(whittle.ARFIMA_D_RANGE[0], whittle.ARFIMA_D_RANGE[1] + 1e-9,
-                      whittle._GRID_D_STEP / 2)
-    art, arf = fit_artfima00(z), fit_arfima00(z)
-    art_obj, art_cell = _scalar_scan(z, art_d, art_lam)
-    arf_obj, arf_cell = _scalar_scan(z, arf_d, [0.0])
-    assert art.grid_objective == art_obj and arf.grid_objective == arf_obj
-    assert starts == [art_cell, arf_cell[:1]]
+    return min(whittle_objective(dv, lv, freqs, I) for dv in d_grid for lv in lam_grid)
 
 
 def _fit_grids():
-    """The ARTFIMA and ARFIMA (d, lam) grids of the fits."""
-    art_d = np.arange(whittle.ARTFIMA_D_RANGE[0], whittle.ARTFIMA_D_RANGE[1] + 1e-9,
-                      whittle._GRID_D_STEP)
+    """The ARTFIMA and ARFIMA (d, lam) grids the fits once started from: d
+    steps of 0.05 and 0.025 (the last ARTFIMA d, 3 + 3.6e-15, lies outside
+    its range), and 20 log-spaced lam."""
+    art_d = np.arange(whittle.ARTFIMA_D_RANGE[0], whittle.ARTFIMA_D_RANGE[1] + 1e-9, 0.05)
     art_lam = np.geomspace(*whittle.ARTFIMA_LAM_RANGE, whittle._GRID_LAM_POINTS)
-    arf_d = np.arange(whittle.ARFIMA_D_RANGE[0], whittle.ARFIMA_D_RANGE[1] + 1e-9,
-                      whittle._GRID_D_STEP / 2)
+    arf_d = np.arange(whittle.ARFIMA_D_RANGE[0], whittle.ARFIMA_D_RANGE[1] + 1e-9, 0.025)
     return (art_d, art_lam), (arf_d, np.zeros(1))
 
 
+def _at_most(fit, scan_min):
+    """The fit's objective is no higher than a scan's minimum, to rounding."""
+    assert fit.objective <= scan_min + 1e-12 * max(1.0, abs(scan_min)), (fit, scan_min)
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_fit_grid_matches_scalar_scan(seed):
+    rng = np.random.default_rng([seed, 5])
+    z = simulate_artfima00(600, d=rng.uniform(0.3, 1.2), lam=rng.uniform(0.05, 0.5),
+                           rng=rng)
+    for fit, (d_grid, lam_grid) in zip((fit_artfima00, fit_arfima00), _fit_grids()):
+        _at_most(fit(z), _scalar_scan(z, d_grid, lam_grid))
+
+
 def _full_scan(d_grid, log_mod2, freqs, I):
-    """Row, column and value of np.argmin over one broadcast call of the
-    whole grid."""
+    """Minimum of one broadcast call over the whole grid."""
     with np.errstate(all="ignore"):
-        objs = whittle_objective(d_grid[:, None], None, freqs, I, log_mod2=log_mod2)
-    row, col = np.unravel_index(np.argmin(objs), objs.shape)
-    return row, col, objs[row, col]
-
-
-def test_grid_minimum_scans_a_flat_column(monkeypatch):
-    # with ln m = 0 the objective is ln mean I at every d: no cell of the
-    # window is above its minimum, so the column is scanned, in calls of at
-    # most 60 cells, and its first cell is the minimum
-    z = np.random.default_rng(14).standard_normal(300)
-    freqs, I = periodogram(z)
-    (d_grid, _), _ = _fit_grids()
-    shapes = []
-    real_objective = whittle.whittle_objective
-
-    def spy(*args, **kwargs):
-        value = real_objective(*args, **kwargs)
-        shapes.append(np.shape(value))
-        return value
-
-    monkeypatch.setattr(whittle, "whittle_objective", spy)
-    flat = np.zeros((1, freqs.size))
-    got = whittle._grid_minimum(d_grid, flat, freqs, I)
-    assert got[:3] == (0, 0, np.log(np.mean(I))) == _full_scan(d_grid, flat, freqs, I)
-    assert shapes[-2:] == [(60, 1), (21, 1)]
-    assert all(np.prod(shape) <= whittle._GRID_CHUNK_CELLS for shape in shapes)
-    # beside sloped columns, the flat one is scanned and the least
-    # (value, d-major index) over the columns is the whole grid's argmin
-    lam_grid = np.array([0.05, 0.5])
-    rows = np.concatenate([whittle._log_mod2(lam_grid[:, None], whittle._sin2_half(freqs)),
-                           flat])
-    got = whittle._grid_minimum(d_grid, rows, freqs, I)
-    assert got[:3] == _full_scan(d_grid, rows, freqs, I)
-    # with each column's first minimum, from which the refinement starts
-    with np.errstate(all="ignore"):
-        column_rows = np.argmin(whittle_objective(d_grid[:, None], None, freqs, I,
-                                                  log_mod2=rows), axis=0)
-    assert np.array_equal(got[3], column_rows)
-    assert shapes[-2:] == [(60, 1), (21, 1)]
-    # with a constant periodogram every column is least at d = 0, all at the
-    # flat column's value: the tie goes to the lower d row, (0, flat = 2)
-    d_grid = np.arange(-20, 21) / 20
-    I = np.full_like(I, 2.0)
-    got = whittle._grid_minimum(d_grid, rows, freqs, I)
-    assert got[:3] == (0, 2, np.log(np.mean(I))) == _full_scan(d_grid, rows, freqs, I)
-
-
-def test_grid_minimum_of_an_all_inf_grid_is_the_first_cell():
-    # a zero periodogram makes every cell inf; np.argmin picks (0, 0)
-    z = np.random.default_rng(15).standard_normal(300)
-    freqs, I = periodogram(z)
-    I = np.zeros_like(I)
-    for d_grid, lam_grid in _fit_grids():
-        log_mod2 = whittle._log_mod2(lam_grid[:, None], whittle._sin2_half(freqs))
-        got = whittle._grid_minimum(d_grid, log_mod2, freqs, I)
-        assert got[:3] == (0, 0, np.inf) == _full_scan(d_grid, log_mod2, freqs, I)
+        return np.min(whittle_objective(d_grid[:, None], None, freqs, I, log_mod2=log_mod2))
 
 
 def _rule_series(kind, n, rng):
@@ -386,11 +283,10 @@ def _rule_series(kind, n, rng):
 
 
 @pytest.mark.parametrize("kind", ["white", "double-integrated", "near-sinusoid", "artfima"])
-def test_fit_grid_rule_matches_full_broadcast_scan(kind, monkeypatch):
-    # the bisected grid picks the start cell and grid objective of one
-    # broadcast call over the whole grid and np.argmin, at the CKC lengths
-    # and at n = 500 and 2000, at tiny and huge scales
-    starts = _spy_start_cells(monkeypatch)
+def test_fit_grid_rule_matches_full_broadcast_scan(kind):
+    # the fits end no higher than the minimum of the old start grid, by one
+    # broadcast call, at the CKC lengths and at n = 500 and 2000, at tiny
+    # and huge scales
     rng = np.random.default_rng(16)
     for n in (59, 101, 170, 500, 2000):
         for scale in (1e-150, 1e150):
@@ -399,9 +295,7 @@ def test_fit_grid_rule_matches_full_broadcast_scan(kind, monkeypatch):
             for fit, (d_grid, lam_grid) in zip((fit_artfima00, fit_arfima00), _fit_grids()):
                 result = fit(z)
                 log_mod2 = whittle._log_mod2(lam_grid[:, None], whittle._sin2_half(freqs))
-                row, col, value = _full_scan(d_grid, log_mod2, freqs, I)
-                assert result.grid_objective == value
-                assert starts[-1] == (d_grid[row], lam_grid[col])[:len(starts[-1])]
+                _at_most(result, _full_scan(d_grid, log_mod2, freqs, I))
 
 
 @pytest.mark.parametrize("seed", [21, 22, 23])
@@ -441,7 +335,19 @@ def test_grid_refinement_within_one_cell():
     assert abs(fit.d_hat - best[1]) <= (d_grid[1] - d_grid[0]) + 1e-9
     ratio = lam_grid[1] / lam_grid[0]
     assert best[2] / ratio <= fit.lambda_hat <= best[2] * ratio
-    assert fit.objective <= fit.grid_objective + 1e-12
+    assert fit.objective <= best[0] + 1e-12
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_fits_report_d_inside_its_range(seed):
+    # a near-sinusoid pushes the ARTFIMA fit to d's upper bound and the
+    # ARFIMA fit to its own; neither reports a d beyond it
+    rng = np.random.default_rng(seed)
+    z = np.sin(0.7 * np.arange(500)) + 1e-3 * rng.standard_normal(500)
+    for fit, (lo, hi) in ((fit_artfima00, whittle.ARTFIMA_D_RANGE),
+                          (fit_arfima00, whittle.ARFIMA_D_RANGE)):
+        result = fit(z)
+        assert lo <= result.d_hat <= hi and result.boundary
 
 
 def test_white_noise_d_near_zero():
