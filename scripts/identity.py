@@ -16,8 +16,9 @@ which does not change their results.
 - ``whittle``: both fits of the 256 pool series.
 
 ``compare`` prints, per top-level section, the largest absolute and
-relative shift over the numeric leaves and of each Whittle estimate, the
-changed non-numeric leaves, the keys on one side only, how many ckc
+relative shift over the numeric leaves, of each Whittle estimate and of the
+specification statistic and its block values, the changed non-numeric
+leaves, the keys on one side only, how many ckc
 p-values and size rejection rates changed, and per model how many Whittle
 objectives are lower and higher than A's, with the largest rise relative to
 max(1, |W|).  It exits 0 when the files are equal leaf for leaf and 1
@@ -246,7 +247,9 @@ SECTIONS = {"spec": dump_spec, "nw": dump_nw, "whittle": dump_whittle}
 # ----------------------------------------------------------------- compare
 
 MISSING = object()
-COMPARED = ("d_hat", "lambda_hat", "objective")
+WHITTLE_FIELDS = ("d_hat", "lambda_hat", "objective")
+# the leaves whose largest shift is printed by name
+COMPARED = WHITTLE_FIELDS + ("t_normalized", "by_block", "subsample_values")
 # ckc p-values, size rejection rates
 COUNTED = ("p_value", "value")
 
@@ -261,7 +264,7 @@ def load_sections(path):
         return {"whittle": {str(item["index"]): {k: v for k, v in item.items() if k != "index"}
                             for item in data}}
     if all(key.isdigit() for key in data):
-        return {"whittle": {index: {f"{model}00": dict(zip(COMPARED, values))
+        return {"whittle": {index: {f"{model}00": dict(zip(WHITTLE_FIELDS, values))
                                     for model, values in fits.items()}
                             for index, fits in data.items()}}
     return data

@@ -25,7 +25,7 @@ from .processes import (TemperedProcessSpec, NoiseConfig, simulate_model,
                         regression_function_sine, MemoryKind)
 from .kernel_regression import get_kernel, kernel_estimate
 from .spec_test import (DEFAULT_WEIGHT_SUPPORT, run_spec_test, get_family,
-                        uniform_weight, SubsamplingError)
+                        uniform_weight, SubsamplingError, _check_block_size)
 from .whittle import fit_artfima00, fit_arfima00
 from .mc import (BlockRule, StudyConfig, run_study, export_study, parse_exponent,
                  read_csv, write_json, write_csv, _fmt)
@@ -125,8 +125,7 @@ def _cmd_spec_test(args):
     n = x.shape[0]
     b = args.block_size if args.block_size is not None else BlockRule(
         args.block_coef, args.block_exponent).size(n)
-    if b < 2:  # before b is raised to the negative block-scale powers
-        raise ValueError(f"block size must satisfy 2 <= b <= n, got {b}")
+    _check_block_size(b, n)  # before b is raised to the negative block-scale powers
     # a rule n^a maps to b^a at block scale; an explicit value is held fixed
     h = h_b = args.bandwidth
     if h is None:

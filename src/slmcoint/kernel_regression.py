@@ -52,6 +52,14 @@ def _check_finite(name, arr):
         raise ValueError(f"non-finite input: {bad} NaN or inf value(s) in {name}")
 
 
+def _check_count(name, value, least=None, note=""):
+    """Reject a non-integer ``value`` (numpy integers pass), or one below ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}{note}, got {value}")
+
+
 def _check_positive(name, value):
     if not (np.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and > 0, got {value}")

@@ -23,7 +23,7 @@ from .processes import (MemoryKind, TemperedProcessSpec, NoiseConfig,
                         simulate_error_ar1, sine_series_interpolator,
                         innovation_length, _check_memory, _check_simulated_d)
 from .kernel_regression import (get_kernel, nw_estimate, kernel_estimate,
-                                _reach_mask)
+                                _check_count, _reach_mask)
 from .spec_test import DEFAULT_WEIGHT_SUPPORT, run_spec_test, uniform_weight
 
 SLM_RULES = {"SLM1": -1.0 / 3.0, "SLM2": -0.25, "SLM3": -0.2, "SLM4": -1.0 / 6.0}
@@ -181,12 +181,8 @@ class StudyConfig:
         if self.study_kind not in ("estimation", "coverage", "size"):
             raise ValueError("study_kind must be estimation, coverage or size")
         for name, least in _COUNT_FIELDS.items():
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if least is not None and value < least:
-                note = " (0 is the zero function)" if name == "f_terms" else ""
-                raise ValueError(f"{name} must be >= {least}{note}, got {value}")
+            _check_count(name, getattr(self, name), least,
+                         " (0 is the zero function)" if name == "f_terms" else "")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha!r}")
         try:
@@ -221,9 +217,9 @@ class StudyConfig:
             if not 0.0 < level < 1.0:
                 raise ValueError(f"nominal_levels must lie in (0, 1), got {level!r}")
         for br in self.block_rules if self.study_kind == "size" else ():
-            if not 2 <= br.size(self.n) <= self.n:
+            if not 2 <= br.size(self.n) < self.n:
                 raise ValueError(f"block_rules {br.label()} gives b = {br.size(self.n)} "
-                                 f"at n = {self.n}; need 2 <= b <= n")
+                                 f"at n = {self.n}; need 2 <= b < n")
         # each value keys its own cells and names its histogram file by its
         # :g form (6 digits): a repeat would count replications twice, and two
         # values that print alike would write one file

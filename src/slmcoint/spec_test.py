@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .kernel_regression import _check_finite, _check_positive, get_kernel
+from .kernel_regression import _check_count, _check_finite, _check_positive, get_kernel
 from .processes import MemoryKind, _check_memory, scale_dn
 
 DEFAULT_QUAD_CELLS = 2048
@@ -124,26 +124,30 @@ def integration_domain(x, h, weight):
     """Quadrature interval: weight support clipped to the realized data range
     plus a pad of ``_DOMAIN_PAD_BANDWIDTHS`` bandwidths (the smoothed
     residual field is numerically zero further out)."""
-    x = np.asarray(x, dtype=float)
     lo = max(weight.a, float(x.min()) - _DOMAIN_PAD_BANDWIDTHS * h)
     hi = min(weight.b, float(x.max()) + _DOMAIN_PAD_BANDWIDTHS * h)
-    if hi <= lo:
-        return weight.a, weight.b
-    return lo, hi
+    return (lo, hi) if lo < hi else (weight.a, weight.b)
+
+
+def _check_block_size(b, n, whole=False):
+    """Reject b unless an integer with 2 <= b < n, or b <= n if ``whole``."""
+    _check_count("block size b", b)
+    if not (2 <= b <= n if whole else 2 <= b < n):
+        raise ValueError(f"block size must satisfy 2 <= b {'<=' if whole else '<'} n, "
+                         f"got b = {b}, n = {n}")
 
 
 def _quad_nodes(domain, quad_cells):
-    if quad_cells < 2:
-        raise ValueError(f"quad_cells must be >= 2, got {quad_cells}")
+    _check_count("quad_cells", quad_cells, 2)
     lo, hi = domain
     dx = (hi - lo) / quad_cells
     return lo + (np.arange(quad_cells) + 0.5) * dx, dx
 
 
 def _node_tiles(x, h, kernel, nodes):
-    """Yield (rows, keep, K) over consecutive row tiles of the ascending
-    nodes: ``keep`` indexes, in time order, the observations within reach of
-    the tile's nodes, and K[k, i] = kernel((x[keep][k] - nodes[rows][i]) / h).
+    """Yield (keep, K) over consecutive tiles of the ascending nodes:
+    ``keep`` indexes, in time order, the observations within reach of the
+    tile's nodes v, and K[k, i] = kernel((x[keep][k] - v[i]) / h).
     The reach is the kernel's half-width, or ``_GAUSSIAN_REACH`` for the
     Gaussian, widened by a relative 1e-12 as in ``kernel_sums``: every
     observation left out has weight exactly 0.0 at every node of the tile,
@@ -153,37 +157,51 @@ def _node_tiles(x, h, kernel, nodes):
     reach = h * (kernel.halfwidth if np.isfinite(kernel.halfwidth) else _GAUSSIAN_REACH)
     step = max(1, _TILE_FLOATS // x.shape[0])
     for lo in range(0, nodes.shape[0], step):
-        rows = slice(lo, lo + step)
-        first, last = nodes[rows][0], nodes[rows][-1]
-        pad = reach + 1e-12 * (max(abs(first), abs(last)) + reach)
-        keep = np.flatnonzero((x >= first - pad) & (x <= last + pad))
-        yield rows, keep, kernel((x[keep, None] - nodes[None, rows]) / h)
+        tile = nodes[lo:lo + step]
+        pad = reach + 1e-12 * (max(abs(tile[0]), abs(tile[-1])) + reach)
+        keep = np.flatnonzero((x >= tile[0] - pad) & (x <= tile[-1] + pad))
+        yield keep, kernel((x[keep, None] - tile[None, :]) / h)
+
+
+def _block_statistics(x, cols, theta, b, h, kernel, weight, quad_cells):
+    """Raw statistic of every length-b block by the midpoint rule: block t
+    integrates { sum_k K[(x_k - v)/h] s_k }^2, s = cols[0] - theta[t] @ cols[1:].
+    Per node tile, the columns weighted by K are summed over every block as
+    differences of one cumulative sum along the kept observations (from a
+    leading 0), and the tile's squared block sums add into the result."""
+    n = x.shape[0]
+    nb = n - b + 1
+    nodes, dx = _quad_nodes(integration_domain(x, h, weight), quad_cells)
+    total = np.zeros(nb)
+    for keep, K in _node_tiles(x, h, kernel, nodes):
+        C = np.zeros((cols.shape[0], keep.size + 1, K.shape[1]))
+        np.multiply(K, cols[:, keep, None], out=C[:, 1:])
+        np.cumsum(C, axis=1, out=C)
+        # C[:, k] for every k = 0..n: the sum over the kept observations
+        # before k, which is the sum over all of them (the rest weigh 0.0)
+        C = np.take(C, np.searchsorted(keep, np.arange(n + 1)), axis=1)
+        D = C[:, b:] - C[:, :nb]
+        S = D[0]
+        for j in range(theta.shape[1]):
+            S -= theta[:, j, None] * D[1 + j]
+        total += np.einsum("ij,ij->i", S, S)
+    return total * dx
 
 
 def t_statistic(x, y, family, theta, h, kernel, weight, quad_cells=DEFAULT_QUAD_CELLS):
     """Raw specification statistic by composite midpoint quadrature.
 
     The integrand { sum_k K[(x_k-x)/h] r_k }^2 pi(x) is evaluated on
-    ``quad_cells`` midpoint nodes over ``integration_domain``: the weight
-    support clipped to the data range.  ``quad_cells`` is 2048 by default,
-    the resolution of ``run_spec_test``, the CLI and the empirical
+    ``quad_cells`` midpoint nodes over ``integration_domain``, as the one
+    length-n block of ``_block_statistics``.  ``quad_cells`` is 2048 by
+    default, the resolution of ``run_spec_test``, the CLI and the empirical
     workflow; the size study passes 1024.
     """
     _check_positive("bandwidth h", h)
-    family = get_family(family)
-    kernel = get_kernel(kernel)
     x, y = _as_xy(x, y)
-    r = family.residuals(x, y, np.asarray(theta, dtype=float))
-    nodes, dx = _quad_nodes(integration_domain(x, h, weight), quad_cells)
-    S = np.empty(quad_cells)
-    for rows, keep, K in _node_tiles(x, h, kernel, nodes):
-        # over full rows, zeros included: einsum's rounding depends on position
-        full = np.zeros((K.shape[1], x.shape[0]))
-        full[:, keep] = K.T
-        # einsum's own loop, not BLAS: OpenBLAS threads this product and its
-        # spinning helper threads make a 2-worker study slower than a serial one
-        S[rows] = np.einsum("ij,j->i", full, r)
-    return float(np.sum(S * S) * dx)
+    r = get_family(family).residuals(x, y, np.asarray(theta, dtype=float))
+    return float(_block_statistics(x, r[None], np.empty((1, 0)), x.shape[0], h,
+                                   get_kernel(kernel), weight, quad_cells)[0])
 
 
 def normalized_statistic(t_raw, n, lam, d, h, memory_kind):
@@ -243,10 +261,10 @@ def subsample_statistics(x, y, family, b, h_b, lam_b, d, memory_kind, kernel,
 
     Each block is refit (``_sliding_theta``), its raw statistic computed on
     the block at the block-scale bandwidth h_b, and normalized with
-    (b, lam_b, h_b), block-scale values that the caller states.  Blocks with
-    a singular design are skipped and counted; more than 5% skipped aborts.
-    Returns the sorted values (and optionally the block-ordered ones, their
-    block indices and the skip count).
+    (b, lam_b, h_b), block-scale values that the caller states; b = n is the
+    one block of the sample.  Blocks with a singular design are skipped and
+    counted; more than 5% skipped aborts.  Returns the sorted values (and
+    optionally the block-ordered ones, their block indices and the skip count).
     """
     family = get_family(family)
     kernel = get_kernel(kernel)
@@ -254,44 +272,18 @@ def subsample_statistics(x, y, family, b, h_b, lam_b, d, memory_kind, kernel,
     _check_positive("bandwidth h_b", h_b)
     _check_memory(kind, d, "lam_b", lam_b)
     x, y = _as_xy(x, y)
-    n = x.shape[0]
-    if not (2 <= b <= n):
-        raise ValueError("block size must satisfy 2 <= b <= n")
-    nb = n - b + 1
-    domain = integration_domain(x, h_b, weight)
-    nodes, dx = _quad_nodes(domain, quad_cells)
-
+    _check_block_size(b, x.shape[0], whole=True)
+    nb = x.shape[0] - b + 1
     theta, valid, u = _sliding_theta(x, y, family, b)
-    # per node tile: y and the basis u^j, weighted by K, summed over every
-    # block as differences of one cumulative sum along the kept observations
-    # (from a leading 0), held as (column, observation, node)
-    cols = np.stack([y] + [u ** j for j in range(family.dim)])
-    # squared block sums with the nodes contiguous: the sum over the nodes is
-    # then numpy's pairwise sum of a whole row (a running sum across tiles
-    # would round differently)
-    sq = np.empty((nb, quad_cells))
-    for rows, keep, K in _node_tiles(x, h_b, kernel, nodes):
-        C = np.zeros((cols.shape[0], keep.size + 1, K.shape[1]))
-        np.multiply(K, cols[:, keep, None], out=C[:, 1:])
-        np.cumsum(C, axis=1, out=C)
-        # C[:, k] for every k = 0..n: the sum over the kept observations
-        # before k, which is the sum over all of them (the rest weigh 0.0)
-        C = np.take(C, np.searchsorted(keep, np.arange(n + 1)), axis=1)
-        D = C[:, b:] - C[:, :nb]
-        S = D[0]
-        for j in range(family.dim):
-            S -= theta[:, j, None] * D[1 + j]
-        np.multiply(S, S, out=sq[:, rows])
-    raw = np.sum(sq, axis=1)[valid] * dx
     skipped = int(nb - valid.sum())
-    order_index = np.nonzero(valid)[0]
-
     if skipped > _MAX_SKIPPED_FRACTION * nb:
         raise SubsamplingError(
             f"{skipped} of {nb} block fits failed (> {_MAX_SKIPPED_FRACTION:.0%})")
+    cols = np.stack([y] + [u ** j for j in range(family.dim)])
+    raw = _block_statistics(x, cols, theta, b, h_b, kernel, weight, quad_cells)[valid]
     normalized = normalized_statistic(raw, b, lam_b, d, h_b, kind)[0]
     if return_by_block:
-        return np.sort(normalized), normalized, order_index, skipped
+        return np.sort(normalized), normalized, np.nonzero(valid)[0], skipped
     return np.sort(normalized)
 
 
@@ -351,11 +343,14 @@ def run_spec_test(x, y, family, h, kernel, weight, memory_kind, d, lam=0.0, *,
     under semi-long memory.  A power rule h = n^a gives h_b = b^a; a fixed
     value is passed unchanged.  The p-value uses add-one smoothing,
     (1 + #{blocks >= T}) / (1 + #blocks), with ties counted as exceedances.
+    It needs 2 <= b < n: a block of the whole sample is the statistic itself.
     """
     if len(blocks) == 0:
         raise ValueError("blocks must hold at least one (b, h_b, lam_b)")
     kind = MemoryKind.parse(memory_kind)
     theta_hat = nls_fit(family, x, y)  # rejects bad x and y before any other work
+    for b, _, _ in blocks:
+        _check_block_size(b, len(x))
     t_raw = t_statistic(x, y, family, theta_hat, h, kernel, weight, quad_cells)
     t_norm, scale = normalized_statistic(t_raw, len(x), lam, d, h, kind)
     results = []

@@ -306,9 +306,9 @@ def test_cli_estimate_rejects_alpha_outside_unit_interval(tmp_path, capsys, alph
     ("y", [], "non-finite input: 1 NaN or inf value(s) in y"),
     (None, ["--bandwidth", "nan"], "bandwidth h must be finite and > 0, got nan"),
     (None, ["--bandwidth", "0"], "bandwidth h must be finite and > 0, got 0.0"),
-    (None, ["--block-size", "0"], "block size must satisfy 2 <= b <= n, got 0"),
-    (None, ["--block-size", "1"], "block size must satisfy 2 <= b <= n, got 1"),
-    (None, ["--block-rule", "0.1"], "block size must satisfy 2 <= b <= n, got 1"),
+    (None, ["--block-size", "0"], "block size must satisfy 2 <= b < n, got b = 0, n = 100"),
+    (None, ["--block-size", "1"], "block size must satisfy 2 <= b < n, got b = 1, n = 100"),
+    (None, ["--block-rule", "0.1"], "block size must satisfy 2 <= b < n, got b = 1, n = 100"),
     (None, ["--lam", "0"], "semi-long memory requires lam > 0, got 0.0"),
     # the simulator's rule per memory kind
     (None, ["--memory", "lm", "--d", "0.7"], "long memory requires 0 <= d < 1/2, got 0.7"),
@@ -412,7 +412,7 @@ def test_cli_fit_artfima_rejects_series_without_fourier_power(tmp_path, capsys):
     ("estimate", "x,y\n", "no data rows"),
     ("estimate", "x,y\n0.5,1.0\n",
      "a variance needs at least 2 observations, got 1"),
-    ("spec-test", "x,y\n0.5,1.0\n", "block size must satisfy 2 <= b <= n, got 1"),
+    ("spec-test", "x,y\n0.5,1.0\n", "block size must satisfy 2 <= b < n, got b = 1, n = 1"),
     ("fit-artfima", "value\n0.5\n", "need at least 32 observations"),
     ("fit-artfima", "".join(f"{float(v)!r}\n" for v in np.linspace(0.0, 1.0, 300) ** 2),
      "the first row 0.0 is data"),
@@ -506,9 +506,9 @@ def test_cli_mc_reruns_from_study_config(tmp_path):
     ({"weight_support": [5, -5]},
      "weight_support must be two values a < b, got [5.0, -5.0]"),
     ({"study_kind": "size", "n": 60, "block_rules": [[0.1, 0.5]]},
-     "block_rules 0.1n^0.5 gives b = 0 at n = 60; need 2 <= b <= n"),
+     "block_rules 0.1n^0.5 gives b = 0 at n = 60; need 2 <= b < n"),
     ({"study_kind": "size", "n": 60, "block_rules": [[1.0, 1.5]]},
-     "block_rules 1n^1.5 gives b = 464 at n = 60; need 2 <= b <= n"),
+     "block_rules 1n^1.5 gives b = 464 at n = 60; need 2 <= b < n"),
     ({"nominal_levels": [0.05, 1.5]}, "nominal_levels must lie in (0, 1), got 1.5"),
     ({"nominal_levels": [0.0]}, "nominal_levels must lie in (0, 1), got 0.0"),
     ({"grid_points": -3}, "grid_points must be >= 1, got -3"),
@@ -618,6 +618,17 @@ def test_cli_ckc_end_to_end(tmp_path, capsys):
     report = json.loads((out / "ckc_report.json").read_text())
     assert report["country"] == "Synthia"
     assert capsys.readouterr().out.count("quadratic") == 6
+
+
+@pytest.mark.parametrize("n, b", [(33, 34), (34, 34), (36, 36)])
+def test_cli_ckc_rejects_a_block_as_long_as_the_sample(tmp_path, capsys, n, b):
+    # the widest block rule, int(6 sqrt(n)), reaches n on these short series
+    data = _write_ckc(tmp_path / "c.csv", n=n)
+    out = tmp_path / "ckc"
+    assert cli_main(["ckc", "--data", str(data), "--out", str(out)]) == 2
+    assert (f"block size must satisfy 2 <= b < n, got b = {b}, n = {n}"
+            in capsys.readouterr().err)
+    assert not (out / "ckc_report.json").exists()
 
 
 def test_cli_validation_exit_codes(tmp_path):

@@ -131,6 +131,23 @@ def test_changed_p_value_and_start_cell_are_counted(dumps, tmp_path):
     assert all(report.startswith("same") for name, report in reports.items() if name != "ckc")
 
 
+def test_statistic_and_block_value_shifts_are_named(dumps, tmp_path):
+    def scale_statistics(data):
+        data["ckc"][next(iter(data["ckc"]))]["p_values"][0]["t_normalized"] *= 1.0 + 1e-12
+        result = next(iter(data["pruned_tiles"].values()))[0]
+        result["by_block"][0] *= 1.0 + 1e-12
+        result["subsample_values"][-1] *= 1.0 + 1e-12
+
+    code, reports = _compare(dumps["spec"],
+                             _edited_copy(dumps["spec"], tmp_path, scale_statistics))
+    assert code == 1
+    for section, key in [("ckc", "t_normalized"), ("pruned_tiles", "by_block"),
+                         ("pruned_tiles", "subsample_values")]:
+        rel = float(re.search(rf"{key}: largest shift \S+ abs, (\S+) rel",
+                              reports[section]).group(1))
+        assert 0.0 < rel < 1e-11
+
+
 @pytest.mark.parametrize("argv", [[], ["compare", "a.json"], ["dump", "size", "out.json"]])
 def test_usage_errors_exit_2(argv):
     run = subprocess.run([sys.executable, SCRIPT, *argv], capture_output=True, text=True,

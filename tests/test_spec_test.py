@@ -82,6 +82,13 @@ _BAD_INPUT = {  # case: (argument, bad value, message)
     "lam_b-zero": ("lam_b", 0.0, r"semi-long memory requires lam_b > 0, got 0.0$"),
     "quad_cells-0": ("quad_cells", 0, r"quad_cells must be >= 2, got 0$"),
     "quad_cells-1": ("quad_cells", 1, r"quad_cells must be >= 2, got 1$"),
+    "quad_cells-fraction": ("quad_cells", 1024.5,
+                            r"quad_cells must be an integer, got 1024.5$"),
+    "quad_cells-float": ("quad_cells", 256.0, r"quad_cells must be an integer, got 256.0$"),
+    "b-fraction": ("b", 22.5, r"block size b must be an integer, got 22.5$"),
+    "b-float": ("b", 22.0, r"block size b must be an integer, got 22.0$"),
+    "b-1": ("b", 1, r"block size must satisfy 2 <= b <=? n, got b = 1, n = 40$"),
+    "b-above-n": ("b", 41, r"block size must satisfy 2 <= b <=? n, got b = 41, n = 40$"),
 }
 
 
@@ -90,7 +97,7 @@ def test_spec_test_rejects_nonfinite_input(case):
     # every entry point that takes the bad argument names it in a ValueError
     name, value, match = _BAD_INPUT[case]
     x, y = _draw(40, seed=14)
-    v = dict(h=0.5, h_b=0.5, d=0.1, lam=0.4, lam_b=0.4, quad_cells=256)
+    v = dict(h=0.5, h_b=0.5, d=0.1, lam=0.4, lam_b=0.4, quad_cells=256, b=10)
     if name in ("x", "y"):
         (x if name == "x" else y)[7] = value
     else:
@@ -100,12 +107,12 @@ def test_spec_test_rejects_nonfinite_input(case):
         ("x", "y"): lambda: nls_fit(fam, x, y),
         ("x", "y", "h", "quad_cells"): lambda: t_statistic(
             x, y, fam, [0.0, 1.0], v["h"], GAUSSIAN, w, v["quad_cells"]),
-        ("x", "y", "h_b", "d", "lam_b", "quad_cells"): lambda: subsample_statistics(
-            x, y, fam, 10, v["h_b"], v["lam_b"], v["d"], "slm", GAUSSIAN, w,
+        ("x", "y", "h_b", "d", "lam_b", "quad_cells", "b"): lambda: subsample_statistics(
+            x, y, fam, v["b"], v["h_b"], v["lam_b"], v["d"], "slm", GAUSSIAN, w,
             v["quad_cells"]),
         ("x", "y", *v): lambda: run_spec_test(
             x, y, fam, v["h"], GAUSSIAN, w, memory_kind="slm", d=v["d"],
-            lam=v["lam"], blocks=[(10, v["h_b"], v["lam_b"])],
+            lam=v["lam"], blocks=[(v["b"], v["h_b"], v["lam_b"])],
             quad_cells=v["quad_cells"]),
     }
     for takes, call in calls.items():
@@ -134,6 +141,31 @@ def test_spec_test_rejects_memory_the_simulator_rejects(kind, d, lam, match):
                       quad_cells=256)
     with pytest.raises(ValueError, match=match):
         TemperedProcessSpec(d=d, lam=lam, n=40, memory_kind=kind)
+
+
+def test_block_size_and_quad_cells_accept_numpy_integers():
+    x, y = _draw(40, seed=14)
+    fam, w = linear_family(), uniform_weight()
+    expect = subsample_statistics(x, y, fam, 10, 0.5, 0.4, 0.1, "slm", GAUSSIAN, w, 256)
+    got = subsample_statistics(x, y, fam, np.int64(10), 0.5, 0.4, 0.1, "slm", GAUSSIAN,
+                               w, np.int32(256))
+    assert np.array_equal(got, expect)
+    (res,) = run_spec_test(x, y, fam, 0.5, GAUSSIAN, w, memory_kind="slm", d=0.1, lam=0.4,
+                           blocks=[(np.int64(10), 0.5, 0.4)], quad_cells=np.int64(256))
+    assert np.array_equal(res.subsample_values, expect)
+
+
+def test_p_value_needs_a_block_shorter_than_the_sample():
+    # b = n is one block, the whole sample: subsample_statistics computes it,
+    # but a p-value from it would compare the statistic with itself
+    x, y = _draw(40, seed=14)
+    assert subsample_statistics(x, y, linear_family(), 40, 0.5, 0.4, 0.1, "slm",
+                                GAUSSIAN, uniform_weight(), 256).shape == (1,)
+    with pytest.raises(ValueError, match=r"^block size must satisfy 2 <= b < n, "
+                                         r"got b = 40, n = 40$"):
+        run_spec_test(x, y, linear_family(), 0.5, GAUSSIAN, uniform_weight(),
+                      memory_kind="slm", d=0.1, lam=0.4,
+                      blocks=[(10, 0.5, 0.4), (40, 0.5, 0.4)], quad_cells=256)
 
 
 def test_spec_test_rejects_unequal_lengths():
@@ -370,34 +402,35 @@ def test_monotone_p_value():
 # These two functions take the statistic's node sums over the whole
 # (quad_cells x n) kernel matrix.  The library takes them in row tiles of the
 # nodes and must equal this form bit for bit: the same elementwise products,
-# the same cumulative sums along the observations and the same pairwise sum
-# over the nodes.
+# the same cumulative sums along the observations and, per tile of
+# _TILE_FLOATS // n nodes, the same sum of squares, added tile by tile.
 
-def _untiled_t_statistic(x, y, family, theta, h, kernel, weight, quad_cells):
-    r = family.residuals(x, y, np.asarray(theta, dtype=float))
+def _untiled_blocks(x, cols, theta, b, h, kernel, weight, quad_cells):
+    """Raw statistics of every length-b block, with s = cols[0] -
+    sum_j theta[t, j] cols[1 + j] the summand of block t."""
+    n = x.shape[0]
+    nb = n - b + 1
     nodes, dx = _quad_nodes(integration_domain(x, h, weight), quad_cells)
     K = kernel((x[None, :] - nodes[:, None]) / h)
-    S = np.einsum("ij,j->i", K, r)
-    return float(np.sum(S * S) * dx)
+    C = np.concatenate([np.zeros((cols.shape[0], quad_cells, 1)),
+                        np.cumsum(K[None] * cols[:, None, :], axis=2)], axis=2)
+    S = (C[0, :, b:] - C[0, :, :nb]).T  # (block, node)
+    for j in range(theta.shape[1]):
+        S -= theta[:, j, None] * (C[1 + j, :, b:] - C[1 + j, :, :nb]).T
+    step = max(1, _TILE_FLOATS // n)
+    total = np.zeros(nb)
+    for lo in range(0, quad_cells, step):
+        tile = np.ascontiguousarray(S[:, lo:lo + step])
+        total += np.einsum("ij,ij->i", tile, tile)
+    return total * dx
 
 
 def _untiled_subsample(x, y, family, b, h_b, lam_b, d, kind, kernel, weight,
                        quad_cells):
-    n = x.shape[0]
-    nb = n - b + 1
-    nodes, dx = _quad_nodes(integration_domain(x, h_b, weight), quad_cells)
+    nb = x.shape[0] - b + 1
     theta, valid, u = _sliding_theta(x, y, family, b)
-    K = kernel((x[None, :] - nodes[:, None]) / h_b)
-    csum2 = lambda M: np.concatenate(
-        [np.zeros((M.shape[0], 1)), np.cumsum(M, axis=1)], axis=1)
-    Cy = csum2(K * y[None, :])
-    Cb = [csum2(K * (u ** j)[None, :]) for j in range(family.dim)]
-    t = np.arange(nb)
-    S = Cy[:, t + b] - Cy[:, t]
-    for j in range(family.dim):
-        S -= theta[:, j][None, :] * (Cb[j][:, t + b] - Cb[j][:, t])
-    raw = np.sum(S * S, axis=0) * dx
-    raw = raw[valid]
+    cols = np.stack([y] + [u ** j for j in range(family.dim)])
+    raw = _untiled_blocks(x, cols, theta, b, h_b, kernel, weight, quad_cells)[valid]
     skipped = int(nb - valid.sum())
     if skipped > 0.05 * nb:
         raise SubsamplingError(f"{skipped} of {nb} block fits failed")
@@ -410,9 +443,11 @@ def _assert_tiled_equals_untiled(x, y, family, kernel, weight, quad_cells, block
     n = x.shape[0]
     h = n ** -0.2
     theta = nls_fit(family, x, y)
+    # the full statistic is the one length-n block of the residual column
+    r = family.residuals(x, y, theta)
     assert (t_statistic(x, y, family, theta, h, kernel, weight, quad_cells)
-            == _untiled_t_statistic(x, y, family, theta, h, kernel, weight,
-                                    quad_cells))
+            == _untiled_blocks(x, r[None], np.empty((1, 0)), n, h, kernel, weight,
+                               quad_cells)[0])
     for b in blocks:
         args = (x, y, family, b, b ** -0.2, b ** -0.2, 0.1, "slm", kernel, weight,
                 quad_cells)
@@ -514,7 +549,7 @@ def test_tiled_statistic_equals_untiled_on_a_gappy_path(family, kernel):
     x -= 40.0
     h = 300 ** -0.2
     nodes = _quad_nodes(integration_domain(x, h, uniform_weight()), 1024)[0]
-    assert any(keep.size == 0 for _, keep, _ in _node_tiles(x, h, kernel, nodes))
+    assert any(keep.size == 0 for keep, _ in _node_tiles(x, h, kernel, nodes))
     _assert_tiled_equals_untiled(x, y, family, kernel, uniform_weight(), 1024,
                                  [family.dim + 1, 40, 300])
 
@@ -564,14 +599,16 @@ def _traced_peak(fn):
 
 def test_statistic_working_memory():
     # n = 500, b = 22 and 1024 cells, as in the size study: the untiled form
-    # peaked at 32.1 MB (blocks) and 13.0 MB (full statistic)
+    # peaked at 32.1 MB (blocks) and 13.0 MB (full statistic), and a tiled
+    # form that kept every block's squared node sums until the end at 5.2 MB
+    # (blocks); summed tile by tile, they peak at 1.3 and 1.2 MB
     x, y = _walk(500, seed=14)
     fam = linear_family()
     theta = nls_fit(fam, x, y)
     h, h_b = 500 ** -0.2, 22 ** -0.2
     peak = _traced_peak(lambda: subsample_statistics(
         x, y, fam, 22, h_b, h_b, 0.1, "slm", GAUSSIAN, uniform_weight(), 1024))
-    assert peak < 10e6
+    assert peak < 2.5e6
     peak = _traced_peak(lambda: t_statistic(
         x, y, fam, theta, h, GAUSSIAN, uniform_weight(), 1024))
     assert peak < 3e6
