@@ -7,9 +7,8 @@ keeps the paths on a common scale.
 
 import numpy as np
 
-from slmcoint import (TemperedProcessSpec, NoiseConfig, frac_coeffs,
-                      tempered_coeffs, simulate_model, scale_dn,
-                      regression_function_sine)
+from slmcoint import (TemperedProcessSpec, NoiseConfig, tempered_coeffs,
+                      simulate_model, scale_dn, regression_function_sine)
 
 
 def main():
@@ -18,7 +17,7 @@ def main():
     print("=" * 70)
     d = 0.3
     lags = np.array([0, 1, 2, 5, 10, 50, 200])
-    b = frac_coeffs(d, 200)
+    b = tempered_coeffs(d, 0.0, 200)
     phi = tempered_coeffs(d, 0.05, 200)
     print(f"d = {d}: hyperbolic weights b(j) vs tempered e^(-0.05 j) b(j)")
     for j in lags:

@@ -5,7 +5,7 @@ misspecified parametric family.
 import numpy as np
 
 from slmcoint import (TemperedProcessSpec, NoiseConfig, simulate_model, BlockRule,
-                      run_spec_test, linear_family, uniform_weight, GAUSSIAN)
+                      run_spec_test, uniform_weight, GAUSSIAN)
 
 
 def run_case(title, y_builder, n=500, seed=3):
@@ -18,7 +18,7 @@ def run_case(title, y_builder, n=500, seed=3):
     # b = [c sqrt(n)] for c = 2 and 4, with the rules n^a mapped to b^a
     sizes = [BlockRule(c).size(n) for c in (2.0, 4.0)]
     results = run_spec_test(
-        path.x, y, linear_family(), h=n ** -0.2,
+        path.x, y, "linear", h=n ** -0.2,
         kernel=GAUSSIAN, weight=uniform_weight(-100, 100),
         memory_kind="slm", d=0.1, lam=n ** -0.2,
         blocks=[(b, b ** -0.2, b ** -0.2) for b in sizes])

@@ -11,19 +11,17 @@ for estimation, coverage, and test-size studies.
 __version__ = "0.1.0"
 
 from .processes import (
-    MemoryKind, TemperedProcessSpec, NoiseConfig, frac_coeffs, tempered_coeffs,
+    MemoryKind, TemperedProcessSpec, NoiseConfig, tempered_coeffs,
     simulate_innovations, simulate_regressor, simulate_error_ar1,
     regression_function_sine, sine_series_interpolator, simulate_model,
     scale_dn, innovation_length,
 )
 from .kernel_regression import (
-    EPANECHNIKOV, GAUSSIAN, get_kernel, nw_estimate, fitted_values,
-    kernel_estimate,
+    EPANECHNIKOV, GAUSSIAN, get_kernel, fitted_values, kernel_estimate,
 )
 from .spec_test import (
-    SubsamplingError, linear_family, quadratic_family, get_family,
-    uniform_weight, nls_fit, t_statistic, normalized_statistic,
-    subsample_statistics, subsample_quantile, run_spec_test,
+    SubsamplingError, get_family, uniform_weight, nls_fit, t_statistic,
+    normalized_statistic, subsample_statistics, subsample_quantile, run_spec_test,
 )
 from .whittle import (
     periodogram, whittle_objective, profile_sigma2,

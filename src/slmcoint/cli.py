@@ -66,6 +66,15 @@ def _weight_support(text):
     raise argparse.ArgumentTypeError(f"expected two numbers a,b with a < b, got {text!r}")
 
 
+def _presample(text):
+    """--presample full, or a count of pre-sample lags."""
+    if text.isdecimal():
+        return int(text)
+    if text == "full":
+        return text
+    raise argparse.ArgumentTypeError(f"expected 'full' or a count >= 0, got {text!r}")
+
+
 def _attach_weight_support(argv):
     """``--weight-support a,b`` as ``--weight-support=a,b``: argparse reads a
     separate value such as -50,50, which starts with '-' and is not a plain
@@ -201,7 +210,7 @@ def build_parser():
     p.add_argument("--sigma", type=float, default=0.2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--burn-in", type=int, default=1000)
-    p.add_argument("--presample", default="full")
+    p.add_argument("--presample", type=_presample, default="full")
     p.add_argument("--f-terms", type=int, default=1000)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)

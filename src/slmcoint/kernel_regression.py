@@ -209,12 +209,6 @@ def _normal_quantile(alpha):
     return abs(NormalDist().inv_cdf(alpha / 2.0))
 
 
-def nw_estimate(x, y, grid, h, kernel=EPANECHNIKOV):
-    """Nadaraya-Watson estimate on a grid: ``kernel_estimate`` without the
-    variance (``sigma2hat`` is None)."""
-    return kernel_estimate(x, y, grid, h, kernel, variance=None)
-
-
 def fitted_values(x, y, h, kernel=EPANECHNIKOV):
     """Leave-in NW fitted values at the observations of one path x, of
     shape (n,), or (k, n) for a 1-D vector of k bandwidths.

@@ -22,8 +22,7 @@ from .processes import (MemoryKind, TemperedProcessSpec, NoiseConfig,
                         simulate_innovations, simulate_regressor,
                         simulate_error_ar1, sine_series_interpolator,
                         innovation_length, _check_memory, _check_simulated_d)
-from .kernel_regression import (get_kernel, nw_estimate, kernel_estimate,
-                                _check_count, _reach_mask)
+from .kernel_regression import get_kernel, kernel_estimate, _check_count, _reach_mask
 from .spec_test import DEFAULT_WEIGHT_SUPPORT, run_spec_test, uniform_weight
 
 SLM_RULES = {"SLM1": -1.0 / 3.0, "SLM2": -0.25, "SLM3": -0.2, "SLM4": -1.0 / 6.0}
@@ -54,16 +53,12 @@ def _number(field, value):
 
 
 def parse_exponent(value):
-    """Exponent a of a power rule n^a, from a number or strings like
-    'n^-1/3', '1/sqrt(n)', '1/n'."""
+    """Exponent a of a power rule n^a, from a number or a string like
+    'n^-1/3' or 'n^-0.2'."""
     if isinstance(value, (int, float)):
         exponent = float(value)
     else:
         s = str(value).strip().lower().replace(" ", "")
-        if s in ("1/sqrt(n)", "n^-1/2"):
-            return -0.5
-        if s == "1/n":
-            return -1.0
         if not s.startswith("n^"):
             raise ValueError(f"cannot parse power rule {value!r}")
         num, slash, den = s[2:].strip("{}").partition("/")
@@ -191,6 +186,8 @@ class StudyConfig:
             raise ValueError(f"kernel: {exc}") from None
         for name in ("d_values", "eval_points", "nominal_levels", "weight_support"):
             object.__setattr__(self, name, tuple(_number(name, v) for v in getattr(self, name)))
+        for name in ("rho", "psi", "sigma"):
+            object.__setattr__(self, name, _number(name, getattr(self, name)))
         object.__setattr__(self, "memory_settings", tuple(
             ms if isinstance(ms, MemorySetting) else MemorySetting.from_dict(ms)
             for ms in self.memory_settings))
@@ -233,7 +230,10 @@ class StudyConfig:
                 if printed[i] in printed[:i]:
                     raise ValueError(f"{name} {keys[printed.index(printed[i])]!r} and "
                                      f"{key!r} both print as {printed[i]} in output file names")
-        self.settings_grid()
+        # a bad noise parameter or presample fails here, not in a study's
+        # first chunk, which may run in a forked worker
+        self.noise()
+        self.specs()
 
     def to_dict(self):
         out = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -275,10 +275,17 @@ class StudyConfig:
                 out.append((ms, d))
         return out
 
-    def spec_for(self, setting, d):
-        return TemperedProcessSpec(
-            d=d, lam=setting.lam(self.n), n=self.n, memory_kind=setting.kind,
-            burn_in=self.burn_in, presample=self.presample)
+    def specs(self):
+        """The ``TemperedProcessSpec`` of every (setting, d) of
+        ``settings_grid()``, in its order."""
+        return [TemperedProcessSpec(d=d, lam=ms.lam(self.n), n=self.n, memory_kind=ms.kind,
+                                    burn_in=self.burn_in, presample=self.presample)
+                for ms, d in self.settings_grid()]
+
+    def noise(self):
+        """The ``NoiseConfig`` that every replication draws from."""
+        return NoiseConfig(rho=self.rho, psi=self.psi, sigma=self.sigma,
+                           seed=self.master_seed)
 
 
 @dataclass
@@ -309,19 +316,18 @@ def _paths(config, lo, hi):
     (setting, d) of ``settings_grid()``, shape (settings, n), and u is the
     error they share.  Replication r draws its innovations once, from a
     generator seeded by (master_seed, r)."""
-    grid = config.settings_grid()
-    if not grid:
+    specs = config.specs()
+    if not specs:
         return
-    noise = NoiseConfig(rho=config.rho, psi=config.psi, sigma=config.sigma,
-                        seed=config.master_seed)
-    length = innovation_length(config.spec_for(*grid[0]))
+    noise = config.noise()
+    length = innovation_length(specs[0])
     for rep in range(lo, hi):
         rng = np.random.default_rng([config.master_seed, rep])
         xi, eps = simulate_innovations(length, noise, rng=rng)
         u = simulate_error_ar1(eps, config.psi, n_keep=config.n)
         # the whole stack is built first: the estimation and coverage
         # studies fit all of a replication's paths in one kernel pass
-        x = np.stack([simulate_regressor(config.spec_for(ms, d), xi) for ms, d in grid])
+        x = np.stack([simulate_regressor(spec, xi) for spec in specs])
         yield x, u
 
 
@@ -390,8 +396,8 @@ def _estimation_chunk(args):
     # (setting, bandwidth, statistic, point); cells follow _cell_keys order
     acc = np.zeros((len(config.settings_grid()), h.size, 5, config.grid_points))
     for x, u in _paths(config, lo, hi):
-        est = nw_estimate(x, _response(x, u, f, grid, h, kernel, config.sigma),
-                          grid, h, kernel)
+        est = kernel_estimate(x, _response(x, u, f, grid, h, kernel, config.sigma),
+                              grid, h, kernel, variance=None)
         ok = est.defined & (est.window_count >= _MIN_WINDOW_COUNT)
         e = np.where(ok, est.fhat - ftrue, 0.0)
         acc[:, :, 0] += ok

@@ -102,38 +102,26 @@ def fftconvolve(a, b, b_spectrum=None):
     return np.fft.irfft(np.fft.rfft(a, size) * b_spectrum, size)[:n]
 
 
-def frac_coeffs(d, n_lags):
-    """Fractional MA coefficients b_d(j) = Gamma(j+d) / (Gamma(d) Gamma(j+1)),
-    the binomial expansion of (1-z)^{-d}.
-
-    Computed by the stable recursion b(0) = 1, b(j) = b(j-1) * (j-1+d) / j,
-    which avoids Gamma overflow and is defined for every real d.  For d = 0
-    the result is the delta sequence; d = 1 gives the all-ones (cumulative
-    sum) filter; a negative integer d = -m gives the m + 1 coefficients of
-    the polynomial (1-z)^m followed by zeros.
-
-    Parameters
-    ----------
-    d : float
-        Fractional differencing parameter.
-    n_lags : int
-        Highest lag J; the returned array has length J + 1.
+def tempered_coeffs(d, lam, n_lags):
+    """Exponentially tempered fractional coefficients phi(j) = e^{-lam*j} b_d(j)
+    for j = 0..n_lags and lam >= 0; lam = 0 gives b_d(j) itself (each factor
+    is exactly 1.0).  b_d(j) = Gamma(j+d) / (Gamma(d) Gamma(j+1)), the
+    binomial expansion of (1-z)^{-d}, is computed by the stable recursion
+    b(0) = 1, b(j) = b(j-1) * (j-1+d) / j, which avoids Gamma overflow and
+    is defined for every real d.  For d = 0 the result is the delta
+    sequence; d = 1 gives the all-ones (cumulative sum) filter; a negative
+    integer d = -m gives the m + 1 coefficients of the polynomial (1-z)^m
+    followed by zeros.
     """
+    if lam < 0:
+        raise ValueError("lam must be >= 0")
     if n_lags < 0:
         raise ValueError("n_lags must be >= 0")
     out = np.empty(n_lags + 1)
     out[0] = 1.0
     j = np.arange(1, n_lags + 1)
     out[1:] = np.cumprod((j - 1.0 + float(d)) / j)
-    return out
-
-
-def tempered_coeffs(d, lam, n_lags):
-    """Exponentially tempered fractional coefficients phi(j) = e^{-lam*j} b_d(j);
-    lam = 0 gives b_d(j) itself (each factor is exactly 1.0)."""
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
-    return frac_coeffs(d, n_lags) * np.exp(-lam * np.arange(n_lags + 1))
+    return out * np.exp(-lam * np.arange(n_lags + 1))
 
 
 def _tempered_lag_cap(lam, limit):
@@ -178,11 +166,12 @@ class TemperedProcessSpec:
         _check_simulated_d(kind, self.d, "d")
         object.__setattr__(self, "truncation",
                            _tempered_lag_cap(self.lam, self.n + self.burn_in))
-        if self.presample != "full":
-            p = int(self.presample)
-            if p < 0:
-                raise ValueError("presample must be 'full' or a count >= 0")
-            object.__setattr__(self, "presample", p)
+        p = self.presample
+        if p != "full":
+            if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p < 0:
+                raise ValueError(f"presample must be 'full' or an integer count >= 0, "
+                                 f"got {p!r}")
+            object.__setattr__(self, "presample", int(p))
 
     @property
     def history_lags(self):

@@ -53,16 +53,6 @@ class ParametricFamily:
                 - np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), theta))
 
 
-def linear_family():
-    """g(x, theta) = theta0 + theta1 * x."""
-    return ParametricFamily("linear", 1)
-
-
-def quadratic_family():
-    """g(x, theta) = theta0 + theta1 * x + theta2 * x^2."""
-    return ParametricFamily("quadratic", 2)
-
-
 def get_family(name):
     if isinstance(name, ParametricFamily):
         return name

@@ -79,7 +79,7 @@ def _cells(v):
     return v[..., None] if v.ndim else v[()]
 
 
-def whittle_objective(d, lam, freqs, pgram, *, log_mod2=None):
+def whittle_objective(d, lam, freqs, pgram):
     """Profile-sigma^2 Whittle objective,
 
     W(d, lam) = ln( mean_j I_j / g_j ) + mean_j ln g_j
@@ -88,11 +88,9 @@ def whittle_objective(d, lam, freqs, pgram, *, log_mod2=None):
     with m_j = |1 - e^{-(lam+i w_j)}|^2 and g_j = m_j^{-d}, and inf where the
     mean ratio is not finite and > 0.  d and lam broadcast to cells, each
     computed by the same elementwise operations as a scalar call, which
-    returns a float.  ``log_mod2``, ln m at lam with a trailing frequency
-    axis, stands in for lam without changing a value.
+    returns a float.
     """
-    if log_mod2 is None:
-        log_mod2 = _log_mod2(_cells(lam), _sin2_half(freqs))
+    log_mod2 = _log_mod2(_cells(lam), _sin2_half(freqs))
     ratio = np.multiply(_cells(d), log_mod2)
     ratio = np.mean(np.multiply(pgram, np.exp(ratio, out=ratio), out=ratio), axis=-1)
     ok = np.isfinite(ratio) & (ratio > 0)
@@ -178,9 +176,9 @@ def _profile_d(weights, log_mod2, d, bounds):
     return d, value, shares, passes
 
 
-def minimize(freqs, pgram, sin2_half, lam_grid, log_mod2, bounds):
+def minimize(freqs, pgram, lam_grid, bounds):
     """Minimize the objective over ``bounds`` (d's range, and lam's if lam
-    is free) from the lam rows of ``log_mod2``, each profiled in d from the
+    is free) from the ln m rows of ``lam_grid``, each profiled in d from the
     middle of d's range (``_profile_d``).  The least profile P stands unless
     lam is free and dP/d ln lam, by the envelope theorem lam d (sum_j a_j
     l'_j / S_0 - mean_j l'_j) with l' = d ln m / d lam = -2 e^{-lam}
@@ -192,11 +190,13 @@ def minimize(freqs, pgram, sin2_half, lam_grid, log_mod2, bounds):
     ``fun`` (by a scalar objective call) and ``nit``, the number of Newton
     passes.
     """
+    sin2_half = _sin2_half(freqs)
+    log_mod2 = _log_mod2(_cells(lam_grid), sin2_half)
     weights = pgram / np.mean(pgram)
     start = 0.5 * (bounds[0][0] + bounds[0][1])
     d, profile, shares, nit = _profile_d(weights, log_mod2, [start] * len(lam_grid), bounds[0])
     j = int(np.argmin(profile))
-    d_hat, lam_hat, row = d[j], lam_grid[j], log_mod2[j]
+    d_hat, lam_hat = d[j], lam_grid[j]
 
     def slope(lam, d, shares):
         tempered, shrink = np.exp(-lam), np.expm1(-lam)
@@ -214,9 +214,9 @@ def minimize(freqs, pgram, sin2_half, lam_grid, log_mod2, bounds):
         z2 = math.sqrt(z1 * z1 - f0 * f1)
         u, side = u1 - (u1 - u0) * (f1 + z2 - z1) / (f1 - f0 + 2.0 * z2), 0
         while True:
-            row_u = _log_mod2(math.exp(u), sin2_half)
             (d_u,), (p_u,), (shares_u,), passes = _profile_d(
-                weights, row_u[None], [d0 + (u - u0) / (u1 - u0) * (d1 - d0)], bounds[0])
+                weights, _log_mod2(math.exp(u), sin2_half)[None],
+                [d0 + (u - u0) / (u1 - u0) * (d1 - d0)], bounds[0])
             nit += passes
             f = slope(math.exp(u), d_u, shares_u)
             if f > 0:  # Illinois: halve the end that stays twice running
@@ -227,9 +227,9 @@ def minimize(freqs, pgram, sin2_half, lam_grid, log_mod2, bounds):
                 break
             u = (u0 * f1 - u1 * f0) / (f1 - f0)
         if p_u <= profile[j]:
-            d_hat, lam_hat, row = d_u, math.exp(u), row_u
+            d_hat, lam_hat = d_u, math.exp(u)
     return SimpleNamespace(x=np.array([d_hat, lam_hat]), nit=nit,
-                           fun=whittle_objective(d_hat, lam_hat, freqs, pgram, log_mod2=row))
+                           fun=whittle_objective(d_hat, lam_hat, freqs, pgram))
 
 
 def _fit(series, model, lam_grid, bounds):
@@ -245,9 +245,7 @@ def _fit(series, model, lam_grid, bounds):
     if not np.any(pgram > 0):
         raise ValueError("the series has no power at any Fourier frequency "
                          "2 pi j / n, j = 1..floor((n-1)/2)")
-    sin2_half = _sin2_half(freqs)
-    res = minimize(freqs, pgram, sin2_half, lam_grid, _log_mod2(_cells(lam_grid), sin2_half),
-                   bounds)
+    res = minimize(freqs, pgram, lam_grid, bounds)
     d_hat, lam_hat = [float(v) for v in res.x]
     boundary = any(min(v - lo, hi - v) < 1e-4 for v, (lo, hi) in zip((d_hat, lam_hat), bounds))
     resid = one_step_residuals(z, d_hat, lam_hat)

@@ -259,7 +259,7 @@ def test_size_oracle_pair_integrals_match_quadrature():
 def test_criterion_4_quadrature_oracle():
     rng = np.random.default_rng(20250808)
     worst = 0.0
-    fam = sl.linear_family()
+    fam = "linear"
     w = sl.uniform_weight()
     for _ in range(50):
         n = int(rng.integers(20, 51))
@@ -313,7 +313,7 @@ def test_criterion_5_coefficients_and_moments():
     worst = 0.0
     for d in (0.1, 0.3, 0.45, 1.0):
         j = np.arange(0, 10001)
-        got = sl.frac_coeffs(d, 10000)
+        got = sl.tempered_coeffs(d, 0.0, 10000)
         expect = np.exp(gammaln(j + d) - gammaln(d) - gammaln(j + 1.0))
         worst = max(worst, float(np.max(np.abs(got / expect - 1.0))))
     stable = True
@@ -388,11 +388,11 @@ def test_criterion_7_determinism_across_thread_counts():
     p2 = sl.simulate_model(spec, noise)
     sim_ok = np.array_equal(p1.y, p2.y)
 
-    (r1,) = sl.run_spec_test(p1.x, p1.x + 0.2 * p1.u, sl.linear_family(),
+    (r1,) = sl.run_spec_test(p1.x, p1.x + 0.2 * p1.u, "linear",
                              150 ** H5, sl.GAUSSIAN, sl.uniform_weight(),
                              "slm", d=0.1, lam=150 ** H5,
                              blocks=[(24, 24 ** H5, 24 ** H5)], quad_cells=512)
-    (r2,) = sl.run_spec_test(p2.x, p2.x + 0.2 * p2.u, sl.linear_family(),
+    (r2,) = sl.run_spec_test(p2.x, p2.x + 0.2 * p2.u, "linear",
                              150 ** H5, sl.GAUSSIAN, sl.uniform_weight(),
                              "slm", d=0.1, lam=150 ** H5,
                              blocks=[(24, 24 ** H5, 24 ** H5)], quad_cells=512)

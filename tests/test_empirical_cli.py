@@ -553,6 +553,9 @@ def test_cli_mc_reruns_from_study_config(tmp_path):
     ({"memory_settings": ["lm", "SLM3"], "d_values": [0.1, float("nan")]},
      "d_values must be finite, got [0.1, nan]"),
     ({"d_values": [float("inf")]}, "d_values must be finite, got [inf]"),
+    # these two ended in a TypeError traceback and exit 1
+    ({"presample": None}, "presample must be 'full' or an integer count >= 0, got None"),
+    ({"rho": "x"}, "rho must hold numbers, got 'x'"),
 ])
 def test_cli_mc_rejects_bad_config(tmp_path, capsys, change, message):
     cfg = {

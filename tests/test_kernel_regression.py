@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from slmcoint import (EPANECHNIKOV, GAUSSIAN, nw_estimate, fitted_values,
+from slmcoint import (EPANECHNIKOV, GAUSSIAN, fitted_values,
                       kernel_estimate, get_kernel,
                       TemperedProcessSpec, NoiseConfig, simulate_model,
                       sine_series_interpolator)
@@ -354,7 +354,7 @@ def test_kernel_sums_rejects_bad_input(bad, match):
 def test_nw_rejects_nan_pair():
     # a NaN regressor value is an error, not a silently dropped pair
     with pytest.raises(ValueError, match="non-finite"):
-        nw_estimate([0.0, 1.0, np.nan], [1.0, 2.0, 3.0], [0.5], 0.8)
+        kernel_estimate([0.0, 1.0, np.nan], [1.0, 2.0, 3.0], [0.5], 0.8, variance=None)
 
 
 # -------------------------------------------------------------- estimation
@@ -362,14 +362,14 @@ def test_nw_rejects_nan_pair():
 def test_nw_constant_response():
     rng = np.random.default_rng(0)
     x = rng.uniform(0, 1, 50)
-    est = nw_estimate(x, np.full(50, 3.25), np.linspace(0, 1, 11), 0.2)
+    est = kernel_estimate(x, np.full(50, 3.25), np.linspace(0, 1, 11), 0.2, variance=None)
     ok = est.defined
     assert np.any(ok)
     assert_allclose(est.fhat[ok], 3.25, atol=1e-12)
 
 
 def test_nw_single_observation():
-    est = nw_estimate(np.array([0.0]), np.array([5.0]), np.array([0.0]), 0.5)
+    est = kernel_estimate(np.array([0.0]), np.array([5.0]), np.array([0.0]), 0.5, variance=None)
     assert est.fhat[0] == pytest.approx(5.0)
 
 
@@ -394,7 +394,7 @@ def test_nw_matches_double_loop(kernel):
     x = np.cumsum(rng.standard_normal(100))
     y = np.sin(x) + 0.1 * rng.standard_normal(100)
     grid = np.linspace(x.min(), x.max(), 7)
-    est = nw_estimate(x, y, grid, 0.8, kernel)
+    est = kernel_estimate(x, y, grid, 0.8, kernel, variance=None)
     fhat, mass = _nw_oracle(x, y, grid, 0.8, kernel)
     assert_allclose(est.fhat, fhat, atol=1e-12)
     assert_allclose(est.local_mass, mass, atol=1e-12)
@@ -416,15 +416,15 @@ def test_nw_location_shift():
     x = rng.uniform(0, 1, 80)
     y = rng.standard_normal(80)
     grid = np.linspace(0, 1, 13)
-    a = nw_estimate(x, y, grid, 0.15)
-    b = nw_estimate(x, y + 4.5, grid, 0.15)
+    a = kernel_estimate(x, y, grid, 0.15, variance=None)
+    b = kernel_estimate(x, y + 4.5, grid, 0.15, variance=None)
     ok = a.defined
     assert_allclose(b.fhat[ok] - a.fhat[ok], 4.5, atol=1e-12)
 
 
 def test_nw_undefined_points_flagged():
     x = np.array([0.0, 0.1])
-    est = nw_estimate(x, np.array([1.0, 2.0]), np.array([0.05, 50.0]), 0.1)
+    est = kernel_estimate(x, np.array([1.0, 2.0]), np.array([0.05, 50.0]), 0.1, variance=None)
     assert est.defined[0] and not est.defined[1]
     assert np.isnan(est.fhat[1])
 
@@ -438,7 +438,8 @@ def test_gaussian_fit_undefined_at_subnormal_mass():
     assert est.defined.tolist() == [True, False]
     assert np.isnan(est.fhat[1]) and np.isnan(est.sigma2hat[1])
     assert np.isnan(est.half_width[1])
-    assert np.isnan(nw_estimate([0.0, 0.5], [1.0, 3.0], [38.6], 1.0, GAUSSIAN).fhat[0])
+    assert np.isnan(kernel_estimate([0.0, 0.5], [1.0, 3.0], [38.6], 1.0, GAUSSIAN,
+                                    variance=None).fhat[0])
 
 
 # ------------------------------------------------------- residual variance
@@ -505,7 +506,7 @@ def test_ci_halfwidth_formula():
     at = 0.5
     est = kernel_estimate(x, y, at, h, alpha=0.05)
     lo, hi = est.ci_lo[0], est.ci_hi[0]
-    fhat = nw_estimate(x, y, np.array([at]), h)
+    fhat = kernel_estimate(x, y, np.array([at]), h, variance=None)
     fd = fitted_values(x, y, h)
     w = [float(EPANECHNIKOV((x[k] - at) / h)) for k in range(100)]
     s2 = sum(w[k] * (y[k] - fd[k]) ** 2 for k in range(100)) / sum(w)
@@ -580,7 +581,7 @@ def test_kernel_estimate_rejects_alpha_without_variance():
     with pytest.raises(ValueError, match=r"alpha=5\.0 asks for a band, which "
                                          r"variance=None does not give"):
         kernel_estimate(x, x, [0.5], 0.3, alpha=5.0, variance=None)
-    assert nw_estimate(x, x, [0.5], 0.3).sigma2hat is None
+    assert kernel_estimate(x, x, [0.5], 0.3, variance=None).sigma2hat is None
 
 
 _samples = st.integers(1, 40).flatmap(lambda n: st.tuples(
@@ -596,8 +597,8 @@ def test_nw_invariant_to_permuting_pairs(sample, seed, h, kernel):
     x, y = (np.array(v) for v in sample)
     perm = np.random.default_rng(seed).permutation(x.shape[0])
     grid = np.linspace(-3.0, 3.0, 13)
-    a = nw_estimate(x, y, grid, h, kernel)
-    b = nw_estimate(x[perm], y[perm], grid, h, kernel)
+    a = kernel_estimate(x, y, grid, h, kernel, variance=None)
+    b = kernel_estimate(x[perm], y[perm], grid, h, kernel, variance=None)
     assert np.array_equal(a.window_count, b.window_count)
     assert_allclose(b.local_mass, a.local_mass, rtol=1e-12)
     # tied x are summed in a different order, so allow rounding at the
@@ -625,8 +626,8 @@ def test_fhat_identical_across_variance_modes(sample, h, kernel):
 def test_nw_shift_equivariant(sample, h, c, kernel):
     x, y = (np.array(v) for v in sample)
     grid = np.linspace(-3.0, 3.0, 13)
-    a = nw_estimate(x, y, grid, h, kernel)
-    b = nw_estimate(x, y + c, grid, h, kernel)
+    a = kernel_estimate(x, y, grid, h, kernel, variance=None)
+    b = kernel_estimate(x, y + c, grid, h, kernel, variance=None)
     assert np.array_equal(b.defined, a.defined)
     ok = a.defined  # a mass of at least the smallest normal float
     scale = np.abs(y).max() + abs(c)
@@ -647,7 +648,7 @@ def test_stochastic_consistency_rate():
             noise = NoiseConfig(rho=0.5, psi=0.25, sigma=0.2,
                                 seed=rep * 7919 + n)
             path = simulate_model(spec, noise, f=f)
-            est = nw_estimate(path.x, path.y, grid, n ** (-1.0 / 3.0))
+            est = kernel_estimate(path.x, path.y, grid, n ** (-1.0 / 3.0), variance=None)
             ok = est.defined
             if np.any(ok):
                 errs.append(float(np.mean(np.abs(est.fhat[ok] - fg[ok]))))

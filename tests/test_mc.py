@@ -27,11 +27,13 @@ def _tiny(study_kind, **kw):
 
 def test_parse_exponent_forms():
     assert parse_exponent("n^-1/3") == pytest.approx(-1.0 / 3.0)
-    assert parse_exponent("1/sqrt(n)") == -0.5
-    assert parse_exponent("1/n") == -1.0
+    assert parse_exponent("n^-1/2") == -0.5
+    assert parse_exponent("n^-1") == -1.0
     assert parse_exponent(-0.25) == -0.25
-    with pytest.raises(ValueError):
-        parse_exponent("h=0.3")
+    # one spelling per rule: n^a
+    for rule in ("h=0.3", "1/n", "1/sqrt(n)"):
+        with pytest.raises(ValueError, match=r"cannot parse power rule"):
+            parse_exponent(rule)
     with pytest.raises(ValueError, match=r"power rule 'n\^-1/0' divides by zero"):
         parse_exponent("n^-1/0")
     for rule in ("n^inf", "n^1e400", float("nan")):
@@ -109,6 +111,39 @@ def test_config_rejects_values_that_print_alike(field, value, message):
     for kind in ("estimation", "size"):
         with pytest.raises(ValueError, match=message):
             _tiny(kind, **{field: value})
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("psi", 1.5, r"^\|psi\| < 1 required \(stationary AR error\)$"),
+    ("rho", 2, r"^\|rho\| must be <= 1 \(covariance not psd otherwise\)$"),
+    ("sigma", -1, r"^sigma must be >= 0$"),
+    ("rho", float("nan"), r"^noise parameter rho must be finite, got nan$"),
+    ("rho", "x", r"^rho must hold numbers, got 'x'$"),
+    ("presample", -3, r"^presample must be 'full' or an integer count >= 0, got -3$"),
+    ("presample", None, r"^presample must be 'full' or an integer count >= 0, got None$"),
+])
+def test_config_rejects_bad_noise_or_presample(field, value, message):
+    # refused when the config is built, not in the first chunk of a study
+    # (which at threads > 1 runs in a forked worker)
+    for kind in ("estimation", "size"):
+        with pytest.raises(ValueError, match=message):
+            _tiny(kind, **{field: value})
+    config = _tiny("estimation", rho=0, presample="full")
+    assert type(config.rho) is float and config.presample == "full"
+
+
+def test_paths_build_each_spec_once_per_chunk(monkeypatch):
+    config = _tiny("estimation", memory_settings=("lm", "SLM3"), d_values=(0.1, 0.2))
+    built = []
+
+    class Counted(mc.TemperedProcessSpec):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(mc, "TemperedProcessSpec", Counted)
+    assert len(list(mc._paths(config, 0, 6))) == 6
+    assert len(built) == len(config.settings_grid()) == 4
 
 
 def test_settings_grid_skips_invalid_lm_rows():

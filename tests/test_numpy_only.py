@@ -120,8 +120,7 @@ def _scipy_refinement(z, model):
     lam_grid = (np.geomspace(*whittle.ARTFIMA_LAM_RANGE, whittle._GRID_LAM_POINTS)
                 if free_lam else np.zeros(1))
     freqs, pgram = whittle.periodogram(z)
-    log_mod2 = whittle._log_mod2(lam_grid[:, None], whittle._sin2_half(freqs))
-    objs = whittle.whittle_objective(d_grid[:, None], None, freqs, pgram, log_mod2=log_mod2)
+    objs = whittle.whittle_objective(d_grid[:, None], lam_grid, freqs, pgram)
     row, col = np.unravel_index(np.argmin(objs), objs.shape)
     value = objs[row, col]
     bounds = [(d_lo, d_hi), whittle.ARTFIMA_LAM_RANGE][:1 + free_lam]

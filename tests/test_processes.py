@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -5,8 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import gammaln
 
-from slmcoint import (MemoryKind, TemperedProcessSpec, NoiseConfig,
-                      frac_coeffs, tempered_coeffs,
+from slmcoint import (MemoryKind, TemperedProcessSpec, NoiseConfig, tempered_coeffs,
                       simulate_innovations, simulate_regressor,
                       simulate_error_ar1, regression_function_sine,
                       sine_series_interpolator, simulate_model, scale_dn,
@@ -19,28 +19,28 @@ from slmcoint.whittle import simulate_artfima00
 # ----------------------------------------------------------- coefficients
 
 def test_frac_coeffs_delta_at_d0():
-    assert_allclose(frac_coeffs(0.0, 3), [1.0, 0.0, 0.0, 0.0])
+    assert_allclose(tempered_coeffs(0.0, 0.0, 3), [1.0, 0.0, 0.0, 0.0])
 
 
 def test_frac_coeffs_hand_recursion():
     # b(2) = 0.3 * 1.3 / 2 = 0.195
-    assert_allclose(frac_coeffs(0.3, 2), [1.0, 0.3, 0.195])
+    assert_allclose(tempered_coeffs(0.3, 0.0, 2), [1.0, 0.3, 0.195])
 
 
 def test_frac_coeffs_cumsum_filter_at_d1():
-    assert_allclose(frac_coeffs(1.0, 3), [1.0, 1.0, 1.0, 1.0])
+    assert_allclose(tempered_coeffs(1.0, 0.0, 3), [1.0, 1.0, 1.0, 1.0])
 
 
 def test_frac_coeffs_exact_at_negative_integer():
     # d = -m gives the polynomial (1 - z)^m: the recursion needs no Gamma
-    assert np.array_equal(frac_coeffs(-3, 6), [1, -3, 3, -1, 0, 0, 0])
-    assert np.array_equal(frac_coeffs(-1.0, 5), [1, -1, 0, 0, 0, 0])
+    assert np.array_equal(tempered_coeffs(-3, 0.0, 6), [1, -3, 3, -1, 0, 0, 0])
+    assert np.array_equal(tempered_coeffs(-1.0, 0.0, 5), [1, -1, 0, 0, 0, 0])
 
 
 @pytest.mark.parametrize("d", [0.1, 0.3, 0.45, 1.0])
 def test_frac_coeffs_match_log_gamma(d):
     j = np.arange(0, 10001)
-    got = frac_coeffs(d, 10000)
+    got = tempered_coeffs(d, 0.0, 10000)
     expect = np.exp(gammaln(j + d) - gammaln(d) - gammaln(j + 1.0))
     assert_allclose(got, expect, rtol=1e-10)
 
@@ -49,20 +49,25 @@ def test_frac_coeffs_match_log_gamma(d):
 def test_frac_coeffs_tail_asymptotics(d):
     from scipy.special import gamma
     j = 100000
-    b = frac_coeffs(d, j)[-1]
+    b = tempered_coeffs(d, 0.0, j)[-1]
     ratio = b * gamma(d) / j ** (d - 1.0)
     assert abs(ratio - 1.0) < 0.01
 
 
 def test_tempered_reduces_to_fractional_at_lam0():
-    assert_allclose(tempered_coeffs(0.3, 0.0, 50), frac_coeffs(0.3, 50))
+    j = np.arange(51)
+    expect = np.exp(gammaln(j + 0.3) - gammaln(0.3) - gammaln(j + 1.0))
+    assert_allclose(tempered_coeffs(0.3, 0.0, 50), expect, rtol=1e-12)
 
 
 @pytest.mark.parametrize("d", [0.0, 0.3, -0.45, 1.0])
 def test_untempered_limits_are_bit_exact(d):
-    # lam = 0 multiplies by exp(-0.0 j) = 1.0, and J = 0 is b(0) alone
-    assert np.array_equal(tempered_coeffs(d, 0.0, 60), frac_coeffs(d, 60))
-    assert np.array_equal(frac_coeffs(d, 0), [1.0])
+    # lam = 0 multiplies the recursion b(j) = b(j-1) (j-1+d) / j by
+    # exp(-0.0 j) = 1.0, and J = 0 is b(0) alone
+    j = np.arange(1, 61)
+    recursion = np.cumprod(np.concatenate([[1.0], (j - 1.0 + d) / j]))
+    assert np.array_equal(tempered_coeffs(d, 0.0, 60), recursion)
+    assert np.array_equal(tempered_coeffs(d, 0.0, 0), [1.0])
     assert np.array_equal(tempered_coeffs(d, 0.4, 0), [1.0])
 
 
@@ -174,7 +179,7 @@ def test_regressor_fft_vs_double_loop_bigger():
     assert spec.truncation == J
     xi = rng.standard_normal(n + J)
     x = simulate_regressor(spec, xi)
-    phi = frac_coeffs(0.4, J)
+    phi = tempered_coeffs(0.4, 0.0, J)
     shocks = np.array([phi @ xi[J + s - 1 - np.arange(J + 1)] for s in range(1, n + 1)])
     assert_allclose(x, np.cumsum(shocks), atol=1e-10)
 
@@ -518,6 +523,40 @@ def test_spec_rejects_negative_d_under_semi_long_memory():
                                          r"needs d >= 0, got -0\.1$"):
         TemperedProcessSpec(d=-0.1, lam=0.1, n=10, memory_kind="slm")
     assert TemperedProcessSpec(d=0.0, lam=0.1, n=10, memory_kind="slm").d == 0.0
+
+
+@pytest.mark.parametrize("presample", [2.7, True, None, "abc", "2.5", -3, np.float64(4.0)])
+def test_spec_rejects_bad_presample(presample):
+    # int() once turned 2.7 into 2 and True into 1, and raised a bare
+    # TypeError on None and a parse error that did not name presample on "abc"
+    with pytest.raises(ValueError, match=r"^presample must be 'full' or an integer "
+                                         r"count >= 0, got "):
+        TemperedProcessSpec(d=0.3, lam=0.0, n=50, memory_kind="lm", presample=presample)
+
+
+def test_spec_presample_takes_full_or_a_count():
+    for presample, lags in (("full", 1050), (0, 0), (np.int64(7), 7)):
+        spec = TemperedProcessSpec(d=0.3, lam=0.0, n=50, memory_kind="lm", presample=presample)
+        assert spec.history_lags == lags
+    assert type(spec.presample) is int  # a numpy count is stored as an int
+
+
+@pytest.mark.parametrize("presample", ["2.5", "abc", "-3", "Full"])
+def test_cli_simulate_rejects_bad_presample(tmp_path, capsys, presample):
+    with pytest.raises(SystemExit) as err:
+        cli_main(["simulate", "--n", "40", "--presample", presample,
+                  "--out", str(tmp_path / "sim")])
+    assert err.value.code == 2
+    assert (f"argument --presample: expected 'full' or a count >= 0, got {presample!r}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "sim").exists()
+
+
+def test_cli_simulate_presample_count(tmp_path):
+    assert cli_main(["simulate", "--n", "40", "--presample", "5",
+                     "--out", str(tmp_path)]) == 0
+    run = json.loads((tmp_path / "run.json").read_text())
+    assert run["spec"]["presample"] == 5
 
 
 def test_spec_truncation_is_derived():

@@ -6,26 +6,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from slmcoint import (linear_family, quadratic_family, get_family,
+from slmcoint import (get_family,
                       uniform_weight, nls_fit, t_statistic,
                       normalized_statistic, subsample_statistics, subsample_quantile, run_spec_test,
                       SubsamplingError, GAUSSIAN, EPANECHNIKOV,
                       TemperedProcessSpec, NoiseConfig, simulate_model, scale_dn)
-from slmcoint.spec_test import (_GAUSSIAN_REACH, _TILE_FLOATS, _node_tiles, _quad_nodes,
-                                _sliding_theta, integration_domain)
+from slmcoint.spec_test import (_GAUSSIAN_REACH, _TILE_FLOATS, ParametricFamily, _node_tiles,
+                                _quad_nodes, _sliding_theta, integration_domain)
 
 
 # --------------------------------------------------------------------- NLS
 
 def test_nls_linear_interpolation():
     x = np.linspace(0, 5, 40)
-    theta = nls_fit(linear_family(), x, 2.0 + 3.0 * x)
+    theta = nls_fit("linear", x, 2.0 + 3.0 * x)
     assert_allclose(theta, [2.0, 3.0], atol=1e-10)
 
 
 def test_nls_quadratic_exact():
     x = np.linspace(-2, 2, 50)
-    theta = nls_fit(quadratic_family(), x, 1.0 - 0.5 * x + 0.25 * x * x)
+    theta = nls_fit("quadratic", x, 1.0 - 0.5 * x + 0.25 * x * x)
     assert_allclose(theta, [1.0, -0.5, 0.25], atol=1e-10)
 
 
@@ -33,7 +33,7 @@ def test_nls_matches_normal_equations():
     rng = np.random.default_rng(0)
     x = rng.uniform(-3, 3, 200)
     y = 1.0 + 2.0 * x + rng.standard_normal(200)
-    theta = nls_fit(linear_family(), x, y)
+    theta = nls_fit("linear", x, y)
     design = np.column_stack([np.ones_like(x), x])
     oracle = np.linalg.solve(design.T @ design, design.T @ y)
     assert_allclose(theta, oracle, atol=1e-10)
@@ -43,7 +43,7 @@ def test_nls_matches_normal_equations():
         rng = np.random.default_rng(seed)
         x = 9.0 + 3.0 * np.sort(rng.uniform(0, 1, 120)) + 0.05 * rng.standard_normal(120)
         y = -40.0 + 9.0 * x - 0.47 * x * x + 0.05 * rng.standard_normal(120)
-        for fam in (linear_family(), quadratic_family()):
+        for fam in (get_family("linear"), get_family("quadratic")):
             oracle = np.linalg.lstsq(fam.basis(x), y, rcond=None)[0]
             assert_allclose(nls_fit(fam, x, y), oracle, rtol=1e-10)
 
@@ -51,7 +51,7 @@ def test_nls_matches_normal_equations():
 def test_nls_rank_deficient_rejected():
     x = np.full(10, 2.0)
     with pytest.raises(ValueError):
-        nls_fit(linear_family(), x, x)
+        nls_fit("linear", x, x)
 
 
 def test_families_are_polynomials_of_their_degree():
@@ -62,7 +62,7 @@ def test_families_are_polynomials_of_their_degree():
     assert_allclose(fam.basis(x), np.column_stack([np.ones(4), x, x * x]))
     assert_allclose(fam.residuals(x, np.zeros(4), theta),
                     -(0.5 - 2.0 * x + 0.25 * x * x), rtol=1e-15)
-    assert get_family("linear") == linear_family()
+    assert get_family(" Linear ") == ParametricFamily("linear", 1)
     with pytest.raises(ValueError, match="choose linear or quadratic"):
         get_family("cubic")
 
@@ -102,7 +102,7 @@ def test_spec_test_rejects_nonfinite_input(case):
         (x if name == "x" else y)[7] = value
     else:
         v[name] = value
-    fam, w = linear_family(), uniform_weight()
+    fam, w = "linear", uniform_weight()
     calls = {
         ("x", "y"): lambda: nls_fit(fam, x, y),
         ("x", "y", "h", "quad_cells"): lambda: t_statistic(
@@ -133,10 +133,10 @@ def test_spec_test_rejects_memory_the_simulator_rejects(kind, d, lam, match):
     with pytest.raises(ValueError, match=match):
         normalized_statistic(1.0, 40, lam, d, 0.5, kind)
     with pytest.raises(ValueError, match=match):
-        subsample_statistics(x, y, linear_family(), 10, 0.5, lam, d, kind,
+        subsample_statistics(x, y, "linear", 10, 0.5, lam, d, kind,
                              GAUSSIAN, uniform_weight(), 256)
     with pytest.raises(ValueError, match=match):
-        run_spec_test(x, y, linear_family(), 0.5, GAUSSIAN, uniform_weight(),
+        run_spec_test(x, y, "linear", 0.5, GAUSSIAN, uniform_weight(),
                       memory_kind=kind, d=d, lam=lam, blocks=[(10, 0.5, lam)],
                       quad_cells=256)
     with pytest.raises(ValueError, match=match):
@@ -145,7 +145,7 @@ def test_spec_test_rejects_memory_the_simulator_rejects(kind, d, lam, match):
 
 def test_block_size_and_quad_cells_accept_numpy_integers():
     x, y = _draw(40, seed=14)
-    fam, w = linear_family(), uniform_weight()
+    fam, w = "linear", uniform_weight()
     expect = subsample_statistics(x, y, fam, 10, 0.5, 0.4, 0.1, "slm", GAUSSIAN, w, 256)
     got = subsample_statistics(x, y, fam, np.int64(10), 0.5, 0.4, 0.1, "slm", GAUSSIAN,
                                w, np.int32(256))
@@ -159,11 +159,11 @@ def test_p_value_needs_a_block_shorter_than_the_sample():
     # b = n is one block, the whole sample: subsample_statistics computes it,
     # but a p-value from it would compare the statistic with itself
     x, y = _draw(40, seed=14)
-    assert subsample_statistics(x, y, linear_family(), 40, 0.5, 0.4, 0.1, "slm",
+    assert subsample_statistics(x, y, "linear", 40, 0.5, 0.4, 0.1, "slm",
                                 GAUSSIAN, uniform_weight(), 256).shape == (1,)
     with pytest.raises(ValueError, match=r"^block size must satisfy 2 <= b < n, "
                                          r"got b = 40, n = 40$"):
-        run_spec_test(x, y, linear_family(), 0.5, GAUSSIAN, uniform_weight(),
+        run_spec_test(x, y, "linear", 0.5, GAUSSIAN, uniform_weight(),
                       memory_kind="slm", d=0.1, lam=0.4,
                       blocks=[(10, 0.5, 0.4), (40, 0.5, 0.4)], quad_cells=256)
 
@@ -171,9 +171,9 @@ def test_p_value_needs_a_block_shorter_than_the_sample():
 def test_spec_test_rejects_unequal_lengths():
     x, y = _draw(40, seed=15)
     with pytest.raises(ValueError, match="equal length"):
-        nls_fit(linear_family(), x, y[:-1])
+        nls_fit("linear", x, y[:-1])
     with pytest.raises(ValueError, match="equal length"):
-        subsample_statistics(x[:-1], y, linear_family(), 10, 0.5, 0.4, 0.1,
+        subsample_statistics(x[:-1], y, "linear", 10, 0.5, 0.4, 0.1,
                              "slm", GAUSSIAN, uniform_weight())
 
 
@@ -189,17 +189,17 @@ def _draw(n=30, seed=1):
 def test_t_statistic_zero_residuals():
     x, _ = _draw()
     y = np.zeros_like(x)
-    theta = nls_fit(linear_family(), x, y)
-    t = t_statistic(x, y, linear_family(), theta, 0.5, GAUSSIAN, uniform_weight())
+    theta = nls_fit("linear", x, y)
+    t = t_statistic(x, y, "linear", theta, 0.5, GAUSSIAN, uniform_weight())
     assert t == 0.0
 
 
 def test_t_statistic_fine_grid_oracle():
     x, y = _draw(30, seed=2)
-    theta = nls_fit(linear_family(), x, y)
+    theta = nls_fit("linear", x, y)
     w = uniform_weight(-100, 100)
-    t = t_statistic(x, y, linear_family(), theta, 0.7, GAUSSIAN, w, 2048)
-    t_fine = t_statistic(x, y, linear_family(), theta, 0.7, GAUSSIAN, w, 20480)
+    t = t_statistic(x, y, "linear", theta, 0.7, GAUSSIAN, w, 2048)
+    t_fine = t_statistic(x, y, "linear", theta, 0.7, GAUSSIAN, w, 20480)
     assert abs(t - t_fine) <= 1e-6 * abs(t_fine)
 
 
@@ -207,17 +207,17 @@ def test_t_statistic_quad_doubling():
     rng = np.random.default_rng(3)
     x = np.cumsum(rng.standard_normal(1000))
     y = x + 0.2 * rng.standard_normal(1000)
-    theta = nls_fit(linear_family(), x, y)
+    theta = nls_fit("linear", x, y)
     w = uniform_weight()
-    t1 = t_statistic(x, y, linear_family(), theta, 1000 ** -0.2, GAUSSIAN, w, 2048)
-    t2 = t_statistic(x, y, linear_family(), theta, 1000 ** -0.2, GAUSSIAN, w, 4096)
+    t1 = t_statistic(x, y, "linear", theta, 1000 ** -0.2, GAUSSIAN, w, 2048)
+    t2 = t_statistic(x, y, "linear", theta, 1000 ** -0.2, GAUSSIAN, w, 4096)
     assert abs(t2 - t1) < 1e-6 * abs(t1)
 
 
 @pytest.mark.parametrize("support", [100.0, 10.0], ids=["pm100", "pm10"])
 @pytest.mark.parametrize("kernel", [GAUSSIAN, EPANECHNIKOV],
                          ids=["gaussian", "epanechnikov"])
-@pytest.mark.parametrize("family", [linear_family(), quadratic_family()],
+@pytest.mark.parametrize("family", [get_family("linear"), get_family("quadratic")],
                          ids=["linear", "quadratic"])
 def test_t_statistic_matches_exactly_rounded_node_sums(family, kernel, support):
     # on the library's nodes, every node sum and the sum of squares taken
@@ -238,19 +238,19 @@ def test_t_statistic_matches_exactly_rounded_node_sums(family, kernel, support):
 
 def test_t_statistic_nonnegative_and_domain():
     x, y = _draw(50, seed=4)
-    theta = nls_fit(linear_family(), x, y)
-    t = t_statistic(x, y, linear_family(), theta, 0.4, GAUSSIAN, uniform_weight())
+    theta = nls_fit("linear", x, y)
+    t = t_statistic(x, y, "linear", theta, 0.4, GAUSSIAN, uniform_weight())
     assert t >= 0.0
     lo, hi = integration_domain(x, 0.4, uniform_weight())
     assert lo >= -100 and hi <= 100
     with pytest.raises(ValueError):
-        t_statistic(x, y, linear_family(), theta, 0.4, GAUSSIAN,
+        t_statistic(x, y, "linear", theta, 0.4, GAUSSIAN,
                     uniform_weight(), quad_cells=1)
 
 
 def test_residual_invariance_to_family_shift():
     x, y = _draw(80, seed=5)
-    fam = linear_family()
+    fam = "linear"
     theta = nls_fit(fam, x, y)
     t0 = t_statistic(x, y, fam, theta, 0.5, GAUSSIAN, uniform_weight())
     y2 = y + (4.0 - 2.5 * x)
@@ -312,7 +312,7 @@ def test_subsample_single_block_equals_full():
     n = x.shape[0]
     h = n ** -0.2
     lam = n ** -0.2
-    fam = linear_family()
+    fam = "linear"
     vals = subsample_statistics(x, y, fam, n, h, lam, 0.2, "slm", GAUSSIAN,
                                 uniform_weight())
     assert vals.shape == (1,)
@@ -325,7 +325,7 @@ def test_subsample_single_block_equals_full():
 def test_subsample_degenerate_zero_data():
     x, _ = _draw(40, seed=7)
     y = np.zeros_like(x)
-    vals = subsample_statistics(x, y, linear_family(), 10, 0.5, 0.3, 0.1,
+    vals = subsample_statistics(x, y, "linear", 10, 0.5, 0.3, 0.1,
                                 "slm", GAUSSIAN, uniform_weight())
     assert_allclose(vals, 0.0)
 
@@ -335,7 +335,7 @@ def test_subsample_matches_per_block_oracle():
     n, b = 120, 22
     x = np.cumsum(rng.standard_normal(n))
     y = x + 0.2 * rng.standard_normal(n)
-    fam = linear_family()
+    fam = get_family("linear")
     h_b = b ** -0.2
     lam_b = b ** -0.2
     w = uniform_weight()
@@ -365,7 +365,7 @@ def test_subsample_skips_singular_blocks():
     x[100:120] = x[99] + 1.0  # exactly one all-constant window (block 100)
     y = x + 0.1 * rng.standard_normal(n)
     vals, by_block, order, skipped = subsample_statistics(
-        x, y, linear_family(), b, 0.5, 0.4, 0.1, "slm", GAUSSIAN,
+        x, y, "linear", b, 0.5, 0.4, 0.1, "slm", GAUSSIAN,
         uniform_weight(), quad_cells=256, return_by_block=True)
     assert skipped == 1
     assert vals.shape == (n - b + 1 - 1,)
@@ -379,7 +379,7 @@ def test_subsample_aborts_on_many_failures():
     x[20:80] = x[19]  # dozens of degenerate windows
     y = x + 0.1 * rng.standard_normal(n)
     with pytest.raises(SubsamplingError):
-        subsample_statistics(x, y, linear_family(), b, 0.5, 0.4, 0.1, "slm",
+        subsample_statistics(x, y, "linear", b, 0.5, 0.4, 0.1, "slm",
                              GAUSSIAN, uniform_weight(), quad_cells=256)
 
 
@@ -479,7 +479,7 @@ _TILING_CASES = [(5, 2), (17, 100), (64, 1000), (257, 2048), (501, 1024),
                          ids=[f"n{n}-q{q}" for n, q in _TILING_CASES])
 @pytest.mark.parametrize("kernel", [GAUSSIAN, EPANECHNIKOV],
                          ids=["gaussian", "epanechnikov"])
-@pytest.mark.parametrize("family", [linear_family(), quadratic_family()],
+@pytest.mark.parametrize("family", [get_family("linear"), get_family("quadratic")],
                          ids=["linear", "quadratic"])
 def test_tiled_statistic_equals_untiled(family, kernel, n, quad_cells):
     x, y = _walk(n, seed=n)
@@ -490,7 +490,7 @@ def test_tiled_statistic_equals_untiled(family, kernel, n, quad_cells):
 
 @pytest.mark.parametrize("kernel", [GAUSSIAN, EPANECHNIKOV],
                          ids=["gaussian", "epanechnikov"])
-@pytest.mark.parametrize("family", [linear_family(), quadratic_family()],
+@pytest.mark.parametrize("family", [get_family("linear"), get_family("quadratic")],
                          ids=["linear", "quadratic"])
 def test_tiled_statistic_equals_untiled_far_from_origin(family, kernel):
     # the quadratic blocks fit in standardized coordinates; the path also
@@ -500,7 +500,7 @@ def test_tiled_statistic_equals_untiled_far_from_origin(family, kernel):
                                  [family.dim + 1, 40, 300])
 
 
-@pytest.mark.parametrize("family", [linear_family(), quadratic_family()],
+@pytest.mark.parametrize("family", [get_family("linear"), get_family("quadratic")],
                          ids=["linear", "quadratic"])
 def test_tiled_statistic_equals_untiled_with_skipped_blocks(family):
     x, y = _walk(400, seed=9)
@@ -512,7 +512,7 @@ def test_tiled_statistic_equals_untiled_with_skipped_blocks(family):
                                  [20])
 
 
-@pytest.mark.parametrize("family", [linear_family(), quadratic_family()],
+@pytest.mark.parametrize("family", [get_family("linear"), get_family("quadratic")],
                          ids=["linear", "quadratic"])
 def test_tiled_statistic_equals_untiled_at_epanechnikov_reach(family):
     # observations at exactly h from the first and the last node of node
@@ -540,7 +540,7 @@ def test_tiled_statistic_equals_untiled_at_epanechnikov_reach(family):
 
 @pytest.mark.parametrize("kernel", [GAUSSIAN, EPANECHNIKOV],
                          ids=["gaussian", "epanechnikov"])
-@pytest.mark.parametrize("family", [linear_family(), quadratic_family()],
+@pytest.mark.parametrize("family", [get_family("linear"), get_family("quadratic")],
                          ids=["linear", "quadratic"])
 def test_tiled_statistic_equals_untiled_on_a_gappy_path(family, kernel):
     # two clusters 80 apart: the tiles between them reach no observation
@@ -557,7 +557,7 @@ def test_tiled_statistic_equals_untiled_on_a_gappy_path(family, kernel):
 @pytest.mark.parametrize("support", [10.0, 20.0])
 @pytest.mark.parametrize("kernel", [GAUSSIAN, EPANECHNIKOV],
                          ids=["gaussian", "epanechnikov"])
-@pytest.mark.parametrize("family", [linear_family(), quadratic_family()],
+@pytest.mark.parametrize("family", [get_family("linear"), get_family("quadratic")],
                          ids=["linear", "quadratic"])
 def test_tiled_statistic_equals_untiled_with_cut_support(family, kernel, support):
     x, y = _walk(400, seed=4)
@@ -574,7 +574,7 @@ def test_tiled_statistic_equals_untiled_short_quadratic(kernel):
     rng = np.random.default_rng(59)
     x = 9.0 + 0.02 * np.arange(59) + 0.01 * np.cumsum(rng.standard_normal(59))
     y = -40.0 + 9.0 * x - 0.47 * x ** 2 + 0.01 * rng.standard_normal(59)
-    _assert_tiled_equals_untiled(x, y, quadratic_family(), kernel, uniform_weight(),
+    _assert_tiled_equals_untiled(x, y, get_family("quadratic"), kernel, uniform_weight(),
                                  2048, [15, 30, 46])
 
 
@@ -603,7 +603,7 @@ def test_statistic_working_memory():
     # form that kept every block's squared node sums until the end at 5.2 MB
     # (blocks); summed tile by tile, they peak at 1.3 and 1.2 MB
     x, y = _walk(500, seed=14)
-    fam = linear_family()
+    fam = "linear"
     theta = nls_fit(fam, x, y)
     h, h_b = 500 ** -0.2, 22 ** -0.2
     peak = _traced_peak(lambda: subsample_statistics(
@@ -619,7 +619,7 @@ def test_statistic_working_memory():
 def test_run_spec_test_degenerate_null():
     x, _ = _draw(80, seed=12)
     y = np.zeros_like(x)
-    (res,) = run_spec_test(x, y, linear_family(), 0.4, GAUSSIAN,
+    (res,) = run_spec_test(x, y, "linear", 0.4, GAUSSIAN,
                            uniform_weight(), memory_kind="slm", d=0.1,
                            lam=80 ** -0.2,
                            blocks=[(20, 20 ** (np.log(0.4) / np.log(80)), 20 ** -0.2)])
@@ -635,9 +635,9 @@ def test_run_spec_test_fields_and_determinism():
     y = path.x + 0.2 * path.u
     kwargs = dict(memory_kind="slm", d=0.1, lam=200 ** -0.2,
                   blocks=[(28, 28 ** -0.2, 28 ** -0.2)], quad_cells=512)
-    (a,) = run_spec_test(path.x, y, linear_family(), 200 ** -0.2, GAUSSIAN,
+    (a,) = run_spec_test(path.x, y, "linear", 200 ** -0.2, GAUSSIAN,
                          uniform_weight(), **kwargs)
-    (b,) = run_spec_test(path.x, y, linear_family(), 200 ** -0.2, GAUSSIAN,
+    (b,) = run_spec_test(path.x, y, "linear", 200 ** -0.2, GAUSSIAN,
                          uniform_weight(), **kwargs)
     assert a.t_raw == b.t_raw
     assert np.array_equal(a.subsample_values, b.subsample_values)
@@ -690,14 +690,14 @@ def test_run_spec_test_blocks_propagate_subsampling_error():
     y = x + 0.1 * rng.standard_normal(n)
     kwargs = dict(memory_kind="slm", d=0.1, lam=0.4, quad_cells=256)
     good, bad = (70, 0.5, 0.4), (10, 0.5, 0.4)
-    run_spec_test(x, y, linear_family(), 0.5, GAUSSIAN, uniform_weight(),
+    run_spec_test(x, y, "linear", 0.5, GAUSSIAN, uniform_weight(),
                   blocks=[good], **kwargs)
     for blocks in ([bad], [good, bad], [bad, good]):
         with pytest.raises(SubsamplingError):
-            run_spec_test(x, y, linear_family(), 0.5, GAUSSIAN, uniform_weight(),
+            run_spec_test(x, y, "linear", 0.5, GAUSSIAN, uniform_weight(),
                           blocks=blocks, **kwargs)
     with pytest.raises(ValueError, match="blocks must hold at least one"):
-        run_spec_test(x, y, linear_family(), 0.5, GAUSSIAN, uniform_weight(),
+        run_spec_test(x, y, "linear", 0.5, GAUSSIAN, uniform_weight(),
                       blocks=[], **kwargs)
 
 
@@ -719,7 +719,7 @@ def _spec_case(draw):
 def test_p_value_counts_block_exceedances(case):
     x, y, b = case
     n = x.size
-    (res,) = run_spec_test(x, y, linear_family(), n ** -0.2, GAUSSIAN,
+    (res,) = run_spec_test(x, y, "linear", n ** -0.2, GAUSSIAN,
                            uniform_weight(), memory_kind="slm", d=0.1,
                            lam=n ** -0.2, blocks=[(b, b ** -0.2, b ** -0.2)],
                            quad_cells=64)
@@ -789,8 +789,8 @@ def test_divergence_under_fixed_alternative():
                                 seed=rep * 104729 + n)
             path = simulate_model(spec, noise)
             y = path.x + np.sin(np.pi * path.x) + 0.2 * path.u
-            theta = nls_fit(linear_family(), path.x, y)
-            t = t_statistic(path.x, y, linear_family(), theta, n ** -0.2,
+            theta = nls_fit("linear", path.x, y)
+            t = t_statistic(path.x, y, "linear", theta, n ** -0.2,
                             GAUSSIAN, uniform_weight(), quad_cells=512)
             vals.append(normalized_statistic(t, n, n ** -0.2, 0.1,
                                              n ** -0.2, "slm")[0])
