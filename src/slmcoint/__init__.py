@@ -17,7 +17,7 @@ from .processes import (
     scale_dn, innovation_length,
 )
 from .kernel_regression import (
-    EPANECHNIKOV, GAUSSIAN, get_kernel, fitted_values, kernel_estimate,
+    EPANECHNIKOV, GAUSSIAN, get_kernel, kernel_estimate,
 )
 from .spec_test import (
     SubsamplingError, get_family, uniform_weight, nls_fit, t_statistic,

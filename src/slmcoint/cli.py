@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Commands: simulate, estimate, spec-test, fit-artfima, mc, ckc.  Every
-command writes its outputs plus a manifest.json (arguments, seeds, input
-hashes) sufficient to re-run it bit-identically; ``mc.read_csv`` reads
+command writes its outputs, and then ``main`` writes a manifest.json
+(arguments, seeds, input hashes) sufficient to re-run it bit-identically;
+a failed command writes no manifest.  ``mc.read_csv`` reads
 every data file, and ``mc.write_json`` and ``mc.write_csv`` write every
 file.  ``spec-test`` runs one block size, ``--block-size`` or the
 ``mc.BlockRule`` of ``--block-rule`` and ``--block-exponent``.  Exit codes:
@@ -44,15 +45,18 @@ def _sha256(path):
     return digest.hexdigest()
 
 
-def _save_manifest(outdir, command, args_dict, inputs=()):
+def _save_manifest(args):
+    """The run record of a command that succeeded: its name and arguments,
+    the package version and the hash of its input file (``--data`` or
+    ``--config``; ``simulate`` reads none)."""
+    inputs = [p for p in (getattr(args, "data", None), getattr(args, "config", None)) if p]
     manifest = {
-        "command": command,
-        "arguments": {k: v for k, v in sorted(args_dict.items())
-                      if not callable(v)},
+        "command": args.command,
+        "arguments": {k: v for k, v in sorted(vars(args).items()) if not callable(v)},
         "package_version": __version__,
         "input_sha256": {os.path.basename(p): _sha256(p) for p in inputs},
     }
-    return write_json(os.path.join(outdir, "manifest.json"), manifest)
+    return write_json(os.path.join(args.out, "manifest.json"), manifest)
 
 
 def _weight_support(text):
@@ -101,9 +105,7 @@ def _cmd_simulate(args):
          for row in zip(range(1, spec.n + 1), path.x, path.u, path.y)))
     write_json(os.path.join(args.out, "run.json"),
                {"spec": spec.to_dict(), "noise": noise.to_dict()})
-    _save_manifest(args.out, "simulate", vars(args))
     print(csv_path)
-    return EXIT_OK
 
 
 def _cmd_estimate(args):
@@ -124,9 +126,7 @@ def _cmd_estimate(args):
         ([_fmt(v) if np.isfinite(v) else "" for v in row]
          for row in zip(est.grid, est.fhat, est.sigma2hat, est.local_mass,
                         est.ci_lo, est.ci_hi)))
-    _save_manifest(args.out, "estimate", vars(args), inputs=[args.data])
     print(out_csv)
-    return EXIT_OK
 
 
 def _cmd_spec_test(args):
@@ -150,9 +150,7 @@ def _cmd_spec_test(args):
         lam=lam, blocks=[(b, h_b, lam_b)])
     os.makedirs(args.out, exist_ok=True)
     write_json(os.path.join(args.out, "spec_test.json"), result.to_dict())
-    _save_manifest(args.out, "spec-test", vars(args), inputs=[args.data])
     print(f"p_value={result.p_value!r} t_normalized={result.t_normalized!r}")
-    return EXIT_OK
 
 
 def _cmd_fit_artfima(args):
@@ -162,23 +160,15 @@ def _cmd_fit_artfima(args):
     fit = (fit_artfima00 if args.model == "artfima" else fit_arfima00)(series[0])
     os.makedirs(args.out, exist_ok=True)
     write_json(os.path.join(args.out, "fit.json"), fit.to_dict())
-    _save_manifest(args.out, "fit-artfima", vars(args), inputs=[args.data])
     print(f"d_hat={fit.d_hat!r} lambda_hat={fit.lambda_hat!r} mse={fit.mse!r}")
-    return EXIT_OK
 
 
 def _cmd_mc(args):
     with open(args.config) as fh:
         config = StudyConfig.from_dict(json.load(fh))
-    if args.study and args.study != config.study_kind:
-        raise ValueError(
-            f"--study {args.study} does not match config study_kind "
-            f"{config.study_kind}")
     result = run_study(config, threads=args.threads)
     export_study(result, args.out)
-    _save_manifest(args.out, "mc", vars(args), inputs=[args.config])
     print(args.out)
-    return EXIT_OK
 
 
 def _cmd_ckc(args):
@@ -186,11 +176,9 @@ def _cmd_ckc(args):
     report = ckc_analysis(series)
     os.makedirs(args.out, exist_ok=True)
     write_json(os.path.join(args.out, "ckc_report.json"), report)
-    _save_manifest(args.out, "ckc", vars(args), inputs=[args.data])
     for row in report["p_values"]:
         print(f"{row['hypothesis']:9s} h={row['bandwidth_rule']:8s} "
               f"b={row['block_size']:3d} p={row['p_value']:.4f}")
-    return EXIT_OK
 
 
 def build_parser():
@@ -260,8 +248,6 @@ def build_parser():
     p.set_defaults(func=_cmd_fit_artfima)
 
     p = sub.add_parser("mc", help="run a Monte Carlo study from a JSON config")
-    p.add_argument("--study", choices=["estimation", "coverage", "size"],
-                   default=None)
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--threads", type=int, default=1)
@@ -279,7 +265,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(_attach_weight_support(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args)
+        args.func(args)
+        _save_manifest(args)
+        return EXIT_OK
     except (ValueError, FileNotFoundError) as exc:
         message, data = str(exc), getattr(args, "data", None)
         # a validation error of a command that reads a data file names it

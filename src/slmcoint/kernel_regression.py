@@ -209,17 +209,6 @@ def _normal_quantile(alpha):
     return abs(NormalDist().inv_cdf(alpha / 2.0))
 
 
-def fitted_values(x, y, h, kernel=EPANECHNIKOV):
-    """Leave-in NW fitted values at the observations of one path x, of
-    shape (n,), or (k, n) for a 1-D vector of k bandwidths.
-
-    Observation k contributes to its own fit, so the denominator is always
-    positive (K(0) > 0).
-    """
-    mass, _, sums = kernel_sums(x, x, h, kernel, (y,))
-    return sums[..., 0, :] / mass
-
-
 @dataclass
 class KernelEstimate:
     """Grid of NW estimates with per-point variance and confidence bands.
@@ -289,6 +278,14 @@ def kernel_estimate(x, y, grid, h, kernel=EPANECHNIKOV, alpha=None,
         raise ValueError("grid must be nonempty")
     kernel = get_kernel(kernel)
     h = np.asarray(h, dtype=float)
+    # a path with max |y| < 1/2 is scaled up by a power of two, exactly, so
+    # that the weighted sums of a tiny response do not underflow; y is never
+    # scaled down, which would make its products with a weight near the
+    # smallest normal float subnormal
+    unit = np.ldexp(1.0, np.minimum(0, np.frexp(np.abs(np.atleast_1d(y)).max(
+        axis=-1, initial=0.0, keepdims=True))[1]))
+    y = y / unit
+    unit = unit.reshape(unit.shape + (1,) * h.ndim)  # over fhat's axes
     if variance is None:
         if alpha is not None:
             raise ValueError(f"alpha={alpha} asks for a band, which variance=None "
@@ -298,7 +295,9 @@ def kernel_estimate(x, y, grid, h, kernel=EPANECHNIKOV, alpha=None,
         if x.ndim != 1 or h.ndim:
             raise ValueError(f"the centered variance takes one path x of shape (n,) "
                              f"and one bandwidth h, got shapes {x.shape} and {h.shape}")
-        columns = (y, (y - fitted_values(x, y, h, kernel)) ** 2)
+        # the leave-in fit, whose every mass is at least K(0) > 0
+        mass, _, sums = kernel_sums(x, x, h, kernel, (y,))
+        columns = (y, (y - sums[0] / mass) ** 2)
     elif variance == "uncentered":
         columns = (y, y * y)
     else:
@@ -308,11 +307,17 @@ def kernel_estimate(x, y, grid, h, kernel=EPANECHNIKOV, alpha=None,
     # fhat and sigma2 where the point is defined, NaN elsewhere
     ratios = np.divide(sums, mass[..., None, :], out=np.full(sums.shape, np.nan),
                        where=mass[..., None, :] >= _MIN_MASS)
-    est = KernelEstimate(grid=grid, fhat=ratios[..., 0, :],
-                         sigma2hat=None if variance is None else ratios[..., 1, :],
+    sigma2hat = None if variance is None else ratios[..., 1, :] * unit * unit
+    est = KernelEstimate(grid=grid, fhat=ratios[..., 0, :] * unit, sigma2hat=sigma2hat,
                          local_mass=mass, window_count=count,
                          bandwidth=h if h.ndim else float(h), kernel=kernel)
     if z is not None:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            est.half_width = z * np.sqrt(est.sigma2hat * kernel.k2 / (mass * kernel.d1))
+        spread = est.sigma2hat * kernel.k2
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            root = np.sqrt(spread / (mass * kernel.d1))
+            # a mass near the smallest normal float can overflow the
+            # quotient but not its root, which then comes factor by factor
+            root = np.where(np.isinf(root), np.sqrt(spread / kernel.d1) / np.sqrt(mass),
+                            root)
+        est.half_width = z * root
     return est

@@ -45,11 +45,14 @@ def _slm_rule(name):
 
 
 def _number(field, value):
-    """``value`` as a float, or a ValueError that names the config field."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{field} must hold numbers, got {value!r}") from None
+    """``value`` as a float, or a ValueError that names the config field; a
+    bool is not a number."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{field} must hold numbers, got {value!r}")
 
 
 def parse_exponent(value):
@@ -293,7 +296,6 @@ class StudyResult:
     """Study output: one table per criterion, raw histogram data and the
     config, which reproduces every cell bit for bit."""
 
-    study_kind: str
     tables: dict
     histograms: dict
     config: StudyConfig
@@ -382,30 +384,37 @@ def _response(x, u, f, points, h, kernel, sigma):
     return y
 
 
+def _nw_chunk(config, lo, hi, points, statistics, **fit):
+    """Per cell, the sum over replications lo..hi-1 of the (statistic,
+    point) array that ``statistics(est, f(points))`` gives for each path and
+    bandwidth of the ``kernel_estimate`` at ``points`` (keywords ``fit``)."""
+    kernel = get_kernel(config.kernel)
+    h = _bandwidths(config)
+    f = sine_series_interpolator(config.f_terms)
+    ftrue = f(points)
+    keys = _cell_keys(config)
+    acc = 0.0  # (setting, bandwidth, statistic, point); cells in _cell_keys order
+    for x, u in _paths(config, lo, hi):
+        est = kernel_estimate(x, _response(x, u, f, points, h, kernel, config.sigma),
+                              points, h, kernel, **fit)
+        acc += statistics(est, ftrue)
+    return dict(zip(keys, np.reshape(acc, (len(keys), -1, points.size)) if keys else ()))
+
+
+def _estimation_statistics(est, ftrue):
+    """The summands of ``_estimation_chunk``'s five rows."""
+    ok = est.defined & (est.window_count >= _MIN_WINDOW_COUNT)
+    e = np.where(ok, est.fhat - ftrue, 0.0)
+    return np.stack([ok, e, e * e, ~est.defined, ~ok], axis=-2)
+
+
 def _estimation_chunk(args):
     """Per cell, a (5, grid_points) array: the count, sum of errors, sum of
     squared errors, zero-mass (undefined) count and excluded count at each
     point."""
     config, lo, hi = args
-    kernel = get_kernel(config.kernel)
-    grid = np.linspace(0.0, 1.0, config.grid_points)
-    h = _bandwidths(config)
-    f = sine_series_interpolator(config.f_terms)
-    ftrue = f(grid)
-    keys = _cell_keys(config)
-    # (setting, bandwidth, statistic, point); cells follow _cell_keys order
-    acc = np.zeros((len(config.settings_grid()), h.size, 5, config.grid_points))
-    for x, u in _paths(config, lo, hi):
-        est = kernel_estimate(x, _response(x, u, f, grid, h, kernel, config.sigma),
-                              grid, h, kernel, variance=None)
-        ok = est.defined & (est.window_count >= _MIN_WINDOW_COUNT)
-        e = np.where(ok, est.fhat - ftrue, 0.0)
-        acc[:, :, 0] += ok
-        acc[:, :, 1] += e
-        acc[:, :, 2] += e * e
-        acc[:, :, 3] += ~est.defined
-        acc[:, :, 4] += ~ok
-    return dict(zip(keys, acc.reshape(len(keys), 5, config.grid_points)))
+    return _nw_chunk(config, lo, hi, np.linspace(0.0, 1.0, config.grid_points),
+                     _estimation_statistics, variance=None)
 
 
 def _point_stats(cnt, s1, s2):
@@ -448,32 +457,24 @@ def run_estimation_study(config, threads=1):
         for i, name in enumerate(tables):  # bias, std, rmse
             err = _batch_se([cs[i] for cs in chunk_stats])
             tables[name].append(dict(base, value=stats[i], mc_error=err))
-    return StudyResult("estimation", tables, {}, config)
+    return StudyResult(tables, {}, config)
 
 
 # ------------------------------------------------------------------ coverage
+
+def _coverage_statistics(est, ftrue):
+    """The summands of ``_coverage_chunk``'s three rows."""
+    half = np.where(est.defined, est.half_width, 0.0)
+    return np.stack([est.defined, est.defined & (np.abs(est.fhat - ftrue) <= half),
+                     2.0 * half], axis=-2)
+
 
 def _coverage_chunk(args):
     """Per cell, a (3, eval_points) array: the defined count, covered count
     and summed interval length at each point."""
     config, lo, hi = args
-    kernel = get_kernel(config.kernel)
-    h = _bandwidths(config)
-    f = sine_series_interpolator(config.f_terms)
-    pts = np.asarray(config.eval_points)
-    fpts = f(pts)
-    keys = _cell_keys(config)
-    # (setting, bandwidth, statistic, point); cells follow _cell_keys order
-    acc = np.zeros((len(config.settings_grid()), h.size, 3, pts.shape[0]))
-    for x, u in _paths(config, lo, hi):
-        est = kernel_estimate(x, _response(x, u, f, pts, h, kernel, config.sigma),
-                              pts, h, kernel, alpha=config.alpha, variance="uncentered")
-        ok = est.defined
-        half = np.where(ok, est.half_width, 0.0)
-        acc[:, :, 0] += ok
-        acc[:, :, 1] += ok & (np.abs(est.fhat - fpts) <= half)
-        acc[:, :, 2] += 2.0 * half
-    return dict(zip(keys, acc.reshape(len(keys), 3, pts.shape[0])))
+    return _nw_chunk(config, lo, hi, np.asarray(config.eval_points), _coverage_statistics,
+                     alpha=config.alpha, variance="uncentered")
 
 
 def run_coverage_study(config, threads=1):
@@ -508,7 +509,7 @@ def run_coverage_study(config, threads=1):
             tables["length"].append(dict(
                 base, value=slen[i] / ndef[i] if ndef[i] else np.nan,
                 mc_error=_batch_se([cl[i] for cl in chunk_len])))
-    return StudyResult("coverage", tables, {}, config)
+    return StudyResult(tables, {}, config)
 
 
 # ---------------------------------------------------------------------- size
@@ -556,7 +557,7 @@ def run_size_study(config, threads=1):
                 "block_rule": br.label(), "block_size": br.size(config.n),
                 "level": lv, "value": rows[:, j].sum() / r,
                 "mc_error": _batch_se(rates)})
-    return StudyResult("size", tables, histograms, config)
+    return StudyResult(tables, histograms, config)
 
 
 def run_study(config, threads=1):

@@ -17,6 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .kernel_regression import _check_count
+
 DEFAULT_BURN_IN = 1000
 DEFAULT_SINE_TERMS = 1000
 # nodes of the sine table over one period [-1, 1]
@@ -115,8 +117,7 @@ def tempered_coeffs(d, lam, n_lags):
     """
     if lam < 0:
         raise ValueError("lam must be >= 0")
-    if n_lags < 0:
-        raise ValueError("n_lags must be >= 0")
+    _check_count("n_lags", n_lags, 0)
     out = np.empty(n_lags + 1)
     out[0] = 1.0
     j = np.arange(1, n_lags + 1)
@@ -159,10 +160,8 @@ class TemperedProcessSpec:
         object.__setattr__(self, "memory_kind", MemoryKind.parse(self.memory_kind))
         kind = self.memory_kind
         _check_memory(kind, self.d, "lam", self.lam)
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.burn_in < 0:
-            raise ValueError("burn_in must be >= 0")
+        _check_count("n", self.n, 1)
+        _check_count("burn_in", self.burn_in, 0)
         _check_simulated_d(kind, self.d, "d")
         object.__setattr__(self, "truncation",
                            _tempered_lag_cap(self.lam, self.n + self.burn_in))
@@ -221,8 +220,7 @@ def simulate_innovations(n_total, noise, rng=None):
     independent standard normal, so both streams have unit variance and
     corr(xi_k, eps_k) = rho.  Deterministic given the seed.
     """
-    if n_total < 1:
-        raise ValueError("n_total must be >= 1")
+    _check_count("n_total", n_total, 1)
     if rng is None:
         rng = np.random.default_rng(noise.seed)
     xi = rng.standard_normal(n_total)
@@ -302,8 +300,7 @@ def regression_function_sine(x, terms=DEFAULT_SINE_TERMS):
     error of the infinite series is bounded by sum_{j>terms} j^{-2} < 1/terms.
     0 terms is the zero function.
     """
-    if terms < 0:
-        raise ValueError("terms must be >= 0")
+    _check_count("terms", terms, 0)
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     xv = np.atleast_1d(x)
@@ -328,10 +325,8 @@ def _sine_table(terms, resolution):
     table exact for every (terms, resolution); 0 terms give a table of
     zeros.  The last node x = 1 repeats the first (period 2).
     """
-    if terms < 0:
-        raise ValueError("terms must be >= 0")
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
+    _check_count("terms", terms, 0)
+    _check_count("resolution", resolution, 2)
     period = resolution - 1
     j = np.arange(1, terms + 1)
     c = np.zeros(period)

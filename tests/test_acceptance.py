@@ -284,7 +284,7 @@ def test_criterion_4_nw_and_variance_oracle():
     h = 0.9
     grid = np.linspace(x.min(), x.max(), 9)
     est = sl.kernel_estimate(x, y, grid, h, variance="centered")
-    fd = sl.fitted_values(x, y, h)
+    fd = sl.kernel_estimate(x, y, x, h, variance=None).fhat
     worst = 0.0
     for i, p in enumerate(grid):
         num = den = 0.0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -446,6 +447,54 @@ def test_cli_mc_runs_config(tmp_path):
     assert (out / "manifest.json").exists()
 
 
+def _command_argv(command, tmp_path, good):
+    """Arguments of ``command`` on a file of its own (none for simulate),
+    and that file.  Unless ``good``, simulate and mc get a bad value and
+    the other commands a file without the column they read."""
+    if command == "simulate":
+        return ["simulate", "--n", "60", "--rho", "0.5" if good else "nan"], None
+    if command == "mc":
+        data = tmp_path / "cfg.json"
+        data.write_text(json.dumps({
+            "study_kind": "estimation", "n": 100, "replications": 2, "d_values": [0.1],
+            "memory_settings": ["SLM3"], "bandwidth_exponents": ["n^-1/3"],
+            "rho": 0.5 if good else 2.0}))
+        return ["mc", "--config", str(data)], data
+    data = tmp_path / "data.csv"
+    if command == "ckc":
+        text = _write_ckc(data).read_text()
+    else:
+        x = np.cumsum(np.random.default_rng(8).standard_normal(100)).tolist()
+        pairs = command != "fit-artfima"
+        text = ("x,y\n" if pairs else "value\n") + "".join(
+            f"{v!r},{0.5 * v!r}\n" if pairs else f"{v!r}\n" for v in x)
+    if not good:  # rename the column the command reads
+        old, new = {"ckc": ("co2", "co3"), "fit-artfima": ("value", "year")}.get(
+            command, ("y", "z"))
+        text = text.replace(old, new, 1)
+    data.write_text(text)
+    return [command, "--data", str(data)], data
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate", "spec-test", "fit-artfima",
+                                     "mc", "ckc"])
+def test_cli_main_writes_the_manifest_after_success_only(tmp_path, capsys, command):
+    # main writes the run record once, after the command: it names the
+    # command and hashes exactly the file the command read
+    argv, data = _command_argv(command, tmp_path, good=True)
+    out = tmp_path / "out"
+    assert cli_main([*argv, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == manifest["arguments"]["command"] == command
+    assert manifest["input_sha256"] == (
+        {} if data is None else {data.name: hashlib.sha256(data.read_bytes()).hexdigest()})
+    argv, _ = _command_argv(command, tmp_path, good=False)
+    failed = tmp_path / "failed"
+    assert cli_main([*argv, "--out", str(failed)]) == 2
+    assert "error: " in capsys.readouterr().err
+    assert not failed.exists()
+
+
 def test_cli_mc_rejects_zero_threads(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
@@ -556,6 +605,9 @@ def test_cli_mc_reruns_from_study_config(tmp_path):
     # these two ended in a TypeError traceback and exit 1
     ({"presample": None}, "presample must be 'full' or an integer count >= 0, got None"),
     ({"rho": "x"}, "rho must hold numbers, got 'x'"),
+    # JSON true once read as 1.0
+    ({"rho": True}, "rho must hold numbers, got True"),
+    ({"d_values": [True]}, "d_values must hold numbers, got True"),
 ])
 def test_cli_mc_rejects_bad_config(tmp_path, capsys, change, message):
     cfg = {

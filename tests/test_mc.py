@@ -121,6 +121,9 @@ def test_config_rejects_values_that_print_alike(field, value, message):
     ("rho", "x", r"^rho must hold numbers, got 'x'$"),
     ("presample", -3, r"^presample must be 'full' or an integer count >= 0, got -3$"),
     ("presample", None, r"^presample must be 'full' or an integer count >= 0, got None$"),
+    # a bool is not a number, as it is not a count
+    ("rho", True, r"^rho must hold numbers, got True$"),
+    ("d_values", (True,), r"^d_values must hold numbers, got True$"),
 ])
 def test_config_rejects_bad_noise_or_presample(field, value, message):
     # refused when the config is built, not in the first chunk of a study
@@ -286,7 +289,16 @@ def test_estimation_cell_order_invariance():
 
 def test_run_study_dispatch():
     res = run_study(_tiny("coverage", replications=4, chunk_size=2))
-    assert res.study_kind == "coverage"
+    assert set(res.tables) == {"coverage", "length"}
+
+
+@pytest.mark.parametrize("study_kind", ["estimation", "coverage", "size"])
+def test_study_without_an_admitted_setting_has_empty_tables(study_kind):
+    # long memory admits no d = 0.8, so no replication runs
+    config = _tiny(study_kind, memory_settings=("lm",), d_values=(0.8,))
+    assert config.settings_grid() == []
+    res = run_study(config)
+    assert res.tables and all(rows == [] for rows in res.tables.values())
 
 
 @pytest.mark.parametrize("kernel", ["epanechnikov", "gaussian"])

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -532,6 +533,33 @@ def test_spec_rejects_bad_presample(presample):
     with pytest.raises(ValueError, match=r"^presample must be 'full' or an integer "
                                          r"count >= 0, got "):
         TemperedProcessSpec(d=0.3, lam=0.0, n=50, memory_kind="lm", presample=presample)
+
+
+def _spec(**kw):
+    return TemperedProcessSpec(**{"d": 0.3, "lam": 0.0, "n": 50, "memory_kind": "lm", **kw})
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: _spec(n=50.5), "n must be an integer, got 50.5"),
+    (lambda: _spec(burn_in=10.5), "burn_in must be an integer, got 10.5"),
+    (lambda: _spec(n=True), "n must be an integer, got True"),
+    (lambda: _spec(n=0), "n must be >= 1, got 0"),
+    (lambda: _spec(burn_in=-1), "burn_in must be >= 0, got -1"),
+    (lambda: tempered_coeffs(0.3, 0.0, 4.0), "n_lags must be an integer, got 4.0"),
+    (lambda: simulate_innovations(8.0, NoiseConfig(0.5, 0.25, 0.2, 0)),
+     "n_total must be an integer, got 8.0"),
+    (lambda: regression_function_sine(0.5, terms=2.5), "terms must be an integer, got 2.5"),
+    (lambda: _sine_table(10.0, 65), "terms must be an integer, got 10.0"),
+    (lambda: _sine_table(10, 65.0), "resolution must be an integer, got 65.0"),
+], ids=["n-float", "burn_in-float", "n-bool", "n-zero", "burn_in-negative", "n_lags",
+        "n_total", "terms", "table-terms", "table-resolution"])
+def test_counts_must_be_integers(build, message):
+    # a fractional count once built a spec with truncation 61.0 and failed
+    # later inside numpy; numpy integers are counts
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+    assert _spec(n=np.int64(50), burn_in=np.int32(10)).truncation == 60
+    assert tempered_coeffs(0.3, 0.0, np.int64(4)).shape == (5,)
 
 
 def test_spec_presample_takes_full_or_a_count():

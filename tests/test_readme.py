@@ -4,8 +4,9 @@ name they use cannot be deleted or renamed without failing here."""
 import json
 import os
 import re
+import shlex
 
-from slmcoint import StudyConfig
+from slmcoint import StudyConfig, cli
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -30,3 +31,15 @@ def test_readme_study_config_loads():
     assert config.study_kind == "size"
     assert [ms.label for ms in config.memory_settings] == ["SLM3"]
     assert StudyConfig.from_dict(config.to_dict()) == config
+
+
+def test_readme_cli_lines_parse():
+    # every slmcoint line of the bash blocks is one the parser accepts
+    commands = [shlex.split(line)[1:] for block in _blocks("bash")
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("slmcoint ")]
+    assert sorted({argv[0] for argv in commands}) == [
+        "ckc", "estimate", "fit-artfima", "mc", "simulate", "spec-test"]
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(cli._attach_weight_support(argv))
