@@ -1,18 +1,18 @@
 """Wall time of the five full-size acceptance studies at 1 and 2 workers.
 
-    python3 scripts/time_acceptance.py --out FILE [--rounds 3]
+    python3 scripts/time_acceptance.py --out FILE
 
 The studies are those of ``tests/acceptance_configs.py``: TABLE1,
 COVERAGE, SIZE_LM and SIZE_SLM through ``run_study``, and the Whittle
-Monte Carlo, which fits both models to every ``whittle_series(rep)``; at
-2 workers on a forked pool, as the study pool is, so that no worker
-imports the library again.  Every run is a fresh interpreter that imports
+Monte Carlo, ``whittle_mc``, which fits both models to every
+``whittle_series(rep)``.  Every run is a fresh interpreter that imports
 the library from the ``src`` of this checkout and times the study alone,
 not the import.  A round runs each study at both worker counts, 1 then 2
-in even rounds and 2 then 1 in odd ones.
+in even rounds and 2 then 1 in odd ones, and there are ``ROUNDS`` rounds.
 
 FILE (JSON) gets each run's seconds with their median and quartiles, and
-the platform, CPU count, Python, numpy, BLAS and thread-variable facts.
+the platform, CPU count, thread variables and the library facts of
+``perfbench/child.py`` (Python, numpy, scipy, BLAS).
 It is a record, not a gate: nothing checks the numbers.
 """
 
@@ -25,16 +25,10 @@ import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ROUNDS = 4
 STUDIES = ("TABLE1", "COVERAGE", "SIZE_LM", "SIZE_SLM", "WHITTLE")
 WORKERS = (1, 2)
 THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _whittle_fits(rep):
-    from acceptance_configs import whittle_series
-    from slmcoint import fit_arfima00, fit_artfima00
-    z = whittle_series(rep)
-    return fit_artfima00(z).d_hat, fit_arfima00(z).d_hat
 
 
 def run_once(study, workers):
@@ -43,30 +37,20 @@ def run_once(study, workers):
     import acceptance_configs as acc
     from slmcoint import run_study
     start = time.perf_counter()
-    if study != "WHITTLE":
-        run_study(getattr(acc, study), threads=workers)
-    elif workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
-        with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
-            list(pool.map(_whittle_fits, range(acc.WHITTLE_REPLICATIONS)))
+    if study == "WHITTLE":
+        acc.whittle_mc(workers)
     else:
-        for rep in range(acc.WHITTLE_REPLICATIONS):
-            _whittle_fits(rep)
+        run_study(getattr(acc, study), threads=workers)
     return time.perf_counter() - start
 
 
 def environment():
-    import numpy as np
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        blas = {"name": blas.get("name"), "version": blas.get("version")}
-    except (TypeError, KeyError):
-        blas = None
+    sys.path.insert(0, ROOT)
+    from perfbench.child import _library_info
     return {"platform": platform.platform(), "machine": platform.machine(),
             "cpu_count": os.cpu_count(), "cpus_usable": len(os.sched_getaffinity(0)),
-            "python": platform.python_version(), "numpy": np.__version__, "blas": blas,
-            "thread_variables": {v: os.environ.get(v) for v in THREAD_VARIABLES}}
+            "thread_variables": {v: os.environ.get(v) for v in THREAD_VARIABLES},
+            **_library_info()}
 
 
 def summary(seconds):
@@ -77,18 +61,17 @@ def summary(seconds):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--out", help="the JSON record to write")
-    parser.add_argument("--rounds", type=int, default=3)
+    parser.add_argument("--out", help="the JSON record to write (required)")
     parser.add_argument("--child", nargs=2, metavar=("STUDY", "WORKERS"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
         print(run_once(args.child[0], int(args.child[1])))
         return 0
-    if not args.out or args.rounds < 3:
-        parser.error("--out is required, and --rounds must be at least 3")
+    if not args.out:
+        parser.error("--out is required")
     seconds = {study: {w: [] for w in WORKERS} for study in STUDIES}
-    for r in range(args.rounds):
+    for r in range(ROUNDS):
         for study in STUDIES:
             for w in WORKERS if r % 2 == 0 else WORKERS[::-1]:
                 done = subprocess.run(
@@ -96,7 +79,7 @@ def main(argv=None):
                     capture_output=True, text=True, check=True)
                 seconds[study][w].append(float(done.stdout))
                 print(f"round {r} {study} {w}w {seconds[study][w][-1]:.2f} s", flush=True)
-    record = {"rounds": args.rounds, "environment": environment(),
+    record = {"rounds": ROUNDS, "environment": environment(),
               "studies": {study: {f"{w}w": summary(runs) for w, runs in by_w.items()}
                           for study, by_w in seconds.items()}}
     with open(args.out, "w", newline="\n") as fh:

@@ -2,14 +2,17 @@
 and by any script that times or reruns the very same studies.
 
 The four Monte Carlo tables are ``StudyConfig``s, run by ``run_study``.
-The Whittle Monte Carlo fits both models (``fit_artfima00`` and
-``fit_arfima00``) to each of ``WHITTLE_REPLICATIONS`` series
-``whittle_series(rep)``.
+The Whittle Monte Carlo, ``whittle_mc(threads)``, fits both models
+(``fit_artfima00`` and ``fit_arfima00``) to each of
+``WHITTLE_REPLICATIONS`` series ``whittle_series(rep)``.
 """
+
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 
 import numpy as np
 
-from slmcoint import StudyConfig, simulate_artfima00
+from slmcoint import StudyConfig, fit_arfima00, fit_artfima00, simulate_artfima00
 
 MASTER_SEED = 20250808
 
@@ -59,3 +62,20 @@ def whittle_series(rep):
     ARTFIMA(0, d=1.0, lam=0.12, 0) noise, n=2000."""
     rng = np.random.default_rng([MASTER_SEED, 7, rep])
     return simulate_artfima00(2000, d=1.0, lam=0.12, sigma2=1.0, rng=rng)
+
+
+def whittle_fits(rep):
+    """Both Whittle fits, ARTFIMA then ARFIMA, of ``whittle_series(rep)``."""
+    z = whittle_series(rep)
+    return fit_artfima00(z), fit_arfima00(z)
+
+
+def whittle_mc(threads):
+    """``whittle_fits(rep)`` for every replication, in order: on a forked
+    pool of ``threads`` workers when ``threads`` > 1, as the study pool is,
+    so that no worker imports the library again."""
+    reps = range(WHITTLE_REPLICATIONS)
+    if threads > 1:
+        with ProcessPoolExecutor(threads, mp_context=get_context("fork")) as pool:
+            return list(pool.map(whittle_fits, reps))
+    return [whittle_fits(rep) for rep in reps]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from slmcoint import (run_estimation_study, run_coverage_study, run_size_study,
-                      fit_artfima00, fit_arfima00, periodogram, whittle_objective)
+                      periodogram, whittle_objective)
 from slmcoint.whittle import ARTFIMA_D_RANGE, ARTFIMA_LAM_RANGE
 
 import acceptance_configs as acc
@@ -35,15 +35,6 @@ def size_slm_study():
     return run_size_study(acc.SIZE_SLM, threads=THREADS)
 
 
-def _whittle_one(rep):
-    z = acc.whittle_series(rep)
-    art = fit_artfima00(z)
-    arf = fit_arfima00(z)
-    return {"d_hat": art.d_hat, "lambda_hat": art.lambda_hat,
-            "objective": art.objective, "grid_objective": _grid_scan_minimum(z),
-            "mse_artfima": art.mse, "mse_arfima": arf.mse}
-
-
 def _grid_scan_minimum(z):
     """Least objective of z over the ARTFIMA (d, lam) grid the fits once
     started from: d in steps of 0.05 over [-1, 3], 20 log-spaced lam."""
@@ -56,9 +47,8 @@ def _grid_scan_minimum(z):
 @pytest.fixture(scope="session")
 def whittle_mc():
     """The Whittle fits (ARTFIMA and ARFIMA) of every acceptance series."""
-    from concurrent.futures import ProcessPoolExecutor
-    reps = range(acc.WHITTLE_REPLICATIONS)
-    if THREADS > 1:
-        with ProcessPoolExecutor(max_workers=THREADS) as pool:
-            return list(pool.map(_whittle_one, reps))
-    return [_whittle_one(r) for r in reps]
+    return [{"d_hat": art.d_hat, "lambda_hat": art.lambda_hat,
+             "objective": art.objective,
+             "grid_objective": _grid_scan_minimum(acc.whittle_series(rep)),
+             "mse_artfima": art.mse, "mse_arfima": arf.mse}
+            for rep, (art, arf) in enumerate(acc.whittle_mc(THREADS))]
