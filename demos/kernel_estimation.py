@@ -11,7 +11,7 @@ from slmcoint import (TemperedProcessSpec, NoiseConfig, simulate_model,
 
 def main():
     n = 1000
-    spec = TemperedProcessSpec(d=0.2, lam=n ** -0.2, n=n, memory_kind="slm")
+    spec = TemperedProcessSpec(d=0.2, lam=n ** -0.2, n=n)
     noise = NoiseConfig(rho=0.5, psi=0.25, sigma=0.2, seed=11)
     path = simulate_model(spec, noise, f=regression_function_sine)
 

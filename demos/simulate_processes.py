@@ -1,8 +1,9 @@
 """Simulating long-memory and tempered (semi-long-memory) regressor paths.
 
-Shows the coefficient sequences, the partial-sum regressor under the three
-memory kinds from one shared innovation draw, and the normalization that
-keeps the paths on a common scale.
+Shows the coefficient sequences, the partial-sum regressor under three
+memory settings from one shared innovation draw, and the normalization that
+keeps the paths on a common scale.  The tempering parameter sets the memory
+regime: lam = 0 is long memory and lam > 0 semi-long memory.
 """
 
 import numpy as np
@@ -25,21 +26,18 @@ def main():
     print()
 
     print("=" * 70)
-    print("ONE SHARED SHOCK DRAW, THREE MEMORY KINDS (n = 1000, d = 0.3)")
+    print("ONE SHARED SHOCK DRAW, THREE MEMORY SETTINGS (n = 1000)")
     print("=" * 70)
     n = 1000
     noise = NoiseConfig(rho=0.5, psi=0.25, sigma=0.2, seed=7)
     specs = {
-        "short memory (d=0)": TemperedProcessSpec(
-            d=0.0, lam=0.0, n=n, memory_kind="short"),
-        "long memory": TemperedProcessSpec(
-            d=0.3, lam=0.0, n=n, memory_kind="lm"),
-        "semi-long memory": TemperedProcessSpec(
-            d=0.3, lam=n ** -0.2, n=n, memory_kind="slm"),
+        "white shocks (d=0)": TemperedProcessSpec(d=0.0, lam=0.0, n=n),
+        "long memory (d=0.3)": TemperedProcessSpec(d=0.3, lam=0.0, n=n),
+        "semi-long (d=0.3)": TemperedProcessSpec(d=0.3, lam=n ** -0.2, n=n),
     }
     for name, spec in specs.items():
         path = simulate_model(spec, noise, f=regression_function_sine)
-        dn = scale_dn(n, spec.lam, spec.d, spec.memory_kind)
+        dn = scale_dn(n, spec.lam, spec.d)
         print(f"{name:22s} range [{path.x.min():9.2f}, {path.x.max():9.2f}]"
               f"   d_N = {dn:8.2f}   x_n/d_N = {path.x[-1] / dn:+.3f}")
     print()

@@ -9,8 +9,7 @@ from slmcoint import (TemperedProcessSpec, NoiseConfig, simulate_model, BlockRul
 
 
 def run_case(title, y_builder, n=500, seed=3):
-    spec = TemperedProcessSpec(d=0.1, lam=n ** -0.2, n=n, memory_kind="slm",
-                               presample=0)
+    spec = TemperedProcessSpec(d=0.1, lam=n ** -0.2, n=n, presample=0)
     noise = NoiseConfig(rho=0.5, psi=0.25, sigma=0.2, seed=seed)
     path = simulate_model(spec, noise)
     y = y_builder(path)
@@ -20,7 +19,7 @@ def run_case(title, y_builder, n=500, seed=3):
     results = run_spec_test(
         path.x, y, "linear", h=n ** -0.2,
         kernel=GAUSSIAN, weight=uniform_weight(-100, 100),
-        memory_kind="slm", d=0.1, lam=n ** -0.2,
+        d=0.1, lam=n ** -0.2,
         blocks=[(b, b ** -0.2, b ** -0.2) for b in sizes])
     first = results[0]
     print(f"--- {title}")

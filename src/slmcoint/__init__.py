@@ -11,7 +11,7 @@ for estimation, coverage, and test-size studies.
 __version__ = "0.1.0"
 
 from .processes import (
-    MemoryKind, TemperedProcessSpec, NoiseConfig, tempered_coeffs,
+    TemperedProcessSpec, NoiseConfig, tempered_coeffs,
     simulate_innovations, simulate_regressor, simulate_error_ar1,
     regression_function_sine, sine_series_interpolator, simulate_model,
     scale_dn, innovation_length,

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .processes import (TemperedProcessSpec, NoiseConfig, simulate_model,
-                        regression_function_sine, MemoryKind)
+                        regression_function_sine)
 from .kernel_regression import get_kernel, kernel_estimate
 from .spec_test import (DEFAULT_WEIGHT_SUPPORT, run_spec_test, get_family,
                         uniform_weight, SubsamplingError, _check_block_size)
@@ -93,9 +93,8 @@ def _attach_weight_support(argv):
 
 
 def _cmd_simulate(args):
-    spec = TemperedProcessSpec(
-        d=args.d, lam=args.lam, n=args.n, memory_kind=MemoryKind.parse(args.memory),
-        burn_in=args.burn_in, presample=args.presample)
+    spec = TemperedProcessSpec(d=args.d, lam=args.lam, n=args.n, burn_in=args.burn_in,
+                               presample=args.presample)
     noise = NoiseConfig(rho=args.rho, psi=args.psi, sigma=args.sigma, seed=args.seed)
     path = simulate_model(spec, noise, f=lambda x: regression_function_sine(x, args.f_terms))
     os.makedirs(args.out, exist_ok=True)
@@ -139,15 +138,13 @@ def _cmd_spec_test(args):
     h = h_b = args.bandwidth
     if h is None:
         h, h_b = (float(m) ** parse_exponent(args.bandwidth_rule) for m in (n, b))
+    # likewise lam; --lam 0 is long memory
     lam = lam_b = args.lam
     if lam is None:
-        lam = lam_b = 0.0
-        if args.memory == "slm" and args.lambda_rule:
-            lam, lam_b = (float(m) ** parse_exponent(args.lambda_rule) for m in (n, b))
+        lam, lam_b = (float(m) ** parse_exponent(args.lambda_rule) for m in (n, b))
     (result,) = run_spec_test(
         x, y, get_family(args.family), h, get_kernel(args.kernel),
-        uniform_weight(*args.weight_support), memory_kind=args.memory, d=args.d,
-        lam=lam, blocks=[(b, h_b, lam_b)])
+        uniform_weight(*args.weight_support), d=args.d, lam=lam, blocks=[(b, h_b, lam_b)])
     os.makedirs(args.out, exist_ok=True)
     write_json(os.path.join(args.out, "spec_test.json"), result.to_dict())
     print(f"p_value={result.p_value!r} t_normalized={result.t_normalized!r}")
@@ -192,7 +189,6 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=float, default=0.0)
     p.add_argument("--lam", type=float, default=0.0)
-    p.add_argument("--memory", choices=["lm", "slm", "short"], default="short")
     p.add_argument("--rho", type=float, default=0.5)
     p.add_argument("--psi", type=float, default=0.25)
     p.add_argument("--sigma", type=float, default=0.2)
@@ -227,7 +223,6 @@ def build_parser():
     p.add_argument("--block-rule", dest="block_coef", type=float, default=1.0,
                    help="coefficient c of b = [c*n^0.5]")
     p.add_argument("--block-exponent", type=float, default=0.5)
-    p.add_argument("--memory", choices=["slm", "lm", "short"], default="slm")
     p.add_argument("--d", type=float, default=0.0)
     p.add_argument("--lam", type=float, default=None)
     p.add_argument("--lambda-rule", default="n^-1/5")

@@ -90,7 +90,7 @@ def ckc_analysis(series):
         for he in H_EXPONENTS:
             results = run_spec_test(
                 e, z, family, float(n) ** he, GAUSSIAN, uniform_weight(),
-                memory_kind="semi_long", d=d_hat, lam=lam_hat,
+                d=d_hat, lam=lam_hat,
                 blocks=[(b, float(b) ** he, lam_hat) for b in sizes])
             for coef, res in zip(BLOCK_COEFS, results):
                 pvals.append({

@@ -282,10 +282,18 @@ def kernel_estimate(x, y, grid, h, kernel=EPANECHNIKOV, alpha=None,
     # that the weighted sums of a tiny response do not underflow; y is never
     # scaled down, which would make its products with a weight near the
     # smallest normal float subnormal
-    unit = np.ldexp(1.0, np.minimum(0, np.frexp(np.abs(np.atleast_1d(y)).max(
-        axis=-1, initial=0.0, keepdims=True))[1]))
+    ymax = np.abs(np.atleast_1d(y)).max(axis=-1, initial=0.0, keepdims=True)
+    unit = np.ldexp(1.0, np.minimum(0, np.frexp(ymax)[1]))
     y = y / unit
     unit = unit.reshape(unit.shape + (1,) * h.ndim)  # over fhat's axes
+    if variance not in (None, "centered", "uncentered"):
+        raise ValueError("variance must be 'centered', 'uncentered' or None")
+    # a residual is at most 2 max |y| and every weight is below 1, so below
+    # this bound no weighted sum of n squares can overflow
+    if variance is not None and np.any(
+            ymax > np.sqrt(np.finfo(float).max / (4 * max(1, np.atleast_1d(y).shape[-1])))):
+        raise ValueError(f"the variance of y is out of float range (max |y| = "
+                         f"{float(ymax.max()):.3g}); rescale y")
     if variance is None:
         if alpha is not None:
             raise ValueError(f"alpha={alpha} asks for a band, which variance=None "
@@ -298,10 +306,8 @@ def kernel_estimate(x, y, grid, h, kernel=EPANECHNIKOV, alpha=None,
         # the leave-in fit, whose every mass is at least K(0) > 0
         mass, _, sums = kernel_sums(x, x, h, kernel, (y,))
         columns = (y, (y - sums[0] / mass) ** 2)
-    elif variance == "uncentered":
-        columns = (y, y * y)
     else:
-        raise ValueError("variance must be 'centered', 'uncentered' or None")
+        columns = (y, y * y)
     z = None if alpha is None else _normal_quantile(alpha)
     mass, count, sums = kernel_sums(x, grid, h, kernel, columns)
     # fhat and sigma2 where the point is defined, NaN elsewhere

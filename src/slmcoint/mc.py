@@ -12,13 +12,14 @@ count or cell execution order.
 import csv
 import json
 import math
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .processes import (MemoryKind, TemperedProcessSpec, NoiseConfig,
+from .processes import (TemperedProcessSpec, NoiseConfig,
                         simulate_innovations, simulate_regressor,
                         simulate_error_ar1, sine_series_interpolator,
                         innovation_length, _check_memory, _check_simulated_d)
@@ -78,46 +79,42 @@ def parse_exponent(value):
 
 @dataclass(frozen=True)
 class MemorySetting:
-    """Regressor memory setting: the kind plus the tempering schedule
-    lam = n^lambda_exponent for semi-long memory."""
+    """Regressor memory setting: long memory (lam = 0) without an exponent,
+    else the semi-long tempering schedule lam = n^lambda_exponent."""
 
-    kind: MemoryKind
     lambda_exponent: float = None
     label: str = None
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", MemoryKind.parse(self.kind))
-        if self.kind is MemoryKind.SEMI_LONG:
-            if self.lambda_exponent is None:
-                raise ValueError("semi-long setting needs a lambda exponent")
-            if not (-1.0 < self.lambda_exponent < 0.0):
-                raise ValueError(
-                    "tempering schedule must satisfy lam -> 0 and n*lam -> inf "
-                    "(exponent in (-1, 0))")
+        if self.lambda_exponent is not None and not -1.0 < self.lambda_exponent < 0.0:
+            raise ValueError(
+                "tempering schedule must satisfy lam -> 0 and n*lam -> inf "
+                "(exponent in (-1, 0))")
         if self.label is None:
-            label = "LM" if self.kind is MemoryKind.LONG else "SHORT"
-            if self.kind is MemoryKind.SEMI_LONG:
-                label = next((name for name, expo in SLM_RULES.items()
-                              if abs(expo - self.lambda_exponent) < 1e-12),
-                             f"SLM(n^{self.lambda_exponent:g})")
+            label = "LM" if self.lambda_exponent is None else next(
+                (name for name, expo in SLM_RULES.items()
+                 if abs(expo - self.lambda_exponent) < 1e-12),
+                f"SLM(n^{self.lambda_exponent:g})")
             object.__setattr__(self, "label", label)
 
     def lam(self, n):
-        if self.kind is MemoryKind.SEMI_LONG:
-            return float(n) ** self.lambda_exponent
-        return 0.0
+        return 0.0 if self.lambda_exponent is None else float(n) ** self.lambda_exponent
 
     def to_dict(self):
-        return {"kind": self.kind.value, "lambda_exponent": self.lambda_exponent,
-                "label": self.label}
+        return {"lambda_exponent": self.lambda_exponent, "label": self.label}
 
     @classmethod
     def from_dict(cls, payload):
+        """From a name, ``lm`` or ``SLM1``..``SLM4``, or an object of an
+        optional ``lambda_exponent`` (none is long memory) and ``label``."""
         if isinstance(payload, str):
-            # a named schedule SLM1..SLM4; a bare "slm" is the memory kind
-            if payload[:3].upper() == "SLM" and payload[3:].strip():
-                return cls(MemoryKind.SEMI_LONG, _slm_rule(payload))
-            return cls(MemoryKind.parse(payload))
+            key = payload.strip().upper()
+            if key == "LM":
+                return cls()
+            if key.startswith("SLM") and key[3:]:
+                return cls(_slm_rule(key))
+            raise ValueError(f"unknown memory setting {payload!r}; choose lm or one of "
+                             f"{sorted(SLM_RULES)}")
         if not isinstance(payload, dict):
             raise ValueError("memory_settings entries must be a name or an object, "
                              f"got {payload!r}")
@@ -181,6 +178,7 @@ class StudyConfig:
         for name, least in _COUNT_FIELDS.items():
             _check_count(name, getattr(self, name), least,
                          " (0 is the zero function)" if name == "f_terms" else "")
+        object.__setattr__(self, "alpha", _number("alpha", self.alpha))
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha!r}")
         try:
@@ -263,25 +261,25 @@ class StudyConfig:
 
     def settings_grid(self):
         """The (setting, d) combinations that the memory rule
-        (``_check_memory``) admits: long memory keeps 0 <= d < 1/2, short
-        memory d = 0.  A semi-long d below 0, which no regressor can be
-        simulated with (``_check_simulated_d``), is an error, raised when
-        the config is built."""
+        (``_check_memory``) admits: long memory keeps 0 <= d < 1/2.  A
+        semi-long d below 0, which no regressor can be simulated with
+        (``_check_simulated_d``), is an error, raised when the config is
+        built."""
         out = []
         for ms in self.memory_settings:
             for d in self.d_values:
                 try:
-                    _check_memory(ms.kind, d, "lam", ms.lam(self.n))
+                    _check_memory(d, "lam", ms.lam(self.n))
                 except ValueError:
                     continue
-                _check_simulated_d(ms.kind, d, "d_values")
+                _check_simulated_d(d, "d_values")
                 out.append((ms, d))
         return out
 
     def specs(self):
         """The ``TemperedProcessSpec`` of every (setting, d) of
         ``settings_grid()``, in its order."""
-        return [TemperedProcessSpec(d=d, lam=ms.lam(self.n), n=self.n, memory_kind=ms.kind,
+        return [TemperedProcessSpec(d=d, lam=ms.lam(self.n), n=self.n,
                                     burn_in=self.burn_in, presample=self.presample)
                 for ms, d in self.settings_grid()]
 
@@ -341,8 +339,10 @@ def _cell_keys(config):
 
 def _run_chunked(worker, config, threads):
     """Run ``worker`` on chunks of ``chunk_size`` replications, forking at
-    most one of the ``threads`` workers per chunk.  Returns {cell key: [the
-    cell's accumulator from each chunk, in chunk order]} and the chunk sizes."""
+    most one of the ``threads`` workers per chunk (by fork, whatever the
+    platform's default, so that workers share the parent's state).  Returns
+    {cell key: [the cell's accumulator from each chunk, in chunk order]} and
+    the chunk sizes."""
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     r, cs = config.replications, config.chunk_size
@@ -350,7 +350,8 @@ def _run_chunked(worker, config, threads):
     jobs = [(config, lo, hi) for lo, hi in bounds]
     workers = min(threads, len(jobs))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("fork")) as pool:
             payloads = list(pool.map(worker, jobs))
     else:
         payloads = [worker(j) for j in jobs]
@@ -528,7 +529,7 @@ def _size_chunk(args):
             for he in config.bandwidth_exponents:
                 blocks = [(b, float(b) ** he, ms.lam(b)) for b in sizes]
                 results = run_spec_test(x, y, "linear", float(config.n) ** he, config.kernel,
-                                        weight, ms.kind, d, ms.lam(config.n), blocks=blocks,
+                                        weight, d, ms.lam(config.n), blocks=blocks,
                                         quad_cells=_SIZE_QUAD_CELLS)
                 cells[ms.label, d, he].append([results[0].t_normalized] + [
                     res.reject(lv) for res in results for lv in config.nominal_levels])

@@ -11,7 +11,6 @@ innovations xi and the error innovations eps is induced through their
 contemporaneous correlation rho.
 """
 
-import enum
 from dataclasses import dataclass, asdict, field
 from functools import lru_cache
 
@@ -27,48 +26,28 @@ _TEMPER_TRUNC_TOL = 1e-12
 _TEMPER_LAG_FLOOR = 50
 
 
-class MemoryKind(str, enum.Enum):
-    LONG = "long"
-    SEMI_LONG = "semi_long"
-    SHORT = "short"
-
-    @classmethod
-    def parse(cls, value):
-        if isinstance(value, cls):
-            return value
-        key = str(value).strip().lower().replace("-", "_")
-        aliases = {"lm": cls.LONG, "long": cls.LONG, "slm": cls.SEMI_LONG,
-                   "semi_long": cls.SEMI_LONG, "short": cls.SHORT}
-        if key not in aliases:
-            raise ValueError(f"unknown memory kind: {value!r}")
-        return aliases[key]
-
-
-def _check_memory(kind, d, lam_name, lam):
-    """d and the tempering parameter must be finite with lam >= 0; semi-long
-    memory needs lam > 0, long memory 0 <= d < 1/2 and lam = 0, short
-    memory d = 0 (``kind`` None adds no kind rule)."""
+def _check_tempering(d, lam_name, lam):
+    """d and the tempering parameter must be finite, with lam >= 0."""
     if not np.isfinite(d):
         raise ValueError(f"memory parameter d must be finite, got {d}")
     if not np.isfinite(lam):
         raise ValueError(f"tempering parameter {lam_name} must be finite, got {lam}")
     if lam < 0:
         raise ValueError(f"tempering parameter {lam_name} must be >= 0, got {lam}")
-    if kind is MemoryKind.SEMI_LONG and lam <= 0:
-        raise ValueError(f"semi-long memory requires {lam_name} > 0, got {lam}")
-    if kind is MemoryKind.LONG:
-        if not (0.0 <= d < 0.5):
-            raise ValueError(f"long memory requires 0 <= d < 1/2, got {d}")
-        if lam != 0.0:
-            raise ValueError(f"long memory requires {lam_name} = 0, got {lam}")
-    if kind is MemoryKind.SHORT and d != 0.0:
-        raise ValueError(f"short memory requires d = 0, got {d}")
 
 
-def _check_simulated_d(kind, d, name):
-    """A simulated semi-long-memory regressor needs d >= 0 (the statistics
-    take a fitted d of either sign); ``name`` is the field that holds d."""
-    if kind is MemoryKind.SEMI_LONG and d < 0.0:
+def _check_memory(d, lam_name, lam):
+    """The memory rule: ``_check_tempering``, and lam = 0 (long memory)
+    needs 0 <= d < 1/2; lam > 0 is semi-long memory, of any finite d."""
+    _check_tempering(d, lam_name, lam)
+    if lam == 0.0 and not (0.0 <= d < 0.5):
+        raise ValueError(f"long memory requires 0 <= d < 1/2, got {d}")
+
+
+def _check_simulated_d(d, name):
+    """A simulated regressor needs d >= 0 (the statistics take a fitted d of
+    either sign); after ``_check_memory`` only lam > 0 gets here with d < 0."""
+    if d < 0.0:
         raise ValueError(f"{name}: a simulated semi-long-memory regressor needs d >= 0, "
                          f"got {d}")
 
@@ -151,18 +130,15 @@ class TemperedProcessSpec:
     d: float
     lam: float
     n: int
-    memory_kind: MemoryKind
     burn_in: int = DEFAULT_BURN_IN
     presample: object = "full"
     truncation: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "memory_kind", MemoryKind.parse(self.memory_kind))
-        kind = self.memory_kind
-        _check_memory(kind, self.d, "lam", self.lam)
+        _check_memory(self.d, "lam", self.lam)
         _check_count("n", self.n, 1)
         _check_count("burn_in", self.burn_in, 0)
-        _check_simulated_d(kind, self.d, "d")
+        _check_simulated_d(self.d, "d")
         object.__setattr__(self, "truncation",
                            _tempered_lag_cap(self.lam, self.n + self.burn_in))
         p = self.presample
@@ -177,14 +153,11 @@ class TemperedProcessSpec:
         return self.truncation if self.presample == "full" else self.presample
 
     def coefficients(self):
-        """The shock filter phi(0..truncation); short memory is the d = 0
-        case, whose coefficients are the delta sequence."""
+        """The shock filter phi(0..truncation); d = 0 gives the delta sequence."""
         return tempered_coeffs(self.d, self.lam, self.truncation)
 
     def to_dict(self):
-        out = asdict(self)
-        out["memory_kind"] = self.memory_kind.value
-        return out
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -390,15 +363,11 @@ def simulate_model(spec, noise, f=None, rng=None):
     return SimulatedPath(x=x, u=u, y=y, spec=spec, noise=noise)
 
 
-def scale_dn(n, lam, d, memory_kind):
-    """Normalization d_N of the partial-sum regressor.
-
-    n^{d+1/2} under long memory and sqrt(n)/lam^d otherwise: short memory
-    is the d = 0 case, sqrt(n) (unit long-run variance convention).
-    (kind, d, lam) must satisfy the rule of their memory kind.
-    """
-    kind = MemoryKind.parse(memory_kind)
-    _check_memory(kind, d, "lam", lam)
-    if kind is MemoryKind.LONG:
+def scale_dn(n, lam, d):
+    """Normalization d_N of the partial-sum regressor: n^{d+1/2} under long
+    memory (lam = 0) and sqrt(n)/lam^d under semi-long memory (lam > 0).
+    (d, lam) must satisfy the memory rule (``_check_memory``)."""
+    _check_memory(d, "lam", lam)
+    if lam == 0.0:
         return float(n) ** (d + 0.5)
     return np.sqrt(n) / lam ** d

@@ -5,9 +5,11 @@ parametric family against a compactly supported weight,
 
     T = int { sum_k K[(x_k - x)/h] * (y_k - g(x_k, theta_hat)) }^2 pi(x) dx,
 
-normalized according to the regressor's memory kind, and calibrated by
+normalized by the regressor's partial-sum scale d_N, and calibrated by
 recomputing the normalized statistic on all length-b blocks of consecutive
-observations (overlapping subsampling).
+observations (overlapping subsampling).  The tempering parameter lam sets
+the memory regime: lam = 0 is long memory (0 <= d < 1/2, d_N = n^{d+1/2})
+and lam > 0 semi-long memory (d_N = sqrt(n)/lam^d).
 """
 
 from dataclasses import dataclass, fields
@@ -15,7 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .kernel_regression import _check_count, _check_finite, _check_positive, get_kernel
-from .processes import MemoryKind, _check_memory, scale_dn
+from .processes import _check_memory, scale_dn
 
 DEFAULT_QUAD_CELLS = 2048
 DEFAULT_WEIGHT_SUPPORT = (-100.0, 100.0)
@@ -194,11 +196,11 @@ def t_statistic(x, y, family, theta, h, kernel, weight, quad_cells=DEFAULT_QUAD_
                                    get_kernel(kernel), weight, quad_cells)[0])
 
 
-def normalized_statistic(t_raw, n, lam, d, h, memory_kind):
+def normalized_statistic(t_raw, n, lam, d, h):
     """The raw statistic over its normalizer n h / d_N, with d_N the
-    regressor's partial-sum scale ``scale_dn(n, lam, d, memory_kind)``;
+    regressor's partial-sum scale ``scale_dn(n, lam, d)``;
     returns (T d_N / (n h), n h / d_N)."""
-    scale = float(n * h / scale_dn(n, lam, d, memory_kind))
+    scale = float(n * h / scale_dn(n, lam, d))
     return t_raw / scale, scale
 
 
@@ -245,8 +247,8 @@ def _sliding_theta(x, y, family, b):
     return theta, valid, u
 
 
-def subsample_statistics(x, y, family, b, h_b, lam_b, d, memory_kind, kernel,
-                         weight, quad_cells=DEFAULT_QUAD_CELLS, return_by_block=False):
+def subsample_statistics(x, y, family, b, h_b, lam_b, d, kernel, weight,
+                         quad_cells=DEFAULT_QUAD_CELLS, return_by_block=False):
     """Normalized block statistics for all length-b consecutive blocks.
 
     Each block is refit (``_sliding_theta``), its raw statistic computed on
@@ -258,9 +260,8 @@ def subsample_statistics(x, y, family, b, h_b, lam_b, d, memory_kind, kernel,
     """
     family = get_family(family)
     kernel = get_kernel(kernel)
-    kind = MemoryKind.parse(memory_kind)
     _check_positive("bandwidth h_b", h_b)
-    _check_memory(kind, d, "lam_b", lam_b)
+    _check_memory(d, "lam_b", lam_b)
     x, y = _as_xy(x, y)
     _check_block_size(b, x.shape[0], whole=True)
     nb = x.shape[0] - b + 1
@@ -271,7 +272,7 @@ def subsample_statistics(x, y, family, b, h_b, lam_b, d, memory_kind, kernel,
             f"{skipped} of {nb} block fits failed (> {_MAX_SKIPPED_FRACTION:.0%})")
     cols = np.stack([y] + [u ** j for j in range(family.dim)])
     raw = _block_statistics(x, cols, theta, b, h_b, kernel, weight, quad_cells)[valid]
-    normalized = normalized_statistic(raw, b, lam_b, d, h_b, kind)[0]
+    normalized = normalized_statistic(raw, b, lam_b, d, h_b)[0]
     if return_by_block:
         return np.sort(normalized), normalized, np.nonzero(valid)[0], skipped
     return np.sort(normalized)
@@ -302,7 +303,6 @@ class SpecTestResult:
     subsample_by_block: np.ndarray = None
     block_index: np.ndarray = None
     n_blocks_skipped: int = 0
-    memory_kind: str = ""
     h: float = None
     h_b: float = None
     lam: float = None
@@ -323,36 +323,39 @@ class SpecTestResult:
         return out
 
 
-def run_spec_test(x, y, family, h, kernel, weight, memory_kind, d, lam=0.0, *,
-                  blocks, quad_cells=DEFAULT_QUAD_CELLS):
+def run_spec_test(x, y, family, h, kernel, weight, d, lam, *, blocks,
+                  quad_cells=DEFAULT_QUAD_CELLS):
     """Full specification test: one fit and statistic, normalized, then
     subsampled at each (b, h_b, lam_b) of the nonempty ``blocks``; returns
     one ``SpecTestResult`` per entry, in order.
 
-    The caller states the block-scale tuning values: h_b, and lam_b > 0
-    under semi-long memory.  A power rule h = n^a gives h_b = b^a; a fixed
-    value is passed unchanged.  The p-value uses add-one smoothing,
+    The caller states the block-scale tuning values h_b and lam_b; lam_b is
+    0 exactly when lam is, so that the blocks share the sample's memory
+    regime.  A power rule h = n^a gives h_b = b^a; a fixed value is passed
+    unchanged.  The p-value uses add-one smoothing,
     (1 + #{blocks >= T}) / (1 + #blocks), with ties counted as exceedances.
     It needs 2 <= b < n: a block of the whole sample is the statistic itself.
     """
     if len(blocks) == 0:
         raise ValueError("blocks must hold at least one (b, h_b, lam_b)")
-    kind = MemoryKind.parse(memory_kind)
     theta_hat = nls_fit(family, x, y)  # rejects bad x and y before any other work
-    for b, _, _ in blocks:
+    for b, _, lam_b in blocks:
         _check_block_size(b, len(x))
+        if (lam_b == 0.0) != (lam == 0.0):
+            raise ValueError(f"lam_b must be 0 exactly when lam is (long memory), "
+                             f"got lam = {lam}, lam_b = {lam_b}")
     t_raw = t_statistic(x, y, family, theta_hat, h, kernel, weight, quad_cells)
-    t_norm, scale = normalized_statistic(t_raw, len(x), lam, d, h, kind)
+    t_norm, scale = normalized_statistic(t_raw, len(x), lam, d, h)
     results = []
     for b, h_b, lam_b in blocks:
         sorted_vals, by_block, order_index, skipped = subsample_statistics(
-            x, y, family, b, h_b, lam_b, d, kind, kernel, weight, quad_cells,
+            x, y, family, b, h_b, lam_b, d, kernel, weight, quad_cells,
             return_by_block=True)
         p_value = (1.0 + np.count_nonzero(sorted_vals >= t_norm)) / (1.0 + sorted_vals.size)
         results.append(SpecTestResult(
             t_raw=t_raw, t_normalized=t_norm, normalizer=scale, theta_hat=theta_hat,
             subsample_values=sorted_vals, p_value=float(p_value), block_size=int(b),
             subsample_by_block=by_block, block_index=order_index,
-            n_blocks_skipped=skipped, memory_kind=kind.value,
+            n_blocks_skipped=skipped,
             h=float(h), h_b=float(h_b), lam=float(lam), lam_b=float(lam_b), d=float(d)))
     return tuple(results)

@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .kernel_regression import _check_finite, _check_positive
-from .processes import _check_memory, _tempered_lag_cap, fftconvolve, tempered_coeffs
+from .processes import _check_tempering, _tempered_lag_cap, fftconvolve, tempered_coeffs
 
 _TWO_PI = 2.0 * np.pi
 ARTFIMA_D_RANGE = (-1.0, 3.0)
@@ -109,7 +109,7 @@ def one_step_residuals(series, d, lam):
     """In-sample one-step residuals of the mean-removed series from the
     fitted model's AR weights, the coefficients of (1 - e^{-lam} z)^{d} up to
     lag ``_AR_TRUNCATION``; early residuals use the shorter history."""
-    _check_memory(None, d, "lam", lam)
+    _check_tempering(d, "lam", lam)
     z = np.asarray(series, dtype=float)
     _check_finite("the series", z)
     z = z - z.mean()
@@ -271,7 +271,7 @@ def fit_arfima00(series):
 def simulate_artfima00(n, d, lam, sigma2=1.0, rng=None):
     """Simulate ARTFIMA(0, d, lam, 0) noise via the truncated MA(infinity)
     representation with full pre-sample history."""
-    _check_memory(None, d, "lam", lam)
+    _check_tempering(d, "lam", lam)
     _check_positive("sigma2", sigma2)
     if rng is None:
         rng = np.random.default_rng()

@@ -135,8 +135,7 @@ def _oracle_size_replication(config, rep):
     (block_rule,), (level,) = config.block_rules, config.nominal_levels
     n = config.n
     lam_exp = setting.lambda_exponent
-    spec = sl.TemperedProcessSpec(d=d, lam=n ** lam_exp, n=n,
-                                  memory_kind="slm", burn_in=config.burn_in,
+    spec = sl.TemperedProcessSpec(d=d, lam=n ** lam_exp, n=n, burn_in=config.burn_in,
                                   presample=config.presample)
     noise = sl.NoiseConfig(rho=config.rho, psi=config.psi,
                            sigma=config.sigma, seed=config.master_seed)
@@ -320,7 +319,7 @@ def test_criterion_5_coefficients_and_moments():
     for d in (0.3, 1.0):
         vals = []
         for lam in (0.1, 0.05, 0.025, 0.0125):
-            spec = sl.TemperedProcessSpec(d=d, lam=lam, n=1000, memory_kind="slm")
+            spec = sl.TemperedProcessSpec(d=d, lam=lam, n=1000)
             vals.append(spec.coefficients().sum() * lam ** d)
         stable = stable and (max(vals) / min(vals) < 1.2)
     i1 = quad(lambda u: float(sl.EPANECHNIKOV(u)), -1, 1)[0]
@@ -381,8 +380,7 @@ def test_criterion_7_determinism_across_thread_counts():
     b = sl.run_estimation_study(config, threads=2)
     tables_ok = all(a.tables[c] == b.tables[c] for c in a.tables)
 
-    spec = sl.TemperedProcessSpec(d=0.1, lam=150 ** H5, n=150,
-                                  memory_kind="slm", presample=0)
+    spec = sl.TemperedProcessSpec(d=0.1, lam=150 ** H5, n=150, presample=0)
     noise = sl.NoiseConfig(rho=0.5, psi=0.25, sigma=0.2, seed=5)
     p1 = sl.simulate_model(spec, noise)
     p2 = sl.simulate_model(spec, noise)
@@ -390,11 +388,11 @@ def test_criterion_7_determinism_across_thread_counts():
 
     (r1,) = sl.run_spec_test(p1.x, p1.x + 0.2 * p1.u, "linear",
                              150 ** H5, sl.GAUSSIAN, sl.uniform_weight(),
-                             "slm", d=0.1, lam=150 ** H5,
+                             d=0.1, lam=150 ** H5,
                              blocks=[(24, 24 ** H5, 24 ** H5)], quad_cells=512)
     (r2,) = sl.run_spec_test(p2.x, p2.x + 0.2 * p2.u, "linear",
                              150 ** H5, sl.GAUSSIAN, sl.uniform_weight(),
-                             "slm", d=0.1, lam=150 ** H5,
+                             d=0.1, lam=150 ** H5,
                              blocks=[(24, 24 ** H5, 24 ** H5)], quad_cells=512)
     test_ok = (r1.t_raw == r2.t_raw
                and np.array_equal(r1.subsample_values, r2.subsample_values))

@@ -180,8 +180,7 @@ def test_ckc_quadratic_data_prefers_quadratic(tmp_path):
 
 def test_cli_simulate_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    args = ["simulate", "--n", "50", "--d", "0.2", "--lam", "0.3",
-            "--memory", "slm", "--seed", "9"]
+    args = ["simulate", "--n", "50", "--d", "0.2", "--lam", "0.3", "--seed", "9"]
     assert cli_main(args + ["--out", str(out1)]) == 0
     assert cli_main(args + ["--out", str(out2)]) == 0
     assert (out1 / "path.csv").read_bytes() == (out2 / "path.csv").read_bytes()
@@ -199,8 +198,8 @@ def test_cli_simulate_rejects_nan_rho(tmp_path, capsys):
 
 def test_cli_estimate_and_spec_test(tmp_path):
     sim = tmp_path / "sim"
-    assert cli_main(["simulate", "--n", "150", "--memory", "short",
-                     "--seed", "3", "--out", str(sim)]) == 0
+    assert cli_main(["simulate", "--n", "150", "--seed", "3", "--out", str(sim)]) == 0
+    assert "memory_kind" not in json.loads((sim / "run.json").read_text())["spec"]
     est = tmp_path / "est"
     assert cli_main(["estimate", "--data", str(sim / "path.csv"),
                      "--bandwidth-rule", "n^-1/3", "--out", str(est)]) == 0
@@ -208,11 +207,13 @@ def test_cli_estimate_and_spec_test(tmp_path):
     assert lines[0] == "x,fhat,sigma2hat,local_mass,ci_lo,ci_hi"
     assert len(lines) == 101
     st = tmp_path / "st"
+    # --lam 0 is long memory, which takes 0 <= d < 1/2
     assert cli_main(["spec-test", "--data", str(sim / "path.csv"),
-                     "--family", "linear", "--memory", "short",
+                     "--family", "linear", "--lam", "0", "--d", "0.2",
                      "--block-rule", "2", "--out", str(st)]) == 0
     payload = json.loads((st / "spec_test.json").read_text())
     assert 0.0 < payload["p_value"] <= 1.0
+    assert payload["lam"] == payload["lam_b"] == 0.0 and "memory_kind" not in payload
 
 
 @pytest.mark.parametrize("support", ["1,2,3", "abc", "1", "5,-5", "2,2"])
@@ -292,6 +293,22 @@ def test_cli_estimate_rejects_zero_bandwidth(tmp_path, capsys):
     assert "bandwidth h must be finite and > 0, got 0.0" in capsys.readouterr().err
 
 
+def test_cli_estimate_rejects_a_response_whose_variance_overflows(tmp_path, capsys):
+    # every cell is finite, but y * y is not: the error names y's range,
+    # not a non-finite cell of the file
+    x = np.linspace(0.0, 1.0, 20)
+    data = tmp_path / "huge.csv"
+    data.write_text("x,y\n" + "".join(f"{float(a)!r},{1e160 * float(np.sin(a))!r}\n"
+                                      for a in x))
+    assert cli_main(["estimate", "--data", str(data), "--bandwidth", "0.3",
+                     "--out", str(tmp_path / "est")]) == 2
+    err = capsys.readouterr().err
+    assert (f"error: {data}: the variance of y is out of float range "
+            "(max |y| = 8.41e+159); rescale y") in err
+    assert "non-finite" not in err
+    assert not (tmp_path / "est").exists()
+
+
 @pytest.mark.parametrize("alpha", ["1.5", "0", "-0.2", "nan"])
 def test_cli_estimate_rejects_alpha_outside_unit_interval(tmp_path, capsys, alpha):
     data = tmp_path / "xy.csv"
@@ -310,13 +327,12 @@ def test_cli_estimate_rejects_alpha_outside_unit_interval(tmp_path, capsys, alph
     (None, ["--block-size", "0"], "block size must satisfy 2 <= b < n, got b = 0, n = 100"),
     (None, ["--block-size", "1"], "block size must satisfy 2 <= b < n, got b = 1, n = 100"),
     (None, ["--block-rule", "0.1"], "block size must satisfy 2 <= b < n, got b = 1, n = 100"),
-    (None, ["--lam", "0"], "semi-long memory requires lam > 0, got 0.0"),
-    # the simulator's rule per memory kind
-    (None, ["--memory", "lm", "--d", "0.7"], "long memory requires 0 <= d < 1/2, got 0.7"),
-    (None, ["--memory", "lm", "--d", "-0.2"], "long memory requires 0 <= d < 1/2, got -0.2"),
-    (None, ["--memory", "short", "--d", "0.3"], "short memory requires d = 0, got 0.3"),
+    (None, ["--lam", "-0.1"], "tempering parameter lam must be >= 0, got -0.1"),
+    # the simulator's memory rule: --lam 0 is long memory
+    (None, ["--lam", "0", "--d", "0.7"], "long memory requires 0 <= d < 1/2, got 0.7"),
+    (None, ["--lam", "0", "--d", "-0.2"], "long memory requires 0 <= d < 1/2, got -0.2"),
 ], ids=["x", "y", "bandwidth-nan", "bandwidth-0", "block-size-0", "block-size-1",
-        "block-rule-0.1", "lam-0", "lm-d-0.7", "lm-d-neg", "short-d-0.3"])
+        "block-rule-0.1", "lam-negative", "lm-d-0.7", "lm-d-neg"])
 def test_cli_spec_test_rejects_empty_cell(tmp_path, capfd, column, flags, message):
     # capfd, not capsys: LAPACK writes its complaints to the process's stderr
     rng = np.random.default_rng(5)
@@ -327,8 +343,7 @@ def test_cli_spec_test_rejects_empty_cell(tmp_path, capfd, column, flags, messag
         cells[40][0 if column == "x" else 1] = ""
     data = tmp_path / "gap.csv"
     data.write_text("x,y\n" + "".join(",".join(row) + "\n" for row in cells))
-    assert cli_main(["spec-test", "--data", str(data), "--memory", "slm",
-                     "--d", "0.1", *flags,
+    assert cli_main(["spec-test", "--data", str(data), "--d", "0.1", *flags,
                      "--out", str(tmp_path / "st")]) == 2
     out, err = capfd.readouterr()
     assert message in err
@@ -343,8 +358,8 @@ def _cli_block_values(tmp_path, flags):
     data.write_text("x,y\n" + "".join(f"{float(a)!r},{float(b)!r}\n"
                                       for a, b in zip(x, y)))
     out = tmp_path / "st"
-    assert cli_main(["spec-test", "--data", str(data), "--memory", "slm",
-                     "--d", "0.1", "--block-size", "28", *flags, "--out", str(out)]) == 0
+    assert cli_main(["spec-test", "--data", str(data), "--d", "0.1", "--block-size", "28",
+                     *flags, "--out", str(out)]) == 0
     return json.loads((out / "spec_test.json").read_text())
 
 
@@ -590,8 +605,9 @@ def test_cli_mc_reruns_from_study_config(tmp_path):
     ({"study_kind": "size", "block_rules": [2.0]},
      "block_rules entries must be pairs [coef, exponent], got 2.0"),
     ({"bandwidth_exponents": ["n^-1/0"]}, "power rule 'n^-1/0' divides by zero"),
-    ({"memory_settings": [{"lambda_exponent": -0.2}]},
-     "missing 1 required positional argument: 'kind'"),
+    # the kind of a config saved by an older version: lam sets the regime
+    ({"memory_settings": [{"kind": "slm", "lambda_exponent": -0.2}]},
+     "study config: MemorySetting.__init__() got an unexpected keyword argument 'kind'"),
     ({"d_values": 5}, "study config: 'int' object is not iterable"),
     ({"nominal_levels": ["x"]}, "nominal_levels must hold numbers, got 'x'"),
     ({"nominal_levels": [None]}, "nominal_levels must hold numbers, got None"),
@@ -608,6 +624,10 @@ def test_cli_mc_reruns_from_study_config(tmp_path):
     # JSON true once read as 1.0
     ({"rho": True}, "rho must hold numbers, got True"),
     ({"d_values": [True]}, "d_values must hold numbers, got True"),
+    ({"memory_settings": ["short"]},
+     "unknown memory setting 'short'; choose lm or one of ['SLM1', 'SLM2', 'SLM3', 'SLM4']"),
+    ({"study_kind": "coverage", "alpha": True}, "alpha must hold numbers, got True"),
+    ({"study_kind": "coverage", "alpha": "x"}, "alpha must hold numbers, got 'x'"),
 ])
 def test_cli_mc_rejects_bad_config(tmp_path, capsys, change, message):
     cfg = {
@@ -708,7 +728,7 @@ def test_cli_numerical_failure_exit_code(tmp_path):
         for xv, yv in zip(x, y):
             fh.write(f"{float(xv)!r},{float(yv)!r}\n")
     code = cli_main(["spec-test", "--data", str(data), "--family", "linear",
-                     "--memory", "short", "--block-size", "10",
+                     "--lam", "0", "--block-size", "10",
                      "--out", str(tmp_path / "o3")])
     assert code == 3
 

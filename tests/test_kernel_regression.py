@@ -587,6 +587,23 @@ def test_kernel_estimate_rejects_alpha_without_variance():
     assert kernel_estimate(x, x, [0.5], 0.3, variance=None).sigma2hat is None
 
 
+def test_kernel_estimate_rejects_a_variance_out_of_float_range():
+    # a finite response whose squares overflow is refused before any square
+    # is formed, by max |y| > sqrt(max float / (4 n)); the fit alone runs
+    x = np.linspace(0, 1, 20)
+    y = 1e160 * np.sin(x)
+    for variance in ("uncentered", "centered"):
+        with pytest.raises(ValueError, match=r"^the variance of y is out of float range "
+                                             r"\(max \|y\| = 8\.41e\+159\); rescale y$"):
+            kernel_estimate(x, y, [0.5], 0.3, variance=variance)
+    assert np.all(np.isfinite(kernel_estimate(x, y, [0.5], 0.3, variance=None).fhat))
+    # at the bound every sum of squares is finite
+    edge = np.full(20, np.sqrt(np.finfo(float).max / 80))
+    for variance in ("uncentered", "centered"):
+        est = kernel_estimate(x, edge, [0.5], 0.3, alpha=0.05, variance=variance)
+        assert np.all(np.isfinite(est.sigma2hat))
+
+
 _samples = st.integers(1, 40).flatmap(lambda n: st.tuples(
     # few distinct x values, so that tied observations are common
     st.lists(st.integers(-20, 20).map(lambda k: k / 8.0), min_size=n, max_size=n),
@@ -647,8 +664,7 @@ def test_stochastic_consistency_rate():
     fg = f(grid)
     med = []
     for n in (250, 1000, 4000):
-        spec = TemperedProcessSpec(d=0.2, lam=n ** -0.2, n=n,
-                                   memory_kind="slm", presample=0)
+        spec = TemperedProcessSpec(d=0.2, lam=n ** -0.2, n=n, presample=0)
         errs = []
         for rep in range(500):
             noise = NoiseConfig(rho=0.5, psi=0.25, sigma=0.2,

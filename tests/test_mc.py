@@ -45,14 +45,23 @@ def test_memory_setting_labels_and_rules():
     ms = MemorySetting.from_dict("SLM3")
     assert ms.label == "SLM3"
     assert ms.lam(100000) == pytest.approx(100000 ** -0.2)
-    assert MemorySetting.from_dict("lm").label == "LM"
-    assert MemorySetting.from_dict({"kind": "slm", "lambda_exponent": "n^-1/3"}) \
+    assert ms.to_dict() == {"lambda_exponent": -0.2, "label": "SLM3"}
+    lm = MemorySetting.from_dict("lm")
+    assert lm.label == "LM" and lm.lam(500) == 0.0 and lm == MemorySetting.from_dict({})
+    # the tempering schedule is the memory regime: an exponent is semi-long
+    assert MemorySetting.from_dict({"lambda_exponent": "n^-1/3"}) \
         == MemorySetting.from_dict("slm1")
+    assert MemorySetting.from_dict({"lambda_exponent": -0.2}) == ms
     assert MemorySetting.from_dict("slm1").lambda_exponent == SLM_RULES["SLM1"]
-    with pytest.raises(TypeError, match="rule"):
-        MemorySetting.from_dict({"kind": "slm", "rule": "slm1"})
+    for key in ("rule", "kind"):
+        with pytest.raises(TypeError, match=key):
+            MemorySetting.from_dict({key: "slm", "lambda_exponent": -0.2})
     with pytest.raises(ValueError):
-        MemorySetting.from_dict({"kind": "slm", "lambda_exponent": -1.5})
+        MemorySetting.from_dict({"lambda_exponent": -1.5})
+    for name in ("short", "slm", "long", "semi_long"):
+        with pytest.raises(ValueError, match=rf"^unknown memory setting '{name}'; choose lm "
+                                             r"or one of \['SLM1', 'SLM2', 'SLM3', 'SLM4'\]$"):
+            MemorySetting.from_dict(name)
 
 
 def test_block_rule_floor():
@@ -88,7 +97,7 @@ def test_config_rejects_nonpositive_counts(field, value, message):
 
 @pytest.mark.parametrize("field, value, message", [
     ("d_values", (0.1, 0.2, 0.1), "d_values repeats 0.1"),
-    ("memory_settings", ("SLM3", {"kind": "slm", "lambda_exponent": -0.2}),
+    ("memory_settings", ("SLM3", {"lambda_exponent": -0.2}),
      "memory_settings repeats 'SLM3'"),
     ("bandwidth_exponents", ("n^-1/5", -0.2), "bandwidth_exponents repeats -0.2"),
 ])
@@ -124,6 +133,9 @@ def test_config_rejects_values_that_print_alike(field, value, message):
     # a bool is not a number, as it is not a count
     ("rho", True, r"^rho must hold numbers, got True$"),
     ("d_values", (True,), r"^d_values must hold numbers, got True$"),
+    # alpha once kept a bool, and failed on a string with a TypeError
+    ("alpha", True, r"^alpha must hold numbers, got True$"),
+    ("alpha", "x", r"^alpha must hold numbers, got 'x'$"),
 ])
 def test_config_rejects_bad_noise_or_presample(field, value, message):
     # refused when the config is built, not in the first chunk of a study
@@ -133,6 +145,7 @@ def test_config_rejects_bad_noise_or_presample(field, value, message):
             _tiny(kind, **{field: value})
     config = _tiny("estimation", rho=0, presample="full")
     assert type(config.rho) is float and config.presample == "full"
+    assert _tiny("coverage", alpha="0.05").alpha == 0.05
 
 
 def test_paths_build_each_spec_once_per_chunk(monkeypatch):
@@ -151,10 +164,10 @@ def test_paths_build_each_spec_once_per_chunk(monkeypatch):
 
 def test_settings_grid_skips_invalid_lm_rows():
     # the grid keeps exactly the (setting, d) pairs that _check_memory admits
-    config = _tiny("estimation", memory_settings=("lm", "short", "SLM3"),
+    config = _tiny("estimation", memory_settings=("lm", "SLM3"),
                    d_values=(0.0, 0.45, 0.8))
     labels = [(ms.label, d) for ms, d in config.settings_grid()]
-    assert labels == [("LM", 0.0), ("LM", 0.45), ("SHORT", 0.0),
+    assert labels == [("LM", 0.0), ("LM", 0.45),
                       ("SLM3", 0.0), ("SLM3", 0.45), ("SLM3", 0.8)]
 
 
@@ -165,9 +178,9 @@ def test_config_rejects_negative_d_under_semi_long_memory():
         with pytest.raises(ValueError, match=r"^d_values: a simulated semi-long-memory "
                                              r"regressor needs d >= 0, got -0\.1$"):
             _tiny(kind, d_values=(-0.1, 0.2), memory_settings=("lm", "SLM3"))
-    # long and short memory skip a negative d, as long memory skips d >= 1/2
-    config = _tiny("estimation", d_values=(-0.1, 0.0), memory_settings=("lm", "short"))
-    assert [(ms.label, d) for ms, d in config.settings_grid()] == [("LM", 0.0), ("SHORT", 0.0)]
+    # long memory skips a negative d, as it skips d >= 1/2
+    config = _tiny("estimation", d_values=(-0.1, 0.0), memory_settings=("lm",))
+    assert [(ms.label, d) for ms, d in config.settings_grid()] == [("LM", 0.0)]
 
 
 def test_batch_se_divides_by_the_finite_chunks():
@@ -236,7 +249,7 @@ class _RecordingPool:
 
     sizes = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, mp_context):
         self.sizes.append(max_workers)
 
     def __enter__(self):
@@ -264,6 +277,14 @@ def test_run_chunked_forks_at_most_one_worker_per_chunk(monkeypatch, replication
     result = run_study(config, threads=threads)
     assert _RecordingPool.sizes == workers
     assert json.dumps(result.tables) == json.dumps(run_study(config).tables)
+
+
+def test_study_workers_are_forked(monkeypatch):
+    # a worker sees a module global patched in the parent only when it is
+    # forked, whatever the platform's default start method
+    monkeypatch.setattr(mc, "_MIN_WINDOW_COUNT", 10 ** 9)
+    result = run_study(_tiny("estimation"), threads=2)
+    assert [row["excluded_frac"] for row in result.tables["rmse"]] == [1.0]
 
 
 @pytest.mark.parametrize("threads", [0, -2])

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import gammaln
 
-from slmcoint import (MemoryKind, TemperedProcessSpec, NoiseConfig, tempered_coeffs,
+from slmcoint import (TemperedProcessSpec, NoiseConfig, tempered_coeffs,
                       simulate_innovations, simulate_regressor,
                       simulate_error_ar1, regression_function_sine,
                       sine_series_interpolator, simulate_model, scale_dn,
@@ -93,7 +93,7 @@ def test_tempered_sum_tracks_lambda_power():
 def test_tempered_sum_scaling_dyadic(d):
     vals = []
     for lam in (0.1, 0.05, 0.025, 0.0125):
-        a = TemperedProcessSpec(d=d, lam=lam, n=1000, memory_kind="slm").coefficients().sum()
+        a = TemperedProcessSpec(d=d, lam=lam, n=1000).coefficients().sum()
         vals.append(a * lam ** d)
         # closed form of the untruncated sum: (1 - e^-lam)^{-d}
         assert_allclose(a, (1.0 - np.exp(-lam)) ** (-d), rtol=1e-6)
@@ -140,7 +140,7 @@ def test_noise_rejects_nonfinite(field):
 def test_regressor_random_walk_at_d0():
     rng = np.random.default_rng(0)
     xi = rng.standard_normal(4000)
-    spec = TemperedProcessSpec(d=0.0, lam=0.0, n=100, memory_kind="lm")
+    spec = TemperedProcessSpec(d=0.0, lam=0.0, n=100)
     x = simulate_regressor(spec, xi)
     assert_allclose(x, np.cumsum(xi[-100:]), rtol=0, atol=1e-12)
 
@@ -148,11 +148,11 @@ def test_regressor_random_walk_at_d0():
 @pytest.mark.parametrize("presample", [0, "full"])
 @pytest.mark.parametrize("lam", [0.0, 0.3])
 def test_short_memory_is_lm_at_d0_bit_for_bit(presample, lam):
-    # short memory is the d = 0 case: the delta filter, trimmed to one tap
+    # white shocks (d = 0) are the delta filter, trimmed to one tap, at
+    # every lam: tempered at d = 0 is long memory at d = 0
     xi = np.random.default_rng(5).standard_normal(3000)
-    short = TemperedProcessSpec(d=0.0, lam=lam, n=120, memory_kind="short",
-                                presample=presample)
-    lm = TemperedProcessSpec(d=0.0, lam=0.0, n=120, memory_kind="lm", presample=presample)
+    short = TemperedProcessSpec(d=0.0, lam=lam, n=120, presample=presample)
+    lm = TemperedProcessSpec(d=0.0, lam=0.0, n=120, presample=presample)
     x = simulate_regressor(short, xi)
     assert np.array_equal(x, simulate_regressor(lm, xi))
     assert np.array_equal(x, np.cumsum(xi[-120:]))
@@ -161,7 +161,7 @@ def test_short_memory_is_lm_at_d0_bit_for_bit(presample, lam):
 def test_regressor_matches_double_loop_oracle():
     rng = np.random.default_rng(2)
     n, J = 5, 200
-    spec = TemperedProcessSpec(d=0.3, lam=0.1, n=n, memory_kind="slm", burn_in=J - n)
+    spec = TemperedProcessSpec(d=0.3, lam=0.1, n=n, burn_in=J - n)
     assert spec.truncation == J
     xi = rng.standard_normal(n + J)
     x = simulate_regressor(spec, xi)
@@ -176,7 +176,7 @@ def test_regressor_matches_double_loop_oracle():
 def test_regressor_fft_vs_double_loop_bigger():
     rng = np.random.default_rng(3)
     n, J = 100, 500
-    spec = TemperedProcessSpec(d=0.4, lam=0.0, n=n, memory_kind="lm", burn_in=J - n)
+    spec = TemperedProcessSpec(d=0.4, lam=0.0, n=n, burn_in=J - n)
     assert spec.truncation == J
     xi = rng.standard_normal(n + J)
     x = simulate_regressor(spec, xi)
@@ -188,8 +188,8 @@ def test_regressor_fft_vs_double_loop_bigger():
 def test_regressor_presample_modes():
     rng = np.random.default_rng(4)
     xi = rng.standard_normal(5000)
-    full = TemperedProcessSpec(d=0.4, lam=0.0, n=100, memory_kind="lm")
-    none = TemperedProcessSpec(d=0.4, lam=0.0, n=100, memory_kind="lm",
+    full = TemperedProcessSpec(d=0.4, lam=0.0, n=100)
+    none = TemperedProcessSpec(d=0.4, lam=0.0, n=100,
                                presample=0)
     x_full = simulate_regressor(full, xi)
     x_none = simulate_regressor(none, xi)
@@ -200,12 +200,12 @@ def test_regressor_presample_modes():
 
 
 @pytest.mark.parametrize("spec", [
-    TemperedProcessSpec(d=0.3, lam=0.0, n=200, memory_kind="lm"),
-    TemperedProcessSpec(d=0.3, lam=0.0, n=200, memory_kind="lm", presample=0),
-    TemperedProcessSpec(d=0.3, lam=0.0, n=150, memory_kind="lm", presample=7),
-    TemperedProcessSpec(d=0.2, lam=0.05, n=200, memory_kind="slm", presample=0),
-    TemperedProcessSpec(d=0.0, lam=0.0, n=200, memory_kind="short"),
-    TemperedProcessSpec(d=0.0, lam=0.0, n=1, memory_kind="lm", presample=0),
+    TemperedProcessSpec(d=0.3, lam=0.0, n=200),
+    TemperedProcessSpec(d=0.3, lam=0.0, n=200, presample=0),
+    TemperedProcessSpec(d=0.3, lam=0.0, n=150, presample=7),
+    TemperedProcessSpec(d=0.2, lam=0.05, n=200, presample=0),
+    TemperedProcessSpec(d=0.0, lam=0.0, n=200),
+    TemperedProcessSpec(d=0.0, lam=0.0, n=1, presample=0),
 ], ids=["lm-full", "lm-0", "lm-n150-7", "slm-0", "short", "n1"])
 def test_regressor_cached_spectrum_equals_fftconvolve(spec):
     # the cached filter spectrum gives the bits of a plain fftconvolve,
@@ -222,7 +222,7 @@ def test_regressor_cached_spectrum_equals_fftconvolve(spec):
 
 
 def test_regressor_rejects_short_stream():
-    spec = TemperedProcessSpec(d=0.0, lam=0.0, n=100, memory_kind="short", burn_in=0)
+    spec = TemperedProcessSpec(d=0.0, lam=0.0, n=100, burn_in=0)
     with pytest.raises(ValueError):
         simulate_regressor(spec, np.zeros(50))
 
@@ -337,7 +337,7 @@ def test_cli_simulate_zero_function_flag_is_gone(tmp_path):
 # ------------------------------------------------------------------- model
 
 def _spec_noise(n=200, d=0.2, seed=11):
-    spec = TemperedProcessSpec(d=d, lam=n ** -0.2, n=n, memory_kind="slm")
+    spec = TemperedProcessSpec(d=d, lam=n ** -0.2, n=n)
     noise = NoiseConfig(rho=0.5, psi=0.25, sigma=0.2, seed=seed)
     return spec, noise
 
@@ -365,8 +365,7 @@ def test_model_bitwise_determinism():
 
 
 def test_model_endogeneity_correlates_shocks_and_errors():
-    spec = TemperedProcessSpec(d=0.2, lam=10000 ** -0.2, n=10000,
-                               memory_kind="slm")
+    spec = TemperedProcessSpec(d=0.2, lam=10000 ** -0.2, n=10000)
     noise = NoiseConfig(rho=0.5, psi=0.25, sigma=0.2, seed=12)
     path = simulate_model(spec, noise)
     shocks = np.diff(np.concatenate([[0.0], path.x]))
@@ -380,7 +379,7 @@ def test_model_csv_roundtrip(tmp_path):
     spec, noise = _spec_noise(n=50)
     path = simulate_model(spec, noise, f=regression_function_sine)
     assert cli_main(["simulate", "--n", "50", "--d", "0.2", "--lam", repr(spec.lam),
-                     "--memory", "slm", "--seed", "11", "--out", str(tmp_path)]) == 0
+                     "--seed", "11", "--out", str(tmp_path)]) == 0
     data = np.genfromtxt(tmp_path / "path.csv", delimiter=",", names=True)
     assert np.array_equal(data["k"], np.arange(1, 51))
     assert np.array_equal(data["x"], path.x) and np.array_equal(data["u"], path.u) \
@@ -388,55 +387,39 @@ def test_model_csv_roundtrip(tmp_path):
 
 
 def test_innovation_length_shared_across_settings():
-    a = TemperedProcessSpec(d=0.0, lam=0.0, n=100, memory_kind="lm")
-    b = TemperedProcessSpec(d=2.0, lam=0.3, n=100, memory_kind="slm")
+    a = TemperedProcessSpec(d=0.0, lam=0.0, n=100)
+    b = TemperedProcessSpec(d=2.0, lam=0.3, n=100)
     assert innovation_length(a) == innovation_length(b)
-
-
-# ------------------------------------------------------------------ memory
-
-def test_memory_kind_spellings():
-    # the enum values and the CLI names, with '-' read as '_'
-    for names, kind in ((("lm", "long", "LONG"), MemoryKind.LONG),
-                        (("slm", "semi_long", "semi-long", " Semi-Long "), MemoryKind.SEMI_LONG),
-                        (("short",), MemoryKind.SHORT)):
-        for name in names:
-            assert MemoryKind.parse(name) is kind
-    for name in ("long_memory", "semi_long_memory", "semilong", "sm", "short_memory"):
-        with pytest.raises(ValueError, match="unknown memory kind"):
-            MemoryKind.parse(name)
 
 
 # ------------------------------------------------------------------ scales
 
 def test_scale_dn_short():
-    assert scale_dn(100, 0.0, 0.0, "short") == pytest.approx(10.0)
+    assert scale_dn(100, 0.0, 0.0) == pytest.approx(10.0)
 
 
 @pytest.mark.parametrize("n", [100, 37, 2000])
 @pytest.mark.parametrize("lam", [0.0, 0.3])
 def test_scale_dn_short_is_sqrt_n_bit_for_bit(n, lam):
-    assert scale_dn(n, lam, 0.0, "short") == np.sqrt(n)
+    # at d = 0 the long-memory scale (lam = 0) is n ** 0.5 and the semi-long
+    # one np.sqrt(n), which differ in the last bit at n = 2921 but not here
+    assert scale_dn(n, lam, 0.0) == np.sqrt(n) == float(n) ** 0.5
 
 
 def test_scale_dn_slm_unit_lambda():
-    assert scale_dn(100, 1.0, 0.37, "slm") == pytest.approx(10.0)
+    assert scale_dn(100, 1.0, 0.37) == pytest.approx(10.0)
 
 
 def test_scale_dn_lm():
-    assert scale_dn(100, 0.0, 0.25, "lm") == pytest.approx(100 ** 0.75)
-
-
-def test_scale_dn_rejects_slm_lam0():
-    with pytest.raises(ValueError):
-        scale_dn(100, 0.0, 0.3, "slm")
+    assert scale_dn(100, 0.0, 0.25) == pytest.approx(100 ** 0.75)
 
 
 @pytest.mark.parametrize("lam, d, message", [
-    (0.0, 0.5, "0 <= d < 1/2"), (0.0, 0.7, "0 <= d < 1/2"), (0.1, 0.2, "lam = 0")])
+    (0.0, 0.5, "0 <= d < 1/2"), (0.0, 0.7, "0 <= d < 1/2"), (0.0, -0.1, "0 <= d < 1/2"),
+    (-0.1, 0.2, "lam must be >= 0")])
 def test_scale_dn_checks_long_memory_rule(lam, d, message):
     with pytest.raises(ValueError, match=message):
-        scale_dn(100, lam, d, "lm")
+        scale_dn(100, lam, d)
 
 
 def test_partial_sum_scaling_bounded():
@@ -446,13 +429,13 @@ def test_partial_sum_scaling_bounded():
     stds = []
     for n in (500, 1000, 2000):
         lam = n ** -0.2
-        spec = TemperedProcessSpec(d=d, lam=lam, n=n, memory_kind="slm")
+        spec = TemperedProcessSpec(d=d, lam=lam, n=n)
         vals = []
         for rep in range(500):
             rng = np.random.default_rng([rep, 99, n])
             xi = rng.standard_normal(innovation_length(spec))
             x = simulate_regressor(spec, xi)
-            vals.append(x[-1] / scale_dn(n, lam, d, "slm"))
+            vals.append(x[-1] / scale_dn(n, lam, d))
         stds.append(np.std(vals))
     stds = np.asarray(stds)
     assert np.all((stds > 0.7) & (stds < 1.4))
@@ -462,12 +445,10 @@ def test_partial_sum_scaling_bounded():
 # -------------------------------------------------------------- validation
 
 def test_spec_validation_errors():
-    with pytest.raises(ValueError):
-        TemperedProcessSpec(d=0.6, lam=0.0, n=10, memory_kind="lm")
-    with pytest.raises(ValueError):
-        TemperedProcessSpec(d=0.3, lam=0.0, n=10, memory_kind="slm")
-    with pytest.raises(ValueError):
-        TemperedProcessSpec(d=0.1, lam=0.0, n=10, memory_kind="short")
+    with pytest.raises(ValueError, match="long memory requires 0 <= d < 1/2, got 0.6"):
+        TemperedProcessSpec(d=0.6, lam=0.0, n=10)
+    with pytest.raises(ValueError, match="tempering parameter lam must be >= 0"):
+        TemperedProcessSpec(d=0.3, lam=-0.1, n=10)
     with pytest.raises(ValueError):
         NoiseConfig(rho=0.5, psi=1.2, sigma=1.0, seed=0)
 
@@ -479,21 +460,21 @@ def test_spec_validation_errors():
 def test_spec_rejects_nonfinite_memory(d, lam, message):
     # at the parent, lam=nan ran untempered and d=nan gave NaN coefficients
     with pytest.raises(ValueError, match=message):
-        TemperedProcessSpec(d=d, lam=lam, n=10, memory_kind="slm")
+        TemperedProcessSpec(d=d, lam=lam, n=10)
 
 
-def _truncation(kind, lam, d=0.0):
-    return TemperedProcessSpec(d=d, lam=lam, n=1000, memory_kind=kind).truncation
+def _truncation(lam, d=0.0):
+    return TemperedProcessSpec(d=d, lam=lam, n=1000).truncation
 
 
 def test_spec_truncation_capped_under_tempering():
-    # n + burn_in, capped at the tempering lag once lam > 0, whatever the kind
+    # n + burn_in, capped at the tempering lag once lam > 0, whatever d
     cap = int(np.ceil(-np.log(1e-12) / 0.5)) + 50
-    assert _truncation("lm", 0.0, d=0.3) == 2000
-    assert _truncation("slm", 0.5, d=0.3) == cap
-    assert _truncation("slm", 1e-9, d=0.3) == 2000
-    assert _truncation("short", 0.0) == 2000
-    assert _truncation("short", 0.5) == cap
+    assert _truncation(0.0, d=0.3) == 2000
+    assert _truncation(0.5, d=0.3) == cap
+    assert _truncation(1e-9, d=0.3) == 2000
+    assert _truncation(0.0) == 2000
+    assert _truncation(0.5) == cap
 
 
 def test_subnormal_lam_truncates_at_the_limit():
@@ -503,7 +484,7 @@ def test_subnormal_lam_truncates_at_the_limit():
     assert _tempered_lag_cap(0.5, 2000) == int(np.ceil(-np.log(1e-12) / 0.5)) + 50
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _truncation("slm", 1e-310, d=0.3) == 2000
+        assert _truncation(1e-310, d=0.3) == 2000
         z = simulate_artfima00(50, d=0.3, lam=1e-310, rng=np.random.default_rng(0))
     eps = np.random.default_rng(0).standard_normal(250)
     assert np.array_equal(z, fftconvolve(eps, tempered_coeffs(0.3, 1e-310, 200))[200:250])
@@ -512,7 +493,7 @@ def test_subnormal_lam_truncates_at_the_limit():
 def test_cli_simulates_a_subnormal_lam(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert cli_main(["simulate", "--n", "60", "--memory", "slm", "--d", "0.3",
+        assert cli_main(["simulate", "--n", "60", "--d", "0.3",
                          "--lam", "1e-310", "--out", str(tmp_path / "sim")]) == 0
     assert (tmp_path / "sim" / "path.csv").exists()
 
@@ -522,8 +503,8 @@ def test_spec_rejects_negative_d_under_semi_long_memory():
     # regressor needs d >= 0 (the study grid asks the same rule)
     with pytest.raises(ValueError, match=r"^d: a simulated semi-long-memory regressor "
                                          r"needs d >= 0, got -0\.1$"):
-        TemperedProcessSpec(d=-0.1, lam=0.1, n=10, memory_kind="slm")
-    assert TemperedProcessSpec(d=0.0, lam=0.1, n=10, memory_kind="slm").d == 0.0
+        TemperedProcessSpec(d=-0.1, lam=0.1, n=10)
+    assert TemperedProcessSpec(d=0.0, lam=0.1, n=10).d == 0.0
 
 
 @pytest.mark.parametrize("presample", [2.7, True, None, "abc", "2.5", -3, np.float64(4.0)])
@@ -532,11 +513,11 @@ def test_spec_rejects_bad_presample(presample):
     # TypeError on None and a parse error that did not name presample on "abc"
     with pytest.raises(ValueError, match=r"^presample must be 'full' or an integer "
                                          r"count >= 0, got "):
-        TemperedProcessSpec(d=0.3, lam=0.0, n=50, memory_kind="lm", presample=presample)
+        TemperedProcessSpec(d=0.3, lam=0.0, n=50, presample=presample)
 
 
 def _spec(**kw):
-    return TemperedProcessSpec(**{"d": 0.3, "lam": 0.0, "n": 50, "memory_kind": "lm", **kw})
+    return TemperedProcessSpec(**{"d": 0.3, "lam": 0.0, "n": 50, **kw})
 
 
 @pytest.mark.parametrize("build, message", [
@@ -564,7 +545,7 @@ def test_counts_must_be_integers(build, message):
 
 def test_spec_presample_takes_full_or_a_count():
     for presample, lags in (("full", 1050), (0, 0), (np.int64(7), 7)):
-        spec = TemperedProcessSpec(d=0.3, lam=0.0, n=50, memory_kind="lm", presample=presample)
+        spec = TemperedProcessSpec(d=0.3, lam=0.0, n=50, presample=presample)
         assert spec.history_lags == lags
     assert type(spec.presample) is int  # a numpy count is stored as an int
 
@@ -589,7 +570,7 @@ def test_cli_simulate_presample_count(tmp_path):
 
 def test_spec_truncation_is_derived():
     with pytest.raises(TypeError, match="truncation"):
-        TemperedProcessSpec(d=0.3, lam=0.1, n=50, memory_kind="slm", truncation=0)
-    spec = TemperedProcessSpec(d=0.3, lam=0.0, n=50, memory_kind="lm", burn_in=20)
-    assert spec.to_dict() == {"d": 0.3, "lam": 0.0, "n": 50, "memory_kind": "long",
-                              "burn_in": 20, "presample": "full", "truncation": 70}
+        TemperedProcessSpec(d=0.3, lam=0.1, n=50, truncation=0)
+    spec = TemperedProcessSpec(d=0.3, lam=0.0, n=50, burn_in=20)
+    assert spec.to_dict() == {"d": 0.3, "lam": 0.0, "n": 50, "burn_in": 20,
+                              "presample": "full", "truncation": 70}

@@ -79,7 +79,9 @@ _BAD_INPUT = {  # case: (argument, bad value, message)
     "d-nan": ("d", np.nan, r"memory parameter d must be finite, got nan$"),
     "lam-nan": ("lam", np.nan, r"tempering parameter lam must be finite, got nan$"),
     "lam_b-nan": ("lam_b", np.nan, r"tempering parameter lam_b must be finite, got nan$"),
-    "lam_b-zero": ("lam_b", 0.0, r"semi-long memory requires lam_b > 0, got 0.0$"),
+    # lam = 0 is long memory, which every block then has (lam_b = 0)
+    "lam-zero": ("lam", 0.0, r"lam_b must be 0 exactly when lam is \(long memory\), "
+                             r"got lam = 0.0, lam_b = 0.4$"),
     "quad_cells-0": ("quad_cells", 0, r"quad_cells must be >= 2, got 0$"),
     "quad_cells-1": ("quad_cells", 1, r"quad_cells must be >= 2, got 1$"),
     "quad_cells-fraction": ("quad_cells", 1024.5,
@@ -108,10 +110,10 @@ def test_spec_test_rejects_nonfinite_input(case):
         ("x", "y", "h", "quad_cells"): lambda: t_statistic(
             x, y, fam, [0.0, 1.0], v["h"], GAUSSIAN, w, v["quad_cells"]),
         ("x", "y", "h_b", "d", "lam_b", "quad_cells", "b"): lambda: subsample_statistics(
-            x, y, fam, v["b"], v["h_b"], v["lam_b"], v["d"], "slm", GAUSSIAN, w,
+            x, y, fam, v["b"], v["h_b"], v["lam_b"], v["d"], GAUSSIAN, w,
             v["quad_cells"]),
         ("x", "y", *v): lambda: run_spec_test(
-            x, y, fam, v["h"], GAUSSIAN, w, memory_kind="slm", d=v["d"],
+            x, y, fam, v["h"], GAUSSIAN, w, d=v["d"],
             lam=v["lam"], blocks=[(v["b"], v["h_b"], v["lam_b"])],
             quad_cells=v["quad_cells"]),
     }
@@ -121,36 +123,45 @@ def test_spec_test_rejects_nonfinite_input(case):
                 call()
 
 
-@pytest.mark.parametrize("kind, d, lam, match", [
+@pytest.mark.parametrize("regime, d, lam, match", [
     ("lm", 0.7, 0.0, r"long memory requires 0 <= d < 1/2, got 0.7$"),
     ("lm", -0.2, 0.0, r"long memory requires 0 <= d < 1/2, got -0.2$"),
-    ("lm", 0.2, 0.3, r"long memory requires lam(_b)? = 0, got 0.3$"),
-    ("short", 0.3, 0.0, r"short memory requires d = 0, got 0.3$"),
 ])
-def test_spec_test_rejects_memory_the_simulator_rejects(kind, d, lam, match):
-    # the statistics and the simulator share one rule per memory kind
+def test_spec_test_rejects_memory_the_simulator_rejects(regime, d, lam, match):
+    # the statistics and the simulator share one memory rule, whose regime
+    # lam sets: lam = 0 is long memory
+    assert (lam == 0.0) is (regime == "lm")
     x, y = _draw(40, seed=16)
     with pytest.raises(ValueError, match=match):
-        normalized_statistic(1.0, 40, lam, d, 0.5, kind)
+        normalized_statistic(1.0, 40, lam, d, 0.5)
     with pytest.raises(ValueError, match=match):
-        subsample_statistics(x, y, "linear", 10, 0.5, lam, d, kind,
+        subsample_statistics(x, y, "linear", 10, 0.5, lam, d,
                              GAUSSIAN, uniform_weight(), 256)
     with pytest.raises(ValueError, match=match):
         run_spec_test(x, y, "linear", 0.5, GAUSSIAN, uniform_weight(),
-                      memory_kind=kind, d=d, lam=lam, blocks=[(10, 0.5, lam)],
-                      quad_cells=256)
+                      d=d, lam=lam, blocks=[(10, 0.5, lam)], quad_cells=256)
     with pytest.raises(ValueError, match=match):
-        TemperedProcessSpec(d=d, lam=lam, n=40, memory_kind=kind)
+        TemperedProcessSpec(d=d, lam=lam, n=40)
+
+
+def test_run_spec_test_rejects_a_long_memory_block_under_tempering():
+    # every block shares the sample's regime: lam > 0 with lam_b = 0 (here in
+    # the second block) is refused, as lam = 0 with lam_b > 0 is (_BAD_INPUT)
+    x, y = _draw(40, seed=16)
+    with pytest.raises(ValueError, match=r"^lam_b must be 0 exactly when lam is \(long "
+                                         r"memory\), got lam = 0.4, lam_b = 0.0$"):
+        run_spec_test(x, y, "linear", 0.5, GAUSSIAN, uniform_weight(), d=0.1, lam=0.4,
+                      blocks=[(10, 0.5, 0.3), (20, 0.5, 0.0)], quad_cells=256)
 
 
 def test_block_size_and_quad_cells_accept_numpy_integers():
     x, y = _draw(40, seed=14)
     fam, w = "linear", uniform_weight()
-    expect = subsample_statistics(x, y, fam, 10, 0.5, 0.4, 0.1, "slm", GAUSSIAN, w, 256)
-    got = subsample_statistics(x, y, fam, np.int64(10), 0.5, 0.4, 0.1, "slm", GAUSSIAN,
+    expect = subsample_statistics(x, y, fam, 10, 0.5, 0.4, 0.1, GAUSSIAN, w, 256)
+    got = subsample_statistics(x, y, fam, np.int64(10), 0.5, 0.4, 0.1, GAUSSIAN,
                                w, np.int32(256))
     assert np.array_equal(got, expect)
-    (res,) = run_spec_test(x, y, fam, 0.5, GAUSSIAN, w, memory_kind="slm", d=0.1, lam=0.4,
+    (res,) = run_spec_test(x, y, fam, 0.5, GAUSSIAN, w, d=0.1, lam=0.4,
                            blocks=[(np.int64(10), 0.5, 0.4)], quad_cells=np.int64(256))
     assert np.array_equal(res.subsample_values, expect)
 
@@ -159,12 +170,12 @@ def test_p_value_needs_a_block_shorter_than_the_sample():
     # b = n is one block, the whole sample: subsample_statistics computes it,
     # but a p-value from it would compare the statistic with itself
     x, y = _draw(40, seed=14)
-    assert subsample_statistics(x, y, "linear", 40, 0.5, 0.4, 0.1, "slm",
+    assert subsample_statistics(x, y, "linear", 40, 0.5, 0.4, 0.1,
                                 GAUSSIAN, uniform_weight(), 256).shape == (1,)
     with pytest.raises(ValueError, match=r"^block size must satisfy 2 <= b < n, "
                                          r"got b = 40, n = 40$"):
         run_spec_test(x, y, "linear", 0.5, GAUSSIAN, uniform_weight(),
-                      memory_kind="slm", d=0.1, lam=0.4,
+                      d=0.1, lam=0.4,
                       blocks=[(10, 0.5, 0.4), (40, 0.5, 0.4)], quad_cells=256)
 
 
@@ -174,7 +185,7 @@ def test_spec_test_rejects_unequal_lengths():
         nls_fit("linear", x, y[:-1])
     with pytest.raises(ValueError, match="equal length"):
         subsample_statistics(x[:-1], y, "linear", 10, 0.5, 0.4, 0.1,
-                             "slm", GAUSSIAN, uniform_weight())
+                             GAUSSIAN, uniform_weight())
 
 
 # --------------------------------------------------------------- statistic
@@ -262,47 +273,49 @@ def test_residual_invariance_to_family_shift():
 # ----------------------------------------------------------- normalization
 
 def test_normalized_statistic_arithmetic():
-    t, scale = normalized_statistic(10.0, 100, 0.0, 0.0, 0.1, "short")
+    t, scale = normalized_statistic(10.0, 100, 0.0, 0.0, 0.1)
     assert t == pytest.approx(10.0)
     assert scale == pytest.approx(1.0)
-    t, _ = normalized_statistic(10.0, 100, 0.0, 0.25, 0.1, "lm")
+    t, _ = normalized_statistic(10.0, 100, 0.0, 0.25, 0.1)
     assert t == pytest.approx(10.0 * 100 ** -0.25 / 0.1)
 
 
 def test_normalized_statistic_slm_unit_lambda_matches_short():
-    a, _ = normalized_statistic(3.7, 400, 1.0, 0.3, 0.2, "slm")
-    b, _ = normalized_statistic(3.7, 400, 0.0, 0.0, 0.2, "short")
+    # lam = 1 semi-long memory and d = 0 long memory both have d_N = sqrt(n)
+    a, _ = normalized_statistic(3.7, 400, 1.0, 0.3, 0.2)
+    b, _ = normalized_statistic(3.7, 400, 0.0, 0.0, 0.2)
     assert a == pytest.approx(b)
 
 
 @pytest.mark.parametrize("n, lam, h", [(100, 0.0, 0.1), (437, 0.25, 0.37), (59, 0.0, 2.0)])
 def test_normalized_statistic_short_is_sqrt_n_h_bit_for_bit(n, lam, h):
-    # the normalizer is n h / d_N, and short memory's d_N is sqrt(n)
-    # (the d = 0 case of the semi-long scale: lam^0 = 1.0)
+    # the normalizer is n h / d_N, and at d = 0 d_N is n ** 0.5 under long
+    # memory (lam = 0) and np.sqrt(n) under semi-long memory (lam^0 = 1.0)
+    dn = float(n) ** 0.5 if lam == 0.0 else np.sqrt(n)
     for t in (3.7, np.array([0.0, 1e-300, 2.5, 7e10])):
-        got, scale = normalized_statistic(t, n, lam, 0.0, h, "short")
-        assert scale == float(n * h / np.sqrt(n))
-        assert np.array_equal(got, t / float(n * h / np.sqrt(n)))
+        got, scale = normalized_statistic(t, n, lam, 0.0, h)
+        assert scale == float(n * h / dn)
+        assert np.array_equal(got, t / float(n * h / dn))
 
 
-@pytest.mark.parametrize("n, lam, d, h, kind", [
+@pytest.mark.parametrize("n, lam, d, h, regime", [
     (500, 0.0, 0.3, 0.29, "lm"), (500, 500 ** -0.2, 0.3, 0.29, "slm"),
-    (89, 89 ** -0.2, -0.4, 0.41, "slm"), (170, 0.0, 0.0, 1.3, "short")])
-def test_normalized_statistic_is_n_h_over_scale_dn_bit_for_bit(n, lam, d, h, kind):
+    (89, 89 ** -0.2, -0.4, 0.41, "slm"), (170, 0.0, 0.0, 1.3, "lm"),
+    (2921, 0.0, 0.0, 0.2, "lm")])
+def test_normalized_statistic_is_n_h_over_scale_dn_bit_for_bit(n, lam, d, h, regime):
     # the one normalization rule: d_N from scale_dn, normalizer n h / d_N,
-    # which is n^{1/2-d} h under long memory and sqrt(n) lam^d h otherwise
-    scale = float(n * h / scale_dn(n, lam, d, kind))
+    # which is n^{1/2-d} h under long memory (lam = 0) and sqrt(n) lam^d h
+    # under semi-long memory
+    assert (lam == 0.0) is (regime == "lm")
+    dn = float(n) ** (d + 0.5) if regime == "lm" else np.sqrt(n) / lam ** d
+    assert scale_dn(n, lam, d) == dn
+    scale = float(n * h / scale_dn(n, lam, d))
     t = np.array([0.0, 2.5e-3, 7.0])
-    got, normalizer = normalized_statistic(t, n, lam, d, h, kind)
+    got, normalizer = normalized_statistic(t, n, lam, d, h)
     assert normalizer == scale
     assert np.array_equal(got, t / scale)
-    closed = n ** (0.5 - d) * h if kind == "lm" else np.sqrt(n) * lam ** d * h
+    closed = n ** (0.5 - d) * h if regime == "lm" else np.sqrt(n) * lam ** d * h
     assert normalizer == pytest.approx(closed, rel=1e-15)
-
-
-def test_normalized_statistic_rejects_slm_lam0():
-    with pytest.raises(ValueError):
-        normalized_statistic(1.0, 100, 0.0, 0.3, 0.1, "slm")
 
 
 # -------------------------------------------------------------- subsampling
@@ -313,12 +326,12 @@ def test_subsample_single_block_equals_full():
     h = n ** -0.2
     lam = n ** -0.2
     fam = "linear"
-    vals = subsample_statistics(x, y, fam, n, h, lam, 0.2, "slm", GAUSSIAN,
+    vals = subsample_statistics(x, y, fam, n, h, lam, 0.2, GAUSSIAN,
                                 uniform_weight())
     assert vals.shape == (1,)
     theta = nls_fit(fam, x, y)
     t = t_statistic(x, y, fam, theta, h, GAUSSIAN, uniform_weight())
-    expect, _ = normalized_statistic(t, n, lam, 0.2, h, "slm")
+    expect, _ = normalized_statistic(t, n, lam, 0.2, h)
     assert vals[0] == pytest.approx(expect, rel=1e-9)
 
 
@@ -326,7 +339,7 @@ def test_subsample_degenerate_zero_data():
     x, _ = _draw(40, seed=7)
     y = np.zeros_like(x)
     vals = subsample_statistics(x, y, "linear", 10, 0.5, 0.3, 0.1,
-                                "slm", GAUSSIAN, uniform_weight())
+                                GAUSSIAN, uniform_weight())
     assert_allclose(vals, 0.0)
 
 
@@ -340,7 +353,7 @@ def test_subsample_matches_per_block_oracle():
     lam_b = b ** -0.2
     w = uniform_weight()
     vals, by_block, order, skipped = subsample_statistics(
-        x, y, fam, b, h_b, lam_b, 0.1, "slm", GAUSSIAN, w,
+        x, y, fam, b, h_b, lam_b, 0.1, GAUSSIAN, w,
         quad_cells=512, return_by_block=True)
     assert skipped == 0
     assert vals.shape == (n - b + 1,)
@@ -353,7 +366,7 @@ def test_subsample_matches_per_block_oracle():
         r = fam.residuals(x[sl], y[sl], nls_fit(fam, x[sl], y[sl]))
         sums = GAUSSIAN((x[sl][None, :] - nodes[:, None]) / h_b) @ r
         traw = float(np.sum(sums * sums) * dx)
-        oracle.append(normalized_statistic(traw, b, lam_b, 0.1, h_b, "slm")[0])
+        oracle.append(normalized_statistic(traw, b, lam_b, 0.1, h_b)[0])
     assert_allclose(by_block, oracle, rtol=1e-9)
     assert_allclose(vals, np.sort(oracle), rtol=1e-9)
 
@@ -365,7 +378,7 @@ def test_subsample_skips_singular_blocks():
     x[100:120] = x[99] + 1.0  # exactly one all-constant window (block 100)
     y = x + 0.1 * rng.standard_normal(n)
     vals, by_block, order, skipped = subsample_statistics(
-        x, y, "linear", b, 0.5, 0.4, 0.1, "slm", GAUSSIAN,
+        x, y, "linear", b, 0.5, 0.4, 0.1, GAUSSIAN,
         uniform_weight(), quad_cells=256, return_by_block=True)
     assert skipped == 1
     assert vals.shape == (n - b + 1 - 1,)
@@ -379,7 +392,7 @@ def test_subsample_aborts_on_many_failures():
     x[20:80] = x[19]  # dozens of degenerate windows
     y = x + 0.1 * rng.standard_normal(n)
     with pytest.raises(SubsamplingError):
-        subsample_statistics(x, y, "linear", b, 0.5, 0.4, 0.1, "slm",
+        subsample_statistics(x, y, "linear", b, 0.5, 0.4, 0.1,
                              GAUSSIAN, uniform_weight(), quad_cells=256)
 
 
@@ -425,8 +438,7 @@ def _untiled_blocks(x, cols, theta, b, h, kernel, weight, quad_cells):
     return total * dx
 
 
-def _untiled_subsample(x, y, family, b, h_b, lam_b, d, kind, kernel, weight,
-                       quad_cells):
+def _untiled_subsample(x, y, family, b, h_b, lam_b, d, kernel, weight, quad_cells):
     nb = x.shape[0] - b + 1
     theta, valid, u = _sliding_theta(x, y, family, b)
     cols = np.stack([y] + [u ** j for j in range(family.dim)])
@@ -434,7 +446,7 @@ def _untiled_subsample(x, y, family, b, h_b, lam_b, d, kind, kernel, weight,
     skipped = int(nb - valid.sum())
     if skipped > 0.05 * nb:
         raise SubsamplingError(f"{skipped} of {nb} block fits failed")
-    normalized = (normalized_statistic(raw, b, lam_b, d, h_b, kind)[0]
+    normalized = (normalized_statistic(raw, b, lam_b, d, h_b)[0]
                   if raw.size else raw)
     return np.sort(normalized), normalized, np.nonzero(valid)[0], skipped
 
@@ -449,7 +461,7 @@ def _assert_tiled_equals_untiled(x, y, family, kernel, weight, quad_cells, block
             == _untiled_blocks(x, r[None], np.empty((1, 0)), n, h, kernel, weight,
                                quad_cells)[0])
     for b in blocks:
-        args = (x, y, family, b, b ** -0.2, b ** -0.2, 0.1, "slm", kernel, weight,
+        args = (x, y, family, b, b ** -0.2, b ** -0.2, 0.1, kernel, weight,
                 quad_cells)
         try:
             expect = _untiled_subsample(*args)
@@ -505,7 +517,7 @@ def test_tiled_statistic_equals_untiled_far_from_origin(family, kernel):
 def test_tiled_statistic_equals_untiled_with_skipped_blocks(family):
     x, y = _walk(400, seed=9)
     x[100:120] = x[99] + 1.0  # a constant stretch: some block fits are singular
-    _, _, _, skipped = _untiled_subsample(x, y, family, 20, 0.5, 0.4, 0.1, "slm",
+    _, _, _, skipped = _untiled_subsample(x, y, family, 20, 0.5, 0.4, 0.1,
                                           GAUSSIAN, uniform_weight(), 1024)
     assert skipped >= 1
     _assert_tiled_equals_untiled(x, y, family, GAUSSIAN, uniform_weight(), 1024,
@@ -607,7 +619,7 @@ def test_statistic_working_memory():
     theta = nls_fit(fam, x, y)
     h, h_b = 500 ** -0.2, 22 ** -0.2
     peak = _traced_peak(lambda: subsample_statistics(
-        x, y, fam, 22, h_b, h_b, 0.1, "slm", GAUSSIAN, uniform_weight(), 1024))
+        x, y, fam, 22, h_b, h_b, 0.1, GAUSSIAN, uniform_weight(), 1024))
     assert peak < 2.5e6
     peak = _traced_peak(lambda: t_statistic(
         x, y, fam, theta, h, GAUSSIAN, uniform_weight(), 1024))
@@ -620,7 +632,7 @@ def test_run_spec_test_degenerate_null():
     x, _ = _draw(80, seed=12)
     y = np.zeros_like(x)
     (res,) = run_spec_test(x, y, "linear", 0.4, GAUSSIAN,
-                           uniform_weight(), memory_kind="slm", d=0.1,
+                           uniform_weight(), d=0.1,
                            lam=80 ** -0.2,
                            blocks=[(20, 20 ** (np.log(0.4) / np.log(80)), 20 ** -0.2)])
     assert res.t_raw == 0.0
@@ -629,11 +641,11 @@ def test_run_spec_test_degenerate_null():
 
 def test_run_spec_test_fields_and_determinism():
     spec = TemperedProcessSpec(d=0.1, lam=200 ** -0.2, n=200,
-                               memory_kind="slm", presample=0)
+                               presample=0)
     noise = NoiseConfig(rho=0.5, psi=0.25, sigma=0.2, seed=13)
     path = simulate_model(spec, noise)
     y = path.x + 0.2 * path.u
-    kwargs = dict(memory_kind="slm", d=0.1, lam=200 ** -0.2,
+    kwargs = dict(d=0.1, lam=200 ** -0.2,
                   blocks=[(28, 28 ** -0.2, 28 ** -0.2)], quad_cells=512)
     (a,) = run_spec_test(path.x, y, "linear", 200 ** -0.2, GAUSSIAN,
                          uniform_weight(), **kwargs)
@@ -671,7 +683,7 @@ def test_run_spec_test_blocks_equal_separate_calls(family):
     x[60:70] = x[59]  # a few singular length-8 windows: skipped, not fatal
     y = x + 0.3 * rng.standard_normal(n)
     blocks = [(8, 8 ** -0.2, 8 ** -0.2), (28, 0.5, 0.4), (56, 56 ** -0.2, 56 ** -0.2)]
-    kwargs = dict(memory_kind="slm", d=0.1, lam=n ** -0.2, quad_cells=256)
+    kwargs = dict(d=0.1, lam=n ** -0.2, quad_cells=256)
     together = run_spec_test(x, y, family, n ** -0.2, GAUSSIAN, uniform_weight(),
                              blocks=blocks, **kwargs)
     assert [res.block_size for res in together] == [8, 28, 56]
@@ -688,7 +700,7 @@ def test_run_spec_test_blocks_propagate_subsampling_error():
     x = np.cumsum(rng.standard_normal(n))
     x[20:80] = x[19]  # most length-10 windows are flat; no length-70 one is
     y = x + 0.1 * rng.standard_normal(n)
-    kwargs = dict(memory_kind="slm", d=0.1, lam=0.4, quad_cells=256)
+    kwargs = dict(d=0.1, lam=0.4, quad_cells=256)
     good, bad = (70, 0.5, 0.4), (10, 0.5, 0.4)
     run_spec_test(x, y, "linear", 0.5, GAUSSIAN, uniform_weight(),
                   blocks=[good], **kwargs)
@@ -720,7 +732,7 @@ def test_p_value_counts_block_exceedances(case):
     x, y, b = case
     n = x.size
     (res,) = run_spec_test(x, y, "linear", n ** -0.2, GAUSSIAN,
-                           uniform_weight(), memory_kind="slm", d=0.1,
+                           uniform_weight(), d=0.1,
                            lam=n ** -0.2, blocks=[(b, b ** -0.2, b ** -0.2)],
                            quad_cells=64)
     m = res.subsample_values.size
@@ -757,7 +769,7 @@ def test_statistic_invariant_to_family_member(case):
 
     def run(yy):
         (res,) = run_spec_test(x, yy, family, n ** -0.2, GAUSSIAN,
-                               uniform_weight(), memory_kind="slm", d=0.1,
+                               uniform_weight(), d=0.1,
                                lam=n ** -0.2, blocks=[(b, b ** -0.2, b ** -0.2)],
                                quad_cells=64)
         return res
@@ -782,7 +794,7 @@ def test_divergence_under_fixed_alternative():
     medians = []
     for n in (250, 500, 1000):
         spec = TemperedProcessSpec(d=0.1, lam=n ** -0.2, n=n,
-                                   memory_kind="slm", presample=0)
+                                   presample=0)
         vals = []
         for rep in range(200):
             noise = NoiseConfig(rho=0.5, psi=0.25, sigma=0.2,
@@ -793,6 +805,6 @@ def test_divergence_under_fixed_alternative():
             t = t_statistic(path.x, y, "linear", theta, n ** -0.2,
                             GAUSSIAN, uniform_weight(), quad_cells=512)
             vals.append(normalized_statistic(t, n, n ** -0.2, 0.1,
-                                             n ** -0.2, "slm")[0])
+                                             n ** -0.2)[0])
         medians.append(np.median(vals))
     assert medians[0] < medians[1] < medians[2]

@@ -23,7 +23,7 @@ def _spec_test():
     # through the module attribute, which is what install() replaces
     (result,) = sl.spec_test.run_spec_test(
         x, y, "linear", 80 ** -0.2, sl.GAUSSIAN,
-        sl.uniform_weight(), memory_kind="slm", d=0.1, lam=80 ** -0.2,
+        sl.uniform_weight(), d=0.1, lam=80 ** -0.2,
         blocks=[(16, 16 ** -0.2, 16 ** -0.2)], quad_cells=256)
     return result
 
