@@ -9,8 +9,7 @@ about a minute.
 import os
 import tempfile
 
-from slmcoint import (StudyConfig, run_estimation_study, run_coverage_study,
-                      run_size_study, export_study)
+from slmcoint import StudyConfig, run_study, export_study
 
 THREADS = min(2, os.cpu_count() or 1)
 
@@ -22,7 +21,7 @@ def main():
         study_kind="estimation", n=500, replications=200,
         d_values=(0.0, 0.4), memory_settings=("lm", "SLM3"),
         bandwidth_exponents=("n^-1/3",), master_seed=1)
-    est = run_estimation_study(est_cfg, threads=THREADS)
+    est = run_study(est_cfg, threads=THREADS)
     print("estimation study (N=500, R=200, h = n^-1/3):")
     for row in est.tables["rmse"]:
         print(f"  {row['memory']:>5} d={row['d']:.1f}: RMSE = {row['value']:.4f}"
@@ -33,7 +32,7 @@ def main():
         study_kind="coverage", n=500, replications=200,
         d_values=(0.0, 0.4), memory_settings=("lm", "SLM3"),
         bandwidth_exponents=("n^-1/5",), eval_points=(0.5,), master_seed=2)
-    cov = run_coverage_study(cov_cfg, threads=THREADS)
+    cov = run_study(cov_cfg, threads=THREADS)
     print("coverage study at x = 0.5 (nominal 95%):")
     for row in cov.tables["coverage"]:
         print(f"  {row['memory']:>5} d={row['d']:.1f}: coverage = {row['value']:.3f}")
@@ -44,7 +43,7 @@ def main():
         d_values=(0.1,), memory_settings=("SLM3",),
         bandwidth_exponents=("n^-1/5",), block_rules=((1.0, 0.5), (4.0, 0.5)),
         nominal_levels=(0.05,), kernel="gaussian", master_seed=3)
-    size = run_size_study(size_cfg, threads=THREADS)
+    size = run_study(size_cfg, threads=THREADS)
     print("empirical size of the subsampled test (nominal 5%):")
     for row in size.tables["size"]:
         print(f"  b = {row['block_size']:3d}: size = {row['value']:.3f}"

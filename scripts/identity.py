@@ -213,7 +213,7 @@ def write_nw_series(path, n=500, seed=1919):
 
 
 def estimate_item(kernel, rule):
-    text, _ = run_cli(["estimate", "--kernel", kernel, "--bandwidth-rule", rule,
+    text, _ = run_cli(["estimate", "--kernel", kernel, "--bandwidth", rule,
                        "--variance", "centered", "--grid-start", "-1", "--grid-stop", "2",
                        "--grid-points", "151"], "estimate.csv", write_nw_series)
     return text

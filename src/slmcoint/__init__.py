@@ -29,7 +29,6 @@ from .whittle import (
 )
 from .mc import (
     MemorySetting, BlockRule, StudyConfig, SLM_RULES, parse_exponent,
-    run_estimation_study, run_coverage_study, run_size_study, run_study,
-    export_study,
+    run_study, export_study,
 )
 from .empirical import EmpiricalSeries, ingest_ckc_csv, ckc_analysis

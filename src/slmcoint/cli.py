@@ -5,8 +5,10 @@ command writes its outputs, and then ``main`` writes a manifest.json
 (arguments, seeds, input hashes) sufficient to re-run it bit-identically;
 a failed command writes no manifest.  ``mc.read_csv`` reads
 every data file, and ``mc.write_json`` and ``mc.write_csv`` write every
-file.  ``spec-test`` runs one block size, ``--block-size`` or the
-``mc.BlockRule`` of ``--block-rule`` and ``--block-exponent``.  Exit codes:
+file.  ``--bandwidth`` and ``spec-test``'s ``--lam`` take a number, held
+at every sample size, or a power rule ``n^a``, which gives m^a at size m.
+``spec-test`` runs one block size: ``--block-size`` b, or ``--block-rule``
+c for b = [c sqrt(n)], not both.  Exit codes:
 0 success, 2 validation error (``ValueError``, missing file or column, a
 bad option: bad or non-finite input, a singular full-sample design; the
 message names the data file), 3 numerical failure (``SubsamplingError``:
@@ -79,6 +81,26 @@ def _presample(text):
     raise argparse.ArgumentTypeError(f"expected 'full' or a count >= 0, got {text!r}")
 
 
+def _tuning(text):
+    """--bandwidth or --lam: a number, or a power rule n^a kept as its text."""
+    try:
+        return float(text)
+    except ValueError:
+        try:
+            parse_exponent(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{exc}; expected a number or n^a") from None
+        return text
+
+
+def _at_sizes(value, *sizes):
+    """A ``_tuning`` value at each sample size: a number is held, and a rule
+    n^a gives m^a at size m."""
+    if isinstance(value, float):
+        return [value for _ in sizes]
+    return [float(m) ** parse_exponent(value) for m in sizes]
+
+
 def _attach_weight_support(argv):
     """``--weight-support a,b`` as ``--weight-support=a,b``: argparse reads a
     separate value such as -50,50, which starts with '-' and is not a plain
@@ -112,8 +134,7 @@ def _cmd_estimate(args):
     n = x.shape[0]
     if n < 2:  # one observation is its own fit, with no residual to spread
         raise ValueError(f"a variance needs at least 2 observations, got {n}")
-    h = (args.bandwidth if args.bandwidth is not None
-         else n ** parse_exponent(args.bandwidth_rule))
+    (h,) = _at_sizes(args.bandwidth, n)
     grid = np.linspace(args.grid_start, args.grid_stop, args.grid_points)
     est = kernel_estimate(x, y, grid, h, get_kernel(args.kernel),
                           alpha=args.alpha, variance=args.variance)
@@ -131,17 +152,10 @@ def _cmd_estimate(args):
 def _cmd_spec_test(args):
     x, y = read_csv(args.data, ("x", "y")).values()
     n = x.shape[0]
-    b = args.block_size if args.block_size is not None else BlockRule(
-        args.block_coef, args.block_exponent).size(n)
+    b = args.block_size if args.block_size is not None else BlockRule(args.block_coef).size(n)
     _check_block_size(b, n)  # before b is raised to the negative block-scale powers
-    # a rule n^a maps to b^a at block scale; an explicit value is held fixed
-    h = h_b = args.bandwidth
-    if h is None:
-        h, h_b = (float(m) ** parse_exponent(args.bandwidth_rule) for m in (n, b))
-    # likewise lam; --lam 0 is long memory
-    lam = lam_b = args.lam
-    if lam is None:
-        lam, lam_b = (float(m) ** parse_exponent(args.lambda_rule) for m in (n, b))
+    h, h_b = _at_sizes(args.bandwidth, n, b)
+    lam, lam_b = _at_sizes(args.lam, n, b)  # --lam 0 is long memory
     (result,) = run_spec_test(
         x, y, get_family(args.family), h, get_kernel(args.kernel),
         uniform_weight(*args.weight_support), d=args.d, lam=lam, blocks=[(b, h_b, lam_b)])
@@ -201,8 +215,8 @@ def build_parser():
 
     p = sub.add_parser("estimate", help="kernel regression with confidence bands")
     p.add_argument("--data", required=True, help="CSV with a header row naming x and y")
-    p.add_argument("--bandwidth", type=float, default=None)
-    p.add_argument("--bandwidth-rule", default="n^-1/3")
+    p.add_argument("--bandwidth", type=_tuning, default="n^-1/3",
+                   help="a number or a power rule n^a")
     p.add_argument("--kernel", choices=["epanechnikov", "gaussian"],
                    default="epanechnikov")
     p.add_argument("--grid-start", type=float, default=0.0)
@@ -217,15 +231,15 @@ def build_parser():
     p = sub.add_parser("spec-test", help="parametric specification test")
     p.add_argument("--data", required=True, help="CSV with a header row naming x and y")
     p.add_argument("--family", choices=["linear", "quadratic"], default="linear")
-    p.add_argument("--bandwidth", type=float, default=None)
-    p.add_argument("--bandwidth-rule", default="n^-1/5")
-    p.add_argument("--block-size", type=int, default=None)
-    p.add_argument("--block-rule", dest="block_coef", type=float, default=1.0,
-                   help="coefficient c of b = [c*n^0.5]")
-    p.add_argument("--block-exponent", type=float, default=0.5)
+    p.add_argument("--bandwidth", type=_tuning, default="n^-1/5",
+                   help="a number, or a power rule n^a (b^a at block scale)")
+    blocks = p.add_mutually_exclusive_group()
+    blocks.add_argument("--block-size", type=int, default=None)
+    blocks.add_argument("--block-rule", dest="block_coef", type=float, default=1.0,
+                        help="coefficient c of b = [c*n^0.5]")
     p.add_argument("--d", type=float, default=0.0)
-    p.add_argument("--lam", type=float, default=None)
-    p.add_argument("--lambda-rule", default="n^-1/5")
+    p.add_argument("--lam", type=_tuning, default="n^-1/5",
+                   help="as --bandwidth; 0 is long memory")
     p.add_argument("--kernel", choices=["gaussian", "epanechnikov"],
                    default="gaussian")
     p.add_argument("--weight-support", type=_weight_support,

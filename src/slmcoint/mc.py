@@ -47,8 +47,8 @@ def _slm_rule(name):
 
 def _number(field, value):
     """``value`` as a float, or a ValueError that names the config field; a
-    bool is not a number."""
-    if not isinstance(value, (bool, np.bool_)):
+    bool or a string is not a number."""
+    if not isinstance(value, (bool, np.bool_, str)):
         try:
             return float(value)
         except (TypeError, ValueError):
@@ -118,6 +118,10 @@ class MemorySetting:
         if not isinstance(payload, dict):
             raise ValueError("memory_settings entries must be a name or an object, "
                              f"got {payload!r}")
+        unknown = sorted(set(payload) - {"lambda_exponent", "label"})
+        if unknown:
+            raise ValueError(f"unknown memory setting key(s) {', '.join(unknown)}; "
+                             "accepted: lambda_exponent, label")
         payload = dict(payload)
         if payload.get("lambda_exponent") is not None:
             payload["lambda_exponent"] = parse_exponent(payload["lambda_exponent"])
@@ -441,8 +445,6 @@ def run_estimation_study(config, threads=1):
     reported per cell, and cells with more than 1% zero-mass pairs are
     flagged.
     """
-    if config.study_kind != "estimation":
-        raise ValueError("config.study_kind must be 'estimation'")
     chunks, _ = _run_chunked(_estimation_chunk, config, threads)
     tables = {"bias": [], "std": [], "rmse": []}
     pairs = config.replications * config.grid_points
@@ -489,8 +491,6 @@ def run_coverage_study(config, threads=1):
     reproduces the benchmark coverage table.  alpha = 1 is the degenerate
     zero-width interval (coverage 0, length 0).
     """
-    if config.study_kind != "coverage":
-        raise ValueError("config.study_kind must be 'coverage'")
     chunks, sizes = _run_chunked(_coverage_chunk, config, threads)
     tables = {"coverage": [], "length": []}
     r = config.replications
@@ -539,8 +539,6 @@ def _size_chunk(args):
 def run_size_study(config, threads=1):
     """Empirical size: rejection frequency of the subsampled specification
     test on data generated under the linear null y = x + sigma*u."""
-    if config.study_kind != "size":
-        raise ValueError("config.study_kind must be 'size'")
     chunks, sizes = _run_chunked(_size_chunk, config, threads)
     tables = {"size": []}
     histograms = {}
@@ -562,6 +560,8 @@ def run_size_study(config, threads=1):
 
 
 def run_study(config, threads=1):
+    """Run the study that ``config.study_kind`` names.  Its runner is read
+    from the module's globals at each call, so a wrapper set there runs."""
     runner = {"estimation": run_estimation_study,
               "coverage": run_coverage_study,
               "size": run_size_study}[config.study_kind]

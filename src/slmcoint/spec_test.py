@@ -121,12 +121,12 @@ def integration_domain(x, h, weight):
     return (lo, hi) if lo < hi else (weight.a, weight.b)
 
 
-def _check_block_size(b, n, whole=False):
-    """Reject b unless an integer with 2 <= b < n, or b <= n if ``whole``."""
+def _check_block_size(b, n):
+    """Reject b unless an integer with 2 <= b < n: a block of the whole
+    sample is the statistic itself."""
     _check_count("block size b", b)
-    if not (2 <= b <= n if whole else 2 <= b < n):
-        raise ValueError(f"block size must satisfy 2 <= b {'<=' if whole else '<'} n, "
-                         f"got b = {b}, n = {n}")
+    if not 2 <= b < n:
+        raise ValueError(f"block size must satisfy 2 <= b < n, got b = {b}, n = {n}")
 
 
 def _quad_nodes(domain, quad_cells):
@@ -253,17 +253,17 @@ def subsample_statistics(x, y, family, b, h_b, lam_b, d, kernel, weight,
 
     Each block is refit (``_sliding_theta``), its raw statistic computed on
     the block at the block-scale bandwidth h_b, and normalized with
-    (b, lam_b, h_b), block-scale values that the caller states; b = n is the
-    one block of the sample.  Blocks with a singular design are skipped and
-    counted; more than 5% skipped aborts.  Returns the sorted values (and
-    optionally the block-ordered ones, their block indices and the skip count).
+    (b, lam_b, h_b), block-scale values that the caller states; 2 <= b < n.
+    Blocks with a singular design are skipped and counted; more than 5%
+    skipped aborts.  Returns the sorted values (and optionally the
+    block-ordered ones, their block indices and the skip count).
     """
     family = get_family(family)
     kernel = get_kernel(kernel)
     _check_positive("bandwidth h_b", h_b)
     _check_memory(d, "lam_b", lam_b)
     x, y = _as_xy(x, y)
-    _check_block_size(b, x.shape[0], whole=True)
+    _check_block_size(b, x.shape[0])
     nb = x.shape[0] - b + 1
     theta, valid, u = _sliding_theta(x, y, family, b)
     skipped = int(nb - valid.sum())
@@ -326,15 +326,14 @@ class SpecTestResult:
 def run_spec_test(x, y, family, h, kernel, weight, d, lam, *, blocks,
                   quad_cells=DEFAULT_QUAD_CELLS):
     """Full specification test: one fit and statistic, normalized, then
-    subsampled at each (b, h_b, lam_b) of the nonempty ``blocks``; returns
-    one ``SpecTestResult`` per entry, in order.
+    subsampled at each (b, h_b, lam_b), 2 <= b < n, of the nonempty
+    ``blocks``; returns one ``SpecTestResult`` per entry, in order.
 
     The caller states the block-scale tuning values h_b and lam_b; lam_b is
     0 exactly when lam is, so that the blocks share the sample's memory
     regime.  A power rule h = n^a gives h_b = b^a; a fixed value is passed
     unchanged.  The p-value uses add-one smoothing,
     (1 + #{blocks >= T}) / (1 + #blocks), with ties counted as exceedances.
-    It needs 2 <= b < n: a block of the whole sample is the statistic itself.
     """
     if len(blocks) == 0:
         raise ValueError("blocks must hold at least one (b, h_b, lam_b)")

@@ -6,8 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from slmcoint import (run_estimation_study, run_coverage_study, run_size_study,
-                      periodogram, whittle_objective)
+from slmcoint import run_study, periodogram, whittle_objective
 from slmcoint.whittle import ARTFIMA_D_RANGE, ARTFIMA_LAM_RANGE
 
 import acceptance_configs as acc
@@ -17,22 +16,22 @@ THREADS = min(2, os.cpu_count() or 1)
 
 @pytest.fixture(scope="session")
 def table1_study():
-    return run_estimation_study(acc.TABLE1, threads=THREADS)
+    return run_study(acc.TABLE1, threads=THREADS)
 
 
 @pytest.fixture(scope="session")
 def coverage_study():
-    return run_coverage_study(acc.COVERAGE, threads=THREADS)
+    return run_study(acc.COVERAGE, threads=THREADS)
 
 
 @pytest.fixture(scope="session")
 def size_lm_study():
-    return run_size_study(acc.SIZE_LM, threads=THREADS)
+    return run_study(acc.SIZE_LM, threads=THREADS)
 
 
 @pytest.fixture(scope="session")
 def size_slm_study():
-    return run_size_study(acc.SIZE_SLM, threads=THREADS)
+    return run_study(acc.SIZE_SLM, threads=THREADS)
 
 
 def _grid_scan_minimum(z):

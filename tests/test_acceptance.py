@@ -376,8 +376,8 @@ def test_criterion_7_determinism_across_thread_counts():
         study_kind="estimation", n=300, replications=8, chunk_size=4,
         d_values=(0.2,), memory_settings=("SLM3",),
         bandwidth_exponents=(H3,), master_seed=99)
-    a = sl.run_estimation_study(config, threads=1)
-    b = sl.run_estimation_study(config, threads=2)
+    a = sl.run_study(config, threads=1)
+    b = sl.run_study(config, threads=2)
     tables_ok = all(a.tables[c] == b.tables[c] for c in a.tables)
 
     spec = sl.TemperedProcessSpec(d=0.1, lam=150 ** H5, n=150, presample=0)

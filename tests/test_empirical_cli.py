@@ -202,7 +202,7 @@ def test_cli_estimate_and_spec_test(tmp_path):
     assert "memory_kind" not in json.loads((sim / "run.json").read_text())["spec"]
     est = tmp_path / "est"
     assert cli_main(["estimate", "--data", str(sim / "path.csv"),
-                     "--bandwidth-rule", "n^-1/3", "--out", str(est)]) == 0
+                     "--bandwidth", "n^-1/3", "--out", str(est)]) == 0
     lines = (est / "estimate.csv").read_text().splitlines()
     assert lines[0] == "x,fhat,sigma2hat,local_mass,ci_lo,ci_hi"
     assert len(lines) == 101
@@ -365,9 +365,9 @@ def _cli_block_values(tmp_path, flags):
 
 @pytest.mark.parametrize("flags, key, full, block", [
     (["--bandwidth", "2.0"], "h", 2.0, 2.0),
-    (["--bandwidth-rule", "n^-1/5"], "h", 200 ** -0.2, 28 ** -0.2),
+    (["--bandwidth", "n^-1/5"], "h", 200 ** -0.2, 28 ** -0.2),
     (["--lam", "2.0"], "lam", 2.0, 2.0),
-    (["--lambda-rule", "n^-1/5"], "lam", 200 ** -0.2, 28 ** -0.2),
+    (["--lam", "n^-1/5"], "lam", 200 ** -0.2, 28 ** -0.2),
 ], ids=["bandwidth", "bandwidth-rule", "lam", "lambda-rule"])
 def test_cli_spec_test_block_values(tmp_path, flags, key, full, block):
     # a rule n^a maps to b^a at block scale; an explicit value is held fixed
@@ -375,6 +375,38 @@ def test_cli_spec_test_block_values(tmp_path, flags, key, full, block):
     assert payload["block_size"] == 28
     assert payload[key] == full
     assert payload[key + "_b"] == block
+
+
+def test_cli_spec_test_manifest_records_tuning_as_given(tmp_path):
+    # a number is recorded as a number and a rule as its text; the default
+    # tuning of spec-test is h = lam = n^-1/5
+    _cli_block_values(tmp_path, ["--bandwidth", "0.5"])
+    arguments = json.loads((tmp_path / "st" / "manifest.json").read_text())["arguments"]
+    assert arguments["bandwidth"] == 0.5 and arguments["lam"] == "n^-1/5"
+    assert arguments["block_size"] == 28 and arguments["block_coef"] == 1.0
+    assert not [name for name in arguments if name.endswith("_rule")]
+    assert "block_exponent" not in arguments
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("estimate", ["--bandwidth-rule", "n^-1/3"], "unrecognized arguments: --bandwidth-rule"),
+    ("spec-test", ["--bandwidth-rule", "n^-1/5"], "unrecognized arguments: --bandwidth-rule"),
+    ("spec-test", ["--lambda-rule", "n^-1/5"], "unrecognized arguments: --lambda-rule"),
+    ("spec-test", ["--block-exponent", "0.5"], "unrecognized arguments: --block-exponent"),
+    ("spec-test", ["--block-size", "20", "--block-rule", "3"],
+     "argument --block-rule: not allowed with argument --block-size"),
+], ids=["estimate-bandwidth-rule", "bandwidth-rule", "lambda-rule", "block-exponent",
+        "block-size-and-rule"])
+def test_cli_refuses_a_second_spelling(tmp_path, capsys, command, flags, message):
+    # --bandwidth and --lam take a rule themselves, blocks are [c sqrt(n)],
+    # and a block size is given one way
+    data = tmp_path / "xy.csv"
+    data.write_text("x,y\n" + "".join(f"{i},{i % 3}\n" for i in range(40)))
+    with pytest.raises(SystemExit) as err:
+        cli_main([command, "--data", str(data), *flags, "--out", str(tmp_path / "out")])
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_fit_artfima(tmp_path):
@@ -607,13 +639,13 @@ def test_cli_mc_reruns_from_study_config(tmp_path):
     ({"bandwidth_exponents": ["n^-1/0"]}, "power rule 'n^-1/0' divides by zero"),
     # the kind of a config saved by an older version: lam sets the regime
     ({"memory_settings": [{"kind": "slm", "lambda_exponent": -0.2}]},
-     "study config: MemorySetting.__init__() got an unexpected keyword argument 'kind'"),
+     "unknown memory setting key(s) kind; accepted: lambda_exponent, label"),
     ({"d_values": 5}, "study config: 'int' object is not iterable"),
     ({"nominal_levels": ["x"]}, "nominal_levels must hold numbers, got 'x'"),
     ({"nominal_levels": [None]}, "nominal_levels must hold numbers, got None"),
     # a named schedule is the one form of a rule: "SLM3", not {"rule": "SLM3"}
     ({"memory_settings": [{"rule": "SLM3"}]},
-     "study config: MemorySetting.__init__() got an unexpected keyword argument 'rule'"),
+     "unknown memory setting key(s) rule; accepted: lambda_exponent, label"),
     # a NaN d used to drop every long-memory row and fail a semi-long one mid-run
     ({"memory_settings": ["lm", "SLM3"], "d_values": [0.1, float("nan")]},
      "d_values must be finite, got [0.1, nan]"),
@@ -628,6 +660,10 @@ def test_cli_mc_reruns_from_study_config(tmp_path):
      "unknown memory setting 'short'; choose lm or one of ['SLM1', 'SLM2', 'SLM3', 'SLM4']"),
     ({"study_kind": "coverage", "alpha": True}, "alpha must hold numbers, got True"),
     ({"study_kind": "coverage", "alpha": "x"}, "alpha must hold numbers, got 'x'"),
+    # a number field takes a JSON number, as a count does, not its text
+    ({"study_kind": "coverage", "alpha": "0.05"}, "alpha must hold numbers, got '0.05'"),
+    ({"rho": "0.5"}, "rho must hold numbers, got '0.5'"),
+    ({"d_values": ["0.1"]}, "d_values must hold numbers, got '0.1'"),
 ])
 def test_cli_mc_rejects_bad_config(tmp_path, capsys, change, message):
     cfg = {
@@ -661,14 +697,20 @@ def test_cli_mc_rejects_malformed_config(tmp_path, capsys, payload, message):
     assert not (tmp_path / "mc").exists()
 
 
-@pytest.mark.parametrize("command, flag", [("estimate", "--bandwidth-rule"),
-                                           ("spec-test", "--lambda-rule")])
+@pytest.mark.parametrize("command, flag", [("estimate", "--bandwidth"),
+                                           ("spec-test", "--bandwidth"),
+                                           ("spec-test", "--lam")])
 def test_cli_rejects_zero_denominator_rule(tmp_path, capsys, command, flag):
+    # the option's own error, before the data file is read
     data = tmp_path / "xy.csv"
     data.write_text("x,y\n" + "".join(f"{i},{i % 3}\n" for i in range(40)))
-    assert cli_main([command, "--data", str(data), flag, "n^1/0",
-                     "--out", str(tmp_path / "out")]) == 2
-    assert "power rule 'n^1/0' divides by zero" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as err:
+        cli_main([command, "--data", str(data), flag, "n^1/0",
+                  "--out", str(tmp_path / "out")])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert f"argument {flag}: power rule 'n^1/0' divides by zero" in message
+    assert str(data) not in message
 
 
 def test_cli_mc_rejects_cells_that_share_a_file_name(tmp_path, capsys):

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slmcoint import (StudyConfig, MemorySetting, BlockRule, SLM_RULES,
-                      parse_exponent, run_estimation_study, run_coverage_study,
-                      run_size_study, run_study, export_study)
+                      parse_exponent, run_study, export_study)
 from slmcoint import mc
 from slmcoint.mc import write_json
 
@@ -54,8 +53,11 @@ def test_memory_setting_labels_and_rules():
     assert MemorySetting.from_dict({"lambda_exponent": -0.2}) == ms
     assert MemorySetting.from_dict("slm1").lambda_exponent == SLM_RULES["SLM1"]
     for key in ("rule", "kind"):
-        with pytest.raises(TypeError, match=key):
+        with pytest.raises(ValueError, match=rf"^unknown memory setting key\(s\) {key}; "
+                                             r"accepted: lambda_exponent, label$"):
             MemorySetting.from_dict({key: "slm", "lambda_exponent": -0.2})
+        with pytest.raises(ValueError, match=rf"key\(s\) {key};"):
+            _tiny("estimation", memory_settings=({key: "SLM3"},))
     with pytest.raises(ValueError):
         MemorySetting.from_dict({"lambda_exponent": -1.5})
     for name in ("short", "slm", "long", "semi_long"):
@@ -136,6 +138,10 @@ def test_config_rejects_values_that_print_alike(field, value, message):
     # alpha once kept a bool, and failed on a string with a TypeError
     ("alpha", True, r"^alpha must hold numbers, got True$"),
     ("alpha", "x", r"^alpha must hold numbers, got 'x'$"),
+    # a number field takes numbers only, as a count does: not their text
+    ("alpha", "0.05", r"^alpha must hold numbers, got '0.05'$"),
+    ("rho", "0.5", r"^rho must hold numbers, got '0.5'$"),
+    ("d_values", ("0.1",), r"^d_values must hold numbers, got '0.1'$"),
 ])
 def test_config_rejects_bad_noise_or_presample(field, value, message):
     # refused when the config is built, not in the first chunk of a study
@@ -145,7 +151,6 @@ def test_config_rejects_bad_noise_or_presample(field, value, message):
             _tiny(kind, **{field: value})
     config = _tiny("estimation", rho=0, presample="full")
     assert type(config.rho) is float and config.presample == "full"
-    assert _tiny("coverage", alpha="0.05").alpha == 0.05
 
 
 def test_paths_build_each_spec_once_per_chunk(monkeypatch):
@@ -301,8 +306,8 @@ def test_estimation_cell_order_invariance():
                    d_values=(0.0, 0.1))
     cfg_ba = _tiny("estimation", memory_settings=("SLM3", "lm"),
                    d_values=(0.1, 0.0))
-    a = run_estimation_study(cfg_ab)
-    b = run_estimation_study(cfg_ba)
+    a = run_study(cfg_ab)
+    b = run_study(cfg_ba)
     cell_a = a.cell("rmse", memory="SLM3", d=0.1)
     cell_b = b.cell("rmse", memory="SLM3", d=0.1)
     assert cell_a["value"] == cell_b["value"]
@@ -357,14 +362,14 @@ def test_chunks_equal_f_evaluated_everywhere(monkeypatch, study_kind, kernel):
 def test_estimation_zero_noise_zero_function():
     config = _tiny("estimation", sigma=0.0, f_terms=0, replications=4,
                    chunk_size=2)
-    res = run_estimation_study(config)
+    res = run_study(config)
     for crit in ("bias", "std", "rmse"):
         assert res.tables[crit][0]["value"] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_coverage_degenerate_alpha_one():
     config = _tiny("coverage", replications=4, chunk_size=2, alpha=1.0)
-    res = run_coverage_study(config)
+    res = run_study(config)
     for row in res.tables["coverage"]:
         assert row["value"] == 0.0
     for row in res.tables["length"]:
@@ -374,12 +379,12 @@ def test_coverage_degenerate_alpha_one():
 @pytest.mark.parametrize("alpha", [1.5, 0.0, -0.2])
 def test_coverage_rejects_alpha_outside_unit_interval(alpha):
     with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\]"):
-        run_coverage_study(_tiny("coverage", alpha=alpha))
+        run_study(_tiny("coverage", alpha=alpha))
 
 
 def test_size_degenerate_zero_noise():
     config = _tiny("size", sigma=0.0, replications=4, chunk_size=2)
-    res = run_size_study(config)
+    res = run_study(config)
     assert res.tables["size"][0]["value"] == 0.0
     k = list(res.histograms)[0]
     assert np.allclose(res.histograms[k], 0.0)
@@ -388,7 +393,7 @@ def test_size_degenerate_zero_noise():
 def test_d0_rows_identical_across_memory_settings():
     config = _tiny("estimation", memory_settings=("lm", "SLM1", "SLM3"),
                    d_values=(0.0,), replications=6)
-    res = run_estimation_study(config)
+    res = run_study(config)
     vals = [res.cell("rmse", memory=m, d=0.0)["value"]
             for m in ("LM", "SLM1", "SLM3")]
     assert vals[0] == vals[1] == vals[2]
@@ -398,14 +403,14 @@ def test_d0_rows_identical_across_memory_settings():
 
 def test_export_and_manifest_roundtrip(tmp_path):
     config = _tiny("size", replications=4, chunk_size=2)
-    res = run_size_study(config)
+    res = run_study(config)
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
     export_study(res, out1)
     saved = json.loads((out1 / "study_config.json").read_text())
     config2 = StudyConfig.from_dict(saved)
     assert config2 == config
-    res2 = run_size_study(config2, threads=2)
+    res2 = run_study(config2, threads=2)
     export_study(res2, out2)
     for name in ("size.csv", "study_config.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
@@ -419,7 +424,7 @@ def test_export_header_only_when_no_cells(tmp_path):
     # all requested rows invalid for LM -> empty tables, header-only CSVs
     config = _tiny("estimation", memory_settings=("lm",), d_values=(0.9,),
                    replications=2, chunk_size=2)
-    res = run_estimation_study(config)
+    res = run_study(config)
     export_study(res, tmp_path / "out")
     lines = (tmp_path / "out" / "bias.csv").read_text().splitlines()
     assert len(lines) == 1 and lines[0].startswith("memory,")
@@ -427,7 +432,7 @@ def test_export_header_only_when_no_cells(tmp_path):
 
 def test_estimation_flags_and_fractions():
     config = _tiny("estimation", replications=6)
-    row = run_estimation_study(config).tables["std"][0]
+    row = run_study(config).tables["std"][0]
     assert 0.0 <= row["zero_mass_frac"] <= 1.0
     assert row["excluded_frac"] >= row["zero_mass_frac"]
     assert row["flagged"] == (row["zero_mass_frac"] > 0.01)
