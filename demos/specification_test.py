@@ -14,13 +14,13 @@ def run_case(title, y_builder, n=500, seed=3):
     path = simulate_model(spec, noise)
     y = y_builder(path)
     # one fit and one full-sample statistic, calibrated against blocks of
-    # b = [c sqrt(n)] for c = 2 and 4, with the rules n^a mapped to b^a
+    # b = [c sqrt(n)] for c = 2 and 4; the rules n^-0.2 give n^-0.2 on the
+    # sample and b^-0.2 on its blocks
     sizes = [BlockRule(c).size(n) for c in (2.0, 4.0)]
     results = run_spec_test(
-        path.x, y, "linear", h=n ** -0.2,
+        path.x, y, "linear", h="n^-0.2",
         kernel=GAUSSIAN, weight=uniform_weight(-100, 100),
-        d=0.1, lam=n ** -0.2,
-        blocks=[(b, b ** -0.2, b ** -0.2) for b in sizes])
+        d=0.1, lam="n^-0.2", blocks=sizes)
     first = results[0]
     print(f"--- {title}")
     print(f"theta_hat = {np.round(first.theta_hat, 4)}")

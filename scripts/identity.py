@@ -168,10 +168,9 @@ def pruned_tile_items():
 
 def pruned_tile_item(x, y, family, kernel, support, sizes, cells):
     """``run_spec_test``: every field and the block-ordered values."""
-    n = x.shape[0]
     results = spec_test.run_spec_test(
-        x, y, family, n ** -0.2, kernel, spec_test.uniform_weight(*support), 0.1,
-        lam=n ** -0.2, blocks=[(b, b ** -0.2, b ** -0.2) for b in sizes], quad_cells=cells)
+        x, y, family, "n^-0.2", kernel, spec_test.uniform_weight(*support), 0.1,
+        lam="n^-0.2", blocks=sizes, quad_cells=cells)
     return [dict(r.to_dict(), by_block=[float(v) for v in r.subsample_by_block])
             for r in results]
 

@@ -22,13 +22,13 @@ from .kernel_regression import (
 from .spec_test import (
     SubsamplingError, get_family, uniform_weight, nls_fit, t_statistic,
     normalized_statistic, subsample_statistics, subsample_quantile, run_spec_test,
+    parse_exponent,
 )
 from .whittle import (
     periodogram, whittle_objective, profile_sigma2,
     one_step_residuals, fit_artfima00, fit_arfima00, simulate_artfima00,
 )
 from .mc import (
-    MemorySetting, BlockRule, StudyConfig, SLM_RULES, parse_exponent,
-    run_study, export_study,
+    MemorySetting, BlockRule, StudyConfig, SLM_RULES, run_study, export_study,
 )
 from .empirical import EmpiricalSeries, ingest_ckc_csv, ckc_analysis

@@ -6,9 +6,10 @@ command writes its outputs, and then ``main`` writes a manifest.json
 a failed command writes no manifest.  ``mc.read_csv`` reads
 every data file, and ``mc.write_json`` and ``mc.write_csv`` write every
 file.  ``--bandwidth`` and ``spec-test``'s ``--lam`` take a number, held
-at every sample size, or a power rule ``n^a``, which gives m^a at size m.
-``spec-test`` runs one block size: ``--block-size`` b, or ``--block-rule``
-c for b = [c sqrt(n)], not both.  Exit codes:
+at every sample size, or a power rule ``n^a``, which gives m^a at size m;
+``spec-test`` passes both to ``run_spec_test`` as given, for one block
+size: ``--block-size`` b, or ``--block-rule`` c for b = [c sqrt(n)], not
+both.  Exit codes:
 0 success, 2 validation error (``ValueError``, missing file or column, a
 bad option: bad or non-finite input, a singular full-sample design; the
 message names the data file), 3 numerical failure (``SubsamplingError``:
@@ -24,13 +25,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .processes import (TemperedProcessSpec, NoiseConfig, simulate_model,
-                        regression_function_sine)
+from .processes import (DEFAULT_BURN_IN, DEFAULT_SINE_TERMS, TemperedProcessSpec,
+                        NoiseConfig, simulate_model, regression_function_sine)
 from .kernel_regression import get_kernel, kernel_estimate
-from .spec_test import (DEFAULT_WEIGHT_SUPPORT, run_spec_test, get_family,
-                        uniform_weight, SubsamplingError, _check_block_size)
+from .spec_test import (DEFAULT_WEIGHT_SUPPORT, run_spec_test, get_family, parse_exponent,
+                        uniform_weight, SubsamplingError, _at_size)
 from .whittle import fit_artfima00, fit_arfima00
-from .mc import (BlockRule, StudyConfig, run_study, export_study, parse_exponent,
+from .mc import (BlockRule, StudyConfig, run_study, export_study,
                  read_csv, write_json, write_csv, _fmt)
 from .empirical import ingest_ckc_csv, ckc_analysis
 
@@ -93,14 +94,6 @@ def _tuning(text):
         return text
 
 
-def _at_sizes(value, *sizes):
-    """A ``_tuning`` value at each sample size: a number is held, and a rule
-    n^a gives m^a at size m."""
-    if isinstance(value, float):
-        return [value for _ in sizes]
-    return [float(m) ** parse_exponent(value) for m in sizes]
-
-
 def _attach_weight_support(argv):
     """``--weight-support a,b`` as ``--weight-support=a,b``: argparse reads a
     separate value such as -50,50, which starts with '-' and is not a plain
@@ -134,7 +127,7 @@ def _cmd_estimate(args):
     n = x.shape[0]
     if n < 2:  # one observation is its own fit, with no residual to spread
         raise ValueError(f"a variance needs at least 2 observations, got {n}")
-    (h,) = _at_sizes(args.bandwidth, n)
+    h = _at_size(args.bandwidth, n)
     grid = np.linspace(args.grid_start, args.grid_stop, args.grid_points)
     est = kernel_estimate(x, y, grid, h, get_kernel(args.kernel),
                           alpha=args.alpha, variance=args.variance)
@@ -151,14 +144,10 @@ def _cmd_estimate(args):
 
 def _cmd_spec_test(args):
     x, y = read_csv(args.data, ("x", "y")).values()
-    n = x.shape[0]
-    b = args.block_size if args.block_size is not None else BlockRule(args.block_coef).size(n)
-    _check_block_size(b, n)  # before b is raised to the negative block-scale powers
-    h, h_b = _at_sizes(args.bandwidth, n, b)
-    lam, lam_b = _at_sizes(args.lam, n, b)  # --lam 0 is long memory
+    b = BlockRule(args.block_coef).size(len(x)) if args.block_size is None else args.block_size
     (result,) = run_spec_test(
-        x, y, get_family(args.family), h, get_kernel(args.kernel),
-        uniform_weight(*args.weight_support), d=args.d, lam=lam, blocks=[(b, h_b, lam_b)])
+        x, y, get_family(args.family), args.bandwidth, get_kernel(args.kernel),
+        uniform_weight(*args.weight_support), d=args.d, lam=args.lam, blocks=[b])
     os.makedirs(args.out, exist_ok=True)
     write_json(os.path.join(args.out, "spec_test.json"), result.to_dict())
     print(f"p_value={result.p_value!r} t_normalized={result.t_normalized!r}")
@@ -207,9 +196,9 @@ def build_parser():
     p.add_argument("--psi", type=float, default=0.25)
     p.add_argument("--sigma", type=float, default=0.2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--burn-in", type=int, default=1000)
+    p.add_argument("--burn-in", type=int, default=DEFAULT_BURN_IN)
     p.add_argument("--presample", type=_presample, default="full")
-    p.add_argument("--f-terms", type=int, default=1000)
+    p.add_argument("--f-terms", type=int, default=DEFAULT_SINE_TERMS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 

@@ -70,10 +70,10 @@ def ckc_analysis(series):
     Each (hypothesis, bandwidth) pair is one ``run_spec_test`` call: one fit
     and one full-sample statistic, calibrated against all the block rules,
     at ``run_spec_test``'s quadrature resolution of 2048 cells.
-    The bandwidth follows its power rule at block scale (h_b = b^a); the
-    fitted tempering parameter is a constant, not a schedule, so it is held
-    fixed at both scales (p-values are invariant to the common factor
-    lam_hat^d_hat in the normalizers).
+    The bandwidth is passed as its power rule (h_b = b^a); the fitted
+    tempering parameter is a constant, not a schedule, so it is passed as a
+    number, held at both scales (p-values are invariant to the common
+    factor lam_hat^d_hat in the normalizers).
     """
     n = len(series)
     e = np.log(series.gdp)
@@ -88,10 +88,8 @@ def ckc_analysis(series):
     for hyp in HYPOTHESES:
         family = get_family(hyp)
         for he in H_EXPONENTS:
-            results = run_spec_test(
-                e, z, family, float(n) ** he, GAUSSIAN, uniform_weight(),
-                d=d_hat, lam=lam_hat,
-                blocks=[(b, float(b) ** he, lam_hat) for b in sizes])
+            results = run_spec_test(e, z, family, f"n^{he!r}", GAUSSIAN, uniform_weight(),
+                                    d=d_hat, lam=lam_hat, blocks=sizes)
             for coef, res in zip(BLOCK_COEFS, results):
                 pvals.append({
                     "hypothesis": family.kind, "bandwidth_rule": f"n^{he!r}",

@@ -11,7 +11,6 @@ count or cell execution order.
 
 import csv
 import json
-import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -19,12 +18,13 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .processes import (TemperedProcessSpec, NoiseConfig,
-                        simulate_innovations, simulate_regressor,
+from .processes import (DEFAULT_BURN_IN, DEFAULT_SINE_TERMS, TemperedProcessSpec,
+                        NoiseConfig, simulate_innovations, simulate_regressor,
                         simulate_error_ar1, sine_series_interpolator,
                         innovation_length, _check_memory, _check_simulated_d)
 from .kernel_regression import get_kernel, kernel_estimate, _check_count, _reach_mask
-from .spec_test import DEFAULT_WEIGHT_SUPPORT, run_spec_test, uniform_weight
+from .spec_test import (DEFAULT_WEIGHT_SUPPORT, parse_exponent, run_spec_test,
+                        uniform_weight)
 
 SLM_RULES = {"SLM1": -1.0 / 3.0, "SLM2": -0.25, "SLM3": -0.2, "SLM4": -1.0 / 6.0}
 DEFAULT_BLOCK_RULES = ((0.5, 0.5), (1.0, 0.5), (2.0, 0.5), (4.0, 0.5))
@@ -35,14 +35,6 @@ _SIZE_QUAD_CELLS = 1024  # the quad_cells of every size-study statistic
 _COUNT_FIELDS = {"n": 1, "replications": 1, "chunk_size": 1, "grid_points": 1,
                  "f_terms": 0, "burn_in": 0, "master_seed": None}
 _MIN_WINDOW_COUNT = 2  # window observations an estimation pair needs
-
-
-def _slm_rule(name):
-    """Tempering exponent of the named schedule SLM1..SLM4."""
-    key = str(name).strip().upper()
-    if key not in SLM_RULES:
-        raise ValueError(f"unknown SLM rule {name!r}; choose from {sorted(SLM_RULES)}")
-    return SLM_RULES[key]
 
 
 def _number(field, value):
@@ -56,76 +48,56 @@ def _number(field, value):
     raise ValueError(f"{field} must hold numbers, got {value!r}")
 
 
-def parse_exponent(value):
-    """Exponent a of a power rule n^a, from a number or a string like
-    'n^-1/3' or 'n^-0.2'."""
-    if isinstance(value, (int, float)):
-        exponent = float(value)
-    else:
-        s = str(value).strip().lower().replace(" ", "")
-        if not s.startswith("n^"):
-            raise ValueError(f"cannot parse power rule {value!r}")
-        num, slash, den = s[2:].strip("{}").partition("/")
-        try:
-            exponent = float(num) / (float(den) if slash else 1.0)
-        except ValueError:
-            raise ValueError(f"cannot parse power rule {value!r}") from None
-        except ZeroDivisionError:
-            raise ValueError(f"power rule {value!r} divides by zero") from None
-    if not math.isfinite(exponent):
-        raise ValueError(f"power rule {value!r} has a non-finite exponent")
-    return exponent
-
-
 @dataclass(frozen=True)
 class MemorySetting:
     """Regressor memory setting: long memory (lam = 0) without an exponent,
     else the semi-long tempering schedule lam = n^lambda_exponent."""
 
     lambda_exponent: float = None
-    label: str = None
 
     def __post_init__(self):
         if self.lambda_exponent is not None and not -1.0 < self.lambda_exponent < 0.0:
             raise ValueError(
                 "tempering schedule must satisfy lam -> 0 and n*lam -> inf "
                 "(exponent in (-1, 0))")
-        if self.label is None:
-            label = "LM" if self.lambda_exponent is None else next(
-                (name for name, expo in SLM_RULES.items()
-                 if abs(expo - self.lambda_exponent) < 1e-12),
-                f"SLM(n^{self.lambda_exponent:g})")
-            object.__setattr__(self, "label", label)
+
+    @property
+    def label(self):
+        """``LM``, the name of a schedule ``SLM1``..``SLM4``, or ``SLM(n^a)``:
+        the key of the setting's table cells and histogram files."""
+        if self.lambda_exponent is None:
+            return "LM"
+        return next((name for name, expo in SLM_RULES.items()
+                     if abs(expo - self.lambda_exponent) < 1e-12),
+                    f"SLM(n^{self.lambda_exponent:g})")
 
     def lam(self, n):
         return 0.0 if self.lambda_exponent is None else float(n) ** self.lambda_exponent
 
     def to_dict(self):
-        return {"lambda_exponent": self.lambda_exponent, "label": self.label}
+        return {"lambda_exponent": self.lambda_exponent}
 
     @classmethod
     def from_dict(cls, payload):
         """From a name, ``lm`` or ``SLM1``..``SLM4``, or an object of an
-        optional ``lambda_exponent`` (none is long memory) and ``label``."""
+        optional ``lambda_exponent`` (none is long memory)."""
         if isinstance(payload, str):
             key = payload.strip().upper()
             if key == "LM":
                 return cls()
-            if key.startswith("SLM") and key[3:]:
-                return cls(_slm_rule(key))
+            if key in SLM_RULES:
+                return cls(SLM_RULES[key])
             raise ValueError(f"unknown memory setting {payload!r}; choose lm or one of "
                              f"{sorted(SLM_RULES)}")
         if not isinstance(payload, dict):
             raise ValueError("memory_settings entries must be a name or an object, "
                              f"got {payload!r}")
-        unknown = sorted(set(payload) - {"lambda_exponent", "label"})
+        unknown = sorted(set(payload) - {"lambda_exponent"})
         if unknown:
             raise ValueError(f"unknown memory setting key(s) {', '.join(unknown)}; "
-                             "accepted: lambda_exponent, label")
-        payload = dict(payload)
-        if payload.get("lambda_exponent") is not None:
-            payload["lambda_exponent"] = parse_exponent(payload["lambda_exponent"])
-        return cls(**payload)
+                             "accepted: lambda_exponent")
+        exponent = payload.get("lambda_exponent")
+        return cls(None if exponent is None else parse_exponent(exponent))
 
 
 @dataclass(frozen=True)
@@ -151,7 +123,8 @@ class StudyConfig:
     statistics use 1024 quadrature cells), ``grid_points`` for estimation.
     ``presample`` is the shock history length used by the simulations (0 =
     in-sample innovations only, the tables' convention; "full" = complete
-    truncated history).  The counts (``_COUNT_FIELDS``) must be integers.
+    truncated history).  The counts (``_COUNT_FIELDS``) must be integers,
+    and the fields typed ``tuple`` lists (or tuples).
     """
 
     study_kind: str
@@ -164,8 +137,8 @@ class StudyConfig:
     psi: float = 0.25
     sigma: float = 0.2
     master_seed: int = 20250808
-    f_terms: int = 1000
-    burn_in: int = 1000
+    f_terms: int = DEFAULT_SINE_TERMS
+    burn_in: int = DEFAULT_BURN_IN
     kernel: str = "epanechnikov"
     grid_points: int = 100
     eval_points: tuple = (0.25, 0.50, 0.75, 0.95)
@@ -179,6 +152,9 @@ class StudyConfig:
     def __post_init__(self):
         if self.study_kind not in ("estimation", "coverage", "size"):
             raise ValueError("study_kind must be estimation, coverage or size")
+        for f in fields(self):
+            if f.type is tuple and not isinstance(getattr(self, f.name), (list, tuple)):
+                raise ValueError(f"{f.name} must be a list, got {getattr(self, f.name)!r}")
         for name, least in _COUNT_FIELDS.items():
             _check_count(name, getattr(self, name), least,
                          " (0 is the zero function)" if name == "f_terms" else "")
@@ -526,10 +502,10 @@ def _size_chunk(args):
     for xs, u in _paths(config, lo, hi):
         for (ms, d), x in zip(grid, xs):
             y = x + config.sigma * u  # H0: theta = (0, 1)
+            lam = 0.0 if ms.lambda_exponent is None else f"n^{ms.lambda_exponent!r}"
             for he in config.bandwidth_exponents:
-                blocks = [(b, float(b) ** he, ms.lam(b)) for b in sizes]
-                results = run_spec_test(x, y, "linear", float(config.n) ** he, config.kernel,
-                                        weight, d, ms.lam(config.n), blocks=blocks,
+                results = run_spec_test(x, y, "linear", f"n^{he!r}", config.kernel,
+                                        weight, d, lam, blocks=sizes,
                                         quad_cells=_SIZE_QUAD_CELLS)
                 cells[ms.label, d, he].append([results[0].t_normalized] + [
                     res.reject(lv) for res in results for lv in config.nominal_levels])

@@ -323,30 +323,64 @@ class SpecTestResult:
         return out
 
 
+def parse_exponent(value):
+    """Exponent a of a power rule n^a, from a number or a string like
+    'n^-1/3' or 'n^-0.2'."""
+    if isinstance(value, (int, float)):
+        exponent = float(value)
+    else:
+        s = str(value).strip().lower().replace(" ", "")
+        if not s.startswith("n^"):
+            raise ValueError(f"cannot parse power rule {value!r}")
+        num, slash, den = s[2:].strip("{}").partition("/")
+        try:
+            exponent = float(num) / (float(den) if slash else 1.0)
+        except ValueError:
+            raise ValueError(f"cannot parse power rule {value!r}") from None
+        except ZeroDivisionError:
+            raise ValueError(f"power rule {value!r} divides by zero") from None
+    if not np.isfinite(exponent):
+        raise ValueError(f"power rule {value!r} has a non-finite exponent")
+    return exponent
+
+
+def _at_size(value, m):
+    """A tuning value at sample size m: a number is held at every size, and
+    a power rule 'n^a' gives m^a."""
+    return float(m) ** parse_exponent(value) if isinstance(value, str) else value
+
+
 def run_spec_test(x, y, family, h, kernel, weight, d, lam, *, blocks,
                   quad_cells=DEFAULT_QUAD_CELLS):
     """Full specification test: one fit and statistic, normalized, then
-    subsampled at each (b, h_b, lam_b), 2 <= b < n, of the nonempty
-    ``blocks``; returns one ``SpecTestResult`` per entry, in order.
+    subsampled at each block size b, 2 <= b < n, of the nonempty
+    ``blocks``; returns one ``SpecTestResult`` per size, in order.
 
-    The caller states the block-scale tuning values h_b and lam_b; lam_b is
+    The bandwidth h and the tempering parameter lam are each a number, held
+    at every size, or a power rule 'n^a', which gives n^a on the sample and
+    b^a on its length-b blocks.  lam = 0 is long memory, and lam_b must be
     0 exactly when lam is, so that the blocks share the sample's memory
-    regime.  A power rule h = n^a gives h_b = b^a; a fixed value is passed
-    unchanged.  The p-value uses add-one smoothing,
-    (1 + #{blocks >= T}) / (1 + #blocks), with ties counted as exceedances.
+    regime ('n^-210' is 0 at n = 40 but not at b = 10).  The p-value uses
+    add-one smoothing, (1 + #{blocks >= T}) / (1 + #blocks), with ties
+    counted as exceedances.
     """
     if len(blocks) == 0:
-        raise ValueError("blocks must hold at least one (b, h_b, lam_b)")
-    theta_hat = nls_fit(family, x, y)  # rejects bad x and y before any other work
-    for b, _, lam_b in blocks:
-        _check_block_size(b, len(x))
+        raise ValueError("blocks must hold at least one block size")
+    x, y = _as_xy(x, y)  # rejects bad x and y before any other work
+    n = x.shape[0]
+    for b in blocks:
+        _check_block_size(b, n)  # before a rule raises b to a power
+    theta_hat = nls_fit(family, x, y)
+    scaled = [(b, _at_size(h, b), _at_size(lam, b)) for b in blocks]
+    h, lam = _at_size(h, n), _at_size(lam, n)
+    for _, _, lam_b in scaled:
         if (lam_b == 0.0) != (lam == 0.0):
             raise ValueError(f"lam_b must be 0 exactly when lam is (long memory), "
                              f"got lam = {lam}, lam_b = {lam_b}")
     t_raw = t_statistic(x, y, family, theta_hat, h, kernel, weight, quad_cells)
-    t_norm, scale = normalized_statistic(t_raw, len(x), lam, d, h)
+    t_norm, scale = normalized_statistic(t_raw, n, lam, d, h)
     results = []
-    for b, h_b, lam_b in blocks:
+    for b, h_b, lam_b in scaled:
         sorted_vals, by_block, order_index, skipped = subsample_statistics(
             x, y, family, b, h_b, lam_b, d, kernel, weight, quad_cells,
             return_by_block=True)

@@ -387,13 +387,11 @@ def test_criterion_7_determinism_across_thread_counts():
     sim_ok = np.array_equal(p1.y, p2.y)
 
     (r1,) = sl.run_spec_test(p1.x, p1.x + 0.2 * p1.u, "linear",
-                             150 ** H5, sl.GAUSSIAN, sl.uniform_weight(),
-                             d=0.1, lam=150 ** H5,
-                             blocks=[(24, 24 ** H5, 24 ** H5)], quad_cells=512)
+                             f"n^{H5!r}", sl.GAUSSIAN, sl.uniform_weight(),
+                             d=0.1, lam=f"n^{H5!r}", blocks=[24], quad_cells=512)
     (r2,) = sl.run_spec_test(p2.x, p2.x + 0.2 * p2.u, "linear",
-                             150 ** H5, sl.GAUSSIAN, sl.uniform_weight(),
-                             d=0.1, lam=150 ** H5,
-                             blocks=[(24, 24 ** H5, 24 ** H5)], quad_cells=512)
+                             f"n^{H5!r}", sl.GAUSSIAN, sl.uniform_weight(),
+                             d=0.1, lam=f"n^{H5!r}", blocks=[24], quad_cells=512)
     test_ok = (r1.t_raw == r2.t_raw
                and np.array_equal(r1.subsample_values, r2.subsample_values))
     ok = tables_ok and sim_ok and test_ok

@@ -595,7 +595,7 @@ def test_cli_mc_reruns_from_study_config(tmp_path):
      "unknown study config field(s): min_window_count, variance_mode"),
     ({"memory_settings": ["SLM9"]}, "['SLM1', 'SLM2', 'SLM3', 'SLM4']"),
     ({"memory_settings": ["SLM1", "SLM9"]},
-     "unknown SLM rule 'SLM9'; choose from ['SLM1', 'SLM2', 'SLM3', 'SLM4']"),
+     "unknown memory setting 'SLM9'; choose lm or one of ['SLM1', 'SLM2', 'SLM3', 'SLM4']"),
     ({"d_values": [0.1, 0.1]}, "d_values repeats 0.1"),
     ({"weight_support": [1, 2, 3]},
      "weight_support must be two values a < b, got [1.0, 2.0, 3.0]"),
@@ -639,13 +639,14 @@ def test_cli_mc_reruns_from_study_config(tmp_path):
     ({"bandwidth_exponents": ["n^-1/0"]}, "power rule 'n^-1/0' divides by zero"),
     # the kind of a config saved by an older version: lam sets the regime
     ({"memory_settings": [{"kind": "slm", "lambda_exponent": -0.2}]},
-     "unknown memory setting key(s) kind; accepted: lambda_exponent, label"),
-    ({"d_values": 5}, "study config: 'int' object is not iterable"),
+     "unknown memory setting key(s) kind; accepted: lambda_exponent"),
+    # a list field that is not a list used to fail naming no field
+    ({"d_values": 5}, "d_values must be a list, got 5"),
     ({"nominal_levels": ["x"]}, "nominal_levels must hold numbers, got 'x'"),
     ({"nominal_levels": [None]}, "nominal_levels must hold numbers, got None"),
     # a named schedule is the one form of a rule: "SLM3", not {"rule": "SLM3"}
     ({"memory_settings": [{"rule": "SLM3"}]},
-     "unknown memory setting key(s) rule; accepted: lambda_exponent, label"),
+     "unknown memory setting key(s) rule; accepted: lambda_exponent"),
     # a NaN d used to drop every long-memory row and fail a semi-long one mid-run
     ({"memory_settings": ["lm", "SLM3"], "d_values": [0.1, float("nan")]},
      "d_values must be finite, got [0.1, nan]"),
@@ -664,6 +665,13 @@ def test_cli_mc_reruns_from_study_config(tmp_path):
     ({"study_kind": "coverage", "alpha": "0.05"}, "alpha must hold numbers, got '0.05'"),
     ({"rho": "0.5"}, "rho must hold numbers, got '0.5'"),
     ({"d_values": ["0.1"]}, "d_values must hold numbers, got '0.1'"),
+    # a label follows from the exponent; an input one once named a histogram
+    # file, so "a/b" ran every replication and then failed to export
+    ({"study_kind": "size", "memory_settings": [{"lambda_exponent": -0.2, "label": "a/b"}]},
+     "unknown memory setting key(s) label; accepted: lambda_exponent"),
+    # a string was read letter by letter: "unknown memory setting 'S'"
+    ({"memory_settings": "SLM3"}, "memory_settings must be a list, got 'SLM3'"),
+    ({"bandwidth_exponents": -0.2}, "bandwidth_exponents must be a list, got -0.2"),
 ])
 def test_cli_mc_rejects_bad_config(tmp_path, capsys, change, message):
     cfg = {

@@ -44,7 +44,7 @@ def test_memory_setting_labels_and_rules():
     ms = MemorySetting.from_dict("SLM3")
     assert ms.label == "SLM3"
     assert ms.lam(100000) == pytest.approx(100000 ** -0.2)
-    assert ms.to_dict() == {"lambda_exponent": -0.2, "label": "SLM3"}
+    assert ms.to_dict() == {"lambda_exponent": -0.2}
     lm = MemorySetting.from_dict("lm")
     assert lm.label == "LM" and lm.lam(500) == 0.0 and lm == MemorySetting.from_dict({})
     # the tempering schedule is the memory regime: an exponent is semi-long
@@ -52,15 +52,18 @@ def test_memory_setting_labels_and_rules():
         == MemorySetting.from_dict("slm1")
     assert MemorySetting.from_dict({"lambda_exponent": -0.2}) == ms
     assert MemorySetting.from_dict("slm1").lambda_exponent == SLM_RULES["SLM1"]
-    for key in ("rule", "kind"):
+    # the label follows from the exponent: it is not an input
+    assert [MemorySetting(e).label for e in (None, -1 / 3, -0.25, -0.2, -1 / 6, -0.3)] \
+        == ["LM", "SLM1", "SLM2", "SLM3", "SLM4", "SLM(n^-0.3)"]
+    for key in ("rule", "kind", "label"):
         with pytest.raises(ValueError, match=rf"^unknown memory setting key\(s\) {key}; "
-                                             r"accepted: lambda_exponent, label$"):
+                                             r"accepted: lambda_exponent$"):
             MemorySetting.from_dict({key: "slm", "lambda_exponent": -0.2})
         with pytest.raises(ValueError, match=rf"key\(s\) {key};"):
             _tiny("estimation", memory_settings=({key: "SLM3"},))
     with pytest.raises(ValueError):
         MemorySetting.from_dict({"lambda_exponent": -1.5})
-    for name in ("short", "slm", "long", "semi_long"):
+    for name in ("short", "slm", "long", "semi_long", "SLM9"):
         with pytest.raises(ValueError, match=rf"^unknown memory setting '{name}'; choose lm "
                                              r"or one of \['SLM1', 'SLM2', 'SLM3', 'SLM4'\]$"):
             MemorySetting.from_dict(name)

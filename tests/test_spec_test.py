@@ -79,9 +79,10 @@ _BAD_INPUT = {  # case: (argument, bad value, message)
     "d-nan": ("d", np.nan, r"memory parameter d must be finite, got nan$"),
     "lam-nan": ("lam", np.nan, r"tempering parameter lam must be finite, got nan$"),
     "lam_b-nan": ("lam_b", np.nan, r"tempering parameter lam_b must be finite, got nan$"),
-    # lam = 0 is long memory, which every block then has (lam_b = 0)
-    "lam-zero": ("lam", 0.0, r"lam_b must be 0 exactly when lam is \(long memory\), "
-                             r"got lam = 0.0, lam_b = 0.4$"),
+    # lam = 0 is long memory, which every block then has: n^-210 is 0.0 at
+    # n = 40 but 1e-210 at b = 10
+    "lam-zero": ("lam", "n^-210", r"lam_b must be 0 exactly when lam is \(long memory\), "
+                                  r"got lam = 0.0, lam_b = 1e-210$"),
     "quad_cells-0": ("quad_cells", 0, r"quad_cells must be >= 2, got 0$"),
     "quad_cells-1": ("quad_cells", 1, r"quad_cells must be >= 2, got 1$"),
     "quad_cells-fraction": ("quad_cells", 1024.5,
@@ -113,9 +114,8 @@ def test_spec_test_rejects_nonfinite_input(case):
         ("x", "y", "h_b", "d", "lam_b", "quad_cells", "b"): lambda: subsample_statistics(
             x, y, fam, v["b"], v["h_b"], v["lam_b"], v["d"], GAUSSIAN, w,
             v["quad_cells"]),
-        ("x", "y", *v): lambda: run_spec_test(
-            x, y, fam, v["h"], GAUSSIAN, w, d=v["d"],
-            lam=v["lam"], blocks=[(v["b"], v["h_b"], v["lam_b"])],
+        ("x", "y", "h", "d", "lam", "quad_cells", "b"): lambda: run_spec_test(
+            x, y, fam, v["h"], GAUSSIAN, w, d=v["d"], lam=v["lam"], blocks=[v["b"]],
             quad_cells=v["quad_cells"]),
     }
     for takes, call in calls.items():
@@ -140,19 +140,23 @@ def test_spec_test_rejects_memory_the_simulator_rejects(regime, d, lam, match):
                              GAUSSIAN, uniform_weight(), 256)
     with pytest.raises(ValueError, match=match):
         run_spec_test(x, y, "linear", 0.5, GAUSSIAN, uniform_weight(),
-                      d=d, lam=lam, blocks=[(10, 0.5, lam)], quad_cells=256)
+                      d=d, lam=lam, blocks=[10], quad_cells=256)
     with pytest.raises(ValueError, match=match):
         TemperedProcessSpec(d=d, lam=lam, n=40)
 
 
 def test_run_spec_test_rejects_a_long_memory_block_under_tempering():
-    # every block shares the sample's regime: lam > 0 with lam_b = 0 (here in
-    # the second block) is refused, as lam = 0 with lam_b > 0 is (_BAD_INPUT)
+    # every block shares the sample's regime: n^-210 underflows to lam = 0
+    # at n = 40 and at b = 39, but not at b = 10 (1e-210), whose block is
+    # refused; a held lam = 0 is long memory at every size
     x, y = _draw(40, seed=16)
     with pytest.raises(ValueError, match=r"^lam_b must be 0 exactly when lam is \(long "
-                                         r"memory\), got lam = 0.4, lam_b = 0.0$"):
-        run_spec_test(x, y, "linear", 0.5, GAUSSIAN, uniform_weight(), d=0.1, lam=0.4,
-                      blocks=[(10, 0.5, 0.3), (20, 0.5, 0.0)], quad_cells=256)
+                                         r"memory\), got lam = 0.0, lam_b = 1e-210$"):
+        run_spec_test(x, y, "linear", 0.5, GAUSSIAN, uniform_weight(), d=0.1,
+                      lam="n^-210", blocks=[39, 10], quad_cells=256)
+    (res,) = run_spec_test(x, y, "linear", 0.5, GAUSSIAN, uniform_weight(), d=0.1,
+                           lam=0.0, blocks=[10], quad_cells=256)
+    assert res.lam == res.lam_b == 0.0
 
 
 def test_block_size_and_quad_cells_accept_numpy_integers():
@@ -163,7 +167,7 @@ def test_block_size_and_quad_cells_accept_numpy_integers():
                                w, np.int32(256))
     assert np.array_equal(got, expect)
     (res,) = run_spec_test(x, y, fam, 0.5, GAUSSIAN, w, d=0.1, lam=0.4,
-                           blocks=[(np.int64(10), 0.5, 0.4)], quad_cells=np.int64(256))
+                           blocks=[np.int64(10)], quad_cells=np.int64(256))
     assert np.array_equal(res.subsample_values, expect)
 
 
@@ -177,8 +181,7 @@ def test_p_value_needs_a_block_shorter_than_the_sample():
                              GAUSSIAN, uniform_weight(), 256)
     with pytest.raises(ValueError, match=message):
         run_spec_test(x, y, "linear", 0.5, GAUSSIAN, uniform_weight(),
-                      d=0.1, lam=0.4,
-                      blocks=[(10, 0.5, 0.4), (40, 0.5, 0.4)], quad_cells=256)
+                      d=0.1, lam=0.4, blocks=[10, 40], quad_cells=256)
 
 
 def test_spec_test_rejects_unequal_lengths():
@@ -618,10 +621,10 @@ def test_statistic_working_memory():
 def test_run_spec_test_degenerate_null():
     x, _ = _draw(80, seed=12)
     y = np.zeros_like(x)
-    (res,) = run_spec_test(x, y, "linear", 0.4, GAUSSIAN,
-                           uniform_weight(), d=0.1,
-                           lam=80 ** -0.2,
-                           blocks=[(20, 20 ** (np.log(0.4) / np.log(80)), 20 ** -0.2)])
+    # the bandwidth rule through h = 0.4 at n = 80
+    (res,) = run_spec_test(x, y, "linear", f"n^{math.log(0.4) / math.log(80)!r}", GAUSSIAN,
+                           uniform_weight(), d=0.1, lam="n^-0.2", blocks=[20])
+    assert res.h == pytest.approx(0.4)
     assert res.t_raw == 0.0
     assert res.p_value == 1.0
 
@@ -632,19 +635,18 @@ def test_run_spec_test_fields_and_determinism():
     noise = NoiseConfig(rho=0.5, psi=0.25, sigma=0.2, seed=13)
     path = simulate_model(spec, noise)
     y = path.x + 0.2 * path.u
-    kwargs = dict(d=0.1, lam=200 ** -0.2,
-                  blocks=[(28, 28 ** -0.2, 28 ** -0.2)], quad_cells=512)
-    (a,) = run_spec_test(path.x, y, "linear", 200 ** -0.2, GAUSSIAN,
+    kwargs = dict(d=0.1, lam="n^-0.2", blocks=[28], quad_cells=512)
+    (a,) = run_spec_test(path.x, y, "linear", "n^-0.2", GAUSSIAN,
                          uniform_weight(), **kwargs)
-    (b,) = run_spec_test(path.x, y, "linear", 200 ** -0.2, GAUSSIAN,
+    (b,) = run_spec_test(path.x, y, "linear", "n^-0.2", GAUSSIAN,
                          uniform_weight(), **kwargs)
     assert a.t_raw == b.t_raw
     assert np.array_equal(a.subsample_values, b.subsample_values)
     assert a.subsample_values.shape == (200 - 28 + 1,)
     assert np.all(np.diff(a.subsample_values) >= 0)
     assert 0.0 < a.p_value <= 1.0
-    assert a.h_b == pytest.approx(28 ** -0.2)
-    assert a.lam_b == pytest.approx(28 ** -0.2)
+    assert a.h == a.lam == 200 ** -0.2
+    assert a.h_b == a.lam_b == 28 ** -0.2
     # reject agrees with the quantile rule at a few levels
     for lv in (0.01, 0.05, 0.10):
         expect = a.t_normalized > subsample_quantile(a.subsample_values, lv)
@@ -669,16 +671,44 @@ def test_run_spec_test_blocks_equal_separate_calls(family):
     x = np.cumsum(rng.standard_normal(n))
     x[60:70] = x[59]  # a few singular length-8 windows: skipped, not fatal
     y = x + 0.3 * rng.standard_normal(n)
-    blocks = [(8, 8 ** -0.2, 8 ** -0.2), (28, 0.5, 0.4), (56, 56 ** -0.2, 56 ** -0.2)]
-    kwargs = dict(d=0.1, lam=n ** -0.2, quad_cells=256)
-    together = run_spec_test(x, y, family, n ** -0.2, GAUSSIAN, uniform_weight(),
-                             blocks=blocks, **kwargs)
-    assert [res.block_size for res in together] == [8, 28, 56]
-    assert together[0].n_blocks_skipped > 0
-    for block, res in zip(blocks, together):
-        (alone,) = run_spec_test(x, y, family, n ** -0.2, GAUSSIAN, uniform_weight(),
-                                 blocks=[block], **kwargs)
-        _same_result(res, alone)
+    blocks = [8, 28, 56]
+    # rules at every size, and numbers held at every size
+    for h, lam in (("n^-0.2", "n^-0.2"), (0.5, 0.4)):
+        kwargs = dict(d=0.1, lam=lam, quad_cells=256)
+        together = run_spec_test(x, y, family, h, GAUSSIAN, uniform_weight(),
+                                 blocks=blocks, **kwargs)
+        assert [res.block_size for res in together] == blocks
+        assert together[0].n_blocks_skipped > 0
+        for block, res in zip(blocks, together):
+            (alone,) = run_spec_test(x, y, family, h, GAUSSIAN, uniform_weight(),
+                                     blocks=[block], **kwargs)
+            _same_result(res, alone)
+
+
+@pytest.mark.parametrize("family", ["linear", "quadratic"])
+def test_run_spec_test_maps_its_rules_to_block_scale(family):
+    # a rule n^a is n^a on the sample and b^a on a length-b block, a number
+    # is held at both: the results equal the statistic and the block values
+    # computed at those values directly, bit for bit
+    rng = np.random.default_rng(29)
+    n = 120
+    x = np.cumsum(rng.standard_normal(n))
+    y = x + 0.3 * rng.standard_normal(n)
+    fam, w = get_family(family), uniform_weight()
+    theta = nls_fit(fam, x, y)
+    for lam, lam_n, lam_b in (("n^-1/4", n ** -0.25, {15: 15 ** -0.25, 40: 40 ** -0.25}),
+                              (0.3, 0.3, {15: 0.3, 40: 0.3})):
+        results = run_spec_test(x, y, fam, "n^-1/5", GAUSSIAN, w, d=0.2, lam=lam,
+                                blocks=[15, 40], quad_cells=256)
+        t_raw = t_statistic(x, y, fam, theta, n ** -0.2, GAUSSIAN, w, 256)
+        t_norm, scale = normalized_statistic(t_raw, n, lam_n, 0.2, n ** -0.2)
+        for b, res in zip((15, 40), results):
+            assert (res.t_raw, res.t_normalized, res.normalizer) == (t_raw, t_norm, scale)
+            assert (res.h, res.h_b, res.lam, res.lam_b) == (n ** -0.2, b ** -0.2,
+                                                            lam_n, lam_b[b])
+            expect = subsample_statistics(x, y, fam, b, b ** -0.2, lam_b[b], 0.2,
+                                          GAUSSIAN, w, 256)
+            assert np.array_equal(res.subsample_values, expect)
 
 
 def test_run_spec_test_blocks_propagate_subsampling_error():
@@ -688,7 +718,7 @@ def test_run_spec_test_blocks_propagate_subsampling_error():
     x[20:80] = x[19]  # most length-10 windows are flat; no length-70 one is
     y = x + 0.1 * rng.standard_normal(n)
     kwargs = dict(d=0.1, lam=0.4, quad_cells=256)
-    good, bad = (70, 0.5, 0.4), (10, 0.5, 0.4)
+    good, bad = 70, 10
     run_spec_test(x, y, "linear", 0.5, GAUSSIAN, uniform_weight(),
                   blocks=[good], **kwargs)
     for blocks in ([bad], [good, bad], [bad, good]):
@@ -718,9 +748,8 @@ def _spec_case(draw):
 def test_p_value_counts_block_exceedances(case):
     x, y, b = case
     n = x.size
-    (res,) = run_spec_test(x, y, "linear", n ** -0.2, GAUSSIAN,
-                           uniform_weight(), d=0.1,
-                           lam=n ** -0.2, blocks=[(b, b ** -0.2, b ** -0.2)],
+    (res,) = run_spec_test(x, y, "linear", "n^-0.2", GAUSSIAN,
+                           uniform_weight(), d=0.1, lam="n^-0.2", blocks=[b],
                            quad_cells=64)
     m = res.subsample_values.size
     assert m == n - b + 1 - res.n_blocks_skipped
@@ -752,12 +781,10 @@ def test_statistic_invariant_to_family_member(case):
     # the fit absorbs any member of the family, so y and y + g(x, theta')
     # give the same residuals, statistics and (up to near-ties) p-value
     family, x, y, b, shift = case
-    n = x.size
 
     def run(yy):
-        (res,) = run_spec_test(x, yy, family, n ** -0.2, GAUSSIAN,
-                               uniform_weight(), d=0.1,
-                               lam=n ** -0.2, blocks=[(b, b ** -0.2, b ** -0.2)],
+        (res,) = run_spec_test(x, yy, family, "n^-0.2", GAUSSIAN,
+                               uniform_weight(), d=0.1, lam="n^-0.2", blocks=[b],
                                quad_cells=64)
         return res
 

@@ -22,9 +22,8 @@ def _spec_test():
     y = x + 0.2 * rng.standard_normal(80)
     # through the module attribute, which is what install() replaces
     (result,) = sl.spec_test.run_spec_test(
-        x, y, "linear", 80 ** -0.2, sl.GAUSSIAN,
-        sl.uniform_weight(), d=0.1, lam=80 ** -0.2,
-        blocks=[(16, 16 ** -0.2, 16 ** -0.2)], quad_cells=256)
+        x, y, "linear", "n^-0.2", sl.GAUSSIAN,
+        sl.uniform_weight(), d=0.1, lam="n^-0.2", blocks=[16], quad_cells=256)
     return result
 
 
