@@ -29,6 +29,6 @@ from .whittle import (
     one_step_residuals, fit_artfima00, fit_arfima00, simulate_artfima00,
 )
 from .mc import (
-    MemorySetting, BlockRule, StudyConfig, SLM_RULES, run_study, export_study,
+    BlockRule, StudyConfig, SLM_RULES, run_study, export_study,
 )
 from .empirical import EmpiricalSeries, ingest_ckc_csv, ckc_analysis

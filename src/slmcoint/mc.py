@@ -18,22 +18,22 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .processes import (DEFAULT_BURN_IN, DEFAULT_SINE_TERMS, TemperedProcessSpec,
-                        NoiseConfig, simulate_innovations, simulate_regressor,
-                        simulate_error_ar1, sine_series_interpolator,
+from .processes import (TemperedProcessSpec, NoiseConfig, simulate_innovations,
+                        simulate_regressor, simulate_error_ar1, sine_series_interpolator,
                         innovation_length, _check_memory, _check_simulated_d)
 from .kernel_regression import get_kernel, kernel_estimate, _check_count, _reach_mask
 from .spec_test import (DEFAULT_WEIGHT_SUPPORT, parse_exponent, run_spec_test,
-                        uniform_weight)
+                        uniform_weight, _at_size)
 
 SLM_RULES = {"SLM1": -1.0 / 3.0, "SLM2": -0.25, "SLM3": -0.2, "SLM4": -1.0 / 6.0}
+_MEMORY_NAMES = {"LM": None, **SLM_RULES}  # memory setting names and their exponents
 DEFAULT_BLOCK_RULES = ((0.5, 0.5), (1.0, 0.5), (2.0, 0.5), (4.0, 0.5))
 DEFAULT_LEVELS = (0.01, 0.05, 0.10)
 _CHUNK_SIZE = 25
 _SIZE_QUAD_CELLS = 1024  # the quad_cells of every size-study statistic
 # the integer fields of a study config, each with its least value
 _COUNT_FIELDS = {"n": 1, "replications": 1, "chunk_size": 1, "grid_points": 1,
-                 "f_terms": 0, "burn_in": 0, "master_seed": None}
+                 "master_seed": None}
 _MIN_WINDOW_COUNT = 2  # window observations an estimation pair needs
 
 
@@ -48,67 +48,61 @@ def _number(field, value):
     raise ValueError(f"{field} must hold numbers, got {value!r}")
 
 
-@dataclass(frozen=True)
-class MemorySetting:
-    """Regressor memory setting: long memory (lam = 0) without an exponent,
-    else the semi-long tempering schedule lam = n^lambda_exponent."""
+def _memory_exponent(entry):
+    """The tempering exponent a (lam = n^a) of a ``memory_settings`` entry,
+    or None for long memory: ``lm``, a name ``SLM1``..``SLM4``, or a rule
+    ``n^a`` with -1 < a < 0.  The stored form, None or the number a, reads
+    back as itself, since ``dataclasses.replace`` rebuilds a config from it."""
+    if entry is None:
+        return None
+    if isinstance(entry, str):
+        key = entry.strip().upper()
+        if key in _MEMORY_NAMES:
+            return _MEMORY_NAMES[key]
+        rule = key.startswith("N^")
+    else:  # a number is the exponent; a bool is not a number
+        rule = isinstance(entry, (int, float)) and not isinstance(entry, bool)
+    if not rule:
+        raise ValueError(f"unknown memory setting {entry!r}; choose lm or one of "
+                         f"{sorted(SLM_RULES)}")
+    exponent = parse_exponent(entry)
+    if not -1.0 < exponent < 0.0:
+        raise ValueError("tempering schedule must satisfy lam -> 0 and n*lam -> inf "
+                         f"(exponent in (-1, 0)), got {entry!r}")
+    return exponent
 
-    lambda_exponent: float = None
 
-    def __post_init__(self):
-        if self.lambda_exponent is not None and not -1.0 < self.lambda_exponent < 0.0:
-            raise ValueError(
-                "tempering schedule must satisfy lam -> 0 and n*lam -> inf "
-                "(exponent in (-1, 0))")
-
-    @property
-    def label(self):
-        """``LM``, the name of a schedule ``SLM1``..``SLM4``, or ``SLM(n^a)``:
-        the key of the setting's table cells and histogram files."""
-        if self.lambda_exponent is None:
-            return "LM"
-        return next((name for name, expo in SLM_RULES.items()
-                     if abs(expo - self.lambda_exponent) < 1e-12),
-                    f"SLM(n^{self.lambda_exponent:g})")
-
-    def lam(self, n):
-        return 0.0 if self.lambda_exponent is None else float(n) ** self.lambda_exponent
-
-    def to_dict(self):
-        return {"lambda_exponent": self.lambda_exponent}
-
-    @classmethod
-    def from_dict(cls, payload):
-        """From a name, ``lm`` or ``SLM1``..``SLM4``, or an object of an
-        optional ``lambda_exponent`` (none is long memory)."""
-        if isinstance(payload, str):
-            key = payload.strip().upper()
-            if key == "LM":
-                return cls()
-            if key in SLM_RULES:
-                return cls(SLM_RULES[key])
-            raise ValueError(f"unknown memory setting {payload!r}; choose lm or one of "
-                             f"{sorted(SLM_RULES)}")
-        if not isinstance(payload, dict):
-            raise ValueError("memory_settings entries must be a name or an object, "
-                             f"got {payload!r}")
-        unknown = sorted(set(payload) - {"lambda_exponent"})
-        if unknown:
-            raise ValueError(f"unknown memory setting key(s) {', '.join(unknown)}; "
-                             "accepted: lambda_exponent")
-        exponent = payload.get("lambda_exponent")
-        return cls(None if exponent is None else parse_exponent(exponent))
+def _memory_label(exponent):
+    """``LM``, the name of a schedule ``SLM1``..``SLM4``, or ``SLM(n^a)``:
+    the key of a setting's table cells and histogram files."""
+    if exponent is None:
+        return "LM"
+    return next((name for name, a in SLM_RULES.items() if abs(a - exponent) < 1e-12),
+                f"SLM(n^{exponent:g})")
 
 
 @dataclass(frozen=True)
 class BlockRule:
-    """Block size b = floor(coef * n^exponent)."""
+    """Block size b = floor(coef * n^exponent), of a finite coef and exponent."""
 
     coef: float
     exponent: float = 0.5
 
+    def __post_init__(self):
+        for name in ("coef", "exponent"):
+            value = _number("block_rules", getattr(self, name))
+            if not np.isfinite(value):
+                raise ValueError(f"block_rules must hold finite numbers, got {value!r}")
+            object.__setattr__(self, name, value)
+
     def size(self, n):
-        return int(self.coef * float(n) ** self.exponent)
+        try:
+            b = self.coef * float(n) ** self.exponent
+        except OverflowError:
+            b = np.inf
+        if not np.isfinite(b):
+            raise ValueError(f"block rule {self.label()} gives no finite b at n = {n}")
+        return int(b)
 
     def label(self):
         return f"{self.coef:g}n^{self.exponent:g}"
@@ -121,10 +115,11 @@ class StudyConfig:
     Study-specific fields: ``eval_points``/``alpha`` for coverage,
     ``block_rules``/``nominal_levels``/``weight_support`` for size (whose
     statistics use 1024 quadrature cells), ``grid_points`` for estimation.
-    ``presample`` is the shock history length used by the simulations (0 =
-    in-sample innovations only, the tables' convention; "full" = complete
-    truncated history).  The counts (``_COUNT_FIELDS``) must be integers,
-    and the fields typed ``tuple`` lists (or tuples).
+    A ``memory_settings`` entry is stored as its tempering exponent, None
+    for long memory.  The counts (``_COUNT_FIELDS``) must be integers, and
+    the fields typed ``tuple`` lists (or tuples).  Every study simulates
+    in-sample shocks only (presample 0) after the default burn-in, under
+    the sine series of the default number of terms.
     """
 
     study_kind: str
@@ -137,8 +132,6 @@ class StudyConfig:
     psi: float = 0.25
     sigma: float = 0.2
     master_seed: int = 20250808
-    f_terms: int = DEFAULT_SINE_TERMS
-    burn_in: int = DEFAULT_BURN_IN
     kernel: str = "epanechnikov"
     grid_points: int = 100
     eval_points: tuple = (0.25, 0.50, 0.75, 0.95)
@@ -146,7 +139,6 @@ class StudyConfig:
     block_rules: tuple = DEFAULT_BLOCK_RULES
     nominal_levels: tuple = DEFAULT_LEVELS
     weight_support: tuple = DEFAULT_WEIGHT_SUPPORT
-    presample: object = 0
     chunk_size: int = _CHUNK_SIZE
 
     def __post_init__(self):
@@ -156,8 +148,7 @@ class StudyConfig:
             if f.type is tuple and not isinstance(getattr(self, f.name), (list, tuple)):
                 raise ValueError(f"{f.name} must be a list, got {getattr(self, f.name)!r}")
         for name, least in _COUNT_FIELDS.items():
-            _check_count(name, getattr(self, name), least,
-                         " (0 is the zero function)" if name == "f_terms" else "")
+            _check_count(name, getattr(self, name), least)
         object.__setattr__(self, "alpha", _number("alpha", self.alpha))
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha!r}")
@@ -170,10 +161,14 @@ class StudyConfig:
         for name in ("rho", "psi", "sigma"):
             object.__setattr__(self, name, _number(name, getattr(self, name)))
         object.__setattr__(self, "memory_settings", tuple(
-            ms if isinstance(ms, MemorySetting) else MemorySetting.from_dict(ms)
-            for ms in self.memory_settings))
+            _memory_exponent(e) for e in self.memory_settings))
         object.__setattr__(self, "bandwidth_exponents", tuple(
             parse_exponent(e) for e in self.bandwidth_exponents))
+        for he in self.bandwidth_exponents:
+            # h = n^a; at a block, 2 <= b < n, b^a lies between 1 and n^a
+            if not _at_size(f"n^{he!r}", self.n) > 0.0:
+                raise ValueError(f"bandwidth_exponents n^{he!r} gives h = 0.0 "
+                                 f"at n = {self.n}")
         for br in self.block_rules:
             if not (isinstance(br, BlockRule)
                     or isinstance(br, (list, tuple)) and len(br) == 2):
@@ -202,7 +197,7 @@ class StudyConfig:
         # :g form (6 digits): a repeat would count replications twice, and two
         # values that print alike would write one file
         for name, keys in (("d_values", self.d_values),
-                           ("memory_settings", [ms.label for ms in self.memory_settings]),
+                           ("memory_settings", [_memory_label(a) for a in self.memory_settings]),
                            ("bandwidth_exponents", self.bandwidth_exponents)):
             printed = [f"{k:g}" if isinstance(k, float) else k for k in keys]
             for i, key in enumerate(keys):
@@ -211,14 +206,15 @@ class StudyConfig:
                 if printed[i] in printed[:i]:
                     raise ValueError(f"{name} {keys[printed.index(printed[i])]!r} and "
                                      f"{key!r} both print as {printed[i]} in output file names")
-        # a bad noise parameter or presample fails here, not in a study's
-        # first chunk, which may run in a forked worker
+        # a bad noise parameter fails here, not in a study's first chunk,
+        # which may run in a forked worker
         self.noise()
         self.specs()
 
     def to_dict(self):
         out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["memory_settings"] = [ms.to_dict() for ms in self.memory_settings]
+        out["memory_settings"] = ["lm" if a is None else f"n^{a!r}"
+                                  for a in self.memory_settings]
         out["block_rules"] = [[br.coef, br.exponent] for br in self.block_rules]
         return out
 
@@ -240,28 +236,29 @@ class StudyConfig:
             raise ValueError(f"study config: {exc}") from None
 
     def settings_grid(self):
-        """The (setting, d) combinations that the memory rule
+        """The (exponent, d) combinations that the memory rule
         (``_check_memory``) admits: long memory keeps 0 <= d < 1/2.  A
         semi-long d below 0, which no regressor can be simulated with
         (``_check_simulated_d``), is an error, raised when the config is
         built."""
         out = []
-        for ms in self.memory_settings:
+        for a in self.memory_settings:
+            lam = 0.0 if a is None else float(self.n) ** a
             for d in self.d_values:
                 try:
-                    _check_memory(d, "lam", ms.lam(self.n))
+                    _check_memory(d, "lam", lam)
                 except ValueError:
                     continue
                 _check_simulated_d(d, "d_values")
-                out.append((ms, d))
+                out.append((a, d))
         return out
 
     def specs(self):
-        """The ``TemperedProcessSpec`` of every (setting, d) of
-        ``settings_grid()``, in its order."""
-        return [TemperedProcessSpec(d=d, lam=ms.lam(self.n), n=self.n,
-                                    burn_in=self.burn_in, presample=self.presample)
-                for ms, d in self.settings_grid()]
+        """The ``TemperedProcessSpec`` of every (exponent, d) of
+        ``settings_grid()``, in its order: in-sample shocks only."""
+        return [TemperedProcessSpec(d=d, lam=0.0 if a is None else float(self.n) ** a,
+                                    n=self.n, presample=0)
+                for a, d in self.settings_grid()]
 
     def noise(self):
         """The ``NoiseConfig`` that every replication draws from."""
@@ -313,7 +310,7 @@ def _paths(config, lo, hi):
 
 def _cell_keys(config):
     """(label, d, bandwidth exponent) of every cell, in table order."""
-    return [(ms.label, d, he) for ms, d in config.settings_grid()
+    return [(_memory_label(a), d, he) for a, d in config.settings_grid()
             for he in config.bandwidth_exponents]
 
 
@@ -349,11 +346,6 @@ def _batch_se(values):
 
 # ---------------------------------------------------------------- estimation
 
-def _bandwidths(config):
-    """h = n^e for every bandwidth exponent e, one Python power each."""
-    return np.array([float(config.n) ** he for he in config.bandwidth_exponents])
-
-
 def _response(x, u, f, points, h, kernel, sigma):
     """y = f(x) + sigma*u for the stack of paths x, with f evaluated only
     where a kernel window at ``points`` reaches (``_reach_mask``).  Elsewhere
@@ -370,8 +362,8 @@ def _nw_chunk(config, lo, hi, points, statistics, **fit):
     point) array that ``statistics(est, f(points))`` gives for each path and
     bandwidth of the ``kernel_estimate`` at ``points`` (keywords ``fit``)."""
     kernel = get_kernel(config.kernel)
-    h = _bandwidths(config)
-    f = sine_series_interpolator(config.f_terms)
+    h = np.array([float(config.n) ** he for he in config.bandwidth_exponents])
+    f = sine_series_interpolator()
     ftrue = f(points)
     keys = _cell_keys(config)
     acc = 0.0  # (setting, bandwidth, statistic, point); cells in _cell_keys order
@@ -500,14 +492,14 @@ def _size_chunk(args):
     sizes = [br.size(config.n) for br in config.block_rules]
     cells = {key: [] for key in _cell_keys(config)}
     for xs, u in _paths(config, lo, hi):
-        for (ms, d), x in zip(grid, xs):
+        for (a, d), x in zip(grid, xs):
             y = x + config.sigma * u  # H0: theta = (0, 1)
-            lam = 0.0 if ms.lambda_exponent is None else f"n^{ms.lambda_exponent!r}"
+            lam = 0.0 if a is None else f"n^{a!r}"
             for he in config.bandwidth_exponents:
                 results = run_spec_test(x, y, "linear", f"n^{he!r}", config.kernel,
                                         weight, d, lam, blocks=sizes,
                                         quad_cells=_SIZE_QUAD_CELLS)
-                cells[ms.label, d, he].append([results[0].t_normalized] + [
+                cells[_memory_label(a), d, he].append([results[0].t_normalized] + [
                     res.reject(lv) for res in results for lv in config.nominal_levels])
     return {key: np.array(rows, dtype=float) for key, rows in cells.items()}
 

@@ -325,8 +325,8 @@ class SpecTestResult:
 
 def parse_exponent(value):
     """Exponent a of a power rule n^a, from a number or a string like
-    'n^-1/3' or 'n^-0.2'."""
-    if isinstance(value, (int, float)):
+    'n^-1/3' or 'n^-0.2'; a bool is not a number."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         exponent = float(value)
     else:
         s = str(value).strip().lower().replace(" ", "")
@@ -346,8 +346,13 @@ def parse_exponent(value):
 
 def _at_size(value, m):
     """A tuning value at sample size m: a number is held at every size, and
-    a power rule 'n^a' gives m^a."""
-    return float(m) ** parse_exponent(value) if isinstance(value, str) else value
+    a power rule 'n^a' gives m^a, which must not overflow."""
+    if not isinstance(value, str):
+        return value
+    try:
+        return float(m) ** parse_exponent(value)
+    except OverflowError:
+        raise ValueError(f"power rule {value!r} overflows at size {m}") from None
 
 
 def run_spec_test(x, y, family, h, kernel, weight, d, lam, *, blocks,

@@ -130,13 +130,11 @@ def _oracle_size_replication(config, rep):
     Returns the normalized full-sample statistic and the block
     (1 - level)-quantile, the ceil((1 - level) M)-th smallest of M blocks.
     """
-    (setting,), (d,), (h_exp,) = (config.memory_settings, config.d_values,
+    (lam_exp,), (d,), (h_exp,) = (config.memory_settings, config.d_values,
                                   config.bandwidth_exponents)
     (block_rule,), (level,) = config.block_rules, config.nominal_levels
     n = config.n
-    lam_exp = setting.lambda_exponent
-    spec = sl.TemperedProcessSpec(d=d, lam=n ** lam_exp, n=n, burn_in=config.burn_in,
-                                  presample=config.presample)
+    spec = sl.TemperedProcessSpec(d=d, lam=n ** lam_exp, n=n, presample=0)
     noise = sl.NoiseConfig(rho=config.rho, psi=config.psi,
                            sigma=config.sigma, seed=config.master_seed)
     path = sl.simulate_model(spec, noise, f=lambda v: v,

@@ -613,7 +613,8 @@ def test_cli_mc_reruns_from_study_config(tmp_path):
      "eval_points must be nonempty and finite, got []"),
     ({"study_kind": "coverage", "eval_points": [0.5, float("nan")]},
      "eval_points must be nonempty and finite, got [0.5, nan]"),
-    ({"f_terms": -1}, "f_terms must be >= 0 (0 is the zero function), got -1"),
+    # the sine terms, burn-in and presample are fixed conventions, not fields
+    ({"f_terms": -1}, "unknown study config field(s): f_terms"),
     ({"study_kind": "coverage", "alpha": 0.0}, "alpha must be in (0, 1], got 0.0"),
     ({"alpha": 1.5}, "alpha must be in (0, 1], got 1.5"),
     ({"kernel": "triangle"},
@@ -623,15 +624,18 @@ def test_cli_mc_reruns_from_study_config(tmp_path):
     ({"replications": 2.5}, "replications must be an integer, got 2.5"),
     ({"chunk_size": 1.5}, "chunk_size must be an integer, got 1.5"),
     ({"grid_points": 2.5}, "grid_points must be an integer, got 2.5"),
-    ({"f_terms": 10.0}, "f_terms must be an integer, got 10.0"),
-    ({"burn_in": 0.5}, "burn_in must be an integer, got 0.5"),
-    ({"burn_in": -1}, "burn_in must be >= 0, got -1"),
+    # the study_config.json of an older version, written with their defaults
+    ({"f_terms": 1000, "burn_in": 1000, "presample": 0},
+     "unknown study config field(s): burn_in, f_terms, presample"),
+    ({"burn_in": 0.5}, "unknown study config field(s): burn_in"),
+    ({"burn_in": -1, "presample": "full"}, "unknown study config field(s): burn_in, presample"),
     ({"master_seed": "7"}, "master_seed must be an integer, got '7'"),
     ({"replications": True}, "replications must be an integer, got True"),
     # the study_config.json of an older version, written with quad_cells
     ({"study_kind": "size", "quad_cells": 1024},
      "unknown study config field(s): quad_cells"),
-    ({"memory_settings": [5]}, "memory_settings entries must be a name or an object, got 5"),
+    ({"memory_settings": [5]}, "tempering schedule must satisfy lam -> 0 and n*lam -> inf "
+                               "(exponent in (-1, 0)), got 5"),
     ({"study_kind": "size", "block_rules": [[1.0]]},
      "block_rules entries must be pairs [coef, exponent], got [1.0]"),
     ({"study_kind": "size", "block_rules": [2.0]},
@@ -639,20 +643,20 @@ def test_cli_mc_reruns_from_study_config(tmp_path):
     ({"bandwidth_exponents": ["n^-1/0"]}, "power rule 'n^-1/0' divides by zero"),
     # the kind of a config saved by an older version: lam sets the regime
     ({"memory_settings": [{"kind": "slm", "lambda_exponent": -0.2}]},
-     "unknown memory setting key(s) kind; accepted: lambda_exponent"),
+     "unknown memory setting {'kind': 'slm', 'lambda_exponent': -0.2}; choose lm or one of"),
     # a list field that is not a list used to fail naming no field
     ({"d_values": 5}, "d_values must be a list, got 5"),
     ({"nominal_levels": ["x"]}, "nominal_levels must hold numbers, got 'x'"),
     ({"nominal_levels": [None]}, "nominal_levels must hold numbers, got None"),
     # a named schedule is the one form of a rule: "SLM3", not {"rule": "SLM3"}
     ({"memory_settings": [{"rule": "SLM3"}]},
-     "unknown memory setting key(s) rule; accepted: lambda_exponent"),
+     "unknown memory setting {'rule': 'SLM3'}; choose lm or one of"),
     # a NaN d used to drop every long-memory row and fail a semi-long one mid-run
     ({"memory_settings": ["lm", "SLM3"], "d_values": [0.1, float("nan")]},
      "d_values must be finite, got [0.1, nan]"),
     ({"d_values": [float("inf")]}, "d_values must be finite, got [inf]"),
     # these two ended in a TypeError traceback and exit 1
-    ({"presample": None}, "presample must be 'full' or an integer count >= 0, got None"),
+    ({"presample": None}, "unknown study config field(s): presample"),
     ({"rho": "x"}, "rho must hold numbers, got 'x'"),
     # JSON true once read as 1.0
     ({"rho": True}, "rho must hold numbers, got True"),
@@ -668,10 +672,16 @@ def test_cli_mc_reruns_from_study_config(tmp_path):
     # a label follows from the exponent; an input one once named a histogram
     # file, so "a/b" ran every replication and then failed to export
     ({"study_kind": "size", "memory_settings": [{"lambda_exponent": -0.2, "label": "a/b"}]},
-     "unknown memory setting key(s) label; accepted: lambda_exponent"),
+     "unknown memory setting {'lambda_exponent': -0.2, 'label': 'a/b'}; choose lm or one of"),
     # a string was read letter by letter: "unknown memory setting 'S'"
     ({"memory_settings": "SLM3"}, "memory_settings must be a list, got 'SLM3'"),
     ({"bandwidth_exponents": -0.2}, "bandwidth_exponents must be a list, got -0.2"),
+    # JSON true once read as the exponent 1.0, a bandwidth h = n
+    ({"bandwidth_exponents": [True]}, "cannot parse power rule True"),
+    ({"memory_settings": [True]}, "unknown memory setting True; choose lm or one of"),
+    # the object form that older versions saved; "n^-0.2" is the one form now
+    ({"memory_settings": [{"lambda_exponent": -0.2}]},
+     "unknown memory setting {'lambda_exponent': -0.2}; choose lm or one of"),
 ])
 def test_cli_mc_rejects_bad_config(tmp_path, capsys, change, message):
     cfg = {
@@ -685,6 +695,47 @@ def test_cli_mc_rejects_bad_config(tmp_path, capsys, change, message):
                      "--out", str(tmp_path / "mc")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "mc").exists()
+
+
+@pytest.mark.parametrize("inputs, message", [
+    (["spec-test", "--block-rule", "inf"], "block_rules must hold finite numbers, got inf"),
+    (["spec-test", "--block-rule", "nan"], "block_rules must hold finite numbers, got nan"),
+    (["spec-test", "--block-rule", "1e308"],
+     "block rule 1e+308n^0.5 gives no finite b at n = 100"),
+    (["spec-test", "--bandwidth", "n^400"], "power rule 'n^400' overflows at size 10"),
+    (["spec-test", "--lam", "n^400"], "power rule 'n^400' overflows at size 10"),
+    (["estimate", "--bandwidth", "n^400"], "power rule 'n^400' overflows at size 100"),
+    ({"block_rules": [[float("inf"), 0.5]]}, "block_rules must hold finite numbers, got inf"),
+    ({"block_rules": [[float("nan"), 0.5]]}, "block_rules must hold finite numbers, got nan"),
+    ({"block_rules": [[True, 0.5]]}, "block_rules must hold numbers, got True"),
+    ({"block_rules": [["2", 0.5]]}, "block_rules must hold numbers, got '2'"),
+    ({"block_rules": [[1.0, 400]]}, "block rule 1n^400 gives no finite b at n = 100"),
+    ({"bandwidth_exponents": [400]}, "power rule 'n^400.0' overflows at size 100"),
+    ({"bandwidth_exponents": [-400]}, "bandwidth_exponents n^-400.0 gives h = 0.0 at n = 100"),
+], ids=["block-rule-inf", "block-rule-nan", "block-rule-1e308", "spec-test-bandwidth-n^400",
+        "spec-test-lam-n^400", "estimate-bandwidth-n^400", "block_rules-Infinity",
+        "block_rules-NaN", "block_rules-true", "block_rules-string", "block_rules-n^400",
+        "bandwidth_exponents-400", "bandwidth_exponents-minus-400"])
+def test_cli_refuses_unusable_tuning(tmp_path, capsys, inputs, message):
+    # these escaped as an OverflowError (a traceback and exit 1), failed
+    # naming no input, or built (true as the coefficient 1.0); a command
+    # line or a size study config, on 100 observations
+    if isinstance(inputs, dict):
+        data = tmp_path / "cfg.json"
+        data.write_text(json.dumps({
+            "study_kind": "size", "n": 100, "replications": 2, "d_values": [0.1],
+            "memory_settings": ["SLM3"], "bandwidth_exponents": ["n^-1/3"],
+            "block_rules": [[1.0, 0.5]], "nominal_levels": [0.05], **inputs}))
+        argv = ["mc", "--config", str(data)]
+    else:
+        data = tmp_path / "xy.csv"
+        x = np.cumsum(np.random.default_rng(8).standard_normal(100)).tolist()
+        data.write_text("x,y\n" + "".join(f"{v!r},{0.5 * v!r}\n" for v in x))
+        argv = [*inputs, "--data", str(data)]
+    out = tmp_path / "out"
+    assert cli_main([*argv, "--out", str(out)]) == 2  # an uncaught error raises here
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("payload, message", [

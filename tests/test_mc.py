@@ -1,11 +1,13 @@
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slmcoint import (StudyConfig, MemorySetting, BlockRule, SLM_RULES,
-                      parse_exponent, run_study, export_study)
+from slmcoint import (StudyConfig, BlockRule, SLM_RULES, parse_exponent, run_study,
+                      export_study)
 from slmcoint import mc
 from slmcoint.mc import write_json
 
@@ -38,35 +40,40 @@ def test_parse_exponent_forms():
     for rule in ("n^inf", "n^1e400", float("nan")):
         with pytest.raises(ValueError, match="has a non-finite exponent"):
             parse_exponent(rule)
+    # a bool is not a number: JSON true once gave the exponent 1.0, h = n
+    for value, shown in ((True, "True"), (False, "False"), (np.True_, "np.True_")):
+        with pytest.raises(ValueError, match=rf"^cannot parse power rule {shown}$"):
+            parse_exponent(value)
 
 
 def test_memory_setting_labels_and_rules():
-    ms = MemorySetting.from_dict("SLM3")
-    assert ms.label == "SLM3"
-    assert ms.lam(100000) == pytest.approx(100000 ** -0.2)
-    assert ms.to_dict() == {"lambda_exponent": -0.2}
-    lm = MemorySetting.from_dict("lm")
-    assert lm.label == "LM" and lm.lam(500) == 0.0 and lm == MemorySetting.from_dict({})
-    # the tempering schedule is the memory regime: an exponent is semi-long
-    assert MemorySetting.from_dict({"lambda_exponent": "n^-1/3"}) \
-        == MemorySetting.from_dict("slm1")
-    assert MemorySetting.from_dict({"lambda_exponent": -0.2}) == ms
-    assert MemorySetting.from_dict("slm1").lambda_exponent == SLM_RULES["SLM1"]
+    # an entry is stored as its tempering exponent, None for long memory
+    config = _tiny("estimation", memory_settings=("lm", "SLM3", "n^-1/3", -0.3, "slm2"))
+    assert config.memory_settings == (None, -0.2, SLM_RULES["SLM1"], -0.3, -0.25)
+    assert [spec.lam for spec in config.specs()] == [0.0] + [
+        120.0 ** a for a in config.memory_settings[1:]]
+    # a saved config writes each exponent by repr, which reads back the same double
+    saved = config.to_dict()["memory_settings"]
+    assert saved == ["lm", "n^-0.2", "n^-0.3333333333333333", "n^-0.3", "n^-0.25"]
+    assert StudyConfig.from_dict(config.to_dict()) == config
+    assert dataclasses.replace(config, n=130).memory_settings == config.memory_settings
     # the label follows from the exponent: it is not an input
-    assert [MemorySetting(e).label for e in (None, -1 / 3, -0.25, -0.2, -1 / 6, -0.3)] \
+    assert [mc._memory_label(a) for a in (None, -1 / 3, -0.25, -0.2, -1 / 6, -0.3)] \
         == ["LM", "SLM1", "SLM2", "SLM3", "SLM4", "SLM(n^-0.3)"]
-    for key in ("rule", "kind", "label"):
-        with pytest.raises(ValueError, match=rf"^unknown memory setting key\(s\) {key}; "
-                                             r"accepted: lambda_exponent$"):
-            MemorySetting.from_dict({key: "slm", "lambda_exponent": -0.2})
-        with pytest.raises(ValueError, match=rf"key\(s\) {key};"):
-            _tiny("estimation", memory_settings=({key: "SLM3"},))
-    with pytest.raises(ValueError):
-        MemorySetting.from_dict({"lambda_exponent": -1.5})
+    # the object form of older versions is an unknown setting, as a bool is
+    for entry in ({"lambda_exponent": -0.2}, {"kind": "slm"}, {"label": "SLM3"}, True):
+        with pytest.raises(ValueError, match=rf"^unknown memory setting {re.escape(repr(entry))};"
+                                             r" choose lm or one of \["):
+            _tiny("estimation", memory_settings=(entry,))
+    for entry in ("n^-3/2", "n^0", 0.5, -1):
+        with pytest.raises(ValueError, match=r"^tempering schedule must satisfy lam -> 0 and "
+                                             rf"n\*lam -> inf \(exponent in \(-1, 0\)\), "
+                                             rf"got {re.escape(repr(entry))}$"):
+            _tiny("estimation", memory_settings=(entry,))
     for name in ("short", "slm", "long", "semi_long", "SLM9"):
         with pytest.raises(ValueError, match=rf"^unknown memory setting '{name}'; choose lm "
                                              r"or one of \['SLM1', 'SLM2', 'SLM3', 'SLM4'\]$"):
-            MemorySetting.from_dict(name)
+            _tiny("estimation", memory_settings=(name,))
 
 
 def test_block_rule_floor():
@@ -102,7 +109,7 @@ def test_config_rejects_nonpositive_counts(field, value, message):
 
 @pytest.mark.parametrize("field, value, message", [
     ("d_values", (0.1, 0.2, 0.1), "d_values repeats 0.1"),
-    ("memory_settings", ("SLM3", {"lambda_exponent": -0.2}),
+    ("memory_settings", ("SLM3", "n^-0.2"),
      "memory_settings repeats 'SLM3'"),
     ("bandwidth_exponents", ("n^-1/5", -0.2), "bandwidth_exponents repeats -0.2"),
 ])
@@ -133,8 +140,8 @@ def test_config_rejects_values_that_print_alike(field, value, message):
     ("sigma", -1, r"^sigma must be >= 0$"),
     ("rho", float("nan"), r"^noise parameter rho must be finite, got nan$"),
     ("rho", "x", r"^rho must hold numbers, got 'x'$"),
-    ("presample", -3, r"^presample must be 'full' or an integer count >= 0, got -3$"),
-    ("presample", None, r"^presample must be 'full' or an integer count >= 0, got None$"),
+    ("bandwidth_exponents", (True,), r"^cannot parse power rule True$"),
+    ("block_rules", ((float("nan"), 0.5),), r"^block_rules must hold finite numbers, got nan$"),
     # a bool is not a number, as it is not a count
     ("rho", True, r"^rho must hold numbers, got True$"),
     ("d_values", (True,), r"^d_values must hold numbers, got True$"),
@@ -152,8 +159,7 @@ def test_config_rejects_bad_noise_or_presample(field, value, message):
     for kind in ("estimation", "size"):
         with pytest.raises(ValueError, match=message):
             _tiny(kind, **{field: value})
-    config = _tiny("estimation", rho=0, presample="full")
-    assert type(config.rho) is float and config.presample == "full"
+    assert type(_tiny("estimation", rho=0).rho) is float
 
 
 def test_paths_build_each_spec_once_per_chunk(monkeypatch):
@@ -174,7 +180,7 @@ def test_settings_grid_skips_invalid_lm_rows():
     # the grid keeps exactly the (setting, d) pairs that _check_memory admits
     config = _tiny("estimation", memory_settings=("lm", "SLM3"),
                    d_values=(0.0, 0.45, 0.8))
-    labels = [(ms.label, d) for ms, d in config.settings_grid()]
+    labels = [(mc._memory_label(a), d) for a, d in config.settings_grid()]
     assert labels == [("LM", 0.0), ("LM", 0.45),
                       ("SLM3", 0.0), ("SLM3", 0.45), ("SLM3", 0.8)]
 
@@ -188,7 +194,7 @@ def test_config_rejects_negative_d_under_semi_long_memory():
             _tiny(kind, d_values=(-0.1, 0.2), memory_settings=("lm", "SLM3"))
     # long memory skips a negative d, as it skips d >= 1/2
     config = _tiny("estimation", d_values=(-0.1, 0.0), memory_settings=("lm",))
-    assert [(ms.label, d) for ms, d in config.settings_grid()] == [("LM", 0.0)]
+    assert config.settings_grid() == [(None, 0.0)]
 
 
 def test_batch_se_divides_by_the_finite_chunks():
@@ -340,14 +346,14 @@ def test_chunks_equal_f_evaluated_everywhere(monkeypatch, study_kind, kernel):
                    bandwidth_exponents=(-1.0 / 3.0, -0.2), grid_points=40,
                    eval_points=(0.0, 0.25, 0.5, 0.95, 3.0))
     chunk = {"estimation": mc._estimation_chunk, "coverage": mc._coverage_chunk}[study_kind]
-    f = mc.sine_series_interpolator(config.f_terms)
+    f = mc.sine_series_interpolator()
     points = []  # the number of points of each f call
 
     def counted(x):
         points.append(np.size(x))
         return f(x)
 
-    monkeypatch.setattr(mc, "sine_series_interpolator", lambda terms: counted)
+    monkeypatch.setattr(mc, "sine_series_interpolator", lambda: counted)
     got = chunk((config, 0, 4))
     reached = sum(points)
     monkeypatch.setattr(mc, "_response",
@@ -362,9 +368,11 @@ def test_chunks_equal_f_evaluated_everywhere(monkeypatch, study_kind, kernel):
 
 # --------------------------------------------------------horizon degenerate
 
-def test_estimation_zero_noise_zero_function():
-    config = _tiny("estimation", sigma=0.0, f_terms=0, replications=4,
-                   chunk_size=2)
+def test_estimation_zero_noise_zero_function(monkeypatch):
+    # 0 sine terms are the zero function
+    zero = mc.sine_series_interpolator(0)
+    monkeypatch.setattr(mc, "sine_series_interpolator", lambda: zero)
+    config = _tiny("estimation", sigma=0.0, replications=4, chunk_size=2)
     res = run_study(config)
     for crit in ("bias", "std", "rmse"):
         assert res.tables[crit][0]["value"] == pytest.approx(0.0, abs=1e-15)

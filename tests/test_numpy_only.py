@@ -91,7 +91,7 @@ from slmcoint import StudyConfig, run_study
 from slmcoint.cli import main
 config = StudyConfig(study_kind="coverage", n=80, replications=2,
                      d_values=[0.1], memory_settings=["SLM3"],
-                     bandwidth_exponents=["n^-1/3"], f_terms=50)
+                     bandwidth_exponents=["n^-1/3"])
 length = run_study(config).tables["length"][0]["value"]
 assert length > 0, length
 out = {str(tmp_path)!r}

@@ -6,7 +6,7 @@ import os
 import re
 import shlex
 
-from slmcoint import StudyConfig, cli
+from slmcoint import SLM_RULES, StudyConfig, cli
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -29,7 +29,7 @@ def test_readme_study_config_loads():
     (payload,) = _blocks("json")
     config = StudyConfig.from_dict(json.loads(payload))
     assert config.study_kind == "size"
-    assert [ms.label for ms in config.memory_settings] == ["SLM3"]
+    assert config.memory_settings == (SLM_RULES["SLM3"],)
     assert StudyConfig.from_dict(config.to_dict()) == config
 
 
