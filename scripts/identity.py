@@ -12,7 +12,8 @@ which does not change their results.
   the ``slmcoint ckc`` reports of the 48 pool countries, ``slmcoint
   spec-test`` on one series, and ``run_spec_test`` on pruned node tiles.
 - ``nw``: the perfbench estimation tables on all 8 master seeds, coverage
-  and Gaussian estimation studies, and ``slmcoint estimate`` on one series.
+  and Gaussian estimation studies, ``slmcoint estimate`` on one series, and
+  the ``path.csv`` of ``slmcoint simulate`` at four settings.
 - ``whittle``: both fits of the 256 pool series.
 
 ``compare`` prints, per top-level section, the largest absolute and
@@ -71,15 +72,17 @@ def write_xy(path, x, y):
             fh.write(f"{float(xi)!r},{float(yi)!r}\n")
 
 
-def run_cli(argv, name, write_data):
+def run_cli(argv, name, write_data=None):
     """``slmcoint *argv --data DATA --out OUT`` in a fresh directory, with
-    DATA written by ``write_data(DATA)``; returns the text of OUT/``name``
-    and the captured stdout."""
+    DATA written by ``write_data(DATA)`` (no ``--data`` when it is None);
+    returns the text of OUT/``name`` and the captured stdout."""
     stdout = io.StringIO()
     with tempfile.TemporaryDirectory() as workdir, contextlib.redirect_stdout(stdout):
         data, out = os.path.join(workdir, "data.csv"), os.path.join(workdir, "out")
-        write_data(data)
-        code = cli.main([*argv, "--data", data, "--out", out])
+        if write_data is not None:
+            write_data(data)
+            argv = [*argv, "--data", data]
+        code = cli.main([*argv, "--out", out])
         if code != 0:
             raise RuntimeError(f"slmcoint {' '.join(argv)} exited {code}")
         with open(os.path.join(out, name)) as fh:
@@ -218,12 +221,23 @@ def estimate_item(kernel, rule):
     return text
 
 
+# ``slmcoint simulate`` options of each simulate item, all at n = 500
+SIMULATE_ITEMS = {"defaults": [], "presample-0": ["--presample", "0"],
+                  "slm": ["--d", "0.3", "--lam", "0.25"], "psi-0.9": ["--psi", "0.9"]}
+
+
+def simulate_item(name):
+    text, _ = run_cli(["simulate", "--n", "500", *SIMULATE_ITEMS[name]], "path.csv")
+    return text
+
+
 def dump_nw():
     return {"estimation": {str(mseed): estimation_item(mseed) for mseed in MASTER_SEEDS},
             "coverage": {kernel: coverage_item(kernel) for kernel in KERNELS},
             "gaussian_estimation": gaussian_estimation(),
             "estimate": {f"{kernel}|{rule}": estimate_item(kernel, rule)
-                         for kernel in KERNELS for rule in ("n^-1/3", "n^-1/5")}}
+                         for kernel in KERNELS for rule in ("n^-1/3", "n^-1/5")},
+            "simulate": {name: simulate_item(name) for name in SIMULATE_ITEMS}}
 
 
 # ----------------------------------------------------------------- whittle

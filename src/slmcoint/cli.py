@@ -25,8 +25,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .processes import (DEFAULT_BURN_IN, DEFAULT_SINE_TERMS, TemperedProcessSpec,
-                        NoiseConfig, simulate_model, regression_function_sine)
+from .processes import (TemperedProcessSpec, NoiseConfig, simulate_model,
+                        regression_function_sine)
 from .kernel_regression import get_kernel, kernel_estimate
 from .spec_test import (DEFAULT_WEIGHT_SUPPORT, run_spec_test, get_family, parse_exponent,
                         uniform_weight, SubsamplingError, _at_size)
@@ -73,15 +73,6 @@ def _weight_support(text):
     raise argparse.ArgumentTypeError(f"expected two numbers a,b with a < b, got {text!r}")
 
 
-def _presample(text):
-    """--presample full, or a count of pre-sample lags."""
-    if text.isdecimal():
-        return int(text)
-    if text == "full":
-        return text
-    raise argparse.ArgumentTypeError(f"expected 'full' or a count >= 0, got {text!r}")
-
-
 def _tuning(text):
     """--bandwidth or --lam: a number, or a power rule n^a kept as its text."""
     try:
@@ -108,10 +99,10 @@ def _attach_weight_support(argv):
 
 
 def _cmd_simulate(args):
-    spec = TemperedProcessSpec(d=args.d, lam=args.lam, n=args.n, burn_in=args.burn_in,
-                               presample=args.presample)
+    spec = TemperedProcessSpec(d=args.d, lam=args.lam, n=args.n,
+                               presample="full" if args.presample == "full" else 0)
     noise = NoiseConfig(rho=args.rho, psi=args.psi, sigma=args.sigma, seed=args.seed)
-    path = simulate_model(spec, noise, f=lambda x: regression_function_sine(x, args.f_terms))
+    path = simulate_model(spec, noise, f=regression_function_sine)
     os.makedirs(args.out, exist_ok=True)
     csv_path = write_csv(
         os.path.join(args.out, "path.csv"), ("k", "x", "u", "y"),
@@ -196,9 +187,7 @@ def build_parser():
     p.add_argument("--psi", type=float, default=0.25)
     p.add_argument("--sigma", type=float, default=0.2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--burn-in", type=int, default=DEFAULT_BURN_IN)
-    p.add_argument("--presample", type=_presample, default="full")
-    p.add_argument("--f-terms", type=int, default=DEFAULT_SINE_TERMS)
+    p.add_argument("--presample", choices=("full", "0"), default="full")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .processes import (TemperedProcessSpec, NoiseConfig, simulate_innovations,
                         simulate_regressor, simulate_error_ar1, sine_series_interpolator,
-                        innovation_length, _check_memory, _check_simulated_d)
+                        innovation_length, BURN_IN, _check_memory, _check_simulated_d)
 from .kernel_regression import get_kernel, kernel_estimate, _check_count, _reach_mask
 from .spec_test import (DEFAULT_WEIGHT_SUPPORT, parse_exponent, run_spec_test,
                         uniform_weight, _at_size)
@@ -118,8 +118,8 @@ class StudyConfig:
     A ``memory_settings`` entry is stored as its tempering exponent, None
     for long memory.  The counts (``_COUNT_FIELDS``) must be integers, and
     the fields typed ``tuple`` lists (or tuples).  Every study simulates
-    in-sample shocks only (presample 0) after the default burn-in, under
-    the sine series of the default number of terms.
+    in-sample shocks only (presample 0) and an error warmed up over
+    ``BURN_IN`` steps, under the sine series of the default number of terms.
     """
 
     study_kind: str
@@ -166,9 +166,7 @@ class StudyConfig:
             parse_exponent(e) for e in self.bandwidth_exponents))
         for he in self.bandwidth_exponents:
             # h = n^a; at a block, 2 <= b < n, b^a lies between 1 and n^a
-            if not _at_size(f"n^{he!r}", self.n) > 0.0:
-                raise ValueError(f"bandwidth_exponents n^{he!r} gives h = 0.0 "
-                                 f"at n = {self.n}")
+            _at_size(f"n^{he!r}", self.n)
         for br in self.block_rules:
             if not (isinstance(br, BlockRule)
                     or isinstance(br, (list, tuple)) and len(br) == 2):
@@ -301,7 +299,7 @@ def _paths(config, lo, hi):
     for rep in range(lo, hi):
         rng = np.random.default_rng([config.master_seed, rep])
         xi, eps = simulate_innovations(length, noise, rng=rng)
-        u = simulate_error_ar1(eps, config.psi, n_keep=config.n)
+        u = simulate_error_ar1(eps[-(config.n + BURN_IN):], config.psi, n_keep=config.n)
         # the whole stack is built first: the estimation and coverage
         # studies fit all of a replication's paths in one kernel pass
         x = np.stack([simulate_regressor(spec, xi) for spec in specs])

@@ -8,7 +8,10 @@ where phi(j) = b_d(j) under long memory and phi(j) = exp(-lam*j) * b_d(j)
 under semi-long memory.  The coefficients b_d(j) are the fractional
 (binomial) weights of (1 - z)^{-d}.  Endogeneity between the regressor
 innovations xi and the error innovations eps is induced through their
-contemporaneous correlation rho.
+contemporaneous correlation rho.  The truncation J = n + BURN_IN (capped
+under tempering), the error's BURN_IN-step warm-up and the
+DEFAULT_SINE_TERMS terms of the sine regression function are fixed
+reproduction conventions.
 """
 
 from dataclasses import dataclass, asdict, field
@@ -18,7 +21,7 @@ import numpy as np
 
 from .kernel_regression import _check_count
 
-DEFAULT_BURN_IN = 1000
+BURN_IN = 1000
 DEFAULT_SINE_TERMS = 1000
 # nodes of the sine table over one period [-1, 1]
 _SINE_RESOLUTION = 200001
@@ -120,37 +123,33 @@ def _tempered_lag_cap(lam, limit):
 class TemperedProcessSpec:
     """Parameters of a shock/regressor process.
 
-    ``presample`` controls how much innovation history feeds the first
-    shock X(1): ``"full"`` gives every shock its complete truncated
-    history, while an integer gives that many pre-sample lags (0 builds
-    the shocks from in-sample innovations only).  The MA truncation lag
-    is derived: n + burn_in, capped by ``_tempered_lag_cap``.
+    ``presample`` says whether innovation history feeds the first shock
+    X(1): ``"full"`` gives every shock its complete truncated history, and
+    0 builds the shocks from in-sample innovations only.  The MA truncation
+    lag is derived: n + BURN_IN, capped by ``_tempered_lag_cap``.
     """
 
     d: float
     lam: float
     n: int
-    burn_in: int = DEFAULT_BURN_IN
     presample: object = "full"
     truncation: int = field(init=False)
 
     def __post_init__(self):
         _check_memory(self.d, "lam", self.lam)
         _check_count("n", self.n, 1)
-        _check_count("burn_in", self.burn_in, 0)
         _check_simulated_d(self.d, "d")
         object.__setattr__(self, "truncation",
-                           _tempered_lag_cap(self.lam, self.n + self.burn_in))
+                           _tempered_lag_cap(self.lam, self.n + BURN_IN))
         p = self.presample
         if p != "full":
-            if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p < 0:
-                raise ValueError(f"presample must be 'full' or an integer count >= 0, "
-                                 f"got {p!r}")
-            object.__setattr__(self, "presample", int(p))
+            if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p != 0:
+                raise ValueError(f"presample must be 'full' or 0, got {p!r}")
+            object.__setattr__(self, "presample", 0)
 
     @property
     def history_lags(self):
-        return self.truncation if self.presample == "full" else self.presample
+        return self.truncation if self.presample == "full" else 0
 
     def coefficients(self):
         """The shock filter phi(0..truncation); d = 0 gives the delta sequence."""
@@ -332,19 +331,18 @@ class SimulatedPath:
     x: np.ndarray
     u: np.ndarray
     y: np.ndarray
-    spec: TemperedProcessSpec
-    noise: NoiseConfig
 
 
 def innovation_length(spec):
-    """Canonical innovation draw length: n + burn_in history for the error
-    plus a full-length shock history window.
+    """Canonical innovation draw length 2 (n + BURN_IN).  The regressor
+    reads the last n + history_lags <= 2 n + BURN_IN entries of xi.  The
+    AR(1) error runs over the last n + BURN_IN entries of eps, from zero
+    BURN_IN steps before the sample, and keeps the last n.
 
-    The length depends only on (n, burn_in), so paths simulated under
-    different memory settings from the same seed share innovations draw
-    for draw.
+    The length depends only on n, so paths simulated under different
+    memory settings from the same seed share innovations draw for draw.
     """
-    return 2 * (spec.n + spec.burn_in)
+    return 2 * (spec.n + BURN_IN)
 
 
 def simulate_model(spec, noise, f=None, rng=None):
@@ -357,10 +355,10 @@ def simulate_model(spec, noise, f=None, rng=None):
     """
     xi, eps = simulate_innovations(innovation_length(spec), noise, rng=rng)
     x = simulate_regressor(spec, xi)
-    u = simulate_error_ar1(eps, noise.psi, n_keep=spec.n)
+    u = simulate_error_ar1(eps[-(spec.n + BURN_IN):], noise.psi, n_keep=spec.n)
     fx = np.zeros_like(x) if f is None else np.asarray(f(x), dtype=float)
     y = fx + noise.sigma * u
-    return SimulatedPath(x=x, u=u, y=y, spec=spec, noise=noise)
+    return SimulatedPath(x=x, u=u, y=y)
 
 
 def scale_dn(n, lam, d):

@@ -705,15 +705,18 @@ def test_cli_mc_rejects_bad_config(tmp_path, capsys, change, message):
     (["spec-test", "--bandwidth", "n^400"], "power rule 'n^400' overflows at size 10"),
     (["spec-test", "--lam", "n^400"], "power rule 'n^400' overflows at size 10"),
     (["estimate", "--bandwidth", "n^400"], "power rule 'n^400' overflows at size 100"),
+    (["spec-test", "--lam", "n^-400"], "power rule 'n^-400' is 0.0 at size 10"),
+    (["estimate", "--bandwidth", "n^-400"], "power rule 'n^-400' is 0.0 at size 100"),
     ({"block_rules": [[float("inf"), 0.5]]}, "block_rules must hold finite numbers, got inf"),
     ({"block_rules": [[float("nan"), 0.5]]}, "block_rules must hold finite numbers, got nan"),
     ({"block_rules": [[True, 0.5]]}, "block_rules must hold numbers, got True"),
     ({"block_rules": [["2", 0.5]]}, "block_rules must hold numbers, got '2'"),
     ({"block_rules": [[1.0, 400]]}, "block rule 1n^400 gives no finite b at n = 100"),
     ({"bandwidth_exponents": [400]}, "power rule 'n^400.0' overflows at size 100"),
-    ({"bandwidth_exponents": [-400]}, "bandwidth_exponents n^-400.0 gives h = 0.0 at n = 100"),
+    ({"bandwidth_exponents": [-400]}, "power rule 'n^-400.0' is 0.0 at size 100"),
 ], ids=["block-rule-inf", "block-rule-nan", "block-rule-1e308", "spec-test-bandwidth-n^400",
-        "spec-test-lam-n^400", "estimate-bandwidth-n^400", "block_rules-Infinity",
+        "spec-test-lam-n^400", "estimate-bandwidth-n^400", "spec-test-lam-n^-400",
+        "estimate-bandwidth-n^-400", "block_rules-Infinity",
         "block_rules-NaN", "block_rules-true", "block_rules-string", "block_rules-n^400",
         "bandwidth_exponents-400", "bandwidth_exponents-minus-400"])
 def test_cli_refuses_unusable_tuning(tmp_path, capsys, inputs, message):

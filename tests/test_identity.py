@@ -42,7 +42,8 @@ def dumps(tmp_path_factory):
             "estimation": {str(mseed): tool.estimation_item(mseed)},
             "coverage": {"gaussian": tool.coverage_item("gaussian")},
             "gaussian_estimation": tool.gaussian_estimation(),
-            "estimate": {"gaussian|n^-1/5": tool.estimate_item("gaussian", "n^-1/5")}},
+            "estimate": {"gaussian|n^-1/5": tool.estimate_item("gaussian", "n^-1/5")},
+            "simulate": {"presample-0": tool.simulate_item("presample-0")}},
         "whittle": [tool.whittle_item(0)],
     }
     paths = {}

@@ -160,9 +160,10 @@ def test_short_memory_is_lm_at_d0_bit_for_bit(presample, lam):
 
 def test_regressor_matches_double_loop_oracle():
     rng = np.random.default_rng(2)
-    n, J = 5, 200
-    spec = TemperedProcessSpec(d=0.3, lam=0.1, n=n, burn_in=J - n)
-    assert spec.truncation == J
+    n = 5
+    spec = TemperedProcessSpec(d=0.3, lam=0.1, n=n)
+    J = spec.truncation  # the tempering cap, 327
+    assert J == int(np.ceil(-np.log(1e-12) / 0.1)) + 50
     xi = rng.standard_normal(n + J)
     x = simulate_regressor(spec, xi)
     phi = tempered_coeffs(0.3, 0.1, J)
@@ -175,9 +176,10 @@ def test_regressor_matches_double_loop_oracle():
 
 def test_regressor_fft_vs_double_loop_bigger():
     rng = np.random.default_rng(3)
-    n, J = 100, 500
-    spec = TemperedProcessSpec(d=0.4, lam=0.0, n=n, burn_in=J - n)
-    assert spec.truncation == J
+    n = 100
+    spec = TemperedProcessSpec(d=0.4, lam=0.0, n=n)
+    J = spec.truncation
+    assert J == n + 1000
     xi = rng.standard_normal(n + J)
     x = simulate_regressor(spec, xi)
     phi = tempered_coeffs(0.4, 0.0, J)
@@ -202,11 +204,10 @@ def test_regressor_presample_modes():
 @pytest.mark.parametrize("spec", [
     TemperedProcessSpec(d=0.3, lam=0.0, n=200),
     TemperedProcessSpec(d=0.3, lam=0.0, n=200, presample=0),
-    TemperedProcessSpec(d=0.3, lam=0.0, n=150, presample=7),
     TemperedProcessSpec(d=0.2, lam=0.05, n=200, presample=0),
     TemperedProcessSpec(d=0.0, lam=0.0, n=200),
     TemperedProcessSpec(d=0.0, lam=0.0, n=1, presample=0),
-], ids=["lm-full", "lm-0", "lm-n150-7", "slm-0", "short", "n1"])
+], ids=["lm-full", "lm-0", "slm-0", "short", "n1"])
 def test_regressor_cached_spectrum_equals_fftconvolve(spec):
     # the cached filter spectrum gives the bits of a plain fftconvolve,
     # on the first call and on later calls with other streams
@@ -222,7 +223,7 @@ def test_regressor_cached_spectrum_equals_fftconvolve(spec):
 
 
 def test_regressor_rejects_short_stream():
-    spec = TemperedProcessSpec(d=0.0, lam=0.0, n=100, burn_in=0)
+    spec = TemperedProcessSpec(d=0.0, lam=0.0, n=100, presample=0)
     with pytest.raises(ValueError):
         simulate_regressor(spec, np.zeros(50))
 
@@ -321,17 +322,13 @@ def test_zero_terms_are_the_zero_function():
         regression_function_sine(x, -1)
 
 
-def test_cli_simulate_f_terms_zero_is_pure_error(tmp_path):
-    assert cli_main(["simulate", "--n", "40", "--f-terms", "0", "--sigma", "0.3",
-                     "--out", str(tmp_path)]) == 0
-    data = np.genfromtxt(tmp_path / "path.csv", delimiter=",", names=True)
-    assert np.array_equal(data["y"], 0.3 * data["u"])
-
-
-def test_cli_simulate_zero_function_flag_is_gone(tmp_path):
-    with pytest.raises(SystemExit) as err:
-        cli_main(["simulate", "--n", "40", "--zero-function", "--out", str(tmp_path)])
-    assert err.value.code == 2
+def test_cli_simulate_zero_function_flag_is_gone(tmp_path, capsys):
+    # nor are the warm-up and the sine terms options: both are fixed at 1000
+    for flag in (["--zero-function"], ["--burn-in", "0"], ["--f-terms", "0"]):
+        with pytest.raises(SystemExit) as err:
+            cli_main(["simulate", "--n", "40", *flag, "--out", str(tmp_path)])
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- model
@@ -468,7 +465,7 @@ def _truncation(lam, d=0.0):
 
 
 def test_spec_truncation_capped_under_tempering():
-    # n + burn_in, capped at the tempering lag once lam > 0, whatever d
+    # n + 1000, capped at the tempering lag once lam > 0, whatever d
     cap = int(np.ceil(-np.log(1e-12) / 0.5)) + 50
     assert _truncation(0.0, d=0.3) == 2000
     assert _truncation(0.5, d=0.3) == cap
@@ -479,7 +476,7 @@ def test_spec_truncation_capped_under_tempering():
 
 def test_subnormal_lam_truncates_at_the_limit():
     # -ln(tol) / lam overflows at lam = 1e-310; lam * limit, tested first,
-    # does not: the spec keeps n + burn_in lags and the simulator 4 n
+    # does not: the spec keeps n + 1000 lags and the simulator 4 n
     assert _tempered_lag_cap(1e-310, 200) == 200 and _tempered_lag_cap(0.0, 200) == 200
     assert _tempered_lag_cap(0.5, 2000) == int(np.ceil(-np.log(1e-12) / 0.5)) + 50
     with warnings.catch_warnings():
@@ -507,12 +504,12 @@ def test_spec_rejects_negative_d_under_semi_long_memory():
     assert TemperedProcessSpec(d=0.0, lam=0.1, n=10).d == 0.0
 
 
-@pytest.mark.parametrize("presample", [2.7, True, None, "abc", "2.5", -3, np.float64(4.0)])
+@pytest.mark.parametrize("presample", [2.7, True, None, "abc", "2.5", -3, np.float64(4.0), 7])
 def test_spec_rejects_bad_presample(presample):
     # int() once turned 2.7 into 2 and True into 1, and raised a bare
-    # TypeError on None and a parse error that did not name presample on "abc"
-    with pytest.raises(ValueError, match=r"^presample must be 'full' or an integer "
-                                         r"count >= 0, got "):
+    # TypeError on None and a parse error that did not name presample on "abc";
+    # a count of pre-sample lags other than 0 is no longer taken
+    with pytest.raises(ValueError, match=r"^presample must be 'full' or 0, got "):
         TemperedProcessSpec(d=0.3, lam=0.0, n=50, presample=presample)
 
 
@@ -522,55 +519,55 @@ def _spec(**kw):
 
 @pytest.mark.parametrize("build, message", [
     (lambda: _spec(n=50.5), "n must be an integer, got 50.5"),
-    (lambda: _spec(burn_in=10.5), "burn_in must be an integer, got 10.5"),
     (lambda: _spec(n=True), "n must be an integer, got True"),
     (lambda: _spec(n=0), "n must be >= 1, got 0"),
-    (lambda: _spec(burn_in=-1), "burn_in must be >= 0, got -1"),
     (lambda: tempered_coeffs(0.3, 0.0, 4.0), "n_lags must be an integer, got 4.0"),
     (lambda: simulate_innovations(8.0, NoiseConfig(0.5, 0.25, 0.2, 0)),
      "n_total must be an integer, got 8.0"),
     (lambda: regression_function_sine(0.5, terms=2.5), "terms must be an integer, got 2.5"),
     (lambda: _sine_table(10.0, 65), "terms must be an integer, got 10.0"),
     (lambda: _sine_table(10, 65.0), "resolution must be an integer, got 65.0"),
-], ids=["n-float", "burn_in-float", "n-bool", "n-zero", "burn_in-negative", "n_lags",
+], ids=["n-float", "n-bool", "n-zero", "n_lags",
         "n_total", "terms", "table-terms", "table-resolution"])
 def test_counts_must_be_integers(build, message):
     # a fractional count once built a spec with truncation 61.0 and failed
     # later inside numpy; numpy integers are counts
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
-    assert _spec(n=np.int64(50), burn_in=np.int32(10)).truncation == 60
+    assert _spec(n=np.int64(50)).truncation == 1050
     assert tempered_coeffs(0.3, 0.0, np.int64(4)).shape == (5,)
 
 
 def test_spec_presample_takes_full_or_a_count():
-    for presample, lags in (("full", 1050), (0, 0), (np.int64(7), 7)):
+    for presample, lags in (("full", 1050), (0, 0), (np.int64(0), 0)):
         spec = TemperedProcessSpec(d=0.3, lam=0.0, n=50, presample=presample)
         assert spec.history_lags == lags
-    assert type(spec.presample) is int  # a numpy count is stored as an int
+    assert type(spec.presample) is int  # a numpy 0 is stored as an int
 
 
-@pytest.mark.parametrize("presample", ["2.5", "abc", "-3", "Full"])
+@pytest.mark.parametrize("presample", ["2.5", "abc", "-3", "Full", "5"])
 def test_cli_simulate_rejects_bad_presample(tmp_path, capsys, presample):
     with pytest.raises(SystemExit) as err:
         cli_main(["simulate", "--n", "40", "--presample", presample,
                   "--out", str(tmp_path / "sim")])
     assert err.value.code == 2
-    assert (f"argument --presample: expected 'full' or a count >= 0, got {presample!r}"
+    assert (f"argument --presample: invalid choice: {presample!r} (choose from 'full', '0')"
             in capsys.readouterr().err)
     assert not (tmp_path / "sim").exists()
 
 
 def test_cli_simulate_presample_count(tmp_path):
-    assert cli_main(["simulate", "--n", "40", "--presample", "5",
+    assert cli_main(["simulate", "--n", "40", "--presample", "0",
                      "--out", str(tmp_path)]) == 0
     run = json.loads((tmp_path / "run.json").read_text())
-    assert run["spec"]["presample"] == 5
+    assert run["spec"]["presample"] == 0
 
 
 def test_spec_truncation_is_derived():
     with pytest.raises(TypeError, match="truncation"):
         TemperedProcessSpec(d=0.3, lam=0.1, n=50, truncation=0)
-    spec = TemperedProcessSpec(d=0.3, lam=0.0, n=50, burn_in=20)
-    assert spec.to_dict() == {"d": 0.3, "lam": 0.0, "n": 50, "burn_in": 20,
-                              "presample": "full", "truncation": 70}
+    with pytest.raises(TypeError, match="burn_in"):
+        TemperedProcessSpec(d=0.3, lam=0.1, n=50, burn_in=20)
+    spec = TemperedProcessSpec(d=0.3, lam=0.0, n=50)
+    assert spec.to_dict() == {"d": 0.3, "lam": 0.0, "n": 50, "presample": "full",
+                              "truncation": 1050}

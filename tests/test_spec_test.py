@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from slmcoint import (get_family,
                       normalized_statistic, subsample_statistics, subsample_quantile, run_spec_test,
                       SubsamplingError, GAUSSIAN, EPANECHNIKOV,
                       TemperedProcessSpec, NoiseConfig, simulate_model, scale_dn)
+from slmcoint import spec_test
 from slmcoint.spec_test import (_GAUSSIAN_REACH, _TILE_FLOATS, ParametricFamily, _node_tiles,
                                 _quad_nodes, _sliding_theta, integration_domain)
 
@@ -79,10 +81,9 @@ _BAD_INPUT = {  # case: (argument, bad value, message)
     "d-nan": ("d", np.nan, r"memory parameter d must be finite, got nan$"),
     "lam-nan": ("lam", np.nan, r"tempering parameter lam must be finite, got nan$"),
     "lam_b-nan": ("lam_b", np.nan, r"tempering parameter lam_b must be finite, got nan$"),
-    # lam = 0 is long memory, which every block then has: n^-210 is 0.0 at
-    # n = 40 but 1e-210 at b = 10
-    "lam-zero": ("lam", "n^-210", r"lam_b must be 0 exactly when lam is \(long memory\), "
-                                  r"got lam = 0.0, lam_b = 1e-210$"),
+    # a power rule that underflows would run as long memory: n^-210 is 0.0
+    # at n = 40 but 1e-210 at b = 10
+    "lam-zero": ("lam", "n^-210", r"power rule 'n\^-210' is 0.0 at size 40$"),
     "quad_cells-0": ("quad_cells", 0, r"quad_cells must be >= 2, got 0$"),
     "quad_cells-1": ("quad_cells", 1, r"quad_cells must be >= 2, got 1$"),
     "quad_cells-fraction": ("quad_cells", 1024.5,
@@ -146,17 +147,37 @@ def test_spec_test_rejects_memory_the_simulator_rejects(regime, d, lam, match):
 
 
 def test_run_spec_test_rejects_a_long_memory_block_under_tempering():
-    # every block shares the sample's regime: n^-210 underflows to lam = 0
-    # at n = 40 and at b = 39, but not at b = 10 (1e-210), whose block is
-    # refused; a held lam = 0 is long memory at every size
-    x, y = _draw(40, seed=16)
-    with pytest.raises(ValueError, match=r"^lam_b must be 0 exactly when lam is \(long "
-                                         r"memory\), got lam = 0.0, lam_b = 1e-210$"):
-        run_spec_test(x, y, "linear", 0.5, GAUSSIAN, uniform_weight(), d=0.1,
-                      lam="n^-210", blocks=[39, 10], quad_cells=256)
+    # a power rule that underflows to 0.0 once ran silently as long memory:
+    # n^-400 is 0.0 at b = 20 and n = 100, and n^-210 at b = 39 and n = 40
+    # but not at b = 10; a held lam = 0 is long memory at every size
+    for n, lam, blocks, size in ((100, "n^-400", [20], 20), (40, "n^-210", [39, 10], 39),
+                                 (40, "n^-210", [10], 40)):
+        x, y = _draw(n, seed=16)
+        with pytest.raises(ValueError, match=rf"^power rule '{re.escape(lam)}' is 0\.0 "
+                                             rf"at size {size}$"):
+            run_spec_test(x, y, "linear", 0.5, GAUSSIAN, uniform_weight(), d=0.3,
+                          lam=lam, blocks=blocks, quad_cells=256)
     (res,) = run_spec_test(x, y, "linear", 0.5, GAUSSIAN, uniform_weight(), d=0.1,
                            lam=0.0, blocks=[10], quad_cells=256)
     assert res.lam == res.lam_b == 0.0
+
+
+def test_reject_and_p_value_differ_at_the_boundary(monkeypatch):
+    # reject(alpha), which the size study counts, compares T with the
+    # (1 - alpha) quantile of the block values; p_value smooths by one and
+    # counts ties as exceedances.  With 100 values of which 5 are >= T (one
+    # equal), reject(0.05) holds while p = 6/101 = 0.0594 > 0.05
+    x, y = _draw(40, seed=16)
+    args = (x, y, "linear", 0.5, GAUSSIAN, uniform_weight())
+    (res,) = run_spec_test(*args, d=0.1, lam=0.4, blocks=[10], quad_cells=256)
+    t = res.t_normalized
+    values = np.concatenate([t - np.arange(95, 0, -1), [t], t + np.arange(1, 5)])
+    monkeypatch.setattr(spec_test, "subsample_statistics",
+                        lambda *a, **k: (values, values, np.arange(100), 0))
+    (res,) = run_spec_test(*args, d=0.1, lam=0.4, blocks=[10], quad_cells=256)
+    assert res.t_normalized == t
+    assert res.reject(0.05) and res.p_value == 6 / 101
+    assert round(res.p_value, 4) == 0.0594
 
 
 def test_block_size_and_quad_cells_accept_numpy_integers():
