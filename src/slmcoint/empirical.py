@@ -68,8 +68,9 @@ def ckc_analysis(series):
     b = [c sqrt(n)] (``BLOCK_COEFS``, through ``BlockRule``), using the
     semi-long-memory normalization with the regressor's fitted (d, lam).
     Each (hypothesis, bandwidth) pair is one ``run_spec_test`` call: one fit
-    and one full-sample statistic, calibrated against all the block rules,
-    at ``run_spec_test``'s quadrature resolution of 2048 cells.
+    and one full-sample statistic, at ``run_spec_test``'s quadrature
+    resolution of 2048 cells, calibrated against the exact block values of
+    all the block rules.
     The bandwidth is passed as its power rule (h_b = b^a); the fitted
     tempering parameter is a constant, not a schedule, so it is passed as a
     number, held at both scales (p-values are invariant to the common

@@ -1,10 +1,16 @@
-"""Nadaraya-Watson regression, residual variance and pointwise confidence bands."""
+"""Kernels and their pair integrals, Nadaraya-Watson regression, residual
+variance and pointwise confidence bands."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 _GAUSS_NORM = 1.0 / np.sqrt(2.0 * np.pi)
+# (erf(hi) - erf(lo))/2 rounds to exactly 1.0 once lo <= -6 <= 6 <= hi, as
+# erfc(6)/2 = 1.1e-17 is below half the float spacing under 1.0
+_ERF_UNIT = 6.0
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 _WORKSPACE_ROWS = 512
 # below it a Gaussian mass is subnormal and its weighted mean keeps few bits
 _MIN_MASS = np.finfo(float).tiny
@@ -28,6 +34,48 @@ class Kernel:
         if self.kind == "epanechnikov":
             return np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
         return np.exp(-0.5 * u * u) * _GAUSS_NORM
+
+    def pair_integral(self, gap, lo, hi):
+        """int_lo^hi K(t - gap/2) K(t + gap/2) dt, elementwise over 1-D
+        float arrays of one length.
+
+        With gap = (x_t - x_s)/h, and lo and hi the ends A and B of a weight
+        support less the pair's midpoint m, over h, this is the pair
+        integral int_A^B K((x_s - v)/h) K((x_t - v)/h) dv over h.  At gap 0
+        on the whole line it is ``k2``.
+
+        Gaussian: exp(-gap^2/4) / (2 sqrt(pi)) times (erf(hi) - erf(lo))/2,
+        the share of the pair's mass inside the support.  The share is
+        exactly 1.0 unless m lies within ``_ERF_UNIT`` bandwidths of an end
+        or outside the support, and only those pairs call ``math.erfc``, on
+        the side of the support's centre where the difference of the two
+        tails keeps its digits.
+        Epanechnikov: with delta = |gap|/2 and c = 1 - delta^2, the product
+        of the two parabolas integrates to 9/16 [c^2 t - (2c + 4 delta^2)
+        t^3/3 + t^5/5] between t_lo = max(lo, delta - 1) and t_hi = min(hi,
+        1 - delta), and to 0 where t_lo >= t_hi.
+        """
+        if self.kind == "epanechnikov":
+            delta = 0.5 * np.abs(gap)
+            c = 1.0 - delta * delta
+            slope = (2.0 * c + 4.0 * delta * delta) / 3.0
+            t_lo = np.maximum(lo, delta - 1.0)
+            t_hi = np.minimum(hi, 1.0 - delta)
+
+            def antiderivative(t):
+                t2 = t * t
+                return t * (c * c - t2 * (slope - 0.2 * t2))
+
+            return np.where(t_lo < t_hi,
+                            0.5625 * (antiderivative(t_hi) - antiderivative(t_lo)), 0.0)
+        out = np.exp(-0.25 * gap * gap) * (0.5 / math.sqrt(math.pi))
+        near = np.flatnonzero((lo > -_ERF_UNIT) | (hi < _ERF_UNIT))
+        if near.size:
+            a, b = lo[near], hi[near]
+            upper = a + b < 0.0  # m above the centre: erfc(-hi) - erfc(-lo)
+            a, b = np.where(upper, -b, a), np.where(upper, -a, b)
+            out[near] *= 0.5 * (_erfc(a) - _erfc(b)).astype(float)
+        return out
 
 
 EPANECHNIKOV = Kernel("epanechnikov", d1=1.0, k2=0.6, halfwidth=1.0)

@@ -30,7 +30,7 @@ _MEMORY_NAMES = {"LM": None, **SLM_RULES}  # memory setting names and their expo
 DEFAULT_BLOCK_RULES = ((0.5, 0.5), (1.0, 0.5), (2.0, 0.5), (4.0, 0.5))
 DEFAULT_LEVELS = (0.01, 0.05, 0.10)
 _CHUNK_SIZE = 25
-_SIZE_QUAD_CELLS = 1024  # the quad_cells of every size-study statistic
+_SIZE_QUAD_CELLS = 1024  # the quad_cells of every size study's full-sample statistic
 # the integer fields of a study config, each with its least value
 _COUNT_FIELDS = {"n": 1, "replications": 1, "chunk_size": 1, "grid_points": 1,
                  "master_seed": None}
@@ -114,7 +114,8 @@ class StudyConfig:
 
     Study-specific fields: ``eval_points``/``alpha`` for coverage,
     ``block_rules``/``nominal_levels``/``weight_support`` for size (whose
-    statistics use 1024 quadrature cells), ``grid_points`` for estimation.
+    full-sample statistics use 1024 quadrature cells; the block values are
+    exact), ``grid_points`` for estimation.
     A ``memory_settings`` entry is stored as its tempering exponent, None
     for long memory.  The counts (``_COUNT_FIELDS``) must be integers, and
     the fields typed ``tuple`` lists (or tuples).  Every study simulates

@@ -10,11 +10,19 @@ recomputing the normalized statistic on all length-b blocks of consecutive
 observations (overlapping subsampling).  The tempering parameter lam sets
 the memory regime: lam = 0 is long memory (0 <= d < 1/2, d_N = n^{d+1/2})
 and lam > 0 semi-long memory (d_N = sqrt(n)/lam^d).
+
+For a uniform weight on [A, B] the statistic is the quadratic form r'Pr of
+the residuals r, with P[s, t] = int_A^B K((x_s - v)/h) K((x_t - v)/h) dv in
+closed form (``Kernel.pair_integral``), the L2 fit distance of Haerdle and
+Mammen (1993, Ann. Statist. 21, 1926-1947).  Every block value is computed
+so, exactly; the full-sample statistic is still taken by midpoint
+quadrature (``t_statistic``).
 """
 
 from dataclasses import dataclass, fields
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .kernel_regression import _check_count, _check_finite, _check_positive, get_kernel
 from .processes import _check_memory, scale_dn
@@ -155,45 +163,35 @@ def _node_tiles(x, h, kernel, nodes):
         yield keep, kernel((x[keep, None] - tile[None, :]) / h)
 
 
-def _block_statistics(x, cols, theta, b, h, kernel, weight, quad_cells):
-    """Raw statistic of every length-b block by the midpoint rule: block t
-    integrates { sum_k K[(x_k - v)/h] s_k }^2, s = cols[0] - theta[t] @ cols[1:].
-    Per node tile, the columns weighted by K are summed over every block as
-    differences of one cumulative sum along the kept observations (from a
-    leading 0), and the tile's squared block sums add into the result."""
-    n = x.shape[0]
-    nb = n - b + 1
+def _midpoint_statistic(x, r, h, kernel, weight, quad_cells):
+    """int { sum_k K[(x_k - v)/h] r_k }^2 dv by the midpoint rule.  Per node
+    tile, each node's sum runs along the kept observations (the rest weigh
+    0.0), and the tile's squared sums add into the result."""
     nodes, dx = _quad_nodes(integration_domain(x, h, weight), quad_cells)
-    total = np.zeros(nb)
+    total = np.zeros(1)
     for keep, K in _node_tiles(x, h, kernel, nodes):
-        C = np.zeros((cols.shape[0], keep.size + 1, K.shape[1]))
-        np.multiply(K, cols[:, keep, None], out=C[:, 1:])
-        np.cumsum(C, axis=1, out=C)
-        # C[:, k] for every k = 0..n: the sum over the kept observations
-        # before k, which is the sum over all of them (the rest weigh 0.0)
-        C = np.take(C, np.searchsorted(keep, np.arange(n + 1)), axis=1)
-        D = C[:, b:] - C[:, :nb]
-        S = D[0]
-        for j in range(theta.shape[1]):
-            S -= theta[:, j, None] * D[1 + j]
-        total += np.einsum("ij,ij->i", S, S)
-    return total * dx
+        sums = np.zeros((1, K.shape[1]))
+        if keep.size:
+            # a running sum in observation order; np.sum's pairwise order
+            # would move the statistic's last bits
+            sums[0] = np.cumsum(K * r[keep, None], axis=0)[-1]
+        total += np.einsum("ij,ij->i", sums, sums)
+    return float(total[0] * dx)
 
 
 def t_statistic(x, y, family, theta, h, kernel, weight, quad_cells=DEFAULT_QUAD_CELLS):
     """Raw specification statistic by composite midpoint quadrature.
 
     The integrand { sum_k K[(x_k-x)/h] r_k }^2 pi(x) is evaluated on
-    ``quad_cells`` midpoint nodes over ``integration_domain``, as the one
-    length-n block of ``_block_statistics``.  ``quad_cells`` is 2048 by
-    default, the resolution of ``run_spec_test``, the CLI and the empirical
-    workflow; the size study passes 1024.
+    ``quad_cells`` midpoint nodes over ``integration_domain``
+    (``_midpoint_statistic``).  ``quad_cells`` is 2048 by default, the
+    resolution of ``run_spec_test``, the CLI and the empirical workflow; the
+    size study passes 1024.
     """
     _check_positive("bandwidth h", h)
     x, y = _as_xy(x, y)
     r = get_family(family).residuals(x, y, np.asarray(theta, dtype=float))
-    return float(_block_statistics(x, r[None], np.empty((1, 0)), x.shape[0], h,
-                                   get_kernel(kernel), weight, quad_cells)[0])
+    return _midpoint_statistic(x, r, h, get_kernel(kernel), weight, quad_cells)
 
 
 def normalized_statistic(t_raw, n, lam, d, h):
@@ -247,21 +245,60 @@ def _sliding_theta(x, y, family, b):
     return theta, valid, u
 
 
+def _block_residuals(u, y, theta, b):
+    """(blocks, b) residuals y - g(u, theta[t]) of every length-b block t,
+    by Horner's rule in place, operation for operation as
+    ``ParametricFamily.residuals`` on the block."""
+    powers = sliding_window_view(u, b)
+    r = np.multiply(powers, theta[:, -1, None])
+    for j in range(theta.shape[1] - 2, -1, -1):
+        r += theta[:, j, None]
+        if j:
+            r *= powers
+    return np.subtract(sliding_window_view(y, b), r, out=r)
+
+
+def _pair_statistics(x, r, h, kernel, weight):
+    """Raw statistic r[t]' P_t r[t] of every block t, exactly: r (blocks, b)
+    holds block t's residuals at x[t:t+b] and P_t is the block's part of
+    P[s, s'] = int_A^B K((x_s - v)/h) K((x_s' - v)/h) dv.  A loop over the
+    lags l < b takes the band P[s, s + l] (``Kernel.pair_integral``) and
+    reads each block's part of it through a sliding window, so no n x n
+    matrix forms; it costs O(n b^2)."""
+    nb, b = r.shape
+    n = x.shape[0]
+    total = np.zeros(nb)
+    for lag in range(b):
+        left, right = x[:n - lag], x[lag:]
+        mid = 0.5 * (left + right)
+        band = kernel.pair_integral((right - left) / h, (weight.a - mid) / h,
+                                    (weight.b - mid) / h)
+        window = as_strided(band, shape=(nb, b - lag), strides=band.strides * 2,
+                            writeable=False)  # window[t, j] = band[t + j]
+        part = np.einsum("ij,ij,ij->i", r[:, :b - lag], r[:, lag:], window)
+        total += part if lag == 0 else 2.0 * part
+    return total * h
+
+
 def subsample_statistics(x, y, family, b, h_b, lam_b, d, kernel, weight,
                          quad_cells=DEFAULT_QUAD_CELLS, return_by_block=False):
     """Normalized block statistics for all length-b consecutive blocks.
 
-    Each block is refit (``_sliding_theta``), its raw statistic computed on
-    the block at the block-scale bandwidth h_b, and normalized with
-    (b, lam_b, h_b), block-scale values that the caller states; 2 <= b < n.
-    Blocks with a singular design are skipped and counted; more than 5%
-    skipped aborts.  Returns the sorted values (and optionally the
-    block-ordered ones, their block indices and the skip count).
+    Each block is refit (``_sliding_theta``), its raw statistic computed
+    exactly on the block at the block-scale bandwidth h_b
+    (``_pair_statistics``), and normalized with (b, lam_b, h_b), block-scale
+    values that the caller states; 2 <= b < n.  ``quad_cells``, the
+    resolution of the full-sample statistic, is checked but does not enter
+    the block values.  Blocks with a singular design are skipped and
+    counted; more than 5% skipped aborts.  Returns the sorted values (and
+    optionally the block-ordered ones, their block indices and the skip
+    count).
     """
     family = get_family(family)
     kernel = get_kernel(kernel)
     _check_positive("bandwidth h_b", h_b)
     _check_memory(d, "lam_b", lam_b)
+    _check_count("quad_cells", quad_cells, 2)
     x, y = _as_xy(x, y)
     _check_block_size(b, x.shape[0])
     nb = x.shape[0] - b + 1
@@ -270,8 +307,7 @@ def subsample_statistics(x, y, family, b, h_b, lam_b, d, kernel, weight,
     if skipped > _MAX_SKIPPED_FRACTION * nb:
         raise SubsamplingError(
             f"{skipped} of {nb} block fits failed (> {_MAX_SKIPPED_FRACTION:.0%})")
-    cols = np.stack([y] + [u ** j for j in range(family.dim)])
-    raw = _block_statistics(x, cols, theta, b, h_b, kernel, weight, quad_cells)[valid]
+    raw = _pair_statistics(x, _block_residuals(u, y, theta, b), h_b, kernel, weight)[valid]
     normalized = normalized_statistic(raw, b, lam_b, d, h_b)[0]
     if return_by_block:
         return np.sort(normalized), normalized, np.nonzero(valid)[0], skipped

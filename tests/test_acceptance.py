@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import as_strided
 from scipy.integrate import quad
-from scipy.special import gammaln, ndtr
+from scipy.special import gammaln
 
 import slmcoint as sl
+from pair_oracle import oracle_pair_matrix
 
 H3 = -1.0 / 3.0
 H5 = -0.2
@@ -92,31 +93,6 @@ def test_criterion_3_size_lm_cell(size_lm_study):
     assert size > 0.5
 
 
-def _oracle_pair_matrix(x, h, support):
-    """Exact Gaussian product integrals over the weight support,
-
-        P[s, t] = int_A^B phi((x_s - v)/h) phi((x_t - v)/h) dv
-                = h exp(-(z_s - z_t)^2 / 4) / (2 sqrt(pi)) * F[s, t],
-
-    with z = x/h, m = (z_s + z_t)/2 and F = Phi(sqrt2 (B/h - m)) -
-    Phi(sqrt2 (A/h - m)) the share of the pair's mass inside [A, B].  F is
-    1 to double precision when the path stays 6h inside the support, so it
-    is only evaluated for paths that the weight truncates.
-    """
-    lo, hi = support
-    z = x / h
-    pair = np.subtract.outer(z, z)
-    np.square(pair, out=pair)
-    pair *= -0.25
-    np.exp(pair, out=pair)
-    pair *= h / (2.0 * np.sqrt(np.pi))
-    if x.min() - lo < 6.0 * h or hi - x.max() < 6.0 * h:
-        mid = 0.5 * np.add.outer(z, z)
-        pair *= (ndtr(np.sqrt(2.0) * (hi / h - mid))
-                 - ndtr(np.sqrt(2.0) * (lo / h - mid)))
-    return pair
-
-
 def _oracle_size_replication(config, rep):
     """One replication of a single-cell SLM size study, recomputed from the
     stated procedure without the library's statistic, block fitter,
@@ -146,7 +122,7 @@ def _oracle_size_replication(config, rep):
         return raw / (np.sqrt(m) * (m ** lam_exp) ** d * m ** h_exp)
 
     r = y - design @ np.linalg.lstsq(design, y, rcond=None)[0]
-    pair = _oracle_pair_matrix(x, n ** h_exp, config.weight_support)
+    pair = oracle_pair_matrix(x, n ** h_exp, config.weight_support)
     t_full = normalized(r @ pair @ r, n)
 
     b = int(block_rule.coef * n ** block_rule.exponent)
@@ -156,7 +132,7 @@ def _oracle_size_replication(config, rep):
         blk = slice(s, s + b)
         theta = np.linalg.lstsq(design[blk], y[blk], rcond=None)[0]
         resid[s] = y[blk] - design[blk] @ theta
-    pair = _oracle_pair_matrix(x, float(b) ** h_exp, config.weight_support)
+    pair = oracle_pair_matrix(x, float(b) ** h_exp, config.weight_support)
     # the b x b diagonal blocks pair[s:s+b, s:s+b], s = 0..n_blocks-1
     step, inner = pair.strides
     diag_blocks = as_strided(pair, shape=(n_blocks, b, b),
@@ -230,24 +206,24 @@ def test_criterion_3_size_slm_cell(size_slm_study):
 
 
 def test_size_oracle_pair_integrals_match_quadrature():
-    """The oracle's closed-form pair integrals, with and without a weight
-    support that truncates the path, against adaptive quadrature."""
-    x = np.array([-3.1, -0.4, 0.0, 0.9, 2.7])
+    """The oracle's closed-form pair integrals, for both kernels, with and
+    without a weight support that truncates the path, and on a support that
+    holds no observation, against adaptive quadrature."""
+    x = np.array([-3.1, -0.4, 0.0, 0.9, 2.7, 1.3])
     h = 0.6
-
-    def phi(u):
-        return np.exp(-0.5 * u * u) / np.sqrt(2.0 * np.pi)
-
     worst = 0.0
-    for lo, hi in ((-1.0, 1.5), (-100.0, 100.0)):
-        pair = _oracle_pair_matrix(x, h, (lo, hi))
-        for s in range(x.size):
-            for t in range(x.size):
-                inside = [v for v in (x[s], x[t]) if lo < v < hi]
-                want = quad(lambda v: phi((x[s] - v) / h) * phi((x[t] - v) / h),
-                            lo, hi, points=inside or None, limit=200,
-                            epsabs=1e-15, epsrel=1e-12)[0]
-                worst = max(worst, abs(pair[s, t] - want))
+    for kernel in (sl.GAUSSIAN, sl.EPANECHNIKOV):
+        for lo, hi in ((-1.0, 1.5), (-100.0, 100.0), (3.5, 6.0)):
+            pair = oracle_pair_matrix(x, h, (lo, hi), kernel.kind)
+            for s in range(x.size):
+                for t in range(x.size):
+                    # the observations and the Epanechnikov support's ends
+                    kinks = [v for v in (x[s], x[t], x[s] - h, x[s] + h, x[t] - h, x[t] + h)
+                             if lo < v < hi]
+                    want = quad(lambda v: kernel((x[s] - v) / h) * kernel((x[t] - v) / h),
+                                lo, hi, points=kinks or None, limit=200,
+                                epsabs=1e-15, epsrel=1e-12)[0]
+                    worst = max(worst, abs(pair[s, t] - want))
     assert worst <= 1e-12
 
 

@@ -15,6 +15,7 @@ from slmcoint import (get_family,
 from slmcoint import spec_test
 from slmcoint.spec_test import (_GAUSSIAN_REACH, _TILE_FLOATS, ParametricFamily, _node_tiles,
                                 _quad_nodes, _sliding_theta, integration_domain)
+from pair_oracle import oracle_pair_matrix
 
 
 # --------------------------------------------------------------------- NLS
@@ -368,16 +369,14 @@ def test_subsample_matches_per_block_oracle():
         quad_cells=512, return_by_block=True)
     assert skipped == 0
     assert vals.shape == (n - b + 1,)
-    # every block integrates over the full path's domain: the block's own
-    # node sums, squared and summed on the full path's 512 nodes
-    nodes, dx = _quad_nodes(integration_domain(x, h_b, w), 512)
+    # every block refit on its own, its residuals in the quadratic form of
+    # the dense pair matrix over the weight's whole support
+    pair = oracle_pair_matrix(x, h_b, (w.a, w.b))
     oracle = []
     for t0 in range(n - b + 1):
         sl = slice(t0, t0 + b)
         r = fam.residuals(x[sl], y[sl], nls_fit(fam, x[sl], y[sl]))
-        sums = GAUSSIAN((x[sl][None, :] - nodes[:, None]) / h_b) @ r
-        traw = float(np.sum(sums * sums) * dx)
-        oracle.append(normalized_statistic(traw, b, lam_b, 0.1, h_b)[0])
+        oracle.append(normalized_statistic(r @ pair[sl, sl] @ r, b, lam_b, 0.1, h_b)[0])
     assert_allclose(by_block, oracle, rtol=1e-9)
     assert_allclose(vals, np.sort(oracle), rtol=1e-9)
 
@@ -422,68 +421,76 @@ def test_monotone_p_value():
     assert all(a >= b for a, b in zip(ps, ps[1:]))
 
 
-# --------------------------------------------- untiled quadrature oracle
-# These two functions take the statistic's node sums over the whole
-# (quad_cells x n) kernel matrix.  The library takes them in row tiles of the
-# nodes and must equal this form bit for bit: the same elementwise products,
-# the same cumulative sums along the observations and, per tile of
-# _TILE_FLOATS // n nodes, the same sum of squares, added tile by tile.
+# ------------------------------------------- full statistic and block oracles
+# The full statistic is taken by midpoint quadrature.  _untiled_statistic
+# takes its node sums over the whole (quad_cells x n) kernel matrix; the
+# library takes them in row tiles of the nodes and must equal this form bit
+# for bit: the same elementwise products, the same running sums along the
+# observations and, per tile of _TILE_FLOATS // n nodes, the same sum of
+# squares, added tile by tile.  The block values are exact pair-integral
+# quadratic forms, checked against the dense pair matrix of pair_oracle.
 
-def _untiled_blocks(x, cols, theta, b, h, kernel, weight, quad_cells):
-    """Raw statistics of every length-b block, with s = cols[0] -
-    sum_j theta[t, j] cols[1 + j] the summand of block t."""
-    n = x.shape[0]
-    nb = n - b + 1
+def _untiled_statistic(x, r, h, kernel, weight, quad_cells):
     nodes, dx = _quad_nodes(integration_domain(x, h, weight), quad_cells)
     K = kernel((x[None, :] - nodes[:, None]) / h)
-    C = np.concatenate([np.zeros((cols.shape[0], quad_cells, 1)),
-                        np.cumsum(K[None] * cols[:, None, :], axis=2)], axis=2)
-    S = (C[0, :, b:] - C[0, :, :nb]).T  # (block, node)
-    for j in range(theta.shape[1]):
-        S -= theta[:, j, None] * (C[1 + j, :, b:] - C[1 + j, :, :nb]).T
-    step = max(1, _TILE_FLOATS // n)
-    total = np.zeros(nb)
+    sums = np.cumsum(K * r[None, :], axis=1)[:, -1]
+    step = max(1, _TILE_FLOATS // x.shape[0])
+    total = np.zeros(1)
     for lo in range(0, quad_cells, step):
-        tile = np.ascontiguousarray(S[:, lo:lo + step])
+        # a fresh array, as the library's: einsum's order of summation can
+        # depend on where the data starts in memory
+        tile = sums[None, lo:lo + step].copy()
         total += np.einsum("ij,ij->i", tile, tile)
-    return total * dx
+    return total[0] * dx
 
 
-def _untiled_subsample(x, y, family, b, h_b, lam_b, d, kernel, weight, quad_cells):
-    nb = x.shape[0] - b + 1
+def _dense_subsample(x, y, family, b, h_b, lam_b, d, kernel, weight):
+    """Block-ordered normalized values, block indices and skip count of
+    ``subsample_statistics``, from the library's block fits and the dense
+    pair matrix: block t's residuals r in r' P[t:t+b, t:t+b] r.  Also the
+    normalized |r|' P[t:t+b, t:t+b] |r|, the scale of the rounding error of
+    the form (P >= 0): where the fit leaves residuals that P nearly
+    annihilates, such as a block that spans much less than a bandwidth, the
+    form cancels and keeps fewer digits than its terms."""
     theta, valid, u = _sliding_theta(x, y, family, b)
-    cols = np.stack([y] + [u ** j for j in range(family.dim)])
-    raw = _untiled_blocks(x, cols, theta, b, h_b, kernel, weight, quad_cells)[valid]
-    skipped = int(nb - valid.sum())
-    if skipped > 0.05 * nb:
-        raise SubsamplingError(f"{skipped} of {nb} block fits failed")
-    normalized = (normalized_statistic(raw, b, lam_b, d, h_b)[0]
-                  if raw.size else raw)
-    return np.sort(normalized), normalized, np.nonzero(valid)[0], skipped
+    pair = oracle_pair_matrix(x, h_b, (weight.a, weight.b), kernel.kind)
+    raw, scale = [], []
+    for t in np.flatnonzero(valid):
+        sl = slice(t, t + b)
+        r = family.residuals(u[sl], y[sl], theta[t])
+        raw.append(r @ pair[sl, sl] @ r)
+        scale.append(np.abs(r) @ pair[sl, sl] @ np.abs(r))
+    normalized, normalizer = normalized_statistic(np.array(raw), b, lam_b, d, h_b)
+    return (normalized, np.array(scale) / normalizer, np.flatnonzero(valid),
+            int(valid.size - valid.sum()))
+
+
+def _assert_close_to_dense(got, expect, scale):
+    """Each value within 1e-12 of its form's rounding scale; a subnormal
+    value, a Gaussian tail far outside a cut support, has no relative
+    precision left."""
+    assert np.all(np.abs(got - expect) <= 1e-12 * scale + np.finfo(float).tiny)
 
 
 def _assert_tiled_equals_untiled(x, y, family, kernel, weight, quad_cells, blocks):
     n = x.shape[0]
     h = n ** -0.2
     theta = nls_fit(family, x, y)
-    # the full statistic is the one length-n block of the residual column
     r = family.residuals(x, y, theta)
     assert (t_statistic(x, y, family, theta, h, kernel, weight, quad_cells)
-            == _untiled_blocks(x, r[None], np.empty((1, 0)), n, h, kernel, weight,
-                               quad_cells)[0])
+            == _untiled_statistic(x, r, h, kernel, weight, quad_cells))
     for b in blocks:
-        args = (x, y, family, b, b ** -0.2, b ** -0.2, 0.1, kernel, weight,
-                quad_cells)
-        try:
-            expect = _untiled_subsample(*args)
-        except SubsamplingError:
+        args = (x, y, family, b, b ** -0.2, b ** -0.2, 0.1, kernel, weight)
+        by_block, scale, index, skipped = _dense_subsample(*args)
+        if skipped > 0.05 * (n - b + 1):
             with pytest.raises(SubsamplingError):
-                subsample_statistics(*args)
+                subsample_statistics(*args, quad_cells)
             continue
-        got = subsample_statistics(*args, return_by_block=True)
-        for a, e in zip(got[:3], expect[:3]):
-            assert np.array_equal(a, e)
-        assert got[3] == expect[3]
+        got = subsample_statistics(*args, quad_cells, return_by_block=True)
+        _assert_close_to_dense(got[1], by_block, scale)
+        assert np.array_equal(got[0], np.sort(got[1]))
+        assert np.array_equal(got[2], index)
+        assert got[3] == skipped
 
 
 def _walk(n, seed, offset=0.0):
@@ -528,9 +535,7 @@ def test_tiled_statistic_equals_untiled_far_from_origin(family, kernel):
 def test_tiled_statistic_equals_untiled_with_skipped_blocks(family):
     x, y = _walk(400, seed=9)
     x[100:120] = x[99] + 1.0  # a constant stretch: some block fits are singular
-    _, _, _, skipped = _untiled_subsample(x, y, family, 20, 0.5, 0.4, 0.1,
-                                          GAUSSIAN, uniform_weight(), 1024)
-    assert skipped >= 1
+    assert not _sliding_theta(x, y, family, 20)[1].all()
     _assert_tiled_equals_untiled(x, y, family, GAUSSIAN, uniform_weight(), 1024,
                                  [20])
 
@@ -601,6 +606,48 @@ def test_tiled_statistic_equals_untiled_short_quadratic(kernel):
                                  2048, [15, 30, 46])
 
 
+@pytest.mark.parametrize("kernel", [GAUSSIAN, EPANECHNIKOV],
+                         ids=["gaussian", "epanechnikov"])
+def test_block_values_beyond_a_cut_support(kernel):
+    # blocks 20..40 lie wholly above the support [-10, 10], 5 to 5.5 block
+    # bandwidths past its end: a Gaussian pair keeps a tail of its mass
+    # inside, about erfc(5)/2 = 8e-13 of it, and an Epanechnikov pair none
+    n, b = 120, 20
+    h_b = b ** -0.2
+    x, y = _walk(n, seed=120)
+    x = 8.0 * x / np.max(np.abs(x))  # the rest of the path inside [-8, 8]
+    rng = np.random.default_rng(121)
+    x[20:60] = 10.0 + 5.0 * h_b + 0.5 * h_b * rng.uniform(size=40)
+    y = x + 0.3 * rng.standard_normal(n)
+    args = (x, y, get_family("linear"), b, h_b, h_b, 0.1, kernel, uniform_weight(-10, 10))
+    got = subsample_statistics(*args, return_by_block=True)[1]
+    expect, scale = _dense_subsample(*args)[:2]
+    outside = slice(20, 41)
+    if kernel is GAUSSIAN:
+        assert np.all(got[outside] > 0.0) and np.all(got[outside] < 1e-11 * got.max())
+    else:
+        assert np.all(got[outside] == 0.0)
+    _assert_close_to_dense(got, expect, scale)
+
+
+@pytest.mark.parametrize("kernel", [GAUSSIAN, EPANECHNIKOV],
+                         ids=["gaussian", "epanechnikov"])
+def test_pair_integral_matches_quadrature(kernel):
+    # int_lo^hi K(t - g/2) K(t + g/2) dt on uncut, cut and empty ranges;
+    # at g = 0 over the whole line it is the kernel's k2
+    from scipy.integrate import quad
+    gap = np.array([0.0, 0.3, -1.1, 1.9, 2.0, 3.5, 7.0])
+    for lo, hi in ((-40.0, 40.0), (-0.4, 1.3), (-7.0, -0.2), (2.5, 9.0), (-12.0, -5.5)):
+        got = kernel.pair_integral(gap, np.full(gap.size, lo), np.full(gap.size, hi))
+        for g, value in zip(gap, got):
+            kinks = [v for v in (g / 2 - 1, g / 2 + 1, -g / 2 - 1, -g / 2 + 1) if lo < v < hi]
+            want = quad(lambda t: kernel(t - g / 2) * kernel(t + g / 2), lo, hi,
+                        points=kinks or None, limit=200, epsabs=1e-16, epsrel=1e-13)[0]
+            assert abs(value - want) <= 1e-14 + 1e-12 * want
+    whole = kernel.pair_integral(np.zeros(1), np.full(1, -np.inf), np.full(1, np.inf))
+    assert whole[0] == pytest.approx(kernel.k2, rel=1e-15)
+
+
 def test_gaussian_weight_is_zero_beyond_the_reach():
     # the tiles drop observations further than _GAUSSIAN_REACH bandwidths
     # from every node, so their weight must be exactly 0.0, not just small
@@ -621,10 +668,10 @@ def _traced_peak(fn):
 
 
 def test_statistic_working_memory():
-    # n = 500, b = 22 and 1024 cells, as in the size study: the untiled form
-    # peaked at 32.1 MB (blocks) and 13.0 MB (full statistic), and a tiled
-    # form that kept every block's squared node sums until the end at 5.2 MB
-    # (blocks); summed tile by tile, they peak at 1.3 and 1.2 MB
+    # n = 500, b = 22 and 1024 cells, as in the size study: the untiled
+    # midpoint form peaked at 32.1 MB (blocks) and 13.0 MB (full statistic);
+    # summed tile by tile, the full statistic peaks at 0.3 MB, and the exact
+    # blocks at 0.2 MB
     x, y = _walk(500, seed=14)
     fam = "linear"
     theta = nls_fit(fam, x, y)
@@ -635,6 +682,13 @@ def test_statistic_working_memory():
     peak = _traced_peak(lambda: t_statistic(
         x, y, fam, theta, h, GAUSSIAN, uniform_weight(), 1024))
     assert peak < 3e6
+    # n = 8000 and b = [4 sqrt(n)] = 357: a dense pair matrix would take
+    # 512 MB, the blocks' residuals take 22 MB
+    x, y = _walk(8000, seed=15)
+    h_b = 357 ** -0.2
+    peak = _traced_peak(lambda: subsample_statistics(
+        x, y, fam, 357, h_b, h_b, 0.1, GAUSSIAN, uniform_weight(), 1024))
+    assert peak < 64e6
 
 
 # ------------------------------------------------------------ full test run
