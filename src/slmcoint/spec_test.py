@@ -22,7 +22,7 @@ quadrature (``t_statistic``).
 from dataclasses import dataclass, fields
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .kernel_regression import _check_count, _check_finite, _check_positive, get_kernel
 from .processes import _check_memory, scale_dn
@@ -32,6 +32,7 @@ DEFAULT_WEIGHT_SUPPORT = (-100.0, 100.0)
 _DOMAIN_PAD_BANDWIDTHS = 6.0
 _MAX_SKIPPED_FRACTION = 0.05
 _TILE_FLOATS = 2 ** 14  # kernel values per node tile: 32 rows at n = 500
+_LAG_RUN_FLOATS = 4096  # pair integrals per run of lags: 8 lags at n = 500
 _GAUSSIAN_REACH = 40.0  # the Gaussian weight is exactly 0.0 beyond |u| = 38.58
 _DEGREES = {"linear": 1, "quadratic": 2}
 
@@ -172,9 +173,12 @@ def _midpoint_statistic(x, r, h, kernel, weight, quad_cells):
     for keep, K in _node_tiles(x, h, kernel, nodes):
         sums = np.zeros((1, K.shape[1]))
         if keep.size:
-            # a running sum in observation order; np.sum's pairwise order
-            # would move the statistic's last bits
-            sums[0] = np.cumsum(K * r[keep, None], axis=0)[-1]
+            # sums in observation order, row after row; np.sum's pairwise
+            # order would move the statistic's last bits, and numpy sums
+            # one column pairwise, so a one-node tile takes a running sum
+            terms = K * r[keep, None]
+            sums[0] = (np.add.reduce(terms, axis=0) if K.shape[1] > 1
+                       else np.cumsum(terms, axis=0)[-1])
         total += np.einsum("ij,ij->i", sums, sums)
     return float(total[0] * dx)
 
@@ -261,22 +265,39 @@ def _block_residuals(u, y, theta, b):
 def _pair_statistics(x, r, h, kernel, weight):
     """Raw statistic r[t]' P_t r[t] of every block t, exactly: r (blocks, b)
     holds block t's residuals at x[t:t+b] and P_t is the block's part of
-    P[s, s'] = int_A^B K((x_s - v)/h) K((x_s' - v)/h) dv.  A loop over the
-    lags l < b takes the band P[s, s + l] (``Kernel.pair_integral``) and
-    reads each block's part of it through a sliding window, so no n x n
-    matrix forms; it costs O(n b^2)."""
+    P[s, s'] = int_A^B K((x_s - v)/h) K((x_s' - v)/h) dv, so no n x n
+    matrix forms; it costs O(n b^2).
+
+    The lags l < b go in runs of about ``_LAG_RUN_FLOATS // n``: one
+    ``Kernel.pair_integral`` call fills the band P[s, s + l] of every lag of
+    a run from lag l0, row by row of a (lags, n - l0) array, reading x ahead
+    through a sliding window of x padded by its last value (block windows
+    never read the pad).  Each lag's part of every block is a slice of one
+    sliding window of its band row; the parts of lags l >= 1 count twice, for the
+    two halves of the symmetric form, and add into the blocks' values in
+    lag order.  The parts are doubled, not the band: a band value times 2
+    would round a subnormal product differently."""
     nb, b = r.shape
     n = x.shape[0]
+    ahead = sliding_window_view(np.concatenate([x, np.full(b - 1, x[-1])]), n)
+    run = max(1, _LAG_RUN_FLOATS // n)
     total = np.zeros(nb)
-    for lag in range(b):
-        left, right = x[:n - lag], x[lag:]
+    for first in range(0, b, run):
+        left = x[:n - first]
+        right = ahead[first:first + run, :n - first]  # right[k, s] = x[s + first + k]
         mid = 0.5 * (left + right)
-        band = kernel.pair_integral((right - left) / h, (weight.a - mid) / h,
-                                    (weight.b - mid) / h)
-        window = as_strided(band, shape=(nb, b - lag), strides=band.strides * 2,
-                            writeable=False)  # window[t, j] = band[t + j]
-        part = np.einsum("ij,ij,ij->i", r[:, :b - lag], r[:, lag:], window)
-        total += part if lag == 0 else 2.0 * part
+        band = kernel.pair_integral(((right - left) / h).ravel(),
+                                    ((weight.a - mid) / h).ravel(),
+                                    ((weight.b - mid) / h).ravel()).reshape(right.shape)
+        # windows[k, t, j] = band[k, t + j] for the nb blocks t
+        windows = sliding_window_view(band, b - first, axis=1)
+        parts = np.empty((right.shape[0], nb))
+        for k, lag in enumerate(range(first, first + right.shape[0])):
+            np.einsum("ij,ij,ij->i", r[:, :b - lag], r[:, lag:], windows[k, :, :b - lag],
+                      out=parts[k])
+        parts[1 if first == 0 else 0:] *= 2.0
+        for part in parts:
+            total += part
     return total * h
 
 
@@ -285,9 +306,10 @@ def subsample_statistics(x, y, family, b, h_b, lam_b, d, kernel, weight,
     """Normalized block statistics for all length-b consecutive blocks.
 
     Each block is refit (``_sliding_theta``), its raw statistic computed
-    exactly on the block at the block-scale bandwidth h_b
-    (``_pair_statistics``), and normalized with (b, lam_b, h_b), block-scale
-    values that the caller states; 2 <= b < n.  ``quad_cells``, the
+    exactly on the block at the block-scale bandwidth h_b from the pair
+    band, taken a run of lags at a time (``_pair_statistics``), and
+    normalized with (b, lam_b, h_b), block-scale values that the caller
+    states; 2 <= b < n.  ``quad_cells``, the
     resolution of the full-sample statistic, is checked but does not enter
     the block values.  Blocks with a singular design are skipped and
     counted; more than 5% skipped aborts.  Returns the sorted values (and

@@ -430,11 +430,11 @@ def test_monotone_p_value():
 # squares, added tile by tile.  The block values are exact pair-integral
 # quadratic forms, checked against the dense pair matrix of pair_oracle.
 
-def _untiled_statistic(x, r, h, kernel, weight, quad_cells):
+def _untiled_statistic(x, r, h, kernel, weight, quad_cells, tile_floats=_TILE_FLOATS):
     nodes, dx = _quad_nodes(integration_domain(x, h, weight), quad_cells)
     K = kernel((x[None, :] - nodes[:, None]) / h)
     sums = np.cumsum(K * r[None, :], axis=1)[:, -1]
-    step = max(1, _TILE_FLOATS // x.shape[0])
+    step = max(1, tile_floats // x.shape[0])
     total = np.zeros(1)
     for lo in range(0, quad_cells, step):
         # a fresh array, as the library's: einsum's order of summation can
@@ -499,10 +499,18 @@ def _walk(n, seed, offset=0.0):
     return x, x + 0.05 * (x - offset) ** 2 + 0.3 * rng.standard_normal(n)
 
 
-# (n, quad_cells): most cell counts are not a multiple of the tile rows, and
-# at n = 5 and 17 one tile holds every node
-_TILING_CASES = [(5, 2), (17, 100), (64, 1000), (257, 2048), (501, 1024),
-                 (600, 2048)]
+def _gappy_walk(n, seed):
+    # two clusters 80 apart
+    x, y = _walk(n, seed=seed)
+    x[n // 2:] += 80.0
+    return x - 40.0, y
+
+
+# (n, quad_cells): most cell counts are not a multiple of the tile rows, at
+# n = 5 and 17 one tile holds every node, and at n = 183 the last tile holds
+# one node (2048 = 23 * 89 + 1), as in test_one_node_tiles_equal_untiled
+_TILING_CASES = [(5, 2), (17, 100), (64, 1000), (183, 2048), (257, 2048),
+                 (501, 1024), (600, 2048)]
 
 
 @pytest.mark.parametrize("n,quad_cells", _TILING_CASES,
@@ -516,6 +524,21 @@ def test_tiled_statistic_equals_untiled(family, kernel, n, quad_cells):
     blocks = sorted({2, family.dim + 1, n - 1})  # n - 1: the longest block
     _assert_tiled_equals_untiled(x, y, family, kernel, uniform_weight(),
                                  quad_cells, blocks)
+
+
+@pytest.mark.parametrize("kernel", [GAUSSIAN, EPANECHNIKOV],
+                         ids=["gaussian", "epanechnikov"])
+def test_one_node_tiles_equal_untiled(monkeypatch, kernel):
+    # tiles of one node each sum along the observations as wider tiles do;
+    # at h = 2 dozens of observations reach each of the 16 nodes, enough
+    # that a pairwise node sum would move the statistic's last bits
+    x, y = _walk(300, seed=300)
+    family, h = get_family("linear"), 2.0
+    theta = nls_fit(family, x, y)
+    r = family.residuals(x, y, theta)
+    monkeypatch.setattr(spec_test, "_TILE_FLOATS", x.shape[0])
+    assert (t_statistic(x, y, family, theta, h, kernel, uniform_weight(), 16)
+            == _untiled_statistic(x, r, h, kernel, uniform_weight(), 16, x.shape[0]))
 
 
 @pytest.mark.parametrize("kernel", [GAUSSIAN, EPANECHNIKOV],
@@ -572,9 +595,7 @@ def test_tiled_statistic_equals_untiled_at_epanechnikov_reach(family):
                          ids=["linear", "quadratic"])
 def test_tiled_statistic_equals_untiled_on_a_gappy_path(family, kernel):
     # two clusters 80 apart: the tiles between them reach no observation
-    x, y = _walk(300, seed=41)
-    x[150:] += 80.0
-    x -= 40.0
+    x, y = _gappy_walk(300, seed=41)
     h = 300 ** -0.2
     nodes = _quad_nodes(integration_domain(x, h, uniform_weight()), 1024)[0]
     assert any(keep.size == 0 for keep, _ in _node_tiles(x, h, kernel, nodes))
@@ -630,6 +651,28 @@ def test_block_values_beyond_a_cut_support(kernel):
     _assert_close_to_dense(got, expect, scale)
 
 
+@pytest.mark.parametrize("path", ["walk", "gappy"])
+@pytest.mark.parametrize("support", [10.0, 100.0])
+@pytest.mark.parametrize("kernel", [GAUSSIAN, EPANECHNIKOV],
+                         ids=["gaussian", "epanechnikov"])
+def test_block_values_do_not_depend_on_the_lag_runs(monkeypatch, kernel, support, path):
+    # runs of 1, 2, 7 and all b lags give the same bits: each lag's band row
+    # and block windows are the same whichever run computes them; the
+    # support of +-10 puts pairs near its ends, where erfc is called
+    n, b = 200, 30
+    x, y = _walk(n, seed=17) if path == "walk" else _gappy_walk(n, seed=17)
+    assert x.min() < -10.0 or x.max() > 10.0
+    args = (x, y, get_family("quadratic"), b, b ** -0.2, b ** -0.2, 0.1, kernel,
+            uniform_weight(-support, support))
+    values = []
+    for lags in (1, 2, 7, b):
+        monkeypatch.setattr(spec_test, "_LAG_RUN_FLOATS", lags * n)
+        values.append(subsample_statistics(*args, return_by_block=True)[1])
+    assert all(np.array_equal(v, values[0]) for v in values[1:])
+    expect, scale = _dense_subsample(*args)[:2]
+    _assert_close_to_dense(values[0], expect, scale)
+
+
 @pytest.mark.parametrize("kernel", [GAUSSIAN, EPANECHNIKOV],
                          ids=["gaussian", "epanechnikov"])
 def test_pair_integral_matches_quadrature(kernel):
@@ -682,6 +725,12 @@ def test_statistic_working_memory():
     peak = _traced_peak(lambda: t_statistic(
         x, y, fam, theta, h, GAUSSIAN, uniform_weight(), 1024))
     assert peak < 3e6
+    # b = 89, the SLM3 size cell: the blocks' residuals take 0.3 MB and a
+    # run of lags 8 band rows
+    h_b = 89 ** -0.2
+    peak = _traced_peak(lambda: subsample_statistics(
+        x, y, fam, 89, h_b, h_b, 0.1, GAUSSIAN, uniform_weight(), 1024))
+    assert peak < 1e6
     # n = 8000 and b = [4 sqrt(n)] = 357: a dense pair matrix would take
     # 512 MB, the blocks' residuals take 22 MB
     x, y = _walk(8000, seed=15)
