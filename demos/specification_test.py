@@ -5,7 +5,7 @@ misspecified parametric family.
 import numpy as np
 
 from slmcoint import (TemperedProcessSpec, NoiseConfig, simulate_model, BlockRule,
-                      run_spec_test, uniform_weight, GAUSSIAN)
+                      run_spec_test, GAUSSIAN)
 
 
 def run_case(title, y_builder, n=500, seed=3):
@@ -19,7 +19,7 @@ def run_case(title, y_builder, n=500, seed=3):
     sizes = [BlockRule(c).size(n) for c in (2.0, 4.0)]
     results = run_spec_test(
         path.x, y, "linear", h="n^-0.2",
-        kernel=GAUSSIAN, weight=uniform_weight(-100, 100),
+        kernel=GAUSSIAN, support=(-100, 100),
         d=0.1, lam="n^-0.2", blocks=sizes)
     first = results[0]
     print(f"--- {title}")

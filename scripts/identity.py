@@ -132,7 +132,7 @@ def _reach_edge_walk(n, b, quad_cells, seed):
     step = spec_test._TILE_FLOATS // n
     values = []
     for h in (n ** -0.2, b ** -0.2):
-        domain = spec_test.integration_domain(x, h, spec_test.uniform_weight())
+        domain = spec_test.integration_domain(x, h, spec_test.DEFAULT_WEIGHT_SUPPORT)
         nodes = spec_test._quad_nodes(domain, quad_cells)[0]
         for i in range(0, quad_cells, step):
             values += [nodes[i] - h, np.nextafter(nodes[i] - h, nodes[i])]
@@ -172,7 +172,7 @@ def pruned_tile_items():
 def pruned_tile_item(x, y, family, kernel, support, sizes, cells):
     """``run_spec_test``: every field and the block-ordered values."""
     results = spec_test.run_spec_test(
-        x, y, family, "n^-0.2", kernel, spec_test.uniform_weight(*support), 0.1,
+        x, y, family, "n^-0.2", kernel, support, 0.1,
         lam="n^-0.2", blocks=sizes, quad_cells=cells)
     return [dict(r.to_dict(), by_block=[float(v) for v in r.subsample_by_block])
             for r in results]

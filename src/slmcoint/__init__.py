@@ -20,7 +20,7 @@ from .kernel_regression import (
     EPANECHNIKOV, GAUSSIAN, get_kernel, kernel_estimate,
 )
 from .spec_test import (
-    SubsamplingError, get_family, uniform_weight, nls_fit, t_statistic,
+    SubsamplingError, get_family, nls_fit, t_statistic,
     normalized_statistic, subsample_statistics, subsample_quantile, run_spec_test,
     parse_exponent,
 )

@@ -17,6 +17,7 @@ too many singular subsample blocks).
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -29,7 +30,7 @@ from .processes import (TemperedProcessSpec, NoiseConfig, simulate_model,
                         regression_function_sine)
 from .kernel_regression import get_kernel, kernel_estimate
 from .spec_test import (DEFAULT_WEIGHT_SUPPORT, run_spec_test, get_family, parse_exponent,
-                        uniform_weight, SubsamplingError, _at_size)
+                        SubsamplingError, _at_size)
 from .whittle import fit_artfima00, fit_arfima00
 from .mc import (BlockRule, StudyConfig, run_study, export_study,
                  read_csv, write_json, write_csv, _fmt)
@@ -128,7 +129,7 @@ def _cmd_estimate(args):
         os.path.join(args.out, "estimate.csv"),
         ("x", "fhat", "sigma2hat", "local_mass", "ci_lo", "ci_hi"),
         ([_fmt(v) if np.isfinite(v) else "" for v in row]
-         for row in zip(est.grid, est.fhat, est.sigma2hat, est.local_mass,
+         for row in zip(grid, est.fhat, est.sigma2hat, est.local_mass,
                         est.ci_lo, est.ci_hi)))
     print(out_csv)
 
@@ -138,7 +139,7 @@ def _cmd_spec_test(args):
     b = BlockRule(args.block_coef).size(len(x)) if args.block_size is None else args.block_size
     (result,) = run_spec_test(
         x, y, get_family(args.family), args.bandwidth, get_kernel(args.kernel),
-        uniform_weight(*args.weight_support), d=args.d, lam=args.lam, blocks=[b])
+        args.weight_support, d=args.d, lam=args.lam, blocks=[b])
     os.makedirs(args.out, exist_ok=True)
     write_json(os.path.join(args.out, "spec_test.json"), result.to_dict())
     print(f"p_value={result.p_value!r} t_normalized={result.t_normalized!r}")
@@ -172,6 +173,7 @@ def _cmd_ckc(args):
               f"b={row['block_size']:3d} p={row['p_value']:.4f}")
 
 
+@functools.cache  # one parser per process
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="slmcoint",

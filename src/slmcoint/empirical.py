@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .whittle import fit_artfima00, fit_arfima00
-from .spec_test import run_spec_test, get_family, uniform_weight
+from .spec_test import DEFAULT_WEIGHT_SUPPORT, run_spec_test, get_family
 from .kernel_regression import GAUSSIAN
 from .mc import BlockRule, read_csv
 
@@ -66,11 +66,11 @@ def ckc_analysis(series):
     e = log(gdp) and z = log(co2) (``HYPOTHESES``) for every pair of a
     bandwidth rule h = n^a (``H_EXPONENTS``) and a block rule
     b = [c sqrt(n)] (``BLOCK_COEFS``, through ``BlockRule``), using the
-    semi-long-memory normalization with the regressor's fitted (d, lam).
-    Each (hypothesis, bandwidth) pair is one ``run_spec_test`` call: one fit
-    and one full-sample statistic, at ``run_spec_test``'s quadrature
-    resolution of 2048 cells, calibrated against the exact block values of
-    all the block rules.
+    semi-long-memory normalization with the regressor's fitted (d, lam) and
+    the weight's support ``DEFAULT_WEIGHT_SUPPORT``, (-100, 100).  Each
+    (hypothesis, bandwidth) pair is one ``run_spec_test`` call: one fit and
+    one full-sample statistic, at ``run_spec_test``'s 2048 quadrature cells,
+    calibrated against the exact block values of all the block rules.
     The bandwidth is passed as its power rule (h_b = b^a); the fitted
     tempering parameter is a constant, not a schedule, so it is passed as a
     number, held at both scales (p-values are invariant to the common
@@ -89,8 +89,9 @@ def ckc_analysis(series):
     for hyp in HYPOTHESES:
         family = get_family(hyp)
         for he in H_EXPONENTS:
-            results = run_spec_test(e, z, family, f"n^{he!r}", GAUSSIAN, uniform_weight(),
-                                    d=d_hat, lam=lam_hat, blocks=sizes)
+            results = run_spec_test(e, z, family, f"n^{he!r}", GAUSSIAN,
+                                    DEFAULT_WEIGHT_SUPPORT, d=d_hat, lam=lam_hat,
+                                    blocks=sizes)
             for coef, res in zip(BLOCK_COEFS, results):
                 pvals.append({
                     "hypothesis": family.kind, "bandwidth_rule": f"n^{he!r}",

@@ -268,17 +268,13 @@ class KernelEstimate:
     least the smallest normal float; elsewhere (no data in the window, or
     a Gaussian mass so small that its weights keep only a few bits) its
     entries are NaN.  A stack of paths or a vector of bandwidths gives
-    every array the leading axes of ``kernel_sums``, and ``bandwidth`` is
-    then the vector.
+    every array the leading axes of ``kernel_sums``.
     """
 
-    grid: np.ndarray
     fhat: np.ndarray
     sigma2hat: np.ndarray
     local_mass: np.ndarray
     window_count: np.ndarray
-    bandwidth: object
-    kernel: Kernel
     half_width: np.ndarray = None
 
     @property
@@ -362,9 +358,8 @@ def kernel_estimate(x, y, grid, h, kernel=EPANECHNIKOV, alpha=None,
     ratios = np.divide(sums, mass[..., None, :], out=np.full(sums.shape, np.nan),
                        where=mass[..., None, :] >= _MIN_MASS)
     sigma2hat = None if variance is None else ratios[..., 1, :] * unit * unit
-    est = KernelEstimate(grid=grid, fhat=ratios[..., 0, :] * unit, sigma2hat=sigma2hat,
-                         local_mass=mass, window_count=count,
-                         bandwidth=h if h.ndim else float(h), kernel=kernel)
+    est = KernelEstimate(fhat=ratios[..., 0, :] * unit, sigma2hat=sigma2hat,
+                         local_mass=mass, window_count=count)
     if z is not None:
         spread = est.sigma2hat * kernel.k2
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):

@@ -23,7 +23,7 @@ from .processes import (TemperedProcessSpec, NoiseConfig, simulate_innovations,
                         innovation_length, BURN_IN, _check_memory, _check_simulated_d)
 from .kernel_regression import get_kernel, kernel_estimate, _check_count, _reach_mask
 from .spec_test import (DEFAULT_WEIGHT_SUPPORT, parse_exponent, run_spec_test,
-                        uniform_weight, _at_size)
+                        _at_size, _check_support)
 
 SLM_RULES = {"SLM1": -1.0 / 3.0, "SLM2": -0.25, "SLM3": -0.2, "SLM4": -1.0 / 6.0}
 _MEMORY_NAMES = {"LM": None, **SLM_RULES}  # memory setting names and their exponents
@@ -182,9 +182,7 @@ class StudyConfig:
                 self.eval_points and all(np.isfinite(self.eval_points))):
             raise ValueError("eval_points must be nonempty and finite, "
                              f"got {list(self.eval_points)}")
-        ws = self.weight_support
-        if len(ws) != 2 or not ws[0] < ws[1]:
-            raise ValueError(f"weight_support must be two values a < b, got {list(ws)}")
+        _check_support(self.weight_support, "weight_support")
         for level in self.nominal_levels:
             if not 0.0 < level < 1.0:
                 raise ValueError(f"nominal_levels must lie in (0, 1), got {level!r}")
@@ -486,7 +484,6 @@ def _size_chunk(args):
     """Per cell, one row per replication: the normalized statistic, then 0/1
     for a rejection at each (block rule, level)."""
     config, lo, hi = args
-    weight = uniform_weight(*config.weight_support)
     grid = config.settings_grid()
     sizes = [br.size(config.n) for br in config.block_rules]
     cells = {key: [] for key in _cell_keys(config)}
@@ -496,7 +493,7 @@ def _size_chunk(args):
             lam = 0.0 if a is None else f"n^{a!r}"
             for he in config.bandwidth_exponents:
                 results = run_spec_test(x, y, "linear", f"n^{he!r}", config.kernel,
-                                        weight, d, lam, blocks=sizes,
+                                        config.weight_support, d, lam, blocks=sizes,
                                         quad_cells=_SIZE_QUAD_CELLS)
                 cells[_memory_label(a), d, he].append([results[0].t_normalized] + [
                     res.reject(lv) for res in results for lv in config.nominal_levels])

@@ -11,15 +11,16 @@ observations (overlapping subsampling).  The tempering parameter lam sets
 the memory regime: lam = 0 is long memory (0 <= d < 1/2, d_N = n^{d+1/2})
 and lam > 0 semi-long memory (d_N = sqrt(n)/lam^d).
 
-For a uniform weight on [A, B] the statistic is the quadratic form r'Pr of
-the residuals r, with P[s, t] = int_A^B K((x_s - v)/h) K((x_t - v)/h) dv in
-closed form (``Kernel.pair_integral``), the L2 fit distance of Haerdle and
-Mammen (1993, Ann. Statist. 21, 1926-1947).  Every block value is computed
-so, exactly; the full-sample statistic is still taken by midpoint
-quadrature (``t_statistic``).
+The weight is uniform on a support [A, B], which every entry takes as the
+pair (A, B).  The statistic is the quadratic form r'Pr of the residuals r,
+with P[s, t] = int_A^B K((x_s - v)/h) K((x_t - v)/h) dv in closed form
+(``Kernel.pair_integral``), the L2 fit distance of Haerdle and Mammen
+(1993, Ann. Statist. 21, 1926-1947).  Every block value is computed so,
+exactly; the full-sample statistic is still taken by midpoint quadrature.
 """
 
 from dataclasses import dataclass, fields
+from numbers import Real
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -73,21 +74,18 @@ def get_family(name):
     return ParametricFamily(key, _DEGREES[key])
 
 
-@dataclass(frozen=True)
-class WeightFunction:
-    """Weight pi(x) = 1 on the compact support [a, b], 0 outside."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (self.b > self.a):
-            raise ValueError("weight support must satisfy a < b")
-
-
-def uniform_weight(a=DEFAULT_WEIGHT_SUPPORT[0], b=DEFAULT_WEIGHT_SUPPORT[1]):
-    """pi(x) = 1 on [a, b], 0 outside."""
-    return WeightFunction(a=float(a), b=float(b))
+def _check_support(support, name="weight support"):
+    """The weight's support (a, b) as two floats: two numbers a < b (a bool
+    or a string is not a number; +-inf pass, NaN fails the comparison)."""
+    try:
+        a, b = support
+        ok = all(isinstance(v, Real) and not isinstance(v, bool) for v in support) and a < b
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        shown = list(support) if isinstance(support, tuple) else support
+        raise ValueError(f"{name} must be two values a < b, got {shown!r}")
+    return float(a), float(b)
 
 
 def _as_xy(x, y):
@@ -121,13 +119,14 @@ def nls_fit(family, x, y):
     return np.pad(raw, (0, family.dim - raw.size))
 
 
-def integration_domain(x, h, weight):
-    """Quadrature interval: weight support clipped to the realized data range
-    plus a pad of ``_DOMAIN_PAD_BANDWIDTHS`` bandwidths (the smoothed
-    residual field is numerically zero further out)."""
-    lo = max(weight.a, float(x.min()) - _DOMAIN_PAD_BANDWIDTHS * h)
-    hi = min(weight.b, float(x.max()) + _DOMAIN_PAD_BANDWIDTHS * h)
-    return (lo, hi) if lo < hi else (weight.a, weight.b)
+def integration_domain(x, h, support):
+    """Quadrature interval: the weight's support clipped to the realized
+    data range plus a pad of ``_DOMAIN_PAD_BANDWIDTHS`` bandwidths (the
+    smoothed residual field is numerically zero further out)."""
+    a, b = _check_support(support)
+    lo = max(a, float(x.min()) - _DOMAIN_PAD_BANDWIDTHS * h)
+    hi = min(b, float(x.max()) + _DOMAIN_PAD_BANDWIDTHS * h)
+    return (lo, hi) if lo < hi else (a, b)
 
 
 def _check_block_size(b, n):
@@ -164,38 +163,38 @@ def _node_tiles(x, h, kernel, nodes):
         yield keep, kernel((x[keep, None] - tile[None, :]) / h)
 
 
-def _midpoint_statistic(x, r, h, kernel, weight, quad_cells):
+def _midpoint_statistic(x, r, h, kernel, support, quad_cells):
     """int { sum_k K[(x_k - v)/h] r_k }^2 dv by the midpoint rule.  Per node
     tile, each node's sum runs along the kept observations (the rest weigh
     0.0), and the tile's squared sums add into the result."""
-    nodes, dx = _quad_nodes(integration_domain(x, h, weight), quad_cells)
-    total = np.zeros(1)
+    nodes, dx = _quad_nodes(integration_domain(x, h, support), quad_cells)
+    total = 0.0
     for keep, K in _node_tiles(x, h, kernel, nodes):
-        sums = np.zeros((1, K.shape[1]))
         if keep.size:
             # sums in observation order, row after row; np.sum's pairwise
             # order would move the statistic's last bits, and numpy sums
             # one column pairwise, so a one-node tile takes a running sum
             terms = K * r[keep, None]
-            sums[0] = (np.add.reduce(terms, axis=0) if K.shape[1] > 1
-                       else np.cumsum(terms, axis=0)[-1])
-        total += np.einsum("ij,ij->i", sums, sums)
-    return float(total[0] * dx)
+            sums = (np.add.reduce(terms, axis=0) if K.shape[1] > 1
+                    else np.cumsum(terms, axis=0)[-1])
+            total += np.einsum("i,i->", sums, sums)
+    return float(total * dx)
 
 
-def t_statistic(x, y, family, theta, h, kernel, weight, quad_cells=DEFAULT_QUAD_CELLS):
+def t_statistic(x, y, family, theta, h, kernel, support, quad_cells=DEFAULT_QUAD_CELLS):
     """Raw specification statistic by composite midpoint quadrature.
 
     The integrand { sum_k K[(x_k-x)/h] r_k }^2 pi(x) is evaluated on
     ``quad_cells`` midpoint nodes over ``integration_domain``
     (``_midpoint_statistic``).  ``quad_cells`` is 2048 by default, the
     resolution of ``run_spec_test``, the CLI and the empirical workflow; the
-    size study passes 1024.
+    size study passes 1024.  ``support`` is the weight's (A, B).
     """
     _check_positive("bandwidth h", h)
+    support = _check_support(support)
     x, y = _as_xy(x, y)
     r = get_family(family).residuals(x, y, np.asarray(theta, dtype=float))
-    return _midpoint_statistic(x, r, h, get_kernel(kernel), weight, quad_cells)
+    return _midpoint_statistic(x, r, h, get_kernel(kernel), support, quad_cells)
 
 
 def normalized_statistic(t_raw, n, lam, d, h):
@@ -262,7 +261,7 @@ def _block_residuals(u, y, theta, b):
     return np.subtract(sliding_window_view(y, b), r, out=r)
 
 
-def _pair_statistics(x, r, h, kernel, weight):
+def _pair_statistics(x, r, h, kernel, support):
     """Raw statistic r[t]' P_t r[t] of every block t, exactly: r (blocks, b)
     holds block t's residuals at x[t:t+b] and P_t is the block's part of
     P[s, s'] = int_A^B K((x_s - v)/h) K((x_s' - v)/h) dv, so no n x n
@@ -287,8 +286,8 @@ def _pair_statistics(x, r, h, kernel, weight):
         right = ahead[first:first + run, :n - first]  # right[k, s] = x[s + first + k]
         mid = 0.5 * (left + right)
         band = kernel.pair_integral(((right - left) / h).ravel(),
-                                    ((weight.a - mid) / h).ravel(),
-                                    ((weight.b - mid) / h).ravel()).reshape(right.shape)
+                                    ((support[0] - mid) / h).ravel(),
+                                    ((support[1] - mid) / h).ravel()).reshape(right.shape)
         # windows[k, t, j] = band[k, t + j] for the nb blocks t
         windows = sliding_window_view(band, b - first, axis=1)
         parts = np.empty((right.shape[0], nb))
@@ -301,7 +300,7 @@ def _pair_statistics(x, r, h, kernel, weight):
     return total * h
 
 
-def subsample_statistics(x, y, family, b, h_b, lam_b, d, kernel, weight,
+def subsample_statistics(x, y, family, b, h_b, lam_b, d, kernel, support,
                          quad_cells=DEFAULT_QUAD_CELLS, return_by_block=False):
     """Normalized block statistics for all length-b consecutive blocks.
 
@@ -312,12 +311,12 @@ def subsample_statistics(x, y, family, b, h_b, lam_b, d, kernel, weight,
     states; 2 <= b < n.  ``quad_cells``, the
     resolution of the full-sample statistic, is checked but does not enter
     the block values.  Blocks with a singular design are skipped and
-    counted; more than 5% skipped aborts.  Returns the sorted values (and
-    optionally the block-ordered ones, their block indices and the skip
-    count).
+    counted; more than 5% skipped aborts.  Returns the sorted values, or
+    with ``return_by_block`` (sorted, block-ordered values, skip count).
     """
     family = get_family(family)
     kernel = get_kernel(kernel)
+    support = _check_support(support)
     _check_positive("bandwidth h_b", h_b)
     _check_memory(d, "lam_b", lam_b)
     _check_count("quad_cells", quad_cells, 2)
@@ -329,10 +328,10 @@ def subsample_statistics(x, y, family, b, h_b, lam_b, d, kernel, weight,
     if skipped > _MAX_SKIPPED_FRACTION * nb:
         raise SubsamplingError(
             f"{skipped} of {nb} block fits failed (> {_MAX_SKIPPED_FRACTION:.0%})")
-    raw = _pair_statistics(x, _block_residuals(u, y, theta, b), h_b, kernel, weight)[valid]
+    raw = _pair_statistics(x, _block_residuals(u, y, theta, b), h_b, kernel, support)[valid]
     normalized = normalized_statistic(raw, b, lam_b, d, h_b)[0]
     if return_by_block:
-        return np.sort(normalized), normalized, np.nonzero(valid)[0], skipped
+        return np.sort(normalized), normalized, skipped
     return np.sort(normalized)
 
 
@@ -359,7 +358,6 @@ class SpecTestResult:
     p_value: float
     block_size: int
     subsample_by_block: np.ndarray = None
-    block_index: np.ndarray = None
     n_blocks_skipped: int = 0
     h: float = None
     h_b: float = None
@@ -373,9 +371,9 @@ class SpecTestResult:
         return self.t_normalized > subsample_quantile(self.subsample_values, alpha)
 
     def to_dict(self):
-        """Every field but the block-ordered values and their indices."""
+        """Every field but the block-ordered values."""
         out = {f.name: getattr(self, f.name) for f in fields(self)
-               if f.name not in ("subsample_by_block", "block_index")}
+               if f.name != "subsample_by_block"}
         for name in ("theta_hat", "subsample_values"):
             out[name] = [float(v) for v in np.atleast_1d(out[name])]
         return out
@@ -416,7 +414,7 @@ def _at_size(value, m):
     return out
 
 
-def run_spec_test(x, y, family, h, kernel, weight, d, lam, *, blocks,
+def run_spec_test(x, y, family, h, kernel, support, d, lam, *, blocks,
                   quad_cells=DEFAULT_QUAD_CELLS):
     """Full specification test: one fit and statistic, normalized, then
     subsampled at each block size b, 2 <= b < n, of the nonempty
@@ -426,10 +424,11 @@ def run_spec_test(x, y, family, h, kernel, weight, d, lam, *, blocks,
     at every size, or a power rule 'n^a', which gives n^a on the sample and
     b^a on its length-b blocks; lam = 0 is long memory.  The p-value uses
     add-one smoothing, (1 + #{blocks >= T}) / (1 + #blocks), with ties
-    counted as exceedances.
+    counted as exceedances.  ``support`` is the weight's (A, B).
     """
     if len(blocks) == 0:
         raise ValueError("blocks must hold at least one block size")
+    support = _check_support(support)
     x, y = _as_xy(x, y)  # rejects bad x and y before any other work
     n = x.shape[0]
     for b in blocks:
@@ -437,18 +436,17 @@ def run_spec_test(x, y, family, h, kernel, weight, d, lam, *, blocks,
     theta_hat = nls_fit(family, x, y)
     scaled = [(b, _at_size(h, b), _at_size(lam, b)) for b in blocks]
     h, lam = _at_size(h, n), _at_size(lam, n)
-    t_raw = t_statistic(x, y, family, theta_hat, h, kernel, weight, quad_cells)
+    t_raw = t_statistic(x, y, family, theta_hat, h, kernel, support, quad_cells)
     t_norm, scale = normalized_statistic(t_raw, n, lam, d, h)
     results = []
     for b, h_b, lam_b in scaled:
-        sorted_vals, by_block, order_index, skipped = subsample_statistics(
-            x, y, family, b, h_b, lam_b, d, kernel, weight, quad_cells,
+        sorted_vals, by_block, skipped = subsample_statistics(
+            x, y, family, b, h_b, lam_b, d, kernel, support, quad_cells,
             return_by_block=True)
         p_value = (1.0 + np.count_nonzero(sorted_vals >= t_norm)) / (1.0 + sorted_vals.size)
         results.append(SpecTestResult(
             t_raw=t_raw, t_normalized=t_norm, normalizer=scale, theta_hat=theta_hat,
             subsample_values=sorted_vals, p_value=float(p_value), block_size=int(b),
-            subsample_by_block=by_block, block_index=order_index,
-            n_blocks_skipped=skipped,
+            subsample_by_block=by_block, n_blocks_skipped=skipped,
             h=float(h), h_b=float(h_b), lam=float(lam), lam_b=float(lam_b), d=float(d)))
     return tuple(results)

@@ -233,7 +233,7 @@ def test_criterion_4_quadrature_oracle():
     rng = np.random.default_rng(20250808)
     worst = 0.0
     fam = "linear"
-    w = sl.uniform_weight()
+    w = sl.spec_test.DEFAULT_WEIGHT_SUPPORT
     for _ in range(50):
         n = int(rng.integers(20, 51))
         x = np.cumsum(rng.standard_normal(n))
@@ -361,11 +361,13 @@ def test_criterion_7_determinism_across_thread_counts():
     sim_ok = np.array_equal(p1.y, p2.y)
 
     (r1,) = sl.run_spec_test(p1.x, p1.x + 0.2 * p1.u, "linear",
-                             f"n^{H5!r}", sl.GAUSSIAN, sl.uniform_weight(),
-                             d=0.1, lam=f"n^{H5!r}", blocks=[24], quad_cells=512)
+                             f"n^{H5!r}", sl.GAUSSIAN,
+                             sl.spec_test.DEFAULT_WEIGHT_SUPPORT, d=0.1,
+                             lam=f"n^{H5!r}", blocks=[24], quad_cells=512)
     (r2,) = sl.run_spec_test(p2.x, p2.x + 0.2 * p2.u, "linear",
-                             f"n^{H5!r}", sl.GAUSSIAN, sl.uniform_weight(),
-                             d=0.1, lam=f"n^{H5!r}", blocks=[24], quad_cells=512)
+                             f"n^{H5!r}", sl.GAUSSIAN,
+                             sl.spec_test.DEFAULT_WEIGHT_SUPPORT, d=0.1,
+                             lam=f"n^{H5!r}", blocks=[24], quad_cells=512)
     test_ok = (r1.t_raw == r2.t_raw
                and np.array_equal(r1.subsample_values, r2.subsample_values))
     ok = tables_ok and sim_ok and test_ok

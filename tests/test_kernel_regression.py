@@ -295,7 +295,7 @@ def test_kernel_estimate_stack_equals_separate_calls(kernel, case):
     x, points, h, y, _ = case
     for variance, alpha in ((None, None), ("uncentered", 0.1)):
         est = kernel_estimate(x, y, points, h, kernel, alpha=alpha, variance=variance)
-        assert np.array_equal(est.bandwidth, h)
+        assert est.fhat.shape == x.shape[:1] + h.shape + points.shape
         for i in range(x.shape[0]):
             for j in range(h.size):
                 one = kernel_estimate(x[i], y[i], points, h[j], kernel, alpha=alpha,

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from slmcoint import (get_family,
-                      uniform_weight, nls_fit, t_statistic,
+from slmcoint import (get_family, nls_fit, t_statistic,
                       normalized_statistic, subsample_statistics, subsample_quantile, run_spec_test,
-                      SubsamplingError, GAUSSIAN, EPANECHNIKOV,
+                      SubsamplingError, StudyConfig, GAUSSIAN, EPANECHNIKOV,
                       TemperedProcessSpec, NoiseConfig, simulate_model, scale_dn)
 from slmcoint import spec_test
-from slmcoint.spec_test import (_GAUSSIAN_REACH, _TILE_FLOATS, ParametricFamily, _node_tiles,
+from slmcoint.spec_test import (DEFAULT_WEIGHT_SUPPORT as SUPPORT, _GAUSSIAN_REACH,
+                                _TILE_FLOATS, ParametricFamily, _node_tiles,
                                 _quad_nodes, _sliding_theta, integration_domain)
 from pair_oracle import oracle_pair_matrix
 
@@ -108,7 +108,7 @@ def test_spec_test_rejects_nonfinite_input(case):
         (x if name == "x" else y)[7] = value
     else:
         v[name] = value
-    fam, w = "linear", uniform_weight()
+    fam, w = "linear", SUPPORT
     calls = {
         ("x", "y"): lambda: nls_fit(fam, x, y),
         ("x", "y", "h", "quad_cells"): lambda: t_statistic(
@@ -139,9 +139,9 @@ def test_spec_test_rejects_memory_the_simulator_rejects(regime, d, lam, match):
         normalized_statistic(1.0, 40, lam, d, 0.5)
     with pytest.raises(ValueError, match=match):
         subsample_statistics(x, y, "linear", 10, 0.5, lam, d,
-                             GAUSSIAN, uniform_weight(), 256)
+                             GAUSSIAN, SUPPORT, 256)
     with pytest.raises(ValueError, match=match):
-        run_spec_test(x, y, "linear", 0.5, GAUSSIAN, uniform_weight(),
+        run_spec_test(x, y, "linear", 0.5, GAUSSIAN, SUPPORT,
                       d=d, lam=lam, blocks=[10], quad_cells=256)
     with pytest.raises(ValueError, match=match):
         TemperedProcessSpec(d=d, lam=lam, n=40)
@@ -156,9 +156,9 @@ def test_run_spec_test_rejects_a_long_memory_block_under_tempering():
         x, y = _draw(n, seed=16)
         with pytest.raises(ValueError, match=rf"^power rule '{re.escape(lam)}' is 0\.0 "
                                              rf"at size {size}$"):
-            run_spec_test(x, y, "linear", 0.5, GAUSSIAN, uniform_weight(), d=0.3,
+            run_spec_test(x, y, "linear", 0.5, GAUSSIAN, SUPPORT, d=0.3,
                           lam=lam, blocks=blocks, quad_cells=256)
-    (res,) = run_spec_test(x, y, "linear", 0.5, GAUSSIAN, uniform_weight(), d=0.1,
+    (res,) = run_spec_test(x, y, "linear", 0.5, GAUSSIAN, SUPPORT, d=0.1,
                            lam=0.0, blocks=[10], quad_cells=256)
     assert res.lam == res.lam_b == 0.0
 
@@ -169,12 +169,12 @@ def test_reject_and_p_value_differ_at_the_boundary(monkeypatch):
     # counts ties as exceedances.  With 100 values of which 5 are >= T (one
     # equal), reject(0.05) holds while p = 6/101 = 0.0594 > 0.05
     x, y = _draw(40, seed=16)
-    args = (x, y, "linear", 0.5, GAUSSIAN, uniform_weight())
+    args = (x, y, "linear", 0.5, GAUSSIAN, SUPPORT)
     (res,) = run_spec_test(*args, d=0.1, lam=0.4, blocks=[10], quad_cells=256)
     t = res.t_normalized
     values = np.concatenate([t - np.arange(95, 0, -1), [t], t + np.arange(1, 5)])
     monkeypatch.setattr(spec_test, "subsample_statistics",
-                        lambda *a, **k: (values, values, np.arange(100), 0))
+                        lambda *a, **k: (values, values, 0))
     (res,) = run_spec_test(*args, d=0.1, lam=0.4, blocks=[10], quad_cells=256)
     assert res.t_normalized == t
     assert res.reject(0.05) and res.p_value == 6 / 101
@@ -183,7 +183,7 @@ def test_reject_and_p_value_differ_at_the_boundary(monkeypatch):
 
 def test_block_size_and_quad_cells_accept_numpy_integers():
     x, y = _draw(40, seed=14)
-    fam, w = "linear", uniform_weight()
+    fam, w = "linear", SUPPORT
     expect = subsample_statistics(x, y, fam, 10, 0.5, 0.4, 0.1, GAUSSIAN, w, 256)
     got = subsample_statistics(x, y, fam, np.int64(10), 0.5, 0.4, 0.1, GAUSSIAN,
                                w, np.int32(256))
@@ -200,9 +200,9 @@ def test_p_value_needs_a_block_shorter_than_the_sample():
     message = r"^block size must satisfy 2 <= b < n, got b = 40, n = 40$"
     with pytest.raises(ValueError, match=message):
         subsample_statistics(x, y, "linear", 40, 0.5, 0.4, 0.1,
-                             GAUSSIAN, uniform_weight(), 256)
+                             GAUSSIAN, SUPPORT, 256)
     with pytest.raises(ValueError, match=message):
-        run_spec_test(x, y, "linear", 0.5, GAUSSIAN, uniform_weight(),
+        run_spec_test(x, y, "linear", 0.5, GAUSSIAN, SUPPORT,
                       d=0.1, lam=0.4, blocks=[10, 40], quad_cells=256)
 
 
@@ -212,7 +212,44 @@ def test_spec_test_rejects_unequal_lengths():
         nls_fit("linear", x, y[:-1])
     with pytest.raises(ValueError, match="equal length"):
         subsample_statistics(x[:-1], y, "linear", 10, 0.5, 0.4, 0.1,
-                             GAUSSIAN, uniform_weight())
+                             GAUSSIAN, SUPPORT)
+
+
+@pytest.mark.parametrize("support", [(5, -5), (1, 1), (math.nan, 1), (1, 2, 3),
+                                     ("a", "b"), (True, 2)],
+                         ids=["reversed", "empty", "nan", "three", "strings", "bool"])
+def test_weight_support_must_be_two_numbers_in_order(support):
+    # a support is two numbers a < b; every entry that takes one, and the
+    # size study's config, names it in a ValueError
+    x, y = _draw(40, seed=14)
+    calls = [
+        lambda: t_statistic(x, y, "linear", [0.0, 1.0], 0.5, GAUSSIAN, support, 256),
+        lambda: subsample_statistics(x, y, "linear", 10, 0.5, 0.4, 0.1, GAUSSIAN,
+                                     support, 256),
+        lambda: run_spec_test(x, y, "linear", 0.5, GAUSSIAN, support, d=0.1, lam=0.4,
+                              blocks=[10], quad_cells=256),
+        lambda: integration_domain(x, 0.5, support),
+        lambda: StudyConfig(study_kind="size", n=100, replications=1, d_values=[0.1],
+                            memory_settings=["lm"], bandwidth_exponents=[-0.2],
+                            weight_support=support),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^weight[ _]support must"):
+            call()
+
+
+def test_weight_support_of_integers_equals_floats():
+    x, y = _draw(60, seed=17)
+    theta = nls_fit("linear", x, y)
+    for support in ((-100, 100), (-2, 3)):
+        floats = tuple(float(v) for v in support)
+        assert (t_statistic(x, y, "linear", theta, 0.5, GAUSSIAN, support, 256)
+                == t_statistic(x, y, "linear", theta, 0.5, GAUSSIAN, floats, 256))
+        (ints,) = run_spec_test(x, y, "linear", 0.5, GAUSSIAN, support, d=0.1, lam=0.4,
+                                blocks=[12], quad_cells=256)
+        (reals,) = run_spec_test(x, y, "linear", 0.5, GAUSSIAN, floats, d=0.1, lam=0.4,
+                                 blocks=[12], quad_cells=256)
+        _same_result(ints, reals)
 
 
 # --------------------------------------------------------------- statistic
@@ -228,14 +265,14 @@ def test_t_statistic_zero_residuals():
     x, _ = _draw()
     y = np.zeros_like(x)
     theta = nls_fit("linear", x, y)
-    t = t_statistic(x, y, "linear", theta, 0.5, GAUSSIAN, uniform_weight())
+    t = t_statistic(x, y, "linear", theta, 0.5, GAUSSIAN, SUPPORT)
     assert t == 0.0
 
 
 def test_t_statistic_fine_grid_oracle():
     x, y = _draw(30, seed=2)
     theta = nls_fit("linear", x, y)
-    w = uniform_weight(-100, 100)
+    w = (-100, 100)
     t = t_statistic(x, y, "linear", theta, 0.7, GAUSSIAN, w, 2048)
     t_fine = t_statistic(x, y, "linear", theta, 0.7, GAUSSIAN, w, 20480)
     assert abs(t - t_fine) <= 1e-6 * abs(t_fine)
@@ -246,7 +283,7 @@ def test_t_statistic_quad_doubling():
     x = np.cumsum(rng.standard_normal(1000))
     y = x + 0.2 * rng.standard_normal(1000)
     theta = nls_fit("linear", x, y)
-    w = uniform_weight()
+    w = SUPPORT
     t1 = t_statistic(x, y, "linear", theta, 1000 ** -0.2, GAUSSIAN, w, 2048)
     t2 = t_statistic(x, y, "linear", theta, 1000 ** -0.2, GAUSSIAN, w, 4096)
     assert abs(t2 - t1) < 1e-6 * abs(t1)
@@ -263,7 +300,7 @@ def test_t_statistic_matches_exactly_rounded_node_sums(family, kernel, support):
     x, y = _draw(300, seed=21)
     y = y + 0.05 * x ** 2
     h = 300 ** -0.2
-    w = uniform_weight(-support, support)
+    w = (-support, support)
     theta = nls_fit(family, x, y)
     t = t_statistic(x, y, family, theta, h, kernel, w)
     r = family.residuals(x, y, theta)
@@ -277,23 +314,23 @@ def test_t_statistic_matches_exactly_rounded_node_sums(family, kernel, support):
 def test_t_statistic_nonnegative_and_domain():
     x, y = _draw(50, seed=4)
     theta = nls_fit("linear", x, y)
-    t = t_statistic(x, y, "linear", theta, 0.4, GAUSSIAN, uniform_weight())
+    t = t_statistic(x, y, "linear", theta, 0.4, GAUSSIAN, SUPPORT)
     assert t >= 0.0
-    lo, hi = integration_domain(x, 0.4, uniform_weight())
+    lo, hi = integration_domain(x, 0.4, SUPPORT)
     assert lo >= -100 and hi <= 100
     with pytest.raises(ValueError):
         t_statistic(x, y, "linear", theta, 0.4, GAUSSIAN,
-                    uniform_weight(), quad_cells=1)
+                    SUPPORT, quad_cells=1)
 
 
 def test_residual_invariance_to_family_shift():
     x, y = _draw(80, seed=5)
     fam = "linear"
     theta = nls_fit(fam, x, y)
-    t0 = t_statistic(x, y, fam, theta, 0.5, GAUSSIAN, uniform_weight())
+    t0 = t_statistic(x, y, fam, theta, 0.5, GAUSSIAN, SUPPORT)
     y2 = y + (4.0 - 2.5 * x)
     theta2 = nls_fit(fam, x, y2)
-    t1 = t_statistic(x, y2, fam, theta2, 0.5, GAUSSIAN, uniform_weight())
+    t1 = t_statistic(x, y2, fam, theta2, 0.5, GAUSSIAN, SUPPORT)
     assert t1 == pytest.approx(t0, rel=1e-10, abs=1e-12)
 
 
@@ -351,7 +388,7 @@ def test_subsample_degenerate_zero_data():
     x, _ = _draw(40, seed=7)
     y = np.zeros_like(x)
     vals = subsample_statistics(x, y, "linear", 10, 0.5, 0.3, 0.1,
-                                GAUSSIAN, uniform_weight())
+                                GAUSSIAN, SUPPORT)
     assert_allclose(vals, 0.0)
 
 
@@ -363,15 +400,15 @@ def test_subsample_matches_per_block_oracle():
     fam = get_family("linear")
     h_b = b ** -0.2
     lam_b = b ** -0.2
-    w = uniform_weight()
-    vals, by_block, order, skipped = subsample_statistics(
+    w = SUPPORT
+    vals, by_block, skipped = subsample_statistics(
         x, y, fam, b, h_b, lam_b, 0.1, GAUSSIAN, w,
         quad_cells=512, return_by_block=True)
     assert skipped == 0
     assert vals.shape == (n - b + 1,)
     # every block refit on its own, its residuals in the quadratic form of
     # the dense pair matrix over the weight's whole support
-    pair = oracle_pair_matrix(x, h_b, (w.a, w.b))
+    pair = oracle_pair_matrix(x, h_b, w)
     oracle = []
     for t0 in range(n - b + 1):
         sl = slice(t0, t0 + b)
@@ -387,12 +424,17 @@ def test_subsample_skips_singular_blocks():
     x = np.cumsum(rng.standard_normal(n))
     x[100:120] = x[99] + 1.0  # exactly one all-constant window (block 100)
     y = x + 0.1 * rng.standard_normal(n)
-    vals, by_block, order, skipped = subsample_statistics(
-        x, y, "linear", b, 0.5, 0.4, 0.1, GAUSSIAN,
-        uniform_weight(), quad_cells=256, return_by_block=True)
+    args = ("linear", b, 0.5, 0.4, 0.1, GAUSSIAN, SUPPORT, 256)
+    vals, by_block, skipped = subsample_statistics(x, y, *args, return_by_block=True)
     assert skipped == 1
     assert vals.shape == (n - b + 1 - 1,)
-    assert 100 not in order
+    # block 100 is the one left out: the others are the blocks of the paths
+    # before it (blocks 0-99) and after it (blocks 101-380), in order; block
+    # 101 is nearly flat, a near-perfect fit whose value cancels to ~1e-18
+    head = subsample_statistics(x[:119], y[:119], *args, return_by_block=True)[1]
+    tail = subsample_statistics(x[101:], y[101:], *args, return_by_block=True)[1]
+    assert_allclose(by_block, np.concatenate([head, tail]), rtol=1e-9,
+                    atol=1e-12 * by_block.max())
 
 
 def test_subsample_aborts_on_many_failures():
@@ -403,7 +445,7 @@ def test_subsample_aborts_on_many_failures():
     y = x + 0.1 * rng.standard_normal(n)
     with pytest.raises(SubsamplingError):
         subsample_statistics(x, y, "linear", b, 0.5, 0.4, 0.1,
-                             GAUSSIAN, uniform_weight(), quad_cells=256)
+                             GAUSSIAN, SUPPORT, quad_cells=256)
 
 
 def test_subsample_quantile_order_statistic():
@@ -430,8 +472,8 @@ def test_monotone_p_value():
 # squares, added tile by tile.  The block values are exact pair-integral
 # quadratic forms, checked against the dense pair matrix of pair_oracle.
 
-def _untiled_statistic(x, r, h, kernel, weight, quad_cells, tile_floats=_TILE_FLOATS):
-    nodes, dx = _quad_nodes(integration_domain(x, h, weight), quad_cells)
+def _untiled_statistic(x, r, h, kernel, support, quad_cells, tile_floats=_TILE_FLOATS):
+    nodes, dx = _quad_nodes(integration_domain(x, h, support), quad_cells)
     K = kernel((x[None, :] - nodes[:, None]) / h)
     sums = np.cumsum(K * r[None, :], axis=1)[:, -1]
     step = max(1, tile_floats // x.shape[0])
@@ -444,8 +486,8 @@ def _untiled_statistic(x, r, h, kernel, weight, quad_cells, tile_floats=_TILE_FL
     return total[0] * dx
 
 
-def _dense_subsample(x, y, family, b, h_b, lam_b, d, kernel, weight):
-    """Block-ordered normalized values, block indices and skip count of
+def _dense_subsample(x, y, family, b, h_b, lam_b, d, kernel, support):
+    """Block-ordered normalized values and skip count of
     ``subsample_statistics``, from the library's block fits and the dense
     pair matrix: block t's residuals r in r' P[t:t+b, t:t+b] r.  Also the
     normalized |r|' P[t:t+b, t:t+b] |r|, the scale of the rounding error of
@@ -453,7 +495,7 @@ def _dense_subsample(x, y, family, b, h_b, lam_b, d, kernel, weight):
     annihilates, such as a block that spans much less than a bandwidth, the
     form cancels and keeps fewer digits than its terms."""
     theta, valid, u = _sliding_theta(x, y, family, b)
-    pair = oracle_pair_matrix(x, h_b, (weight.a, weight.b), kernel.kind)
+    pair = oracle_pair_matrix(x, h_b, support, kernel.kind)
     raw, scale = [], []
     for t in np.flatnonzero(valid):
         sl = slice(t, t + b)
@@ -461,8 +503,7 @@ def _dense_subsample(x, y, family, b, h_b, lam_b, d, kernel, weight):
         raw.append(r @ pair[sl, sl] @ r)
         scale.append(np.abs(r) @ pair[sl, sl] @ np.abs(r))
     normalized, normalizer = normalized_statistic(np.array(raw), b, lam_b, d, h_b)
-    return (normalized, np.array(scale) / normalizer, np.flatnonzero(valid),
-            int(valid.size - valid.sum()))
+    return normalized, np.array(scale) / normalizer, int(valid.size - valid.sum())
 
 
 def _assert_close_to_dense(got, expect, scale):
@@ -472,16 +513,16 @@ def _assert_close_to_dense(got, expect, scale):
     assert np.all(np.abs(got - expect) <= 1e-12 * scale + np.finfo(float).tiny)
 
 
-def _assert_tiled_equals_untiled(x, y, family, kernel, weight, quad_cells, blocks):
+def _assert_tiled_equals_untiled(x, y, family, kernel, support, quad_cells, blocks):
     n = x.shape[0]
     h = n ** -0.2
     theta = nls_fit(family, x, y)
     r = family.residuals(x, y, theta)
-    assert (t_statistic(x, y, family, theta, h, kernel, weight, quad_cells)
-            == _untiled_statistic(x, r, h, kernel, weight, quad_cells))
+    assert (t_statistic(x, y, family, theta, h, kernel, support, quad_cells)
+            == _untiled_statistic(x, r, h, kernel, support, quad_cells))
     for b in blocks:
-        args = (x, y, family, b, b ** -0.2, b ** -0.2, 0.1, kernel, weight)
-        by_block, scale, index, skipped = _dense_subsample(*args)
+        args = (x, y, family, b, b ** -0.2, b ** -0.2, 0.1, kernel, support)
+        by_block, scale, skipped = _dense_subsample(*args)
         if skipped > 0.05 * (n - b + 1):
             with pytest.raises(SubsamplingError):
                 subsample_statistics(*args, quad_cells)
@@ -489,8 +530,7 @@ def _assert_tiled_equals_untiled(x, y, family, kernel, weight, quad_cells, block
         got = subsample_statistics(*args, quad_cells, return_by_block=True)
         _assert_close_to_dense(got[1], by_block, scale)
         assert np.array_equal(got[0], np.sort(got[1]))
-        assert np.array_equal(got[2], index)
-        assert got[3] == skipped
+        assert got[2] == skipped
 
 
 def _walk(n, seed, offset=0.0):
@@ -522,7 +562,7 @@ _TILING_CASES = [(5, 2), (17, 100), (64, 1000), (183, 2048), (257, 2048),
 def test_tiled_statistic_equals_untiled(family, kernel, n, quad_cells):
     x, y = _walk(n, seed=n)
     blocks = sorted({2, family.dim + 1, n - 1})  # n - 1: the longest block
-    _assert_tiled_equals_untiled(x, y, family, kernel, uniform_weight(),
+    _assert_tiled_equals_untiled(x, y, family, kernel, SUPPORT,
                                  quad_cells, blocks)
 
 
@@ -537,8 +577,8 @@ def test_one_node_tiles_equal_untiled(monkeypatch, kernel):
     theta = nls_fit(family, x, y)
     r = family.residuals(x, y, theta)
     monkeypatch.setattr(spec_test, "_TILE_FLOATS", x.shape[0])
-    assert (t_statistic(x, y, family, theta, h, kernel, uniform_weight(), 16)
-            == _untiled_statistic(x, r, h, kernel, uniform_weight(), 16, x.shape[0]))
+    assert (t_statistic(x, y, family, theta, h, kernel, SUPPORT, 16)
+            == _untiled_statistic(x, r, h, kernel, SUPPORT, 16, x.shape[0]))
 
 
 @pytest.mark.parametrize("kernel", [GAUSSIAN, EPANECHNIKOV],
@@ -549,7 +589,7 @@ def test_tiled_statistic_equals_untiled_far_from_origin(family, kernel):
     # the quadratic blocks fit in standardized coordinates; the path also
     # runs past the weight's edge at 100, which cuts the domain
     x, y = _walk(300, seed=31, offset=90.0)
-    _assert_tiled_equals_untiled(x, y, family, kernel, uniform_weight(), 1000,
+    _assert_tiled_equals_untiled(x, y, family, kernel, SUPPORT, 1000,
                                  [family.dim + 1, 40, 299])
 
 
@@ -559,7 +599,7 @@ def test_tiled_statistic_equals_untiled_with_skipped_blocks(family):
     x, y = _walk(400, seed=9)
     x[100:120] = x[99] + 1.0  # a constant stretch: some block fits are singular
     assert not _sliding_theta(x, y, family, 20)[1].all()
-    _assert_tiled_equals_untiled(x, y, family, GAUSSIAN, uniform_weight(), 1024,
+    _assert_tiled_equals_untiled(x, y, family, GAUSSIAN, SUPPORT, 1024,
                                  [20])
 
 
@@ -574,7 +614,7 @@ def test_tiled_statistic_equals_untiled_at_epanechnikov_reach(family):
     step = _TILE_FLOATS // n
     values = []
     for h in (n ** -0.2, b ** -0.2):
-        nodes = _quad_nodes(integration_domain(x, h, uniform_weight()), quad_cells)[0]
+        nodes = _quad_nodes(integration_domain(x, h, SUPPORT), quad_cells)[0]
         for i in range(0, quad_cells, step):
             values += [nodes[i] - h, np.nextafter(nodes[i] - h, nodes[i])]
         for i in range(step - 1, quad_cells, step):
@@ -583,9 +623,9 @@ def test_tiled_statistic_equals_untiled_at_epanechnikov_reach(family):
     inner = [k for k in range(n) if k not in (np.argmin(x), np.argmax(x))]
     x[inner[:len(values)]] = values  # the extremes, and so the nodes, stay
     h = n ** -0.2
-    nodes = _quad_nodes(integration_domain(x, h, uniform_weight()), quad_cells)[0]
+    nodes = _quad_nodes(integration_domain(x, h, SUPPORT), quad_cells)[0]
     assert np.count_nonzero(np.abs((x[:, None] - nodes) / h) == 1.0) >= 5
-    _assert_tiled_equals_untiled(x, y, family, EPANECHNIKOV, uniform_weight(),
+    _assert_tiled_equals_untiled(x, y, family, EPANECHNIKOV, SUPPORT,
                                  quad_cells, [b])
 
 
@@ -597,9 +637,9 @@ def test_tiled_statistic_equals_untiled_on_a_gappy_path(family, kernel):
     # two clusters 80 apart: the tiles between them reach no observation
     x, y = _gappy_walk(300, seed=41)
     h = 300 ** -0.2
-    nodes = _quad_nodes(integration_domain(x, h, uniform_weight()), 1024)[0]
+    nodes = _quad_nodes(integration_domain(x, h, SUPPORT), 1024)[0]
     assert any(keep.size == 0 for keep, _ in _node_tiles(x, h, kernel, nodes))
-    _assert_tiled_equals_untiled(x, y, family, kernel, uniform_weight(), 1024,
+    _assert_tiled_equals_untiled(x, y, family, kernel, SUPPORT, 1024,
                                  [family.dim + 1, 40, 299])
 
 
@@ -611,7 +651,7 @@ def test_tiled_statistic_equals_untiled_on_a_gappy_path(family, kernel):
 def test_tiled_statistic_equals_untiled_with_cut_support(family, kernel, support):
     x, y = _walk(400, seed=4)
     assert x.min() < -support or x.max() > support  # the weight cuts the path
-    _assert_tiled_equals_untiled(x, y, family, kernel, uniform_weight(-support, support),
+    _assert_tiled_equals_untiled(x, y, family, kernel, (-support, support),
                                  1024, [22, 89])
 
 
@@ -623,7 +663,7 @@ def test_tiled_statistic_equals_untiled_short_quadratic(kernel):
     rng = np.random.default_rng(59)
     x = 9.0 + 0.02 * np.arange(59) + 0.01 * np.cumsum(rng.standard_normal(59))
     y = -40.0 + 9.0 * x - 0.47 * x ** 2 + 0.01 * rng.standard_normal(59)
-    _assert_tiled_equals_untiled(x, y, get_family("quadratic"), kernel, uniform_weight(),
+    _assert_tiled_equals_untiled(x, y, get_family("quadratic"), kernel, SUPPORT,
                                  2048, [15, 30, 46])
 
 
@@ -640,7 +680,7 @@ def test_block_values_beyond_a_cut_support(kernel):
     rng = np.random.default_rng(121)
     x[20:60] = 10.0 + 5.0 * h_b + 0.5 * h_b * rng.uniform(size=40)
     y = x + 0.3 * rng.standard_normal(n)
-    args = (x, y, get_family("linear"), b, h_b, h_b, 0.1, kernel, uniform_weight(-10, 10))
+    args = (x, y, get_family("linear"), b, h_b, h_b, 0.1, kernel, (-10, 10))
     got = subsample_statistics(*args, return_by_block=True)[1]
     expect, scale = _dense_subsample(*args)[:2]
     outside = slice(20, 41)
@@ -663,7 +703,7 @@ def test_block_values_do_not_depend_on_the_lag_runs(monkeypatch, kernel, support
     x, y = _walk(n, seed=17) if path == "walk" else _gappy_walk(n, seed=17)
     assert x.min() < -10.0 or x.max() > 10.0
     args = (x, y, get_family("quadratic"), b, b ** -0.2, b ** -0.2, 0.1, kernel,
-            uniform_weight(-support, support))
+            (-support, support))
     values = []
     for lags in (1, 2, 7, b):
         monkeypatch.setattr(spec_test, "_LAG_RUN_FLOATS", lags * n)
@@ -720,23 +760,23 @@ def test_statistic_working_memory():
     theta = nls_fit(fam, x, y)
     h, h_b = 500 ** -0.2, 22 ** -0.2
     peak = _traced_peak(lambda: subsample_statistics(
-        x, y, fam, 22, h_b, h_b, 0.1, GAUSSIAN, uniform_weight(), 1024))
+        x, y, fam, 22, h_b, h_b, 0.1, GAUSSIAN, SUPPORT, 1024))
     assert peak < 2.5e6
     peak = _traced_peak(lambda: t_statistic(
-        x, y, fam, theta, h, GAUSSIAN, uniform_weight(), 1024))
+        x, y, fam, theta, h, GAUSSIAN, SUPPORT, 1024))
     assert peak < 3e6
     # b = 89, the SLM3 size cell: the blocks' residuals take 0.3 MB and a
     # run of lags 8 band rows
     h_b = 89 ** -0.2
     peak = _traced_peak(lambda: subsample_statistics(
-        x, y, fam, 89, h_b, h_b, 0.1, GAUSSIAN, uniform_weight(), 1024))
+        x, y, fam, 89, h_b, h_b, 0.1, GAUSSIAN, SUPPORT, 1024))
     assert peak < 1e6
     # n = 8000 and b = [4 sqrt(n)] = 357: a dense pair matrix would take
     # 512 MB, the blocks' residuals take 22 MB
     x, y = _walk(8000, seed=15)
     h_b = 357 ** -0.2
     peak = _traced_peak(lambda: subsample_statistics(
-        x, y, fam, 357, h_b, h_b, 0.1, GAUSSIAN, uniform_weight(), 1024))
+        x, y, fam, 357, h_b, h_b, 0.1, GAUSSIAN, SUPPORT, 1024))
     assert peak < 64e6
 
 
@@ -747,7 +787,7 @@ def test_run_spec_test_degenerate_null():
     y = np.zeros_like(x)
     # the bandwidth rule through h = 0.4 at n = 80
     (res,) = run_spec_test(x, y, "linear", f"n^{math.log(0.4) / math.log(80)!r}", GAUSSIAN,
-                           uniform_weight(), d=0.1, lam="n^-0.2", blocks=[20])
+                           SUPPORT, d=0.1, lam="n^-0.2", blocks=[20])
     assert res.h == pytest.approx(0.4)
     assert res.t_raw == 0.0
     assert res.p_value == 1.0
@@ -761,9 +801,9 @@ def test_run_spec_test_fields_and_determinism():
     y = path.x + 0.2 * path.u
     kwargs = dict(d=0.1, lam="n^-0.2", blocks=[28], quad_cells=512)
     (a,) = run_spec_test(path.x, y, "linear", "n^-0.2", GAUSSIAN,
-                         uniform_weight(), **kwargs)
+                         SUPPORT, **kwargs)
     (b,) = run_spec_test(path.x, y, "linear", "n^-0.2", GAUSSIAN,
-                         uniform_weight(), **kwargs)
+                         SUPPORT, **kwargs)
     assert a.t_raw == b.t_raw
     assert np.array_equal(a.subsample_values, b.subsample_values)
     assert a.subsample_values.shape == (200 - 28 + 1,)
@@ -782,7 +822,7 @@ def test_run_spec_test_fields_and_determinism():
 
 def _same_result(a, b):
     assert a.to_dict() == b.to_dict()
-    for name in ("theta_hat", "subsample_values", "subsample_by_block", "block_index"):
+    for name in ("theta_hat", "subsample_values", "subsample_by_block"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
@@ -799,12 +839,12 @@ def test_run_spec_test_blocks_equal_separate_calls(family):
     # rules at every size, and numbers held at every size
     for h, lam in (("n^-0.2", "n^-0.2"), (0.5, 0.4)):
         kwargs = dict(d=0.1, lam=lam, quad_cells=256)
-        together = run_spec_test(x, y, family, h, GAUSSIAN, uniform_weight(),
+        together = run_spec_test(x, y, family, h, GAUSSIAN, SUPPORT,
                                  blocks=blocks, **kwargs)
         assert [res.block_size for res in together] == blocks
         assert together[0].n_blocks_skipped > 0
         for block, res in zip(blocks, together):
-            (alone,) = run_spec_test(x, y, family, h, GAUSSIAN, uniform_weight(),
+            (alone,) = run_spec_test(x, y, family, h, GAUSSIAN, SUPPORT,
                                      blocks=[block], **kwargs)
             _same_result(res, alone)
 
@@ -818,7 +858,7 @@ def test_run_spec_test_maps_its_rules_to_block_scale(family):
     n = 120
     x = np.cumsum(rng.standard_normal(n))
     y = x + 0.3 * rng.standard_normal(n)
-    fam, w = get_family(family), uniform_weight()
+    fam, w = get_family(family), SUPPORT
     theta = nls_fit(fam, x, y)
     for lam, lam_n, lam_b in (("n^-1/4", n ** -0.25, {15: 15 ** -0.25, 40: 40 ** -0.25}),
                               (0.3, 0.3, {15: 0.3, 40: 0.3})):
@@ -843,14 +883,14 @@ def test_run_spec_test_blocks_propagate_subsampling_error():
     y = x + 0.1 * rng.standard_normal(n)
     kwargs = dict(d=0.1, lam=0.4, quad_cells=256)
     good, bad = 70, 10
-    run_spec_test(x, y, "linear", 0.5, GAUSSIAN, uniform_weight(),
+    run_spec_test(x, y, "linear", 0.5, GAUSSIAN, SUPPORT,
                   blocks=[good], **kwargs)
     for blocks in ([bad], [good, bad], [bad, good]):
         with pytest.raises(SubsamplingError):
-            run_spec_test(x, y, "linear", 0.5, GAUSSIAN, uniform_weight(),
+            run_spec_test(x, y, "linear", 0.5, GAUSSIAN, SUPPORT,
                           blocks=blocks, **kwargs)
     with pytest.raises(ValueError, match="blocks must hold at least one"):
-        run_spec_test(x, y, "linear", 0.5, GAUSSIAN, uniform_weight(),
+        run_spec_test(x, y, "linear", 0.5, GAUSSIAN, SUPPORT,
                       blocks=[], **kwargs)
 
 
@@ -873,7 +913,7 @@ def test_p_value_counts_block_exceedances(case):
     x, y, b = case
     n = x.size
     (res,) = run_spec_test(x, y, "linear", "n^-0.2", GAUSSIAN,
-                           uniform_weight(), d=0.1, lam="n^-0.2", blocks=[b],
+                           SUPPORT, d=0.1, lam="n^-0.2", blocks=[b],
                            quad_cells=64)
     m = res.subsample_values.size
     assert m == n - b + 1 - res.n_blocks_skipped
@@ -908,7 +948,7 @@ def test_statistic_invariant_to_family_member(case):
 
     def run(yy):
         (res,) = run_spec_test(x, yy, family, "n^-0.2", GAUSSIAN,
-                               uniform_weight(), d=0.1, lam="n^-0.2", blocks=[b],
+                               SUPPORT, d=0.1, lam="n^-0.2", blocks=[b],
                                quad_cells=64)
         return res
 
@@ -919,7 +959,7 @@ def test_statistic_invariant_to_family_member(case):
     tol = 1e-8
     t, blocks = base.t_normalized, base.subsample_by_block
     assert_allclose(moved.t_normalized, t, rtol=tol, atol=0)
-    assert np.array_equal(moved.block_index, base.block_index)
+    assert moved.n_blocks_skipped == base.n_blocks_skipped
     scale = np.max(np.abs(blocks), initial=abs(t))
     assert_allclose(moved.subsample_by_block, blocks, rtol=tol, atol=tol * scale)
     if not np.any(np.abs(blocks - t) <= tol * scale):
@@ -941,7 +981,7 @@ def test_divergence_under_fixed_alternative():
             y = path.x + np.sin(np.pi * path.x) + 0.2 * path.u
             theta = nls_fit("linear", path.x, y)
             t = t_statistic(path.x, y, "linear", theta, n ** -0.2,
-                            GAUSSIAN, uniform_weight(), quad_cells=512)
+                            GAUSSIAN, SUPPORT, quad_cells=512)
             vals.append(normalized_statistic(t, n, n ** -0.2, 0.1,
                                              n ** -0.2)[0])
         medians.append(np.median(vals))

@@ -23,7 +23,8 @@ def _spec_test():
     # through the module attribute, which is what install() replaces
     (result,) = sl.spec_test.run_spec_test(
         x, y, "linear", "n^-0.2", sl.GAUSSIAN,
-        sl.uniform_weight(), d=0.1, lam="n^-0.2", blocks=[16], quad_cells=256)
+        sl.spec_test.DEFAULT_WEIGHT_SUPPORT, d=0.1, lam="n^-0.2", blocks=[16],
+        quad_cells=256)
     return result
 
 
