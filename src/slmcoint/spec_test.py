@@ -34,7 +34,6 @@ _DOMAIN_PAD_BANDWIDTHS = 6.0
 _MAX_SKIPPED_FRACTION = 0.05
 _TILE_FLOATS = 2 ** 14  # kernel values per node tile: 32 rows at n = 500
 _LAG_RUN_FLOATS = 4096  # pair integrals per run of lags: 8 lags at n = 500
-_GAUSSIAN_REACH = 40.0  # the Gaussian weight is exactly 0.0 beyond |u| = 38.58
 _DEGREES = {"linear": 1, "quadratic": 2}
 
 
@@ -144,18 +143,28 @@ def _quad_nodes(domain, quad_cells):
     return lo + (np.arange(quad_cells) + 0.5) * dx, dx
 
 
+def _gaussian_reach(n):
+    """The Gaussian reach u_n = sqrt(2 (ln n + 36 ln 10)) in bandwidths:
+    exp(-u_n^2 / 2) = 1e-36 / n, so the n weights beyond it add up to less
+    than 1e-36 of the kernel's peak weight."""
+    return np.sqrt(2.0 * (np.log(n) + 36.0 * np.log(10.0)))
+
+
 def _node_tiles(x, h, kernel, nodes):
     """Yield (keep, K) over consecutive tiles of the ascending nodes:
     ``keep`` indexes, in time order, the observations within reach of the
     tile's nodes v, and K[k, i] = kernel((x[keep][k] - v[i]) / h).
-    The reach is the kernel's half-width, or ``_GAUSSIAN_REACH`` for the
+    The reach is the kernel's half-width, or ``_gaussian_reach(n)`` for the
     Gaussian, widened by a relative 1e-12 as in ``kernel_sums``: every
-    observation left out has weight exactly 0.0 at every node of the tile,
-    and adding 0.0 leaves a sum unchanged bit for bit.  A tile holds at most
-    ``_TILE_FLOATS`` kernel values, so that the working arrays derived from
-    it stay in cache and none is large enough to be mapped afresh per call."""
-    reach = h * (kernel.halfwidth if np.isfinite(kernel.halfwidth) else _GAUSSIAN_REACH)
-    step = max(1, _TILE_FLOATS // x.shape[0])
+    Epanechnikov weight left out is exactly 0.0, and every Gaussian one is
+    below 1e-36 / n of the peak weight, too small to move the statistic
+    unless every node is nearly that far from every observation.  A tile
+    holds at most ``_TILE_FLOATS`` kernel values, so that the working
+    arrays derived from it stay in cache and none is large enough to be
+    mapped afresh per call."""
+    n = x.shape[0]
+    reach = h * (kernel.halfwidth if np.isfinite(kernel.halfwidth) else _gaussian_reach(n))
+    step = max(1, _TILE_FLOATS // n)
     for lo in range(0, nodes.shape[0], step):
         tile = nodes[lo:lo + step]
         pad = reach + 1e-12 * (max(abs(tile[0]), abs(tile[-1])) + reach)
@@ -166,7 +175,7 @@ def _node_tiles(x, h, kernel, nodes):
 def _midpoint_statistic(x, r, h, kernel, support, quad_cells):
     """int { sum_k K[(x_k - v)/h] r_k }^2 dv by the midpoint rule.  Per node
     tile, each node's sum runs along the kept observations (the rest weigh
-    0.0), and the tile's squared sums add into the result."""
+    too little to move it), and the tile's squared sums add into the result."""
     nodes, dx = _quad_nodes(integration_domain(x, h, support), quad_cells)
     total = 0.0
     for keep, K in _node_tiles(x, h, kernel, nodes):

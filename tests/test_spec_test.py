@@ -12,7 +12,7 @@ from slmcoint import (get_family, nls_fit, t_statistic,
                       SubsamplingError, StudyConfig, GAUSSIAN, EPANECHNIKOV,
                       TemperedProcessSpec, NoiseConfig, simulate_model, scale_dn)
 from slmcoint import spec_test
-from slmcoint.spec_test import (DEFAULT_WEIGHT_SUPPORT as SUPPORT, _GAUSSIAN_REACH,
+from slmcoint.spec_test import (DEFAULT_WEIGHT_SUPPORT as SUPPORT, _gaussian_reach,
                                 _TILE_FLOATS, ParametricFamily, _node_tiles,
                                 _quad_nodes, _sliding_theta, integration_domain)
 from pair_oracle import oracle_pair_matrix
@@ -603,30 +603,74 @@ def test_tiled_statistic_equals_untiled_with_skipped_blocks(family):
                                  [20])
 
 
+def _at_reach_edges(x, quad_cells, bandwidths, reach):
+    """x with inner observations moved to exactly ``reach`` bandwidths from
+    the first and the last node of each node tile, and one float step
+    closer, for each bandwidth h: the edge of the reach a tile keeps.  The
+    extremes, and so the nodes, stay."""
+    n = x.shape[0]
+    step = _TILE_FLOATS // n
+    values = []
+    for h in bandwidths:
+        nodes = _quad_nodes(integration_domain(x, h, SUPPORT), quad_cells)[0]
+        for i in range(0, quad_cells, step):
+            edge = nodes[i] - reach * h
+            values += [edge, np.nextafter(edge, nodes[i])]
+        for i in range(step - 1, quad_cells, step):
+            edge = nodes[i] + reach * h
+            values += [edge, np.nextafter(edge, nodes[i])]
+    values = [v for v in values if x.min() < v < x.max()]
+    inner = [k for k in range(n) if k not in (np.argmin(x), np.argmax(x))]
+    x = x.copy()
+    x[inner[:len(values)]] = values
+    return x
+
+
 @pytest.mark.parametrize("family", [get_family("linear"), get_family("quadratic")],
                          ids=["linear", "quadratic"])
 def test_tiled_statistic_equals_untiled_at_epanechnikov_reach(family):
-    # observations at exactly h from the first and the last node of node
-    # tiles, and one float step closer, for the full-sample h and the block
-    # h_b: the edge of the reach a tile keeps
+    # the half-width's edge for the full-sample h and the block h_b
     n, b, quad_cells = 300, 40, 512
     x, y = _walk(n, seed=23)
-    step = _TILE_FLOATS // n
-    values = []
-    for h in (n ** -0.2, b ** -0.2):
-        nodes = _quad_nodes(integration_domain(x, h, SUPPORT), quad_cells)[0]
-        for i in range(0, quad_cells, step):
-            values += [nodes[i] - h, np.nextafter(nodes[i] - h, nodes[i])]
-        for i in range(step - 1, quad_cells, step):
-            values += [nodes[i] + h, np.nextafter(nodes[i] + h, nodes[i])]
-    values = [v for v in values if x.min() < v < x.max()]
-    inner = [k for k in range(n) if k not in (np.argmin(x), np.argmax(x))]
-    x[inner[:len(values)]] = values  # the extremes, and so the nodes, stay
+    x = _at_reach_edges(x, quad_cells, (n ** -0.2, b ** -0.2), 1.0)
     h = n ** -0.2
     nodes = _quad_nodes(integration_domain(x, h, SUPPORT), quad_cells)[0]
     assert np.count_nonzero(np.abs((x[:, None] - nodes) / h) == 1.0) >= 5
     _assert_tiled_equals_untiled(x, y, family, EPANECHNIKOV, SUPPORT,
                                  quad_cells, [b])
+
+
+@pytest.mark.parametrize("family", [get_family("linear"), get_family("quadratic")],
+                         ids=["linear", "quadratic"])
+def test_tiled_statistic_equals_untiled_at_gaussian_reach(family):
+    # the edge of _gaussian_reach(n) at the full-sample h, the only one whose
+    # sums are tiled; the untiled oracle keeps every observation
+    n, quad_cells = 300, 512
+    x, y = _walk(n, seed=23)
+    h = n ** -0.2
+    x = _at_reach_edges(x, quad_cells, (h,), _gaussian_reach(n))
+    nodes = _quad_nodes(integration_domain(x, h, SUPPORT), quad_cells)[0]
+    reach = _gaussian_reach(n) * h
+    assert np.count_nonzero(np.abs(np.abs(x[:, None] - nodes) - reach) <= 1e-12 * reach) >= 5
+    _assert_tiled_equals_untiled(x, y, family, GAUSSIAN, SUPPORT, quad_cells, [])
+
+
+def test_statistic_is_nil_when_no_observation_is_in_reach():
+    # two tight clusters 80 apart and two cells: the one tile's nodes lie
+    # near +-23, 16 bandwidths or more from every observation, beyond the
+    # Gaussian reach of 13.3, so the tile is empty and the statistic 0.0;
+    # the untiled form keeps the tail, a positive value below 1e-60
+    n, quad_cells, h, support = 200, 2, 1.0, (-np.inf, np.inf)
+    x, y = _walk(n, seed=5)
+    x = np.where(np.arange(n) < n // 2, -40.0, 40.0) + 0.05 * (x - x.mean())
+    family = get_family("linear")
+    theta = nls_fit(family, x, y)
+    r = family.residuals(x, y, theta)
+    nodes = _quad_nodes(integration_domain(x, h, support), quad_cells)[0]
+    assert np.min(np.abs(x[:, None] - nodes)) > _gaussian_reach(n) * h
+    assert all(keep.size == 0 for keep, _ in _node_tiles(x, h, GAUSSIAN, nodes))
+    assert 0.0 <= t_statistic(x, y, family, theta, h, GAUSSIAN, support, quad_cells) < 1e-60
+    assert 0.0 < _untiled_statistic(x, r, h, GAUSSIAN, support, quad_cells) < 1e-60
 
 
 @pytest.mark.parametrize("kernel", [GAUSSIAN, EPANECHNIKOV],
@@ -731,14 +775,16 @@ def test_pair_integral_matches_quadrature(kernel):
     assert whole[0] == pytest.approx(kernel.k2, rel=1e-15)
 
 
-def test_gaussian_weight_is_zero_beyond_the_reach():
-    # the tiles drop observations further than _GAUSSIAN_REACH bandwidths
-    # from every node, so their weight must be exactly 0.0, not just small
-    reach = _GAUSSIAN_REACH
-    u = np.array([reach, np.nextafter(reach, 0.0), np.nextafter(reach, np.inf),
-                  1.5 * reach, 1e150, np.inf])
-    assert np.all(GAUSSIAN(u) == 0.0) and np.all(GAUSSIAN(-u) == 0.0)
-    assert GAUSSIAN(38.5) > 0.0  # the first exact zero is near 38.58
+@pytest.mark.parametrize("n", [2, 59, 500, 8000, 10 ** 6])
+def test_gaussian_reach_bounds_the_dropped_weight(n):
+    # the tiles drop observations further than _gaussian_reach(n) bandwidths
+    # from every node: each weighs at most 1e-36 / n of the peak, so all n
+    # of them less than 1e-36 of one peak weight; a reach 1% shorter would
+    # drop heavier ones
+    reach = _gaussian_reach(n)
+    bound = 1e-36 / n
+    assert GAUSSIAN(reach) / GAUSSIAN(0.0) <= bound * (1.0 + 1e-12)
+    assert GAUSSIAN(0.99 * reach) / GAUSSIAN(0.0) > bound
 
 
 def _traced_peak(fn):
